@@ -80,6 +80,10 @@ def _baseline_workloads():
     from benchmarks.bench_dummy_steps import _measure
     from benchmarks.bench_faults import _measure_armed as _measure_faults
     from benchmarks.bench_model_check import _measure as _measure_model_check
+    from benchmarks.bench_model_check import _measure_pr_tree as _measure_model_check_pr_tree
+    from benchmarks.bench_model_check import (
+        _measure_pr_tree_scalar as _measure_model_check_pr_tree_scalar,
+    )
     from benchmarks.bench_model_check import _measure_scalar as _measure_model_check_scalar
     from benchmarks.bench_simulation import _check_all_families
     from benchmarks.bench_sweep import _measure_1worker, _measure_pool
@@ -98,6 +102,10 @@ def _baseline_workloads():
         # per-state loop (differentially pinned to identical counts)
         "bench_model_check": _measure_model_check,
         "bench_model_check_scalar": _measure_model_check_scalar,
+        # PR's multi-action expansion: `auto` against the scalar loop, so an
+        # `auto` gate picking the losing engine regresses the first entry
+        "bench_model_check_pr_tree": _measure_model_check_pr_tree,
+        "bench_model_check_pr_tree_scalar": _measure_model_check_pr_tree_scalar,
         "bench_async_quiescence": _measure_async,
         # the batch pair shares one workload: their timing ratio is the
         # batched engine's speedup over the per-scenario kernel path

@@ -76,7 +76,7 @@ def main(argv=None) -> int:
                         default="bench_simulation,bench_sweep_1worker,"
                                 "bench_async_quiescence,bench_batch_sweep,"
                                 "bench_telemetry,bench_dataplane,"
-                                "bench_model_check",
+                                "bench_model_check,bench_model_check_pr_tree",
                         help="comma-separated workloads that must not regress")
     parser.add_argument("--tolerance", type=float,
                         default=float(os.environ.get("BENCH_TOLERANCE", "1.20")))

@@ -246,7 +246,7 @@ def _shard_worker(
         max_runs=options.get("spill_max_runs", 8),
     )
     if options.get("vectorized"):
-        vector = compile_vector_expander(expander)
+        vector = compile_vector_expander(expander, symmetry)
         if vector is None:  # pragma: no cover - parent compiled the same gate
             conn.send(("__shard_error__", "vector kernel unavailable in worker"))
             return
@@ -603,9 +603,10 @@ class ModelChecker:
         ``"auto"`` (default) runs the whole-frontier numpy engine whenever
         the signature fits one 64-bit lane (see
         :func:`repro.kernels.vector.compile_vector_expander` for the exact
-        gate; symmetry reduction always stays scalar), falling back to the
-        scalar expanders otherwise.  ``"never"`` forces the scalar path;
-        ``"always"`` raises if the batch engine cannot run.  Counts,
+        gate; with ``symmetry`` the batch engine canonicalises whole
+        successor columns), falling back to the scalar expanders
+        otherwise.  ``"never"`` forces the scalar path; ``"always"``
+        raises if the batch engine cannot run.  Counts,
         visited sets, traces and truncation points are identical between
         the two engines (differentially pinned); only throughput differs.
     track_traces:
@@ -659,13 +660,14 @@ class ModelChecker:
         self.max_traced_failures = max_traced_failures
         self._expander = compile_expander(automaton, single_actions_only)
         self._vector = None
-        if vectorized != "never" and not symmetry:
-            self._vector = compile_vector_expander(self._expander)
+        if vectorized != "never":
+            self._vector = compile_vector_expander(self._expander, symmetry)
         if vectorized == "always" and self._vector is None:
             raise ValueError(
                 "vectorized='always' but the batch engine cannot run here "
-                "(no compiled kernel, signature wider than 64 bits, or "
-                "symmetry reduction requested)"
+                "(no compiled kernel, a signature wider than 64 bits, more "
+                "than 64 nodes, or a PR/OneStepPR node of degree above the "
+                "step-table limit)"
             )
         if self._expander is None:
             if self.workers > 1:
@@ -838,7 +840,9 @@ class ModelChecker:
         instance = expander.instance
         report.vectorized = True
         edge_mask = np.uint64(expander._edge_mask)
-        initial = int(expander.initial_signature())
+        initial = expander.initial_signature()
+        if self.symmetry:
+            initial = expander.canonicalize(initial)
         visited = VisitedSet(
             key_bytes=(expander.signature_bits + 7) // 8 if self.spill_threshold else None,
             spill_threshold=self.spill_threshold,

@@ -13,8 +13,19 @@ over a ``uint64`` array of packed signatures:
   through the scalar kernel's own ``_compile_step``, so the masks are equal
   by construction); NewPR's parity-selected flips and counter increments are
   ``where``/add columns;
-* PR's subset actions group the frontier by sink-set word so each distinct
-  subset is composed once per group instead of once per state.
+* PR's subset actions are composed in closed form: sinks are pairwise
+  non-adjacent, so a subset's successor is one XOR/OR/AND of its members'
+  masks, and all ``2^k`` subsets of ``k`` sinks come from ``k`` column
+  doublings per group of states with ``k`` sinks;
+* with symmetry reduction on, successors are canonicalised in bulk
+  (:meth:`VectorExpander.canonicalize_many`: per twin class, pack each
+  member's sort key into an integer, ``np.sort`` along the member axis and
+  scatter the keys back).
+
+The structural checks :func:`mask_is_acyclic_batch` and
+:func:`mask_is_destination_oriented_batch` keep one ``uint64`` node set per
+lane and node (in-neighbours), and peel sources / grow the reached set
+bit-parallel, dropping finished lanes round by round.
 
 **Exactness contract.**  :meth:`VectorExpander.expand` returns successors in
 *exactly* the scalar generation order: for each frontier state (in frontier
@@ -33,6 +44,7 @@ expected, the fallback is the documented behaviour, not an error.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from typing import List, Optional, Tuple
 
@@ -96,75 +108,94 @@ def shard_of_batch(sigs: "np.ndarray", shards: int) -> "np.ndarray":
 
 
 # ----------------------------------------------------------------------
-# batch structural checks (vectorised mask_is_acyclic / destination checks)
+# batch structural checks (bit-parallel mask_is_acyclic / destination checks)
 # ----------------------------------------------------------------------
-def _oriented_slots(
+def _in_neighbour_sets(
     instance: LinkReversalInstance, masks: "np.ndarray"
-) -> Tuple["np.ndarray", "np.ndarray"]:
-    """Flattened per-lane ``(tail, head)`` node slots of every directed edge.
+) -> "np.ndarray":
+    """Per-lane in-neighbour node sets: bit ``u`` of ``[b, v]`` iff ``u → v``.
 
-    Lane ``b``'s node ``i`` lives at slot ``b * n + i``, so one ``bincount``
-    over the returned arrays accumulates per-node quantities for the whole
-    batch at once.
+    Shape ``(B, n)``, built with two column ops per edge (``n <= 64``, so a
+    node set is one ``uint64``).
     """
-    edges = np.asarray(instance._edge_node_ids, dtype=np.int64).reshape(-1, 2)
-    tails0 = edges[:, 0][None, :]
-    heads0 = edges[:, 1][None, :]
-    eshift = np.arange(edges.shape[0], dtype=np.uint64)[None, :]
-    rev = ((masks[:, None] >> eshift) & np.uint64(1)).astype(bool)
-    tails = np.where(rev, heads0, tails0)
-    heads = np.where(rev, tails0, heads0)
-    offsets = (np.arange(masks.shape[0], dtype=np.int64) * instance.node_count)[:, None]
-    return (tails + offsets).ravel(), (heads + offsets).ravel()
+    n = instance.node_count
+    if n > 64 or instance.edge_count > 64:
+        raise ValueError(
+            f"batch structural checks pack masks and node sets into 64 bits; "
+            f"the instance has {n} nodes and {instance.edge_count} edges"
+        )
+    ins = np.zeros((n, masks.shape[0]), dtype=np.uint64)
+    one = np.uint64(1)
+    for e, (tail, head) in enumerate(instance._edge_node_ids):
+        reversed_ = (masks >> np.uint64(e)) & one
+        ins[head] |= (reversed_ ^ one) << np.uint64(tail)
+        ins[tail] |= reversed_ << np.uint64(head)
+    return np.ascontiguousarray(ins.T)
+
+
+def _pack_node_sets(flags: "np.ndarray") -> "np.ndarray":
+    """``(B, n)`` bools → one ``uint64`` node set per lane (bit ``v`` = column ``v``)."""
+    packed = np.zeros((flags.shape[0], 8), dtype=np.uint8)
+    packed[:, : (flags.shape[1] + 7) // 8] = np.packbits(
+        flags, axis=1, bitorder="little"
+    )
+    return packed.view("<u8").ravel()
 
 
 def mask_is_acyclic_batch(
     instance: LinkReversalInstance, masks: "np.ndarray"
 ) -> "np.ndarray":
-    """Batch twin of ``mask_is_acyclic``: one bool per mask, Kahn peel in bulk.
+    """Batch twin of ``mask_is_acyclic``: one bool per mask, bit-parallel peel.
 
-    Every peel round removes all current zero-indegree nodes of *every* lane
-    and decrements their successors with a single ``bincount`` — at most
-    ``n`` rounds regardless of batch width.
+    Every lane keeps its remaining nodes as one ``uint64`` set; each round
+    removes the remaining nodes with no remaining in-neighbour.  A lane is
+    acyclic once its set empties and cyclic once a round removes nothing;
+    either way it leaves the batch, so later rounds only touch live lanes.
+    Raises ``ValueError`` above 64 nodes or edges.
     """
     B = int(masks.shape[0])
-    n = instance.node_count
-    if B == 0:
-        return np.zeros(0, dtype=bool)
-    if instance.edge_count == 0:
-        return np.ones(B, dtype=bool)
-    tail_slot, head_slot = _oriented_slots(instance, masks)
-    indegree = np.bincount(head_slot, minlength=B * n)
-    removed = np.zeros(B * n, dtype=bool)
-    for _ in range(n):
-        newly = (indegree == 0) & ~removed
-        if not newly.any():
-            break
-        removed |= newly
-        out_edges = newly[tail_slot]
-        if out_edges.any():
-            indegree = indegree - np.bincount(head_slot[out_edges], minlength=B * n)
-    return removed.reshape(B, n).all(axis=1)
+    ins = _in_neighbour_sets(instance, masks)
+    acyclic = np.ones(B, dtype=bool)
+    remaining = np.full(B, np.uint64((1 << instance.node_count) - 1))
+    lanes = np.arange(B)
+    while lanes.size:
+        sources = _pack_node_sets((ins & remaining[:, None]) == 0) & remaining
+        remaining ^= sources
+        stalled = sources == 0
+        acyclic[lanes[stalled]] = False
+        live = ~stalled & (remaining != 0)
+        if not live.all():
+            lanes, ins, remaining = lanes[live], ins[live], remaining[live]
+    return acyclic
 
 
 def mask_is_destination_oriented_batch(
     instance: LinkReversalInstance, masks: "np.ndarray"
 ) -> "np.ndarray":
-    """Batch twin of ``mask_is_destination_oriented``: reverse-reachability fixpoint."""
+    """Batch twin of ``mask_is_destination_oriented``: reverse reachability.
+
+    Each round adds the in-neighbours of every reached node to the lane's
+    reached set; lanes leave the batch once complete or stalled.  Raises
+    ``ValueError`` above 64 nodes or edges.
+    """
     B = int(masks.shape[0])
     n = instance.node_count
-    if B == 0:
-        return np.zeros(0, dtype=bool)
-    reached = np.zeros(B * n, dtype=bool)
-    reached[np.arange(B, dtype=np.int64) * n + instance._dest_id] = True
-    if instance.edge_count:
-        tail_slot, head_slot = _oriented_slots(instance, masks)
-        for _ in range(n):
-            grow = reached[head_slot] & ~reached[tail_slot]
-            if not grow.any():
-                break
-            reached[tail_slot[grow]] = True
-    return reached.reshape(B, n).all(axis=1)
+    ins = _in_neighbour_sets(instance, masks)
+    oriented = np.zeros(B, dtype=bool)
+    everything = np.uint64((1 << n) - 1)
+    reached = np.full(B, np.uint64(1 << instance._dest_id))
+    node_ids = np.arange(n, dtype=np.uint64)
+    lanes = np.arange(B)
+    while lanes.size:
+        done = reached == everything
+        oriented[lanes[done]] = True
+        member = ((reached[:, None] >> node_ids) & np.uint64(1)).astype(bool)
+        grown = reached | np.bitwise_or.reduce(
+            np.where(member, ins, np.uint64(0)), axis=1
+        )
+        live = ~done & (grown != reached)
+        lanes, ins, reached = lanes[live], ins[live], grown[live]
+    return oriented
 
 
 # ----------------------------------------------------------------------
@@ -197,24 +228,33 @@ class VectorExpander:
 
     Holds the scalar kernel for everything that stays per-state (state
     re-materialisation, trace replay) and numpy columns for everything that
-    runs per-frontier.
+    runs per-frontier.  Per-candidate constants live in arrays indexed by
+    candidate position ``ci`` (the scalar ``_sink_candidates`` order).
+
+    With ``symmetry=True`` every successor leaves :meth:`expand` already
+    mapped through :meth:`canonicalize_many`, the batch twin of
+    ``SignatureExpander.canonicalize``.
     """
 
-    def __init__(self, scalar: SignatureExpander):
+    def __init__(self, scalar: SignatureExpander, symmetry: bool = False):
         self.scalar = scalar
         self.instance: LinkReversalInstance = scalar.instance
         cand = scalar._sink_candidates
         self._cand = cand
-        self._inc_col = np.array(
-            [scalar._inc[i] for i in cand], dtype=np.uint64
-        )[None, :]
+        self._inc = np.array([scalar._inc[i] for i in cand], dtype=np.uint64)
+        self._inc_col = self._inc[None, :]
         self._tail_col = np.array(
             [scalar._tail[i] for i in cand], dtype=np.uint64
         )[None, :]
-        self._token = tuple(np.uint64(1 << i) for i in cand)
+        self._token = np.array([1 << i for i in cand], dtype=np.uint64)
+        self._twins = (
+            [_BatchTwinClass(cls) for cls in scalar._twin_classes]
+            if symmetry and scalar.has_symmetry
+            else None
+        )
 
     # -- per-candidate step columns (algorithm-specific) -----------------
-    def _step_many(self, sigs: "np.ndarray", i: int) -> "np.ndarray":
+    def _step_many(self, sigs: "np.ndarray", ci: int) -> "np.ndarray":
         raise NotImplementedError
 
     def _sink_matrix(self, sigs: "np.ndarray") -> "np.ndarray":
@@ -223,13 +263,24 @@ class VectorExpander:
 
     def _emit(self, sigs, smat, succ_parts, parent_parts, token_parts) -> None:
         """Append candidate-major successor columns (single-actor kernels)."""
-        for ci, i in enumerate(self._cand):
+        for ci in range(len(self._cand)):
             lanes = np.flatnonzero(smat[:, ci])
             if lanes.size == 0:
                 continue
-            succ_parts.append(self._step_many(sigs[lanes], i))
+            succ_parts.append(self._step_many(sigs[lanes], ci))
             parent_parts.append(lanes)
             token_parts.append(np.full(lanes.size, self._token[ci]))
+
+    def canonicalize_many(self, sigs: "np.ndarray") -> "np.ndarray":
+        """Canonical orbit representative of every signature (a new array).
+
+        Batch twin of ``SignatureExpander.canonicalize``: twin classes are
+        sorted one after another, in the scalar order, because classes that
+        touch each other share bits.
+        """
+        for twins in self._twins or ():
+            sigs = twins.canonicalize(sigs)
+        return sigs
 
     def expand(self, sigs: "np.ndarray") -> BatchExpansion:
         """Expand a whole frontier; see :class:`BatchExpansion` for the contract."""
@@ -252,19 +303,70 @@ class VectorExpander:
         # ascending, matching sink_ids / combinations order)
         order = np.argsort(parents, kind="stable")
         return BatchExpansion(
-            successors[order], parents[order], tokens[order], quiescent
+            self.canonicalize_many(successors[order]),
+            parents[order],
+            tokens[order],
+            quiescent,
         )
+
+
+class _BatchTwinClass:
+    """One scalar ``_TwinClass`` as gather/scatter bit positions.
+
+    Member ``m``'s scalar sort key (per shared neighbour: edge, own-row and
+    partner-row bit, then the counter) packs into one integer whose order is
+    the key's lexicographic order: its bits, most significant first, are
+    ``positions[m]`` (fields that are 0 for every member are dropped; they
+    cannot reorder anything) followed by the counter's
+    :data:`_COUNT_BITS`.  The key bits of a member are distinct signature
+    bits, so a key never exceeds the 64-bit signature it comes from.
+    """
+
+    def __init__(self, cls):
+        fields = [
+            [bit for triple in row for bit in triple] for row in cls.fields
+        ]
+        used = [any(row[f] for row in fields) for f in range(len(fields[0]))]
+        positions = [
+            [bit.bit_length() - 1 for bit, keep in zip(row, used) if keep]
+            for row in fields
+        ]
+        width = len(positions[0])
+        self._positions = np.array(positions, dtype=np.uint64)  # (members, width)
+        self._key_shift = np.arange(width, dtype=np.uint64)[::-1].copy()
+        self._counts = (
+            None
+            if cls.count_shifts is None
+            else np.array(cls.count_shifts, dtype=np.uint64)
+        )
+        self._clear = np.uint64(cls.clear_mask & ((1 << 64) - 1))
+
+    def canonicalize(self, sigs: "np.ndarray") -> "np.ndarray":
+        one = np.uint64(1)
+        bits = (sigs[:, None, None] >> self._positions) & one
+        keys = np.bitwise_or.reduce(bits << self._key_shift, axis=2)
+        count_bits = np.uint64(_COUNT_BITS)
+        if self._counts is not None:
+            keys = (keys << count_bits) | (
+                (sigs[:, None] >> self._counts) & np.uint64(_COUNT_MASK)
+            )
+        ordered = np.sort(keys, axis=1)
+        result = sigs & self._clear
+        if self._counts is not None:
+            result |= np.bitwise_or.reduce(
+                (ordered & np.uint64(_COUNT_MASK)) << self._counts, axis=1
+            )
+            ordered = ordered >> count_bits
+        bits = (ordered[:, :, None] >> self._key_shift) & one
+        flat = (bits << self._positions).reshape(sigs.shape[0], -1)
+        return result | np.bitwise_or.reduce(flat, axis=1)
 
 
 class _VectorFullReversal(VectorExpander):
     """FR: a sink's step XORs its incident-edge column."""
 
-    def __init__(self, scalar: FullReversalExpander):
-        super().__init__(scalar)
-        self._inc_by_id = {i: np.uint64(scalar._inc[i]) for i in self._cand}
-
-    def _step_many(self, sigs, i):
-        return sigs ^ self._inc_by_id[i]
+    def _step_many(self, sigs, ci):
+        return sigs ^ self._inc[ci]
 
 
 class _VectorListKernel(VectorExpander):
@@ -272,111 +374,142 @@ class _VectorListKernel(VectorExpander):
 
     Each candidate's table is filled by the *scalar* kernel's
     ``_compile_step`` over all ``2^degree`` rows, so vector and scalar steps
-    are equal by construction, not by re-derivation.
+    are equal by construction, not by re-derivation.  The tables are laid
+    end to end in one flat array per mask kind; candidate ``ci``'s row ``r``
+    sits at ``_offset[ci] + r``, so one gather serves any mix of candidates.
     """
 
-    def __init__(self, scalar):
-        super().__init__(scalar)
-        self._row_shift = {}
-        self._row_mask = {}
-        self._row_clear = {}
-        self._flip_tab = {}
-        self._or_tab = {}
+    def __init__(self, scalar, symmetry: bool = False):
+        super().__init__(scalar, symmetry)
+        flips: List[int] = []
+        partners: List[int] = []
+        offsets = []
         for i in self._cand:
-            degree = scalar.instance._degree[i]
-            rows = 1 << degree
-            flips = np.empty(rows, dtype=np.uint64)
-            partners = np.empty(rows, dtype=np.uint64)
-            for row in range(rows):
+            offsets.append(len(flips))
+            for row in range(1 << scalar.instance._degree[i]):
                 flip, partner = scalar._compile_step(i, row)
-                flips[row] = flip
-                partners[row] = partner
-            self._row_shift[i] = np.uint64(scalar._row_shift[i])
-            self._row_mask[i] = np.uint64(scalar._row_mask[i])
-            # scalar _row_clear is a negative Python int; re-derive the
-            # unsigned 64-bit complement instead of casting it
-            keep = (~(scalar._row_mask[i] << scalar._row_shift[i])) & ((1 << 64) - 1)
-            self._row_clear[i] = np.uint64(keep)
-            self._flip_tab[i] = flips
-            self._or_tab[i] = partners
+                flips.append(flip)
+                partners.append(partner)
+        self._flip = np.array(flips, dtype=np.uint64)
+        self._partner = np.array(partners, dtype=np.uint64)
+        self._offset = np.array(offsets, dtype=np.uint64)
+        self._row_shift = np.array(
+            [scalar._row_shift[i] for i in self._cand], dtype=np.uint64
+        )
+        self._row_mask = np.array(
+            [scalar._row_mask[i] for i in self._cand], dtype=np.uint64
+        )
+        # scalar _row_clear is a negative Python int; re-derive the unsigned
+        # 64-bit complement instead of casting it
+        self._row_clear = np.array(
+            [
+                ~(scalar._row_mask[i] << scalar._row_shift[i]) & ((1 << 64) - 1)
+                for i in self._cand
+            ],
+            dtype=np.uint64,
+        )
 
-    def _step_many(self, sigs, i):
-        rows = (sigs >> self._row_shift[i]) & self._row_mask[i]
-        return (
-            (sigs ^ self._flip_tab[i][rows]) | self._or_tab[i][rows]
-        ) & self._row_clear[i]
+    def _step_masks(self, sigs, ci):
+        """``(flip, partner)`` per lane for candidates ``ci`` (int or array)."""
+        rows = (sigs >> self._row_shift[ci]) & self._row_mask[ci]
+        index = (rows + self._offset[ci]).astype(np.intp)
+        return self._flip[index], self._partner[index]
+
+    def _step_many(self, sigs, ci):
+        flip, partner = self._step_masks(sigs, ci)
+        return ((sigs ^ flip) | partner) & self._row_clear[ci]
 
 
 class _VectorOneStepPR(_VectorListKernel):
     """OneStepPR: single-node actions only — the base single-actor emit."""
 
 
-class _VectorPartialReversal(_VectorListKernel):
-    """PR: every non-empty sink subset acts; frontiers grouped by sink word.
+@lru_cache(maxsize=None)
+def _subset_order(k: int) -> "np.ndarray":
+    """Subset bitmasks of ``k`` sinks in ``itertools.combinations`` order.
 
-    States sharing a sink set share every subset's step composition, so each
-    distinct subset costs ``|subset|`` vector steps per *group* rather than
-    per state.
+    Size by size, each size in lexicographic order — the scalar PR kernel's
+    emission order — with bit ``b`` standing for the ``b``-th sink.  The
+    array is read-only because the cache hands it to every caller.
+    """
+    order = np.array(
+        [
+            sum(1 << b for b in subset)
+            for size in range(1, k + 1)
+            for subset in combinations(range(k), size)
+        ],
+        dtype=np.intp,
+    )
+    order.setflags(write=False)
+    return order
+
+
+class _VectorPartialReversal(_VectorListKernel):
+    """PR: every non-empty sink subset acts, composed in closed form.
+
+    Sinks are pairwise non-adjacent, so the single steps of a subset ``S``
+    touch disjoint bits and its successor is
+    ``((sig ^ XOR_S flip_i) | OR_S partner_i) & AND_S clear_i``, with every
+    ``flip_i``/``partner_i`` gathered once from the *starting* row of
+    sink ``i``.  Lanes are grouped by sink count ``k``; within a group the
+    ``2^k`` subset successors are built by ``k`` doublings (column ``c``
+    holds the subset whose bit ``b`` is set in ``c``), then permuted into
+    ``combinations`` order with the cached :func:`_subset_order`.
     """
 
-    def __init__(self, scalar: PartialReversalExpander):
-        super().__init__(scalar)
+    def __init__(self, scalar: PartialReversalExpander, symmetry: bool = False):
+        super().__init__(scalar, symmetry)
         self.single_actions_only = scalar.single_actions_only
-        self._bit = tuple(np.uint64(1 << ci) for ci in range(len(self._cand)))
 
     def _emit(self, sigs, smat, succ_parts, parent_parts, token_parts):
         if self.single_actions_only:
             super()._emit(sigs, smat, succ_parts, parent_parts, token_parts)
             return
-        word = np.zeros(sigs.shape[0], dtype=np.uint64)
-        for ci in range(len(self._cand)):
-            word |= np.where(smat[:, ci], self._bit[ci], np.uint64(0))
-        uniq, inverse = np.unique(word, return_inverse=True)
-        order = np.argsort(inverse, kind="stable")
-        bounds = np.searchsorted(inverse[order], np.arange(uniq.size + 1))
-        for g in range(uniq.size):
-            w = int(uniq[g])
-            if w == 0:
+        sink_counts = smat.sum(axis=1)
+        for k in np.unique(sink_counts).tolist():
+            if k == 0:
                 continue
-            lanes = order[bounds[g]:bounds[g + 1]]
-            sinks = [self._cand[ci] for ci in range(len(self._cand)) if (w >> ci) & 1]
-            base = sigs[lanes]
-            for size in range(1, len(sinks) + 1):
-                for subset in combinations(sinks, size):
-                    current = base
-                    for i in subset:
-                        current = self._step_many(current, i)
-                    succ_parts.append(current)
-                    parent_parts.append(lanes)
-                    token_parts.append(
-                        np.full(
-                            lanes.size, np.uint64(sum(1 << i for i in subset))
-                        )
-                    )
+            lanes = np.flatnonzero(sink_counts == k)
+            # candidate positions of each lane's sinks, ascending per row
+            cand = np.nonzero(smat[lanes])[1].reshape(lanes.size, k)
+            base = sigs[lanes][:, None]
+            flips, partners = self._step_masks(base, cand)
+            clears = self._row_clear[cand]
+            tokens = self._token[cand]
+            succ = base
+            token = np.zeros_like(base)
+            for b in range(k):
+                flip, partner, clear = flips[:, b, None], partners[:, b, None], clears[:, b, None]
+                stepped = ((succ ^ flip) | partner) & clear
+                succ = np.concatenate((succ, stepped), axis=1)
+                token = np.concatenate((token, token | tokens[:, b, None]), axis=1)
+            order = _subset_order(k)
+            succ_parts.append(succ[:, order].ravel())
+            parent_parts.append(np.repeat(lanes, order.size))
+            token_parts.append(token[:, order].ravel())
 
 
 class _VectorNewPR(VectorExpander):
     """NewPR: parity-selected flip columns plus packed counter arithmetic."""
 
-    def __init__(self, scalar: NewPRExpander):
-        super().__init__(scalar)
-        self._shift = {i: np.uint64(scalar._shift[i]) for i in self._cand}
-        self._even = {i: np.uint64(scalar._even_flip[i]) for i in self._cand}
-        self._odd = {i: np.uint64(scalar._odd_flip[i]) for i in self._cand}
-        self._bump = {i: np.uint64(1 << scalar._shift[i]) for i in self._cand}
+    def __init__(self, scalar: NewPRExpander, symmetry: bool = False):
+        super().__init__(scalar, symmetry)
+        self._shift = np.array([scalar._shift[i] for i in self._cand], dtype=np.uint64)
+        self._even = np.array([scalar._even_flip[i] for i in self._cand], dtype=np.uint64)
+        self._odd = np.array([scalar._odd_flip[i] for i in self._cand], dtype=np.uint64)
 
-    def _step_many(self, sigs, i):
-        counts = (sigs >> self._shift[i]) & np.uint64(_COUNT_MASK)
+    def _step_many(self, sigs, ci):
+        counts = (sigs >> self._shift[ci]) & np.uint64(_COUNT_MASK)
         if (counts == np.uint64(_COUNT_MASK)).any():
             raise OverflowError(
-                f"NewPR step counter of node id {i} exceeded {_COUNT_MASK}"
+                f"NewPR step counter of node id {self._cand[ci]} exceeded {_COUNT_MASK}"
             )
-        flip = np.where((counts & np.uint64(1)) == 0, self._even[i], self._odd[i])
-        return (sigs ^ flip) + self._bump[i]
+        flip = np.where((counts & np.uint64(1)) == 0, self._even[ci], self._odd[ci])
+        return (sigs ^ flip) + (np.uint64(1) << self._shift[ci])
 
 
 def compile_vector_expander(
-    scalar: Optional[SignatureExpander],
+    scalar: Optional[SignatureExpander], symmetry: bool = False
 ) -> Optional[VectorExpander]:
     """Batch twin of a compiled scalar kernel, or ``None`` when out of range.
 
@@ -384,7 +517,9 @@ def compile_vector_expander(
     one ``uint64`` lane, node ids into the 64-bit action-token mask, and list
     kernels must keep their per-node step tables small
     (``degree <= {deg}``).  NewPR's ``E + {cb}·n`` bit layout therefore only
-    vectorises on toy instances, by design.
+    vectorises on toy instances, by design.  With ``symmetry=True`` the
+    expander canonicalises every successor it emits (twin classes fit the
+    same 64-bit lane, so symmetry never closes the gate).
     """
     if np is None or scalar is None:
         return None
@@ -395,12 +530,12 @@ def compile_vector_expander(
         if degrees and max(degrees) > _MAX_TABLE_DEGREE:
             return None
         if isinstance(scalar, PartialReversalExpander):
-            return _VectorPartialReversal(scalar)
-        return _VectorOneStepPR(scalar)
+            return _VectorPartialReversal(scalar, symmetry)
+        return _VectorOneStepPR(scalar, symmetry)
     if isinstance(scalar, NewPRExpander):
-        return _VectorNewPR(scalar)
+        return _VectorNewPR(scalar, symmetry)
     if isinstance(scalar, FullReversalExpander):
-        return _VectorFullReversal(scalar)
+        return _VectorFullReversal(scalar, symmetry)
     return None
 
 

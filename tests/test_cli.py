@@ -245,6 +245,19 @@ class TestCheck:
         assert reduced["states_explored"] < plain["states_explored"]
         assert reduced["status"] == "ok"
 
+    def test_check_symmetry_vectorized_always_matches_scalar(self, capsys):
+        args = ["check", "--algorithm", "pr", "--topology", "star", "--nodes", "7",
+                "--symmetry", "--json"]
+        assert main(args + ["--vectorized", "always"]) == 0
+        vector = json.loads(capsys.readouterr().out)
+        assert main(args + ["--vectorized", "never"]) == 0
+        scalar = json.loads(capsys.readouterr().out)
+        assert vector["vectorized"] and not scalar["vectorized"]
+        assert vector["symmetry_reduced"] and scalar["symmetry_reduced"]
+        for key in ("status", "states_explored", "transitions_explored",
+                    "quiescent_states", "max_depth"):
+            assert vector[key] == scalar[key], key
+
     def test_check_spill(self, tmp_path, capsys):
         exit_code = main(["check", "--algorithm", "fr", "--topology", "grid", "--nodes", "9",
                           "--spill", "--spill-threshold", "5",
