@@ -76,6 +76,7 @@ def _baseline_workloads():
     """The timed workloads tracked across PRs, keyed by benchmark module."""
     from benchmarks.bench_async import _measure as _measure_async
     from benchmarks.bench_batch import _measure_batch, _measure_kernel
+    from benchmarks.bench_dataplane import _measure_campaign as _measure_dataplane_campaign
     from benchmarks.bench_dataplane import _measure_dataplane
     from benchmarks.bench_dummy_steps import _measure
     from benchmarks.bench_faults import _measure_armed as _measure_faults
@@ -116,6 +117,9 @@ def _baseline_workloads():
         "bench_telemetry": _measure_telemetry,
         # >1M packets through the SoA data-plane engine on a converged grid
         "bench_dataplane": _measure_dataplane,
+        # 32 small churning data-plane scenarios: per-slot call overhead and
+        # network construction, where the flood measures packet volume
+        "bench_dataplane_campaign": _measure_dataplane_campaign,
         # a pooled sweep with the chaos plane armed but inert: drift against
         # bench_sweep_pool is the injection/heartbeat/CRC overhead
         "bench_faults": _measure_faults,

@@ -16,9 +16,14 @@ A second, smaller scenario replays the same workload with seeded link
 failures landing mid-injection, so the reversal cascades rewrite the
 next-hop tables under live packets — conservation must survive churn too.
 
-``bench_dataplane`` in ``BENCH_baseline.json`` tracks the flood workload
-end-to-end (construction + convergence + slots + drain) and is watched by
-the CI regression gate.
+A third runs a campaign-shaped workload: 32 small data-plane scenarios
+(grid/geometric x pr/fr x steady/heavy, 16 nodes, two seeded link failures
+each) through the engine.  There the arrays are tiny and the cost is the
+per-slot numpy call count and network construction, not packet volume.
+
+``bench_dataplane`` (the flood, end-to-end: construction + convergence +
+slots + drain) and ``bench_dataplane_campaign`` in ``BENCH_baseline.json``
+track the two shapes; both are watched by the CI regression gate.
 
 (Historical note on the ID: the data-plane workload was originally pencilled
 in as E21, which ``bench_batch`` already reports; E21/E22 belong to the
@@ -36,6 +41,8 @@ claim_experiment("E23", __name__)
 from repro.dataplane.run import DataPlaneRun
 from repro.dataplane.traffic import TrafficModel
 from repro.distributed.protocol import ReversalMode
+from repro.experiments.runner import execute_scenario
+from repro.experiments.spec import CampaignSpec
 from repro.topology.generators import build_family
 
 #: Grid size (nodes) of the flood scenario.
@@ -77,7 +84,7 @@ def _flood_run(
         link_capacity=8,
     )
     run.network.run_to_quiescence(max_events=1_000_000)
-    run._advance_control(None)
+    run.advance_control(None)
     run.run(slots, drain_slots=DRAIN_SLOTS)
     return run
 
@@ -85,6 +92,21 @@ def _flood_run(
 def _measure_dataplane() -> DataPlaneRun:
     """The tracked BENCH_baseline.json workload: the >1M-packet flood."""
     return _flood_run()
+
+
+def _measure_campaign() -> list:
+    """The tracked campaign-shaped workload: 32 small churning scenarios."""
+    campaign = CampaignSpec(
+        name="bench-dataplane-campaign",
+        families=("grid", "geometric"),
+        algorithms=("pr", "fr"),
+        sizes=(16,),
+        replicates=4,
+        base_seed=23,
+        failure_models=[("link-failures", 2)],
+        traffics=("steady", "heavy"),
+    )
+    return [execute_scenario(spec) for spec in campaign.expand()]
 
 
 def _assert_conservation(run: DataPlaneRun) -> None:
@@ -154,7 +176,7 @@ def test_e23_dataplane_churn(benchmark):
             traffic_seed=7,
         )
         run.network.run_to_quiescence(max_events=1_000_000)
-        run._advance_control(None)
+        run.advance_control(None)
         plan = {}
 
         def fail(count: int) -> None:
@@ -182,4 +204,23 @@ def test_e23_dataplane_churn(benchmark):
             "packets_injected", "packets_delivered", "packets_dropped",
             "drop_link_down", "transient_loops",
         )},
+    )
+
+
+def test_e23_dataplane_campaign(benchmark):
+    """32 campaign-sized scenarios: every record ok and conserving packets."""
+    records = benchmark.pedantic(_measure_campaign, rounds=1, iterations=1)
+    assert len(records) == 32
+    for r in records:
+        assert r["status"] == "ok" and r["engine"] == "dataplane", r["run_id"]
+        assert r["packets_injected"] == (
+            r["packets_delivered"] + r["packets_dropped"] + r["packets_in_flight"]
+        ), r["run_id"]
+    record(
+        benchmark,
+        experiment="E23-campaign",
+        runs=len(records),
+        slots=sum(r["slots"] for r in records),
+        packets_injected=sum(r["packets_injected"] for r in records),
+        failures_applied=sum(r["failures_applied"] for r in records),
     )

@@ -1,13 +1,17 @@
 """Structure-of-arrays packet simulator: per-link ring buffers, no objects.
 
-Every directed link owns a fixed-capacity FIFO ring buffer; a packet is a
-*row slice* across four parallel ``(links, capacity)`` arrays (injecting
-source, remaining TTL, birth slot, hops so far) — never a Python object.
-One simulated slot transmits up to ``link_capacity`` packets from the head
-of every live queue, delivers arrivals at the destination, decrements TTLs,
-and re-enqueues the rest on their receiver's current next-hop link, all as
-vectorised numpy batch operations.  A million packets per run is the design
-point (see ``benchmarks/bench_dataplane.py``).
+Every directed link owns a fixed-capacity FIFO ring buffer.  All buffers
+live in one packed ``(links * capacity, 4)`` int64 array whose rows are
+packets (injecting source, remaining TTL, birth slot, hops so far) — never
+a Python object; link ``l``'s slot ``s`` is row ``l * capacity + s``.  One
+simulated slot transmits up to ``link_capacity`` packets from the head of
+every live queue (one gather), delivers arrivals at the destination,
+decrements TTLs, and re-enqueues the rest on their receiver's current
+next-hop link (one scatter), all as vectorised numpy batch operations.  The
+arrays are small at campaign scale, so the slot loop is written to make few
+numpy calls: filters are skipped when nothing is filtered out, and steady
+Poisson arrivals are drawn a block of slots at a time.  A million packets
+per run is the design point (see ``benchmarks/bench_dataplane.py``).
 
 The simulator knows nothing about link reversal: forwarding reads a plain
 ``next_hop_link`` array that the owner (:class:`~repro.dataplane.run.
@@ -23,12 +27,19 @@ overflow, TTL expiry, no current route, link failure flush).
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Dict, List, Sequence
 
 try:
     import numpy as np
 except ImportError:  # pragma: no cover - numpy is a baked-in dependency
     np = None
+
+
+#: Columns of a packet row in the packed queue array.
+_SRC, _TTL, _BIRTH, _HOPS = range(4)
+
+#: Slots of steady Poisson arrivals drawn per generator call.
+ARRIVAL_BLOCK = 64
 
 
 def numpy_available() -> bool:
@@ -39,6 +50,10 @@ def numpy_available() -> bool:
 def _require_numpy() -> None:
     if np is None:  # pragma: no cover - numpy is a baked-in dependency
         raise ImportError("the packet data plane requires numpy")
+
+
+#: What crossing one link does to a packet row: TTL down one, hops up one.
+_HOP_DELTA = None if np is None else np.array([0, -1, 0, 1], dtype=np.int64)
 
 
 class PacketSimulator:
@@ -100,14 +115,22 @@ class PacketSimulator:
         self._on_rates = rates / self.burst_on
         self._dist = np.asarray(undirected_distance, dtype=np.int64)
         self._rng = np.random.default_rng(seed)
+        #: steady arrivals drawn ahead, one row per slot (see _arrivals_now)
+        self._arrival_block = np.zeros((0, self.n_nodes), dtype=np.int64)
+        self._arrival_totals: List[int] = []
+        self._arrival_row = 0
+        self._node_ids = np.arange(self.n_nodes, dtype=np.int64)
+        #: per node: the packet row it injects, minus the birth slot
+        self._fresh = np.zeros((self.n_nodes, 4), dtype=np.int64)
+        self._fresh[:, _SRC] = self._node_ids
+        self._fresh[:, _TTL] = self.ttl
+        #: per ring offset ``c < link_capacity``: ``c`` as a column vector
+        self._offsets = np.arange(self.link_capacity, dtype=np.int64)[:, None]
 
-        shape = (self.n_links, self.queue_capacity)
-        self.q_src = np.zeros(shape, dtype=np.int64)
-        self.q_ttl = np.zeros(shape, dtype=np.int64)
-        self.q_birth = np.zeros(shape, dtype=np.int64)
-        self.q_hops = np.zeros(shape, dtype=np.int64)
+        self.queue = np.zeros((self.n_links * self.queue_capacity, 4), dtype=np.int64)
         self.q_head = np.zeros(self.n_links, dtype=np.int64)
         self.q_len = np.zeros(self.n_links, dtype=np.int64)
+        self._row_base = np.arange(self.n_links, dtype=np.int64) * self.queue_capacity
         self.link_alive = np.ones(self.n_links, dtype=bool)
         #: per node: directed link id of the current next hop, -1 when the
         #: node has no downhill neighbour.  Patched by the owner, read here.
@@ -166,33 +189,48 @@ class PacketSimulator:
         return flushed
 
     # ------------------------------------------------------------------
+    def _arrivals_now(self):
+        """This slot's per-node arrival counts and their total.
+
+        Steady traffic draws :data:`ARRIVAL_BLOCK` slots in one generator
+        call: a ``(B, n)`` Poisson draw yields the same stream as ``B``
+        draws of size ``n``.  Bursty traffic interleaves its gate and
+        Poisson draws, so it keeps one draw of each per slot.
+        """
+        rng = self._rng
+        if self.burst_on < 1.0:
+            gate = rng.random(self.n_nodes) < self.burst_on
+            counts = rng.poisson(np.where(gate, self._on_rates, 0.0))
+            return counts, int(counts.sum())
+        row = self._arrival_row
+        if row == len(self._arrival_totals):
+            self._arrival_block = rng.poisson(
+                self._rates, size=(ARRIVAL_BLOCK, self.n_nodes)
+            )
+            self._arrival_totals = self._arrival_block.sum(axis=1).tolist()
+            row = 0
+        self._arrival_row = row + 1
+        return self._arrival_block[row], self._arrival_totals[row]
+
     def inject_slot(self) -> int:
         """Draw this slot's Poisson arrivals and enqueue them at their sources."""
-        if self.burst_on < 1.0:
-            gate = self._rng.random(self.n_nodes) < self.burst_on
-            lam = np.where(gate, self._on_rates, 0.0)
-        else:
-            lam = self._rates
-        counts = self._rng.poisson(lam)
-        total = int(counts.sum())
+        counts, total = self._arrivals_now()
         if total == 0:
             return 0
         self.injected += total
-        sources = np.repeat(np.arange(self.n_nodes, dtype=np.int64), counts)
+        sources = np.repeat(self._node_ids, counts)
         links = self.next_hop_link[sources]
         routed = links >= 0
-        unrouted = total - int(routed.sum())
-        if unrouted:
-            self.drop_no_route += unrouted
-        if routed.any():
-            k = int(routed.sum())
-            self._enqueue(
-                links[routed],
-                sources[routed],
-                np.full(k, self.ttl, dtype=np.int64),
-                np.full(k, self.now, dtype=np.int64),
-                np.zeros(k, dtype=np.int64),
-            )
+        n_routed = int(np.count_nonzero(routed))
+        if n_routed < total:
+            self.drop_no_route += total - n_routed
+            if not n_routed:
+                return total
+            links = links[routed]
+            sources = sources[routed]
+        packets = self._fresh[sources]
+        packets[:, _BIRTH] = self.now
+        self._enqueue(links, packets)
         return total
 
     def step(self) -> int:
@@ -200,123 +238,136 @@ class PacketSimulator:
 
         Returns the number of packets transmitted this slot.
         """
-        k = np.minimum(self.q_len, self.link_capacity)
-        active = np.flatnonzero(k)
+        q_len = self.q_len
+        capacity = self.queue_capacity
+        active = q_len.nonzero()[0]
         sent = 0
         if active.size:
-            k_active = k[active]
-            parts_l = []
-            parts_s = []
-            for c in range(int(k_active.max())):
-                lids = active[k_active > c]
-                parts_l.append(lids)
-                parts_s.append((self.q_head[lids] + c) % self.queue_capacity)
-            l_all = np.concatenate(parts_l)
-            s_all = np.concatenate(parts_s)
-            self.q_head[active] = (self.q_head[active] + k_active) % self.queue_capacity
-            self.q_len[active] -= k_active
-            sent = int(l_all.size)
+            head = self.q_head[active]
+            if self.link_capacity == 1:
+                k = 1
+                lids = active
+                rows = self._row_base[active] + head
+            else:
+                # every active link sends min(len, capacity) packets; the
+                # (offset, link) grid keeps the transmit order offset-major
+                k = np.minimum(q_len[active], self.link_capacity)
+                offsets = self._offsets[: int(k.max())]
+                take = offsets < k
+                lids = np.broadcast_to(active, take.shape)[take]
+                rows = ((head + offsets) % capacity + self._row_base[active])[take]
+            self.q_head[active] = (head + k) % capacity
+            q_len[active] -= k
+            packets = self.queue[rows]
+            packets += _HOP_DELTA
+            sent = int(lids.size)
             self.forwarded += sent
-            self._arrivals(l_all, s_all)
+            self._arrivals(lids, packets)
         self.now += 1
         if self.n_links:
-            depth = int(self.q_len.max())
+            depth = int(q_len.max())
             if depth > self.peak_queue_depth:
                 self.peak_queue_depth = depth
         return sent
 
     # ------------------------------------------------------------------
-    def _arrivals(self, l_all, s_all) -> None:
-        node = self.link_to[l_all]
-        prev = self.link_from[l_all]
-        src = self.q_src[l_all, s_all]
-        ttl = self.q_ttl[l_all, s_all] - 1
-        birth = self.q_birth[l_all, s_all]
-        hops = self.q_hops[l_all, s_all] + 1
-
+    def _arrivals(self, lids, packets) -> None:
+        """Deliver, expire or forward the packets that just crossed ``lids``."""
+        n = int(lids.size)
+        node = self.link_to[lids]
         at_dest = node == self.destination
-        n_delivered = int(at_dest.sum())
+        n_delivered = int(np.count_nonzero(at_dest))
         if n_delivered:
-            self.delivered += n_delivered
-            latency = self.now - birth[at_dest] + 1
-            self.latency_total += float(latency.sum())
-            lat_min = float(latency.min())
-            lat_max = float(latency.max())
-            if lat_min < self.latency_min:
-                self.latency_min = lat_min
-            if lat_max > self.latency_max:
-                self.latency_max = lat_max
-            delivered_hops = hops[at_dest]
-            self.hops_total += int(delivered_hops.sum())
-            dist = self._dist[src[at_dest]]
-            valid = dist > 0
-            n_valid = int(valid.sum())
-            if n_valid:
-                self.stretch_total += float(
-                    (delivered_hops[valid] / dist[valid]).sum()
-                )
-                self.stretch_count += n_valid
-
-        onward = ~at_dest
-        expired = onward & (ttl <= 0)
-        n_expired = int(expired.sum())
-        if n_expired:
-            self.drop_ttl += n_expired
-        live = onward & (ttl > 0)
-        if live.any():
-            next_links = self.next_hop_link[node[live]]
-            routed = next_links >= 0
-            n_unrouted = int((~routed).sum())
-            if n_unrouted:
-                self.drop_no_route += n_unrouted
-            if routed.any():
-                fwd_links = next_links[routed]
-                # A forward straight back over the link it arrived on means
-                # the DAG flipped under the packet mid-cascade: count it as
-                # a transient-loop bounce (the TTL is the escape hatch).
-                bounced = self.link_to[fwd_links] == prev[live][routed]
-                self.loop_bounces += int(bounced.sum())
-                self._enqueue(
-                    fwd_links,
-                    src[live][routed],
-                    ttl[live][routed],
-                    birth[live][routed],
-                    hops[live][routed],
-                )
-
-    def _enqueue(self, links, src, ttl, birth, hops) -> None:
-        alive = self.link_alive[links]
-        if not alive.all():
-            dead = int((~alive).sum())
-            self.drop_link_down += dead
-            links = links[alive]
-            src = src[alive]
-            ttl = ttl[alive]
-            birth = birth[alive]
-            hops = hops[alive]
-            if not links.size:
+            self._deliver(packets[at_dest] if n_delivered < n else packets)
+            if n_delivered == n:
                 return
-        order = np.argsort(links, kind="stable")
-        links = links[order]
-        uniq, start, counts = np.unique(links, return_index=True, return_counts=True)
-        rank = np.arange(links.size, dtype=np.int64) - np.repeat(start, counts)
-        space = self.queue_capacity - self.q_len[links]
-        accept = rank < space
-        n_dropped = int(links.size - accept.sum())
-        if n_dropped:
-            self.drop_tail += n_dropped
-        if not accept.any():
+        live = packets[:, _TTL] > 0
+        if n_delivered:
+            live[at_dest] = False
+        n_live = int(np.count_nonzero(live))
+        self.drop_ttl += n - n_delivered - n_live
+        if not n_live:
             return
-        links_a = links[accept]
-        slots = (
-            self.q_head[links_a] + self.q_len[links_a] + rank[accept]
-        ) % self.queue_capacity
-        src_o = src[order][accept]
-        self.q_src[links_a, slots] = src_o
-        self.q_ttl[links_a, slots] = ttl[order][accept]
-        self.q_birth[links_a, slots] = birth[order][accept]
-        self.q_hops[links_a, slots] = hops[order][accept]
-        self.q_len[uniq] += np.minimum(counts, self.queue_capacity - self.q_len[uniq])
+        if n_live < n:
+            lids = lids[live]
+            node = node[live]
+            packets = packets[live]
+        next_links = self.next_hop_link[node]
+        routed = next_links >= 0
+        n_routed = int(np.count_nonzero(routed))
+        if n_routed < n_live:
+            self.drop_no_route += n_live - n_routed
+            if not n_routed:
+                return
+            next_links = next_links[routed]
+            lids = lids[routed]
+            packets = packets[routed]
+        # A forward straight back over the link it arrived on means the DAG
+        # flipped under the packet mid-cascade: count it as a transient-loop
+        # bounce (the TTL is the escape hatch).
+        self.loop_bounces += int(
+            np.count_nonzero(self.link_to[next_links] == self.link_from[lids])
+        )
+        self._enqueue(next_links, packets)
+
+    def _deliver(self, packets) -> None:
+        """Tally latency, hops and stretch of packets reaching the destination."""
+        count = int(packets.shape[0])
+        self.delivered += count
+        totals = packets.sum(axis=0)
+        birth = packets[:, _BIRTH]
+        arrival = self.now + 1
+        # latencies are exact integers, so their float sum is order-free
+        self.latency_total += float(count * arrival - int(totals[_BIRTH]))
+        lat_min = float(arrival - int(birth.max()))
+        lat_max = float(arrival - int(birth.min()))
+        if lat_min < self.latency_min:
+            self.latency_min = lat_min
+        if lat_max > self.latency_max:
+            self.latency_max = lat_max
+        self.hops_total += int(totals[_HOPS])
+        hops = packets[:, _HOPS]
+        dist = self._dist[packets[:, _SRC]]
+        valid = dist > 0
+        n_valid = int(np.count_nonzero(valid))
+        if n_valid:
+            if n_valid < count:
+                hops = hops[valid]
+                dist = dist[valid]
+            self.stretch_total += float((hops / dist).sum())
+            self.stretch_count += n_valid
+
+    def _enqueue(self, links, packets) -> None:
+        """Append ``packets`` (in order) to the tails of ``links``' queues."""
+        m = int(links.size)
+        alive = self.link_alive[links]
+        n_alive = int(np.count_nonzero(alive))
+        if n_alive < m:
+            self.drop_link_down += m - n_alive
+            if not n_alive:
+                return
+            links = links[alive]
+            packets = packets[alive]
+            m = n_alive
+        # a packet's place in its link's tail: its rank among this batch's
+        # packets for the same link (stable sort keeps arrival order)
+        order = links.argsort(kind="stable")
+        links = links[order]
+        position = self.q_len[links] + (
+            np.arange(m, dtype=np.int64) - links.searchsorted(links)
+        )
+        accept = position < self.queue_capacity
+        n_accepted = int(np.count_nonzero(accept))
+        if n_accepted < m:
+            self.drop_tail += m - n_accepted
+            if not n_accepted:
+                return
+            links = links[accept]
+            position = position[accept]
+            order = order[accept]
+        rows = self._row_base[links] + (self.q_head[links] + position) % self.queue_capacity
+        self.queue[rows] = packets[order]
+        self.q_len += np.bincount(links, minlength=self.n_links)
 
     # ------------------------------------------------------------------
     def counters(self) -> Dict[str, object]:

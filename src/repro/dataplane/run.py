@@ -160,9 +160,16 @@ class DataPlaneRun:
         self.repatched_nodes += count
         self.patch_rounds += 1
 
-    def _advance_control(self, deadline: Optional[float]) -> None:
+    def advance_control(self, deadline: Optional[float] = None) -> None:
+        """Advance the control plane one slot and repatch changed next hops.
+
+        :meth:`step_slot` calls this every slot.  A caller that drives
+        :attr:`network` directly (say, to converge it before any traffic)
+        calls it once afterwards, so the next-hop table picks up the
+        converged heights.
+        """
         network = self.network
-        network.run_for(self.slot_dt, deadline=deadline)
+        network.advance(self.slot_dt, deadline=deadline)
         if network.events_dispatched == self._events_seen:
             return
         self._events_seen = network.events_dispatched
@@ -197,7 +204,7 @@ class DataPlaneRun:
     # ------------------------------------------------------------------
     def step_slot(self, inject: bool = True, deadline: Optional[float] = None) -> None:
         """Advance control plane by one slot, then inject and transmit."""
-        self._advance_control(deadline)
+        self.advance_control(deadline)
         network = self.network
         if (
             self.loss > 0

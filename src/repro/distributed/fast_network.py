@@ -27,7 +27,9 @@ here:
   cancelled-event growth the object simulator needed compaction for.
 * **Blake2-derived per-link seeds** — the same
   :func:`~repro.distributed.network.derive_channel_seed` scheme as the
-  object network, so both engines consume identical per-link random streams.
+  object network (hashed from one shared prefix state), so both engines
+  consume identical per-link random streams.  Channels that never draw
+  (constant delay, no loss) get no stream at all.
 * **Batched inline delivery** — the run loop drains the heap with inlined
   handlers (height update, local-sink test, reversal, broadcast) instead of
   scheduling per-message callbacks.
@@ -58,7 +60,7 @@ from repro import telemetry as _telemetry
 from repro.core.graph import LinkReversalInstance, Orientation
 from repro.distributed.network import (
     NetworkReport,
-    derive_channel_seed,
+    channel_seed_deriver,
     derive_link_up_seed,
     initial_height_levels,
 )
@@ -181,33 +183,48 @@ class FastAsyncNetwork:
             for i in range(n)
         ]
 
-        # directed links, in the object network's construction order
+        # directed links, in the object network's construction order: both
+        # directions of every undirected link, by sorted (lo, hi) id pair
+        node_id = self._node_id
         self._links: Set[Tuple[int, int]] = set()
-        self._link_index: Dict[Tuple[int, int], int] = {}
+        for u, v in instance.initial_edges:
+            iu, iv = node_id[u], node_id[v]
+            self._links.add((iu, iv) if iu < iv else (iv, iu))
+        undirected = sorted(self._links)
         self._link_from: List[int] = []
         self._link_to: List[int] = []
-        self._link_up: List[bool] = []
-        self._link_epoch: List[int] = []
-        self._rng_random: List = []
-        self._rng_uniform: List = []
-        self._sent: List[int] = []
-        self._delivered: List[int] = []
-        self._dropped: List[int] = []
-        self._lost_failure: List[int] = []
-        self._in_flight: List[int] = []
-        self._ring: List[deque] = []
-        self._head_pending: List[bool] = []
-        self._last_sched: List[float] = []
-        self._link_generation: Dict[Tuple[int, int], int] = {}
-
-        undirected = sorted(
-            (tuple(sorted(self._node_id[x] for x in edge)))
-            for edge in instance.undirected_edges
-        )
         for lo, hi in undirected:
-            self._links.add((lo, hi))
-            for s, r in ((lo, hi), (hi, lo)):
-                self._new_link(s, r, derive_channel_seed(seed, s, r))
+            self._link_from += (lo, hi)
+            self._link_to += (hi, lo)
+        self._link_index: Dict[Tuple[int, int], int] = {
+            pair: lid for lid, pair in enumerate(zip(self._link_from, self._link_to))
+        }
+        count = len(self._link_from)
+        self._link_up: List[bool] = [True] * count
+        self._link_epoch: List[int] = [0] * count
+        #: whether a channel ever draws a random number; constant-delay,
+        #: lossless channels never do, so they get no per-link stream at all
+        self._channel_draws = loss_probability > 0.0 or not self._const_mode
+        self._rng_random: List = [None] * count
+        self._rng_uniform: List = [None] * count
+        if self._channel_draws:
+            derive = channel_seed_deriver(seed)
+            for lid in range(count):
+                rng = Random(derive(self._link_from[lid], self._link_to[lid]))
+                self._rng_random[lid] = rng.random
+                self._rng_uniform[lid] = rng.uniform
+        self._sent: List[int] = [0] * count
+        self._delivered: List[int] = [0] * count
+        self._dropped: List[int] = [0] * count
+        self._lost_failure: List[int] = [0] * count
+        self._in_flight: List[int] = [0] * count
+        #: per-link in-flight rings, used (and allocated) in ring mode only
+        self._ring: List[Optional[deque]] = (
+            [deque() for _ in range(count)] if self._ring_mode else [None] * count
+        )
+        self._head_pending: List[bool] = [False] * count
+        self._last_sched: List[float] = [0.0] * count
+        self._link_generation: Dict[Tuple[int, int], int] = {}
         for i in range(n):
             self._rebuild_bcast_links(i)
 
@@ -236,26 +253,37 @@ class FastAsyncNetwork:
     # ------------------------------------------------------------------
     # link plumbing
     # ------------------------------------------------------------------
-    def _new_link(self, sender: int, receiver: int, link_seed: int) -> int:
-        """Register a directed link and return its id."""
+    def _new_link(self, sender: int, receiver: int, generation: int) -> int:
+        """Register a directed link created by ``add_link`` and return its id."""
         lid = len(self._link_from)
         self._link_index[(sender, receiver)] = lid
         self._link_from.append(sender)
         self._link_to.append(receiver)
         self._link_up.append(True)
         self._link_epoch.append(0)
-        rng = Random(link_seed)
-        self._rng_random.append(rng.random)
-        self._rng_uniform.append(rng.uniform)
+        self._rng_random.append(None)
+        self._rng_uniform.append(None)
+        self._reseed_link(lid, generation)
         self._sent.append(0)
         self._delivered.append(0)
         self._dropped.append(0)
         self._lost_failure.append(0)
         self._in_flight.append(0)
-        self._ring.append(deque())
+        self._ring.append(deque() if self._ring_mode else None)
         self._head_pending.append(False)
         self._last_sched.append(0.0)
         return lid
+
+    def _reseed_link(self, lid: int, generation: int) -> None:
+        """Give a (re-)added link its generation-stamped channel stream."""
+        if self._channel_draws:
+            rng = Random(
+                derive_link_up_seed(
+                    self.seed, self._link_from[lid], self._link_to[lid], generation
+                )
+            )
+            self._rng_random[lid] = rng.random
+            self._rng_uniform[lid] = rng.uniform
 
     def _rebuild_bcast_links(self, i: int) -> None:
         """Re-align node ``i``'s broadcast link ids with its sorted neighbours."""
@@ -668,8 +696,23 @@ class FastAsyncNetwork:
         deadline: Optional[float] = None,
     ) -> NetworkReport:
         """Advance simulated time by ``duration`` and summarise."""
-        self._run(until=self._now + duration, max_events=max_events, deadline=deadline)
+        self.advance(duration, max_events=max_events, deadline=deadline)
         return self.report()
+
+    def advance(
+        self,
+        duration: float,
+        max_events: int = 1_000_000,
+        deadline: Optional[float] = None,
+    ) -> int:
+        """Advance simulated time by ``duration``; returns the dispatch count.
+
+        :meth:`run_for` without the report, for callers that step the
+        network many times and never read most of the summaries.
+        """
+        return self._run(
+            until=self._now + duration, max_events=max_events, deadline=deadline
+        )
 
     def broadcast_heights(self) -> None:
         """Schedule one anti-entropy beacon round (every live node re-announces)."""
@@ -773,15 +816,12 @@ class FastAsyncNetwork:
         generation = self._link_generation.get(edge, 0) + 1
         self._link_generation[edge] = generation
         for s, r in ((iu, iv), (iv, iu)):
-            link_seed = derive_link_up_seed(self.seed, s, r, generation)
             lid = self._link_index.get((s, r))
             if lid is None:
-                self._new_link(s, r, link_seed)
+                self._new_link(s, r, generation)
             else:
                 self._link_up[lid] = True
-                rng = Random(link_seed)
-                self._rng_random[lid] = rng.random
-                self._rng_uniform[lid] = rng.uniform
+                self._reseed_link(lid, generation)
                 self._last_sched[lid] = 0.0
         self._on_link_up(iu, iv)
         self._on_link_up(iv, iu)

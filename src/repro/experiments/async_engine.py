@@ -30,7 +30,6 @@ per-link delay/loss streams; failure injection derives from
 
 from __future__ import annotations
 
-import logging
 import random
 from typing import Any, Dict, Optional, Tuple
 
@@ -38,6 +37,7 @@ from repro import telemetry as _telemetry
 from repro.distributed.fast_network import FastAsyncNetwork
 from repro.distributed.network import DELAY_MODELS
 from repro.distributed.protocol import ReversalMode
+from repro.experiments.churn import fail_seeded_links
 from repro.experiments.engines import ExecutionEngine, register_engine
 from repro.experiments.spec import ScenarioSpec, derive_seed
 from repro.kernels import KernelCache
@@ -61,8 +61,6 @@ DEFAULT_MAX_EVENTS = 1_000_000
 
 #: Beacon rounds tried per phase before a lossy run is declared unconverged.
 BEACON_ROUNDS = 20
-
-logger = logging.getLogger(__name__)
 
 #: Per-process instance cache (the async twin of the runner's kernel cache;
 #: campaign chunks share ``(family, size, topology_seed)`` topologies).
@@ -243,24 +241,17 @@ class AsyncEngine(ExecutionEngine):
         the protocol repairs from whatever state it was in.
         """
         rng = random.Random(derive_seed(spec.scheduler_seed, "failures"))
-        for _ in range(spec.failure_count):
-            candidates = network.sorted_link_pairs()
-            if not candidates:
-                break
-            u, v = candidates[rng.randrange(len(candidates))]
-            if network.link_would_partition(u, v):
-                record["partition_skips"] += 1
-                logger.debug(
-                    "run %s: skipping failure of link (%s, %s) — would "
-                    "partition the network", record.get("run_id"), u, v,
-                )
-                continue
-            network.fail_link(u, v)
-            record["failures_applied"] += 1
+
+        def settle() -> None:
+            nonlocal report, converged
             report, phase_converged = _run_phase(
                 network, spec.loss, max_events, deadline
             )
             converged = converged and phase_converged
+
+        fail_seeded_links(
+            network, rng, spec.failure_count, record, network.fail_link, settle
+        )
         return report, converged
 
 

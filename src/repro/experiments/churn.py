@@ -1,20 +1,60 @@
-"""Instance re-packing helpers shared by the churn-capable engines.
+"""Churn helpers shared by the churn-capable engines.
 
 Link-failure and mobility churn both rebuild a ``LinkReversalInstance``
 mid-scenario while carrying the current edge orientations over; the legacy,
 kernel and batch engines all agree on this re-packing byte for byte, so the
 logic lives here once.  (Moved out of :mod:`repro.experiments.runner` when
 the batch engine arrived — the engines import it without importing each
-other.)
+other.)  The message-passing engines (async and data plane) fail links in a
+live network instead, through :func:`fail_seeded_links`.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Sequence, Tuple
+import logging
+import random
+from typing import Callable, Dict, Hashable, Optional, Sequence, Tuple
 
 from repro.core.graph import DirectedEdge, LinkReversalInstance
 
 Node = Hashable
+
+logger = logging.getLogger(__name__)
+
+
+def fail_seeded_links(
+    network,
+    rng: random.Random,
+    count: int,
+    record: Dict[str, object],
+    fail: Callable[[Node, Node], None],
+    settle: Optional[Callable[[], None]] = None,
+) -> None:
+    """Fail up to ``count`` seeded links of a live network, skipping partitions.
+
+    Each attempt draws one of ``network.sorted_link_pairs()`` with
+    ``rng.randrange``.  A link whose failure would partition the network is
+    skipped and tallied in ``record["partition_skips"]``; any other is
+    failed through ``fail(u, v)``, tallied in ``record["failures_applied"]``,
+    and followed by ``settle()`` when given.  Attempts stop early once no
+    link is left.
+    """
+    for _ in range(count):
+        candidates = network.sorted_link_pairs()
+        if not candidates:
+            return
+        u, v = candidates[rng.randrange(len(candidates))]
+        if network.link_would_partition(u, v):
+            record["partition_skips"] += 1
+            logger.debug(
+                "run %s: skipping failure of link (%s, %s) — would "
+                "partition the network", record.get("run_id"), u, v,
+            )
+            continue
+        fail(u, v)
+        record["failures_applied"] += 1
+        if settle is not None:
+            settle()
 
 
 def surviving_instance_from_edges(

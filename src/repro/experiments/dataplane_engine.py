@@ -36,7 +36,6 @@ discipline.
 
 from __future__ import annotations
 
-import logging
 import random
 from typing import Dict, Optional
 
@@ -51,6 +50,7 @@ from repro.experiments.async_engine import (
     DEFAULT_MAX_EVENTS,
     _run_phase,
 )
+from repro.experiments.churn import fail_seeded_links
 from repro.experiments.engines import ExecutionEngine, register_engine
 from repro.experiments.spec import ScenarioSpec, derive_seed
 from repro.kernels import KernelCache
@@ -66,8 +66,6 @@ DRAIN_SLOTS = 512
 
 #: Control-plane delay model used when the spec leaves ``delay_model`` unset.
 DEFAULT_DELAY_MODEL = "fixed"
-
-logger = logging.getLogger(__name__)
 
 #: Per-process instance cache (same shape as the async engine's); counters
 #: live in the shared ``ENGINE_METRICS`` registry as ``dataplane_*``.
@@ -182,7 +180,7 @@ class DataPlaneEngine(ExecutionEngine):
             _, converged = _run_phase(run.network, spec.loss, max_events, deadline)
             # The patch cache only diffs inside step_slot; pick up the
             # convergence phase's height changes before injecting.
-            run._advance_control(deadline)
+            run.advance_control(deadline)
 
             slots = spec.max_steps or DEFAULT_SLOTS
             failure_plan: Optional[Dict[int, int]] = None
@@ -195,7 +193,9 @@ class DataPlaneEngine(ExecutionEngine):
                     slot = (i + 1) * slots // (spec.failure_count + 1)
                     failure_plan[slot] = failure_plan.get(slot, 0) + 1
                 rng = random.Random(derive_seed(spec.scheduler_seed, "failures"))
-                fail_hook = self._make_fail_hook(run, rng, record)
+
+                def fail_hook(count: int) -> None:
+                    fail_seeded_links(run.network, rng, count, record, run.fail_link)
 
             run.run(
                 slots,
@@ -232,27 +232,6 @@ class DataPlaneEngine(ExecutionEngine):
                 self._report_telemetry(run)
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _make_fail_hook(run: DataPlaneRun, rng, record):
-        def fail(count: int) -> None:
-            network = run.network
-            for _ in range(count):
-                candidates = network.sorted_link_pairs()
-                if not candidates:
-                    return
-                u, v = candidates[rng.randrange(len(candidates))]
-                if network.link_would_partition(u, v):
-                    record["partition_skips"] += 1
-                    logger.debug(
-                        "run %s: skipping failure of link (%s, %s) — would "
-                        "partition the network", record.get("run_id"), u, v,
-                    )
-                    continue
-                run.fail_link(u, v)
-                record["failures_applied"] += 1
-
-        return fail
-
     @staticmethod
     def _report_telemetry(run: DataPlaneRun) -> None:
         if not _telemetry.ENABLED:

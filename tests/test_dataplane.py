@@ -6,7 +6,7 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from repro.dataplane.packets import PacketSimulator, numpy_available
+from repro.dataplane.packets import ARRIVAL_BLOCK, PacketSimulator, numpy_available
 from repro.dataplane.run import DataPlaneRun
 from repro.dataplane.traffic import (
     TRAFFIC_MODELS,
@@ -168,6 +168,34 @@ class TestPacketSimulator:
         assert sim.drop_link_down == in_flight
         assert sim.conservation_ok()
 
+    @pytest.mark.parametrize("burst_on", [1.0, 0.25])
+    def test_arrivals_follow_the_per_slot_stream(self, burst_on):
+        # every node i routes over its own link i -> 0, so the queue lengths
+        # are the cumulative per-node arrival counts; steady traffic draws a
+        # block of slots at once, and must still equal one draw per slot
+        # across block boundaries
+        n = 6
+        rates = [0.0, 0.3, 1.0, 2.5, 0.05, 4.0]
+        sim = PacketSimulator(
+            link_from=list(range(1, n)), link_to=[0] * (n - 1), n_nodes=n,
+            destination=0, rates=rates, undirected_distance=[0] + [1] * (n - 1),
+            queue_capacity=4096, burst_on=burst_on, seed=13,
+        )
+        for node in range(1, n):
+            sim.set_next_hop_link(node, node - 1)
+        rng = np.random.default_rng(13)
+        on_rates = np.array(rates) / burst_on
+        expected = np.zeros(n, dtype=np.int64)
+        for _ in range(2 * ARRIVAL_BLOCK + 5):
+            if burst_on < 1.0:
+                gate = rng.random(n) < burst_on
+                expected += rng.poisson(np.where(gate, on_rates, 0.0))
+            else:
+                expected += rng.poisson(np.array(rates))
+            sim.inject_slot()
+            assert sim.q_len.tolist() == expected[1:].tolist()
+        assert sim.injected == int(expected.sum())
+
     def test_determinism_same_seed_same_counters(self):
         def run_once():
             sim = self._two_node_sim(rates=[0.0, 2.5], seed=9)
@@ -195,7 +223,7 @@ class TestDataPlaneRun:
         kwargs.update(overrides)
         run = DataPlaneRun(instance, **kwargs)
         run.network.run_to_quiescence(max_events=1_000_000)
-        run._advance_control(None)
+        run.advance_control(None)
         return run
 
     def test_steady_traffic_mostly_delivers_on_converged_dag(self):

@@ -24,6 +24,8 @@ from repro.distributed.fast_network import (
 from repro.distributed.network import (
     DELAY_MODELS,
     AsyncLinkReversalNetwork,
+    channel_seed_deriver,
+    derive_channel_seed,
     initial_height_levels,
 )
 from repro.distributed.protocol import HeightValue, ReversalMode
@@ -130,6 +132,34 @@ class TestChurnParity:
                 fast.run_to_quiescence()
                 _assert_twins(obj, fast)
 
+    @pytest.mark.parametrize("config", [
+        (0.0, 0.0, False, 0.0),   # "zero": no channel ever draws
+        (1.0, 1.0, False, 0.0),   # "fixed": no channel ever draws
+        (1.0, 1.0, False, 0.2),   # lossy fixed: loss coins only
+    ])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_constant_delay_channels_match_through_fail_and_readd(self, config, mode):
+        # constant-delay lossless channels get no random stream; re-added
+        # links (and a link the instance never had) must still match
+        instance = grid_instance(3, 4, oriented_towards_destination=False)
+        obj, fast = _pair(instance, mode, config, 11)
+        for u, v in ((0, 1), (5, 6), (0, 1)):
+            obj.run_for(2.0)
+            fast.run_for(2.0)
+            obj.fail_link(u, v)
+            fast.fail_link(u, v)
+            _assert_twins(obj, fast)
+            obj.run_for(3.0)
+            fast.run_for(3.0)
+            obj.add_link(u, v)
+            fast.add_link(u, v)
+            _assert_twins(obj, fast)
+        obj.add_link(0, 5)  # a diagonal: a brand-new link pair
+        fast.add_link(0, 5)
+        obj.run_to_quiescence()
+        fast.run_to_quiescence()
+        _assert_twins(obj, fast)
+
     def test_partition_behaviour_matches(self):
         instance = chain_instance(4, towards_destination=True)
         obj, fast = _pair(instance, ReversalMode.PARTIAL, (1.0, 2.0, False, 0.0), 5)
@@ -160,6 +190,18 @@ class TestChurnParity:
 
 class TestFastEngineExtras:
     """Capabilities the compiled engine adds beyond the oracle's API."""
+
+    def test_advance_is_run_for_without_the_report(self):
+        instance = grid_instance(4, 4, oriented_towards_destination=False)
+        stepped = FastAsyncNetwork(instance, min_delay=1.0, max_delay=2.0, seed=4)
+        reported = FastAsyncNetwork(instance, min_delay=1.0, max_delay=2.0, seed=4)
+        for duration in (0.5, 1.0, 3.0, 50.0):
+            before = stepped.events_dispatched
+            dispatched = stepped.advance(duration)
+            assert dispatched == stepped.events_dispatched - before
+            assert dataclasses.asdict(stepped.report()) == dataclasses.asdict(
+                reported.run_for(duration)
+            )
 
     def test_quiescent_flag(self):
         instance = chain_instance(8, towards_destination=False)
@@ -272,6 +314,18 @@ class TestFifoAndLossProperties:
         report = fast.run_to_quiescence()
         assert report.messages_lost == 0
         assert report.messages_sent == report.messages_delivered
+
+
+class TestChannelSeeds:
+    def test_prefix_deriver_matches_derive_channel_seed(self):
+        rng = random.Random(2024)
+        seeds = [0, 1, 2**63 - 1, -5] + [rng.getrandbits(63) for _ in range(20)]
+        for seed in seeds:
+            derive = channel_seed_deriver(seed)
+            for _ in range(25):
+                s, r = rng.randrange(1 << 20), rng.randrange(1 << 20)
+                assert derive(s, r) == derive_channel_seed(seed, s, r)
+            assert derive(0, 1) != derive(1, 0)
 
 
 class TestPackedHeights:
