@@ -1,0 +1,127 @@
+"""Golden records: a small synchronous churn campaign, pinned field for field.
+
+The link-failure and mobility churn phases of the synchronous engines are
+optimised without changing a single stored value, so a fixed campaign's
+records are kept in ``data/sync_campaign_records.jsonl`` and every field
+except ``wall_time_s`` (and the ``engine`` that ran it) must match under the
+``kernel``, ``batch`` and ``legacy`` engines.  The campaign's base seed is
+chosen so that its mobility cells meet every churn branch: steps without a
+link change, partitioning steps that are skipped, and carried orientations
+that would form a cycle and are reoriented.  To re-record after a deliberate
+behaviour change::
+
+    PYTHONPATH=src python tests/test_sync_campaign_records.py --write
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+FIXTURE = Path(__file__).resolve().parent / "data" / "sync_campaign_records.jsonl"
+
+VOLATILE = ("wall_time_s", "engine")
+
+
+def churn_campaign():
+    """Four families × four compiled algorithms × three schedulers × three churn models."""
+    from repro.experiments.spec import CampaignSpec
+
+    return CampaignSpec(
+        name="golden-sync",
+        families=("chain", "grid", "random-dag", "geometric"),
+        algorithms=("pr", "onestep-pr", "new-pr", "fr"),
+        schedulers=("greedy", "random", "adversarial"),
+        sizes=(8, 12),
+        base_seed=57,
+        failure_models=[("none", 0), ("link-failures", 2), ("mobility", 2)],
+    )
+
+
+def node_fault_campaign():
+    """One crash-stop cell (the kernel engine is the only synchronous one with it)."""
+    from repro.experiments.spec import CampaignSpec
+
+    return CampaignSpec(
+        name="golden-sync-faults",
+        families=("grid",),
+        algorithms=("pr", "fr"),
+        sizes=(9,),
+        base_seed=57,
+        node_fault_counts=(2,),
+    )
+
+
+def campaign_records(campaign, engine="kernel"):
+    """The records of ``campaign`` run on ``engine``, as the fixture stores them."""
+    from repro.experiments.runner import run_scenarios
+
+    specs = [spec.to_dict() for spec in campaign.expand()]
+    # a JSON round trip, so tuples and floats compare as the fixture stores them
+    return [
+        json.loads(json.dumps(record))
+        for record in run_scenarios(specs, engine=engine)
+    ]
+
+
+def _golden():
+    return [json.loads(line) for line in FIXTURE.read_text().splitlines()]
+
+
+def assert_matches(records, golden, engine):
+    assert [r["run_id"] for r in records] == [r["run_id"] for r in golden]
+    for record, expected in zip(records, golden):
+        assert record["status"] == "ok", record["run_id"]
+        assert record["engine"] == engine, record["run_id"]
+        mismatched = {
+            key: (record.get(key), expected.get(key))
+            for key in record.keys() | expected.keys()
+            if key not in VOLATILE and record.get(key) != expected.get(key)
+        }
+        assert not mismatched, (engine, record["run_id"], mismatched)
+
+
+def test_fixture_covers_every_churn_branch():
+    golden = _golden()
+    mobility = [r for r in golden if r["failure_model"] == "mobility"]
+    links = [r for r in golden if r["failure_model"] == "link-failures"]
+    assert sum(r["reorientations"] for r in mobility) > 0
+    assert sum(r["partition_skips"] for r in mobility) > 0
+    # a mobility step that changed no link is neither applied nor skipped
+    assert any(
+        r["failures_applied"] + r["partition_skips"] < r["failure_count"]
+        for r in mobility
+    )
+    assert sum(r["partition_skips"] for r in links) > 0
+    assert sum(r["failures_applied"] for r in links) > 0
+    assert any(r["crashed_nodes"] for r in golden)
+
+
+@pytest.mark.parametrize("engine", ["kernel", "batch", "legacy"])
+def test_churn_records_match_the_golden_campaign(engine):
+    golden = [r for r in _golden() if not r["node_faults"]]
+    assert_matches(campaign_records(churn_campaign(), engine), golden, engine)
+
+
+def test_node_fault_records_match_the_golden_campaign():
+    golden = [r for r in _golden() if r["node_faults"]]
+    assert golden
+    assert_matches(campaign_records(node_fault_campaign()), golden, "kernel")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit(__doc__)
+    FIXTURE.parent.mkdir(exist_ok=True)
+    records = campaign_records(churn_campaign()) + campaign_records(node_fault_campaign())
+    FIXTURE.write_text(
+        "".join(
+            json.dumps({k: v for k, v in record.items() if k != "wall_time_s"}, sort_keys=True)
+            + "\n"
+            for record in records
+        )
+    )
+    print(f"wrote {FIXTURE}")
