@@ -87,7 +87,7 @@ def _baseline_workloads():
     )
     from benchmarks.bench_model_check import _measure_scalar as _measure_model_check_scalar
     from benchmarks.bench_simulation import _check_all_families
-    from benchmarks.bench_sweep import _measure_1worker, _measure_pool
+    from benchmarks.bench_sweep import _measure_1worker, _measure_churn, _measure_pool
     from benchmarks.bench_telemetry import _measure_enabled as _measure_telemetry
     from benchmarks.bench_worst_case import _fr_sweep, _pr_worst_orientation_sweep
 
@@ -98,6 +98,9 @@ def _baseline_workloads():
         "bench_dummy_steps": _measure,
         "bench_sweep_1worker": _measure_1worker,
         "bench_sweep_pool": _measure_pool,
+        # link-failure + mobility repair phases on the auto engine, the churn
+        # layer no other workload reaches
+        "bench_churn_sweep": _measure_churn,
         # the model-check pair shares one verification workload: their
         # timing ratio is the vectorised frontier's speedup over the scalar
         # per-state loop (differentially pinned to identical counts)

@@ -43,12 +43,25 @@ def _campaign() -> CampaignSpec:
     )
 
 
-def _sweep(workers: int) -> dict:
-    """Run the benchmark campaign fresh and return the executor report dict."""
+def _churn_campaign() -> CampaignSpec:
+    """Link-failure and mobility churn: repair phases dominate the run time."""
+    return CampaignSpec(
+        name="bench-churn",
+        families=("grid", "random-dag", "geometric"),
+        algorithms=("pr", "fr"),
+        schedulers=("greedy", "random"),
+        sizes=(12, 16),
+        replicates=4,
+        failure_models=[("link-failures", 3), ("mobility", 3)],
+    )
+
+
+def _sweep(workers: int, campaign: CampaignSpec = None) -> dict:
+    """Run a benchmark campaign fresh and return the executor report dict."""
     root = Path(tempfile.mkdtemp(prefix=f"bench-sweep-{workers}w-"))
     try:
         with ResultStore(root) as store:
-            report = run_campaign(_campaign(), store, workers=workers)
+            report = run_campaign(campaign or _campaign(), store, workers=workers)
             assert report.ok == report.total, "benchmark campaign must be clean"
             return report.to_dict()
     finally:
@@ -61,6 +74,14 @@ def _measure_1worker() -> dict:
 
 def _measure_pool() -> dict:
     return _sweep(POOL_WORKERS)
+
+
+def _measure_churn() -> dict:
+    """The churn campaign inline on the ``auto`` engine, from a cold engine cache."""
+    from repro.experiments.runner import _KERNEL_CACHE
+
+    _KERNEL_CACHE.clear()
+    return _sweep(1, _churn_campaign())
 
 
 def test_e18_sweep_throughput(benchmark):
@@ -91,3 +112,16 @@ def test_e18_sweep_throughput(benchmark):
     )
     assert serial["executed"] == pooled["executed"] == _campaign().run_count
     assert serial["ok"] == pooled["ok"] == serial["executed"]
+
+
+def test_e18_churn_sweep(benchmark):
+    report = benchmark.pedantic(_measure_churn, rounds=1, iterations=1)
+    rows = [("link failures + mobility", report["executed"], report["wall_time_s"],
+             report["runs_per_second"])]
+    print_table(
+        "E18-churn — churn campaign throughput, 1 worker (runs/s)",
+        ["campaign", "runs", "wall s", "runs/s"],
+        rows,
+    )
+    record(benchmark, experiment="E18-churn", rows=rows)
+    assert report["executed"] == report["ok"] == _churn_campaign().run_count

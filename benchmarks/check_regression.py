@@ -74,7 +74,7 @@ def main(argv=None) -> int:
     parser.add_argument("--baseline", default="BENCH_baseline.json")
     parser.add_argument("--watch",
                         default="bench_simulation,bench_sweep_1worker,"
-                                "bench_async_quiescence,bench_batch_sweep,"
+                                "bench_churn_sweep,bench_async_quiescence,bench_batch_sweep,"
                                 "bench_telemetry,bench_dataplane,"
                                 "bench_dataplane_campaign,"
                                 "bench_model_check,bench_model_check_pr_tree",

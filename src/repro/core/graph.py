@@ -28,10 +28,15 @@ Indexed representation
 The instance assigns every node and every undirected edge a dense integer
 index in :meth:`LinkReversalInstance.__post_init__` and precomputes, once:
 
-* a node ↔ index map and an ordered-pair edge index (``edge_index(u, v)``),
-* CSR-style per-node incident-edge index lists (``incident_edge_ids`` /
-  ``incident_neighbours``), and
+* a node → index map,
+* CSR-style per-node incident-edge and neighbour-id lists, and
 * per-node selector bitmasks over the global edge index.
+
+The node-keyed views — the ordered-pair edge index (``edge_index(u, v)``),
+``incident_neighbours`` and the ``nbrs`` / ``in_nbrs`` / ``out_nbrs`` sets —
+are built on first use: the compiled engines work on ids alone, and a churn
+repair phase derives a new instance from the previous one
+(:meth:`LinkReversalInstance.oriented_by`) without revalidating it.
 
 :class:`Orientation` stores the whole directed version as a *single Python
 int bitmask* (bit ``e`` set iff edge ``e`` is currently reversed relative to
@@ -46,6 +51,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 Node = Hashable
@@ -103,20 +109,15 @@ class LinkReversalInstance:
     nodes: Tuple[Node, ...]
     destination: Node
     initial_edges: Tuple[DirectedEdge, ...]
-    _nbrs: Mapping[Node, FrozenSet[Node]] = field(init=False, repr=False, compare=False)
-    _in_nbrs: Mapping[Node, FrozenSet[Node]] = field(init=False, repr=False, compare=False)
-    _out_nbrs: Mapping[Node, FrozenSet[Node]] = field(init=False, repr=False, compare=False)
     # indexed core (see module docstring); every field below is derived once
     _node_id: Mapping[Node, int] = field(init=False, repr=False, compare=False)
-    _edge_id: Mapping[Tuple[Node, Node], int] = field(init=False, repr=False, compare=False)
     _edge_node_ids: Tuple[Tuple[int, int], ...] = field(init=False, repr=False, compare=False)
     _incident_eids: Tuple[Tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    _incident_nbrs: Tuple[Tuple[Node, ...], ...] = field(init=False, repr=False, compare=False)
+    _incident_nbr_ids: Tuple[Tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     _incident_mask: Tuple[int, ...] = field(init=False, repr=False, compare=False)
     _tail_sel: Tuple[int, ...] = field(init=False, repr=False, compare=False)
     _degree: Tuple[int, ...] = field(init=False, repr=False, compare=False)
     _csr_offsets: Tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _nbr_pos: Optional[Tuple[Mapping[Node, int], ...]] = field(init=False, repr=False, compare=False)
     _init_in_count: Tuple[int, ...] = field(init=False, repr=False, compare=False)
     _init_sink_ids: FrozenSet[int] = field(init=False, repr=False, compare=False)
     _dest_id: int = field(init=False, repr=False, compare=False)
@@ -127,74 +128,119 @@ class LinkReversalInstance:
             raise GraphValidationError("duplicate nodes in instance")
         if self.destination not in node_id:
             raise GraphValidationError(f"destination {self.destination!r} is not a node")
+        try:
+            edge_node_ids = [(node_id[u], node_id[v]) for u, v in self.initial_edges]
+        except KeyError:
+            bad = next(
+                (u, v) for u, v in self.initial_edges
+                if u not in node_id or v not in node_id
+            )
+            raise GraphValidationError(
+                f"edge ({bad[0]!r}, {bad[1]!r}) references unknown node"
+            ) from None
+        self._index(node_id, edge_node_ids)
+        if len(self._edge_id) != 2 * len(self.initial_edges):
+            # a self loop or a repeated edge shares its _edge_id keys
+            seen: set = set()
+            for u, v in self.initial_edges:
+                if u == v:
+                    raise GraphValidationError(f"self loop on node {u!r} is not allowed")
+                if (u, v) in seen:
+                    raise GraphValidationError(
+                        f"edge between {u!r} and {v!r} specified more than once"
+                    )
+                seen.update(((u, v), (v, u)))
 
+    def _index(self, node_id: Dict[Node, int], edge_node_ids: Sequence[Tuple[int, int]]) -> None:
+        """Derive every indexed field from the node ids of ``initial_edges``."""
         n = len(self.nodes)
-        edge_id: Dict[Tuple[Node, Node], int] = {}
-        edge_node_ids: List[Tuple[int, int]] = []
         inc_eids: List[List[int]] = [[] for _ in range(n)]
-        inc_nbrs: List[List[Node]] = [[] for _ in range(n)]
-        in_lists: List[List[Node]] = [[] for _ in range(n)]
-        out_lists: List[List[Node]] = [[] for _ in range(n)]
+        inc_ids: List[List[int]] = [[] for _ in range(n)]
         inc_mask = [0] * n
         tail_sel = [0] * n
-        in_count = [0] * n
-        for e, (u, v) in enumerate(self.initial_edges):
-            try:
-                ui, vi = node_id[u], node_id[v]
-            except KeyError:
-                raise GraphValidationError(
-                    f"edge ({u!r}, {v!r}) references unknown node"
-                ) from None
-            if u == v:
-                raise GraphValidationError(f"self loop on node {u!r} is not allowed")
-            if (u, v) in edge_id:
-                raise GraphValidationError(
-                    f"edge between {u!r} and {v!r} specified more than once"
-                )
-            edge_id[(u, v)] = e
-            edge_id[(v, u)] = e
-            edge_node_ids.append((ui, vi))
+        for e, (ui, vi) in enumerate(edge_node_ids):
             bit = 1 << e
             inc_eids[ui].append(e)
-            inc_nbrs[ui].append(v)
+            inc_ids[ui].append(vi)
             inc_eids[vi].append(e)
-            inc_nbrs[vi].append(u)
+            inc_ids[vi].append(ui)
             inc_mask[ui] |= bit
             inc_mask[vi] |= bit
             tail_sel[ui] |= bit
-            in_count[vi] += 1
-            out_lists[ui].append(v)
-            in_lists[vi].append(u)
-
-        degree = [len(eids) for eids in inc_eids]
-        offsets = [0] * n
-        running = 0
-        for i in range(n):
-            offsets[i] = running
-            running += degree[i]
-        init_sinks = frozenset(
-            i for i in range(n) if degree[i] and in_count[i] == degree[i]
+        self._store(
+            node_id, tuple(edge_node_ids), tuple(map(tuple, inc_eids)),
+            tuple(map(tuple, inc_ids)), tuple(inc_mask), tail_sel,
+            [len(eids) for eids in inc_eids],
         )
 
+    def _store(
+        self, node_id, edge_node_ids, inc_eids, inc_ids, inc_mask, tail_sel, degree
+    ) -> None:
+        """Set the indexed fields, deriving the CSR offsets and initial sinks."""
+        offsets = [0] * len(degree)
+        running = 0
+        for i, d in enumerate(degree):
+            offsets[i] = running
+            running += d
         set_attr = object.__setattr__
-        set_attr(self, "_nbrs", {u: frozenset(inc_nbrs[i]) for i, u in enumerate(self.nodes)})
-        set_attr(self, "_in_nbrs", {u: frozenset(in_lists[i]) for i, u in enumerate(self.nodes)})
-        set_attr(self, "_out_nbrs", {u: frozenset(out_lists[i]) for i, u in enumerate(self.nodes)})
         set_attr(self, "_node_id", node_id)
-        set_attr(self, "_edge_id", edge_id)
-        set_attr(self, "_edge_node_ids", tuple(edge_node_ids))
-        set_attr(self, "_incident_eids", tuple(map(tuple, inc_eids)))
-        set_attr(self, "_incident_nbrs", tuple(map(tuple, inc_nbrs)))
-        set_attr(self, "_incident_mask", tuple(inc_mask))
+        set_attr(self, "_edge_node_ids", edge_node_ids)
+        set_attr(self, "_incident_eids", inc_eids)
+        set_attr(self, "_incident_nbr_ids", inc_ids)
+        set_attr(self, "_incident_mask", inc_mask)
         set_attr(self, "_tail_sel", tuple(tail_sel))
         set_attr(self, "_degree", tuple(degree))
         set_attr(self, "_csr_offsets", tuple(offsets))
-        # neighbour-position maps (for pack_neighbour_sets) are built lazily:
-        # most instances never pack bookkeeping signatures
-        set_attr(self, "_nbr_pos", None)
-        set_attr(self, "_init_in_count", tuple(in_count))
-        set_attr(self, "_init_sink_ids", init_sinks)
+        # a node's incoming edges are its incident edges it is not the tail of
+        set_attr(self, "_init_in_count", tuple(
+            [d - tail.bit_count() for d, tail in zip(degree, tail_sel)]
+        ))
+        # a sink: some incident edge, and it tails none of them
+        set_attr(self, "_init_sink_ids", frozenset(
+            [i for i, (d, tail) in enumerate(zip(degree, tail_sel)) if d and not tail]
+        ))
         set_attr(self, "_dest_id", node_id[self.destination])
+
+    # the node-keyed views are built on first use: the compiled engines work
+    # on the id tables above, and churn phases build an instance per repair
+    @cached_property
+    def _edge_id(self) -> Mapping[Tuple[Node, Node], int]:
+        edge_id: Dict[Tuple[Node, Node], int] = {}
+        for e, (u, v) in enumerate(self.initial_edges):
+            edge_id[(u, v)] = e
+            edge_id[(v, u)] = e
+        return edge_id
+
+    @cached_property
+    def _incident_nbrs(self) -> Tuple[Tuple[Node, ...], ...]:
+        nodes = self.nodes
+        return tuple(tuple(nodes[j] for j in row) for row in self._incident_nbr_ids)
+
+    @cached_property
+    def _nbrs(self) -> Mapping[Node, FrozenSet[Node]]:
+        return {u: frozenset(row) for u, row in zip(self.nodes, self._incident_nbrs)}
+
+    @cached_property
+    def _nbr_pos(self) -> Tuple[Mapping[Node, int], ...]:
+        """Per node: neighbour -> CSR position (for :meth:`pack_neighbour_sets`)."""
+        return tuple(
+            {v: pos for pos, v in enumerate(neighbours)}
+            for neighbours in self._incident_nbrs
+        )
+
+    @cached_property
+    def _in_nbrs(self) -> Mapping[Node, FrozenSet[Node]]:
+        rows: List[List[Node]] = [[] for _ in self.nodes]
+        for (u, _), (_, vi) in zip(self.initial_edges, self._edge_node_ids):
+            rows[vi].append(u)
+        return {u: frozenset(row) for u, row in zip(self.nodes, rows)}
+
+    @cached_property
+    def _out_nbrs(self) -> Mapping[Node, FrozenSet[Node]]:
+        rows: List[List[Node]] = [[] for _ in self.nodes]
+        for (_, v), (ui, _) in zip(self.initial_edges, self._edge_node_ids):
+            rows[ui].append(v)
+        return {u: frozenset(row) for u, row in zip(self.nodes, rows)}
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -236,9 +282,9 @@ class LinkReversalInstance:
         """All nodes except the destination (the nodes that may take steps)."""
         return tuple(u for u in self.nodes if u != self.destination)
 
-    @property
+    @cached_property
     def undirected_edges(self) -> FrozenSet[UndirectedEdge]:
-        """The edge set ``E`` of the undirected graph ``G``."""
+        """The edge set ``E`` of the undirected graph ``G`` (built once)."""
         return frozenset(undirected(u, v) for u, v in self.initial_edges)
 
     @property
@@ -314,19 +360,12 @@ class LinkReversalInstance:
         packed = 0
         node_id = self._node_id
         offsets = self._csr_offsets
-        positions = self._nbr_pos
-        if positions is None:
-            positions = tuple(
-                {v: pos for pos, v in enumerate(neighbours)}
-                for neighbours in self._incident_nbrs
-            )
-            object.__setattr__(self, "_nbr_pos", positions)
         for u, members in sets.items():
             if not members:
                 continue
             i = node_id[u]
             base = offsets[i]
-            pos = positions[i]
+            pos = self._nbr_pos[i]
             for v in members:
                 packed |= 1 << (base + pos[v])
         return packed
@@ -376,8 +415,14 @@ class LinkReversalInstance:
     def is_initially_acyclic(self) -> bool:
         """Whether ``G'_init`` is a DAG (a requirement of the system model).
 
-        Kahn's algorithm over the precomputed index arrays.
+        Kahn's algorithm over the precomputed index arrays, run once per
+        instance (the churn phases check a candidate and then build an
+        automaton on it, which validates it again).
         """
+        return self._initially_acyclic
+
+    @cached_property
+    def _initially_acyclic(self) -> bool:
         n = len(self.nodes)
         indegree = list(self._init_in_count)
         succ: List[List[int]] = [[] for _ in range(n)]
@@ -394,19 +439,30 @@ class LinkReversalInstance:
                     queue.append(j)
         return removed == n
 
-    def is_connected(self) -> bool:
-        """Whether the undirected graph ``G`` is connected."""
-        if not self.nodes:
+    def is_connected(self, without_edge: Optional[int] = None) -> bool:
+        """Whether the undirected graph ``G`` is connected.
+
+        ``without_edge`` asks the question for ``G`` minus the edge with that
+        id — whether failing the link would partition the network — without
+        building the smaller instance.
+        """
+        n = len(self.nodes)
+        if not n:
             return True
-        seen = {self.nodes[0]}
-        frontier = [self.nodes[0]]
+        eids = self._incident_eids
+        nbr_ids = self._incident_nbr_ids
+        seen = [False] * n
+        seen[0] = True
+        frontier = [0]
+        reached = 1
         while frontier:
-            u = frontier.pop()
-            for v in self._nbrs[u]:
-                if v not in seen:
-                    seen.add(v)
-                    frontier.append(v)
-        return len(seen) == len(self.nodes)
+            i = frontier.pop()
+            for e, j in zip(eids[i], nbr_ids[i]):
+                if not seen[j] and e != without_edge:
+                    seen[j] = True
+                    reached += 1
+                    frontier.append(j)
+        return reached == n
 
     def validate(self, require_dag: bool = True, require_connected: bool = False) -> None:
         """Raise :class:`GraphValidationError` if the instance violates the model.
@@ -431,6 +487,48 @@ class LinkReversalInstance:
         Θ(n_b²) worst-case work bound discussed in Section 1 of the paper.
         """
         return self.initial_orientation().nodes_without_path_to_destination()
+
+    def oriented_by(self, mask: int, drop: Optional[int] = None) -> "LinkReversalInstance":
+        """This graph with the ``mask`` orientation as its initial one.
+
+        Bit ``e`` of ``mask`` reverses edge ``e``; ``drop``, when given, is
+        the id of an edge to leave out (a failed link).  The edges keep their
+        order, so the result equals the instance built from the re-oriented
+        edge list.  The nodes are unchanged and the edges are a subset of
+        this instance's, so nothing is re-validated and no node is looked up
+        again: the id tables are rebuilt from the edges' node ids, or, with
+        no edge dropped, shared where re-orienting cannot change them.
+        """
+        edges = [
+            (v, u) if (mask >> e) & 1 else (u, v)
+            for e, (u, v) in enumerate(self.initial_edges)
+        ]
+        edge_node_ids = [
+            (j, i) if (mask >> e) & 1 else (i, j)
+            for e, (i, j) in enumerate(self._edge_node_ids)
+        ]
+        if drop is not None:
+            del edges[drop]
+            del edge_node_ids[drop]
+        derived = object.__new__(type(self))
+        object.__setattr__(derived, "nodes", self.nodes)
+        object.__setattr__(derived, "destination", self.destination)
+        object.__setattr__(derived, "initial_edges", tuple(edges))
+        if drop is not None:
+            derived._index(self._node_id, edge_node_ids)
+            return derived
+        # same links under the same ids: only which endpoint tails an edge
+        # changes, and the node-keyed views carry over as built
+        for name in ("_edge_id", "_incident_nbrs", "_nbrs", "_nbr_pos", "undirected_edges"):
+            if name in self.__dict__:
+                derived.__dict__[name] = self.__dict__[name]
+        derived._store(
+            self._node_id, tuple(edge_node_ids), self._incident_eids,
+            self._incident_nbr_ids, self._incident_mask,
+            [tail ^ (mask & inc) for tail, inc in zip(self._tail_sel, self._incident_mask)],
+            self._degree,
+        )
+        return derived
 
     # ------------------------------------------------------------------
     # misc

@@ -37,7 +37,6 @@ batch``), whereupon the executor groups chunks by batch key.
 from __future__ import annotations
 
 import logging
-import random
 import time
 from collections import OrderedDict
 from typing import Any, Dict, Hashable, List, Mapping, Optional, Tuple, Union
@@ -47,7 +46,7 @@ from repro.core.full_reversal import FullReversal
 from repro.core.new_pr import NewPartialReversal
 from repro.core.one_step_pr import OneStepPartialReversal
 from repro.core.pr import PartialReversal
-from repro.experiments.churn import carried_over_instance, surviving_instance_from_edges
+from repro.experiments.churn import ScenarioChurn
 from repro.experiments.engines import ExecutionEngine, register_engine
 from repro.experiments.spec import ALGORITHM_FACTORIES, ScenarioSpec, derive_seed
 from repro.kernels import (
@@ -58,7 +57,6 @@ from repro.kernels import (
     WorkTally,
     compile_expander,
     make_mask_scheduler,
-    mask_directed_edges,
     mask_final_state_checks,
 )
 from repro.kernels.batch import BatchSimulator
@@ -307,14 +305,9 @@ def _run_lanes(lanes: List[Lane], deadline: Optional[float]) -> None:
             convergeds[pos] = outcome.converged
             active.append(pos)
 
-        if spec0.failure_model == "link-failures" and spec0.failure_count > 0:
-            active = _batch_link_failures(
-                lanes, active, instances, masks, convergeds,
-                works, rounds, automaton_factory, deadline,
-            )
-        elif spec0.failure_model == "mobility" and spec0.failure_count > 0:
-            active = _batch_mobility(
-                lanes, active, instances, masks, convergeds,
+        if spec0.failure_model != "none" and spec0.failure_count > 0:
+            active = _batch_churn(
+                lanes, active, keys, instances, masks, convergeds,
                 works, rounds, automaton_factory, deadline,
             )
 
@@ -390,93 +383,32 @@ def _run_churn_phase(
     return timed_out
 
 
-def _batch_link_failures(
-    lanes, active, instances, masks, convergeds, works, rounds,
+def _batch_churn(
+    lanes, active, keys, instances, masks, convergeds, works, rounds,
     automaton_factory, deadline,
 ):
-    """Lockstep twin of the kernel engine's ``_kernel_link_failures``."""
+    """Lockstep twin of the kernel engine's ``_kernel_churn``."""
     spec0 = lanes[0][0]
-    rngs = {
-        pos: random.Random(derive_seed(lanes[pos][0].scheduler_seed, "failures"))
-        for pos in active
+    churns = {
+        pos: ScenarioChurn(lanes[pos][0], _BATCH_CACHE, keys[pos]) for pos in active
     }
     looping = list(active)
     for index in range(spec0.failure_count):
         if not looping:
             break
         phase = []
-        still = []
         for pos in looping:
-            record = lanes[pos][1]
-            instance = instances[pos]
-            candidates = sorted(instance.initial_edges)
-            if not candidates:
-                continue  # the per-lane loop `break`: no further failures
-            dropped = candidates[rngs[pos].randrange(len(candidates))]
-            candidate = surviving_instance_from_edges(
-                instance, mask_directed_edges(instance, masks[pos]), dropped
+            candidate = churns[pos].next_instance(
+                index, instances[pos], masks[pos], lanes[pos][1]
             )
-            still.append(pos)
-            if not candidate.is_connected():
-                record["partition_skips"] += 1
-                continue
-            phase.append((pos, candidate))
-        looping = still
+            if candidate is not None:
+                phase.append((pos, candidate))
         if not phase:
             continue
         timed_out = _run_churn_phase(
-            lanes, phase, index, "repair", works, rounds, automaton_factory,
-            deadline, masks, convergeds, instances, spec0.max_steps,
-        )
-        if timed_out:
-            looping = [pos for pos in looping if pos not in timed_out]
-    return [pos for pos in active if lanes[pos][1]["status"] != "timeout"]
-
-
-def _batch_mobility(
-    lanes, active, instances, masks, convergeds, works, rounds,
-    automaton_factory, deadline,
-):
-    """Lockstep twin of the kernel engine's ``_kernel_mobility``."""
-    from repro.topology.manet import random_geometric_instance
-    from repro.topology.mobility import RandomWaypointMobility
-
-    spec0 = lanes[0][0]
-    mobilities = {}
-    for pos in active:
-        spec = lanes[pos][0]
-        instance, network = random_geometric_instance(
-            spec.size, radius=0.4, seed=spec.topology_seed
-        )
-        instances[pos] = instance
-        mobilities[pos] = RandomWaypointMobility(
-            network, seed=derive_seed(spec.topology_seed, "mobility")
-        )
-    looping = list(active)
-    for index in range(spec0.failure_count):
-        if not looping:
-            break
-        phase = []
-        for pos in looping:
-            record = lanes[pos][1]
-            change = mobilities[pos].step()
-            if change.is_empty:
-                continue
-            fresh = mobilities[pos].network.to_instance()
-            if not fresh.is_connected():
-                record["partition_skips"] += 1
-                continue
-            candidate, reoriented = carried_over_instance(
-                fresh, mask_directed_edges(instances[pos], masks[pos])
-            )
-            if reoriented:
-                record["reorientations"] += 1
-            phase.append((pos, candidate))
-        if not phase:
-            continue
-        timed_out = _run_churn_phase(
-            lanes, phase, index, "churn", works, rounds, automaton_factory,
-            deadline, masks, convergeds, instances, spec0.max_steps,
+            lanes, phase, index, churns[looping[0]].seed_label, works, rounds,
+            automaton_factory, deadline, masks, convergeds, instances,
+            spec0.max_steps,
         )
         if timed_out:
             looping = [pos for pos in looping if pos not in timed_out]

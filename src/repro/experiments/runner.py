@@ -56,7 +56,6 @@ immediately) and recording the run with status ``"timeout"``.
 from __future__ import annotations
 
 import logging
-import random
 import time
 from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple, Union
 
@@ -68,10 +67,7 @@ from repro.core.full_reversal import FullReversal
 from repro.core.new_pr import NewPartialReversal
 from repro.core.one_step_pr import OneStepPartialReversal
 from repro.core.pr import PartialReversal
-from repro.experiments.churn import (
-    carried_over_instance,
-    surviving_instance_from_edges,
-)
+from repro.experiments.churn import ScenarioChurn
 from repro.experiments.engines import (
     ENGINE_AUTO,
     ExecutionEngine,
@@ -89,7 +85,6 @@ from repro.kernels import (
     WorkTally,
     compile_expander,
     make_mask_scheduler,
-    mask_directed_edges,
 )
 from repro.kernels.signature import mask_final_state_checks
 from repro.kernels.simulator import (
@@ -278,12 +273,6 @@ class _RoundObserver:
             self._seen.update(actors)
 
 
-# the churn re-packing helpers live in repro.experiments.churn (shared with
-# the batch engine); the private names remain for in-module readers
-_surviving_instance_from_edges = surviving_instance_from_edges
-_carried_over_instance = carried_over_instance
-
-
 def _converge(automaton_factory, instance, scheduler, observers, max_steps):
     """Run one convergence phase and return its ExecutionResult."""
     automaton = automaton_factory(instance)
@@ -407,14 +396,10 @@ def _execute_kernel_scenario(spec, record, work, rounds, deadline) -> None:
     converged = outcome.converged
     mask = kernel.orientation_mask(outcome.signature)
 
-    if spec.failure_model == "link-failures" and spec.failure_count > 0:
-        instance, mask, converged = _kernel_link_failures(
-            spec, instance, mask, converged, automaton_factory,
-            work, rounds, deadline, record,
-        )
-    elif spec.failure_model == "mobility" and spec.failure_count > 0:
-        instance, mask, converged = _kernel_mobility(
-            spec, mask, converged, automaton_factory, work, rounds, deadline, record
+    if spec.failure_model != "none" and spec.failure_count > 0:
+        instance, mask, converged = _kernel_churn(
+            spec, ScenarioChurn(spec, _KERNEL_CACHE, cache_key), instance, mask,
+            converged, automaton_factory, work, rounds, deadline, record,
         )
 
     if instance is cached_instance:
@@ -442,63 +427,18 @@ def _kernel_repair_phase(
     return mask, outcome.converged, outcome.steps
 
 
-def _kernel_link_failures(
-    spec, instance, mask, converged, automaton_factory, work, rounds, deadline, record
+def _kernel_churn(
+    spec, churn, instance, mask, converged, automaton_factory,
+    work, rounds, deadline, record,
 ):
-    """Mask-level twin of :func:`_run_link_failures` (same RNG consumption)."""
-    rng = random.Random(derive_seed(spec.scheduler_seed, "failures"))
+    """Mask-level twin of :func:`_run_churn` (same churn decisions)."""
     for index in range(spec.failure_count):
-        candidates = sorted(instance.initial_edges)
-        if not candidates:
-            break
-        dropped = candidates[rng.randrange(len(candidates))]
-        candidate = _surviving_instance_from_edges(
-            instance, mask_directed_edges(instance, mask), dropped
-        )
-        if not candidate.is_connected():
-            record["partition_skips"] += 1
+        candidate = churn.next_instance(index, instance, mask, record)
+        if candidate is None:
             continue
         mask, phase_converged, steps = _kernel_repair_phase(
             spec, automaton_factory, candidate,
-            derive_seed(spec.scheduler_seed, "repair", index),
-            work, rounds, deadline,
-        )
-        record["failures_applied"] += 1
-        record["steps_taken"] += steps
-        instance = candidate
-        converged = converged and phase_converged
-    return instance, mask, converged
-
-
-def _kernel_mobility(
-    spec, mask, converged, automaton_factory, work, rounds, deadline, record
-):
-    """Mask-level twin of :func:`_run_mobility` (same churn decisions)."""
-    from repro.topology.manet import random_geometric_instance
-    from repro.topology.mobility import RandomWaypointMobility
-
-    instance, network = random_geometric_instance(
-        spec.size, radius=0.4, seed=spec.topology_seed
-    )
-    mobility = RandomWaypointMobility(
-        network, seed=derive_seed(spec.topology_seed, "mobility")
-    )
-    for index in range(spec.failure_count):
-        change = mobility.step()
-        if change.is_empty:
-            continue
-        fresh = mobility.network.to_instance()
-        if not fresh.is_connected():
-            record["partition_skips"] += 1
-            continue
-        candidate, reoriented = _carried_over_instance(
-            fresh, mask_directed_edges(instance, mask)
-        )
-        if reoriented:
-            record["reorientations"] += 1
-        mask, phase_converged, steps = _kernel_repair_phase(
-            spec, automaton_factory, candidate,
-            derive_seed(spec.scheduler_seed, "churn", index),
+            derive_seed(spec.scheduler_seed, churn.seed_label, index),
             work, rounds, deadline,
         )
         record["failures_applied"] += 1
@@ -534,13 +474,9 @@ def _execute_legacy_scenario(spec, record, work, rounds, deadline) -> None:
     final_state = result.final_state
     converged = result.converged
 
-    if spec.failure_model == "link-failures" and spec.failure_count > 0:
-        instance, final_state, converged = _run_link_failures(
+    if spec.failure_model != "none" and spec.failure_count > 0:
+        final_state, converged = _run_churn(
             spec, instance, final_state, converged, automaton_factory, observers, record
-        )
-    elif spec.failure_model == "mobility" and spec.failure_count > 0:
-        instance, final_state, converged = _run_mobility(
-            spec, automaton_factory, observers, record, final_state, converged
         )
 
     record.update(
@@ -550,81 +486,33 @@ def _execute_legacy_scenario(spec, record, work, rounds, deadline) -> None:
     )
 
 
-def _run_link_failures(spec, instance, final_state, converged, automaton_factory, observers, record):
-    """Inject random link failures and repair after each; returns the end state.
+def _run_churn(spec, instance, final_state, converged, automaton_factory, observers, record):
+    """Apply each link-failure or mobility step and re-converge after it.
 
+    Surviving links keep their current orientation (see
+    :class:`~repro.experiments.churn.ScenarioChurn`); the oracle builds its
+    mobility trajectory afresh rather than reading the engine cache.
     ``converged`` stays ``True`` only if the initial convergence *and* every
     repair phase reached quiescence (a truncated phase must not be recorded
     as converged).
     """
-    rng = random.Random(derive_seed(spec.scheduler_seed, "failures"))
-    orientation = _orientation_of(final_state)
+    churn = ScenarioChurn(spec)
     for index in range(spec.failure_count):
-        candidates = sorted(instance.initial_edges)
-        if not candidates:
-            break
-        dropped = candidates[rng.randrange(len(candidates))]
-        candidate = _surviving_instance_from_edges(
-            instance, orientation.directed_edges(), dropped
+        candidate = churn.next_instance(
+            index, instance, _orientation_of(final_state).signature(), record
         )
-        if not candidate.is_connected():
-            record["partition_skips"] += 1
+        if candidate is None:
             continue
         scheduler = make_scheduler(
-            spec.scheduler, derive_seed(spec.scheduler_seed, "repair", index)
+            spec.scheduler, derive_seed(spec.scheduler_seed, churn.seed_label, index)
         )
         result = _converge(automaton_factory, candidate, scheduler, observers, spec.max_steps)
         record["failures_applied"] += 1
         record["steps_taken"] += result.steps_taken
         instance = candidate
         final_state = result.final_state
-        orientation = _orientation_of(final_state)
         converged = converged and result.converged
-    return instance, final_state, converged
-
-
-def _run_mobility(spec, automaton_factory, observers, record, final_state, converged):
-    """Advance random-waypoint mobility, re-converging after each churn step.
-
-    As in :func:`_run_link_failures`, ``converged`` is the conjunction over
-    the initial convergence and every churn phase.
-    """
-    from repro.topology.manet import random_geometric_instance
-    from repro.topology.mobility import RandomWaypointMobility
-
-    instance, network = random_geometric_instance(
-        spec.size, radius=0.4, seed=spec.topology_seed
-    )
-    mobility = RandomWaypointMobility(
-        network, seed=derive_seed(spec.topology_seed, "mobility")
-    )
-    orientation = _orientation_of(final_state)
-    for index in range(spec.failure_count):
-        change = mobility.step()
-        if change.is_empty:
-            continue
-        fresh = mobility.network.to_instance()
-        if not fresh.is_connected():
-            record["partition_skips"] += 1
-            continue
-        # carry surviving orientations over; new links take the fresh
-        # (distance-towards-destination) direction
-        candidate, reoriented = _carried_over_instance(
-            fresh, orientation.directed_edges()
-        )
-        if reoriented:
-            record["reorientations"] += 1
-        scheduler = make_scheduler(
-            spec.scheduler, derive_seed(spec.scheduler_seed, "churn", index)
-        )
-        result = _converge(automaton_factory, candidate, scheduler, observers, spec.max_steps)
-        record["failures_applied"] += 1
-        record["steps_taken"] += result.steps_taken
-        instance = candidate
-        final_state = result.final_state
-        orientation = _orientation_of(final_state)
-        converged = converged and result.converged
-    return instance, final_state, converged
+    return final_state, converged
 
 
 def _orientation_of(state):

@@ -245,10 +245,9 @@ class SignatureExpander(abc.ABC):
         self._edge_mask = (1 << instance.edge_count) - 1
         self._inc = instance._incident_mask
         self._tail = instance._tail_sel
+        dest = instance._dest_id
         self._sink_candidates = tuple(
-            i
-            for i in range(instance.node_count)
-            if instance._degree[i] and i != instance._dest_id
+            [i for i, degree in enumerate(instance._degree) if degree and i != dest]
         )
         self._twin_classes: Optional[List[_TwinClass]] = None
 
@@ -430,34 +429,16 @@ class _ListKernelMixin:
     def _build_list_tables(self) -> None:
         instance = self.instance
         E = instance.edge_count
-        offsets = instance._csr_offsets
-        degrees = instance._degree
-        n = instance.node_count
-        self._row_shift = tuple(E + offsets[i] for i in range(n))
-        self._row_mask = tuple((1 << degrees[i]) - 1 for i in range(n))
+        self._row_shift = tuple([E + offset for offset in instance._csr_offsets])
+        self._row_mask = tuple([(1 << degree) - 1 for degree in instance._degree])
         self._row_clear = tuple(
-            ~(self._row_mask[i] << self._row_shift[i]) for i in range(n)
+            [~(mask << shift) for mask, shift in zip(self._row_mask, self._row_shift)]
         )
-        # per node, per incident position: (position bit, edge bit, partner's
-        # row bit for this node)
-        entries: List[Tuple[Tuple[int, int, int], ...]] = []
-        for i in range(n):
-            u = instance.nodes[i]
-            row = []
-            for k, (e, v) in enumerate(
-                zip(instance._incident_eids[i], instance._incident_nbrs[i])
-            ):
-                j = instance._node_id[v]
-                pos_in_partner = instance._incident_nbrs[j].index(u)
-                partner_bit = 1 << (E + offsets[j] + pos_in_partner)
-                row.append((1 << k, 1 << e, partner_bit))
-            entries.append(tuple(row))
-        self._entries = tuple(entries)
         # lazily filled per-node memo: list row -> (edge-flip XOR, partner OR).
         # A node has at most 2^degree distinct rows, so the tables stay tiny
         # while turning the common step into three int ops + one dict hit.
         self._step_memo: Tuple[Dict[int, Tuple[int, int]], ...] = tuple(
-            {} for _ in range(n)
+            [{} for _ in range(instance.node_count)]
         )
 
     def _own_row_bit(self, i: int, w_id: int) -> int:
@@ -474,16 +455,22 @@ class _ListKernelMixin:
         return ((sig ^ pair[0]) | pair[1]) & self._row_clear[i]
 
     def _compile_step(self, i: int, row: int) -> Tuple[int, int]:
-        """Flip/bookkeeping masks of one ``(node, row)`` pair, memoised."""
+        """Flip/bookkeeping masks of one ``(node, row)`` pair, memoised.
+
+        Built on demand, so a kernel compiled for one short repair phase
+        only pays for the nodes that actually step.
+        """
+        instance = self.instance
+        incident_eids = instance._incident_eids
         effective = 0 if row == self._row_mask[i] else row
         flip = 0
         partners = 0
-        for pos_bit, edge_bit, partner_bit in self._entries[i]:
-            if not effective & pos_bit:
+        for k, (e, j) in enumerate(zip(incident_eids[i], instance._incident_nbr_ids[i])):
+            if not (effective >> k) & 1:
                 # the edge to every neighbour outside list[u] is reversed and
                 # u enters that neighbour's list
-                flip ^= edge_bit
-                partners |= partner_bit
+                flip ^= 1 << e
+                partners |= 1 << (self._row_shift[j] + incident_eids[j].index(e))
         pair = (flip, partners)
         self._step_memo[i][row] = pair
         return pair
@@ -574,15 +561,15 @@ class NewPRExpander(SignatureExpander):
         instance = self.instance
         E = instance.edge_count
         n = instance.node_count
-        self._shift = tuple(E + _COUNT_BITS * i for i in range(n))
+        self._shift = tuple(range(E, E + _COUNT_BITS * n, _COUNT_BITS))
         # parity EVEN reverses the edges to the *initial in-neighbours* (the
         # incident edges whose initial head is this node); ODD the initial
         # out-edges.  A stepping node is a sink, so every such edge currently
         # points at it and the whole mask flips.
         self._even_flip = tuple(
-            instance._incident_mask[i] & ~instance._tail_sel[i] for i in range(n)
+            [inc & ~tail for inc, tail in zip(instance._incident_mask, instance._tail_sel)]
         )
-        self._odd_flip = tuple(instance._tail_sel[i] for i in range(n))
+        self._odd_flip = instance._tail_sel
 
     def initial_signature(self) -> int:
         return 0

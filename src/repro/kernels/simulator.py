@@ -142,6 +142,25 @@ class PhaseOutcome:
     converged: bool
 
 
+class _IncidentPairs(dict):
+    """Per node id: its ``(edge bit, neighbour id)`` pairs, built on first use.
+
+    A churn repair phase runs a fresh simulator for a few steps, so only the
+    rows of the nodes that actually step are worth building.
+    """
+
+    __slots__ = ("_eids", "_ids")
+
+    def __init__(self, instance: LinkReversalInstance):
+        super().__init__()
+        self._eids = instance._incident_eids
+        self._ids = instance._incident_nbr_ids
+
+    def __missing__(self, i: int) -> Tuple[Tuple[int, int], ...]:
+        row = self[i] = tuple((1 << e, j) for e, j in zip(self._eids[i], self._ids[i]))
+        return row
+
+
 class SignatureSimulator:
     """Executes convergence phases of one kernel entirely on int signatures."""
 
@@ -149,19 +168,10 @@ class SignatureSimulator:
         self.kernel = kernel
         self.instance: LinkReversalInstance = kernel.instance
         instance = self.instance
-        node_id = instance._node_id
         #: per node id: incident neighbours as ids, aligned with the CSR lists
-        self.neighbour_ids: Tuple[Tuple[int, ...], ...] = tuple(
-            tuple(node_id[v] for v in row) for row in instance._incident_nbrs
-        )
+        self.neighbour_ids: Tuple[Tuple[int, ...], ...] = instance._incident_nbr_ids
         # per node id: (edge bit, neighbour id) pairs for the sink updates
-        self._incident: Tuple[Tuple[Tuple[int, int], ...], ...] = tuple(
-            tuple(
-                (1 << e, j)
-                for e, j in zip(instance._incident_eids[i], self.neighbour_ids[i])
-            )
-            for i in range(instance.node_count)
-        )
+        self._incident = _IncidentPairs(instance)
         self._can_sink = [False] * instance.node_count
         for i in kernel._sink_candidates:
             self._can_sink[i] = True
@@ -315,7 +325,7 @@ class KernelCache:
         self._instances: "OrderedDict[Hashable, LinkReversalInstance]" = OrderedDict()
         # values are whatever the caller compiles: a bare SignatureExpander
         # or a wrapper built on one (the runner caches whole simulators)
-        self._kernels: "OrderedDict[Tuple[Hashable, str], object]" = OrderedDict()
+        self._kernels: "OrderedDict[Tuple[Hashable, Hashable], object]" = OrderedDict()
         if metrics is None:
             metrics = MetricsRegistry()
         self._instance_hits = metrics.counter(prefix + "instance_hits")
@@ -372,16 +382,19 @@ class KernelCache:
     def kernel(
         self,
         key: Hashable,
-        algorithm: str,
+        algorithm: Hashable,
         compile_kernel: Callable[[], Optional[object]],
     ) -> Optional[object]:
         """The cached compiled object for ``(key, algorithm)``.
 
         The value is whatever ``compile_kernel`` builds — a
         :class:`~repro.kernels.signature.SignatureExpander` or a wrapper on
-        one (e.g. a :class:`SignatureSimulator`).  A ``None`` result (no
+        one (e.g. a :class:`SignatureSimulator`, or any other per-topology
+        product such as a mobility trajectory).  A ``None`` result (no
         kernel for this automaton) is not cached — those callers fall back
-        to the object path anyway.
+        to the object path anyway.  Nor is anything cached for a ``key``
+        whose instance is not: entries are evicted with their instance, so
+        the cache stays bounded by its capacity.
         """
         kernel_key = (key, algorithm)
         cached = self._kernels.get(kernel_key)
@@ -391,7 +404,7 @@ class KernelCache:
             return cached
         self._kernel_compiles.inc()
         kernel = compile_kernel()
-        if kernel is not None:
+        if kernel is not None and key in self._instances:
             self._kernels[kernel_key] = kernel
         return kernel
 

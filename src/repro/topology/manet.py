@@ -100,14 +100,18 @@ class GeometricNetwork:
         the state a MANET is in *before* mobility breaks links.
         """
         order = {u: i for i, u in enumerate(self.nodes)}
-
-        def key(u: Node) -> Tuple[float, int]:
-            return (self.distance(u, self.destination), order[u])
+        # each node's (distance to the destination, node order), computed once
+        # with the same hypot call as distance()
+        dx, dy = self.positions[self.destination]
+        key = {
+            u: (math.hypot(x - dx, y - dy), order[u])
+            for u, (x, y) in self.positions.items()
+        }
 
         edges: List[Tuple[Node, Node]] = []
         for link in sorted(self.links(), key=lambda l: tuple(sorted(order[x] for x in l))):
             u, v = tuple(link)
-            if key(u) > key(v):
+            if key[u] > key[v]:
                 edges.append((u, v))
             else:
                 edges.append((v, u))

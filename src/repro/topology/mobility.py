@@ -74,6 +74,8 @@ class RandomWaypointMobility:
         self._waypoints: Dict[Node, Position] = {}
         self._pause_remaining: Dict[Node, int] = {u: 0 for u in self.network.nodes}
         self._step_count = 0
+        # the current link set: each step diffs against it, then replaces it
+        self._links = self.network.links()
         for u in self.network.nodes:
             self._waypoints[u] = self._pick_waypoint()
 
@@ -93,7 +95,7 @@ class RandomWaypointMobility:
     # ------------------------------------------------------------------
     def step(self) -> TopologyChange:
         """Advance every node by one step and return the induced link changes."""
-        before = self.network.links()
+        before = self._links
         new_positions: Dict[Node, Position] = {}
         for u in self.network.nodes:
             if self.pin_destination and u == self.network.destination:
@@ -103,7 +105,7 @@ class RandomWaypointMobility:
                 continue
             new_positions[u] = self._advance(u)
         self.network = self.network.moved(new_positions)
-        after = self.network.links()
+        after = self._links = self.network.links()
         self._step_count += 1
         return TopologyChange(
             step=self._step_count,

@@ -374,10 +374,7 @@ class MaskSimulationChain:
             self._os_kernel._row_mask[i] ^ even_allowed[i] for i in range(n)
         )
         # per node: incident neighbour ids aligned with the CSR rows
-        node_id = instance._node_id
-        self._nbr_ids = tuple(
-            tuple(node_id[v] for v in row) for row in instance._incident_nbrs
-        )
+        self._nbr_ids = instance._incident_nbr_ids
         self._dest = instance._dest_id
         self._degree = instance._degree
 
