@@ -75,7 +75,7 @@ def print_table(title: str, headers, rows) -> None:
 def _baseline_workloads():
     """The timed workloads tracked across PRs, keyed by benchmark module."""
     from benchmarks.bench_async import _measure as _measure_async
-    from benchmarks.bench_batch import _measure_batch, _measure_kernel
+    from benchmarks.bench_batch import _measure_batch, _measure_nodedup
     from benchmarks.bench_dataplane import _measure_campaign as _measure_dataplane_campaign
     from benchmarks.bench_dataplane import _measure_dataplane
     from benchmarks.bench_dummy_steps import _measure
@@ -111,10 +111,10 @@ def _baseline_workloads():
         "bench_model_check_pr_tree": _measure_model_check_pr_tree,
         "bench_model_check_pr_tree_scalar": _measure_model_check_pr_tree_scalar,
         "bench_async_quiescence": _measure_async,
-        # the batch pair shares one workload: their timing ratio is the
-        # batched engine's speedup over the per-scenario kernel path
+        # the batch pair shares one workload: their timing ratio is what
+        # outcome dedup buys on the lockstep engine
         "bench_batch_sweep": _measure_batch,
-        "bench_batch_sweep_kernel": _measure_kernel,
+        "bench_batch_sweep_nodedup": _measure_nodedup,
         # same workload again inside a telemetry session; drift against
         # bench_batch_sweep is the enabled-path instrumentation overhead
         "bench_telemetry": _measure_telemetry,

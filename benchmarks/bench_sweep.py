@@ -77,10 +77,10 @@ def _measure_pool() -> dict:
 
 
 def _measure_churn() -> dict:
-    """The churn campaign inline on the ``auto`` engine, from a cold engine cache."""
-    from repro.experiments.runner import _KERNEL_CACHE
+    """The churn campaign inline on the ``auto`` engine, from cold engine caches."""
+    from repro.experiments.batch_engine import reset_kernel_caches
 
-    _KERNEL_CACHE.clear()
+    reset_kernel_caches()
     return _sweep(1, _churn_campaign())
 
 

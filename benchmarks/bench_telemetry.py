@@ -26,7 +26,7 @@ claim_experiment("E22", __name__)
 from benchmarks.bench_batch import _specs
 
 from repro import telemetry
-from repro.experiments.batch_engine import reset_batch_caches, run_scenarios_batched
+from repro.experiments.batch_engine import reset_kernel_caches, run_scenarios_batched
 
 #: CI ceiling on enabled/disabled wall-time ratio (ISSUE budget is 1.03 on a
 #: quiet box; runner jitter needs the headroom).
@@ -38,20 +38,20 @@ REPEATS = 3
 
 def _measure_disabled() -> list:
     """The batched path with telemetry off (the default everywhere)."""
-    reset_batch_caches()
+    reset_kernel_caches()
     return run_scenarios_batched(_specs())
 
 
 def _measure_enabled() -> list:
     """The batched path inside a metrics-only telemetry session."""
-    reset_batch_caches()
+    reset_kernel_caches()
     with telemetry.session():
         return run_scenarios_batched(_specs())
 
 
 def _measure_enabled_traced() -> list:
     """The batched path with metrics and a buffering span tracer active."""
-    reset_batch_caches()
+    reset_kernel_caches()
     sink: list = []
     with telemetry.session(sink=sink.extend) as (_, tracer):
         with tracer.span("bench"):

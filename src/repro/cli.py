@@ -954,16 +954,16 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument("--node-faults", default="",
                               help="comma-separated crash-stop node counts per run "
                                    "(e.g. '0,2'); faulted cells run on the kernel "
-                                   "or async engines")
+                                   "(or batch) or async engines")
     sweep_parser.add_argument("--max-steps", type=int, default=None,
                               help="per-run step bound")
     sweep_parser.add_argument("--engine", choices=ENGINE_CHOICES, default="auto",
                               help="execution engine for every run: auto picks the "
-                                   "compiled kernel fast path whenever the algorithm "
-                                   "has one; batch runs whole chunks of kernel-"
-                                   "eligible cells in lockstep (fastest at high "
-                                   "replicate counts); legacy forces the object-"
-                                   "path oracle")
+                                   "compiled kernel engine whenever the algorithm "
+                                   "has one; batch hands that engine whole chunks "
+                                   "at once, in lockstep under one shared deadline "
+                                   "(fastest at high replicate counts); legacy "
+                                   "forces the object-path oracle")
     sweep_parser.add_argument("--store", required=True,
                               help="result store directory (created if missing)")
     sweep_parser.add_argument("--workers", type=int, default=1,

@@ -1,44 +1,48 @@
-"""The batched execution engine: whole campaign chunks as one lockstep call.
+"""The compiled synchronous engine: scenarios as lockstep lanes.
 
-Campaigns sweep *distributions*: hundreds of lanes that differ only in their
-seeds share one ``(family, size, algorithm, scheduler, failure model,
-max_steps)`` shape — the **batch key**.  :func:`run_scenarios_batched` groups
-a chunk of scenario dicts by that key and executes each group as one
-:class:`~repro.kernels.batch.BatchSimulator` lockstep run instead of N
-per-scenario calls, amortising three costs the per-scenario kernel engine
-pays per run:
+Every synchronous spec whose algorithm has a signature kernel (PR,
+OneStepPR, NewPR, FR) and whose scheduler has a mask-level twin (every
+registry scheduler does) runs here, on
+:class:`~repro.kernels.batch.BatchSimulator` lanes: scheduler decisions,
+convergence detection, work/round accounting, crash-stopped nodes and the
+churn phases all operate on int signatures, and no automaton state is ever
+materialised.  The engine registers under two names that share one
+implementation:
 
-* **instance/kernel construction** — for the seed-deterministic families
-  (:data:`~repro.topology.generators.SEEDLESS_FAMILIES`) every replicate
-  lane is the *same* instance, so one build + one kernel compile serves the
-  whole batch (the per-scenario path re-derives them per run once its LRU
-  cache thrashes);
-* **whole-run outcomes** — only the ``random`` scheduler consumes its seed,
-  and churn RNG streams derive from the scheduler seed; a lane whose result
-  fields are a pure function of its batch shape is computed once and fanned
-  out to every equal lane (and memoised across chunks);
+``kernel``
+    One scenario per call, as a width-1 group with its own per-run
+    deadline (``engine="auto"`` picks it for every spec it supports).
+``batch``
+    ``kernel``'s chunk dispatch: :func:`run_scenarios_batched` groups a
+    worker chunk by :func:`batch_key` — lanes of one ``(family, size,
+    algorithm, scheduler, churn model, node faults, max_steps)`` shape —
+    and runs each group as one lockstep call under one shared deadline.
+
+Whichever name runs it, a group amortises three costs:
+
+* **instance/kernel construction** — one ``kernel_``-prefixed
+  :class:`~repro.kernels.simulator.KernelCache` keyed by
+  :func:`_canonical_key` serves the engine (and the legacy oracle); for the
+  seed-deterministic families
+  (:data:`~repro.topology.generators.SEEDLESS_FAMILIES`) every replicate is
+  the *same* instance, so one build and one compile serve them all;
+* **whole-run outcomes** — a lane's result fields are a pure function of
+  its :func:`_outcome_key`, so equal lanes run once and fan out, and
+  un-deadlined outcomes are memoised across calls;
 * **per-run dispatch plumbing** — one deadline, one record-unpacking pass.
 
-Exactness: every lane's record is **field-for-field identical** to the
-``kernel`` engine's record for the same spec (``tests/
-test_batch_engine_differential.py`` pins this across algorithms, schedulers
-and churn models).  The only intentional semantic difference is the timeout
-budget: a batched call shares one wall-clock deadline across its lanes
-(per-run deadlines are meaningless in lockstep), and lanes deduplicated onto
-one computation share that computation's fate.  Timeout records themselves
-(status, partial tallies, error message) match the kernel engine exactly.
-
-The engine registers as ``batch`` with an auto-priority *below* ``kernel``:
-``engine="auto"`` keeps resolving single scenarios to the per-scenario
-kernel path, and batching is requested explicitly (``repro sweep --engine
-batch``), whereupon the executor groups chunks by batch key.
+Exactness: every record is field-for-field identical to the legacy
+object-automaton oracle's record for the same fault-free spec
+(``tests/test_batch_engine_differential.py``), whatever other lanes shared
+the group and in which order.  A timed-out lane keeps its partial tallies
+and records ``deadline exceeded at step N``; lanes deduplicated onto one
+computation share that computation's fate.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from collections import OrderedDict
 from typing import Any, Dict, Hashable, List, Mapping, Optional, Tuple, Union
 
 from repro import telemetry as _telemetry
@@ -47,8 +51,10 @@ from repro.core.new_pr import NewPartialReversal
 from repro.core.one_step_pr import OneStepPartialReversal
 from repro.core.pr import PartialReversal
 from repro.experiments.churn import ScenarioChurn
-from repro.experiments.engines import ExecutionEngine, register_engine
+from repro.experiments.engines import ExecutionEngine
 from repro.experiments.spec import ALGORITHM_FACTORIES, ScenarioSpec, derive_seed
+from repro.experiments.store import OUTCOME_FIELDS, RESULT_INIT
+from repro.faults.nodes import select_crashed_ids
 from repro.kernels import (
     MASK_SCHEDULER_FACTORIES,
     KernelCache,
@@ -63,123 +69,96 @@ from repro.kernels.batch import BatchSimulator
 from repro.kernels.simulator import cache_capacity_from_env
 from repro.topology.generators import SEEDLESS_FAMILIES, build_family
 
+ENGINE_KERNEL = "kernel"
 ENGINE_BATCH = "batch"
 
-#: Automata with a compiled signature kernel (mirrors ``compile_expander``).
-_KERNEL_AUTOMATA = (
-    PartialReversal,
-    OneStepPartialReversal,
-    NewPartialReversal,
-    FullReversal,
-)
-
-#: Algorithm names with a kernel, precomputed: ``supports`` runs once per
-#: lane of every batched chunk, and an ABC ``issubclass`` there is measurable
-#: against the ~10µs/lane budget of a deduplicated lane.
+#: Algorithm names with a compiled signature kernel (mirrors
+#: ``compile_expander``), precomputed: ``supports`` runs once per lane of
+#: every batched chunk, where an ABC ``issubclass`` is measurable.
 _KERNEL_ALGORITHM_NAMES = frozenset(
     name
     for name, factory in ALGORITHM_FACTORIES.items()
-    if isinstance(factory, type) and issubclass(factory, _KERNEL_AUTOMATA)
+    if isinstance(factory, type)
+    and issubclass(
+        factory,
+        (PartialReversal, OneStepPartialReversal, NewPartialReversal, FullReversal),
+    )
 )
 
 logger = logging.getLogger(__name__)
 
-#: Per-process instance/kernel cache, keyed by :func:`_canonical_key` — the
-#: seed-deterministic families collapse onto one entry per (family, size),
-#: which is what lets ≥256 replicate lanes share a single compiled kernel.
-#: Counters live in the shared ``ENGINE_METRICS`` registry as ``batch_*``.
-_BATCH_CACHE = KernelCache(
+#: Per-process cache of instances and compiled simulators, keyed by
+#: :func:`_canonical_key`.  The ``REPRO_KERNEL_CACHE_CAPACITY`` environment
+#: variable sizes it; counters live in the always-on ``ENGINE_METRICS``
+#: registry under ``kernel_``-prefixed names.
+_KERNEL_CACHE = KernelCache(
     capacity=cache_capacity_from_env(),
     metrics=_telemetry.ENGINE_METRICS,
-    prefix="batch_",
+    prefix="kernel_",
 )
 
-#: Per-topology bad-node counts, keyed like the batch cache.
+#: Per-topology bad-node counts, keyed like the cache.
 _BAD_NODES_MEMO: Dict[Hashable, int] = {}
 
 #: Final-state verdicts per (topology key, final mask) — a pure function of
-#: the two (see the kernel engine's identical memo).
+#: the two, and by confluence every scheduler drives an algorithm on one
+#: topology to the same final orientation, so campaign cells hit constantly.
 _FINAL_CHECK_MEMO: Dict[Tuple[Hashable, int], Tuple[bool, bool]] = {}
 
-#: Whole-run outcomes per :func:`_outcome_key` — result fields of lanes whose
-#: record is fully determined by their batch shape (deterministic scheduler
-#: or included seeds).  Bounded like the other memos; cleared, not LRU'd.
+#: Whole-run outcomes per :func:`_outcome_key`, for un-deadlined runs that
+#: ended ``ok``.  Bounded like the other memos; cleared, not LRU'd.
 _OUTCOME_MEMO: Dict[Hashable, Dict[str, Any]] = {}
 _OUTCOME_MEMO_CAP = 1024
 
 #: Cumulative outcome-dedup counters: a *hit* is a lane satisfied without
-#: running (memo or in-batch fan-out), a *miss* is a lane actually executed.
-#: Registry-backed (``batch_outcome_*`` in ``ENGINE_METRICS``);
-#: :func:`batch_cache_stats` keeps the historical un-prefixed dict keys.
+#: running (memo or in-group fan-out), a *miss* is a lane actually executed.
 _OUTCOME_HITS = _telemetry.ENGINE_METRICS.counter("batch_outcome_hits")
 _OUTCOME_MISSES = _telemetry.ENGINE_METRICS.counter("batch_outcome_misses")
 
-#: Record fields that are pure run *results* (everything ``execute_scenario``
-#: initialises except the volatile ``wall_time_s`` / ``engine``); exactly the
-#: fields fanned out to outcome-deduplicated lanes.
-_RESULT_FIELDS = (
-    "status", "error", "nodes", "edges", "bad_nodes",
-    "node_steps", "edge_reversals", "dummy_steps", "rounds", "steps_taken",
-    "converged", "destination_oriented", "acyclic_final",
-    "failures_applied", "partition_skips", "reorientations", "crashed_nodes",
-)
 
-#: Fresh-record field values, exactly ``execute_scenario``'s initialisation;
-#: applied via one C-level ``dict.update`` per lane instead of 23 kwargs.
-_RECORD_INIT = {
-    "status": "ok", "error": None, "engine": None,
-    "nodes": None, "edges": None, "bad_nodes": None,
-    "node_steps": 0, "edge_reversals": 0, "dummy_steps": 0, "rounds": 0,
-    "steps_taken": 0,
-    "converged": False, "destination_oriented": False, "acyclic_final": False,
-    "failures_applied": 0, "partition_skips": 0, "reorientations": 0,
-    "crashed_nodes": 0, "wall_time_s": 0.0,
-}
+def algorithm_has_kernel(algorithm: str) -> bool:
+    """Whether the named algorithm compiles to a signature kernel."""
+    return algorithm in _KERNEL_ALGORITHM_NAMES
 
 
-def batch_cache_stats() -> Dict[str, int]:
-    """Cumulative batch-engine cache/dedup counters (JSON-compatible)."""
-    stats = dict(_BATCH_CACHE.stats())
-    stats["outcome_hits"] = _OUTCOME_HITS.value
-    stats["outcome_misses"] = _OUTCOME_MISSES.value
-    return stats
+def outcome_stats() -> Dict[str, int]:
+    """Cumulative outcome-dedup counters (JSON-compatible)."""
+    return {
+        "outcome_hits": _OUTCOME_HITS.value,
+        "outcome_misses": _OUTCOME_MISSES.value,
+    }
 
 
-def set_cache_capacity(capacity: int) -> None:
-    """Resize the batch engine's per-process instance/kernel cache."""
-    _BATCH_CACHE.set_capacity(capacity)
-
-
-def reset_batch_caches() -> None:
-    """Drop every batch-engine cache and memo (counters are kept).
+def reset_kernel_caches() -> None:
+    """Drop the engine's cache and every memo (counters are kept).
 
     Used by the benchmarks to measure cold-cache performance; production
     campaigns never need this.
     """
-    _BATCH_CACHE.clear()
+    _KERNEL_CACHE.clear()
     _BAD_NODES_MEMO.clear()
     _FINAL_CHECK_MEMO.clear()
     _OUTCOME_MEMO.clear()
 
 
 def batch_key(spec: Union[ScenarioSpec, Mapping[str, Any]]) -> Tuple[Any, ...]:
-    """The lockstep-grouping key: lanes sharing it run as one batch.
+    """The lockstep-grouping key: lanes sharing it run as one group.
 
     Same family/size (same signature width per topology seed), same
-    algorithm and scheduler family, same failure model and step bound —
-    lanes differ only in their topology/scheduler seeds and replicate index.
-    Accepts a spec or its executor-shipped dict form.
+    algorithm and scheduler family, same churn model, crash-stop count and
+    step bound — lanes differ only in their topology/scheduler seeds and
+    replicate index.  Accepts a spec or its executor-shipped dict form.
     """
     if isinstance(spec, ScenarioSpec):
         return (
             spec.family, spec.size, spec.algorithm, spec.scheduler,
             spec.failure_model, spec.failure_count, spec.max_steps,
-            spec.delay_model, spec.traffic,
+            spec.delay_model, spec.traffic, spec.node_faults,
         )
     return (
         spec["family"], spec["size"], spec["algorithm"], spec["scheduler"],
         spec["failure_model"], spec["failure_count"], spec["max_steps"],
-        spec.get("delay_model"), spec.get("traffic"),
+        spec.get("delay_model"), spec.get("traffic"), spec.get("node_faults", 0),
     )
 
 
@@ -198,20 +177,23 @@ def _outcome_key(spec: ScenarioSpec) -> Tuple[Any, ...]:
     """Key under which a lane's whole result record is deterministic.
 
     Includes every input the run's result can depend on: the instance
-    structure, algorithm, scheduler and step bound, the churn model, and the
-    seeds *only where they are consumed* — the scheduler seed feeds the RNG
-    of the ``random`` scheduler and of the churn streams (failure choice and
-    repair-phase scheduling both derive from it), and the topology seed
-    additionally drives mobility's waypoint stream.  Every other scheduler
-    ignores its seed (the mask schedulers' documented contract), so lanes
-    differing only in unconsumed seeds share one outcome.
+    structure, algorithm, scheduler and step bound, the churn model and
+    crash-stop count, and the seeds *only where they are consumed* — the
+    scheduler seed feeds the RNG of the ``random`` scheduler and of the
+    churn streams (failure choice and repair-phase scheduling both derive
+    from it), and the topology seed additionally drives mobility's waypoint
+    stream and the choice of crash-stopped nodes (even on seedless
+    families).  Every other scheduler ignores its seed (the mask
+    schedulers' documented contract), so lanes differing only in unconsumed
+    seeds share one outcome.
     """
     seed_sensitive = spec.scheduler == "random" or spec.failure_count > 0
+    topology_sensitive = spec.failure_model == "mobility" or spec.node_faults > 0
     return (
         _canonical_key(spec), spec.algorithm, spec.scheduler, spec.max_steps,
-        spec.failure_model, spec.failure_count,
+        spec.failure_model, spec.failure_count, spec.node_faults,
         spec.scheduler_seed if seed_sensitive else None,
-        spec.topology_seed if spec.failure_model == "mobility" else None,
+        spec.topology_seed if topology_sensitive else None,
     )
 
 
@@ -236,17 +218,32 @@ def _final_state_checks(key: Hashable, instance, mask: int) -> Tuple[bool, bool]
     return verdict
 
 
+def _crash_stop(spec: ScenarioSpec, instance, record: Dict[str, Any]):
+    """The lane's crash-stopped node ids and step bound; tallies ``crashed_nodes``."""
+    dead_ids = select_crashed_ids(
+        instance.node_count,
+        instance._node_id[instance.destination],
+        spec.node_faults,
+        spec.topology_seed,
+    )
+    record["crashed_nodes"] = len(dead_ids)
+    max_steps = spec.max_steps
+    if max_steps is None:
+        # crash-stopped nodes can cut the destination off, making heights
+        # grow without bound — a faulted run needs a finite step budget
+        max_steps = 100 * instance.node_count * instance.node_count
+    return dead_ids, max_steps
+
+
 Lane = Tuple[ScenarioSpec, Dict[str, Any]]
 
 
 def _run_lanes(lanes: List[Lane], deadline: Optional[float]) -> None:
     """Execute lanes sharing one batch key as one lockstep group.
 
-    Mutates each lane's record in place, mirroring the kernel engine's
-    ``_execute_kernel_scenario`` per lane: same cache/memo structure, same
-    churn derivations, same timeout bookkeeping (a timed-out lane keeps its
+    Mutates each lane's record in place.  A timed-out lane keeps its
     partial tallies but no final-state verdicts, and its ``steps_taken``
-    excludes the aborted phase).
+    excludes the aborted phase.
     """
     spec0 = lanes[0][0]
     automaton_factory = ALGORITHM_FACTORIES[spec0.algorithm]
@@ -255,7 +252,6 @@ def _run_lanes(lanes: List[Lane], deadline: Optional[float]) -> None:
     rounds = [RoundTally() for _ in range(width)]
     keys: List[Hashable] = [None] * width
     instances: List[Any] = [None] * width
-    cached_instances: List[Any] = [None] * width
     sims: List[Any] = [None] * width
     masks = [0] * width
     convergeds = [False] * width
@@ -263,7 +259,7 @@ def _run_lanes(lanes: List[Lane], deadline: Optional[float]) -> None:
         batch = BatchSimulator()
         for pos, (spec, record) in enumerate(lanes):
             key = _canonical_key(spec)
-            instance = _BATCH_CACHE.instance(
+            instance = _KERNEL_CACHE.instance(
                 key,
                 lambda s=spec: build_family(s.family, s.size, s.topology_seed),
             )
@@ -272,7 +268,10 @@ def _run_lanes(lanes: List[Lane], deadline: Optional[float]) -> None:
                 edges=instance.edge_count,
                 bad_nodes=_bad_node_count(key, instance),
             )
-            simulator = _BATCH_CACHE.kernel(
+            # the cache holds whole simulators: their id tables are
+            # per-instance setup just like the kernel tables, and they carry
+            # no run state
+            simulator = _KERNEL_CACHE.kernel(
                 key,
                 spec.algorithm,
                 lambda inst=instance: SignatureSimulator(
@@ -281,13 +280,17 @@ def _run_lanes(lanes: List[Lane], deadline: Optional[float]) -> None:
             )
             keys[pos] = key
             instances[pos] = instance
-            cached_instances[pos] = instance
             sims[pos] = simulator
+            dead_ids = max_steps = None
+            if spec.node_faults > 0:
+                dead_ids, max_steps = _crash_stop(spec, instance, record)
             batch.add_lane(
                 simulator,
                 make_mask_scheduler(spec.scheduler, spec.scheduler_seed),
                 work=works[pos],
                 rounds=rounds[pos],
+                dead_ids=dead_ids,
+                max_steps=max_steps,
             )
 
         outcomes = batch.run(max_steps=spec0.max_steps, deadline=deadline)
@@ -306,14 +309,13 @@ def _run_lanes(lanes: List[Lane], deadline: Optional[float]) -> None:
             active.append(pos)
 
         if spec0.failure_model != "none" and spec0.failure_count > 0:
-            active = _batch_churn(
+            active = _churn(
                 lanes, active, keys, instances, masks, convergeds,
                 works, rounds, automaton_factory, deadline,
             )
 
         for pos in active:
-            record = lanes[pos][1]
-            if instances[pos] is cached_instances[pos]:
+            if instances[pos] is sims[pos].instance:
                 # the memo key describes the cached topology only, never
                 # churn products
                 acyclic, oriented = _final_state_checks(
@@ -323,7 +325,7 @@ def _run_lanes(lanes: List[Lane], deadline: Optional[float]) -> None:
                 acyclic, oriented = mask_final_state_checks(
                     instances[pos], masks[pos]
                 )
-            record.update(
+            lanes[pos][1].update(
                 converged=convergeds[pos],
                 destination_oriented=oriented,
                 acyclic_final=acyclic,
@@ -339,80 +341,66 @@ def _run_lanes(lanes: List[Lane], deadline: Optional[float]) -> None:
             )
 
 
-def _run_churn_phase(
-    lanes, phase, index, seed_label, works, rounds, automaton_factory,
-    deadline, masks, convergeds, instances, max_steps,
-):
-    """One lockstep repair phase over ``phase``'s (pos, candidate) lanes.
-
-    Returns the set of lane positions that timed out during the phase.
-    Mirrors the kernel engine's ``_kernel_repair_phase`` bookkeeping: a
-    successful lane counts the failure as applied and adds the phase steps;
-    a timed-out lane keeps its partial tallies only.
-    """
-    batch = BatchSimulator()
-    phase_sims = []
-    for pos, candidate in phase:
-        spec = lanes[pos][0]
-        simulator = SignatureSimulator(compile_expander(automaton_factory(candidate)))
-        phase_sims.append(simulator)
-        batch.add_lane(
-            simulator,
-            make_mask_scheduler(
-                spec.scheduler, derive_seed(spec.scheduler_seed, seed_label, index)
-            ),
-            work=works[pos],
-            rounds=rounds[pos],
-        )
-    outcomes = batch.run(max_steps=max_steps, deadline=deadline)
-    timed_out = set()
-    for (pos, candidate), simulator, outcome in zip(phase, phase_sims, outcomes):
-        record = lanes[pos][1]
-        if outcome.timed_out:
-            record.update(
-                status="timeout",
-                error=f"deadline exceeded at step {outcome.timeout_step}",
-            )
-            timed_out.add(pos)
-            continue
-        masks[pos] = simulator.kernel.orientation_mask(outcome.signature)
-        record["failures_applied"] += 1
-        record["steps_taken"] += outcome.steps
-        instances[pos] = candidate
-        convergeds[pos] = convergeds[pos] and outcome.converged
-    return timed_out
-
-
-def _batch_churn(
+def _churn(
     lanes, active, keys, instances, masks, convergeds, works, rounds,
     automaton_factory, deadline,
-):
-    """Lockstep twin of the kernel engine's ``_kernel_churn``."""
+) -> List[int]:
+    """Apply each link-failure or mobility step, then repair in lockstep.
+
+    Every lane the step changed re-converges from its surviving orientation
+    on a freshly compiled instance (see
+    :class:`~repro.experiments.churn.ScenarioChurn`); the repair phases of
+    one step run as one lockstep call.  A lane counts the failure as applied
+    and adds the phase steps; a timed-out lane keeps its partial tallies and
+    leaves the loop.  ``converged`` stays ``True`` only if the initial
+    convergence *and* every repair phase reached quiescence.  Returns the
+    lanes that did not time out.
+    """
     spec0 = lanes[0][0]
     churns = {
-        pos: ScenarioChurn(lanes[pos][0], _BATCH_CACHE, keys[pos]) for pos in active
+        pos: ScenarioChurn(lanes[pos][0], _KERNEL_CACHE, keys[pos]) for pos in active
     }
     looping = list(active)
     for index in range(spec0.failure_count):
         if not looping:
             break
+        batch = BatchSimulator()
         phase = []
         for pos in looping:
-            candidate = churns[pos].next_instance(
-                index, instances[pos], masks[pos], lanes[pos][1]
+            spec, record = lanes[pos]
+            churn = churns[pos]
+            candidate = churn.next_instance(index, instances[pos], masks[pos], record)
+            if candidate is None:
+                continue
+            simulator = SignatureSimulator(compile_expander(automaton_factory(candidate)))
+            batch.add_lane(
+                simulator,
+                make_mask_scheduler(
+                    spec.scheduler,
+                    derive_seed(spec.scheduler_seed, churn.seed_label, index),
+                ),
+                work=works[pos],
+                rounds=rounds[pos],
             )
-            if candidate is not None:
-                phase.append((pos, candidate))
+            phase.append((pos, candidate, simulator))
         if not phase:
             continue
-        timed_out = _run_churn_phase(
-            lanes, phase, index, churns[looping[0]].seed_label, works, rounds,
-            automaton_factory, deadline, masks, convergeds, instances,
-            spec0.max_steps,
-        )
-        if timed_out:
-            looping = [pos for pos in looping if pos not in timed_out]
-    return [pos for pos in active if lanes[pos][1]["status"] != "timeout"]
+        outcomes = batch.run(max_steps=spec0.max_steps, deadline=deadline)
+        for (pos, candidate, simulator), outcome in zip(phase, outcomes):
+            record = lanes[pos][1]
+            if outcome.timed_out:
+                record.update(
+                    status="timeout",
+                    error=f"deadline exceeded at step {outcome.timeout_step}",
+                )
+                continue
+            masks[pos] = simulator.kernel.orientation_mask(outcome.signature)
+            record["failures_applied"] += 1
+            record["steps_taken"] += outcome.steps
+            instances[pos] = candidate
+            convergeds[pos] = convergeds[pos] and outcome.converged
+        looping = [pos for pos in looping if lanes[pos][1]["status"] != "timeout"]
+    return looping
 
 
 def _execute_group(lanes: List[Lane], deadline: Optional[float]) -> None:
@@ -424,9 +412,9 @@ def _execute_group(lanes: List[Lane], deadline: Optional[float]) -> None:
     consulted/populated only for un-deadlined, successful runs, so a later
     deadlined campaign can never inherit an "ok" it might not have earned.
     """
-    groups: "OrderedDict[Hashable, List[Lane]]" = OrderedDict()
-    for spec, record in lanes:
-        groups.setdefault(_outcome_key(spec), []).append((spec, record))
+    groups: Dict[Hashable, List[Lane]] = {}
+    for lane in lanes:
+        groups.setdefault(_outcome_key(lane[0]), []).append(lane)
     leaders: List[Tuple[Hashable, List[Lane]]] = []
     run_list: List[Lane] = []
     for key, members in groups.items():
@@ -442,7 +430,7 @@ def _execute_group(lanes: List[Lane], deadline: Optional[float]) -> None:
         _run_lanes(run_list, deadline)
     for key, members in leaders:
         leader_record = members[0][1]
-        outcome = {name: leader_record[name] for name in _RESULT_FIELDS}
+        outcome = {name: leader_record[name] for name in OUTCOME_FIELDS}
         _OUTCOME_MISSES.inc()
         if len(members) > 1:
             for _, record in members[1:]:
@@ -458,20 +446,20 @@ def run_scenarios_batched(
     specs: List[Union[ScenarioSpec, Dict[str, Any]]],
     timeout_s: Optional[float] = None,
 ) -> List[Dict[str, Any]]:
-    """Execute a chunk of scenario dicts as lockstep batches (worker entry).
+    """Execute a chunk of scenario dicts as lockstep groups (worker entry).
 
-    The batched counterpart of ``run_scenarios(..., engine="batch")``:
-    groups the chunk by :func:`batch_key`, runs each group through
-    :func:`_execute_group` and returns one record per spec, in input order,
-    with the exact schema of ``execute_scenario``.  Specs the batch engine
-    cannot run (BLL, async, invalid) get the same error records a forced
-    ``engine="batch"`` per-scenario call would produce.  ``timeout_s`` is a
-    *shared* budget: one deadline from call start governs every lane.
+    The ``batch`` dispatch of ``run_scenarios``: groups the chunk by
+    :func:`batch_key`, runs each group through :func:`_execute_group` and
+    returns one record per spec, in input order, with the exact schema of
+    ``execute_scenario``.  Specs the engine cannot run (BLL, async, invalid)
+    get the same error records a forced ``engine="batch"`` per-scenario call
+    would produce.  ``timeout_s`` is a *shared* budget: one deadline from
+    call start governs every lane.
     """
     start = time.perf_counter()
     deadline = None if timeout_s is None else start + timeout_s
     records: List[Dict[str, Any]] = []
-    lanes_by_key: "OrderedDict[Tuple[Any, ...], List[Lane]]" = OrderedDict()
+    lanes_by_key: Dict[Tuple[Any, ...], List[Lane]] = {}
     for raw in specs:
         if isinstance(raw, dict):
             if "run_id" in raw:
@@ -497,7 +485,7 @@ def run_scenarios_batched(
         else:
             spec = raw
             record = spec.to_dict()
-        record.update(_RECORD_INIT)
+        record.update(RESULT_INIT)
         records.append(record)
         try:
             spec.validate()
@@ -553,24 +541,20 @@ def run_scenarios_batched(
     return records
 
 
-class BatchEngine(ExecutionEngine):
-    """Lockstep structure-of-arrays execution of kernel-eligible scenarios.
+class KernelEngine(ExecutionEngine):
+    """The compiled synchronous engine, one scenario per call.
 
-    Supports exactly the kernel engine's spec set (synchronous, compiled
-    algorithm, mask scheduler) and produces bit-identical records; priority
-    sits *below* the kernel engine so ``auto`` keeps its per-scenario
-    behaviour — batching pays off at campaign width and is selected
-    explicitly there.
+    A scenario runs as a width-1 group: same lanes, caches and outcome memo
+    as a batched chunk, with a per-run deadline.
     """
 
-    name = ENGINE_BATCH
-    auto_priority = 15
+    name = ENGINE_KERNEL
+    auto_priority = 20
 
     def supports(self, spec: ScenarioSpec) -> bool:
         return (
             spec.delay_model is None
             and spec.traffic is None
-            and spec.node_faults == 0
             and spec.algorithm in _KERNEL_ALGORITHM_NAMES
             and spec.scheduler in MASK_SCHEDULER_FACTORIES
         )
@@ -578,18 +562,13 @@ class BatchEngine(ExecutionEngine):
     def unsupported_reason(self, spec: ScenarioSpec) -> str:
         if spec.delay_model is not None:
             return (
-                "the batch engine runs synchronous kernel-eligible specs only "
+                f"the {self.name} engine runs synchronous specs only "
                 f"(delay_model={spec.delay_model!r}); use engine='async'"
             )
         if spec.traffic is not None:
             return (
-                "the batch engine moves no packets "
+                f"the {self.name} engine moves no packets "
                 f"(traffic={spec.traffic!r}); use engine='dataplane'"
-            )
-        if spec.node_faults > 0:
-            return (
-                "the batch engine's lockstep lanes have no crash-stop support "
-                f"(node_faults={spec.node_faults}); use engine='kernel' or 'async'"
             )
         return (
             f"no signature kernel for algorithm {spec.algorithm!r} "
@@ -597,10 +576,19 @@ class BatchEngine(ExecutionEngine):
         )
 
     def execute(self, spec, record, deadline) -> None:
-        # a single-scenario call is a width-1 batch: same code path, same
-        # caches and outcome memo, internally-handled timeout records
         _execute_group([(spec, record)], deadline)
 
 
+class BatchEngine(KernelEngine):
+    """``kernel``'s chunk dispatch: ``run_scenarios(..., engine="batch")``
+    hands whole chunks to :func:`run_scenarios_batched`, one deadline per
+    chunk.  Priority sits below ``kernel``, so ``auto`` never picks it."""
+
+    name = ENGINE_BATCH
+    auto_priority = 15
+    # the same function, bound in this class too: span tracing wraps
+    # ``execute`` per registered engine class (``e2ebench/tracing.py``)
+    execute = KernelEngine.execute
+
+
 _ENGINE = BatchEngine()
-register_engine(_ENGINE)

@@ -1,16 +1,16 @@
 """Churn shared by the churn-capable engines.
 
 Link-failure and mobility churn both hand a converged orientation over to a
-new ``LinkReversalInstance`` for the next repair phase.  The legacy, kernel
-and batch engines agree on every churn decision byte for byte, so the steps
-come from one place, :class:`ScenarioChurn`:
+new ``LinkReversalInstance`` for the next repair phase.  The legacy oracle
+and the compiled synchronous engine agree on every churn decision byte for
+byte, so the steps come from one place, :class:`ScenarioChurn`:
 
 * a link failure draws one seeded link, skips it if it is a bridge, and
   re-packs the survivor at the id level
   (:meth:`~repro.core.graph.LinkReversalInstance.oriented_by`), with no
   re-validation and no frozenset per edge;
 * mobility replays a :func:`mobility_trajectory`, which depends only on the
-  topology seed, so the compiled engines keep one per topology in their
+  topology seed, so the compiled engine keeps one per topology in its
   ``KernelCache`` and every algorithm × scheduler cell of a replicate
   shares it; each step's fresh instance takes over the surviving links'
   orientations through :func:`carried_over_instance`.

@@ -53,6 +53,7 @@ from repro.experiments.async_engine import (
 from repro.experiments.churn import fail_seeded_links
 from repro.experiments.engines import ExecutionEngine, register_engine
 from repro.experiments.spec import ScenarioSpec, derive_seed
+from repro.experiments.store import PACKET_INIT
 from repro.kernels import KernelCache
 from repro.kernels.simulator import cache_capacity_from_env
 from repro.topology.generators import build_family
@@ -84,27 +85,6 @@ def set_cache_capacity(capacity: int) -> None:
 def instance_cache_stats() -> Dict[str, int]:
     """Cumulative counters of this process's dataplane instance cache."""
     return _INSTANCE_CACHE.stats()
-
-
-def _zeroed_packet_fields() -> Dict[str, object]:
-    """The packet columns, zeroed, so even an early failure reports them."""
-    return {
-        "slots": 0,
-        "packets_injected": 0,
-        "packets_delivered": 0,
-        "packets_dropped": 0,
-        "packets_in_flight": 0,
-        "drop_tail": 0,
-        "drop_ttl": 0,
-        "drop_no_route": 0,
-        "drop_link_down": 0,
-        "transient_loops": 0,
-        "peak_queue_depth": 0,
-        "mean_latency_slots": None,
-        "max_latency_slots": None,
-        "mean_hops": None,
-        "mean_stretch": None,
-    }
 
 
 class DataPlaneEngine(ExecutionEngine):
@@ -150,7 +130,7 @@ class DataPlaneEngine(ExecutionEngine):
         )
 
     def execute(self, spec, record, deadline) -> None:
-        record.update(_zeroed_packet_fields())
+        record.update(PACKET_INIT)
         run: Optional[DataPlaneRun] = None
         try:
             cache_key = (spec.family, spec.size, spec.topology_seed)

@@ -8,7 +8,9 @@ a :class:`~repro.experiments.spec.ScenarioSpec`:
 
 ``kernel``
     The compiled signature-kernel fast path (synchronous scheduler model;
-    PR / OneStepPR / NewPR / FR on any registry scheduler).
+    PR / OneStepPR / NewPR / FR on any registry scheduler): lockstep lanes,
+    one scenario per call.  ``batch`` is the same engine handed whole
+    chunks per call.
 ``legacy``
     The object-level I/O-automaton oracle (synchronous; every algorithm,
     including BLL).

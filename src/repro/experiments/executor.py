@@ -68,7 +68,7 @@ from repro.experiments.runner import (
 )
 from repro.experiments.batch_engine import batch_key
 from repro.experiments.spec import CRASH_SENTINEL, CampaignSpec
-from repro.experiments.store import ResultStore
+from repro.experiments.store import MESSAGE_INIT, PACKET_INIT, RESULT_INIT, ResultStore
 
 logger = logging.getLogger(__name__)
 
@@ -250,20 +250,10 @@ def _crashed_records(chunk: Sequence[Dict[str, Any]], detail: str) -> List[Dict[
     records = []
     for spec in chunk:
         record = dict(spec)
-        record.update(
-            status="crashed", error=detail, engine=None,
-            node_steps=0, edge_reversals=0, dummy_steps=0, rounds=0, steps_taken=0,
-            converged=False, destination_oriented=False, acyclic_final=False,
-            failures_applied=0, partition_skips=0, reorientations=0, crashed_nodes=0,
-            wall_time_s=0.0, nodes=None, edges=None, bad_nodes=None,
-            messages_sent=None, messages_delivered=None, messages_lost=None,
-            simulated_time=None, events_dispatched=None,
-            slots=0, packets_injected=0, packets_delivered=0,
-            packets_dropped=0, packets_in_flight=0, drop_tail=0, drop_ttl=0,
-            drop_no_route=0, drop_link_down=0, transient_loops=0,
-            peak_queue_depth=0, mean_latency_slots=None,
-            max_latency_slots=None, mean_hops=None, mean_stretch=None,
-        )
+        record.update(RESULT_INIT)
+        record.update(MESSAGE_INIT)
+        record.update(PACKET_INIT)
+        record.update(status="crashed", error=detail)
         records.append(record)
     return records
 

@@ -6,24 +6,25 @@ plain-dict form — the only thing that actually crosses the process boundary),
 rebuilds the instance locally, runs the scenario to quiescence and returns a
 flat, JSON-compatible result record.
 
-Two execution engines, selected by the ``engine`` argument:
+Two synchronous execution engines, selected by the ``engine`` argument:
 
 ``kernel`` (the fast path)
-    The scenario runs on the compiled int kernels of :mod:`repro.kernels`:
-    scheduler decisions, convergence detection, work/round accounting and
-    the churn phases all operate on int signatures — no automaton state is
-    ever materialised.  Available when the algorithm has a compiled kernel
-    (PR, OneStepPR, NewPR, FR) *and* the scheduler has a mask-level twin
-    (every registry scheduler does).
+    The compiled synchronous engine of
+    :mod:`repro.experiments.batch_engine`: the scenario runs as a width-1
+    group of lockstep lanes on the int kernels of :mod:`repro.kernels`, with
+    no automaton state ever materialised.  Available when the algorithm has
+    a compiled kernel (PR, OneStepPR, NewPR, FR) *and* the scheduler has a
+    mask-level twin (every registry scheduler does).  ``batch`` is the same
+    engine handed whole chunks at once (:func:`run_scenarios`).
 ``legacy`` (the oracle and fallback)
     The original object path: :func:`repro.automata.executions.run` over the
     I/O automaton with per-step observers.  BLL (and any future automaton
     without a kernel) always runs here.  The differential test suite pins
-    the two engines to field-for-field identical records, which is what
-    makes the kernel path trustworthy.
+    the compiled engine to field-for-field identical records, which is what
+    makes it trustworthy.
 
 ``engine="auto"`` (the default) picks ``kernel`` whenever the spec supports
-it.  Per-process :class:`~repro.kernels.simulator.KernelCache` amortises
+it.  One per-process :class:`~repro.kernels.simulator.KernelCache` amortises
 topology construction and kernel compilation across the scenarios of a
 worker chunk (campaign cells share paired topology seeds by design).
 
@@ -45,12 +46,13 @@ Three execution modes, selected by ``spec.failure_model``:
     run falls back to a fresh distance-oriented DAG (counted as a
     reorientation).
 
-Work counters accumulate across the convergence and every repair phase, so
-``node_steps`` is the total work of the whole scenario.  A cooperative
-per-run timeout is enforced by checking the wall clock every
-:data:`~repro.kernels.simulator.DEADLINE_CHECK_STRIDE` automaton steps
-(always including the first, so an already-expired budget aborts
-immediately) and recording the run with status ``"timeout"``.
+A spec's ``node_faults`` crash-stops that many seeded nodes (the legacy
+oracle has no crash-stop support).  Work counters accumulate across the
+convergence and every repair phase, so ``node_steps`` is the total work of
+the whole scenario.  A cooperative per-run timeout is enforced by checking
+the wall clock every :data:`~repro.kernels.simulator.DEADLINE_CHECK_STRIDE`
+automaton steps (always including the first, so an already-expired budget
+aborts immediately) and recording the run with status ``"timeout"``.
 """
 
 from __future__ import annotations
@@ -63,10 +65,20 @@ from repro import telemetry as _telemetry
 
 from repro.analysis.work import WorkObserver
 from repro.automata.executions import run
-from repro.core.full_reversal import FullReversal
-from repro.core.new_pr import NewPartialReversal
-from repro.core.one_step_pr import OneStepPartialReversal
-from repro.core.pr import PartialReversal
+# the compiled engine's names stay importable from here (the CLI and the
+# tests use ENGINE_KERNEL, ENGINE_BATCH and algorithm_has_kernel)
+from repro.experiments.batch_engine import (
+    _KERNEL_CACHE,
+    ENGINE_BATCH,
+    ENGINE_KERNEL,
+    BatchEngine,
+    KernelEngine,
+    _bad_node_count,
+    _canonical_key,
+    algorithm_has_kernel,
+    outcome_stats,
+    run_scenarios_batched,
+)
 from repro.experiments.churn import ScenarioChurn
 from repro.experiments.engines import (
     ENGINE_AUTO,
@@ -77,21 +89,8 @@ from repro.experiments.engines import (
 )
 from repro.experiments.engines import resolve_engine as _registry_resolve_engine
 from repro.experiments.spec import ALGORITHM_FACTORIES, ScenarioSpec, derive_seed
-from repro.kernels import (
-    MASK_SCHEDULER_FACTORIES,
-    KernelCache,
-    RoundTally,
-    SignatureSimulator,
-    WorkTally,
-    compile_expander,
-    make_mask_scheduler,
-)
-from repro.kernels.signature import mask_final_state_checks
-from repro.kernels.simulator import (
-    DEADLINE_CHECK_STRIDE,
-    DeadlineExceeded,
-    cache_capacity_from_env,
-)
+from repro.experiments.store import RESULT_INIT
+from repro.kernels.simulator import DEADLINE_CHECK_STRIDE, DeadlineExceeded
 from repro.schedulers import make_scheduler
 from repro.topology.generators import build_family
 from repro.verification.acyclicity import is_acyclic
@@ -101,93 +100,37 @@ logger = logging.getLogger(__name__)
 Node = Hashable
 
 #: Canonical engine names (the registry at the bottom of this module and
-#: :mod:`repro.experiments.async_engine` populate the actual instances).
-ENGINE_KERNEL = "kernel"
+#: the async and dataplane engine modules populate the actual instances).
 ENGINE_LEGACY = "legacy"
 ENGINE_ASYNC = "async"
-ENGINE_BATCH = "batch"
 ENGINE_DATAPLANE = "dataplane"
-
-#: Automata with a compiled signature kernel (mirrors ``compile_expander``).
-_KERNEL_AUTOMATA = (
-    PartialReversal,
-    OneStepPartialReversal,
-    NewPartialReversal,
-    FullReversal,
-)
-
-#: Per-process cache of instances and compiled kernels (see KernelCache).
-#: Sized to hold a full campaign axis sweep's worth of topologies (families ×
-#: sizes × replicates regularly reaches several dozen distinct instances);
-#: the ``REPRO_KERNEL_CACHE_CAPACITY`` environment variable overrides it.
-#: Counters live in the always-on ``ENGINE_METRICS`` registry under
-#: ``kernel_``-prefixed names; :func:`kernel_cache_stats` is the
-#: compatibility view over them.
-_KERNEL_CACHE = KernelCache(
-    capacity=cache_capacity_from_env(),
-    metrics=_telemetry.ENGINE_METRICS,
-    prefix="kernel_",
-)
 
 
 def configure_kernel_cache(capacity: int) -> None:
-    """Resize every per-process engine cache (kernel, async, batch, dataplane).
+    """Resize every per-process engine cache (kernel, async, dataplane).
 
     The programmatic twin of the ``REPRO_KERNEL_CACHE_CAPACITY`` environment
     variable; shrinking evicts least-recently-used entries immediately.
     """
     import repro.experiments.async_engine as _async_engine
-    import repro.experiments.batch_engine as _batch_engine
     import repro.experiments.dataplane_engine as _dataplane_engine
 
     _KERNEL_CACHE.set_capacity(capacity)
     _async_engine.set_cache_capacity(capacity)
-    _batch_engine.set_cache_capacity(capacity)
     _dataplane_engine.set_cache_capacity(capacity)
-
-#: Per-topology bad-node counts (instance-level, so shared across every
-#: algorithm/scheduler cell of a replicate), keyed like the kernel cache.
-_BAD_NODES_MEMO: Dict[Tuple[str, int, int], int] = {}
-
-
-def _bad_node_count(cache_key: Tuple[str, int, int], instance) -> int:
-    count = _BAD_NODES_MEMO.get(cache_key)
-    if count is None:
-        count = len(instance.bad_nodes())
-        if len(_BAD_NODES_MEMO) >= 64:
-            _BAD_NODES_MEMO.clear()
-        _BAD_NODES_MEMO[cache_key] = count
-    return count
-
-
-#: Final-state verdicts per (topology key, final mask) — a pure function of
-#: the two, and by confluence every scheduler drives an algorithm on one
-#: topology to the same final orientation, so campaign cells hit constantly.
-_FINAL_CHECK_MEMO: Dict[Tuple[Tuple[str, int, int], int], Tuple[bool, bool]] = {}
-
-
-def _final_state_checks(cache_key, instance, mask: int) -> Tuple[bool, bool]:
-    memo_key = (cache_key, mask)
-    verdict = _FINAL_CHECK_MEMO.get(memo_key)
-    if verdict is None:
-        verdict = mask_final_state_checks(instance, mask)
-        if len(_FINAL_CHECK_MEMO) >= 256:
-            _FINAL_CHECK_MEMO.clear()
-        _FINAL_CHECK_MEMO[memo_key] = verdict
-    return verdict
 
 
 def kernel_cache_stats() -> Dict[str, int]:
     """Cumulative cache counters of this process's per-engine caches.
 
-    The kernel engine's instance/kernel cache plus (``async_``-prefixed) the
-    async engine's instance cache, (``batch_``-prefixed) the batch engine's
-    cache and outcome-dedup counters, and (``dataplane_``-prefixed) the
-    dataplane engine's instance cache, so ``repro sweep --json`` surfaces
-    cache behaviour whichever engine a campaign ran on.
+    The compiled synchronous engine's instance/kernel cache (shared with the
+    legacy oracle) plus (``async_``-prefixed) the async engine's instance
+    cache, (``batch_``-prefixed) the synchronous engine's outcome-dedup
+    counters, and (``dataplane_``-prefixed) the dataplane engine's instance
+    cache, so ``repro sweep --json`` surfaces cache behaviour whichever
+    engine a campaign ran on.
     """
     from repro.experiments.async_engine import instance_cache_stats
-    from repro.experiments.batch_engine import batch_cache_stats
     from repro.experiments.dataplane_engine import (
         instance_cache_stats as dataplane_cache_stats,
     )
@@ -196,18 +139,12 @@ def kernel_cache_stats() -> Dict[str, int]:
     for name, value in instance_cache_stats().items():
         if name.startswith("instance"):
             stats[f"async_{name}"] = value
-    for name, value in batch_cache_stats().items():
+    for name, value in outcome_stats().items():
         stats[f"batch_{name}"] = value
     for name, value in dataplane_cache_stats().items():
         if name.startswith("instance"):
             stats[f"dataplane_{name}"] = value
     return stats
-
-
-def algorithm_has_kernel(algorithm: str) -> bool:
-    """Whether the named algorithm compiles to a signature kernel."""
-    factory = ALGORITHM_FACTORIES.get(algorithm)
-    return isinstance(factory, type) and issubclass(factory, _KERNEL_AUTOMATA)
 
 
 def resolve_engine(engine: str, spec: ScenarioSpec) -> str:
@@ -303,14 +240,7 @@ def execute_scenario(
         spec = ScenarioSpec.from_dict(spec)
     else:
         record = spec.to_dict()
-    record.update(
-        status="ok", error=None, engine=None,
-        nodes=None, edges=None, bad_nodes=None,
-        node_steps=0, edge_reversals=0, dummy_steps=0, rounds=0, steps_taken=0,
-        converged=False, destination_oriented=False, acyclic_final=False,
-        failures_applied=0, partition_skips=0, reorientations=0,
-        crashed_nodes=0, wall_time_s=0.0,
-    )
+    record.update(RESULT_INIT)
 
     start = time.perf_counter()
     deadline = None if timeout_s is None else start + timeout_s
@@ -340,115 +270,6 @@ def execute_scenario(
 
 
 # ----------------------------------------------------------------------
-# kernel engine (the fast path)
-# ----------------------------------------------------------------------
-def _compiled_simulator(automaton_factory, instance) -> SignatureSimulator:
-    """A fresh simulator over a just-compiled kernel (churn-phase instances)."""
-    kernel = compile_expander(automaton_factory(instance))
-    if kernel is None:  # pragma: no cover — guarded by resolve_engine
-        raise ValueError(f"automaton {automaton_factory!r} has no kernel")
-    return SignatureSimulator(kernel)
-
-
-def _execute_kernel_scenario(spec, record, work, rounds, deadline) -> None:
-    """Run one scenario entirely on the compiled int kernels."""
-    cache_key = (spec.family, spec.size, spec.topology_seed)
-    instance = _KERNEL_CACHE.instance(
-        cache_key, lambda: build_family(spec.family, spec.size, spec.topology_seed)
-    )
-    record.update(
-        nodes=instance.node_count,
-        edges=instance.edge_count,
-        bad_nodes=_bad_node_count(cache_key, instance),
-    )
-    automaton_factory = ALGORITHM_FACTORIES[spec.algorithm]
-    # the cache holds whole simulators: their id tables are per-instance
-    # setup just like the kernel tables, and they carry no run state
-    simulator = _KERNEL_CACHE.kernel(
-        cache_key,
-        spec.algorithm,
-        lambda: SignatureSimulator(compile_expander(automaton_factory(instance))),
-    )
-    kernel = simulator.kernel
-    cached_instance = instance
-    scheduler = make_mask_scheduler(spec.scheduler, spec.scheduler_seed)
-    dead_ids = None
-    max_steps = spec.max_steps
-    if spec.node_faults > 0:
-        from repro.faults.nodes import select_crashed_ids
-
-        dead_ids = select_crashed_ids(
-            instance.node_count,
-            instance._node_id[instance.destination],
-            spec.node_faults,
-            spec.topology_seed,
-        )
-        record["crashed_nodes"] = len(dead_ids)
-        if max_steps is None:
-            # crash-stopped nodes can cut the destination off, making heights
-            # grow without bound — a faulted run needs a finite step budget
-            max_steps = 100 * instance.node_count * instance.node_count
-    outcome = simulator.run_phase(
-        scheduler, max_steps=max_steps, work=work, rounds=rounds,
-        deadline=deadline, dead_ids=dead_ids,
-    )
-    record["steps_taken"] += outcome.steps
-    converged = outcome.converged
-    mask = kernel.orientation_mask(outcome.signature)
-
-    if spec.failure_model != "none" and spec.failure_count > 0:
-        instance, mask, converged = _kernel_churn(
-            spec, ScenarioChurn(spec, _KERNEL_CACHE, cache_key), instance, mask,
-            converged, automaton_factory, work, rounds, deadline, record,
-        )
-
-    if instance is cached_instance:
-        # the memo key describes the cached topology only, not churn products
-        acyclic, destination_oriented = _final_state_checks(cache_key, instance, mask)
-    else:
-        acyclic, destination_oriented = mask_final_state_checks(instance, mask)
-    record.update(
-        converged=converged,
-        destination_oriented=destination_oriented,
-        acyclic_final=acyclic,
-    )
-
-
-def _kernel_repair_phase(
-    spec, automaton_factory, candidate, phase_seed, work, rounds, deadline
-):
-    """One churn repair phase on a freshly packed instance; returns (mask, converged, steps)."""
-    simulator = _compiled_simulator(automaton_factory, candidate)
-    scheduler = make_mask_scheduler(spec.scheduler, phase_seed)
-    outcome = simulator.run_phase(
-        scheduler, max_steps=spec.max_steps, work=work, rounds=rounds, deadline=deadline
-    )
-    mask = simulator.kernel.orientation_mask(outcome.signature)
-    return mask, outcome.converged, outcome.steps
-
-
-def _kernel_churn(
-    spec, churn, instance, mask, converged, automaton_factory,
-    work, rounds, deadline, record,
-):
-    """Mask-level twin of :func:`_run_churn` (same churn decisions)."""
-    for index in range(spec.failure_count):
-        candidate = churn.next_instance(index, instance, mask, record)
-        if candidate is None:
-            continue
-        mask, phase_converged, steps = _kernel_repair_phase(
-            spec, automaton_factory, candidate,
-            derive_seed(spec.scheduler_seed, churn.seed_label, index),
-            work, rounds, deadline,
-        )
-        record["failures_applied"] += 1
-        record["steps_taken"] += steps
-        instance = candidate
-        converged = converged and phase_converged
-    return instance, mask, converged
-
-
-# ----------------------------------------------------------------------
 # legacy engine (the object-path oracle and BLL fallback)
 # ----------------------------------------------------------------------
 def _execute_legacy_scenario(spec, record, work, rounds, deadline) -> None:
@@ -457,7 +278,7 @@ def _execute_legacy_scenario(spec, record, work, rounds, deadline) -> None:
     if deadline is not None:
         observers = observers + (_DeadlineObserver(deadline),)
 
-    cache_key = (spec.family, spec.size, spec.topology_seed)
+    cache_key = _canonical_key(spec)
     instance = _KERNEL_CACHE.instance(
         cache_key, lambda: build_family(spec.family, spec.size, spec.topology_seed)
     )
@@ -526,49 +347,6 @@ def _orientation_of(state):
 # ----------------------------------------------------------------------
 # engine registration (see repro.experiments.engines)
 # ----------------------------------------------------------------------
-class KernelEngine(ExecutionEngine):
-    """The compiled signature-kernel fast path (synchronous scenarios)."""
-
-    name = ENGINE_KERNEL
-    auto_priority = 20
-
-    def supports(self, spec: ScenarioSpec) -> bool:
-        return (
-            spec.delay_model is None
-            and spec.traffic is None
-            and algorithm_has_kernel(spec.algorithm)
-            and spec.scheduler in MASK_SCHEDULER_FACTORIES
-        )
-
-    def unsupported_reason(self, spec: ScenarioSpec) -> str:
-        if spec.delay_model is not None:
-            return (
-                "no kernel fast path for asynchronous specs "
-                f"(delay_model={spec.delay_model!r}); use engine='async'"
-            )
-        if spec.traffic is not None:
-            return (
-                "the kernel engine moves no packets "
-                f"(traffic={spec.traffic!r}); use engine='dataplane'"
-            )
-        return (
-            f"no kernel fast path for algorithm {spec.algorithm!r} "
-            f"with scheduler {spec.scheduler!r}; use engine='legacy'"
-        )
-
-    def execute(self, spec, record, deadline) -> None:
-        work, rounds = WorkTally(), RoundTally()
-        try:
-            _execute_kernel_scenario(spec, record, work, rounds, deadline)
-        finally:
-            record.update(
-                node_steps=work.node_steps,
-                edge_reversals=work.edge_reversals,
-                dummy_steps=work.dummy_steps,
-                rounds=rounds.rounds,
-            )
-
-
 class LegacyEngine(ExecutionEngine):
     """The object-level I/O-automaton oracle (and BLL fallback)."""
 
@@ -611,15 +389,15 @@ class LegacyEngine(ExecutionEngine):
             )
 
 
+# registration order is the order ``repro sweep --engine`` lists; the async
+# and dataplane engines register as a side effect of importing their modules,
+# which build on subsystems (repro.distributed, repro.dataplane) the
+# synchronous engines never touch
 register_engine(KernelEngine())
 register_engine(LegacyEngine())
-
-# registering the async and batch engines is a side effect of importing their
-# modules; they live in their own modules because they build on subsystems
-# (repro.distributed, repro.kernels.batch) the synchronous per-scenario
-# engines never touch
 import repro.experiments.async_engine  # noqa: E402,F401  (registration import)
-import repro.experiments.batch_engine  # noqa: E402,F401  (registration import)
+
+register_engine(BatchEngine())
 import repro.experiments.dataplane_engine  # noqa: E402,F401  (registration import)
 
 #: Engine names accepted by :func:`execute_scenario` / ``repro sweep --engine``.
@@ -645,8 +423,6 @@ def run_scenarios(
     if engine == ENGINE_BATCH:
         if beat is not None:
             beat()
-        from repro.experiments.batch_engine import run_scenarios_batched
-
         return run_scenarios_batched(specs, timeout_s=timeout_s)
     records = []
     for spec in specs:

@@ -89,6 +89,41 @@ _COLUMNS = (
     ("wall_time_s", "REAL"),
 )
 
+#: The result fields every run record carries beside its spec fields, with
+#: the value a fresh record starts from; engines fill them in place.
+RESULT_INIT: Dict[str, Any] = {
+    "status": "ok", "error": None, "engine": None,
+    "nodes": None, "edges": None, "bad_nodes": None,
+    "node_steps": 0, "edge_reversals": 0, "dummy_steps": 0, "rounds": 0,
+    "steps_taken": 0,
+    "converged": False, "destination_oriented": False, "acyclic_final": False,
+    "failures_applied": 0, "partition_skips": 0, "reorientations": 0,
+    "crashed_nodes": 0, "wall_time_s": 0.0,
+}
+
+#: The fields of :data:`RESULT_INIT` that are pure run results: everything
+#: but the engine stamp and the wall clock.
+OUTCOME_FIELDS = tuple(
+    name for name in RESULT_INIT if name not in ("engine", "wall_time_s")
+)
+
+#: The message-passing columns, filled by the async and data-plane engines.
+MESSAGE_INIT: Dict[str, Any] = {
+    "messages_sent": None, "messages_delivered": None, "messages_lost": None,
+    "simulated_time": None, "events_dispatched": None,
+}
+
+#: The packet columns, filled by the data-plane engine (zeroed up front, so
+#: even an early failure reports them).
+PACKET_INIT: Dict[str, Any] = {
+    "slots": 0, "packets_injected": 0, "packets_delivered": 0,
+    "packets_dropped": 0, "packets_in_flight": 0,
+    "drop_tail": 0, "drop_ttl": 0, "drop_no_route": 0, "drop_link_down": 0,
+    "transient_loops": 0, "peak_queue_depth": 0,
+    "mean_latency_slots": None, "max_latency_slots": None,
+    "mean_hops": None, "mean_stretch": None,
+}
+
 _SCHEMA = (
     "CREATE TABLE IF NOT EXISTS runs ("
     + ", ".join(f"{name} {kind}" for name, kind in _COLUMNS)

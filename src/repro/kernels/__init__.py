@@ -23,11 +23,14 @@ ints* with no state objects on the hot path:
   path (:class:`repro.exploration.ModelChecker` with ``vectorized="auto"``)
   builds on these, falling back to the scalar expanders whenever signatures
   exceed the 64-bit packable word width.
-* :mod:`repro.kernels.simulator` — :class:`SignatureSimulator`, the
-  scenario-execution fast path: convergence phases, work/round accounting
-  via signature XOR and deadline handling, all as pure int operations; plus
-  the per-process :class:`KernelCache` that amortises kernel compilation
-  across the runs of a campaign chunk.
+* :mod:`repro.kernels.simulator` — :class:`SignatureSimulator`, one
+  convergence phase with work/round accounting via signature XOR and
+  deadline handling, all as pure int operations; plus the per-process
+  :class:`KernelCache` that amortises kernel compilation across the runs of
+  a campaign chunk.
+* :mod:`repro.kernels.batch` — :class:`BatchSimulator`, many such phases as
+  lockstep lanes (crash-stopped nodes and per-lane step bounds included):
+  the scenario-execution fast path of the campaign engine.
 
 The object-level automata remain the *documented oracle*: differential tests
 assert field-for-field equality between a kernel run and the legacy

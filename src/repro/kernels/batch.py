@@ -1,17 +1,22 @@
 """Lockstep structure-of-arrays execution of many convergence phases.
 
-:class:`BatchSimulator` is the batched twin of
+:class:`BatchSimulator` is the substrate of the compiled synchronous
+campaign engine (:mod:`repro.experiments.batch_engine`, registered as
+``kernel`` and, for whole chunks, ``batch``) and the batched twin of
 :meth:`repro.kernels.simulator.SignatureSimulator.run_phase`: it holds B
 *lanes* — independent (simulator, scheduler, signature) runs of identical
-shape — as parallel arrays and steps every live lane once per iteration:
+shape — as parallel arrays and advances them in lockstep rounds, one
+deadline stride per round:
 
-* **per-lane arrays**: current signature, incremental sink-id set, per-lane
-  step count and work/round tallies, plus the per-lane kernel tables
-  (``step`` function, edge mask, incidence rows) prefetched into flat lists
-  so the hot loop never touches an attribute chain;
-* **convergence mask**: the live-lane list is rebuilt each iteration, so a
-  lane that converges (or hits the step bound / deadline) retires without
-  breaking the lockstep of the remaining lanes;
+* **per-lane arrays**: current signature, incremental sink-id set and step
+  bound, plus one tuple per lane of its fixed tables (scheduler, ``step``
+  function, edge mask, incidence rows, the schedulable-node table that
+  keeps crash-stopped nodes out, work/round tallies), unpacked once per
+  lane and round, so the per-action loop runs on locals exactly like
+  ``run_phase``'s;
+* **convergence mask**: a lane that converges (or hits its step bound /
+  the deadline) retires from the live-lane list without breaking the
+  lockstep of the remaining lanes;
 * **shared kernels**: lanes may (and, for seed-deterministic topology
   families, do) reference the *same* :class:`SignatureSimulator` object —
   simulators carry no run state, so one compiled kernel serves any number of
@@ -20,29 +25,33 @@ shape — as parallel arrays and steps every live lane once per iteration:
 Exactness contract
 ------------------
 
-Each lane's step sequence is **bit-for-bit identical** to running its
-scheduler through ``run_phase`` on its own: the per-lane order of scheduler
-select, kernel step, XOR work accounting, incremental sink update, round
-observation and deadline check is copied verbatim from the ``run_phase``
-hot loop, and lanes share no mutable state (each lane owns its scheduler,
-hence its RNG stream).  Lockstep only interleaves *independent* per-lane
+Each fault-free lane's step sequence is **bit-for-bit identical** to
+running its scheduler through ``run_phase`` on its own: the per-lane order
+of scheduler select, kernel step, XOR work accounting, incremental sink
+update and round observation is copied verbatim from the ``run_phase`` hot
+loop, and lanes share no mutable state (each lane owns its scheduler, hence
+its RNG stream).  Lockstep only interleaves *independent* per-lane
 sequences, so results cannot depend on lane order — the batch differential
-suite pins this against the per-scenario kernel engine field by field.
+suite pins the engine's records against the legacy object oracle field by
+field.
 
-Deadline semantics: every live lane advances exactly one action per
-iteration, so checking the shared wall-clock deadline once per iteration
-(every :data:`~repro.kernels.simulator.DEADLINE_CHECK_STRIDE` iterations,
-always including the first) observes each lane at the same action indices
-as ``run_phase``'s per-run countdown.  When the deadline passes, every lane
-still live times out together — retired lanes keep their outcome.
+Deadline semantics: a round takes every live lane to the next action index
+at which ``run_phase``'s per-run countdown reads the clock (after action 0,
+then every :data:`~repro.kernels.simulator.DEADLINE_CHECK_STRIDE` actions),
+and the shared wall-clock deadline is checked once per round, so every lane
+is observed at the same action indices as ``run_phase`` would observe it.
+When the deadline passes, every lane still live times out together —
+retired lanes keep their outcome.  Without a deadline one round runs every
+lane to its end.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Set
 
+from repro.automata.executions import DEFAULT_MAX_STEPS
 from repro.kernels.schedulers import MaskScheduler
 from repro.kernels.simulator import (
     DEADLINE_CHECK_STRIDE,
@@ -71,22 +80,22 @@ class BatchLaneOutcome:
 
 
 class BatchSimulator:
-    """Runs B independent convergence phases in lockstep, one action each per
-    iteration, retiring converged lanes via the live-lane mask."""
+    """Runs B independent convergence phases in lockstep rounds of one
+    deadline stride, retiring converged lanes via the live-lane mask."""
 
     def __init__(self) -> None:
-        # structure-of-arrays lane state, indexed by lane id
-        self._sims: List[SignatureSimulator] = []
-        self._schedulers: List[MaskScheduler] = []
+        # structure-of-arrays lane state, indexed by lane id: the mutable
+        # signature and sink set, the step bound, and one tuple of the
+        # lane's fixed tables, unpacked once per lane and round
         self._sigs: List[int] = []
         self._sinks: List[set] = []
-        self._works: List[Optional[WorkTally]] = []
-        self._rounds: List[Optional[RoundTally]] = []
+        self._bounds: List[Optional[int]] = []
+        self._tables: List[tuple] = []
 
     @property
     def width(self) -> int:
         """Number of lanes added so far."""
-        return len(self._sims)
+        return len(self._sigs)
 
     def add_lane(
         self,
@@ -96,15 +105,23 @@ class BatchSimulator:
         initial_signature: Optional[int] = None,
         work: Optional[WorkTally] = None,
         rounds: Optional[RoundTally] = None,
+        dead_ids: Optional[Set[int]] = None,
+        max_steps: Optional[int] = None,
     ) -> int:
         """Append one lane; returns its index.
 
         ``simulator`` may be shared with other lanes (it carries no run
         state); ``scheduler`` must be exclusive to this lane (it carries the
         RNG / rotation state).  The scheduler is bound here, exactly once per
-        phase, as ``run_phase`` binds at phase start.  ``work`` / ``rounds``
-        tallies are updated in place — pass one pair per *scenario* across
-        its phases to accumulate, as the per-scenario engines do.
+        phase.  ``work`` / ``rounds`` tallies are updated in place — pass
+        one pair per *scenario* across its phases to accumulate.
+
+        ``dead_ids`` are crash-stopped nodes (the ``node_faults`` axis): they
+        keep their height but never reverse, so the lane never schedules
+        them.  Quiescence then means "no *live* non-destination sink" — live
+        neighbours of a dead sink may keep reversing against it until the
+        step bound, the unbounded-work behaviour an unreachable destination
+        induces.  ``max_steps`` overrides :meth:`run`'s bound for this lane.
         """
         scheduler.bind(simulator)
         sig = (
@@ -112,13 +129,26 @@ class BatchSimulator:
             if initial_signature is None
             else initial_signature
         )
-        self._sims.append(simulator)
-        self._schedulers.append(scheduler)
+        sinks = simulator.sink_id_set(sig)
+        can_sink = simulator._can_sink
+        if dead_ids:
+            # a copied can_sink (the simulator's list is shared with
+            # fault-free lanes) keeps the dead ids out of the incremental
+            # sink updates, and the initial sink set drops them up front
+            can_sink = list(can_sink)
+            for i in dead_ids:
+                can_sink[i] = False
+            sinks.difference_update(dead_ids)
+        kernel = simulator.kernel
         self._sigs.append(sig)
-        self._sinks.append(simulator.sink_id_set(sig))
-        self._works.append(work)
-        self._rounds.append(rounds)
-        return len(self._sims) - 1
+        self._sinks.append(sinks)
+        self._bounds.append(max_steps)
+        self._tables.append((
+            simulator, scheduler.select, kernel.step, kernel._edge_mask,
+            kernel._inc, kernel._tail, simulator._incident, can_sink,
+            work, rounds, simulator.instance.nodes,
+        ))
+        return len(self._sigs) - 1
 
     def run(
         self,
@@ -127,112 +157,101 @@ class BatchSimulator:
         deadline: Optional[float] = None,
         deadline_stride: int = DEADLINE_CHECK_STRIDE,
     ) -> List[BatchLaneOutcome]:
-        """Run every lane to quiescence, the step bound or the deadline.
+        """Run every lane to quiescence, its step bound or the deadline.
 
-        One call per :class:`BatchSimulator` instance — per-lane signature
-        and sink state is consumed by the run.  Returns one
+        ``max_steps`` bounds every lane that set no bound of its own.  One
+        call per :class:`BatchSimulator` instance — per-lane signature and
+        sink state is consumed by the run.  Returns one
         :class:`BatchLaneOutcome` per lane, in ``add_lane`` order.
         """
         if max_steps is None:
-            from repro.automata.executions import DEFAULT_MAX_STEPS
-
             max_steps = DEFAULT_MAX_STEPS
-        width = len(self._sims)
-        sims = self._sims
+        width = len(self._sigs)
         sigs = self._sigs
         sinks_by_lane = self._sinks
-        works = self._works
-        rounds_by_lane = self._rounds
-        # prefetch per-lane kernel tables; the lane loop below is the
-        # run_phase hot loop verbatim, with the per-phase locals swapped for
-        # these per-lane array reads
-        kernels = [sim.kernel for sim in sims]
-        step_fns = [kernel.step for kernel in kernels]
-        select_fns = [scheduler.select for scheduler in self._schedulers]
-        edge_masks = [kernel._edge_mask for kernel in kernels]
-        incs = [kernel._inc for kernel in kernels]
-        tails = [kernel._tail for kernel in kernels]
-        incidents = [sim._incident for sim in sims]
-        can_sinks = [sim._can_sink for sim in sims]
-        nodes_by_lane = [sim.instance.nodes for sim in sims]
+        tables = self._tables
+        bounds = [max_steps if bound is None else bound for bound in self._bounds]
 
         outcomes: List[Optional[BatchLaneOutcome]] = [None] * width
         live = list(range(width))
-        iteration = 0
-        deadline_countdown = 0
+        # a round takes every live lane from action index `start` up to
+        # `stop`: to the first deadline check (after action 0), then one
+        # stride per round, as run_phase's per-run countdown does; without
+        # a deadline one round ends every lane
+        start = 0
+        stop = 1 if deadline is not None else max(bounds, default=0) + 1
         while live:
-            if iteration >= max_steps:
-                # step bound reached without the scheduler declaring
-                # quiescence (the run_phase for-else branch, per lane)
+            next_live = []
+            for lane in live:
+                # the inner loop is the run_phase hot loop verbatim, with its
+                # per-phase locals unpacked from the lane's tables
+                (
+                    sim, select, step, edge_mask, inc, tail, incident,
+                    can_sink, work, rounds, nodes,
+                ) = tables[lane]
+                sig = sigs[lane]
+                sinks = sinks_by_lane[lane]
+                steps = start
+                end = min(stop, bounds[lane])
+                while steps < end:
+                    actors = select(sim, sig, sinks)
+                    if actors is None:
+                        outcomes[lane] = BatchLaneOutcome(
+                            signature=sig, steps=steps, converged=True
+                        )
+                        break
+                    new_sig = sig
+                    for i in actors:
+                        new_sig = step(new_sig, i)
+                    xor = (sig ^ new_sig) & edge_mask
+                    mask = new_sig & edge_mask
+                    if work is not None:
+                        work.node_steps += len(actors)
+                        work.edge_reversals += xor.bit_count()
+                    for i in actors:
+                        if xor & inc[i]:
+                            sinks.discard(i)
+                            for edge_bit, j in incident[i]:
+                                # a flipped edge now points at j: j may have
+                                # become a sink (it cannot have stopped
+                                # being one)
+                                if (
+                                    xor & edge_bit
+                                    and can_sink[j]
+                                    and not ((mask ^ tail[j]) & inc[j])
+                                ):
+                                    sinks.add(j)
+                        elif work is not None:
+                            work.dummy_steps += 1
+                    if rounds is not None:
+                        rounds.observe(actors, nodes)
+                    sig = new_sig
+                    steps += 1
+                else:
+                    sigs[lane] = sig
+                    if steps < stop:
+                        # step bound reached without the scheduler declaring
+                        # quiescence (the run_phase for-else branch); a
+                        # bound at `stop` is taken next round, after the
+                        # deadline check run_phase would make first
+                        outcomes[lane] = BatchLaneOutcome(
+                            signature=sig, steps=steps, converged=not sinks
+                        )
+                    else:
+                        next_live.append(lane)
+            live = next_live
+            if live and time.perf_counter() > deadline:
+                # every live lane has taken actions 0 .. stop-1, so it is
+                # observed at the same action index as run_phase's check
                 for lane in live:
                     outcomes[lane] = BatchLaneOutcome(
                         signature=sigs[lane],
-                        steps=iteration,
-                        converged=not sinks_by_lane[lane],
+                        steps=stop,
+                        converged=False,
+                        timed_out=True,
+                        timeout_step=stop - 1,
                     )
                 break
-            next_live = []
-            for lane in live:
-                sim = sims[lane]
-                sig = sigs[lane]
-                sinks = sinks_by_lane[lane]
-                actors = select_fns[lane](sim, sig, sinks)
-                if actors is None:
-                    outcomes[lane] = BatchLaneOutcome(
-                        signature=sig, steps=iteration, converged=True
-                    )
-                    continue
-                step = step_fns[lane]
-                new_sig = sig
-                for i in actors:
-                    new_sig = step(new_sig, i)
-                edge_mask = edge_masks[lane]
-                xor = (sig ^ new_sig) & edge_mask
-                mask = new_sig & edge_mask
-                work = works[lane]
-                if work is not None:
-                    work.node_steps += len(actors)
-                    work.edge_reversals += xor.bit_count()
-                inc = incs[lane]
-                tail = tails[lane]
-                incident = incidents[lane]
-                can_sink = can_sinks[lane]
-                for i in actors:
-                    if xor & inc[i]:
-                        sinks.discard(i)
-                        for edge_bit, j in incident[i]:
-                            # a flipped edge now points at j: j may have
-                            # become a sink (it cannot have stopped being one)
-                            if (
-                                xor & edge_bit
-                                and can_sink[j]
-                                and not ((mask ^ tail[j]) & inc[j])
-                            ):
-                                sinks.add(j)
-                    elif work is not None:
-                        work.dummy_steps += 1
-                rounds = rounds_by_lane[lane]
-                if rounds is not None:
-                    rounds.observe(actors, nodes_by_lane[lane])
-                sigs[lane] = new_sig
-                next_live.append(lane)
-            live = next_live
-            if deadline is not None and live:
-                # every live lane took exactly one action this iteration, so
-                # one check per iteration observes each lane at the same
-                # action indices as run_phase's per-run countdown
-                deadline_countdown -= 1
-                if deadline_countdown < 0:
-                    deadline_countdown = deadline_stride - 1
-                    if time.perf_counter() > deadline:
-                        for lane in live:
-                            outcomes[lane] = BatchLaneOutcome(
-                                signature=sigs[lane],
-                                steps=iteration + 1,
-                                converged=False,
-                                timed_out=True,
-                                timeout_step=iteration,
-                            )
-                        break
-            iteration += 1
+            start = stop
+            stop += deadline_stride
         return outcomes  # type: ignore[return-value]

@@ -198,7 +198,6 @@ class SignatureSimulator:
         deadline_stride: int = DEADLINE_CHECK_STRIDE,
         trace: Optional[List[Tuple[int, ...]]] = None,
         initial_signature: Optional[int] = None,
-        dead_ids: Optional[Set[int]] = None,
     ) -> PhaseOutcome:
         """Run one phase to quiescence, a step bound or the deadline.
 
@@ -208,13 +207,6 @@ class SignatureSimulator:
         receives the actor-id tuple of every action taken.  A blown
         ``deadline`` raises :class:`DeadlineExceeded` *after* the current
         step's tallies are recorded, matching the legacy observer order.
-
-        ``dead_ids`` are crash-stopped nodes (the ``node_faults`` axis): they
-        keep their height but never reverse, so they are excluded from the
-        schedulable sink set for the whole phase.  Quiescence then means "no
-        *live* non-destination sink" — live neighbours of a dead sink may
-        keep reversing against it until the step bound, exactly the
-        unbounded-work behaviour an unreachable destination induces.
         """
         if max_steps is None:
             from repro.automata.executions import DEFAULT_MAX_STEPS
@@ -234,15 +226,6 @@ class SignatureSimulator:
         tail = kernel._tail
         incident = self._incident
         can_sink = self._can_sink
-        if dead_ids:
-            # crash-stopped nodes are unschedulable: a copied can_sink (the
-            # shared list must stay intact for fault-free phases) keeps them
-            # out of the incremental sink updates, and the initial sink set
-            # drops them up front
-            can_sink = list(can_sink)
-            for i in dead_ids:
-                can_sink[i] = False
-            sinks.difference_update(dead_ids)
         nodes = self.instance.nodes
         step = kernel.step
         select = scheduler.select

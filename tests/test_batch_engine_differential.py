@@ -1,14 +1,14 @@
-"""Differential tests: the batched lockstep engine vs kernel vs legacy.
+"""Differential tests: the compiled synchronous engine vs the legacy oracle.
 
-The batch engine's contract is the strictest of the three: every lane of a
-``run_scenarios_batched`` call must be **field-for-field identical** to the
-per-scenario kernel engine record for the same spec (which is itself pinned
-to the legacy object oracle) — across every kernel algorithm × every
-registry scheduler × every churn model, regardless of which other lanes
-shared the batch and in which order.  On top of the record contract these
-tests pin the batching plumbing: outcome dedup correctness, shared-deadline
-timeout records, executor chunk alignment, campaign interrupt+resume through
-the store, and the CLI/report surface.
+Every lane of a ``run_scenarios_batched`` call must be **field-for-field
+identical** to the legacy object oracle's record for the same fault-free
+spec, and to the per-scenario (``kernel``, width-1) record of the same
+engine — across every kernel algorithm × every registry scheduler × every
+churn model, regardless of which other lanes shared the batch and in which
+order.  On top of the record contract these tests pin the batching
+plumbing: outcome dedup correctness (crash-stop lanes included),
+shared-deadline timeout records, executor chunk alignment, campaign
+interrupt+resume through the store, and the CLI/report surface.
 """
 
 from __future__ import annotations
@@ -19,8 +19,9 @@ import pytest
 
 from repro.experiments.batch_engine import (
     BatchEngine,
-    batch_cache_stats,
     batch_key,
+    outcome_stats,
+    reset_kernel_caches,
     run_scenarios_batched,
 )
 from repro.experiments.executor import (
@@ -38,7 +39,7 @@ from repro.experiments.runner import (
     resolve_engine,
 )
 from repro.experiments.spec import CampaignSpec, ScenarioSpec, derive_seed
-from repro.experiments.store import ResultStore
+from repro.experiments.store import OUTCOME_FIELDS, ResultStore
 from repro.kernels.simulator import CACHE_CAPACITY_ENV, cache_capacity_from_env
 from repro.topology.generators import SEEDLESS_FAMILIES, build_family
 
@@ -62,11 +63,14 @@ def _stable(record):
     return {k: v for k, v in record.items() if k not in VOLATILE}
 
 
-def _assert_batch_matches_kernel(specs) -> list:
-    """Batch the specs in one call and pin each lane to its kernel record."""
+def _assert_batch_matches_oracle(specs) -> list:
+    """Batch the specs in one call; pin each lane to the legacy oracle and
+    to its per-scenario record."""
     batched = run_scenarios_batched([s.to_dict() for s in specs])
     for spec, record in zip(specs, batched):
         assert record["engine"] == ENGINE_BATCH
+        legacy = execute_scenario(spec.to_dict(), engine=ENGINE_LEGACY)
+        assert _stable(record) == _stable(legacy), spec.run_id
         kernel = execute_scenario(spec.to_dict(), engine=ENGINE_KERNEL)
         assert _stable(record) == _stable(kernel), spec.run_id
     return batched
@@ -76,7 +80,7 @@ class TestFieldForFieldEquality:
     @pytest.mark.parametrize("algorithm", KERNEL_ALGORITHMS)
     @pytest.mark.parametrize("scheduler", ALL_SCHEDULERS)
     def test_plain_convergence(self, algorithm, scheduler):
-        records = _assert_batch_matches_kernel([
+        records = _assert_batch_matches_oracle([
             _spec(algorithm=algorithm, scheduler=scheduler, replicate=r,
                   scheduler_seed=derive_seed("batch-sched", r))
             for r in range(3)
@@ -86,7 +90,7 @@ class TestFieldForFieldEquality:
     @pytest.mark.parametrize("algorithm", KERNEL_ALGORITHMS)
     @pytest.mark.parametrize("scheduler", ("greedy", "random", "adversarial"))
     def test_link_failure_churn(self, algorithm, scheduler):
-        records = _assert_batch_matches_kernel([
+        records = _assert_batch_matches_oracle([
             _spec(family="grid", size=16, algorithm=algorithm, scheduler=scheduler,
                   failure_model="link-failures", failure_count=3, replicate=r,
                   scheduler_seed=derive_seed("batch-churn", r))
@@ -97,7 +101,7 @@ class TestFieldForFieldEquality:
     @pytest.mark.parametrize("algorithm", KERNEL_ALGORITHMS)
     @pytest.mark.parametrize("scheduler", ("greedy", "random"))
     def test_mobility_churn(self, algorithm, scheduler):
-        records = _assert_batch_matches_kernel([
+        records = _assert_batch_matches_oracle([
             _spec(family="geometric", size=12, algorithm=algorithm,
                   scheduler=scheduler, failure_model="mobility", failure_count=5,
                   replicate=r, topology_seed=derive_seed("batch-mob", r))
@@ -106,7 +110,7 @@ class TestFieldForFieldEquality:
         assert all(r["status"] == "ok" for r in records)
 
     def test_truncated_runs_match(self):
-        _assert_batch_matches_kernel([
+        _assert_batch_matches_oracle([
             _spec(family="chain", size=12, algorithm="fr",
                   failure_model="link-failures", failure_count=2, max_steps=2),
             _spec(family="chain", size=12, algorithm="fr",
@@ -115,7 +119,7 @@ class TestFieldForFieldEquality:
         ])
 
     def test_batch_agrees_with_legacy_oracle(self):
-        # the transitive pin, asserted directly once: batch == legacy
+        # a lone lane: no other lane to share a group or an outcome with
         spec = _spec(family="tree", size=14, scheduler="random")
         batched = run_scenarios_batched([spec.to_dict()])[0]
         legacy = execute_scenario(spec.to_dict(), engine=ENGINE_LEGACY)
@@ -123,7 +127,7 @@ class TestFieldForFieldEquality:
 
     def test_mixed_batch_keys_in_one_call(self):
         # one call spanning several batch keys, sizes and families
-        _assert_batch_matches_kernel([
+        _assert_batch_matches_oracle([
             _spec(family=f, size=s, algorithm=a, scheduler=sc, replicate=r)
             for f, s in (("chain", 10), ("grid", 9), ("tree", 12))
             for a in ("pr", "fr")
@@ -155,21 +159,36 @@ class TestLaneIndependence:
 
     def test_seedless_family_lanes_share_one_outcome(self):
         # chain ignores its topology seed, and greedy ignores its scheduler
-        # seed: every replicate is provably the same run, so the batch engine
-        # deduplicates — and the shared record still matches the kernel path
+        # seed: every replicate is provably the same run, so the engine
+        # deduplicates — and the shared record still matches the oracle
         assert "chain" in SEEDLESS_FAMILIES
-        before = batch_cache_stats()
+        before = outcome_stats()
         specs = [
             _spec(family="chain", size=18, topology_seed=derive_seed("t", r),
                   scheduler_seed=derive_seed("s", r), replicate=r)
             for r in range(8)
         ]
-        _assert_batch_matches_kernel(specs)
-        delta = {
-            k: batch_cache_stats()[k] - before[k] for k in before
-        }
+        _assert_batch_matches_oracle(specs)
+        delta = {k: outcome_stats()[k] - before[k] for k in before}
         assert delta["outcome_misses"] >= 1
         assert delta["outcome_hits"] >= 7  # 8 lanes, at most one executed
+
+    def test_crash_stop_lanes_keep_their_topology_seed(self):
+        # chain ignores its topology seed, but the crash-stopped nodes are
+        # drawn from it: replicates must not share one leader's outcome
+        specs = [
+            _spec(family="chain", size=12, node_faults=1, replicate=r,
+                  topology_seed=derive_seed("faults", r))
+            for r in range(8)
+        ]
+        batched = run_scenarios_batched([s.to_dict() for s in specs])
+        solo = []
+        for spec in specs:
+            reset_kernel_caches()  # no outcome memo carries between the runs
+            solo.append(execute_scenario(spec.to_dict(), engine=ENGINE_KERNEL))
+        assert [_stable(r) for r in batched] == [_stable(r) for r in solo]
+        outcomes = {tuple(r[k] for k in OUTCOME_FIELDS) for r in solo}
+        assert len(outcomes) > 1
 
     def test_seedless_registry_is_accurate(self):
         for family in SEEDLESS_FAMILIES:
@@ -236,8 +255,8 @@ class TestUnsupportedLanes:
             resolve_engine(ENGINE_BATCH, _spec(algorithm="bll"))
 
     def test_auto_still_prefers_kernel(self):
-        # batching pays off at campaign width; a single auto scenario stays
-        # on the per-scenario kernel path
+        # batch is the chunk dispatch of the kernel engine: auto resolves a
+        # single scenario to the kernel name, so stored engine values hold
         assert BatchEngine.auto_priority < 20
         assert resolve_engine("auto", _spec()) == ENGINE_KERNEL
 
@@ -335,7 +354,9 @@ class TestCacheConfiguration:
 
     def test_configure_kernel_cache_resizes_all_engines(self):
         from repro.experiments.async_engine import _INSTANCE_CACHE
-        from repro.experiments.batch_engine import _BATCH_CACHE
+        from repro.experiments.dataplane_engine import (
+            _INSTANCE_CACHE as _DATAPLANE_CACHE,
+        )
         from repro.experiments.runner import _KERNEL_CACHE, configure_kernel_cache
 
         original = _KERNEL_CACHE.capacity
@@ -343,15 +364,15 @@ class TestCacheConfiguration:
             configure_kernel_cache(3)
             assert _KERNEL_CACHE.capacity == 3
             assert _INSTANCE_CACHE.capacity == 3
-            assert _BATCH_CACHE.capacity == 3
-            assert len(_BATCH_CACHE._instances) <= 3
+            assert _DATAPLANE_CACHE.capacity == 3
+            assert len(_KERNEL_CACHE._instances) <= 3
         finally:
             configure_kernel_cache(original)
 
     def test_batch_stats_surface_in_kernel_cache_stats(self):
         run_scenarios_batched([_spec(size=8).to_dict()])
         stats = kernel_cache_stats()
-        for name in ("batch_instance_hits", "batch_kernel_compiles",
+        for name in ("instance_hits", "kernel_compiles",
                      "batch_outcome_hits", "batch_outcome_misses"):
             assert name in stats
 

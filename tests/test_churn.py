@@ -14,7 +14,7 @@ import random
 import pytest
 
 from repro.core.graph import LinkReversalInstance
-from repro.experiments.batch_engine import reset_batch_caches, run_scenarios_batched
+from repro.experiments.batch_engine import reset_kernel_caches, run_scenarios_batched
 from repro.experiments.churn import (
     PARTITION,
     ScenarioChurn,
@@ -165,11 +165,6 @@ def _stable(records):
     return [{k: v for k, v in r.items() if k not in VOLATILE} for r in records]
 
 
-def _reset_caches():
-    reset_batch_caches()
-    _KERNEL_CACHE.clear()
-
-
 @pytest.mark.parametrize("engine", ["kernel", "batch"])
 def test_no_cache_state_changes_a_churn_record(engine):
     def run():
@@ -179,14 +174,14 @@ def test_no_cache_state_changes_a_churn_record(engine):
 
     original = _KERNEL_CACHE.capacity
     try:
-        _reset_caches()
+        reset_kernel_caches()
         cold = run()
         warm = run()
         configure_kernel_cache(1)  # every topology evicts the previous one
-        _reset_caches()
+        reset_kernel_caches()
         thrashing = run()
         configure_kernel_cache(DEFAULT_CACHE_CAPACITY)
-        _reset_caches()
+        reset_kernel_caches()
         default = run()
     finally:
         configure_kernel_cache(original)

@@ -246,7 +246,9 @@ class TestNodeFaultsAxis:
         assert resolve_engine(
             ENGINE_AUTO, self._spec(delay_model="fixed", node_faults=2)
         ) == "async"
-        for name in ("batch", "legacy", "dataplane"):
+        # batch is the kernel engine's chunk dispatch: same crash-stop lanes
+        assert get_engine("batch").supports(self._spec(node_faults=2))
+        for name in ("legacy", "dataplane"):
             engine = get_engine(name)
             spec = self._spec(node_faults=2)
             assert not engine.supports(spec)

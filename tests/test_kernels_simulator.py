@@ -115,6 +115,85 @@ class TestRunPhaseAgainstObjectOracle:
         assert not outcome.converged
 
 
+class TestBatchLanes:
+    def test_lanes_match_run_phase_under_their_own_step_bounds(self):
+        from repro.kernels.batch import BatchSimulator
+
+        simulator = _simulator("fr", worst_case_chain_instance(8))
+        batch = BatchSimulator()
+        for bound in (3, None, 0):
+            batch.add_lane(simulator, make_mask_scheduler("sequential"), max_steps=bound)
+        outcomes = batch.run(max_steps=50)
+        for bound, outcome in zip((3, 50, 0), outcomes):
+            solo = simulator.run_phase(make_mask_scheduler("sequential"), max_steps=bound)
+            assert (outcome.signature, outcome.steps, outcome.converged) == (
+                solo.signature, solo.steps, solo.converged,
+            )
+
+    def test_dead_ids_are_never_scheduled(self):
+        from repro.kernels.batch import BatchSimulator
+
+        class Recording:
+            def __init__(self):
+                self.inner = make_mask_scheduler("greedy")
+                self.actors = set()
+
+            def bind(self, simulator):
+                self.inner.bind(simulator)
+
+            def select(self, simulator, sig, sinks):
+                actors = self.inner.select(simulator, sig, sinks)
+                self.actors.update(actors or ())
+                return actors
+
+        simulator = _simulator("pr", grid_instance(3, 3))
+        free, faulted = Recording(), Recording()
+        batch = BatchSimulator()
+        batch.add_lane(simulator, free)
+        batch.add_lane(simulator, faulted, dead_ids={4}, max_steps=500)
+        fault_free, crashed = batch.run()
+        assert 4 in free.actors and 4 not in faulted.actors
+        assert fault_free.converged
+        # the simulator's shared sink table is untouched by the faulted lane
+        solo = simulator.run_phase(make_mask_scheduler("greedy"))
+        assert (solo.signature, solo.steps) == (fault_free.signature, fault_free.steps)
+        assert crashed.steps <= 500
+
+
+    @pytest.mark.parametrize("expire_after", [0, 1, 2])
+    def test_deadline_fires_at_run_phase_action_index(self, monkeypatch, expire_after):
+        # lockstep rounds read the shared clock where run_phase's per-run
+        # countdown would: after action 0, then every stride
+        from repro.kernels.batch import BatchSimulator
+
+        class Clock:
+            """Reads 0.0 until ``expire_after`` reads have passed, then 10.0."""
+
+            def __init__(self):
+                self.reads = 0
+
+            def __call__(self):
+                self.reads += 1
+                return 10.0 if self.reads > expire_after else 0.0
+
+        simulator = _simulator("fr", worst_case_chain_instance(14))
+        monkeypatch.setattr(time, "perf_counter", Clock())
+        with pytest.raises(DeadlineExceeded) as solo:
+            simulator.run_phase(
+                make_mask_scheduler("sequential"), deadline=5.0, deadline_stride=7
+            )
+        monkeypatch.setattr(time, "perf_counter", Clock())
+        batch = BatchSimulator()
+        batch.add_lane(simulator, make_mask_scheduler("sequential"))
+        batch.add_lane(simulator, make_mask_scheduler("sequential"), max_steps=3)
+        long_lane, short_lane = batch.run(deadline=5.0, deadline_stride=7)
+        assert long_lane.timed_out
+        assert str(solo.value) == f"deadline exceeded at step {long_lane.timeout_step}"
+        assert long_lane.steps == long_lane.timeout_step + 1
+        # a lane that reached its bound before a check keeps its outcome
+        assert short_lane.timed_out == (expire_after == 0)
+
+
 class TestDeadlines:
     def test_expired_deadline_aborts_on_first_step(self):
         simulator = _simulator("fr", worst_case_chain_instance(10))

@@ -4,7 +4,8 @@ The link-failure and mobility churn phases of the synchronous engines are
 optimised without changing a single stored value, so a fixed campaign's
 records are kept in ``data/sync_campaign_records.jsonl`` and every field
 except ``wall_time_s`` (and the ``engine`` that ran it) must match under the
-``kernel``, ``batch`` and ``legacy`` engines.  The campaign's base seed is
+``kernel``, ``batch`` and ``legacy`` engines (crash-stop cells: ``kernel``
+and ``batch``).  The campaign's base seed is
 chosen so that its mobility cells meet every churn branch: steps without a
 link change, partitioning steps that are skipped, and carried orientations
 that would form a cycle and are reoriented.  To re-record after a deliberate
@@ -42,7 +43,7 @@ def churn_campaign():
 
 
 def node_fault_campaign():
-    """One crash-stop cell (the kernel engine is the only synchronous one with it)."""
+    """One crash-stop cell (the legacy oracle has no crash-stop support)."""
     from repro.experiments.spec import CampaignSpec
 
     return CampaignSpec(
@@ -106,10 +107,11 @@ def test_churn_records_match_the_golden_campaign(engine):
     assert_matches(campaign_records(churn_campaign(), engine), golden, engine)
 
 
-def test_node_fault_records_match_the_golden_campaign():
+@pytest.mark.parametrize("engine", ["kernel", "batch"])
+def test_node_fault_records_match_the_golden_campaign(engine):
     golden = [r for r in _golden() if r["node_faults"]]
     assert golden
-    assert_matches(campaign_records(node_fault_campaign()), golden, "kernel")
+    assert_matches(campaign_records(node_fault_campaign(), engine), golden, engine)
 
 
 if __name__ == "__main__":
