@@ -18,7 +18,7 @@ implementation:
     algorithm, scheduler, churn model, node faults, max_steps)`` shape —
     and runs each group as one lockstep call under one shared deadline.
 
-Whichever name runs it, a group amortises three costs:
+Whichever name runs it, the engine amortises four costs:
 
 * **instance/kernel construction** — one ``kernel_``-prefixed
   :class:`~repro.kernels.simulator.KernelCache` keyed by
@@ -26,6 +26,13 @@ Whichever name runs it, a group amortises three costs:
   seed-deterministic families
   (:data:`~repro.topology.generators.SEEDLESS_FAMILIES`) every replicate is
   the *same* instance, so one build and one compile serve them all;
+* **initial convergence phases** — a sweep cell's ``none``,
+  ``link-failures`` and ``mobility`` runs share a topology and a scheduler
+  seed, so they start with the same phase; an un-deadlined lane keeps its
+  phase (final mask, steps, ``converged``, work and round tallies) as a
+  :class:`_Phase` entry beside its topology in the same cache, keyed by
+  :func:`_phase_name`, and every later lane of the cell restores it instead
+  of running it, in whatever order the runs come;
 * **whole-run outcomes** — a lane's result fields are a pure function of
   its :func:`_outcome_key`, so equal lanes run once and fan out, and
   un-deadlined outcomes are memoised across calls;
@@ -52,7 +59,12 @@ from repro.core.one_step_pr import OneStepPartialReversal
 from repro.core.pr import PartialReversal
 from repro.experiments.churn import ScenarioChurn
 from repro.experiments.engines import ExecutionEngine
-from repro.experiments.spec import ALGORITHM_FACTORIES, ScenarioSpec, derive_seed
+from repro.experiments.spec import (
+    ALGORITHM_FACTORIES,
+    ScenarioSpec,
+    derive_seed,
+    spec_and_record,
+)
 from repro.experiments.store import OUTCOME_FIELDS, RESULT_INIT
 from repro.faults.nodes import select_crashed_ids
 from repro.kernels import (
@@ -238,12 +250,58 @@ def _crash_stop(spec: ScenarioSpec, instance, record: Dict[str, Any]):
 Lane = Tuple[ScenarioSpec, Dict[str, Any]]
 
 
+def _phase_name(spec: ScenarioSpec) -> Tuple[Any, ...]:
+    """The cache name of a lane's initial convergence phase (beside its topology).
+
+    The phase depends on the instance (the cache key), the algorithm,
+    scheduler and step bound, the scheduler seed only where the ``random``
+    scheduler consumes it, and the crash-stopped nodes, which the topology
+    seed picks.  The churn model and its seeds act after the phase, so a
+    cell's ``none``, ``link-failures`` and ``mobility`` runs share one.
+    """
+    return (
+        "phase", spec.algorithm, spec.scheduler,
+        spec.scheduler_seed if spec.scheduler == "random" else None,
+        spec.max_steps, spec.node_faults,
+        spec.topology_seed if spec.node_faults > 0 else None,
+    )
+
+
+class _Phase:
+    """An initial convergence phase's result, kept in the ``KernelCache``.
+
+    The cache creates the entry empty; the lane that runs the phase fills
+    it.  An empty entry (made earlier in the same group, or left by a run
+    that raised) reads as a miss, and its lane runs the phase again.
+    """
+
+    __slots__ = ("filled", "mask", "steps", "converged", "work", "rounds", "seen")
+
+    def __init__(self) -> None:
+        self.filled = False
+
+    def fill(self, mask: int, steps: int, converged: bool,
+             work: WorkTally, rounds: RoundTally) -> None:
+        self.mask, self.steps, self.converged = mask, steps, converged
+        self.work = (work.node_steps, work.edge_reversals, work.dummy_steps)
+        # repair phases keep counting rounds from the seen-set, so the entry
+        # keeps a frozen copy and every restore gets a fresh set
+        self.rounds, self.seen = rounds.rounds, frozenset(rounds._seen)
+        self.filled = True
+
+    def restore(self, work: WorkTally, rounds: RoundTally) -> None:
+        work.node_steps, work.edge_reversals, work.dummy_steps = self.work
+        rounds.rounds, rounds._seen = self.rounds, set(self.seen)
+
+
 def _run_lanes(lanes: List[Lane], deadline: Optional[float]) -> None:
     """Execute lanes sharing one batch key as one lockstep group.
 
     Mutates each lane's record in place.  A timed-out lane keeps its
     partial tallies but no final-state verdicts, and its ``steps_taken``
-    excludes the aborted phase.
+    excludes the aborted phase.  Without a deadline a lane whose initial
+    phase is cached (see :func:`_phase_name`) restores it instead of
+    running it, and a lane that runs it caches it.
     """
     spec0 = lanes[0][0]
     automaton_factory = ALGORITHM_FACTORIES[spec0.algorithm]
@@ -252,11 +310,11 @@ def _run_lanes(lanes: List[Lane], deadline: Optional[float]) -> None:
     rounds = [RoundTally() for _ in range(width)]
     keys: List[Hashable] = [None] * width
     instances: List[Any] = [None] * width
-    sims: List[Any] = [None] * width
     masks = [0] * width
     convergeds = [False] * width
     try:
         batch = BatchSimulator()
+        running: List[Tuple[int, SignatureSimulator, Optional[_Phase]]] = []
         for pos, (spec, record) in enumerate(lanes):
             key = _canonical_key(spec)
             instance = _KERNEL_CACHE.instance(
@@ -268,6 +326,20 @@ def _run_lanes(lanes: List[Lane], deadline: Optional[float]) -> None:
                 edges=instance.edge_count,
                 bad_nodes=_bad_node_count(key, instance),
             )
+            keys[pos] = key
+            instances[pos] = instance
+            dead_ids = max_steps = phase = None
+            if spec.node_faults > 0:
+                dead_ids, max_steps = _crash_stop(spec, instance, record)
+            if deadline is None:
+                # deadlined runs neither read nor write phases, the rule of
+                # the outcome memo
+                phase = _KERNEL_CACHE.kernel(key, _phase_name(spec), _Phase)
+                if phase.filled:
+                    phase.restore(works[pos], rounds[pos])
+                    record["steps_taken"] += phase.steps
+                    masks[pos], convergeds[pos] = phase.mask, phase.converged
+                    continue
             # the cache holds whole simulators: their id tables are
             # per-instance setup just like the kernel tables, and they carry
             # no run state
@@ -278,12 +350,6 @@ def _run_lanes(lanes: List[Lane], deadline: Optional[float]) -> None:
                     compile_expander(automaton_factory(inst))
                 ),
             )
-            keys[pos] = key
-            instances[pos] = instance
-            sims[pos] = simulator
-            dead_ids = max_steps = None
-            if spec.node_faults > 0:
-                dead_ids, max_steps = _crash_stop(spec, instance, record)
             batch.add_lane(
                 simulator,
                 make_mask_scheduler(spec.scheduler, spec.scheduler_seed),
@@ -292,22 +358,29 @@ def _run_lanes(lanes: List[Lane], deadline: Optional[float]) -> None:
                 dead_ids=dead_ids,
                 max_steps=max_steps,
             )
+            running.append((pos, simulator, phase))
 
-        outcomes = batch.run(max_steps=spec0.max_steps, deadline=deadline)
-        active: List[int] = []
-        for pos, outcome in enumerate(outcomes):
-            record = lanes[pos][1]
-            if outcome.timed_out:
-                record.update(
-                    status="timeout",
-                    error=f"deadline exceeded at step {outcome.timeout_step}",
-                )
-                continue
-            record["steps_taken"] += outcome.steps
-            masks[pos] = sims[pos].kernel.orientation_mask(outcome.signature)
-            convergeds[pos] = outcome.converged
-            active.append(pos)
+        if running:
+            outcomes = batch.run(max_steps=spec0.max_steps, deadline=deadline)
+            for (pos, simulator, phase), outcome in zip(running, outcomes):
+                record = lanes[pos][1]
+                if outcome.timed_out:
+                    record.update(
+                        status="timeout",
+                        error=f"deadline exceeded at step {outcome.timeout_step}",
+                    )
+                    continue
+                record["steps_taken"] += outcome.steps
+                masks[pos] = simulator.kernel.orientation_mask(outcome.signature)
+                convergeds[pos] = outcome.converged
+                if phase is not None:
+                    phase.fill(
+                        masks[pos], outcome.steps, outcome.converged,
+                        works[pos], rounds[pos],
+                    )
+        active = [pos for pos in range(width) if lanes[pos][1]["status"] != "timeout"]
 
+        initial = list(instances)
         if spec0.failure_model != "none" and spec0.failure_count > 0:
             active = _churn(
                 lanes, active, keys, instances, masks, convergeds,
@@ -315,7 +388,7 @@ def _run_lanes(lanes: List[Lane], deadline: Optional[float]) -> None:
             )
 
         for pos in active:
-            if instances[pos] is sims[pos].instance:
+            if instances[pos] is initial[pos]:
                 # the memo key describes the cached topology only, never
                 # churn products
                 acyclic, oriented = _final_state_checks(
@@ -461,30 +534,7 @@ def run_scenarios_batched(
     records: List[Dict[str, Any]] = []
     lanes_by_key: Dict[Tuple[Any, ...], List[Lane]] = {}
     for raw in specs:
-        if isinstance(raw, dict):
-            if "run_id" in raw:
-                # executor-shipped dicts come from to_dict() and carry every
-                # field; positional construction skips from_dict's filtering
-                # dictcomp, which showed up in batch-sweep profiles
-                record = dict(raw)
-                try:
-                    spec = ScenarioSpec(
-                        raw["family"], raw["size"], raw["algorithm"],
-                        raw["scheduler"], raw["topology_seed"],
-                        raw["scheduler_seed"], raw["replicate"],
-                        raw["failure_model"], raw["failure_count"],
-                        raw["max_steps"], raw["campaign"], raw["delay_model"],
-                        raw["loss"], raw["traffic"],
-                        raw.get("node_faults", 0),
-                    )
-                except KeyError:
-                    spec = ScenarioSpec.from_dict(raw)
-            else:
-                spec = ScenarioSpec.from_dict(raw)
-                record = spec.to_dict()
-        else:
-            spec = raw
-            record = spec.to_dict()
+        spec, record = spec_and_record(raw)
         record.update(RESULT_INIT)
         records.append(record)
         try:

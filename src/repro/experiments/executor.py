@@ -95,8 +95,9 @@ class CampaignReport:
     #: of the pool's capacity the campaign actually used.
     worker_utilisation: float = 0.0
     shard: Optional[str] = None
-    #: Executed runs per engine (``kernel`` / ``legacy`` / ``none`` for runs
-    #: that failed before an engine was selected).
+    #: Executed runs per engine (``kernel``, ``legacy``, ``async``, ``batch``
+    #: or ``dataplane``; ``none`` for runs that failed before an engine was
+    #: selected).
     engines: Dict[str, int] = field(default_factory=dict)
     #: Summed kernel-cache counters across every worker that ran a chunk.
     kernel_cache: Dict[str, int] = field(default_factory=dict)

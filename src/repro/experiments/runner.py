@@ -88,7 +88,12 @@ from repro.experiments.engines import (
     register_engine,
 )
 from repro.experiments.engines import resolve_engine as _registry_resolve_engine
-from repro.experiments.spec import ALGORITHM_FACTORIES, ScenarioSpec, derive_seed
+from repro.experiments.spec import (
+    ALGORITHM_FACTORIES,
+    ScenarioSpec,
+    derive_seed,
+    spec_and_record,
+)
 from repro.experiments.store import RESULT_INIT
 from repro.kernels.simulator import DEADLINE_CHECK_STRIDE, DeadlineExceeded
 from repro.schedulers import make_scheduler
@@ -231,15 +236,7 @@ def execute_scenario(
     field says which execution path produced it (``None`` when the run
     failed before an engine was selected).
     """
-    if isinstance(spec, dict):
-        # an executor-shipped dict is exactly spec.to_dict() output: reuse it
-        # instead of re-deriving the content-hash run_id per run
-        record: Dict[str, Any] = (
-            dict(spec) if "run_id" in spec else ScenarioSpec.from_dict(spec).to_dict()
-        )
-        spec = ScenarioSpec.from_dict(spec)
-    else:
-        record = spec.to_dict()
+    spec, record = spec_and_record(spec)
     record.update(RESULT_INIT)
 
     start = time.perf_counter()

@@ -33,7 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.bll import BinaryLinkLabels
 from repro.core.full_reversal import FullReversal
@@ -227,6 +227,36 @@ class ScenarioSpec:
             "node_faults",
         }
         return cls(**{k: v for k, v in data.items() if k in fields})
+
+
+def spec_and_record(
+    raw: Union[ScenarioSpec, Dict[str, Any]],
+) -> Tuple[ScenarioSpec, Dict[str, Any]]:
+    """A run's spec and a fresh record of its spec fields (the worker entry).
+
+    An executor-shipped dict is :meth:`ScenarioSpec.to_dict` output with
+    every field and its ``run_id``: it is copied as the record, so the
+    content-hash ``run_id`` is not derived again per run, and the spec is
+    built positionally, skipping :meth:`~ScenarioSpec.from_dict`'s
+    filtering dictcomp (both showed up in sweep profiles).  Any other dict
+    goes through ``from_dict``.  The spec is not validated here.
+    """
+    if not isinstance(raw, dict):
+        return raw, raw.to_dict()
+    if "run_id" in raw:
+        try:
+            spec = ScenarioSpec(
+                raw["family"], raw["size"], raw["algorithm"], raw["scheduler"],
+                raw["topology_seed"], raw["scheduler_seed"], raw["replicate"],
+                raw["failure_model"], raw["failure_count"], raw["max_steps"],
+                raw["campaign"], raw["delay_model"], raw["loss"], raw["traffic"],
+                raw.get("node_faults", 0),
+            )
+        except KeyError:
+            spec = ScenarioSpec.from_dict(raw)
+        return spec, dict(raw)
+    spec = ScenarioSpec.from_dict(raw)
+    return spec, spec.to_dict()
 
 
 @dataclass

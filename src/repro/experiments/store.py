@@ -30,7 +30,11 @@ import sqlite3
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.io.serialization import checksummed_line, split_checksummed_line
+from repro.io.serialization import (
+    checksummed_line,
+    encode_record,
+    split_checksummed_line,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -130,6 +134,19 @@ _SCHEMA = (
     + ", record TEXT NOT NULL)"
 )
 
+_COLUMN_NAMES = tuple(name for name, _ in _COLUMNS)
+
+#: One index row per record: the column values, then the record's JSON.
+_INSERT = (
+    f"INSERT OR REPLACE INTO runs ({', '.join(_COLUMN_NAMES)}, record) "
+    f"VALUES ({', '.join('?' * (len(_COLUMN_NAMES) + 1))})"
+)
+
+#: Row positions of the INTEGER columns, where a bool is stored as 0/1.
+_INTEGER_POSITIONS = tuple(
+    i for i, (_, kind) in enumerate(_COLUMNS) if kind == "INTEGER"
+)
+
 
 class ResultStore:
     """A directory-backed, resumable store of campaign run records."""
@@ -209,10 +226,9 @@ class ResultStore:
         shard_path = Path(shard) if shard is not None else self.new_shard()
         # serialise each record once; the same JSON goes into the shard line
         # (checksummed) and the index's record column (plain)
-        dumped = [json.dumps(record, sort_keys=True) for record in records]
+        dumped = [encode_record(record) for record in records]
         with shard_path.open("a", encoding="utf-8") as handle:
-            for line in dumped:
-                handle.write(checksummed_line(line) + "\n")
+            handle.write("".join(checksummed_line(line) + "\n" for line in dumped))
         self._index(records, dumped)
         return shard_path
 
@@ -222,19 +238,17 @@ class ResultStore:
         dumped: Optional[Sequence[str]] = None,
     ) -> None:
         connection = self._connect()
-        names = [name for name, _ in _COLUMNS]
-        placeholders = ", ".join("?" for _ in range(len(names) + 1))
-        sql = f"INSERT OR REPLACE INTO runs ({', '.join(names)}, record) VALUES ({placeholders})"
         if dumped is None:
-            dumped = [json.dumps(record, sort_keys=True) for record in records]
+            dumped = [encode_record(record) for record in records]
         rows = []
         for record, line in zip(records, dumped):
-            values = [record.get(name) for name in names]
-            for i, (name, kind) in enumerate(_COLUMNS):
-                if kind == "INTEGER" and isinstance(values[i], bool):
+            values = list(map(record.get, _COLUMN_NAMES))
+            for i in _INTEGER_POSITIONS:
+                if isinstance(values[i], bool):
                     values[i] = int(values[i])
-            rows.append((*values, line))
-        connection.executemany(sql, rows)
+            values.append(line)
+            rows.append(values)
+        connection.executemany(_INSERT, rows)
         connection.commit()
 
     def record_campaign(self, campaign_dict: Dict[str, Any]) -> None:
@@ -476,7 +490,10 @@ class ResultStore:
         )
 
     def engine_counts(self) -> Dict[str, int]:
-        """Stored runs per execution engine (``kernel`` / ``legacy`` / ``none``).
+        """Stored runs per execution engine.
+
+        The engines are ``kernel``, ``legacy``, ``async``, ``batch`` and
+        ``dataplane``.
 
         ``none`` aggregates runs with no recorded engine: failures before an
         engine was selected, crashed placeholders and pre-engine records.
@@ -494,8 +511,7 @@ class ResultStore:
 
         Example: ``store.records(family="chain", status="ok")``.
         """
-        names = {name for name, _ in _COLUMNS}
-        unknown = set(filters) - names
+        unknown = set(filters).difference(_COLUMN_NAMES)
         if unknown:
             raise ValueError(f"cannot filter on non-indexed fields: {sorted(unknown)}")
         sql = "SELECT record FROM runs"

@@ -8,6 +8,7 @@ runs can be reproduced and diffed.  Only built-in types appear in the output
 
 from __future__ import annotations
 
+import json
 import zlib
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
@@ -28,6 +29,14 @@ class SerializationError(ValueError):
 _CRC_SEPARATOR = "\t"
 _CRC_DIGITS = 8
 _CRC_ALPHABET = set("0123456789abcdef")
+
+#: The one encoder of store records: ``encode_record(record)`` is
+#: ``json.dumps(record, sort_keys=True)`` without building an encoder per
+#: call.  Shard lines and the index's ``record`` column both come from it.
+encode_record = json.JSONEncoder(sort_keys=True).encode
+
+#: Its compact twin for telemetry events (``separators=(",", ":")``).
+_encode_event = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
 
 
 def checksummed_line(payload: str) -> str:
@@ -273,9 +282,4 @@ def telemetry_events_to_jsonl(events: Sequence[Dict[str, Any]]) -> str:
     schema-conforming events — while :func:`telemetry_event_from_dict`
     validates on read.
     """
-    import json
-
-    return "".join(
-        json.dumps(event, separators=(",", ":"), sort_keys=True) + "\n"
-        for event in events
-    )
+    return "".join(_encode_event(event) + "\n" for event in events)

@@ -55,6 +55,12 @@ DEADLINE_CHECK_STRIDE = 64
 #: sizes × replicates regularly reaches several dozen distinct instances).
 DEFAULT_CACHE_CAPACITY = 64
 
+#: Compiled entries (simulators, mobility trajectories, initial phases) a
+#: :class:`KernelCache` keeps per instance of capacity: past
+#: ``capacity * KERNELS_PER_INSTANCE`` the least recently used entry goes,
+#: so a hot instance cannot gather entries without bound.
+KERNELS_PER_INSTANCE = 32
+
 #: Environment variable overriding the per-process engine cache capacity.
 CACHE_CAPACITY_ENV = "REPRO_KERNEL_CACHE_CAPACITY"
 
@@ -376,8 +382,10 @@ class KernelCache:
         product such as a mobility trajectory).  A ``None`` result (no
         kernel for this automaton) is not cached — those callers fall back
         to the object path anyway.  Nor is anything cached for a ``key``
-        whose instance is not: entries are evicted with their instance, so
-        the cache stays bounded by its capacity.
+        whose instance is not: entries are evicted with their instance, and
+        past :data:`KERNELS_PER_INSTANCE` entries per instance of capacity
+        in least-recently-used order, so the cache stays bounded by its
+        capacity.
         """
         kernel_key = (key, algorithm)
         cached = self._kernels.get(kernel_key)
@@ -389,6 +397,8 @@ class KernelCache:
         kernel = compile_kernel()
         if kernel is not None and key in self._instances:
             self._kernels[kernel_key] = kernel
+            while len(self._kernels) > self.capacity * KERNELS_PER_INSTANCE:
+                self._kernels.popitem(last=False)
         return kernel
 
     def stats(self) -> Dict[str, int]:

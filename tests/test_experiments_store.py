@@ -227,3 +227,111 @@ class TestIntegrity:
             handle.write('{"kind": "eve')
         events = list(store.iter_telemetry())
         assert [e["name"] for e in events] == ["x"]
+
+
+def _awkward_records():
+    """Records holding every value kind the shared encoder must keep as ``json.dumps`` does."""
+    return [
+        _record("bools", converged=False, drop_tail=True, slots=False),
+        _record("none", error=None, engine=None, nodes=None, mean_hops=None),
+        _record("floats", simulated_time=1e-07, mean_latency_slots=float("nan"),
+                mean_stretch=float("inf"), wall_time_s=2.5e-12),
+        _record("unicode", campaign="kampagne-äß-→-\U0001f600",
+                error="line\tbreak\nquote\"slash\\"),
+    ]
+
+
+def _parent_append(store: ResultStore, records) -> None:
+    """``ResultStore.append`` as it was before the shared encoder: one
+    ``json.dumps`` per record, one write per line, the SQL built per call."""
+    from repro.experiments.store import _COLUMNS
+    from repro.io.serialization import checksummed_line
+
+    dumped = [json.dumps(record, sort_keys=True) for record in records]
+    with store.new_shard().open("a", encoding="utf-8") as handle:
+        for line in dumped:
+            handle.write(checksummed_line(line) + "\n")
+    names = [name for name, _ in _COLUMNS]
+    placeholders = ", ".join("?" for _ in range(len(names) + 1))
+    rows = []
+    for record, line in zip(records, dumped):
+        values = [record.get(name) for name in names]
+        for i, (name, kind) in enumerate(_COLUMNS):
+            if kind == "INTEGER" and isinstance(values[i], bool):
+                values[i] = int(values[i])
+        rows.append((*values, line))
+    connection = store._connect()
+    connection.executemany(
+        f"INSERT OR REPLACE INTO runs ({', '.join(names)}, record) VALUES ({placeholders})",
+        rows,
+    )
+    connection.commit()
+
+
+def _index_rows(store: ResultStore):
+    return list(store._connect().execute("SELECT * FROM runs ORDER BY run_id"))
+
+
+class TestSharedEncoder:
+    def test_shard_and_index_text_equal_json_dumps(self, tmp_path):
+        from repro.io.serialization import split_checksummed_line
+
+        records = _awkward_records()
+        store = ResultStore(tmp_path)
+        shard = store.append(records)
+        lines = shard.read_text(encoding="utf-8").splitlines()
+        expected = [json.dumps(record, sort_keys=True) for record in records]
+        assert [split_checksummed_line(line) for line in lines] == [
+            (text, True) for text in expected
+        ]
+        indexed = dict(store._connect().execute("SELECT run_id, record FROM runs"))
+        assert indexed == {r["run_id"]: text for r, text in zip(records, expected)}
+        bools = store._connect().execute(
+            "SELECT converged, drop_tail, slots FROM runs WHERE run_id = 'bools'"
+        ).fetchone()
+        assert bools == (0, 1, 0) and all(type(v) is int for v in bools)
+
+    def test_telemetry_lines_equal_compact_json_dumps(self):
+        from repro.io.serialization import telemetry_events_to_jsonl
+
+        events = [
+            {"kind": "event", "name": "évènement", "t": 1e-07, "attrs": {"b": True, "a": None}},
+            {"kind": "span", "name": "x", "t": float("nan"), "parent_id": None, "attrs": {}},
+        ]
+        assert telemetry_events_to_jsonl(events) == "".join(
+            json.dumps(event, separators=(",", ":"), sort_keys=True) + "\n"
+            for event in events
+        )
+        assert telemetry_events_to_jsonl([]) == ""
+
+    def test_parent_written_store_resumes_as_a_no_op(self, tmp_path):
+        from repro.experiments.executor import run_campaign
+        from repro.experiments.runner import run_scenarios
+        from repro.experiments.spec import CampaignSpec
+
+        campaign = CampaignSpec(
+            name="encoder", families=("chain", "grid"), algorithms=("pr", "fr"),
+            sizes=(6,), failure_models=[("none", 0), ("link-failures", 1)],
+        )
+        records = run_scenarios([spec.to_dict() for spec in campaign.expand()])
+        records += _awkward_records()
+        parent = ResultStore(tmp_path / "parent")
+        _parent_append(parent, records)
+        parent.record_campaign(campaign.to_dict())
+
+        report = run_campaign(campaign, parent, workers=1)
+        assert report.executed == 0 and report.skipped == campaign.run_count
+        check = parent.fsck()
+        assert check["bad_lines"] == [] and check["legacy_lines"] == 0
+        assert check["checksummed_lines"] == check["index_records"] == len(records)
+
+        # equal records give byte-identical shard lines and index rows
+        fresh = ResultStore(tmp_path / "fresh")
+        fresh.append(records)
+        parent_bytes = (parent.shard_dir / "shard-00001.jsonl").read_bytes()
+        assert (fresh.shard_dir / "shard-00001.jsonl").read_bytes() == parent_bytes
+        reference = ResultStore(tmp_path / "reference")
+        _parent_append(reference, records)
+        assert repr(_index_rows(fresh)) == repr(_index_rows(reference))
+        for store in (parent, fresh, reference):
+            store.close()

@@ -27,7 +27,7 @@ from repro.kernels import (
     mask_is_acyclic,
     mask_is_destination_oriented,
 )
-from repro.kernels.simulator import DeadlineExceeded
+from repro.kernels.simulator import KERNELS_PER_INSTANCE, DeadlineExceeded
 from repro.schedulers import SCHEDULER_FACTORIES, make_scheduler
 from repro.topology.generators import (
     grid_instance,
@@ -275,6 +275,17 @@ class TestKernelCache:
         compiled = []
         cache.kernel("a", "fr", lambda: compiled.append(1) or compile_expander(FullReversal(first)))
         assert compiled == [1]
+
+    def test_entries_of_a_hot_instance_stay_bounded(self):
+        cache = KernelCache(capacity=2)
+        cache.instance("k", lambda: worst_case_chain_instance(3))
+        bound = 2 * KERNELS_PER_INSTANCE
+        for name in range(bound + 5):
+            cache.kernel("k", ("entry", name), object)
+            cache.kernel("k", "hot", object)  # used each time, never evicted
+        assert len(cache._kernels) == bound
+        assert ("k", "hot") in cache._kernels
+        assert ("k", ("entry", 0)) not in cache._kernels
 
     def test_uncompilable_kernel_not_cached(self):
         cache = KernelCache()

@@ -56,7 +56,7 @@ def node_fault_campaign():
     )
 
 
-def campaign_records(campaign, engine="kernel"):
+def campaign_records(campaign, engine="kernel", timeout_s=None):
     """The records of ``campaign`` run on ``engine``, as the fixture stores them."""
     from repro.experiments.runner import run_scenarios
 
@@ -64,7 +64,7 @@ def campaign_records(campaign, engine="kernel"):
     # a JSON round trip, so tuples and floats compare as the fixture stores them
     return [
         json.loads(json.dumps(record))
-        for record in run_scenarios(specs, engine=engine)
+        for record in run_scenarios(specs, timeout_s=timeout_s, engine=engine)
     ]
 
 
@@ -112,6 +112,116 @@ def test_node_fault_records_match_the_golden_campaign(engine):
     golden = [r for r in _golden() if r["node_faults"]]
     assert golden
     assert_matches(campaign_records(node_fault_campaign(), engine), golden, engine)
+
+
+# ----------------------------------------------------------------------
+# initial-phase reuse: a cell's churn runs restore its cached first phase
+# ----------------------------------------------------------------------
+def churn_first_campaign():
+    """The golden churn campaign with every cell's churn runs ahead of ``none``.
+
+    Two replicates: on the seedless families (chain, grid) both share one
+    topology but not the ``random`` scheduler's seed, which the phase key
+    must therefore hold.
+    """
+    campaign = churn_campaign()
+    campaign.failure_models = tuple(reversed(campaign.failure_models))
+    campaign.replicates = 2
+    return campaign
+
+
+@pytest.fixture(scope="module")
+def churn_first_oracle():
+    return campaign_records(churn_first_campaign(), "legacy")
+
+
+def _phase_entries():
+    from repro.experiments.batch_engine import _KERNEL_CACHE, _Phase
+
+    return [entry for entry in _KERNEL_CACHE._kernels.values() if isinstance(entry, _Phase)]
+
+
+@pytest.mark.parametrize("capacity", [None, 1])
+@pytest.mark.parametrize("engine", ["kernel", "batch"])
+def test_phase_reuse_depends_on_neither_order_nor_cache_size(
+    engine, capacity, churn_first_oracle
+):
+    from unittest import mock
+
+    from repro.experiments.batch_engine import _Phase, reset_kernel_caches
+    from repro.experiments.runner import _KERNEL_CACHE, configure_kernel_cache
+
+    original = _KERNEL_CACHE.capacity
+    try:
+        if capacity is not None:
+            configure_kernel_cache(capacity)  # every topology evicts the last one
+        reset_kernel_caches()
+        with mock.patch.object(
+            _Phase, "restore", autospec=True, side_effect=_Phase.restore
+        ) as restore:
+            records = campaign_records(churn_first_campaign(), engine)
+    finally:
+        configure_kernel_cache(original)
+    assert restore.call_count > 0
+    assert_matches(records, churn_first_oracle, engine)
+
+
+def test_crash_stop_phases_are_kept_per_topology_seed():
+    from repro.experiments.batch_engine import reset_kernel_caches
+
+    campaign = node_fault_campaign()
+    campaign.replicates = 3  # one grid, but each replicate crash-stops other nodes
+    reset_kernel_caches()
+    phase_free = campaign_records(campaign, timeout_s=600)
+    reset_kernel_caches()
+    assert_matches(campaign_records(campaign), phase_free, "kernel")
+
+
+@pytest.mark.parametrize("engine", ["kernel", "batch"])
+def test_deadlined_runs_neither_write_nor_read_phases(engine):
+    from repro.experiments.batch_engine import reset_kernel_caches
+
+    golden = [r for r in _golden() if not r["node_faults"]]
+    reset_kernel_caches()
+    deadlined = campaign_records(churn_campaign(), engine, timeout_s=600)
+    assert not _phase_entries()
+    assert_matches(deadlined, golden, engine)
+
+    campaign_records(churn_campaign(), engine)
+    phases = _phase_entries()
+    assert phases and all(phase.filled for phase in phases)
+    try:
+        for phase in phases:  # a deadlined run that read one would record these
+            phase.steps, phase.work, phase.rounds = 10**6, (-1, -1, -1), -1
+        assert_matches(
+            campaign_records(churn_campaign(), engine, timeout_s=600), golden, engine
+        )
+    finally:
+        reset_kernel_caches()
+
+
+def test_a_restored_seen_set_is_a_copy():
+    from repro.experiments.batch_engine import _Phase
+    from repro.kernels import RoundTally, WorkTally
+
+    work, tally = WorkTally(), RoundTally()
+    tally.observe((0,), ("a",))
+    tally.observe((1,), ("a", "b"))
+    phase = _Phase()
+    phase.fill(0b101, 2, True, work, tally)
+    tally.observe((0,), ("c",))  # the lane that ran the phase goes on counting
+    assert phase.seen == {"a", "b"}
+
+    restored = RoundTally()
+    phase.restore(WorkTally(), restored)
+    assert (restored.rounds, restored._seen) == (1, {"a", "b"})
+    restored.observe((0,), ("c",))  # a repair phase adds to the restored set
+    assert restored._seen == {"a", "b", "c"}
+    assert phase.seen == {"a", "b"}
+
+    again = RoundTally()
+    phase.restore(WorkTally(), again)
+    assert (again.rounds, again._seen) == (1, {"a", "b"})
 
 
 if __name__ == "__main__":
