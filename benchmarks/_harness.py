@@ -82,10 +82,6 @@ def _baseline_workloads():
     from benchmarks.bench_faults import _measure_armed as _measure_faults
     from benchmarks.bench_model_check import _measure as _measure_model_check
     from benchmarks.bench_model_check import _measure_pr_tree as _measure_model_check_pr_tree
-    from benchmarks.bench_model_check import (
-        _measure_pr_tree_scalar as _measure_model_check_pr_tree_scalar,
-    )
-    from benchmarks.bench_model_check import _measure_scalar as _measure_model_check_scalar
     from benchmarks.bench_simulation import _check_all_families
     from benchmarks.bench_sweep import _measure_1worker, _measure_churn, _measure_pool
     from benchmarks.bench_telemetry import _measure_enabled as _measure_telemetry
@@ -101,15 +97,10 @@ def _baseline_workloads():
         # link-failure + mobility repair phases on the auto engine, the churn
         # layer no other workload reaches
         "bench_churn_sweep": _measure_churn,
-        # the model-check pair shares one verification workload: their
-        # timing ratio is the vectorised frontier's speedup over the scalar
-        # per-state loop (differentially pinned to identical counts)
+        # the model checker's compiled loop: FR on one-word signatures and
+        # PR's multi-action expansion
         "bench_model_check": _measure_model_check,
-        "bench_model_check_scalar": _measure_model_check_scalar,
-        # PR's multi-action expansion: `auto` against the scalar loop, so an
-        # `auto` gate picking the losing engine regresses the first entry
         "bench_model_check_pr_tree": _measure_model_check_pr_tree,
-        "bench_model_check_pr_tree_scalar": _measure_model_check_pr_tree_scalar,
         "bench_async_quiescence": _measure_async,
         # the batch pair shares one workload: their timing ratio is what
         # outcome dedup buys on the lockstep engine

@@ -224,14 +224,11 @@ CHECK_INVARIANTS = ("acyclic", "progress", "paper")
 def _check_run_id(args: argparse.Namespace) -> str:
     """Stable content hash identifying one ``repro check`` verification run.
 
-    Workers, spill, vectorisation and store layout are excluded — they
-    change how the check executes, not what it verifies (the vectorised and
-    scalar engines are differentially pinned to identical verdicts) — so a
-    resumed run with different parallelism still matches the stored verdict.  (One caveat: when
-    ``--max-states`` actually truncates, the sharded cap is round-granular,
-    so a stored truncated verdict's ``states_explored`` may differ slightly
-    from what a single-process re-run would count; exhaustive verdicts are
-    configuration-independent.)
+    Spill settings and the store layout are excluded — they change how the
+    check executes, not what it verifies — so a resumed run with a different
+    spill configuration still matches the stored verdict.  Stored checks
+    from before the single-loop checker carry a ``workers`` field their id
+    never included, so they resume too.
     """
     identity = {
         "kind": "check",
@@ -285,7 +282,6 @@ def cmd_check(args: argparse.Namespace) -> int:
             automaton,
             predicates,
             max_states=args.max_states,
-            workers=args.workers,
             single_actions_only=args.single_actions,
             symmetry=args.symmetry,
             check_acyclicity="acyclic" in invariants,
@@ -293,7 +289,6 @@ def cmd_check(args: argparse.Namespace) -> int:
             spill_threshold=args.spill_threshold if args.spill else None,
             spill_dir=args.spill_dir,
             spill_max_runs=args.spill_max_runs,
-            vectorized=args.vectorized,
             max_traced_failures=args.max_traced,
         )
         if store is not None and not args.no_telemetry:
@@ -341,8 +336,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         print(f"transitions   : {report.transitions_explored}")
         print(f"max depth     : {report.max_depth}")
         print(f"quiescent     : {report.quiescent_states}")
-        print(f"workers       : {report.workers}"
-              + (" [vectorised]" if report.vectorized else "")
+        print("engine        : " + ("compiled" if report.vectorized else "generic")
               + (" [symmetry-reduced]" if report.symmetry_reduced else "")
               + (" [spilled]" if report.spilled else ""))
         print(f"wall time     : {report.wall_time_s:.2f}s")
@@ -843,7 +837,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     check_parser = subparsers.add_parser(
         "check",
-        help="exhaustively model-check one algorithm with the sharded engine",
+        help="exhaustively model-check one algorithm",
     )
     check_parser.add_argument("--algorithm", choices=sorted(ALGORITHMS), default="pr")
     check_parser.add_argument("--topology", choices=TOPOLOGIES, default="chain")
@@ -853,8 +847,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    f"({','.join(CHECK_INVARIANTS)})")
     check_parser.add_argument("--max-states", type=int, default=1_000_000,
                               help="truncation bound on distinct states")
-    check_parser.add_argument("--workers", type=int, default=1,
-                              help="shard the signature space over this many processes")
     check_parser.add_argument("--single-actions", action="store_true",
                               help="restrict PR to singleton reverse({u}) actions")
     check_parser.add_argument("--symmetry", action="store_true",
@@ -863,19 +855,12 @@ def build_parser() -> argparse.ArgumentParser:
     check_parser.add_argument("--spill", action="store_true",
                               help="spill the visited set to disk beyond --spill-threshold")
     check_parser.add_argument("--spill-threshold", type=int, default=1_000_000,
-                              help="in-memory signatures per worker before spilling")
+                              help="in-memory signatures before spilling")
     check_parser.add_argument("--spill-dir", default=None,
                               help="directory for spill runs (default: a temp dir)")
     check_parser.add_argument("--spill-max-runs", type=int, default=8,
                               help="compact spill runs down to one once more than "
-                                   "this many accumulate (batch engine only)")
-    check_parser.add_argument("--vectorized", choices=("auto", "always", "never"),
-                              default="auto",
-                              help="frontier engine: 'auto' batches whole BFS rounds "
-                                   "through the numpy kernels when signatures fit 64 "
-                                   "bits (falling back to scalar otherwise), 'always' "
-                                   "errors instead of falling back, 'never' forces "
-                                   "the scalar path; verdicts are identical either way")
+                                   "this many accumulate")
     check_parser.add_argument("--no-telemetry", action="store_true",
                               help="skip the metrics/span sidecar (telemetry.jsonl) "
                                    "when writing to --store")

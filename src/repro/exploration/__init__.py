@@ -5,10 +5,11 @@ This package turns those universally-quantified claims into machine-checked
 facts at the largest instance sizes the hardware allows:
 
 * :class:`~repro.exploration.checker.ModelChecker` — the production engine:
-  breadth-first exploration directly over compact int state signatures (no
-  state materialisation on the hot path), with a sharded multiprocessing
-  mode, twin-node symmetry reduction, an optional disk-spilled visited set
-  and first-class counterexample traces.  Surfaced as ``repro check``;
+  one compiled breadth-first loop over signature rows of any width (no state
+  materialisation on the hot path), with twin-node symmetry reduction, an
+  optional disk-spilled visited set and first-class counterexample traces,
+  plus a generic loop for automata without a compiled kernel.  Surfaced as
+  ``repro check``;
 * :class:`~repro.exploration.state_space.StateSpaceExplorer` — the simple
   state-materialising reference explorer, kept as the oracle the production
   engine is differentially tested against;

@@ -1,32 +1,31 @@
-"""Parallel exhaustive model checker over compact int state signatures.
+"""Exhaustive model checker over compact state signatures.
 
 :class:`ModelChecker` is the production engine behind ``repro check``.  It
 explores every reachable state of an automaton breadth-first, working
-directly on the int signatures from :mod:`repro.exploration.frontier` (no
-state materialisation on the hot path), and offers:
+directly on signature rows from :mod:`repro.kernels.vector` (no state
+materialisation on the hot path), and offers:
 
 * **per-state invariant hooks** — the bundles from
   :mod:`repro.verification.invariants` plus two built-in signature-level
-  checks: ``acyclic`` (Theorems 4.3/5.5, checked with a mask-only Kahn scan)
-  and ``progress`` (every quiescent state is destination oriented — the
-  termination/goal condition of link reversal);
+  checks: ``acyclic`` (Theorems 4.3/5.5, checked with a bit-parallel Kahn
+  peel) and ``progress`` (every quiescent state is destination oriented —
+  the termination/goal condition of link reversal);
 * **counterexample extraction** — predecessor pointers are kept per state,
   and any predicate violation is reconstructed into a replayable
   :class:`~repro.exploration.counterexample.CounterexampleTrace`;
-* **sharded exploration** — with ``workers >= 2`` the signature space is
-  hash-partitioned across worker processes that exchange cross-shard
-  frontier entries in BFS rounds (each worker owns the signatures hashing to
-  its shard, dedups them locally, and routes successors to their owners);
 * **twin-node symmetry reduction** (``symmetry=True``) and a **disk-spilled
-  visited set** (``spill_threshold=...``) for explorations beyond what a
-  Python set can hold.
+  visited set** (``spill_threshold=...``) for explorations beyond what
+  memory can hold.
 
-Semantics match the legacy :class:`~repro.exploration.state_space
-.StateSpaceExplorer` exactly in single-process mode — same BFS order, same
-state/transition/depth/quiescence accounting, same truncation behaviour —
-which the differential regression tests pin down.  Automata without a
-compiled kernel fall back to a generic state-materialising path (single
-process, no spill).
+There are two loops.  The compiled loop expands one whole BFS level per
+round through the batch kernels; it runs PR / OneStepPR / NewPR / FR on
+instances of at most :data:`~repro.kernels.vector.MAX_NODES` nodes, with
+signatures of any width.  The generic loop materialises states and serves
+every other automaton and larger instance (no spill, no symmetry).  Both
+match the reference :class:`~repro.exploration.state_space
+.StateSpaceExplorer` exactly — same BFS order, same
+state/transition/depth/quiescence accounting, same truncation behaviour,
+same failure order — which the differential regression tests pin down.
 """
 
 from __future__ import annotations
@@ -35,31 +34,23 @@ import logging
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Set, Tuple
+from typing import Any, Dict, Hashable, List, Mapping, Optional, Set, Tuple
 
-try:  # the vectorised frontier path needs numpy; scalar paths do not
-    import numpy as np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro import telemetry as _telemetry
-from repro._mp import fork_preferring_context
 from repro.automata.ioa import IOAutomaton
 from repro.exploration.counterexample import CounterexampleTrace
-from repro.exploration.frontier import (
-    SignatureExpander,
-    VisitedSet,
-    compile_expander,
-    mask_is_acyclic,
-    mask_is_destination_oriented,
-    shard_of,
-)
+from repro.exploration.frontier import VisitedSet, compile_expander
 from repro.kernels.vector import (
+    MAX_NODES,
     compile_vector_expander,
     decode_token,
+    int_rows,
     mask_is_acyclic_batch,
     mask_is_destination_oriented_batch,
-    shard_of_batch,
+    row_ints,
+    row_keys,
 )
 from repro.exploration.state_space import (
     PredicateFailure,
@@ -75,9 +66,9 @@ PROGRESS = "progress"
 
 _PROGRESS_DETAIL = "quiescent state is not destination oriented"
 
-#: Deferred-acyclicity batch size on the vectorised path: when no other
-#: failure source can interleave, freshly discovered states are buffered
-#: across rounds and Kahn-checked in bulk once this many accumulate.
+#: Deferred-acyclicity batch size: when no other failure source can
+#: interleave, freshly discovered states are buffered across rounds and
+#: Kahn-checked in bulk once this many accumulate.
 _ACYCLIC_BATCH = 4096
 
 
@@ -93,10 +84,9 @@ class CheckReport:
     max_depth: int = 0
     failures: List[PredicateFailure] = field(default_factory=list)
     predicate_names: Tuple[str, ...] = ()
-    workers: int = 1
     symmetry_reduced: bool = False
     spilled: bool = False
-    #: Whether the vectorised (whole-frontier numpy) engine ran this check.
+    #: Whether the compiled (whole-frontier numpy) loop ran this check.
     vectorized: bool = False
     wall_time_s: float = 0.0
     #: Populated only when ``collect_signatures=True`` (test instrumentation).
@@ -113,8 +103,6 @@ class CheckReport:
         status = "OK" if self.all_predicates_hold else f"{len(self.failures)} FAILURE(S)"
         suffix = " (truncated)" if self.truncated else ""
         extras = []
-        if self.workers > 1:
-            extras.append(f"{self.workers} workers")
         if self.symmetry_reduced:
             extras.append("symmetry-reduced")
         if self.vectorized:
@@ -154,7 +142,6 @@ class CheckReport:
             "truncated": self.truncated,
             "violations": len(self.failures),
             "predicates": list(self.predicate_names),
-            "workers": self.workers,
             "symmetry_reduced": self.symmetry_reduced,
             "spilled": self.spilled,
             "vectorized": self.vectorized,
@@ -174,365 +161,19 @@ class CheckReport:
 
 
 # ----------------------------------------------------------------------
-# shared per-state evaluation
-# ----------------------------------------------------------------------
-def _discovery_failures(
-    sig: Hashable,
-    expander: SignatureExpander,
-    predicates: Mapping[str, StatePredicate],
-    check_acyclicity: bool,
-) -> List[Tuple[Hashable, str, str]]:
-    """Evaluate the discovery-time checks on one signature."""
-    failures: List[Tuple[Hashable, str, str]] = []
-    if check_acyclicity:
-        mask = expander.orientation_mask(sig)
-        if not mask_is_acyclic(expander.instance, mask):
-            cycle = expander.state_for(sig).orientation.find_cycle()
-            failures.append(
-                (sig, ACYCLIC, "cycle: " + " -> ".join(map(str, cycle)))
-            )
-    if predicates:
-        state = expander.state_for(sig)
-        for name, predicate in predicates.items():
-            holds, detail = _predicate_outcome(predicate(state))
-            if not holds:
-                failures.append((sig, name, detail))
-    return failures
-
-
-# ----------------------------------------------------------------------
-# sharded worker process
-# ----------------------------------------------------------------------
-def _shard_worker(
-    conn,
-    index: int,
-    shards: int,
-    automaton: IOAutomaton,
-    predicates: Mapping[str, StatePredicate],
-    options: Dict[str, Any],
-) -> None:
-    """Own one hash-shard of signature space; driven round-by-round by the parent.
-
-    Protocol (parent → worker, worker replies on the same pipe):
-
-    * ``("round", entries)`` — ``entries`` are ``(sig, parent_sig, token)``
-      triples routed to this shard.  The worker dedups them against its
-      visited set, records predecessor pointers, runs the discovery checks,
-      expands the fresh signatures and replies with
-      ``(new, transitions, quiescent, out_by_owner, failures)``.
-    * ``("probe", entries)`` — read-only: replies with how many entries are
-      genuinely new (absent from the visited set, deduped within the batch)
-      *without* inserting them, so the visited set keeps matching
-      ``states_explored``.  Used to decide whether hitting ``max_states``
-      with a pending frontier actually truncated anything.
-    * ``("parent_of", sig)`` — replies with the stored ``(parent, token)``.
-    * ``("signatures",)`` — replies with the full visited set (tests only).
-    * ``("stats",)`` — replies with ``{"spilled_runs": int}``.
-    * ``("stop",)`` — terminates the worker loop.
-
-    Any exception while handling a message is shipped back as a
-    ``("__shard_error__", detail)`` reply instead of killing the process,
-    so the parent can raise a diagnosable error rather than an EOF.
-    """
-    expander = compile_expander(automaton, options["single_actions_only"])
-    symmetry = options["symmetry"]
-    check_acyclicity = options["check_acyclicity"]
-    check_progress = options["check_progress"]
-    spill_threshold = options["spill_threshold"]
-    visited = VisitedSet(
-        key_bytes=(expander.signature_bits + 7) // 8 if spill_threshold else None,
-        spill_threshold=spill_threshold,
-        spill_dir=options["spill_dir"],
-        max_runs=options.get("spill_max_runs", 8),
-    )
-    if options.get("vectorized"):
-        vector = compile_vector_expander(expander, symmetry)
-        if vector is None:  # pragma: no cover - parent compiled the same gate
-            conn.send(("__shard_error__", "vector kernel unavailable in worker"))
-            return
-        _shard_worker_vector(conn, index, shards, expander, vector, predicates,
-                             options, visited)
-        return
-    predecessors: Optional[Dict[Hashable, Tuple]] = {} if options["track_traces"] else None
-    instance = expander.instance
-
-    while True:
-        message = conn.recv()
-        kind = message[0]
-        try:
-            if kind == "round":
-                new = transitions = quiescent = 0
-                out: Dict[int, List[Tuple[Hashable, Hashable, Tuple[int, ...]]]] = {}
-                failures: List[Tuple[Hashable, str, str]] = []
-                fresh: List[Hashable] = []
-                for sig, parent, token in message[1]:
-                    if not visited.add(sig):
-                        continue
-                    if predecessors is not None:
-                        predecessors[sig] = (parent, token)
-                    new += 1
-                    fresh.append(sig)
-                    failures.extend(
-                        _discovery_failures(sig, expander, predicates, check_acyclicity)
-                    )
-                routed: set = set()  # round-local dedup of outgoing frontier entries
-                for sig in fresh:
-                    successors = expander.successors(sig)
-                    if not successors:
-                        quiescent += 1
-                        if check_progress and not mask_is_destination_oriented(
-                            instance, expander.orientation_mask(sig)
-                        ):
-                            failures.append((sig, PROGRESS, _PROGRESS_DETAIL))
-                        continue
-                    for token, successor in successors:
-                        transitions += 1
-                        if symmetry:
-                            successor = expander.canonicalize(successor)
-                        if successor in routed:
-                            continue
-                        owner = shard_of(successor, shards)
-                        if owner == index and successor in visited:
-                            continue
-                        routed.add(successor)
-                        out.setdefault(owner, []).append((successor, sig, token))
-                conn.send((new, transitions, quiescent, out, failures))
-            elif kind == "probe":
-                batch: set = set()
-                for sig, _parent, _token in message[1]:
-                    if sig not in visited:
-                        batch.add(sig)
-                conn.send(len(batch))
-            elif kind == "parent_of":
-                conn.send(
-                    predecessors.get(message[1]) if predecessors is not None else None
-                )
-            elif kind == "signatures":
-                conn.send(set(visited))
-            elif kind == "stats":
-                conn.send({"spilled_runs": visited.spilled_runs})
-            else:  # "stop"
-                visited.close()
-                conn.close()
-                return
-        except Exception as error:  # noqa: BLE001 — ship the failure to the parent
-            conn.send(("__shard_error__", f"{type(error).__name__}: {error}"))
-
-
-def _shard_worker_vector(
-    conn,
-    index: int,
-    shards: int,
-    expander: SignatureExpander,
-    vector,
-    predicates: Mapping[str, StatePredicate],
-    options: Dict[str, Any],
-    visited: VisitedSet,
-) -> None:
-    """Vector twin of the :func:`_shard_worker` message loop.
-
-    Same protocol, but frontier entries travel as ``(sigs, parent_sigs,
-    tokens)`` uint64 array triples instead of per-entry tuples — a token of
-    0 marks the root entry.  One extra message exists: ``("drain",)``
-    flushes the worker's deferred acyclicity buffer and replies with any
-    remaining failures, sent by the parent once the BFS ends and before
-    traces are collected.
-    """
-    check_acyclicity = options["check_acyclicity"]
-    check_progress = options["check_progress"]
-    instance = expander.instance
-    edge_mask = np.uint64(expander._edge_mask)
-    predecessors = _ArrayPredecessors() if options["track_traces"] else None
-    defer_acyclic = check_acyclicity and not predicates and not check_progress
-    pending: List = []
-    pending_count = 0
-
-    def flush_acyclic(failures: List[Tuple[Hashable, str, str]]) -> None:
-        nonlocal pending_count
-        if not pending:
-            return
-        sigs = np.concatenate(pending) if len(pending) > 1 else pending[0]
-        pending.clear()
-        pending_count = 0
-        good = mask_is_acyclic_batch(instance, sigs & edge_mask)
-        for sig in sigs[~good]:
-            sig = int(sig)
-            cycle = expander.state_for(sig).orientation.find_cycle()
-            failures.append(
-                (sig, ACYCLIC, "cycle: " + " -> ".join(map(str, cycle)))
-            )
-
-    while True:
-        message = conn.recv()
-        kind = message[0]
-        try:
-            if kind == "round":
-                sigs, parent_sigs, tokens = message[1]
-                new = transitions = quiescent_count = 0
-                out: Dict[int, Tuple] = {}
-                failures: List[Tuple[Hashable, str, str]] = []
-                if sigs.size:
-                    unique, first_index = np.unique(sigs, return_index=True)
-                    known = visited.contains_many(unique)
-                    new_first = np.sort(first_index[~known])
-                    fresh = sigs[new_first]
-                    visited.update_sorted(unique[~known])
-                    new = int(fresh.size)
-                else:
-                    fresh = sigs
-                if new:
-                    if predecessors is not None:
-                        predecessors.append_round(
-                            fresh, parent_sigs[new_first], tokens[new_first]
-                        )
-                    # discovery checks in scalar order: per fresh signature,
-                    # acyclicity first, then each predicate
-                    events: List[Tuple[int, int, Tuple]] = []
-                    if check_acyclicity:
-                        if defer_acyclic:
-                            pending.append(fresh)
-                            pending_count += new
-                            if pending_count >= _ACYCLIC_BATCH:
-                                flush_acyclic(failures)
-                        else:
-                            good = mask_is_acyclic_batch(
-                                instance, fresh & edge_mask
-                            )
-                            for k in np.flatnonzero(~good):
-                                sig = int(fresh[int(k)])
-                                cycle = (
-                                    expander.state_for(sig)
-                                    .orientation.find_cycle()
-                                )
-                                events.append(
-                                    (
-                                        int(k),
-                                        0,
-                                        (
-                                            sig,
-                                            ACYCLIC,
-                                            "cycle: "
-                                            + " -> ".join(map(str, cycle)),
-                                        ),
-                                    )
-                                )
-                    if predicates:
-                        for k in range(new):
-                            state = expander.state_for(int(fresh[k]))
-                            for check, (name, predicate) in enumerate(
-                                predicates.items(), start=1
-                            ):
-                                holds, detail = _predicate_outcome(
-                                    predicate(state)
-                                )
-                                if not holds:
-                                    events.append(
-                                        (k, check, (int(fresh[k]), name, detail))
-                                    )
-                    if events:
-                        events.sort(key=lambda event: event[:2])
-                        failures.extend(event[2] for event in events)
-                    expansion = vector.expand(fresh)
-                    transitions = int(expansion.successors.size)
-                    quiescent_count = int(expansion.quiescent.size)
-                    if check_progress and expansion.quiescent.size:
-                        oriented = mask_is_destination_oriented_batch(
-                            instance, fresh[expansion.quiescent] & edge_mask
-                        )
-                        for position in expansion.quiescent[~oriented]:
-                            failures.append(
-                                (
-                                    int(fresh[int(position)]),
-                                    PROGRESS,
-                                    _PROGRESS_DETAIL,
-                                )
-                            )
-                    if transitions:
-                        # round-local dedup: keep the first emission of each
-                        # successor, exactly like the scalar ``routed`` set
-                        keep_order = np.sort(
-                            np.unique(expansion.successors, return_index=True)[1]
-                        )
-                        routed_sigs = expansion.successors[keep_order]
-                        routed_parents = fresh[expansion.parents[keep_order]]
-                        routed_tokens = expansion.tokens[keep_order]
-                        owners = shard_of_batch(routed_sigs, shards)
-                        keep = np.ones(routed_sigs.size, dtype=bool)
-                        mine = owners == index
-                        if mine.any():
-                            # self-owned successors can be filtered against
-                            # the local visited set before shipping
-                            values = routed_sigs[mine]
-                            order = np.argsort(values, kind="stable")
-                            hit = visited.contains_many(values[order])
-                            unhit = np.empty(values.size, dtype=bool)
-                            unhit[order] = ~hit
-                            keep[np.flatnonzero(mine)] = unhit
-                        if not keep.all():
-                            routed_sigs = routed_sigs[keep]
-                            routed_parents = routed_parents[keep]
-                            routed_tokens = routed_tokens[keep]
-                            owners = owners[keep]
-                        for owner in np.unique(owners):
-                            selection = owners == owner
-                            out[int(owner)] = (
-                                routed_sigs[selection],
-                                routed_parents[selection],
-                                routed_tokens[selection],
-                            )
-                conn.send((new, transitions, quiescent_count, out, failures))
-            elif kind == "probe":
-                probe_sigs = message[1]
-                count = 0
-                if probe_sigs.size:
-                    unique = np.unique(probe_sigs)
-                    count = int((~visited.contains_many(unique)).sum())
-                conn.send(count)
-            elif kind == "drain":
-                drained: List[Tuple[Hashable, str, str]] = []
-                flush_acyclic(drained)
-                conn.send(drained)
-            elif kind == "parent_of":
-                conn.send(
-                    predecessors.get(message[1]) if predecessors is not None else None
-                )
-            elif kind == "signatures":
-                conn.send(set(visited))
-            elif kind == "stats":
-                conn.send({"spilled_runs": visited.spilled_runs, **visited.stats})
-            else:  # "stop"
-                visited.close()
-                conn.close()
-                return
-        except Exception as error:  # noqa: BLE001 — ship the failure to the parent
-            conn.send(("__shard_error__", f"{type(error).__name__}: {error}"))
-
-
-def _shard_recv(connection):
-    """Receive a worker reply, surfacing shipped worker exceptions."""
-    reply = connection.recv()
-    if isinstance(reply, tuple) and len(reply) == 2 and reply[0] == "__shard_error__":
-        raise RuntimeError(f"shard worker failed: {reply[1]}")
-    return reply
-
-
-# ----------------------------------------------------------------------
-# lazy predecessor store for the vectorised paths
+# lazy predecessor store for the compiled loop
 # ----------------------------------------------------------------------
 class _ArrayPredecessors:
     """Predecessor pointers kept as per-round arrays, decoded lazily.
 
-    The vectorised paths discover thousands of states per round; a dict
-    entry per state would reintroduce the per-state Python cost the batch
-    engine removes.  Rounds are appended as raw arrays and only materialised
-    into a lookup table when a counterexample actually needs a predecessor
-    walk — failures are the rare case, clean runs never pay.
-
-    A token of 0 marks a root entry (the initial state has no actors), so
-    the sharded exchange can ship roots in the same array triple.
+    The compiled loop discovers thousands of states per round; a dict entry
+    per state would reintroduce the per-state Python cost the batch engine
+    removes.  Rounds are appended as raw arrays and only materialised into a
+    lookup table when a counterexample actually needs a predecessor walk —
+    failures are the rare case, clean runs never pay.
     """
 
-    def __init__(self, initial: Optional[int] = None):
+    def __init__(self, initial: int):
         self._rounds: List[Tuple] = []
         self._table: Optional[Dict] = None
         self._initial = initial
@@ -543,16 +184,12 @@ class _ArrayPredecessors:
 
     def get(self, sig: int) -> Optional[Tuple]:
         if self._table is None:
-            table: Dict = {}
-            if self._initial is not None:
-                table[self._initial] = (None, None)
+            table: Dict = {self._initial: (None, None)}
             for sigs, parent_sigs, tokens in self._rounds:
                 for value, parent, token in zip(
-                    sigs.tolist(), parent_sigs.tolist(), tokens.tolist()
+                    row_ints(sigs), row_ints(parent_sigs), tokens.tolist()
                 ):
-                    table[value] = (
-                        (None, None) if token == 0 else (parent, decode_token(token))
-                    )
+                    table[value] = (parent, decode_token(token))
             self._table = table
         return self._table.get(sig)
 
@@ -561,54 +198,39 @@ class _ArrayPredecessors:
 # the checker
 # ----------------------------------------------------------------------
 class ModelChecker:
-    """Exhaustive BFS model checker with sharding, symmetry and spill.
+    """Exhaustive BFS model checker with symmetry reduction and spill.
 
     Parameters
     ----------
     automaton:
-        The automaton to explore.  PR / OneStepPR / NewPR / FR run on
-        compiled signature kernels; anything else uses the generic
-        state-materialising path (single process only).
+        The automaton to explore.  PR / OneStepPR / NewPR / FR on at most
+        :data:`~repro.kernels.vector.MAX_NODES` nodes run on the compiled
+        loop; anything else uses the generic state-materialising loop.
     predicates:
         Named state predicates (the bundles from
         :mod:`repro.verification.invariants`), evaluated on every newly
         discovered state.  These decode the state; the built-in checks below
         do not.
     max_states:
-        Truncation bound on distinct states, mirroring the legacy explorer.
-    workers:
-        ``>= 2`` enables the sharded multiprocessing mode (hash-partitioned
-        signature space, round-based frontier exchange).  For exhaustive
-        (untruncated) runs the visited sets, counts and failure sets are
-        identical to a single-process run; when ``max_states`` binds, the
-        sharded cap is round-granular (the count may overshoot slightly and
-        an exactly-exhausting final round reports a complete run).
+        Truncation bound on distinct states (at least 1), mirroring the
+        reference explorer.
     single_actions_only:
         Restrict PR to singleton ``reverse({u})`` actions (the
-        OneStepPR-reachable subset), exactly like the legacy flag.
+        OneStepPR-reachable subset), exactly like the reference flag.
     symmetry:
         Canonicalise every signature over twin-node permutations before
         deduplication.  Sound for label-invariant predicates; see
-        :mod:`repro.exploration.frontier` for the argument and caveats.
+        :mod:`repro.kernels.signature` for the argument and caveats.
+        Compiled loop only.
     check_acyclicity / check_progress:
         Built-in signature-level checks: every state's orientation is a DAG;
         every quiescent state is destination oriented.
     spill_threshold / spill_dir:
         Enable the disk-spilled visited set once the in-memory set reaches
-        the threshold (per worker, in sharded mode).
+        the threshold.  Compiled loop only.
     spill_max_runs:
         Compact the spilled sorted runs into one whenever more than this
-        many accumulate (the delta-run compaction knob; ``None`` disables).
-    vectorized:
-        ``"auto"`` (default) runs the whole-frontier numpy engine whenever
-        the signature fits one 64-bit lane (see
-        :func:`repro.kernels.vector.compile_vector_expander` for the exact
-        gate; with ``symmetry`` the batch engine canonicalises whole
-        successor columns), falling back to the scalar expanders
-        otherwise.  ``"never"`` forces the scalar path; ``"always"``
-        raises if the batch engine cannot run.  Counts,
-        visited sets, traces and truncation points are identical between
-        the two engines (differentially pinned); only throughput differs.
+        many accumulate (``None`` disables).
     track_traces:
         Keep predecessor pointers so violations come back as replayable
         counterexample traces.  Disable to halve memory on huge clean runs.
@@ -624,7 +246,6 @@ class ModelChecker:
         predicates: Optional[Mapping[str, StatePredicate]] = None,
         *,
         max_states: int = 1_000_000,
-        workers: int = 1,
         single_actions_only: bool = False,
         symmetry: bool = False,
         check_acyclicity: bool = False,
@@ -632,15 +253,15 @@ class ModelChecker:
         spill_threshold: Optional[int] = None,
         spill_dir: Optional[str] = None,
         spill_max_runs: Optional[int] = 8,
-        vectorized: str = "auto",
         track_traces: bool = True,
         collect_signatures: bool = False,
         max_traced_failures: int = 25,
     ):
+        if max_states < 1:
+            raise ValueError(f"max_states must be at least 1, got {max_states}")
         self.automaton = automaton
         self.predicates = dict(predicates or {})
         self.max_states = max_states
-        self.workers = max(1, workers)
         self.single_actions_only = single_actions_only
         self.symmetry = symmetry
         self.check_acyclicity = check_acyclicity
@@ -648,42 +269,22 @@ class ModelChecker:
         self.spill_threshold = spill_threshold
         self.spill_dir = spill_dir
         self.spill_max_runs = spill_max_runs
-        if isinstance(vectorized, bool):  # ergonomic alias
-            vectorized = "always" if vectorized else "never"
-        if vectorized not in ("auto", "always", "never"):
-            raise ValueError(
-                f"vectorized must be 'auto', 'always' or 'never', got {vectorized!r}"
-            )
-        self.vectorized = vectorized
         self.track_traces = track_traces
         self.collect_signatures = collect_signatures
         self.max_traced_failures = max_traced_failures
-        self._expander = compile_expander(automaton, single_actions_only)
-        self._vector = None
-        if vectorized != "never":
-            self._vector = compile_vector_expander(self._expander, symmetry)
-        if vectorized == "always" and self._vector is None:
-            raise ValueError(
-                "vectorized='always' but the batch engine cannot run here "
-                "(no compiled kernel, a signature wider than 64 bits, more "
-                "than 64 nodes, or a PR/OneStepPR node of degree above the "
-                "step-table limit)"
-            )
-        if self._expander is None:
-            if self.workers > 1:
-                raise ValueError(
-                    f"sharded exploration requires a compiled signature kernel "
-                    f"(PR/OneStepPR/NewPR/FR); {automaton.name!r} has none"
-                )
-            if self.symmetry:
-                raise ValueError(
-                    "symmetry reduction requires a compiled signature kernel"
-                )
-            if self.spill_threshold is not None:
-                raise ValueError(
-                    "disk spill requires a compiled signature kernel "
-                    "(generic signatures have no fixed width)"
-                )
+        self._vector = compile_vector_expander(
+            compile_expander(automaton, single_actions_only), symmetry
+        )
+        self._expander = self._vector.scalar if self._vector is not None else None
+        if self._vector is None:
+            for wanted, feature in ((symmetry, "symmetry reduction"),
+                                    (spill_threshold is not None, "disk spill")):
+                if wanted:
+                    raise ValueError(
+                        f"{feature} requires a compiled signature kernel "
+                        f"(PR, OneStepPR, NewPR or FR on at most {MAX_NODES} "
+                        f"nodes); {automaton.name!r} runs on the generic loop"
+                    )
 
     # ------------------------------------------------------------------
     def run(self) -> CheckReport:
@@ -697,20 +298,11 @@ class ModelChecker:
         report = CheckReport(
             automaton_name=self.automaton.name,
             predicate_names=tuple(names),
-            workers=self.workers,
-            symmetry_reduced=bool(
-                self.symmetry and self._expander is not None and self._expander.has_symmetry
-            ),
+            symmetry_reduced=bool(self.symmetry and self._vector is not None
+                                  and self._expander.has_symmetry),
         )
-        if self.workers > 1:
-            if self._vector is not None:
-                self._run_sharded(report, vector=True)
-            else:
-                self._run_sharded(report)
-        elif self._vector is not None:
+        if self._vector is not None:
             self._run_vector(report)
-        elif self._expander is not None:
-            self._run_compiled(report)
         else:
             self._run_generic(report)
         report.wall_time_s = time.perf_counter() - start
@@ -739,99 +331,23 @@ class ModelChecker:
         return report
 
     # ------------------------------------------------------------------
-    # single-process compiled path
-    # ------------------------------------------------------------------
-    def _run_compiled(self, report: CheckReport) -> None:
-        expander = self._expander
-        initial = expander.initial_signature()
-        if self.symmetry:
-            initial = expander.canonicalize(initial)
-        visited = VisitedSet(
-            key_bytes=(expander.signature_bits + 7) // 8 if self.spill_threshold else None,
-            spill_threshold=self.spill_threshold,
-            spill_dir=self.spill_dir,
-            max_runs=self.spill_max_runs,
-        )
-        visited.add(initial)
-        report.states_explored = 1
-        predecessors: Optional[Dict] = {initial: (None, None)} if self.track_traces else None
-        try:
-            raw_failures = _discovery_failures(
-                initial, expander, self.predicates, self.check_acyclicity
-            )
-
-            queue: deque = deque()
-            queue.append((initial, 0))
-            while queue:
-                sig, depth = queue.popleft()
-                if depth > report.max_depth:
-                    report.max_depth = depth
-                    if _telemetry.ENABLED:
-                        # one frontier-size sample per BFS level, not per state
-                        _telemetry.REGISTRY.observe(
-                            "checker.frontier", len(queue) + 1
-                        )
-                successors = expander.successors(sig)
-                if not successors:
-                    report.quiescent_states += 1
-                    if self.check_progress and not mask_is_destination_oriented(
-                        expander.instance, expander.orientation_mask(sig)
-                    ):
-                        raw_failures.append((sig, PROGRESS, _PROGRESS_DETAIL))
-                    continue
-                for token, successor in successors:
-                    report.transitions_explored += 1
-                    if self.symmetry:
-                        successor = expander.canonicalize(successor)
-                    if report.states_explored >= self.max_states:
-                        # at the cap, mirror the legacy explorer exactly: a
-                        # pure membership probe (no insertion) so that any
-                        # genuinely new successor truncates the run while
-                        # collect_signatures stays consistent with
-                        # states_explored
-                        if successor in visited:
-                            continue
-                        report.truncated = True
-                        queue.clear()
-                        break
-                    if not visited.add(successor):
-                        continue
-                    report.states_explored += 1
-                    if predecessors is not None:
-                        predecessors[successor] = (sig, token)
-                    raw_failures.extend(
-                        _discovery_failures(
-                            successor, expander, self.predicates, self.check_acyclicity
-                        )
-                    )
-                    queue.append((successor, depth + 1))
-
-            report.spilled = visited.spilled_runs > 0
-            report.spill_stats = visited.stats
-            if self.collect_signatures:
-                report.signatures = set(visited)
-        finally:
-            visited.close()
-        self._attach_failures(report, raw_failures, predecessors)
-
-    # ------------------------------------------------------------------
-    # single-process vectorised path
+    # the compiled loop
     # ------------------------------------------------------------------
     def _run_vector(self, report: CheckReport) -> None:
-        """Whole-frontier BFS: one numpy round per level, scalar-exact.
+        """Whole-frontier BFS: one numpy round per level, reference-exact.
 
-        Every accounting decision the scalar loop takes per state is taken
-        here per round, in a way provably equal to the scalar outcome:
+        Every accounting decision the reference explorer takes per state is
+        taken here per round, in a way provably equal to its outcome:
 
         * successors come out of the batch expander in exact scalar
           generation order, so ``np.unique``'s first-occurrence indices pick
-          the same predecessor/token the scalar FIFO would have;
+          the same predecessor/token the reference FIFO would have;
         * truncation is emulated per state: the first genuinely-new
           successor past ``max_states`` is located inside the round and
           transitions/quiescents are only counted up to that point;
         * failure ordering is reconstructed by sorting round events on
           (frontier position, emission position, check index) — the order
-          the scalar loop emits them in.  Acyclicity is Kahn-checked as a
+          the reference emits them in.  Acyclicity is Kahn-checked as a
           batch mask; when no predicate can interleave it is additionally
           deferred across rounds in :data:`_ACYCLIC_BATCH` buffers.
         """
@@ -839,17 +355,16 @@ class ModelChecker:
         vector = self._vector
         instance = expander.instance
         report.vectorized = True
-        edge_mask = np.uint64(expander._edge_mask)
         initial = expander.initial_signature()
         if self.symmetry:
             initial = expander.canonicalize(initial)
+        frontier = int_rows([initial], vector.words)
         visited = VisitedSet(
-            key_bytes=(expander.signature_bits + 7) // 8 if self.spill_threshold else None,
             spill_threshold=self.spill_threshold,
             spill_dir=self.spill_dir,
             max_runs=self.spill_max_runs,
         )
-        visited.add(initial)
+        visited.update_sorted(row_keys(frontier))
         report.states_explored = 1
         predecessors = _ArrayPredecessors(initial) if self.track_traces else None
         raw_failures: List[Tuple[Hashable, str, str]] = []
@@ -863,6 +378,10 @@ class ModelChecker:
         pending: List = []
         pending_count = 0
 
+        def cycle_failure(sig: int) -> Tuple[Hashable, str, str]:
+            cycle = expander.state_for(sig).orientation.find_cycle()
+            return (sig, ACYCLIC, "cycle: " + " -> ".join(map(str, cycle)))
+
         def flush_acyclic() -> None:
             nonlocal pending_count
             if not pending:
@@ -870,51 +389,66 @@ class ModelChecker:
             sigs = np.concatenate(pending) if len(pending) > 1 else pending[0]
             pending.clear()
             pending_count = 0
-            good = mask_is_acyclic_batch(instance, sigs & edge_mask)
-            for sig in sigs[~good]:
-                sig = int(sig)
-                cycle = expander.state_for(sig).orientation.find_cycle()
-                raw_failures.append(
-                    (sig, ACYCLIC, "cycle: " + " -> ".join(map(str, cycle)))
-                )
+            bad = sigs[~mask_is_acyclic_batch(instance, sigs)]
+            raw_failures.extend(cycle_failure(sig) for sig in row_ints(bad))
+
+        def discover(new_sigs, parents, positions, events) -> None:
+            """Queue the discovery checks of the states one round accepted."""
+            nonlocal pending_count
+            if self.check_acyclicity:
+                if defer_acyclic:
+                    pending.append(new_sigs)
+                    pending_count += len(new_sigs)
+                    if pending_count >= _ACYCLIC_BATCH:
+                        flush_acyclic()
+                else:
+                    bad = np.flatnonzero(~mask_is_acyclic_batch(instance, new_sigs))
+                    for k, sig in zip(bad.tolist(), row_ints(new_sigs[bad])):
+                        events.append(
+                            (int(parents[k]), int(positions[k]), 0, cycle_failure(sig))
+                        )
+            if self.predicates:
+                for k, sig in enumerate(row_ints(new_sigs)):
+                    state = expander.state_for(sig)
+                    for check, (name, predicate) in enumerate(
+                        self.predicates.items(), start=1
+                    ):
+                        holds, detail = _predicate_outcome(predicate(state))
+                        if not holds:
+                            events.append(
+                                (int(parents[k]), int(positions[k]), check,
+                                 (sig, name, detail))
+                            )
 
         try:
-            if defer_acyclic:
-                pending.append(np.array([initial], dtype=np.uint64))
-                pending_count = 1
-            else:
-                raw_failures.extend(
-                    _discovery_failures(
-                        initial, expander, self.predicates, self.check_acyclicity
-                    )
-                )
-            frontier = np.array([initial], dtype=np.uint64)
+            # events: (frontier pos, emission pos, check idx, failure)
+            events: List[Tuple[int, int, int, Tuple]] = []
+            discover(frontier, [0], [0], events)
             depth = 0
-            while frontier.size:
+            while True:
+                if events:
+                    events.sort(key=lambda event: event[:3])
+                    raw_failures.extend(event[3] for event in events)
+                    events = []
+                if not len(frontier):
+                    break
                 report.max_depth = depth
                 if _telemetry.ENABLED:
-                    _telemetry.REGISTRY.observe("checker.frontier", frontier.size)
+                    _telemetry.REGISTRY.observe("checker.frontier", len(frontier))
                     _telemetry.REGISTRY.inc("checker.batch_rounds")
                 expansion = vector.expand(frontier)
                 successors = expansion.successors
                 parents = expansion.parents
-                # events: (frontier pos, emission pos, check idx, failure)
-                events: List[Tuple[int, int, int, Tuple]] = []
-                if successors.size:
-                    unique, first_index, _ = np.unique(
-                        successors, return_index=True, return_inverse=True
-                    )
-                    known = visited.contains_many(unique)
-                    new_first = np.sort(first_index[~known])
-                else:
-                    unique = successors
-                    known = np.zeros(0, dtype=bool)
-                    new_first = np.zeros(0, dtype=np.int64)
+                unique, first_index = np.unique(
+                    row_keys(successors), return_index=True
+                )
+                known = visited.contains_many(unique)
+                new_first = np.sort(first_index[~known])
                 budget = self.max_states - report.states_explored
                 truncating = new_first.size > budget
                 if truncating:
-                    # exact scalar truncation: the (budget+1)-th new successor
-                    # is where the scalar loop would have stopped mid-state
+                    # exact reference truncation: the (budget+1)-th new
+                    # successor is where the reference stops mid-state
                     report.truncated = True
                     cut = int(new_first[budget])
                     accepted = new_first[:budget]
@@ -924,81 +458,32 @@ class ModelChecker:
                     ]
                 else:
                     accepted = new_first
-                    report.transitions_explored += int(successors.size)
+                    report.transitions_explored += len(successors)
                     quiescent = expansion.quiescent
                 report.quiescent_states += int(quiescent.size)
                 if self.check_progress and quiescent.size:
-                    oriented = mask_is_destination_oriented_batch(
-                        instance, frontier[quiescent] & edge_mask
-                    )
-                    for position in quiescent[~oriented]:
-                        position = int(position)
-                        events.append(
-                            (
-                                position,
-                                -1,
-                                0,
-                                (int(frontier[position]), PROGRESS, _PROGRESS_DETAIL),
-                            )
-                        )
-                new_sigs = successors[accepted]
+                    quiet = frontier.take(quiescent, axis=0)
+                    stuck = ~mask_is_destination_oriented_batch(instance, quiet)
+                    for position, sig in zip(
+                        quiescent[stuck].tolist(), row_ints(quiet[stuck])
+                    ):
+                        events.append((position, -1, 0, (sig, PROGRESS, _PROGRESS_DETAIL)))
+                new_sigs = successors.take(accepted, axis=0)
                 report.states_explored += int(accepted.size)
-                if predecessors is not None and accepted.size:
-                    predecessors.append_round(
-                        new_sigs,
-                        frontier[parents[accepted]],
-                        expansion.tokens[accepted],
-                    )
-                if self.check_acyclicity and new_sigs.size:
-                    if defer_acyclic:
-                        pending.append(new_sigs)
-                        pending_count += int(new_sigs.size)
-                        if pending_count >= _ACYCLIC_BATCH:
-                            flush_acyclic()
-                    else:
-                        good = mask_is_acyclic_batch(instance, new_sigs & edge_mask)
-                        for k in np.flatnonzero(~good):
-                            position = int(accepted[k])
-                            sig = int(new_sigs[k])
-                            cycle = expander.state_for(sig).orientation.find_cycle()
-                            events.append(
-                                (
-                                    int(parents[position]),
-                                    position,
-                                    0,
-                                    (
-                                        sig,
-                                        ACYCLIC,
-                                        "cycle: " + " -> ".join(map(str, cycle)),
-                                    ),
-                                )
-                            )
-                if self.predicates:
-                    for position in accepted:
-                        position = int(position)
-                        state = expander.state_for(int(successors[position]))
-                        for check, (name, predicate) in enumerate(
-                            self.predicates.items(), start=1
-                        ):
-                            holds, detail = _predicate_outcome(predicate(state))
-                            if not holds:
-                                events.append(
-                                    (
-                                        int(parents[position]),
-                                        position,
-                                        check,
-                                        (int(successors[position]), name, detail),
-                                    )
-                                )
-                if events:
-                    events.sort(key=lambda event: event[:3])
-                    raw_failures.extend(event[3] for event in events)
+                if accepted.size:
+                    if predecessors is not None:
+                        predecessors.append_round(
+                            new_sigs,
+                            frontier.take(parents[accepted], axis=0),
+                            expansion.tokens[accepted],
+                        )
+                    discover(new_sigs, parents[accepted], accepted, events)
                 if truncating:
-                    if accepted.size:
-                        visited.update_sorted(np.sort(new_sigs))
-                    break
-                visited.update_sorted(unique[~known])
-                frontier = new_sigs
+                    visited.update_sorted(np.sort(row_keys(new_sigs)))
+                    frontier = new_sigs[:0]
+                else:
+                    visited.update_sorted(unique[~known])
+                    frontier = new_sigs
                 depth += 1
 
             flush_acyclic()
@@ -1008,34 +493,26 @@ class ModelChecker:
                 report.signatures = set(visited)
         finally:
             visited.close()
-        self._attach_failures(report, raw_failures, predecessors)
+        self._attach_failures(
+            report, raw_failures, predecessors.get if predecessors is not None else None
+        )
 
     def _attach_failures(
         self,
         report: CheckReport,
         raw_failures: List[Tuple[Hashable, str, str]],
-        predecessors: Optional[Dict],
+        parent_of,
     ) -> None:
-        """Convert raw ``(sig, predicate, detail)`` hits into traced failures."""
-        parent_of = predecessors.get if predecessors is not None else lambda sig: None
-        self._build_failures(report, raw_failures, parent_of)
-
-    def _build_failures(
-        self,
-        report: CheckReport,
-        raw_failures: List[Tuple[Hashable, str, str]],
-        parent_of: Callable[[Hashable], Optional[Tuple]],
-    ) -> None:
-        """Walk predecessor chains (via ``parent_of``) into traced failures.
+        """Walk predecessor chains into traced failures.
 
         ``parent_of(sig)`` returns the stored ``(parent, token)`` entry or
-        ``None``; a ``None`` entry or parent ends the walk.  Shared by the
-        single-process paths (dict lookup) and the sharded path (pipe
-        round-trip to the owning worker).
+        ``None`` (``parent_of`` itself is ``None`` when traces are off); a
+        ``None`` entry or parent ends the walk.  The compiled loop stores
+        actor tokens, the generic loop the actions themselves.
         """
         expander = self._expander
         for index, (sig, name, detail) in enumerate(raw_failures):
-            traced = self.track_traces and index < self.max_traced_failures
+            traced = parent_of is not None and index < self.max_traced_failures
             actions: List = []
             signatures: List[Hashable] = [sig]
             if traced:
@@ -1064,7 +541,7 @@ class ModelChecker:
             report.failures.append(PredicateFailure(name, trace, detail))
 
     # ------------------------------------------------------------------
-    # generic fallback (no compiled kernel): legacy state-materialising BFS
+    # the generic loop: reference state-materialising BFS
     # ------------------------------------------------------------------
     def _run_generic(self, report: CheckReport) -> None:
         automaton = self.automaton
@@ -1127,7 +604,9 @@ class ModelChecker:
 
         if self.collect_signatures:
             report.signatures = set(visited)
-        self._attach_failures(report, raw_failures, predecessors)
+        self._attach_failures(
+            report, raw_failures, predecessors.get if predecessors is not None else None
+        )
 
     def _generic_state_failures(self, sig, state) -> List[Tuple[Hashable, str, str]]:
         failures: List[Tuple[Hashable, str, str]] = []
@@ -1138,196 +617,6 @@ class ModelChecker:
             if not holds:
                 failures.append((sig, name, detail))
         return failures
-
-    # ------------------------------------------------------------------
-    # sharded multi-process path
-    # ------------------------------------------------------------------
-    def _run_sharded(self, report: CheckReport, vector: bool = False) -> None:
-        expander = self._expander
-        workers = self.workers
-        context = fork_preferring_context()
-        options = {
-            "single_actions_only": self.single_actions_only,
-            "symmetry": self.symmetry,
-            "check_acyclicity": self.check_acyclicity,
-            "check_progress": self.check_progress,
-            "spill_threshold": self.spill_threshold,
-            "spill_dir": None,
-            "spill_max_runs": self.spill_max_runs,
-            "track_traces": self.track_traces,
-            "vectorized": vector,
-        }
-        connections = []
-        processes = []
-        for index in range(workers):
-            worker_options = dict(options)
-            if self.spill_dir is not None:
-                worker_options["spill_dir"] = f"{self.spill_dir}/worker-{index}"
-            parent_conn, child_conn = context.Pipe()
-            process = context.Process(
-                target=_shard_worker,
-                args=(child_conn, index, workers, self.automaton, self.predicates, worker_options),
-                daemon=True,
-            )
-            try:
-                process.start()
-            except Exception as error:  # spawn platforms pickle the args
-                for connection in connections:
-                    connection.close()
-                raise ValueError(
-                    f"failed to start shard workers — on spawn-only platforms the "
-                    f"automaton and predicates must be picklable (lambda-based "
-                    f"bundles need a fork platform or workers=1): {error}"
-                ) from error
-            child_conn.close()
-            connections.append(parent_conn)
-            processes.append(process)
-
-        try:
-            initial = expander.initial_signature()
-            if self.symmetry:
-                initial = expander.canonicalize(initial)
-            if vector:
-                report.vectorized = True
-                root = (
-                    np.array([initial], dtype=np.uint64),
-                    np.array([initial], dtype=np.uint64),
-                    np.zeros(1, dtype=np.uint64),  # token 0 marks the root
-                )
-                buckets: Dict[int, List] = {shard_of(initial, workers): [root]}
-                empty_round = tuple(np.zeros(0, dtype=np.uint64) for _ in range(3))
-            else:
-                buckets = {shard_of(initial, workers): [(initial, None, None)]}
-
-            def round_payload(entries: List):
-                """Concatenate a bucket's array triples into one triple."""
-                if not entries:
-                    return empty_round
-                if len(entries) == 1:
-                    return entries[0]
-                return tuple(np.concatenate(parts) for parts in zip(*entries))
-
-            raw_failures: List[Tuple[Hashable, str, str]] = []
-            round_index = 0
-            while buckets:
-                if report.states_explored >= self.max_states:
-                    # round-granular truncation: the cap is only evaluated
-                    # between BFS rounds, so the count may overshoot slightly.
-                    # The pending frontier may consist entirely of duplicates
-                    # (an exactly-exhausted space), so probe before declaring
-                    # truncation: workers dedup the entries without checking
-                    # or expanding them and report how many were new.
-                    probe_new = 0
-                    for index in range(workers):
-                        if vector:
-                            connections[index].send(
-                                ("probe", round_payload(buckets.get(index, []))[0])
-                            )
-                        else:
-                            connections[index].send(
-                                ("probe", buckets.get(index, []))
-                            )
-                    for index in range(workers):
-                        probe_new += _shard_recv(connections[index])
-                    report.truncated = probe_new > 0
-                    break
-                for index in range(workers):
-                    if vector:
-                        connections[index].send(
-                            ("round", round_payload(buckets.get(index, [])))
-                        )
-                    else:
-                        connections[index].send(("round", buckets.get(index, [])))
-                next_buckets: Dict[int, List] = {}
-                round_new = 0
-                for index in range(workers):
-                    new, transitions, quiescent, out, failures = _shard_recv(
-                        connections[index]
-                    )
-                    round_new += new
-                    report.transitions_explored += transitions
-                    report.quiescent_states += quiescent
-                    raw_failures.extend(failures)
-                    for owner, entries in out.items():
-                        if vector:
-                            next_buckets.setdefault(owner, []).append(entries)
-                        else:
-                            next_buckets.setdefault(owner, []).extend(entries)
-                report.states_explored += round_new
-                if round_new:
-                    report.max_depth = round_index
-                if vector:
-                    frontier = sum(
-                        int(triple[0].size)
-                        for entries in next_buckets.values()
-                        for triple in entries
-                    )
-                else:
-                    frontier = sum(len(entries) for entries in next_buckets.values())
-                logger.debug(
-                    "sharded round %d: %d new states, frontier %d",
-                    round_index, round_new, frontier,
-                )
-                if _telemetry.ENABLED:
-                    if frontier:
-                        _telemetry.REGISTRY.observe("checker.frontier", frontier)
-                    if vector and round_new:
-                        _telemetry.REGISTRY.inc("checker.batch_rounds")
-                round_index += 1
-                buckets = next_buckets
-
-            if vector:
-                # flush each worker's deferred acyclicity buffer before
-                # collecting traces
-                for connection in connections:
-                    connection.send(("drain",))
-                for connection in connections:
-                    raw_failures.extend(_shard_recv(connection))
-            self._collect_sharded_failures(report, raw_failures, connections)
-            if self.collect_signatures:
-                collected: Set[Hashable] = set()
-                for connection in connections:
-                    connection.send(("signatures",))
-                    collected |= _shard_recv(connection)
-                report.signatures = collected
-            for connection in connections:
-                connection.send(("stats",))
-                stats = _shard_recv(connection)
-                if stats["spilled_runs"]:
-                    report.spilled = True
-                if vector:
-                    totals = report.spill_stats or {}
-                    for key in ("spills", "compactions", "runs", "spilled_signatures"):
-                        if key in stats:
-                            totals[key] = totals.get(key, 0) + int(stats[key])
-                    report.spill_stats = totals
-        finally:
-            for connection in connections:
-                try:
-                    connection.send(("stop",))
-                    connection.close()
-                except (BrokenPipeError, OSError):  # worker already gone
-                    pass
-            for process in processes:
-                process.join(timeout=10)
-                if process.is_alive():  # pragma: no cover - defensive
-                    process.terminate()
-
-    def _collect_sharded_failures(
-        self,
-        report: CheckReport,
-        raw_failures: List[Tuple[Hashable, str, str]],
-        connections,
-    ) -> None:
-        """Reconstruct failure traces by walking predecessor chains shard-wise."""
-        workers = self.workers
-
-        def parent_of(sig: Hashable) -> Optional[Tuple]:
-            owner = shard_of(sig, workers)
-            connections[owner].send(("parent_of", sig))
-            return _shard_recv(connections[owner])
-
-        self._build_failures(report, raw_failures, parent_of)
 
 
 def check_exhaustively(

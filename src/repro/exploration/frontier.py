@@ -6,27 +6,29 @@ them (they are re-exported below, so every historical import path keeps
 working).  What remains exploration-specific is the deduplication layer:
 
 :class:`VisitedSet`
-    The deduplication set over signatures, batch-first: a whole frontier is
-    deduplicated per round with :meth:`add_many` (``np.unique`` + one
-    ``searchsorted`` sweep per layer) instead of per-key probes.  Layers,
-    cheapest first:
+    The deduplication set over signature keys, batch-first: a whole
+    frontier is deduplicated per round (``np.unique`` + one
+    ``searchsorted`` sweep per layer) instead of per-key probes.  A key is
+    the signature itself when it fits one ``uint64`` word and a fixed-width
+    void record of its ``k`` words otherwise
+    (:func:`repro.kernels.vector.row_keys`); the same numpy calls serve
+    both.  Layers, cheapest first:
 
-    * ``_memory`` — a plain Python set fed by the scalar :meth:`add`;
-    * ``_segments`` — sorted ``uint64`` arrays fed by the batch API, merged
-      when they pile up;
-    * ``_runs`` — on-disk sorted runs written whenever the in-memory layers
-      reach ``spill_threshold``.  Signatures that fit 8 bytes are written
+    * ``_segments`` — sorted key arrays, merged when they pile up;
+    * ``_runs`` — on-disk sorted runs written whenever the in-memory layer
+      reaches ``spill_threshold``.  One-word keys are written
       **delta-encoded with block fences** (absolute ``uint64`` fence per
       512-key block, per-block deltas in the narrowest unsigned dtype that
       fits) and probed through ``np.memmap`` — a batch probe gathers only
       the touched blocks, decodes them with one ``cumsum`` and answers the
-      whole batch with a single ``searchsorted``.  Runs are compacted
-      k-way into one whenever more than ``max_runs`` accumulate, keeping
-      membership ``O(log runs · log n)`` worst case and ``O(1)`` amortised
-      per batched key.  Wider signatures keep the legacy big-endian
-      fixed-width format (scalar probes, no compaction).
+      whole batch with a single ``searchsorted``.  Wider keys are written
+      as sorted fixed-width records, memmapped and probed with one
+      ``searchsorted`` per batch.  Runs are compacted into one whenever
+      more than ``max_runs`` accumulate, keeping membership
+      ``O(log runs · log n)`` worst case and ``O(1)`` amortised per batched
+      key.
 
-    Layers are mutually disjoint by construction — a signature is only ever
+    Layers are mutually disjoint by construction — a key is only ever
     inserted after missing every layer — so :meth:`__len__` stays exact.
 
 See the :mod:`repro.kernels.signature` docstring for the kernel encodings
@@ -39,28 +41,21 @@ import struct
 from pathlib import Path
 from typing import Iterator, List, Optional
 
-try:  # batch layers need numpy; the scalar set/spill path works without it
-    import numpy as np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.kernels.signature import (  # noqa: F401 — historical import surface
-    _COUNT_BITS,
-    _COUNT_MASK,
-    _TwinClass,
     FullReversalExpander,
     NewPRExpander,
     OneStepPRExpander,
     PartialReversalExpander,
     SignatureExpander,
-    _ListKernelMixin,
     compile_expander,
     mask_directed_edges,
     mask_is_acyclic,
     mask_is_destination_oriented,
-    shard_of,
     twin_node_classes,
 )
+from repro.kernels.vector import key_rows, row_ints
 
 __all__ = [
     "FullReversalExpander",
@@ -73,7 +68,6 @@ __all__ = [
     "mask_directed_edges",
     "mask_is_acyclic",
     "mask_is_destination_oriented",
-    "shard_of",
     "twin_node_classes",
 ]
 
@@ -193,9 +187,6 @@ class _DeltaRun:
         hit[valid] = flat[slot] == wanted
         return hit
 
-    def contains_scalar(self, sig: int) -> bool:
-        return bool(self.contains_many(np.array([sig], dtype=np.uint64))[0])
-
     def iter_chunks(self, chunk_blocks: int = 256) -> Iterator["np.ndarray"]:
         """The run's keys as bounded decoded chunks (streaming iteration)."""
         blocks = int(self._fences.shape[0])
@@ -213,67 +204,40 @@ class _DeltaRun:
             pass
 
 
-class _ByteRun:
-    """Legacy fixed-width big-endian run for signatures wider than 8 bytes.
+class _RecordRun:
+    """One immutable sorted run of fixed-width void keys (signatures of ``k > 1`` words).
 
-    Byte order equals numeric order, so membership is a per-key binary
-    search over the file.  Iteration streams bounded chunks rather than
-    materialising the whole run.
+    The file is the raw sorted records, mapped read-only; a batch probe is
+    one ``searchsorted`` over the map.
     """
 
-    _CHUNK_RECORDS = 4096
-
-    __slots__ = ("path", "count", "width", "_handle")
+    __slots__ = ("path", "count", "_keys")
 
     @classmethod
-    def write(cls, path: Path, ordered: List[int], width: int) -> "_ByteRun":
-        with path.open("wb") as handle:
-            for sig in ordered:
-                handle.write(sig.to_bytes(width, "big"))
-        return cls(path, len(ordered), width)
+    def write(cls, path: Path, values: "np.ndarray") -> "_RecordRun":
+        """Write sorted unique void ``values`` as a new run file."""
+        values.tofile(path)
+        return cls(path, values.dtype, int(values.size))
 
-    def __init__(self, path: Path, count: int, width: int):
+    def __init__(self, path: Path, dtype, count: int):
         self.path = path
         self.count = count
-        self.width = width
-        self._handle = path.open("rb")
+        self._keys = np.memmap(path, dtype=dtype, mode="r", shape=(count,))
 
-    def contains_scalar(self, sig: int) -> bool:
-        key = sig.to_bytes(self.width, "big")
-        low, high = 0, self.count - 1
-        while low <= high:
-            mid = (low + high) // 2
-            self._handle.seek(mid * self.width)
-            record = self._handle.read(self.width)
-            if record == key:
-                return True
-            if record < key:
-                low = mid + 1
-            else:
-                high = mid - 1
-        return False
+    def contains_many(self, queries: "np.ndarray") -> "np.ndarray":
+        """Membership of sorted unique ``queries``, vectorised."""
+        slot = np.searchsorted(self._keys, queries)
+        return self._keys.take(slot, mode="clip") == queries
 
-    def contains_many(self, queries) -> "np.ndarray":
-        return np.fromiter(
-            (self.contains_scalar(int(sig)) for sig in queries),
-            dtype=bool,
-            count=int(queries.size),
-        )
-
-    def iter_keys(self) -> Iterator[int]:
-        position = 0
-        while position < self.count:
-            take = min(self._CHUNK_RECORDS, self.count - position)
-            self._handle.seek(position * self.width)
-            data = self._handle.read(take * self.width)
-            for k in range(take):
-                yield int.from_bytes(
-                    data[k * self.width : (k + 1) * self.width], "big"
-                )
-            position += take
+    def iter_chunks(self, chunk: int = 1 << 16) -> Iterator["np.ndarray"]:
+        """The run's keys as bounded chunks (streaming iteration)."""
+        for first in range(0, self.count, chunk):
+            yield np.array(self._keys[first:first + chunk])
 
     def close(self) -> None:
-        self._handle.close()
+        mapped = getattr(self._keys, "_mmap", None)
+        if mapped is not None:
+            mapped.close()
         try:
             self.path.unlink()
         except OSError:  # pragma: no cover - best-effort scratch cleanup
@@ -284,113 +248,60 @@ class _ByteRun:
 # visited set with optional disk spill
 # ----------------------------------------------------------------------
 class VisitedSet:
-    """Signature deduplication set, batch-first, with optional disk spill.
+    """Signature-key deduplication set, batch-first, with optional disk spill.
 
-    Without a ``spill_threshold`` this is an in-memory set (plus sorted
-    batch segments).  With one, the in-memory layers are flushed to a
-    sorted run file every time they reach the threshold — delta-encoded
-    and mmap-probed for 8-byte keys, legacy fixed-width otherwise — and
-    runs are compacted into one once more than ``max_runs`` accumulate.
-    See the module docstring for the layer/probe design.
+    Keys are 1-D arrays of ``uint64`` words or of fixed-width void records
+    (:func:`repro.kernels.vector.row_keys`); one set holds one kind.
+    Without a ``spill_threshold`` this is a list of sorted in-memory
+    segments.  With one, the segments are flushed to a sorted run file every
+    time they reach the threshold — delta-encoded for one-word keys, raw
+    records otherwise — and runs are compacted into one once more than
+    ``max_runs`` accumulate.  See the module docstring for the layer/probe
+    design.
     """
 
     def __init__(
         self,
-        key_bytes: Optional[int] = None,
         spill_threshold: Optional[int] = None,
         spill_dir: Optional[str] = None,
         max_runs: Optional[int] = 8,
     ):
-        if spill_threshold is not None:
-            if spill_threshold < 1:
-                raise ValueError("spill_threshold must be positive")
-            if key_bytes is None:
-                raise ValueError(
-                    "disk spill needs a fixed signature width (key_bytes); "
-                    "the generic exploration path cannot spill"
-                )
+        if spill_threshold is not None and spill_threshold < 1:
+            raise ValueError("spill_threshold must be positive")
         if max_runs is not None and max_runs < 1:
             raise ValueError("max_runs must be positive")
-        self._memory: set = set()
-        self._segments: List = []  # sorted unique uint64 arrays
+        self._segments: List = []  # sorted unique key arrays
         self._segment_total = 0
-        self._key_bytes = key_bytes
         self._threshold = spill_threshold
         self._max_runs = max_runs
         self._spill_dir = Path(spill_dir) if spill_dir is not None else None
         self._created_dir: Optional[Path] = None  # auto temp dir, removed on close
-        self._runs: List = []  # _DeltaRun | _ByteRun
+        self._runs: List = []  # _DeltaRun | _RecordRun
         self._spilled_total = 0
         self._run_seq = 0
         self.spill_count = 0
         self.compaction_count = 0
-        self._delta_format = (
-            np is not None and (key_bytes is None or key_bytes <= 8)
-        )
-
-    # -- scalar membership ----------------------------------------------
-    def add(self, sig) -> bool:
-        """Insert ``sig``; returns ``True`` iff it was not present before."""
-        if sig in self._memory:
-            return False
-        if self._segments and self._in_segments(sig):
-            return False
-        if self._runs and self._in_runs(sig):
-            return False
-        self._memory.add(sig)
-        self._maybe_spill()
-        return True
-
-    def __contains__(self, sig) -> bool:
-        return (
-            sig in self._memory
-            or (bool(self._segments) and self._in_segments(sig))
-            or (bool(self._runs) and self._in_runs(sig))
-        )
 
     def __len__(self) -> int:
-        return len(self._memory) + self._segment_total + self._spilled_total
+        return self._segment_total + self._spilled_total
 
-    def __iter__(self) -> Iterator:
-        yield from self._memory
+    def __iter__(self) -> Iterator[int]:
+        """Every member as a Python int signature."""
         for segment in self._segments:
-            for value in segment:
-                yield int(value)
+            yield from row_ints(key_rows(segment))
         for run in self._runs:
-            if isinstance(run, _ByteRun):
-                yield from run.iter_keys()
-            else:
-                for chunk in run.iter_chunks():
-                    for value in chunk:
-                        yield int(value)
-
-    def _in_segments(self, sig) -> bool:
-        key = np.uint64(sig)
-        for segment in self._segments:
-            slot = int(np.searchsorted(segment, key))
-            if slot < segment.size and segment[slot] == key:
-                return True
-        return False
-
-    def _in_runs(self, sig) -> bool:
-        return any(run.contains_scalar(sig) for run in self._runs)
+            for chunk in run.iter_chunks():
+                yield from row_ints(key_rows(chunk))
 
     # -- batch membership -----------------------------------------------
     def contains_many(self, values: "np.ndarray") -> "np.ndarray":
-        """Membership mask of **sorted unique** ``uint64`` ``values``."""
+        """Membership mask of **sorted unique** keys ``values``."""
         hit = np.zeros(values.size, dtype=bool)
         if values.size == 0:
             return hit
-        if self._memory:
-            memory = np.fromiter(
-                self._memory, dtype=np.uint64, count=len(self._memory)
-            )
-            memory.sort()
-            slot = np.minimum(np.searchsorted(memory, values), memory.size - 1)
-            hit |= memory[slot] == values
         for segment in self._segments:
-            slot = np.minimum(np.searchsorted(segment, values), segment.size - 1)
-            hit |= segment[slot] == values
+            slot = np.searchsorted(segment, values)
+            hit |= segment.take(slot, mode="clip") == values
         for run in self._runs:
             unresolved = ~hit
             if not unresolved.any():
@@ -399,7 +310,7 @@ class VisitedSet:
         return hit
 
     def update_sorted(self, values: "np.ndarray") -> None:
-        """Insert sorted unique ``uint64`` ``values`` known to be absent."""
+        """Insert sorted unique keys ``values`` known to be absent."""
         if values.size == 0:
             return
         self._segments.append(values)
@@ -413,12 +324,12 @@ class VisitedSet:
         """Deduplicate and insert a batch; mask of first-time-new positions.
 
         The returned bool array is aligned with ``values``: ``True`` exactly
-        where the scalar ``add`` would have returned ``True`` (the *first*
-        occurrence of a signature not previously present).
+        at the *first* occurrence of each key not previously present.
+        Integer input is taken as one-word keys.
         """
-        if np is None:  # pragma: no cover - the toolchain ships numpy
-            raise RuntimeError("the batch VisitedSet API requires numpy")
-        values = np.ascontiguousarray(values, dtype=np.uint64)
+        values = np.asarray(values)
+        if values.dtype.kind != "V":
+            values = np.ascontiguousarray(values, dtype=np.uint64)
         unique, first_index, inverse = np.unique(
             values, return_index=True, return_inverse=True
         )
@@ -445,11 +356,8 @@ class VisitedSet:
         }
 
     def _maybe_spill(self) -> None:
-        if self._threshold is None:
-            return
-        if len(self._memory) + self._segment_total < self._threshold:
-            return
-        self._spill()
+        if self._threshold is not None and self._segment_total >= self._threshold:
+            self._spill()
 
     def _next_run_path(self) -> Path:
         if self._spill_dir is None:
@@ -462,46 +370,26 @@ class VisitedSet:
         self._run_seq += 1
         return path
 
+    def _write_run(self, values: "np.ndarray"):
+        """Write sorted unique keys as a run in the format their kind uses."""
+        run_class = _RecordRun if values.dtype.kind == "V" else _DeltaRun
+        return run_class.write(self._next_run_path(), values)
+
     def _spill(self) -> None:
-        path = self._next_run_path()
-        if self._delta_format:
-            parts = list(self._segments)
-            if self._memory:
-                parts.append(
-                    np.fromiter(
-                        self._memory, dtype=np.uint64, count=len(self._memory)
-                    )
-                )
-            values = np.sort(
-                np.concatenate(parts) if len(parts) > 1 else parts[0]
-            )
-            run = _DeltaRun.write(path, values)
-            count = int(values.size)
-        else:
-            ordered = sorted(
-                set(self._memory).union(
-                    int(value) for segment in self._segments for value in segment
-                )
-            )
-            run = _ByteRun.write(path, ordered, self._key_bytes)
-            count = len(ordered)
-        self._runs.append(run)
-        self._spilled_total += count
+        parts = self._segments
+        values = np.sort(np.concatenate(parts)) if len(parts) > 1 else parts[0]
+        self._runs.append(self._write_run(values))
+        self._spilled_total += int(values.size)
         self.spill_count += 1
-        self._memory.clear()
-        self._segments.clear()
+        self._segments = []
         self._segment_total = 0
         if self._max_runs is not None and len(self._runs) > self._max_runs:
             self._compact()
 
     def _compact(self) -> None:
-        """Merge every delta run into one (runs are disjoint, so concat+sort)."""
-        if any(isinstance(run, _ByteRun) for run in self._runs):
-            return  # legacy wide keys: no vectorised merge, keep runs as-is
+        """Merge every run into one (runs are disjoint, so concat+sort)."""
         chunks = [chunk for run in self._runs for chunk in run.iter_chunks()]
-        values = np.sort(np.concatenate(chunks))
-        path = self._next_run_path()
-        merged = _DeltaRun.write(path, values)
+        merged = self._write_run(np.sort(np.concatenate(chunks)))
         for run in self._runs:
             run.close()
         self._runs = [merged]
@@ -510,18 +398,17 @@ class VisitedSet:
     def close(self) -> None:
         """Drop every layer and delete the scratch run files.
 
-        The runs are useless without the live maps/handles, so they are
-        removed; an auto-created temp directory is removed with them (a
-        caller-chosen ``spill_dir`` itself is left in place).  After
-        ``close()`` the set is empty — ``len()`` is 0 and iteration yields
-        nothing — rather than reporting a stale in-memory residue.
+        The runs are useless without the live maps, so they are removed; an
+        auto-created temp directory is removed with them (a caller-chosen
+        ``spill_dir`` itself is left in place).  After ``close()`` the set is
+        empty — ``len()`` is 0 and iteration yields nothing — rather than
+        reporting a stale in-memory residue.
         """
         for run in self._runs:
             run.close()
         self._runs.clear()
         self._spilled_total = 0
-        self._memory.clear()
-        self._segments.clear()
+        self._segments = []
         self._segment_total = 0
         if self._created_dir is not None:
             import shutil

@@ -11,8 +11,8 @@ reaching the offending state.
 This is the **reference implementation**: it materialises a full state object
 per transition and runs in a single process, which keeps it simple enough to
 serve as the oracle that the production engine —
-:class:`~repro.exploration.checker.ModelChecker`, which explores compact int
-signatures directly, shards across processes, spills the visited set to disk
+:class:`~repro.exploration.checker.ModelChecker`, which explores compact
+signatures directly in whole-frontier batches, spills the visited set to disk
 and applies symmetry reduction — is differentially tested against
 (``tests/test_model_check_differential.py``).  Use :class:`ModelChecker` for
 anything beyond toy sizes.

@@ -17,12 +17,11 @@ ints* with no state objects on the hot path:
   object-level counterpart so seeded runs are bit-for-bit reproducible
   across engines.
 * :mod:`repro.kernels.vector` — batch twins of the compiled expanders:
-  :class:`VectorExpander` takes a numpy array of packed signatures and
-  returns the whole successor frontier via bitwise column operations, in
-  exact scalar generation order.  The model checker's vectorised frontier
-  path (:class:`repro.exploration.ModelChecker` with ``vectorized="auto"``)
-  builds on these, falling back to the scalar expanders whenever signatures
-  exceed the 64-bit packable word width.
+  :class:`VectorExpander` takes a numpy array of signature rows (``k``
+  ``uint64`` words per signature) and returns the whole successor frontier
+  via bitwise column operations, in exact scalar generation order.  The
+  model checker's compiled loop (:class:`repro.exploration.ModelChecker`)
+  runs on these for every instance of at most 64 nodes.
 * :mod:`repro.kernels.simulator` — :class:`SignatureSimulator`, one
   convergence phase with work/round accounting via signature XOR and
   deadline handling, all as pure int operations; plus the per-process
@@ -48,7 +47,6 @@ from repro.kernels.signature import (
     mask_final_state_checks,
     mask_is_acyclic,
     mask_is_destination_oriented,
-    shard_of,
     twin_node_classes,
 )
 from repro.kernels.schedulers import (
@@ -64,7 +62,6 @@ from repro.kernels.vector import (
     decode_token,
     mask_is_acyclic_batch,
     mask_is_destination_oriented_batch,
-    shard_of_batch,
 )
 from repro.kernels.simulator import (
     KernelCache,
@@ -85,7 +82,6 @@ __all__ = [
     "decode_token",
     "mask_is_acyclic_batch",
     "mask_is_destination_oriented_batch",
-    "shard_of_batch",
     "KernelCache",
     "cache_capacity_from_env",
     "MASK_SCHEDULER_FACTORIES",
@@ -104,6 +100,5 @@ __all__ = [
     "mask_final_state_checks",
     "mask_is_acyclic",
     "mask_is_destination_oriented",
-    "shard_of",
     "twin_node_classes",
 ]

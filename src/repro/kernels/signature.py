@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import abc
 from itertools import combinations
-from typing import Dict, FrozenSet, Hashable, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.automata.ioa import Action, IOAutomaton
 from repro.core.base import Reverse
@@ -59,16 +59,6 @@ from repro.core.pr import PartialReversal, PRState, ReverseSet
 #: cover every instance the checker can exhaust; overflow raises.
 _COUNT_BITS = 16
 _COUNT_MASK = (1 << _COUNT_BITS) - 1
-
-
-def shard_of(signature: Hashable, shards: int) -> int:
-    """Deterministic owner shard of a signature.
-
-    Uses ``hash`` — deterministic across processes for ints and tuples of
-    ints (hash randomisation only affects str/bytes), which is exactly the
-    signature vocabulary of the compiled expanders.
-    """
-    return hash(signature) % shards
 
 
 # ----------------------------------------------------------------------
@@ -229,13 +219,13 @@ def twin_node_classes(instance: LinkReversalInstance) -> List[Tuple[int, ...]]:
 class SignatureExpander(abc.ABC):
     """Compiled successor kernel of one automaton over int signatures.
 
-    Having a kernel at all is what enables the model checker's sharded
-    multi-process mode (workers must be able to decode any signature back
-    into a state without the frontier carrying state objects) *and* the
-    simulation fast path (the scenario engine drives ``step`` directly and
-    never materialises a state).  Automata without a kernel
-    (``compile_expander`` returns ``None``) run on the checker's generic
-    single-process path and the simulator's legacy object path.
+    Having a kernel at all is what enables the model checker's compiled
+    loop (its batch twin in :mod:`repro.kernels.vector` expands whole
+    frontiers, and this kernel decodes a signature back into a state only
+    for predicates and traces) *and* the simulation fast path (the scenario
+    engine drives ``step`` directly and never materialises a state).
+    Automata without a kernel (``compile_expander`` returns ``None``) run on
+    the checker's generic loop and the simulator's legacy object path.
     """
 
     def __init__(self, automaton: IOAutomaton):
@@ -553,7 +543,7 @@ class NewPRExpander(SignatureExpander):
     The int signature is ``(count[n-1] .. count[0]) << edge_count | mask``
     with :data:`_COUNT_BITS` bits per counter — a bijective re-encoding of
     ``NewPRState.signature()`` (which is a (mask, counts-tuple) pair) chosen
-    so the sharded frontier and the spillable visited set stay int-only.
+    so the frontier and the spillable visited set stay fixed-width.
     """
 
     def __init__(self, automaton: NewPartialReversal):
@@ -616,9 +606,9 @@ def compile_expander(
     """Compile a signature kernel for ``automaton``, or ``None`` if unsupported.
 
     Unsupported automata (BLL, the height formulations, custom test automata)
-    fall back to the model checker's generic state-materialising path and the
+    fall back to the model checker's generic state-materialising loop and the
     simulator's legacy object path, which keep the legacy semantics but
-    cannot shard, spill or skip state materialisation.
+    cannot spill, reduce symmetry or skip state materialisation.
     """
     if isinstance(automaton, PartialReversal):
         return PartialReversalExpander(automaton, single_actions_only)

@@ -1,31 +1,38 @@
 """Batch (vectorised) twins of the compiled signature expanders.
 
-The scalar kernels in :mod:`repro.kernels.signature` expand one signature
-per Python call; at 10⁸ states the interpreter loop itself is the bottleneck.
-This module re-expresses each kernel as **whole-frontier numpy column ops**
-over a ``uint64`` array of packed signatures:
+The scalar kernels in :mod:`repro.kernels.signature` expand one int
+signature per Python call; at 10⁸ states the interpreter loop itself is the
+bottleneck.  This module re-expresses each kernel as **whole-frontier numpy
+column ops** over *signature rows*: a signature of ``b`` bits is
+``k = ⌈b / 64⌉`` ``uint64`` words, word ``j`` holding bits
+``[64j, 64j + 64)``, and a frontier is an ``(N, k)`` array of rows.
 
 * the sink test ``((sig ^ tail_sel[i]) & inc[i]) == 0`` becomes one
-  broadcast XOR/AND per frontier giving the full ``(states × candidates)``
+  broadcast XOR/AND per edge word, giving the full ``(states × candidates)``
   sink matrix;
-* FR's step is a single XOR column; the PR/OneStepPR list kernels gather
-  their flip/bookkeeping masks from per-node ``2^degree`` tables (built once
-  through the scalar kernel's own ``_compile_step``, so the masks are equal
-  by construction); NewPR's parity-selected flips and counter increments are
-  ``where``/add columns;
+* FR's step is a single XOR row; the PR/OneStepPR list kernels gather their
+  flip/bookkeeping masks from a table keyed by ``(list row, candidate)``,
+  filled on first use through the scalar kernel's own ``_compile_step`` (so
+  the masks are equal by construction); NewPR's parity-selected flips and
+  counter increments are ``where``/add columns;
 * PR's subset actions are composed in closed form: sinks are pairwise
   non-adjacent, so a subset's successor is one XOR/OR/AND of its members'
   masks, and all ``2^k`` subsets of ``k`` sinks come from ``k`` column
   doublings per group of states with ``k`` sinks;
 * with symmetry reduction on, successors are canonicalised in bulk
-  (:meth:`VectorExpander.canonicalize_many`: per twin class, pack each
-  member's sort key into an integer, ``np.sort`` along the member axis and
-  scatter the keys back).
+  (:meth:`VectorExpander.canonicalize_many`: per twin class, gather each
+  member's sort-key bits, sort the members' packed keys and scatter the
+  bits back).
+
+Bit fields may straddle a word boundary: list rows and NewPR's 16-bit
+counters are read from two words (:func:`_read_field`), and a counter
+increment carries from its low word into the next one.
 
 The structural checks :func:`mask_is_acyclic_batch` and
-:func:`mask_is_destination_oriented_batch` keep one ``uint64`` node set per
-lane and node (in-neighbours), and peel sources / grow the reached set
-bit-parallel, dropping finished lanes round by round.
+:func:`mask_is_destination_oriented_batch` read edge bits from any word and
+keep one ``uint64`` node set per lane and node (in-neighbours), peeling
+sources / growing the reached set bit-parallel and dropping finished lanes
+round by round.
 
 **Exactness contract.**  :meth:`VectorExpander.expand` returns successors in
 *exactly* the scalar generation order: for each frontier state (in frontier
@@ -34,24 +41,20 @@ order) every ``(token, successor)`` pair appears in the order
 differential pins (counts, visited sets, predecessor choices, truncation
 points, failure order) all lean on this.
 
-**Fallback.**  :func:`compile_vector_expander` returns ``None`` whenever the
-signature does not fit one 64-bit lane (``signature_bits > 64``), node ids do
-not fit the action-token bitmask (``node_count > 64``) or a list kernel's
-degree would need oversized step tables; the checker then stays on the exact
-scalar path.  NewPR's ``E + 16·n`` layout only fits toy instances — that is
-expected, the fallback is the documented behaviour, not an error.
+**Gate.**  :func:`compile_vector_expander` returns ``None`` above
+:data:`MAX_NODES` nodes, because action tokens and node sets are one word,
+and for a PR/OneStepPR node of degree above 58, whose ``(row, candidate)``
+table key would not fit one word (such a node needs at least 60 nodes).
+The model checker then runs its generic loop.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-try:  # numpy is required for the batch path only; everything degrades to scalar
-    import numpy as np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.core.graph import LinkReversalInstance
 from repro.kernels.signature import (
@@ -66,23 +69,26 @@ from repro.kernels.signature import (
 
 __all__ = [
     "BatchExpansion",
+    "MAX_NODES",
     "VectorExpander",
     "compile_vector_expander",
     "decode_token",
+    "int_rows",
     "mask_is_acyclic_batch",
     "mask_is_destination_oriented_batch",
-    "shard_of_batch",
+    "row_ints",
+    "row_keys",
+    "signature_words",
 ]
 
-#: A list-kernel node needs a ``2^degree`` flip/bookkeeping table per node;
-#: beyond this degree the tables stop being "tiny" and the scalar memo wins.
-_MAX_TABLE_DEGREE = 12
+#: Node ids index the 64-bit action tokens and node sets.
+MAX_NODES = 64
 
-#: ``hash(int)`` on CPython is reduction modulo the Mersenne prime ``2^61-1``
-#: (for the non-negative ints signatures are), which vectorises to one
-#: modulo — :func:`shard_of_batch` must agree with ``signature.shard_of``
-#: because single-process resume ids and sharded runs share visited sets.
-_HASH_MODULUS = (1 << 61) - 1
+#: A list-table key packs the candidate position into its low bits and the
+#: node's list row above them, so a row may be at most this many bits wide.
+_CANDIDATE_BITS = 6
+_CANDIDATE_MASK = (1 << _CANDIDATE_BITS) - 1
+_MAX_ROW_DEGREE = 64 - _CANDIDATE_BITS
 
 
 def decode_token(token: int) -> Tuple[int, ...]:
@@ -97,14 +103,55 @@ def decode_token(token: int) -> Tuple[int, ...]:
     return tuple(ids)
 
 
-def shard_of_batch(sigs: "np.ndarray", shards: int) -> "np.ndarray":
-    """Vectorised ``shard_of``: owner shard per signature, as ``int64``.
+# ----------------------------------------------------------------------
+# signature rows
+# ----------------------------------------------------------------------
+def signature_words(bits: int) -> int:
+    """Words ``k`` of a signature row holding ``bits`` bits (at least one)."""
+    return max(1, -(-bits // 64))
 
-    Agrees with ``hash(sig) % shards`` for every unsigned 64-bit signature
-    (pinned by tests, including the ``2^61-1`` wrap-around values).
+
+def int_rows(values: Sequence[int], words: int) -> "np.ndarray":
+    """Int signatures (or masks, negative ones included) as ``(N, words)`` rows."""
+    full = (1 << (64 * words)) - 1
+    data = b"".join((value & full).to_bytes(8 * words, "little") for value in values)
+    return np.frombuffer(data, dtype="<u8").astype(np.uint64).reshape(-1, words)
+
+
+def row_ints(rows: "np.ndarray") -> List[int]:
+    """The inverse of :func:`int_rows`: one Python int per row."""
+    if rows.shape[1] == 1:
+        return rows[:, 0].tolist()
+    width = 8 * rows.shape[1]
+    data = np.ascontiguousarray(rows, dtype="<u8").tobytes()
+    return [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
+
+
+def row_keys(rows: "np.ndarray") -> "np.ndarray":
+    """One sortable key per row: the word itself for one word, else a fixed-width void.
+
+    ``np.unique``, ``np.sort`` and ``np.searchsorted`` serve both kinds of
+    key; only the order of void keys (bytewise) differs from numeric order,
+    and nothing depends on it.
     """
-    reduced = sigs % np.uint64(_HASH_MODULUS)
-    return (reduced % np.uint64(shards)).astype(np.int64)
+    if rows.shape[1] == 1:
+        return rows.reshape(-1)
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, 8 * rows.shape[1]))).reshape(-1)
+
+
+def key_rows(keys: "np.ndarray") -> "np.ndarray":
+    """The inverse of :func:`row_keys`: ``(N, k)`` rows of a key array."""
+    return keys.view(np.uint64).reshape(keys.shape[0], keys.dtype.itemsize // 8)
+
+
+def _read_field(rows: "np.ndarray", shift: int, mask: int) -> "np.ndarray":
+    """The ``mask``-wide bit field at bit ``shift`` of every row, across words."""
+    word, bit = divmod(shift, 64)
+    value = rows[:, word] >> np.uint64(bit)
+    if bit and word + 1 < rows.shape[1]:
+        value |= rows[:, word + 1] << np.uint64(64 - bit)
+    return value & np.uint64(mask)
 
 
 # ----------------------------------------------------------------------
@@ -115,19 +162,22 @@ def _in_neighbour_sets(
 ) -> "np.ndarray":
     """Per-lane in-neighbour node sets: bit ``u`` of ``[b, v]`` iff ``u → v``.
 
-    Shape ``(B, n)``, built with two column ops per edge (``n <= 64``, so a
-    node set is one ``uint64``).
+    ``masks`` are signature rows (or a 1-D array of one-word masks); only
+    their edge bits are read.  Shape ``(B, n)``, built with two column ops
+    per edge (``n <= 64``, so a node set is one ``uint64``).
     """
     n = instance.node_count
-    if n > 64 or instance.edge_count > 64:
+    if n > MAX_NODES:
         raise ValueError(
-            f"batch structural checks pack masks and node sets into 64 bits; "
-            f"the instance has {n} nodes and {instance.edge_count} edges"
+            f"batch structural checks pack node sets into 64 bits; "
+            f"the instance has {n} nodes"
         )
+    if masks.ndim == 1:
+        masks = masks[:, None]
     ins = np.zeros((n, masks.shape[0]), dtype=np.uint64)
     one = np.uint64(1)
     for e, (tail, head) in enumerate(instance._edge_node_ids):
-        reversed_ = (masks >> np.uint64(e)) & one
+        reversed_ = (masks[:, e >> 6] >> np.uint64(e & 63)) & one
         ins[head] |= (reversed_ ^ one) << np.uint64(tail)
         ins[tail] |= reversed_ << np.uint64(head)
     return np.ascontiguousarray(ins.T)
@@ -151,7 +201,7 @@ def mask_is_acyclic_batch(
     removes the remaining nodes with no remaining in-neighbour.  A lane is
     acyclic once its set empties and cyclic once a round removes nothing;
     either way it leaves the batch, so later rounds only touch live lanes.
-    Raises ``ValueError`` above 64 nodes or edges.
+    Raises ``ValueError`` above 64 nodes.
     """
     B = int(masks.shape[0])
     ins = _in_neighbour_sets(instance, masks)
@@ -176,7 +226,7 @@ def mask_is_destination_oriented_batch(
 
     Each round adds the in-neighbours of every reached node to the lane's
     reached set; lanes leave the batch once complete or stalled.  Raises
-    ``ValueError`` above 64 nodes or edges.
+    ``ValueError`` above 64 nodes.
     """
     B = int(masks.shape[0])
     n = instance.node_count
@@ -204,11 +254,11 @@ def mask_is_destination_oriented_batch(
 class BatchExpansion:
     """One whole-frontier expansion, in exact scalar generation order.
 
-    ``successors[k]`` is the ``k``-th successor signature the scalar BFS
-    would have generated from this frontier, ``parents[k]`` the frontier
-    index it came from and ``tokens[k]`` its actor set as a node-id bitmask
-    (:func:`decode_token` recovers the scalar tuple).  ``quiescent`` holds
-    the frontier indices with no enabled action, ascending.
+    ``successors[k]`` is the row of the ``k``-th successor signature the
+    scalar BFS would have generated from this frontier, ``parents[k]`` the
+    frontier index it came from and ``tokens[k]`` its actor set as a node-id
+    bitmask (:func:`decode_token` recovers the scalar tuple).  ``quiescent``
+    holds the frontier indices with no enabled action, ascending.
     """
 
     __slots__ = ("successors", "parents", "tokens", "quiescent")
@@ -227,9 +277,10 @@ class VectorExpander:
     """Batch twin of one scalar :class:`SignatureExpander`.
 
     Holds the scalar kernel for everything that stays per-state (state
-    re-materialisation, trace replay) and numpy columns for everything that
+    re-materialisation, trace replay) and numpy rows for everything that
     runs per-frontier.  Per-candidate constants live in arrays indexed by
-    candidate position ``ci`` (the scalar ``_sink_candidates`` order).
+    candidate position ``ci`` (the scalar ``_sink_candidates`` order);
+    ``words`` is the row width ``k``.
 
     With ``symmetry=True`` every successor leaves :meth:`expand` already
     mapped through :meth:`canonicalize_many`, the batch twin of
@@ -239,16 +290,18 @@ class VectorExpander:
     def __init__(self, scalar: SignatureExpander, symmetry: bool = False):
         self.scalar = scalar
         self.instance: LinkReversalInstance = scalar.instance
+        self.words = signature_words(scalar.signature_bits)
         cand = scalar._sink_candidates
         self._cand = cand
-        self._inc = np.array([scalar._inc[i] for i in cand], dtype=np.uint64)
-        self._inc_col = self._inc[None, :]
-        self._tail_col = np.array(
-            [scalar._tail[i] for i in cand], dtype=np.uint64
-        )[None, :]
+        self._inc = int_rows([scalar._inc[i] for i in cand], self.words)
+        tail = int_rows([scalar._tail[i] for i in cand], self.words)
+        # the sink test only reads the edge words, one (candidates,) column each
+        edge_words = signature_words(self.instance.edge_count)
+        self._inc_cols = np.ascontiguousarray(self._inc[:, :edge_words].T)
+        self._tail_cols = np.ascontiguousarray(tail[:, :edge_words].T)
         self._token = np.array([1 << i for i in cand], dtype=np.uint64)
         self._twins = (
-            [_BatchTwinClass(cls) for cls in scalar._twin_classes]
+            [_BatchTwinClass(cls, self.words) for cls in scalar._twin_classes]
             if symmetry and scalar.has_symmetry
             else None
         )
@@ -259,20 +312,24 @@ class VectorExpander:
 
     def _sink_matrix(self, sigs: "np.ndarray") -> "np.ndarray":
         """``(frontier × candidates)`` bool matrix of the scalar sink test."""
-        return ((sigs[:, None] ^ self._tail_col) & self._inc_col) == 0
+        inc, tail = self._inc_cols, self._tail_cols
+        smat = ((sigs[:, 0, None] ^ tail[0]) & inc[0]) == 0
+        for word in range(1, len(inc)):
+            smat &= ((sigs[:, word, None] ^ tail[word]) & inc[word]) == 0
+        return smat
 
     def _emit(self, sigs, smat, succ_parts, parent_parts, token_parts) -> None:
-        """Append candidate-major successor columns (single-actor kernels)."""
+        """Append candidate-major successor rows (single-actor kernels)."""
         for ci in range(len(self._cand)):
             lanes = np.flatnonzero(smat[:, ci])
             if lanes.size == 0:
                 continue
-            succ_parts.append(self._step_many(sigs[lanes], ci))
+            succ_parts.append(self._step_many(sigs.take(lanes, axis=0), ci))
             parent_parts.append(lanes)
             token_parts.append(np.full(lanes.size, self._token[ci]))
 
     def canonicalize_many(self, sigs: "np.ndarray") -> "np.ndarray":
-        """Canonical orbit representative of every signature (a new array).
+        """Canonical orbit representative of every row (a new array).
 
         Batch twin of ``SignatureExpander.canonicalize``: twin classes are
         sorted one after another, in the scalar order, because classes that
@@ -291,9 +348,11 @@ class VectorExpander:
         token_parts: List = []
         self._emit(sigs, smat, succ_parts, parent_parts, token_parts)
         if not succ_parts:
-            empty = np.empty(0, dtype=np.uint64)
             return BatchExpansion(
-                empty, np.empty(0, dtype=np.int64), empty.copy(), quiescent
+                np.empty((0, self.words), dtype=np.uint64),
+                np.empty(0, dtype=np.int64),
+                np.empty(0, dtype=np.uint64),
+                quiescent,
             )
         successors = np.concatenate(succ_parts)
         parents = np.concatenate(parent_parts)
@@ -303,7 +362,7 @@ class VectorExpander:
         # ascending, matching sink_ids / combinations order)
         order = np.argsort(parents, kind="stable")
         return BatchExpansion(
-            self.canonicalize_many(successors[order]),
+            self.canonicalize_many(successors.take(order, axis=0)),
             parents[order],
             tokens[order],
             quiescent,
@@ -314,15 +373,16 @@ class _BatchTwinClass:
     """One scalar ``_TwinClass`` as gather/scatter bit positions.
 
     Member ``m``'s scalar sort key (per shared neighbour: edge, own-row and
-    partner-row bit, then the counter) packs into one integer whose order is
-    the key's lexicographic order: its bits, most significant first, are
-    ``positions[m]`` (fields that are 0 for every member are dropped; they
-    cannot reorder anything) followed by the counter's
-    :data:`_COUNT_BITS`.  The key bits of a member are distinct signature
-    bits, so a key never exceeds the 64-bit signature it comes from.
+    partner-row bit, then the counter) is a fixed-width bit string whose
+    bits, most significant first, sit at signature positions
+    ``positions[m]``: the used fields, then the counter's
+    :data:`_COUNT_BITS` bits.  Fields that are 0 for every member are
+    dropped; they cannot reorder anything.  Packed most significant bit
+    first, the keys' bytes compare like the scalar key tuples, so sorting
+    the members' keys as fixed-width byte strings is the scalar sort.
     """
 
-    def __init__(self, cls):
+    def __init__(self, cls, words: int):
         fields = [
             [bit for triple in row for bit in triple] for row in cls.fields
         ]
@@ -331,92 +391,106 @@ class _BatchTwinClass:
             [bit.bit_length() - 1 for bit, keep in zip(row, used) if keep]
             for row in fields
         ]
-        width = len(positions[0])
-        self._positions = np.array(positions, dtype=np.uint64)  # (members, width)
-        self._key_shift = np.arange(width, dtype=np.uint64)[::-1].copy()
-        self._counts = (
-            None
-            if cls.count_shifts is None
-            else np.array(cls.count_shifts, dtype=np.uint64)
-        )
-        self._clear = np.uint64(cls.clear_mask & ((1 << 64) - 1))
+        for row, shift in zip(positions, cls.count_shifts or ()):
+            row.extend(range(shift + _COUNT_BITS - 1, shift - 1, -1))
+        positions = np.array(positions, dtype=np.intp)  # (members, width)
+        self._word = positions // 64
+        self._bit = (positions % 64).astype(np.uint64)
+        self._width = positions.shape[1]
+        self._words = np.unique(self._word).tolist()
+        self._clear = int_rows([cls.clear_mask], words)[0]
 
     def canonicalize(self, sigs: "np.ndarray") -> "np.ndarray":
-        one = np.uint64(1)
-        bits = (sigs[:, None, None] >> self._positions) & one
-        keys = np.bitwise_or.reduce(bits << self._key_shift, axis=2)
-        count_bits = np.uint64(_COUNT_BITS)
-        if self._counts is not None:
-            keys = (keys << count_bits) | (
-                (sigs[:, None] >> self._counts) & np.uint64(_COUNT_MASK)
-            )
-        ordered = np.sort(keys, axis=1)
+        lanes, members = sigs.shape[0], self._word.shape[0]
+        bits = ((sigs[:, self._word] >> self._bit) & np.uint64(1)).astype(np.uint8)
+        keys = np.ascontiguousarray(np.packbits(bits, axis=2))
+        ordered = np.sort(
+            keys.view(np.dtype((np.void, keys.shape[2])))[..., 0], axis=1
+        )
+        bits = np.unpackbits(
+            ordered.view(np.uint8).reshape(lanes, members, -1),
+            axis=2,
+            count=self._width,
+        ).astype(np.uint64) << self._bit
         result = sigs & self._clear
-        if self._counts is not None:
-            result |= np.bitwise_or.reduce(
-                (ordered & np.uint64(_COUNT_MASK)) << self._counts, axis=1
-            )
-            ordered = ordered >> count_bits
-        bits = (ordered[:, :, None] >> self._key_shift) & one
-        flat = (bits << self._positions).reshape(sigs.shape[0], -1)
-        return result | np.bitwise_or.reduce(flat, axis=1)
+        for word in self._words:
+            result[:, word] |= np.bitwise_or.reduce(bits[:, self._word == word], axis=1)
+        return result
 
 
 class _VectorFullReversal(VectorExpander):
-    """FR: a sink's step XORs its incident-edge column."""
+    """FR: a sink's step XORs its incident-edge row."""
 
     def _step_many(self, sigs, ci):
         return sigs ^ self._inc[ci]
 
 
 class _VectorListKernel(VectorExpander):
-    """PR/OneStepPR: flip/bookkeeping masks gathered from per-node row tables.
+    """PR/OneStepPR: flip/bookkeeping masks looked up per ``(row, candidate)``.
 
-    Each candidate's table is filled by the *scalar* kernel's
-    ``_compile_step`` over all ``2^degree`` rows, so vector and scalar steps
-    are equal by construction, not by re-derivation.  The tables are laid
-    end to end in one flat array per mask kind; candidate ``ci``'s row ``r``
-    sits at ``_offset[ci] + r``, so one gather serves any mix of candidates.
+    A candidate's list row is ``degree`` bits wide, so a dense ``2^degree``
+    table per node stops fitting memory on hubs.  The masks live instead in
+    one table sorted by key ``row << 6 | ci``; a key missing from it is
+    filled on first use by the *scalar* kernel's ``_compile_step``, so vector
+    and scalar steps are equal by construction, not by re-derivation.  One
+    ``searchsorted`` serves any mix of candidates.
     """
 
     def __init__(self, scalar, symmetry: bool = False):
         super().__init__(scalar, symmetry)
-        flips: List[int] = []
-        partners: List[int] = []
-        offsets = []
-        for i in self._cand:
-            offsets.append(len(flips))
-            for row in range(1 << scalar.instance._degree[i]):
-                flip, partner = scalar._compile_step(i, row)
-                flips.append(flip)
-                partners.append(partner)
-        self._flip = np.array(flips, dtype=np.uint64)
-        self._partner = np.array(partners, dtype=np.uint64)
-        self._offset = np.array(offsets, dtype=np.uint64)
-        self._row_shift = np.array(
-            [scalar._row_shift[i] for i in self._cand], dtype=np.uint64
-        )
+        shifts = [scalar._row_shift[i] for i in self._cand]
+        self._row_word = np.array([shift // 64 for shift in shifts], dtype=np.intp)
+        self._row_next = np.minimum(self._row_word + 1, self.words - 1)
+        self._row_bit = np.array([shift % 64 for shift in shifts], dtype=np.uint64)
         self._row_mask = np.array(
             [scalar._row_mask[i] for i in self._cand], dtype=np.uint64
         )
-        # scalar _row_clear is a negative Python int; re-derive the unsigned
-        # 64-bit complement instead of casting it
-        self._row_clear = np.array(
-            [
-                ~(scalar._row_mask[i] << scalar._row_shift[i]) & ((1 << 64) - 1)
-                for i in self._cand
-            ],
-            dtype=np.uint64,
+        self._straddle = any(
+            shift % 64 + scalar.instance._degree[i] > 64
+            for shift, i in zip(shifts, self._cand)
         )
+        self._row_clear = int_rows([scalar._row_clear[i] for i in self._cand], self.words)
+        self._keys = np.empty(0, dtype=np.uint64)
+        self._flip = np.empty((0, self.words), dtype=np.uint64)
+        self._partner = np.empty((0, self.words), dtype=np.uint64)
+        self._learn(np.arange(len(self._cand), dtype=np.uint64))  # row 0 of each
 
-    def _step_masks(self, sigs, ci):
-        """``(flip, partner)`` per lane for candidates ``ci`` (int or array)."""
-        rows = (sigs >> self._row_shift[ci]) & self._row_mask[ci]
-        index = (rows + self._offset[ci]).astype(np.intp)
-        return self._flip[index], self._partner[index]
+    def _learn(self, keys: "np.ndarray") -> None:
+        """Add the masks of new ``(row, candidate)`` keys through the scalar kernel."""
+        pairs = [
+            self.scalar._compile_step(
+                self._cand[key & _CANDIDATE_MASK], key >> _CANDIDATE_BITS
+            )
+            for key in keys.tolist()
+        ]
+        keys = np.concatenate((self._keys, keys))
+        order = np.argsort(keys)
+        self._keys = keys[order]
+        self._flip = np.concatenate(
+            (self._flip, int_rows([flip for flip, _ in pairs], self.words))
+        )[order]
+        self._partner = np.concatenate(
+            (self._partner, int_rows([partner for _, partner in pairs], self.words))
+        )[order]
+
+    def _step_masks(self, sigs, lanes, cand):
+        """``(flip, partner)`` rows of candidate ``cand[j]`` in row ``sigs[lanes[j]]``."""
+        low = sigs[lanes, self._row_word[cand]]
+        rows = low >> self._row_bit[cand]
+        if self._straddle:
+            # (x << 1) << (63 - b) is x << (64 - b) without a 64-bit shift at b = 0
+            high = sigs[lanes, self._row_next[cand]] << np.uint64(1)
+            rows |= high << (np.uint64(63) - self._row_bit[cand])
+        keys = ((rows & self._row_mask[cand]) << np.uint64(_CANDIDATE_BITS)) | cand
+        slot = np.searchsorted(self._keys, keys)
+        if not np.array_equal(self._keys.take(slot, mode="clip"), keys):
+            self._learn(np.setdiff1d(keys, self._keys))
+            slot = np.searchsorted(self._keys, keys)
+        return self._flip.take(slot, axis=0), self._partner.take(slot, axis=0)
 
     def _step_many(self, sigs, ci):
-        flip, partner = self._step_masks(sigs, ci)
+        lanes = np.arange(sigs.shape[0])
+        flip, partner = self._step_masks(sigs, lanes, np.full(lanes.size, ci, np.uint64))
         return ((sigs ^ flip) | partner) & self._row_clear[ci]
 
 
@@ -450,7 +524,7 @@ class _VectorPartialReversal(_VectorListKernel):
     Sinks are pairwise non-adjacent, so the single steps of a subset ``S``
     touch disjoint bits and its successor is
     ``((sig ^ XOR_S flip_i) | OR_S partner_i) & AND_S clear_i``, with every
-    ``flip_i``/``partner_i`` gathered once from the *starting* row of
+    ``flip_i``/``partner_i`` looked up once from the *starting* row of
     sink ``i``.  Lanes are grouped by sink count ``k``; within a group the
     ``2^k`` subset successors are built by ``k`` doublings (column ``c``
     holds the subset whose bit ``b`` is set in ``c``), then permuted into
@@ -465,47 +539,58 @@ class _VectorPartialReversal(_VectorListKernel):
         if self.single_actions_only:
             super()._emit(sigs, smat, succ_parts, parent_parts, token_parts)
             return
+        words = self.words
         sink_counts = smat.sum(axis=1)
         for k in np.unique(sink_counts).tolist():
             if k == 0:
                 continue
             lanes = np.flatnonzero(sink_counts == k)
-            # candidate positions of each lane's sinks, ascending per row
-            cand = np.nonzero(smat[lanes])[1].reshape(lanes.size, k)
-            base = sigs[lanes][:, None]
-            flips, partners = self._step_masks(base, cand)
-            clears = self._row_clear[cand]
-            tokens = self._token[cand]
-            succ = base
-            token = np.zeros_like(base)
+            # candidate positions of each lane's sinks, ascending per lane
+            cand = np.nonzero(smat[lanes])[1]
+            flips, partners = self._step_masks(
+                sigs, np.repeat(lanes, k), cand.astype(np.uint64)
+            )
+            shape = (lanes.size, k, words)
+            flips, partners = flips.reshape(shape), partners.reshape(shape)
+            clears = self._row_clear[cand].reshape(shape)
+            tokens = self._token[cand].reshape(lanes.size, k)
+            succ = sigs.take(lanes, axis=0)[:, None, :]
+            token = np.zeros((lanes.size, 1), dtype=np.uint64)
             for b in range(k):
-                flip, partner, clear = flips[:, b, None], partners[:, b, None], clears[:, b, None]
-                stepped = ((succ ^ flip) | partner) & clear
+                stepped = ((succ ^ flips[:, b, None]) | partners[:, b, None]) & clears[:, b, None]
                 succ = np.concatenate((succ, stepped), axis=1)
                 token = np.concatenate((token, token | tokens[:, b, None]), axis=1)
             order = _subset_order(k)
-            succ_parts.append(succ[:, order].ravel())
+            succ_parts.append(succ[:, order].reshape(-1, words))
             parent_parts.append(np.repeat(lanes, order.size))
             token_parts.append(token[:, order].ravel())
 
 
 class _VectorNewPR(VectorExpander):
-    """NewPR: parity-selected flip columns plus packed counter arithmetic."""
+    """NewPR: parity-selected flip rows plus packed counter arithmetic."""
 
     def __init__(self, scalar: NewPRExpander, symmetry: bool = False):
         super().__init__(scalar, symmetry)
-        self._shift = np.array([scalar._shift[i] for i in self._cand], dtype=np.uint64)
-        self._even = np.array([scalar._even_flip[i] for i in self._cand], dtype=np.uint64)
-        self._odd = np.array([scalar._odd_flip[i] for i in self._cand], dtype=np.uint64)
+        self._shift = [scalar._shift[i] for i in self._cand]
+        self._even = int_rows([scalar._even_flip[i] for i in self._cand], self.words)
+        self._odd = int_rows([scalar._odd_flip[i] for i in self._cand], self.words)
 
     def _step_many(self, sigs, ci):
-        counts = (sigs >> self._shift[ci]) & np.uint64(_COUNT_MASK)
+        shift = self._shift[ci]
+        counts = _read_field(sigs, shift, _COUNT_MASK)
         if (counts == np.uint64(_COUNT_MASK)).any():
             raise OverflowError(
                 f"NewPR step counter of node id {self._cand[ci]} exceeded {_COUNT_MASK}"
             )
-        flip = np.where((counts & np.uint64(1)) == 0, self._even[ci], self._odd[ci])
-        return (sigs ^ flip) + (np.uint64(1) << self._shift[ci])
+        odd = (counts & np.uint64(1)).astype(bool)
+        successors = sigs ^ np.where(odd[:, None], self._odd[ci], self._even[ci])
+        word, bit = divmod(shift, 64)
+        low = successors[:, word] + np.uint64(1 << bit)
+        if word + 1 < self.words:
+            # a counter straddling the word boundary carries into the next word
+            successors[:, word + 1] += low < successors[:, word]
+        successors[:, word] = low
+        return successors
 
 
 def compile_vector_expander(
@@ -513,21 +598,16 @@ def compile_vector_expander(
 ) -> Optional[VectorExpander]:
     """Batch twin of a compiled scalar kernel, or ``None`` when out of range.
 
-    The gate is the documented word-width fallback: signatures must pack into
-    one ``uint64`` lane, node ids into the 64-bit action-token mask, and list
-    kernels must keep their per-node step tables small
-    (``degree <= {deg}``).  NewPR's ``E + {cb}·n`` bit layout therefore only
-    vectorises on toy instances, by design.  With ``symmetry=True`` the
-    expander canonicalises every successor it emits (twin classes fit the
-    same 64-bit lane, so symmetry never closes the gate).
+    The gate: at most :data:`MAX_NODES` nodes, and PR/OneStepPR candidates
+    of degree at most :data:`_MAX_ROW_DEGREE` (see the module docstring).  Signatures of any
+    width run, as ``⌈bits / 64⌉``-word rows.  With ``symmetry=True`` the
+    expander canonicalises every successor it emits.
     """
-    if np is None or scalar is None:
-        return None
-    if scalar.signature_bits > 64 or scalar.instance.node_count > 64:
+    if scalar is None or scalar.instance.node_count > MAX_NODES:
         return None
     if isinstance(scalar, (PartialReversalExpander, OneStepPRExpander)):
         degrees = [scalar.instance._degree[i] for i in scalar._sink_candidates]
-        if degrees and max(degrees) > _MAX_TABLE_DEGREE:
+        if degrees and max(degrees) > _MAX_ROW_DEGREE:
             return None
         if isinstance(scalar, PartialReversalExpander):
             return _VectorPartialReversal(scalar, symmetry)
@@ -537,9 +617,3 @@ def compile_vector_expander(
     if isinstance(scalar, FullReversalExpander):
         return _VectorFullReversal(scalar, symmetry)
     return None
-
-
-if compile_vector_expander.__doc__:  # keep the gate's docstring numbers honest
-    compile_vector_expander.__doc__ = compile_vector_expander.__doc__.format(
-        deg=_MAX_TABLE_DEGREE, cb=_COUNT_BITS
-    )

@@ -190,16 +190,6 @@ class TestCheck:
         assert "Invariant 3.1" in payload["predicates"]
         assert payload["violations"] == 0
 
-    def test_check_workers_match_single_process(self, capsys):
-        args = ["check", "--algorithm", "fr", "--topology", "grid", "--nodes", "9", "--json"]
-        assert main(args) == 0
-        single = json.loads(capsys.readouterr().out)
-        assert main(args + ["--workers", "2"]) == 0
-        sharded = json.loads(capsys.readouterr().out)
-        for key in ("states_explored", "transitions_explored", "quiescent_states", "max_depth"):
-            assert sharded[key] == single[key], key
-        assert sharded["workers"] == 2
-
     def test_check_store_and_resume(self, tmp_path, capsys):
         store = tmp_path / "store"
         args = ["check", "--algorithm", "fr", "--topology", "grid", "--nodes", "9",
@@ -245,18 +235,17 @@ class TestCheck:
         assert reduced["states_explored"] < plain["states_explored"]
         assert reduced["status"] == "ok"
 
-    def test_check_symmetry_vectorized_always_matches_scalar(self, capsys):
-        args = ["check", "--algorithm", "pr", "--topology", "star", "--nodes", "7",
-                "--symmetry", "--json"]
-        assert main(args + ["--vectorized", "always"]) == 0
-        vector = json.loads(capsys.readouterr().out)
-        assert main(args + ["--vectorized", "never"]) == 0
-        scalar = json.loads(capsys.readouterr().out)
-        assert vector["vectorized"] and not scalar["vectorized"]
-        assert vector["symmetry_reduced"] and scalar["symmetry_reduced"]
-        for key in ("status", "states_explored", "transitions_explored",
-                    "quiescent_states", "max_depth"):
-            assert vector[key] == scalar[key], key
+    def test_check_symmetry_on_wide_signatures(self, capsys):
+        # NewPR on a 7-leaf star needs 7 + 16·8 bits: a three-word signature
+        args = ["check", "--algorithm", "new-pr", "--topology", "star", "--nodes", "8",
+                "--json"]
+        assert main(args) == 0
+        plain = json.loads(capsys.readouterr().out)
+        assert main(args + ["--symmetry"]) == 0
+        reduced = json.loads(capsys.readouterr().out)
+        assert plain["vectorized"] and reduced["vectorized"]
+        assert reduced["symmetry_reduced"] and reduced["status"] == "ok"
+        assert reduced["states_explored"] < plain["states_explored"]
 
     def test_check_spill(self, tmp_path, capsys):
         exit_code = main(["check", "--algorithm", "fr", "--topology", "grid", "--nodes", "9",
@@ -279,10 +268,19 @@ class TestCheck:
         assert exit_code == 2
         assert "unknown invariant" in capsys.readouterr().err
 
-    def test_check_sharding_refused_without_kernel(self, capsys):
-        exit_code = main(["check", "--algorithm", "bll", "--nodes", "5", "--workers", "2"])
+    @pytest.mark.parametrize("switch", [["--workers", "2"], ["--vectorized", "never"]])
+    def test_check_has_one_engine(self, switch, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["check", "--algorithm", "fr", "--nodes", "5"] + switch)
+        assert exited.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("max_states", ["0", "-5"])
+    def test_check_max_states_below_one_rejected(self, max_states, capsys):
+        exit_code = main(["check", "--algorithm", "fr", "--topology", "tree",
+                          "--nodes", "8", "--max-states", max_states])
         assert exit_code == 2
-        assert "compiled signature kernel" in capsys.readouterr().err
+        assert "max_states must be at least 1" in capsys.readouterr().err
 
     def test_check_spill_refused_without_kernel(self, capsys):
         exit_code = main(["check", "--algorithm", "bll", "--nodes", "5", "--spill"])

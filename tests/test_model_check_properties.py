@@ -8,8 +8,8 @@ bad-state predicates:
     either explorer);
 (b) every extracted counterexample replays — through the automaton's own
     transition function — to a state that violates the predicate;
-(c) sharded exploration (2–4 workers) and single-process exploration visit
-    *identical* signature sets, state/transition/quiescence counts and depths.
+(c) failures are reported whatever the trace and cap settings, and a
+    failing predicate surfaces as itself.
 
 Plus targeted coverage for the supporting machinery: twin-node symmetry
 reduction (exact orbit quotient on stars), the disk-spilled visited set, and
@@ -129,29 +129,6 @@ class TestCounterexampleReplay:
                     f"{failure.trace} replayed to a state satisfying the predicate"
                 )
 
-    def test_sharded_counterexamples_replay(self, bad_grid):
-        automaton = OneStepPartialReversal(bad_grid)
-        predicates = _planted_predicates(automaton)
-        report = ModelChecker(automaton, predicates, workers=2, max_traced_failures=10_000).run()
-        assert not report.all_predicates_hold
-        for failure in report.failures:
-            execution = failure.trace.replay(OneStepPartialReversal(bad_grid))
-            execution.validate()
-            assert not predicates[failure.predicate_name](execution.final_state)
-
-    def test_failure_counts_match_single_process(self, bad_grid):
-        automaton_factory = lambda: OneStepPartialReversal(bad_grid)  # noqa: E731
-        predicates = _planted_predicates(automaton_factory())
-        single = ModelChecker(
-            automaton_factory(), predicates, max_traced_failures=10_000
-        ).run()
-        sharded = ModelChecker(
-            automaton_factory(), predicates, workers=3, max_traced_failures=10_000
-        ).run()
-        single_hits = sorted((f.predicate_name, f.trace.signatures[-1]) for f in single.failures)
-        sharded_hits = sorted((f.predicate_name, f.trace.signatures[-1]) for f in sharded.failures)
-        assert single_hits == sharded_hits
-
     def test_trace_serialisation_schema(self, bad_chain):
         automaton = NewPartialReversal(bad_chain)
         report = ModelChecker(automaton, _planted_predicates(automaton)).run()
@@ -220,81 +197,47 @@ class TestCounterexampleReplay:
 
 
 # ----------------------------------------------------------------------
-# (c) sharded and single-process exploration are indistinguishable
+# (c) failures survive every trace and cap setting
 # ----------------------------------------------------------------------
-class TestShardedEquivalence:
-    @pytest.mark.parametrize("workers", [2, 3, 4])
-    def test_identical_signature_sets(self, workers, bad_grid):
-        for automaton_class in ALGORITHM_CLASSES:
-            single = ModelChecker(automaton_class(bad_grid), collect_signatures=True).run()
-            sharded = ModelChecker(
-                automaton_class(bad_grid), collect_signatures=True, workers=workers
-            ).run()
-            assert sharded.signatures == single.signatures
-            assert sharded.states_explored == single.states_explored
-            assert sharded.transitions_explored == single.transitions_explored
-            assert sharded.quiescent_states == single.quiescent_states
-            assert sharded.max_depth == single.max_depth
-            assert sharded.workers == workers
-
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_identical_on_random_topologies(self, seed):
-        for instance in random_topologies(seed):
-            single = ModelChecker(FullReversal(instance), collect_signatures=True).run()
-            sharded = ModelChecker(
-                FullReversal(instance), collect_signatures=True, workers=2
-            ).run()
-            assert sharded.signatures == single.signatures
-
-    def test_sharded_truncation_is_round_granular(self, bad_grid):
-        report = ModelChecker(FullReversal(bad_grid), max_states=10, workers=2).run()
-        assert report.truncated
-        assert report.states_explored >= 10  # cap is evaluated between rounds
-
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_exact_cap_fit_is_not_truncated(self, workers, bad_grid):
+class TestCheckerRobustness:
+    def test_exact_cap_fit_is_not_truncated(self, bad_grid):
         # a cap equal to the reachable-state count must report an exhaustive
-        # run in sharded mode too: the pending frontier at the cap consists
-        # entirely of already-visited duplicates
+        # run: the successors pending at the cap are all duplicates
         exact = ModelChecker(OneStepPartialReversal(bad_grid)).run().states_explored
-        single = ModelChecker(OneStepPartialReversal(bad_grid), max_states=exact).run()
-        sharded = ModelChecker(
-            OneStepPartialReversal(bad_grid), max_states=exact, workers=workers
-        ).run()
-        assert not single.truncated
-        assert not sharded.truncated
-        assert sharded.states_explored == single.states_explored == exact
+        report = ModelChecker(OneStepPartialReversal(bad_grid), max_states=exact).run()
+        assert not report.truncated
+        assert report.states_explored == exact
 
-    def test_sharded_track_traces_off_still_reports_failures(self, bad_grid):
+    def test_track_traces_off_still_reports_failures(self, bad_grid):
         automaton = OneStepPartialReversal(bad_grid)
         predicates = _planted_predicates(automaton)
-        report = ModelChecker(
-            automaton, predicates, workers=2, track_traces=False
-        ).run()
+        report = ModelChecker(automaton, predicates, track_traces=False).run()
         assert not report.all_predicates_hold
         assert all(not f.trace.reconstructed for f in report.failures)
 
-    def test_worker_predicate_exception_is_diagnosable(self, bad_grid):
+    def test_predicate_exception_propagates(self, bad_grid):
         def exploding(state):
             raise RuntimeError("predicate blew up")
 
         with pytest.raises(RuntimeError, match="predicate blew up"):
-            ModelChecker(
-                OneStepPartialReversal(bad_grid), {"boom": exploding}, workers=2
-            ).run()
+            ModelChecker(OneStepPartialReversal(bad_grid), {"boom": exploding}).run()
 
-    def test_sharded_with_invariant_predicates_is_clean(self, bad_grid):
+    def test_invariant_predicates_are_clean(self, bad_grid):
         from repro.verification.invariants import pr_invariant_checks
 
         report = ModelChecker(
             OneStepPartialReversal(bad_grid),
             pr_invariant_checks(),
-            workers=2,
             check_acyclicity=True,
             check_progress=True,
         ).run()
         assert report.all_predicates_hold
         assert not report.truncated
+
+    @pytest.mark.parametrize("max_states", [0, -5])
+    def test_max_states_below_one_rejected(self, max_states, bad_chain):
+        with pytest.raises(ValueError, match="max_states must be at least 1"):
+            ModelChecker(FullReversal(bad_chain), max_states=max_states)
 
 
 # ----------------------------------------------------------------------
@@ -375,14 +318,6 @@ class TestSymmetryReduction:
         assert reduced.states_explored < plain.states_explored
         assert reduced.all_predicates_hold
 
-    def test_sharded_symmetry_matches_single(self):
-        instance = star_instance(5)
-        single = ModelChecker(FullReversal(instance), symmetry=True, collect_signatures=True).run()
-        sharded = ModelChecker(
-            FullReversal(instance), symmetry=True, workers=2, collect_signatures=True
-        ).run()
-        assert sharded.signatures == single.signatures
-
     def test_chain_has_no_twins(self, bad_chain):
         assert twin_node_classes(bad_chain) == []
         report = ModelChecker(FullReversal(bad_chain), symmetry=True).run()
@@ -396,24 +331,26 @@ class TestVisitedSetSpill:
     def test_spill_preserves_set_semantics(self, tmp_path):
         import random
 
+        import numpy as np
+
         rng = random.Random(7)
         signatures = [rng.getrandbits(64) for _ in range(2000)]
-        visited = VisitedSet(key_bytes=8, spill_threshold=128, spill_dir=str(tmp_path))
-        fresh = sum(1 for sig in signatures if visited.add(sig))
+        visited = VisitedSet(spill_threshold=128, spill_dir=str(tmp_path))
+        fresh = sum(
+            int(visited.add_many(np.array(signatures[i:i + 50], dtype=np.uint64)).sum())
+            for i in range(0, len(signatures), 50)
+        )
         assert fresh == len(set(signatures))
         assert len(visited) == len(set(signatures))
         assert visited.spilled_runs > 1
         # re-adds all rejected, membership exact, iteration complete
-        assert not any(visited.add(sig) for sig in signatures)
-        assert all(sig in visited for sig in signatures)
+        assert not visited.add_many(np.array(signatures, dtype=np.uint64)).any()
+        members = np.unique(np.array(signatures, dtype=np.uint64))
+        assert visited.contains_many(members).all()
         absent = next(x for x in range(10_000) if x not in set(signatures))
-        assert absent not in visited
+        assert not visited.contains_many(np.array([absent], dtype=np.uint64))[0]
         assert set(visited) == set(signatures)
         visited.close()
-
-    def test_spill_requires_fixed_width(self):
-        with pytest.raises(ValueError):
-            VisitedSet(spill_threshold=10)
 
     def test_checker_with_spill_matches_in_memory(self, bad_grid, tmp_path):
         automaton = OneStepPartialReversal(bad_grid)
@@ -443,27 +380,6 @@ class TestVisitedSetSpill:
         ).run()
         assert report.truncated
         assert len(report.signatures) == report.states_explored == 7
-
-    def test_truncated_sharded_signatures_stay_consistent(self, bad_grid):
-        # the truncation probe must not insert probed entries into the
-        # workers' visited sets
-        report = ModelChecker(
-            FullReversal(bad_grid), max_states=10, workers=2, collect_signatures=True
-        ).run()
-        assert report.truncated
-        assert len(report.signatures) == report.states_explored
-
-    def test_sharded_spill_matches(self, bad_grid, tmp_path):
-        sharded = ModelChecker(
-            OneStepPartialReversal(bad_grid),
-            workers=2,
-            collect_signatures=True,
-            spill_threshold=4,
-            spill_dir=str(tmp_path),
-        ).run()
-        plain = ModelChecker(OneStepPartialReversal(bad_grid), collect_signatures=True).run()
-        assert sharded.spilled
-        assert sharded.signatures == plain.signatures
 
 
 # ----------------------------------------------------------------------
@@ -558,10 +474,6 @@ class TestGenericFallback:
         execution = report.failures[0].trace.replay(BinaryLinkLabels(bad_chain))
         execution.validate()
         assert execution.final_state.signature() != initial_signature
-
-    def test_bll_refuses_sharding(self, bad_chain):
-        with pytest.raises(ValueError, match="compiled signature kernel"):
-            ModelChecker(BinaryLinkLabels(bad_chain), workers=2)
 
     def test_bll_refuses_symmetry(self, bad_chain):
         with pytest.raises(ValueError, match="symmetry"):

@@ -1,12 +1,13 @@
-"""Differential pins for the vectorised frontier engine (PR 10).
+"""Kernel-level pins for the batch expanders and the batch-first visited set.
 
-The batch kernels in :mod:`repro.kernels.vector` and the checker's
-``vectorized`` paths promise *exact* equality with the scalar oracle —
-not just the same verdict but the same state/transition counts, the same
-visited sets, the same truncation points, the same failure lists in the
-same order, and counterexample traces that replay.  Every promise gets a
-pin here, plus coverage for the batch-first :class:`VisitedSet` API the
-engine rides on.
+The batch kernels in :mod:`repro.kernels.vector` promise *exact* equality
+with the scalar kernels in :mod:`repro.kernels.signature`: the same
+successors in the same order, the same canonical forms and the same
+structural verdicts, for signature rows of any width.  The checker loop
+built on them is pinned to the reference explorer in
+``tests/test_model_check_differential.py``; this file pins the pieces,
+plus the :class:`VisitedSet` the loop rides on, the compiled loop's gate
+and counterexamples that replay.
 """
 
 from __future__ import annotations
@@ -25,14 +26,15 @@ from repro.kernels.signature import (
     compile_expander,
     mask_is_acyclic,
     mask_is_destination_oriented,
-    shard_of,
 )
 from repro.kernels.vector import (
     compile_vector_expander,
     decode_token,
+    int_rows,
     mask_is_acyclic_batch,
     mask_is_destination_oriented_batch,
-    shard_of_batch,
+    row_ints,
+    row_keys,
 )
 from repro.topology.generators import (
     chain_instance,
@@ -44,42 +46,9 @@ from repro.topology.generators import (
 
 ALGORITHM_CLASSES = (PartialReversal, OneStepPartialReversal, NewPartialReversal, FullReversal)
 
-REPORT_FIELDS = (
-    "states_explored",
-    "transitions_explored",
-    "quiescent_states",
-    "max_depth",
-    "truncated",
-)
-
-
-def _vectorisable_instance(automaton_class):
-    """A non-trivial instance whose signature fits the 64-bit batch lane."""
-    if automaton_class is NewPartialReversal:
-        # NewPR packs E + 16·n bits; only toy instances fit one word
-        return chain_instance(3, towards_destination=False)
-    return grid_instance(3, 3, oriented_towards_destination=False)
-
-
 def _run(automaton, predicates=None, **kwargs):
     kwargs.setdefault("max_traced_failures", 10_000)
     return ModelChecker(automaton, predicates, **kwargs).run()
-
-
-def _summaries(report):
-    return tuple(getattr(report, field) for field in REPORT_FIELDS)
-
-
-def _failure_keys(report):
-    return [
-        (
-            failure.predicate_name,
-            failure.detail,
-            tuple(failure.trace.signatures or ()),
-            tuple(str(action) for action in failure.trace.actions),
-        )
-        for failure in report.failures
-    ]
 
 
 def _planted_predicates(automaton):
@@ -91,106 +60,57 @@ def _planted_predicates(automaton):
 
 
 # ----------------------------------------------------------------------
-# engine-level pins: vectorised == scalar, field for field
+# the compiled loop: its gate, wide signatures and replayable traces
 # ----------------------------------------------------------------------
-class TestVectorMatchesScalar:
-    @pytest.mark.parametrize("automaton_class", ALGORITHM_CLASSES)
-    def test_counts_and_visited_sets(self, automaton_class):
-        instance = _vectorisable_instance(automaton_class)
-        base = dict(check_acyclicity=True, collect_signatures=True)
-        scalar = _run(automaton_class(instance), vectorized="never", **base)
-        batch = _run(automaton_class(instance), vectorized="always", **base)
-        assert not scalar.vectorized and batch.vectorized
-        assert _summaries(scalar) == _summaries(batch)
-        assert scalar.signatures == batch.signatures
-
-    @pytest.mark.parametrize("automaton_class", ALGORITHM_CLASSES)
-    def test_failure_lists_identical_in_order(self, automaton_class):
-        instance = _vectorisable_instance(automaton_class)
-        automaton = automaton_class(instance)
-        predicates = _planted_predicates(automaton)
-        base = dict(check_acyclicity=True, check_progress=True)
-        scalar = _run(automaton_class(instance), predicates, vectorized="never", **base)
-        batch = _run(automaton_class(instance), predicates, vectorized="always", **base)
-        assert _failure_keys(scalar), "planted predicates must actually fail"
-        assert _failure_keys(scalar) == _failure_keys(batch)
-
-    @pytest.mark.parametrize("max_states", [1, 3, 10, 50, 200])
-    def test_truncation_points_identical(self, max_states):
-        instance = grid_instance(3, 3, oriented_towards_destination=False)
-        base = dict(check_acyclicity=True, collect_signatures=True, max_states=max_states)
-        scalar = _run(FullReversal(instance), vectorized="never", **base)
-        batch = _run(FullReversal(instance), vectorized="always", **base)
-        assert _summaries(scalar) == _summaries(batch)
-        assert scalar.signatures == batch.signatures
-
-    def test_sharded_vector_matches_single(self):
-        instance = grid_instance(3, 3, oriented_towards_destination=False)
-        base = dict(check_acyclicity=True, check_progress=True, collect_signatures=True)
-        single = _run(FullReversal(instance), vectorized="always", **base)
-        sharded = _run(FullReversal(instance), vectorized="always", workers=3, **base)
-        assert sharded.vectorized
-        assert _summaries(single) == _summaries(sharded)
-        assert single.signatures == sharded.signatures
-        assert sorted(_failure_keys(single)) == sorted(_failure_keys(sharded))
-
-    def test_sharded_spill_and_compaction_match_scalar(self, tmp_path):
-        instance = grid_instance(4, 4, oriented_towards_destination=False)
-        base = dict(check_acyclicity=True, collect_signatures=True,
-                    spill_threshold=200, spill_max_runs=2)
-        scalar = _run(FullReversal(instance), vectorized="never", workers=2,
-                      spill_dir=str(tmp_path / "scalar"), **base)
-        batch = _run(FullReversal(instance), vectorized="always", workers=2,
-                     spill_dir=str(tmp_path / "batch"), **base)
-        assert batch.spilled and scalar.spilled
-        assert batch.spill_stats["spills"] > 0
-        assert batch.spill_stats["compactions"] > 0
-        assert _summaries(scalar) == _summaries(batch)
-        assert scalar.signatures == batch.signatures
-
+class TestCompiledLoop:
     def test_counterexamples_replay(self):
         instance = grid_instance(3, 3, oriented_towards_destination=False)
-        for workers in (1, 2):
-            automaton = OneStepPartialReversal(instance)
-            predicates = _planted_predicates(automaton)
-            report = _run(automaton, predicates, vectorized="always", workers=workers)
-            assert report.vectorized and report.failures
-            for failure in report.failures:
-                assert failure.trace.reconstructed
-                execution = failure.trace.replay(OneStepPartialReversal(instance))
-                execution.validate()
-                assert not predicates[failure.predicate_name](execution.final_state)
+        automaton = OneStepPartialReversal(instance)
+        predicates = _planted_predicates(automaton)
+        report = _run(automaton, predicates)
+        assert report.vectorized and report.failures
+        for failure in report.failures:
+            assert failure.trace.reconstructed
+            execution = failure.trace.replay(OneStepPartialReversal(instance))
+            execution.validate()
+            assert not predicates[failure.predicate_name](execution.final_state)
 
-    def test_wide_signatures_fall_back_to_scalar(self):
-        # NewPR on a 4×4 grid needs 24 + 16·16 bits — far past one word
+    @pytest.mark.parametrize("automaton_class", ALGORITHM_CLASSES)
+    def test_wide_signatures_run_on_the_compiled_loop(self, automaton_class):
+        # NewPR on a 4×4 grid needs 24 + 16·16 bits, PR 72: several words
         instance = grid_instance(4, 4, oriented_towards_destination=False)
-        expander = compile_expander(NewPartialReversal(instance))
-        assert compile_vector_expander(expander) is None
-        report = _run(NewPartialReversal(instance), vectorized="auto", max_states=50)
-        assert not report.vectorized  # fell back, still answered
-        with pytest.raises(ValueError, match="vectorized='always'"):
-            ModelChecker(NewPartialReversal(instance), vectorized="always")
+        report = _run(automaton_class(instance), check_acyclicity=True,
+                      check_progress=True, max_states=2000)
+        assert report.vectorized
+        assert report.all_predicates_hold
 
-    def test_shard_of_batch_matches_scalar_shard_of(self):
-        mersenne = (1 << 61) - 1
-        edge_values = [0, 1, mersenne - 1, mersenne, mersenne + 1, (1 << 64) - 1]
-        rng = np.random.default_rng(7)
-        values = np.concatenate([
-            np.array(edge_values, dtype=np.uint64),
-            rng.integers(0, 1 << 63, size=1000, dtype=np.uint64),
-        ])
-        for shards in (2, 3, 7):
-            batch = shard_of_batch(values, shards)
-            expected = [shard_of(int(v), shards) for v in values.tolist()]
-            assert batch.tolist() == expected
+    def test_high_degree_pr_nodes_run_on_the_compiled_loop(self):
+        # the hub's list row is 21 bits: its step masks are filled on use
+        instance = star_instance(21, destination_is_center=False)
+        expander = compile_expander(PartialReversal(instance))
+        assert max(instance._degree) == 21
+        assert compile_vector_expander(expander) is not None
+        report = _run(PartialReversal(instance), check_acyclicity=True,
+                      check_progress=True)
+        assert report.vectorized and report.all_predicates_hold
+
+    def test_more_than_64_nodes_run_on_the_generic_loop(self):
+        instance = chain_instance(66, towards_destination=True)
+        report = _run(PartialReversal(instance), check_acyclicity=True,
+                      check_progress=True)
+        assert not report.vectorized
+        assert report.states_explored == 1 and report.all_predicates_hold
+        for option in (dict(symmetry=True), dict(spill_threshold=10)):
+            with pytest.raises(ValueError, match="at most 64 nodes"):
+                ModelChecker(PartialReversal(instance), **option)
 
 
 # ----------------------------------------------------------------------
 # the batch-first VisitedSet underneath the engine
 # ----------------------------------------------------------------------
 class TestVisitedSetBatch:
-    def test_add_many_mask_matches_scalar_add_semantics(self, tmp_path):
-        vs = VisitedSet(key_bytes=8, spill_threshold=64, spill_dir=tmp_path)
+    def test_add_many_mask_marks_first_new_occurrences(self, tmp_path):
+        vs = VisitedSet(spill_threshold=64, spill_dir=tmp_path)
         reference: set = set()
         rng = np.random.default_rng(11)
         try:
@@ -207,12 +127,12 @@ class TestVisitedSetBatch:
         finally:
             vs.close()
 
-    def test_contains_many_across_memory_segments_and_runs(self, tmp_path):
-        vs = VisitedSet(key_bytes=8, spill_threshold=50, spill_dir=tmp_path, max_runs=2)
+    def test_contains_many_across_segments_and_runs(self, tmp_path):
+        vs = VisitedSet(spill_threshold=50, spill_dir=tmp_path, max_runs=2)
         members = list(range(0, 600, 3))
         try:
-            for value in members:
-                vs.add(value)
+            for start in range(0, len(members), 7):
+                vs.add_many(np.array(members[start:start + 7], dtype=np.uint64))
             assert vs.spilled_runs > 0
             probes = np.arange(0, 620, dtype=np.uint64)
             hits = vs.contains_many(probes)
@@ -221,39 +141,62 @@ class TestVisitedSetBatch:
             vs.close()
 
     def test_iter_streams_spilled_runs(self, tmp_path):
-        vs = VisitedSet(key_bytes=8, spill_threshold=32, spill_dir=tmp_path)
+        vs = VisitedSet(spill_threshold=32, spill_dir=tmp_path)
         values = set(range(1000, 1500))
         try:
             for value in values:
-                vs.add(value)
+                vs.add_many(np.array([value], dtype=np.uint64))
             assert vs.spilled_runs > 1
             assert set(vs) == values
         finally:
             vs.close()
 
     def test_compaction_folds_runs_and_counts_survive(self, tmp_path):
-        vs = VisitedSet(key_bytes=8, spill_threshold=40, spill_dir=tmp_path, max_runs=2)
+        vs = VisitedSet(spill_threshold=40, spill_dir=tmp_path, max_runs=2)
         try:
-            for value in range(700):
-                vs.add(value)
+            for start in range(0, 700, 10):
+                vs.add_many(np.arange(start, start + 10, dtype=np.uint64))
             stats = vs.stats
             assert stats["compactions"] > 0
             assert stats["runs"] <= 2
             assert len(vs) == 700
-            assert all(value in vs for value in range(0, 700, 97))
+            assert vs.contains_many(np.arange(0, 700, 97, dtype=np.uint64)).all()
+        finally:
+            vs.close()
+
+    def test_wide_keys_spill_compact_and_iterate(self, tmp_path):
+        # three-word signatures travel as fixed-width void keys
+        vs = VisitedSet(spill_threshold=40, spill_dir=tmp_path, max_runs=2)
+        rng = np.random.default_rng(3)
+        values = [int(v) << 128 | int(v) * 7 for v in rng.integers(0, 1 << 62, 300)]
+        reference: set = set()
+        try:
+            for start in range(0, 600, 9):
+                batch = values[start % 300:start % 300 + 9]
+                expected = []
+                for value in batch:
+                    expected.append(value not in reference)
+                    reference.add(value)
+                assert vs.add_many(row_keys(int_rows(batch, 3))).tolist() == expected
+            assert vs.stats["compactions"] > 0
+            assert len(vs) == len(reference)
+            assert set(vs) == reference
+            probes = int_rows(sorted(reference)[:5] + [1, 2], 3)
+            keys = np.sort(row_keys(probes))
+            assert vs.contains_many(keys).sum() == 5
         finally:
             vs.close()
 
     def test_close_empties_the_set(self, tmp_path):
         """Satellite pin: ``close()`` must leave a genuinely empty set."""
-        vs = VisitedSet(key_bytes=8, spill_threshold=16, spill_dir=tmp_path)
+        vs = VisitedSet(spill_threshold=16, spill_dir=tmp_path)
         for value in range(100):
-            vs.add(value)
+            vs.add_many(np.array([value], dtype=np.uint64))
         assert vs.spilled_runs > 0 and len(vs) == 100
         vs.close()
         assert len(vs) == 0
         assert list(vs) == []
-        assert 5 not in vs
+        assert not vs.contains_many(np.array([5], dtype=np.uint64))[0]
         assert list(tmp_path.glob("run-*.bin")) == []
         # close() is idempotent and the set stays usable as an empty one
         vs.close()
@@ -263,23 +206,34 @@ class TestVisitedSetBatch:
 # ----------------------------------------------------------------------
 # the bit-parallel batch masks == the scalar mask checks
 # ----------------------------------------------------------------------
+def _dense_wide():
+    """K_12 toward node 0 plus a 3-chain: 69 edges, two words of edge bits."""
+    core = [(u, v) for u in range(11, 0, -1) for v in range(u - 1, -1, -1)]
+    edges = [(11, "x1"), ("x1", "x2"), ("x2", "x3")] + core
+    return LinkReversalInstance(tuple(range(12)) + ("x1", "x2", "x3"), 0, tuple(edges))
+
+
 MASK_INSTANCES = {
     "grid-3x3": lambda: grid_instance(3, 3),
     "grid-4x4-all-bad": lambda: grid_instance(4, 4, oriented_towards_destination=False),
     "tree-14-all-bad": lambda: tree_instance(14, seed=1),
     "random-dag-12": lambda: random_dag_instance(12, 0.35, seed=5),
     "tree-64": lambda: tree_instance(64, seed=2),
+    "dense-69": _dense_wide,
 }
 
 
 def _random_masks(instance, count, seed):
-    """Seeded masks over the instance's edge bits, plus all-zero and all-one."""
+    """Seeded masks over the instance's edge bits, plus all-zero and all-one.
+
+    Returned as signature rows: one word per 64 edges.
+    """
     rng = np.random.default_rng(seed)
-    edge_bits = np.uint64((1 << instance.edge_count) - 1)
-    masks = (
-        rng.integers(0, 1 << 32, size=count, dtype=np.uint64) << np.uint64(32)
-    ) | rng.integers(0, 1 << 32, size=count, dtype=np.uint64)
-    return np.concatenate([np.array([0, edge_bits], dtype=np.uint64), masks & edge_bits])
+    edges = instance.edge_count
+    masks = [0, (1 << edges) - 1] + [
+        int.from_bytes(rng.bytes(16), "little") % (1 << edges) for _ in range(count)
+    ]
+    return int_rows(masks, -(-edges // 64))
 
 
 class TestBatchMasks:
@@ -287,14 +241,20 @@ class TestBatchMasks:
     def test_masks_equal_scalar_checks(self, name):
         instance = MASK_INSTANCES[name]()
         masks = _random_masks(instance, 600, seed=len(name))
-        acyclic = [mask_is_acyclic(instance, mask) for mask in masks.tolist()]
-        oriented = [mask_is_destination_oriented(instance, mask) for mask in masks.tolist()]
+        acyclic = [mask_is_acyclic(instance, mask) for mask in row_ints(masks)]
+        oriented = [mask_is_destination_oriented(instance, mask) for mask in row_ints(masks)]
         assert mask_is_acyclic_batch(instance, masks).tolist() == acyclic
         assert mask_is_destination_oriented_batch(instance, masks).tolist() == oriented
         assert any(oriented)
         if instance.edge_count >= instance.node_count:
             # graphs with a cycle: random masks must reach the cyclic branch
             assert not all(acyclic) and any(acyclic)
+
+    def test_one_word_masks_may_be_one_dimensional(self):
+        instance = grid_instance(3, 3, oriented_towards_destination=False)
+        masks = _random_masks(instance, 50, seed=1)
+        assert (mask_is_acyclic_batch(instance, masks[:, 0])
+                == mask_is_acyclic_batch(instance, masks)).all()
 
     def test_empty_batch(self):
         instance = grid_instance(3, 3)
@@ -331,11 +291,9 @@ class TestPartialReversalEmissionOrder:
     def test_expand_equals_scalar_successors(self, instance):
         scalar = compile_expander(PartialReversal(instance))
         vector = compile_vector_expander(scalar)
-        reachable = _run(
-            PartialReversal(instance), vectorized="never", collect_signatures=True
-        ).signatures
+        reachable = _run(PartialReversal(instance), collect_signatures=True).signatures
         sigs = sorted(reachable)
-        expansion = vector.expand(np.array(sigs, dtype=np.uint64))
+        expansion = vector.expand(int_rows(sigs, vector.words))
         expected = [
             (index, token, successor)
             for index, sig in enumerate(sigs)
@@ -344,7 +302,7 @@ class TestPartialReversalEmissionOrder:
         emitted = list(zip(
             expansion.parents.tolist(),
             [decode_token(token) for token in expansion.tokens.tolist()],
-            expansion.successors.tolist(),
+            row_ints(expansion.successors),
         ))
         assert emitted == expected
         assert max(len(token) for _, token, _ in expected) >= 5
@@ -354,7 +312,7 @@ class TestPartialReversalEmissionOrder:
 
 
 # ----------------------------------------------------------------------
-# symmetry reduction on the vector loop == the scalar loop
+# batch canonicalisation == the scalar canonical form
 # ----------------------------------------------------------------------
 def _touching_twin_classes():
     """Twin classes {a1, a2} and {b1, b2, b3} that share every a–b edge."""
@@ -371,6 +329,7 @@ SYMMETRY_CASES = [
     (OneStepPartialReversal, lambda: star_instance(5)),
     (OneStepPartialReversal, _touching_twin_classes),
     (NewPartialReversal, lambda: star_instance(2)),
+    (NewPartialReversal, _touching_twin_classes),
 ]
 SYMMETRY_IDS = [
     f"{cls.__name__}-{'star' if build is not _touching_twin_classes else 'touching'}"
@@ -385,53 +344,30 @@ class TestVectorSymmetry:
         scalar = compile_expander(automaton_class(instance))
         vector = compile_vector_expander(scalar, symmetry=True)
         reachable = sorted(
-            _run(automaton_class(instance), vectorized="never",
-                 collect_signatures=True).signatures
+            _run(automaton_class(instance), collect_signatures=True).signatures
         )
         # arbitrary signatures too: reachable sets are too symmetric to tell
         # the order in which touching classes are sorted
         rng = np.random.default_rng(5)
-        arbitrary = rng.integers(
-            0, 1 << scalar.signature_bits, size=2000, dtype=np.uint64
-        ).tolist()
+        arbitrary = [
+            int.from_bytes(rng.bytes(8 * vector.words), "little")
+            % (1 << scalar.signature_bits)
+            for _ in range(2000)
+        ]
         for sigs in (reachable, arbitrary):
-            canonical = vector.canonicalize_many(np.array(sigs, dtype=np.uint64))
-            assert canonical.tolist() == [scalar.canonicalize(sig) for sig in sigs]
-        assert len(set(vector.canonicalize_many(
-            np.array(reachable, dtype=np.uint64)).tolist())) < len(reachable)
+            canonical = row_ints(vector.canonicalize_many(int_rows(sigs, vector.words)))
+            assert canonical == [scalar.canonicalize(sig) for sig in sigs]
+        assert len(set(row_ints(vector.canonicalize_many(
+            int_rows(reachable, vector.words))))) < len(reachable)
 
     @pytest.mark.parametrize("automaton_class, build", SYMMETRY_CASES, ids=SYMMETRY_IDS)
-    def test_counts_visited_sets_and_failures(self, automaton_class, build):
+    def test_symmetric_traces_verify(self, automaton_class, build):
         instance = build()
         predicates = _planted_predicates(automaton_class(instance))
-        base = dict(symmetry=True, check_acyclicity=True, check_progress=True,
-                    collect_signatures=True)
-        scalar = _run(automaton_class(instance), predicates, vectorized="never", **base)
-        batch = _run(automaton_class(instance), predicates, vectorized="always", **base)
-        assert batch.vectorized and batch.symmetry_reduced
-        assert _summaries(scalar) == _summaries(batch)
-        assert scalar.signatures == batch.signatures
-        assert _failure_keys(scalar), "planted predicates must actually fail"
-        assert _failure_keys(scalar) == _failure_keys(batch)
+        report = _run(automaton_class(instance), predicates, symmetry=True,
+                      check_acyclicity=True, check_progress=True)
+        assert report.vectorized and report.symmetry_reduced
+        assert report.failures, "planted predicates must actually fail"
         expander = compile_expander(automaton_class(instance))
-        for failure in batch.failures:
+        for failure in report.failures:
             failure.trace.verify_signatures(expander)
-
-    @pytest.mark.parametrize("max_states", [1, 3, 5])
-    def test_truncation_points_identical(self, max_states):
-        base = dict(symmetry=True, collect_signatures=True, max_states=max_states)
-        scalar = _run(PartialReversal(_touching_twin_classes()), vectorized="never", **base)
-        batch = _run(PartialReversal(_touching_twin_classes()), vectorized="always", **base)
-        assert _summaries(scalar) == _summaries(batch)
-        assert scalar.signatures == batch.signatures
-
-    @pytest.mark.parametrize("automaton_class", [FullReversal, PartialReversal])
-    def test_sharded_matches_single(self, automaton_class):
-        instance = _touching_twin_classes()
-        base = dict(symmetry=True, check_acyclicity=True, check_progress=True,
-                    collect_signatures=True, vectorized="always")
-        single = _run(automaton_class(instance), **base)
-        sharded = _run(automaton_class(instance), workers=2, **base)
-        assert sharded.vectorized and sharded.symmetry_reduced
-        assert _summaries(single) == _summaries(sharded)
-        assert single.signatures == sharded.signatures
