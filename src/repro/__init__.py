@@ -14,12 +14,11 @@ paper's new parity-based variant ``NewPR``, and the Full Reversal baseline
   (:mod:`repro.kernels`);
 * a bounded model checker that exhaustively explores reachable states of any
   automaton on small instances (:mod:`repro.exploration`);
-* schedulers / adversaries, work-counting and game-theoretic analysis
-  (:mod:`repro.schedulers`, :mod:`repro.analysis`);
+* schedulers / adversaries and work counting (:mod:`repro.schedulers`,
+  :mod:`repro.analysis`);
 * a discrete-event simulator for asynchronous, message-passing executions of
-  link reversal, and the routing / leader-election / mutual-exclusion
-  applications that motivate the paper (:mod:`repro.distributed`,
-  :mod:`repro.routing`, :mod:`repro.applications`);
+  link reversal, and the destination-oriented routing that motivates the
+  paper (:mod:`repro.distributed`, :mod:`repro.routing`);
 * topology generators, including MANET-style geometric graphs and mobility
   (:mod:`repro.topology`).
 

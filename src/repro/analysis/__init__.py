@@ -2,11 +2,6 @@
 
 * :mod:`repro.analysis.work` — reversal and step counting, per-node work,
   algorithm comparison (PR vs FR vs NewPR), and the Θ(n_b²) worst-case sweep;
-* :mod:`repro.analysis.game_theory` — the Charron-Bost / Welch / Widder view
-  of link reversal as a game: per-node strategies, social cost, best-response
-  and Nash-equilibrium checks on small instances;
-* :mod:`repro.analysis.convergence` — rounds-to-convergence and
-  convergence-under-mobility measurements used by the routing experiments;
 * :mod:`repro.analysis.statistics` — tiny self-contained helpers (means,
   percentiles, least-squares polynomial fit) so the benchmarks do not need
   scipy at runtime.
@@ -19,35 +14,16 @@ from repro.analysis.work import (
     per_node_reversals,
     worst_case_sweep,
 )
-from repro.analysis.game_theory import (
-    GameOutcome,
-    StrategyProfile,
-    enumerate_profiles,
-    social_cost,
-    is_nash_equilibrium,
-    full_reversal_profile,
-    partial_reversal_profile,
-)
-from repro.analysis.convergence import ConvergenceSummary, measure_convergence
 from repro.analysis.statistics import mean, percentile, fit_polynomial, quadratic_fit_r2
 
 __all__ = [
-    "ConvergenceSummary",
-    "GameOutcome",
-    "StrategyProfile",
     "WorkSummary",
     "compare_algorithms",
     "count_reversals",
-    "enumerate_profiles",
     "fit_polynomial",
-    "full_reversal_profile",
-    "is_nash_equilibrium",
     "mean",
-    "measure_convergence",
-    "partial_reversal_profile",
     "per_node_reversals",
     "percentile",
     "quadratic_fit_r2",
-    "social_cost",
     "worst_case_sweep",
 ]

@@ -20,8 +20,6 @@ The CLI exposes the workflows a user typically wants without writing code:
     experiments result store (``--store``, resumable).
 ``worst-case``
     Print the Θ(n_b²) worst-case sweep for FR and PR with a quadratic fit.
-``game``
-    Enumerate the restricted FR/PR strategy game on a small topology.
 ``simulate``
     Run the asynchronous message-passing protocol, optionally injecting
     random link failures, and print the network report.
@@ -53,13 +51,9 @@ import json
 import logging
 import sys
 import time
+from pathlib import Path
 from typing import Callable, Dict, Optional, Sequence
 
-from repro.analysis.game_theory import (
-    analyse_game,
-    full_reversal_profile,
-    partial_reversal_profile,
-)
 from repro.analysis.statistics import quadratic_fit_r2
 from repro.analysis.work import count_reversals, kernel_count_reversals, worst_case_sweep
 from repro.core.full_reversal import FullReversal
@@ -364,28 +358,6 @@ def cmd_worst_case(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_game(args: argparse.Namespace) -> int:
-    instance = build_topology(args.topology, args.nodes, args.seed)
-    players = len(instance.non_destination_nodes)
-    if players > args.max_players:
-        print(f"error: topology has {players} players; the game enumerates 2^players "
-              f"profiles, refusing above --max-players={args.max_players}", file=sys.stderr)
-        return 2
-    analysis = analyse_game(instance)
-    fr_profile = full_reversal_profile(instance)
-    pr_profile = partial_reversal_profile(instance)
-    print(f"players              : {players}")
-    print(f"profiles             : {2 ** players}")
-    print(f"all-FR social cost   : {analysis.cost_of(fr_profile)} "
-          f"(equilibrium: {fr_profile in analysis.equilibria})")
-    print(f"all-PR social cost   : {analysis.cost_of(pr_profile)} "
-          f"(equilibrium: {pr_profile in analysis.equilibria})")
-    print(f"global optimum       : {analysis.optimum_cost}")
-    print(f"equilibria           : {len(analysis.equilibria)} "
-          f"with costs {list(analysis.equilibrium_costs())}")
-    return 0
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     instance = build_topology(args.topology, args.nodes, args.seed)
     mode = ReversalMode.PARTIAL if args.mode == "partial" else ReversalMode.FULL
@@ -450,7 +422,8 @@ def _fault_plan_from_args(args: argparse.Namespace):
     return plan
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def _campaign_from_args(args: argparse.Namespace) -> CampaignSpec:
+    """The :class:`CampaignSpec` of the sweep flags (``ValueError`` if invalid)."""
     delay_models = tuple(
         None if name == "none" else name for name in _csv(args.delay_models)
     )
@@ -494,6 +467,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         traffics=traffics,
         node_fault_counts=tuple(int(k) for k in _csv(args.node_faults)) or (0,),
     )
+    campaign.expand()  # validates every scenario
+    return campaign
+
+
+def cmd_sweep(args: argparse.Namespace) -> int:
+    # everything is validated before the store is opened, so a bad flag
+    # leaves no directory behind
+    try:
+        campaign = _campaign_from_args(args)
+        fault_plan = _fault_plan_from_args(args)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     if args.failure_model == "mobility":
         dropped = [f for f in campaign.families if f != "geometric"]
         if dropped:
@@ -501,11 +487,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                   f"dropping {', '.join(dropped)} from the cross-product", file=sys.stderr)
     if campaign.run_count == 0:
         print("error: the campaign cross-product expands to zero runs", file=sys.stderr)
-        return 2
-    try:
-        fault_plan = _fault_plan_from_args(args)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
         return 2
     store = ResultStore(args.store)
 
@@ -588,8 +569,22 @@ def _make_progress(quiet: bool) -> Optional[Callable[[int, int], None]]:
     return plain
 
 
+def _existing_store(path: str) -> Optional[ResultStore]:
+    """The result store at ``path``, or ``None`` (reported) when there is none.
+
+    Opening a :class:`ResultStore` creates its directories, so read-only
+    commands check first and never leave an empty store behind a typo.
+    """
+    if not (Path(path) / "shards").is_dir():
+        print(f"error: no result store at {path}", file=sys.stderr)
+        return None
+    return ResultStore(path)
+
+
 def cmd_report(args: argparse.Namespace) -> int:
-    store = ResultStore(args.store)
+    store = _existing_store(args.store)
+    if store is None:
+        return 2
     if args.consolidate:
         store.consolidate()
     if not store.existing_run_ids():  # consolidates from shards if index is missing
@@ -692,7 +687,9 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    store = ResultStore(args.store)
+    store = _existing_store(args.store)
+    if store is None:
+        return 2
     if not store.telemetry_path.exists():
         print(f"error: no telemetry sidecar at {store.telemetry_path}; "
               f"run `repro sweep` without --no-telemetry first", file=sys.stderr)
@@ -762,7 +759,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_fsck(args: argparse.Namespace) -> int:
-    store = ResultStore(args.store)
+    store = _existing_store(args.store)
+    if store is None:
+        return 2
     report = store.fsck(repair=not args.no_repair)
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
@@ -879,12 +878,6 @@ def build_parser() -> argparse.ArgumentParser:
     worst_parser = subparsers.add_parser("worst-case", help="Θ(n_b²) worst-case sweep")
     worst_parser.add_argument("--max-bad", type=int, default=12)
     worst_parser.set_defaults(handler=cmd_worst_case)
-
-    game_parser = subparsers.add_parser("game", help="FR/PR strategy game analysis")
-    game_parser.add_argument("--topology", choices=TOPOLOGIES, default="chain")
-    game_parser.add_argument("--nodes", type=int, default=5)
-    game_parser.add_argument("--max-players", type=int, default=12)
-    game_parser.set_defaults(handler=cmd_game)
 
     simulate_parser = subparsers.add_parser(
         "simulate", help="asynchronous message-passing simulation"

@@ -8,10 +8,7 @@ contrast algorithm throughout Section 1:
   hypothetical cycle would have all edges outgoing, a contradiction
   (reproduced as experiment E9);
 * FR and PR share the same Θ(n_b²) worst-case total-reversal bound even
-  though PR "seems" more efficient (experiments E9/E10);
-* game-theoretically, FR is a Nash equilibrium with maximal social cost,
-  whereas PR attains the global optimum whenever it is an equilibrium
-  (experiment E11).
+  though PR "seems" more efficient (experiments E9/E10).
 
 Both a single-node automaton (``reverse(u)``) and a concurrent-set view (via
 :meth:`FullReversal.greedy_action`) are provided, mirroring the PR automata.

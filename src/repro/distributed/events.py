@@ -4,7 +4,7 @@ Events are callbacks scheduled at a simulated time; ties are broken by a
 monotonically increasing sequence number so runs are fully deterministic for a
 given seed and schedule of calls.  The simulator knows nothing about networks
 or link reversal — it only orders and dispatches events — which keeps it
-reusable for the routing, leader-election and mutual-exclusion layers.
+reusable for the routing layer.
 """
 
 from __future__ import annotations

@@ -10,10 +10,7 @@ This subpackage provides that application layer:
 * :mod:`repro.routing.maintenance` — route maintenance under link failures and
   mobility: failures are injected into an asynchronous link-reversal network,
   and the time/messages/reversals needed to restore destination orientation
-  are measured (experiment E15);
-* :mod:`repro.routing.tora` — the full TORA protocol (reference-level heights,
-  the five-case route-maintenance rule, partition detection and route
-  erasure), the best-known deployment of partial reversal.
+  are measured (experiment E15).
 """
 
 from repro.routing.dag_routing import RoutingTable, route_stretch, extract_route
@@ -22,16 +19,12 @@ from repro.routing.maintenance import (
     MaintenanceResult,
     RouteMaintenanceSimulation,
 )
-from repro.routing.tora import ReferenceLevel, ToraHeight, ToraRouter
 
 __all__ = [
     "FailureEvent",
     "MaintenanceResult",
-    "ReferenceLevel",
     "RouteMaintenanceSimulation",
     "RoutingTable",
-    "ToraHeight",
-    "ToraRouter",
     "extract_route",
     "route_stretch",
 ]

@@ -8,8 +8,8 @@ to derive a :class:`~repro.core.graph.LinkReversalInstance` (with an initial
 DAG orientation) and to recompute the link set after nodes move.
 
 The paper itself has no MANET evaluation (it is a proof paper), but its
-motivating applications — routing, leader election — are exercised on this
-substrate in experiments E15–E17.
+motivating application, routing, is exercised on this substrate in
+experiment E15.
 """
 
 from __future__ import annotations

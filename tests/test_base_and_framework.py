@@ -3,10 +3,14 @@
 Covers the pieces not exercised directly elsewhere: the :class:`Reverse`
 action, the :class:`LinkReversalState` protocol (signatures, hashing,
 cross-algorithm graph signatures), the default methods of
-:class:`IOAutomaton`, and the public package surface (``repro.__all__``).
+:class:`IOAutomaton`, the public package surface (``repro.__all__``) and the
+README's architecture map.
 """
 
 from __future__ import annotations
+
+import re
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +21,15 @@ from repro.core.full_reversal import FullReversal
 from repro.core.new_pr import NewPartialReversal
 from repro.core.one_step_pr import OneStepPartialReversal
 from repro.core.pr import PartialReversal
+
+
+def _architecture_map_subpackages(readme: str) -> set:
+    """Every ``repro.<subpackage>`` named in the README architecture-map table."""
+    section = readme.split("## Architecture map", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| **")]
+    assert rows, "the README has no architecture-map rows"
+    modules = " ".join(row.split("|")[2] for row in rows)
+    return set(re.findall(r"`repro\.(\w+)", modules))
 
 
 class TestReverseAction:
@@ -124,7 +137,6 @@ class TestPackageSurface:
 
     def test_subpackages_importable(self):
         import repro.analysis
-        import repro.applications
         import repro.automata
         import repro.distributed
         import repro.exploration
@@ -134,4 +146,11 @@ class TestPackageSurface:
         import repro.topology
         import repro.verification
 
-        assert repro.routing.ToraRouter is not None
+    def test_readme_architecture_map_matches_the_tree(self):
+        root = Path(__file__).resolve().parents[1]
+        named = _architecture_map_subpackages((root / "README.md").read_text())
+        on_disk = {
+            path.parent.name for path in (root / "src" / "repro").glob("*/__init__.py")
+        }
+        assert named - on_disk == set(), "the map names subpackages that do not exist"
+        assert on_disk - named == set(), "subpackages missing from the map"

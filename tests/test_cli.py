@@ -8,6 +8,7 @@ import os
 import pytest
 
 from repro.cli import ALGORITHMS, SCHEDULERS, TOPOLOGIES, build_parser, build_topology, main
+from repro.experiments.store import ResultStore
 
 
 class TestParser:
@@ -86,16 +87,6 @@ class TestCommands:
         output = capsys.readouterr().out
         assert exit_code == 0
         assert "FR quadratic fit" in output
-
-    def test_game_command(self, capsys):
-        exit_code = main(["game", "--topology", "chain", "--nodes", "5"])
-        output = capsys.readouterr().out
-        assert exit_code == 0
-        assert "global optimum" in output
-
-    def test_game_refuses_too_many_players(self, capsys):
-        exit_code = main(["game", "--topology", "chain", "--nodes", "20", "--max-players", "8"])
-        assert exit_code == 2
 
     def test_simulate_command(self, capsys):
         exit_code = main(["simulate", "--topology", "grid", "--nodes", "9"])
@@ -352,7 +343,27 @@ class TestSweepAndReport:
         assert "zero runs" in err
         assert "dropping chain" in err
 
+    @pytest.mark.parametrize("flags", [
+        ["--sizes", "0"],
+        ["--sizes", "x"],
+        ["--families", "nosuch"],
+        ["--algorithms", "nosuch"],
+        ["--schedulers", "nosuch"],
+        ["--node-faults", "-1"],
+    ])
+    def test_sweep_rejects_bad_axis_values_before_opening_a_store(
+        self, tmp_path, capsys, flags,
+    ):
+        store = tmp_path / "store"
+        exit_code = main(["sweep", "--store", str(store), "--quiet", *flags])
+        err = capsys.readouterr().err
+        assert exit_code == 2
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not store.exists()
+
     def test_report_empty_store_fails(self, tmp_path, capsys):
+        ResultStore(tmp_path / "empty").close()
         assert main(["report", "--store", str(tmp_path / "empty")]) == 2
         assert "no stored runs" in capsys.readouterr().err
 
@@ -364,3 +375,31 @@ class TestSweepAndReport:
         assert main(["report", "--store", str(store), "--consolidate", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert sum(payload["status_counts"].values()) == 16
+
+
+class TestReadOnlyStoreCommands:
+    """``report``, ``trace`` and ``fsck`` never create a store."""
+
+    COMMANDS = {
+        "report": lambda path: ["report", "--store", path],
+        "trace": lambda path: ["trace", path],
+        "fsck": lambda path: ["fsck", path],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("kind", ["missing", "file", "directory"])
+    def test_no_store_is_an_error(self, tmp_path, capsys, command, kind):
+        path = tmp_path / "typo"
+        if kind == "file":
+            path.write_text("not a store")
+        elif kind == "directory":
+            path.mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        assert main(self.COMMANDS[command](str(path))) == 2
+        assert capsys.readouterr().err == f"error: no result store at {path}\n"
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_fsck_accepts_an_empty_store(self, tmp_path, capsys):
+        ResultStore(tmp_path / "store").close()
+        assert main(["fsck", str(tmp_path / "store")]) == 0
+        assert "store is clean" in capsys.readouterr().out
