@@ -59,6 +59,36 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             list(sample_dag_instances(5, count=1, edge_probability=0.0))
 
+    def test_count_for_four_nodes(self):
+        # six candidate edges: 2^6 - 1 non-empty subsets
+        assert len(list(all_dag_instances(4))) == 63
+
+    @pytest.mark.parametrize("num_nodes, expected", [(2, 1), (3, 4), (4, 38)])
+    def test_connected_count_matches_labelled_connected_graphs(self, num_nodes, expected):
+        # OEIS A001187: connected labelled graphs on n nodes
+        assert len(list(all_connected_dag_instances(num_nodes))) == expected
+
+    def test_num_nodes_must_be_positive(self):
+        with pytest.raises(ValueError):
+            list(all_dag_instances(0))
+
+    def test_edges_follow_the_reference_order_and_are_distinct(self):
+        instances = list(all_dag_instances(4))
+        assert all(i.nodes == (0, 1, 2, 3) for i in instances)
+        assert all(u < v for i in instances for u, v in i.initial_edges)
+        assert len({i.initial_edges for i in instances}) == len(instances)
+
+    def test_sampling_without_connectivity_filter(self):
+        instances = list(
+            sample_dag_instances(6, count=4, seed=2, require_connected=False)
+        )
+        assert len(instances) == 4
+        assert all(i.edge_count >= 1 for i in instances)
+
+    def test_sampling_gives_up_when_connectivity_is_unreachable(self):
+        with pytest.raises(RuntimeError, match="could only generate 0 of 1"):
+            list(sample_dag_instances(8, count=1, seed=0, edge_probability=0.01))
+
 
 class TestStateSpaceExplorer:
     def test_explores_whole_space_of_small_chain(self, bad_chain):
