@@ -9,7 +9,8 @@ leader run fanned out to its followers).  This experiment times the same
 256 replicates — twice on the same lockstep code, with every cache and memo
 cleared inside each workload so both sides pay cold-start costs:
 
-* **dedup on** — ``run_scenarios_batched``, the ``batch`` dispatch;
+* **dedup on** — ``run_scenarios``, the one scenario dispatch, which runs
+  each batch-key group of the chunk as one lockstep call;
 * **dedup off** — ``_run_lanes`` called directly once per batch-key group,
   so every lane executes.
 
@@ -29,13 +30,13 @@ from benchmarks._harness import claim_experiment, print_table, record
 claim_experiment("E21", __name__)
 
 from repro.experiments.batch_engine import (
-    ENGINE_BATCH,
+    ENGINE_KERNEL,
     _run_lanes,
     batch_key,
     outcome_stats,
     reset_kernel_caches,
-    run_scenarios_batched,
 )
+from repro.experiments.runner import run_scenarios
 from repro.experiments.spec import CampaignSpec, ScenarioSpec
 from repro.experiments.store import RESULT_INIT
 
@@ -74,9 +75,9 @@ def _specs() -> list:
 
 
 def _measure_batch() -> list:
-    """Dedup on: the ``batch`` dispatch over the chunk, cold caches."""
+    """Dedup on: the lockstep dispatch over the chunk, cold caches."""
     reset_kernel_caches()
-    return run_scenarios_batched(_specs())
+    return run_scenarios(_specs())
 
 
 def _measure_nodedup() -> list:
@@ -85,9 +86,10 @@ def _measure_nodedup() -> list:
     records, groups = [], {}
     for raw in _specs():
         record = dict(raw)
-        record.update(RESULT_INIT, engine=ENGINE_BATCH)
+        record.update(RESULT_INIT, engine=ENGINE_KERNEL)
         records.append(record)
-        groups.setdefault(batch_key(raw), []).append((ScenarioSpec.from_dict(raw), record))
+        spec = ScenarioSpec.from_dict(raw)
+        groups.setdefault(batch_key(spec), []).append((spec, record))
     for lanes in groups.values():
         _run_lanes(lanes, None)
     return records

@@ -13,7 +13,7 @@ Since the signature-kernel simulation engine landed, the tracked workload
 runs entirely on compiled int kernels: the PR execution is produced by
 :class:`~repro.kernels.simulator.SignatureSimulator` (recording the actor
 trace) and the chain is checked by
-:func:`~repro.verification.simulation.check_full_simulation_chain_masks` —
+a :class:`~repro.verification.simulation.MaskSimulationChain` —
 the same relations, collapsed to int compares and subset masks.  The
 object-level checkers remain the oracle:
 ``tests/test_simulation_engine_differential.py`` pins both implementations

@@ -1,13 +1,12 @@
-"""Experiment E22 — telemetry overhead on the batched sweep workload.
+"""Experiment E22 — telemetry overhead on the lockstep sweep workload.
 
 The telemetry layer promises to be effectively free: disabled, the hot paths
 pay one module-global boolean check (``if _telemetry.ENABLED:``); enabled,
-the batch engine aggregates per-lane tallies into a handful of registry
-increments per call rather than touching an instrument per record.  This
-experiment times the same 6144-lane batched campaign chunk as ``bench_batch``
-three ways — telemetry off, telemetry on with a metrics registry only, and
-telemetry on with a registry plus a buffering span tracer — and pins the
-enabled/disabled overhead ratio.
+the dispatch counts each lane's engine, status and wall time in the
+registry.  This experiment times the same 6144-lane campaign chunk as
+``bench_batch`` three ways — telemetry off, telemetry on with a metrics
+registry only, and telemetry on with a registry plus a buffering span
+tracer — and pins the enabled/disabled overhead ratio.
 
 The ISSUE budget is <3% on this workload; the CI floor asserted here is a
 looser 10% because shared runners jitter far more than the overhead itself
@@ -26,7 +25,8 @@ claim_experiment("E22", __name__)
 from benchmarks.bench_batch import _specs
 
 from repro import telemetry
-from repro.experiments.batch_engine import reset_kernel_caches, run_scenarios_batched
+from repro.experiments.batch_engine import reset_kernel_caches
+from repro.experiments.runner import run_scenarios
 
 #: CI ceiling on enabled/disabled wall-time ratio (ISSUE budget is 1.03 on a
 #: quiet box; runner jitter needs the headroom).
@@ -37,25 +37,25 @@ REPEATS = 3
 
 
 def _measure_disabled() -> list:
-    """The batched path with telemetry off (the default everywhere)."""
+    """The lockstep path with telemetry off (the default everywhere)."""
     reset_kernel_caches()
-    return run_scenarios_batched(_specs())
+    return run_scenarios(_specs())
 
 
 def _measure_enabled() -> list:
-    """The batched path inside a metrics-only telemetry session."""
+    """The lockstep path inside a metrics-only telemetry session."""
     reset_kernel_caches()
     with telemetry.session():
-        return run_scenarios_batched(_specs())
+        return run_scenarios(_specs())
 
 
 def _measure_enabled_traced() -> list:
-    """The batched path with metrics and a buffering span tracer active."""
+    """The lockstep path with metrics and a buffering span tracer active."""
     reset_kernel_caches()
     sink: list = []
     with telemetry.session(sink=sink.extend) as (_, tracer):
         with tracer.span("bench"):
-            return run_scenarios_batched(_specs())
+            return run_scenarios(_specs())
 
 
 def _best(workload) -> float:
@@ -83,7 +83,7 @@ def test_e22_telemetry_overhead(benchmark):
     ratio = enabled_s / disabled_s if disabled_s > 0 else 1.0
     traced_ratio = traced_s / disabled_s if disabled_s > 0 else 1.0
     print_table(
-        "E22 — telemetry overhead on the 6144-lane batched sweep",
+        "E22 — telemetry overhead on the 6144-lane lockstep sweep",
         ("variant", "best_s", "ratio"),
         [
             ("disabled", f"{disabled_s:.4f}", "1.00"),

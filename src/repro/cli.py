@@ -475,6 +475,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # everything is validated before the store is opened, so a bad flag
     # leaves no directory behind
     try:
+        if args.chunk_size is not None and args.chunk_size < 1:
+            raise ValueError(f"--chunk-size must be at least 1, got {args.chunk_size}")
         campaign = _campaign_from_args(args)
         fault_plan = _fault_plan_from_args(args)
     except ValueError as error:
@@ -932,16 +934,15 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument("--node-faults", default="",
                               help="comma-separated crash-stop node counts per run "
                                    "(e.g. '0,2'); faulted cells run on the kernel "
-                                   "(or batch) or async engines")
+                                   "or async engines")
     sweep_parser.add_argument("--max-steps", type=int, default=None,
                               help="per-run step bound")
     sweep_parser.add_argument("--engine", choices=ENGINE_CHOICES, default="auto",
                               help="execution engine for every run: auto picks the "
                                    "compiled kernel engine whenever the algorithm "
-                                   "has one; batch hands that engine whole chunks "
-                                   "at once, in lockstep under one shared deadline "
-                                   "(fastest at high replicate counts); legacy "
-                                   "forces the object-path oracle")
+                                   "has one (without --timeout it runs a chunk's "
+                                   "runs of one shape in lockstep); legacy forces "
+                                   "the object-path oracle")
     sweep_parser.add_argument("--store", required=True,
                               help="result store directory (created if missing)")
     sweep_parser.add_argument("--workers", type=int, default=1,

@@ -317,10 +317,6 @@ class LinkReversalInstance:
         """Whether ``{u, v}`` is an edge of ``G``."""
         return (u, v) in self._edge_id
 
-    def iter_edges(self) -> Iterator[DirectedEdge]:
-        """Iterate over the initial directed edges in declaration order."""
-        return iter(self.initial_edges)
-
     # ------------------------------------------------------------------
     # indexed views (built once in __post_init__)
     # ------------------------------------------------------------------
@@ -340,12 +336,8 @@ class LinkReversalInstance:
         """The ``(tail, head)`` pair of edge ``edge_index`` in ``G'_init``."""
         return self.initial_edges[edge_index]
 
-    def incident_edge_ids(self, u: Node) -> Tuple[int, ...]:
-        """Indices of the edges incident to ``u`` (CSR-style index list)."""
-        return self._incident_eids[self._node_id[u]]
-
     def incident_neighbours(self, u: Node) -> Tuple[Node, ...]:
-        """Neighbours of ``u`` aligned with :meth:`incident_edge_ids`."""
+        """Neighbours of ``u``, in the order of its incident edge indices."""
         return self._incident_nbrs[self._node_id[u]]
 
     def pack_neighbour_sets(self, sets: Mapping[Node, Iterable[Node]]) -> int:
@@ -781,13 +773,6 @@ class Orientation:
             sink_ids = sink_ids - {instance._dest_id}
         nodes = instance.nodes
         return tuple(nodes[i] for i in sorted(sink_ids))
-
-    def sink_count(self, exclude_destination: bool = True) -> int:
-        """Number of current sinks, O(1)."""
-        count = len(self._sink_ids)
-        if exclude_destination and self.instance._dest_id in self._sink_ids:
-            count -= 1
-        return count
 
     # ------------------------------------------------------------------
     # whole-graph structure

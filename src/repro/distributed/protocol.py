@@ -110,14 +110,6 @@ class LinkReversalNodeProcess:
             if v in self.neighbour_heights
         ) and all(v in self.neighbour_heights for v in self.neighbours)
 
-    def local_outgoing(self) -> FrozenSet[Node]:
-        """Neighbours the node currently believes it has an outgoing edge to."""
-        return frozenset(
-            v
-            for v in self.neighbours
-            if v in self.neighbour_heights and self.neighbour_heights[v] < self.height
-        )
-
     # ------------------------------------------------------------------
     # event handlers (called by the network layer)
     # ------------------------------------------------------------------

@@ -33,15 +33,17 @@ from __future__ import annotations
 import random
 from typing import Any, Dict, Optional, Tuple
 
-from repro import telemetry as _telemetry
 from repro.distributed.fast_network import FastAsyncNetwork
 from repro.distributed.network import DELAY_MODELS
 from repro.distributed.protocol import ReversalMode
+from repro.experiments.batch_engine import (
+    _KERNEL_CACHE,
+    _bad_node_count,
+    _canonical_key,
+)
 from repro.experiments.churn import fail_seeded_links
 from repro.experiments.engines import ExecutionEngine, register_engine
 from repro.experiments.spec import ScenarioSpec, derive_seed
-from repro.kernels import KernelCache
-from repro.kernels.simulator import cache_capacity_from_env
 from repro.topology.generators import build_family
 
 #: Height-based protocol modes per algorithm name.  Partial Reversal runs the
@@ -61,38 +63,6 @@ DEFAULT_MAX_EVENTS = 1_000_000
 
 #: Beacon rounds tried per phase before a lossy run is declared unconverged.
 BEACON_ROUNDS = 20
-
-#: Per-process instance cache (the async twin of the runner's kernel cache;
-#: campaign chunks share ``(family, size, topology_seed)`` topologies).
-#: Counters live in the shared ``ENGINE_METRICS`` registry as ``async_*``.
-_INSTANCE_CACHE = KernelCache(
-    capacity=cache_capacity_from_env(),
-    metrics=_telemetry.ENGINE_METRICS,
-    prefix="async_",
-)
-
-
-def set_cache_capacity(capacity: int) -> None:
-    """Resize the async engine's per-process instance cache."""
-    _INSTANCE_CACHE.set_capacity(capacity)
-
-#: Per-topology bad-node counts, keyed like the instance cache.
-_BAD_NODES_MEMO: Dict[Tuple[str, int, int], int] = {}
-
-
-def instance_cache_stats() -> Dict[str, int]:
-    """Cumulative counters of this process's async instance cache."""
-    return _INSTANCE_CACHE.stats()
-
-
-def _bad_node_count(cache_key: Tuple[str, int, int], instance) -> int:
-    count = _BAD_NODES_MEMO.get(cache_key)
-    if count is None:
-        count = len(instance.bad_nodes())
-        if len(_BAD_NODES_MEMO) >= 64:
-            _BAD_NODES_MEMO.clear()
-        _BAD_NODES_MEMO[cache_key] = count
-    return count
 
 
 def _run_phase(
@@ -154,11 +124,15 @@ class AsyncEngine(ExecutionEngine):
             f"churn model; choose from {', '.join(ASYNC_FAILURE_MODELS)}"
         )
 
-    def execute(self, spec, record, deadline) -> None:
+    def execute(self, lanes, deadline) -> None:
+        for spec, record in lanes:
+            self._execute_one(spec, record, deadline)
+
+    def _execute_one(self, spec, record, deadline) -> None:
         network: Optional[FastAsyncNetwork] = None
         try:
-            cache_key = (spec.family, spec.size, spec.topology_seed)
-            instance = _INSTANCE_CACHE.instance(
+            cache_key = _canonical_key(spec)
+            instance = _KERNEL_CACHE.instance(
                 cache_key,
                 lambda: build_family(spec.family, spec.size, spec.topology_seed),
             )

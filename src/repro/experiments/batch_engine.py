@@ -2,28 +2,23 @@
 
 Every synchronous spec whose algorithm has a signature kernel (PR,
 OneStepPR, NewPR, FR) and whose scheduler has a mask-level twin (every
-registry scheduler does) runs here, on
+registry scheduler does) runs here, as the ``kernel`` engine, on
 :class:`~repro.kernels.batch.BatchSimulator` lanes: scheduler decisions,
 convergence detection, work/round accounting, crash-stopped nodes and the
 churn phases all operate on int signatures, and no automaton state is ever
-materialised.  The engine registers under two names that share one
-implementation:
+materialised.  :meth:`KernelEngine.execute` runs one group of lanes as one
+lockstep call; :func:`repro.experiments.runner.run_scenarios` forms the
+groups — lanes of one :func:`batch_key` shape (``(family, size, algorithm,
+scheduler, churn model, node faults, max_steps)``) when the chunk has no
+per-run timeout, width-1 groups with their own deadlines when it has one.
 
-``kernel``
-    One scenario per call, as a width-1 group with its own per-run
-    deadline (``engine="auto"`` picks it for every spec it supports).
-``batch``
-    ``kernel``'s chunk dispatch: :func:`run_scenarios_batched` groups a
-    worker chunk by :func:`batch_key` — lanes of one ``(family, size,
-    algorithm, scheduler, churn model, node faults, max_steps)`` shape —
-    and runs each group as one lockstep call under one shared deadline.
-
-Whichever name runs it, the engine amortises four costs:
+The engine amortises four costs:
 
 * **instance/kernel construction** — one ``kernel_``-prefixed
   :class:`~repro.kernels.simulator.KernelCache` keyed by
-  :func:`_canonical_key` serves the engine (and the legacy oracle); for the
-  seed-deterministic families
+  :func:`_canonical_key` serves every engine of the process (the legacy
+  oracle, async and dataplane engines read their instances from it too);
+  for the seed-deterministic families
   (:data:`~repro.topology.generators.SEEDLESS_FAMILIES`) every replicate is
   the *same* instance, so one build and one compile serve them all;
 * **initial convergence phases** — a sweep cell's ``none``,
@@ -48,9 +43,7 @@ computation share that computation's fate.
 
 from __future__ import annotations
 
-import logging
-import time
-from typing import Any, Dict, Hashable, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from repro import telemetry as _telemetry
 from repro.core.full_reversal import FullReversal
@@ -59,13 +52,8 @@ from repro.core.one_step_pr import OneStepPartialReversal
 from repro.core.pr import PartialReversal
 from repro.experiments.churn import ScenarioChurn
 from repro.experiments.engines import ExecutionEngine
-from repro.experiments.spec import (
-    ALGORITHM_FACTORIES,
-    ScenarioSpec,
-    derive_seed,
-    spec_and_record,
-)
-from repro.experiments.store import OUTCOME_FIELDS, RESULT_INIT
+from repro.experiments.spec import ALGORITHM_FACTORIES, ScenarioSpec, derive_seed
+from repro.experiments.store import OUTCOME_FIELDS
 from repro.faults.nodes import select_crashed_ids
 from repro.kernels import (
     MASK_SCHEDULER_FACTORIES,
@@ -78,15 +66,14 @@ from repro.kernels import (
     mask_final_state_checks,
 )
 from repro.kernels.batch import BatchSimulator
-from repro.kernels.simulator import cache_capacity_from_env
+from repro.kernels.simulator import DEFAULT_CACHE_CAPACITY
 from repro.topology.generators import SEEDLESS_FAMILIES, build_family
 
 ENGINE_KERNEL = "kernel"
-ENGINE_BATCH = "batch"
 
 #: Algorithm names with a compiled signature kernel (mirrors
 #: ``compile_expander``), precomputed: ``supports`` runs once per lane of
-#: every batched chunk, where an ABC ``issubclass`` is measurable.
+#: every chunk, where an ABC ``issubclass`` is measurable.
 _KERNEL_ALGORITHM_NAMES = frozenset(
     name
     for name, factory in ALGORITHM_FACTORIES.items()
@@ -97,14 +84,11 @@ _KERNEL_ALGORITHM_NAMES = frozenset(
     )
 )
 
-logger = logging.getLogger(__name__)
-
 #: Per-process cache of instances and compiled simulators, keyed by
-#: :func:`_canonical_key`.  The ``REPRO_KERNEL_CACHE_CAPACITY`` environment
-#: variable sizes it; counters live in the always-on ``ENGINE_METRICS``
-#: registry under ``kernel_``-prefixed names.
+#: :func:`_canonical_key` and shared by every engine; counters live in the
+#: always-on ``ENGINE_METRICS`` registry under ``kernel_``-prefixed names.
 _KERNEL_CACHE = KernelCache(
-    capacity=cache_capacity_from_env(),
+    capacity=DEFAULT_CACHE_CAPACITY,
     metrics=_telemetry.ENGINE_METRICS,
     prefix="kernel_",
 )
@@ -153,24 +137,18 @@ def reset_kernel_caches() -> None:
     _OUTCOME_MEMO.clear()
 
 
-def batch_key(spec: Union[ScenarioSpec, Mapping[str, Any]]) -> Tuple[Any, ...]:
+def batch_key(spec: ScenarioSpec) -> Tuple[Any, ...]:
     """The lockstep-grouping key: lanes sharing it run as one group.
 
     Same family/size (same signature width per topology seed), same
     algorithm and scheduler family, same churn model, crash-stop count and
     step bound — lanes differ only in their topology/scheduler seeds and
-    replicate index.  Accepts a spec or its executor-shipped dict form.
+    replicate index.
     """
-    if isinstance(spec, ScenarioSpec):
-        return (
-            spec.family, spec.size, spec.algorithm, spec.scheduler,
-            spec.failure_model, spec.failure_count, spec.max_steps,
-            spec.delay_model, spec.traffic, spec.node_faults,
-        )
     return (
-        spec["family"], spec["size"], spec["algorithm"], spec["scheduler"],
-        spec["failure_model"], spec["failure_count"], spec["max_steps"],
-        spec.get("delay_model"), spec.get("traffic"), spec.get("node_faults", 0),
+        spec.family, spec.size, spec.algorithm, spec.scheduler,
+        spec.failure_model, spec.failure_count, spec.max_steps,
+        spec.delay_model, spec.traffic, spec.node_faults,
     )
 
 
@@ -515,87 +493,12 @@ def _execute_group(lanes: List[Lane], deadline: Optional[float]) -> None:
             _OUTCOME_MEMO[key] = outcome
 
 
-def run_scenarios_batched(
-    specs: List[Union[ScenarioSpec, Dict[str, Any]]],
-    timeout_s: Optional[float] = None,
-) -> List[Dict[str, Any]]:
-    """Execute a chunk of scenario dicts as lockstep groups (worker entry).
-
-    The ``batch`` dispatch of ``run_scenarios``: groups the chunk by
-    :func:`batch_key`, runs each group through :func:`_execute_group` and
-    returns one record per spec, in input order, with the exact schema of
-    ``execute_scenario``.  Specs the engine cannot run (BLL, async, invalid)
-    get the same error records a forced ``engine="batch"`` per-scenario call
-    would produce.  ``timeout_s`` is a *shared* budget: one deadline from
-    call start governs every lane.
-    """
-    start = time.perf_counter()
-    deadline = None if timeout_s is None else start + timeout_s
-    records: List[Dict[str, Any]] = []
-    lanes_by_key: Dict[Tuple[Any, ...], List[Lane]] = {}
-    for raw in specs:
-        spec, record = spec_and_record(raw)
-        record.update(RESULT_INIT)
-        records.append(record)
-        try:
-            spec.validate()
-            if not _ENGINE.supports(spec):
-                raise ValueError(_ENGINE.unsupported_reason(spec))
-        except Exception as exc:  # noqa: BLE001 — crash isolation is the contract
-            record.update(status="error", error=f"{type(exc).__name__}: {exc}")
-            continue
-        record["engine"] = ENGINE_BATCH
-        lanes_by_key.setdefault(batch_key(spec), []).append((spec, record))
-
-    fallback_ids: set = set()
-    for lanes in lanes_by_key.values():
-        try:
-            _execute_group(lanes, deadline)
-        except Exception as exc:  # noqa: BLE001 — one bad lane must not sink the group
-            from repro.experiments.runner import execute_scenario
-
-            logger.exception(
-                "batch group of %d lanes (first run %s) failed in lockstep; "
-                "retrying each lane per-scenario: %s",
-                len(lanes), lanes[0][1].get("run_id"), exc,
-            )
-            if _telemetry.ENABLED:
-                _telemetry.REGISTRY.inc("batch.group_fallbacks")
-            for spec, record in lanes:
-                # execute_scenario counts its own telemetry, so these lanes
-                # are excluded from the aggregated tally below
-                solo = execute_scenario(spec, timeout_s=timeout_s, engine=ENGINE_BATCH)
-                record.clear()
-                record.update(solo)
-                fallback_ids.add(id(record))
-
-    elapsed = round(time.perf_counter() - start, 6)
-    for record in records:
-        if not record["wall_time_s"]:
-            record["wall_time_s"] = elapsed
-    if _telemetry.ENABLED:
-        # one aggregation pass, then a handful of registry calls — per-record
-        # increments would cost several percent of a 6144-lane batch call
-        registry = _telemetry.REGISTRY
-        engine_tallies: Dict[Tuple[str, str], int] = {}
-        for record in records:
-            if id(record) in fallback_ids:
-                continue
-            key = (record["engine"] or "none", record["status"])
-            engine_tallies[key] = engine_tallies.get(key, 0) + 1
-        for (engine_used, status), count in engine_tallies.items():
-            registry.inc(f"scenarios.{engine_used}", count)
-            registry.inc(f"scenario_status.{status}", count)
-        if records:
-            registry.observe("batch_call_wall_s", elapsed)
-    return records
-
-
 class KernelEngine(ExecutionEngine):
-    """The compiled synchronous engine, one scenario per call.
+    """The compiled synchronous engine: one call runs a group of lanes.
 
-    A scenario runs as a width-1 group: same lanes, caches and outcome memo
-    as a batched chunk, with a per-run deadline.
+    The runner hands it lanes of one :func:`batch_key` under one shared
+    deadline, or a single lane under its own per-run deadline; either way
+    the group runs through :func:`_execute_group`.
     """
 
     name = ENGINE_KERNEL
@@ -625,20 +528,5 @@ class KernelEngine(ExecutionEngine):
             f"with scheduler {spec.scheduler!r}; use engine='legacy'"
         )
 
-    def execute(self, spec, record, deadline) -> None:
-        _execute_group([(spec, record)], deadline)
-
-
-class BatchEngine(KernelEngine):
-    """``kernel``'s chunk dispatch: ``run_scenarios(..., engine="batch")``
-    hands whole chunks to :func:`run_scenarios_batched`, one deadline per
-    chunk.  Priority sits below ``kernel``, so ``auto`` never picks it."""
-
-    name = ENGINE_BATCH
-    auto_priority = 15
-    # the same function, bound in this class too: span tracing wraps
-    # ``execute`` per registered engine class (``e2ebench/tracing.py``)
-    execute = KernelEngine.execute
-
-
-_ENGINE = BatchEngine()
+    def execute(self, lanes, deadline) -> None:
+        _execute_group(lanes, deadline)

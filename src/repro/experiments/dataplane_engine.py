@@ -50,12 +50,15 @@ from repro.experiments.async_engine import (
     DEFAULT_MAX_EVENTS,
     _run_phase,
 )
+from repro.experiments.batch_engine import (
+    _KERNEL_CACHE,
+    _bad_node_count,
+    _canonical_key,
+)
 from repro.experiments.churn import fail_seeded_links
 from repro.experiments.engines import ExecutionEngine, register_engine
 from repro.experiments.spec import ScenarioSpec, derive_seed
 from repro.experiments.store import PACKET_INIT
-from repro.kernels import KernelCache
-from repro.kernels.simulator import cache_capacity_from_env
 from repro.topology.generators import build_family
 
 #: Injection slots when the spec does not set ``max_steps``.
@@ -67,24 +70,6 @@ DRAIN_SLOTS = 512
 
 #: Control-plane delay model used when the spec leaves ``delay_model`` unset.
 DEFAULT_DELAY_MODEL = "fixed"
-
-#: Per-process instance cache (same shape as the async engine's); counters
-#: live in the shared ``ENGINE_METRICS`` registry as ``dataplane_*``.
-_INSTANCE_CACHE = KernelCache(
-    capacity=cache_capacity_from_env(),
-    metrics=_telemetry.ENGINE_METRICS,
-    prefix="dataplane_",
-)
-
-
-def set_cache_capacity(capacity: int) -> None:
-    """Resize the dataplane engine's per-process instance cache."""
-    _INSTANCE_CACHE.set_capacity(capacity)
-
-
-def instance_cache_stats() -> Dict[str, int]:
-    """Cumulative counters of this process's dataplane instance cache."""
-    return _INSTANCE_CACHE.stats()
 
 
 class DataPlaneEngine(ExecutionEngine):
@@ -129,19 +114,23 @@ class DataPlaneEngine(ExecutionEngine):
             f"churn model; choose from {', '.join(ASYNC_FAILURE_MODELS)}"
         )
 
-    def execute(self, spec, record, deadline) -> None:
+    def execute(self, lanes, deadline) -> None:
+        for spec, record in lanes:
+            self._execute_one(spec, record, deadline)
+
+    def _execute_one(self, spec, record, deadline) -> None:
         record.update(PACKET_INIT)
         run: Optional[DataPlaneRun] = None
         try:
-            cache_key = (spec.family, spec.size, spec.topology_seed)
-            instance = _INSTANCE_CACHE.instance(
+            cache_key = _canonical_key(spec)
+            instance = _KERNEL_CACHE.instance(
                 cache_key,
                 lambda: build_family(spec.family, spec.size, spec.topology_seed),
             )
             record.update(
                 nodes=instance.node_count,
                 edges=instance.edge_count,
-                bad_nodes=len(instance.bad_nodes()),
+                bad_nodes=_bad_node_count(cache_key, instance),
             )
             delay_model = spec.delay_model or DEFAULT_DELAY_MODEL
             run = DataPlaneRun(

@@ -8,9 +8,8 @@ a :class:`~repro.experiments.spec.ScenarioSpec`:
 
 ``kernel``
     The compiled signature-kernel fast path (synchronous scheduler model;
-    PR / OneStepPR / NewPR / FR on any registry scheduler): lockstep lanes,
-    one scenario per call.  ``batch`` is the same engine handed whole
-    chunks per call.
+    PR / OneStepPR / NewPR / FR on any registry scheduler): a group of
+    lockstep lanes per call.
 ``legacy``
     The object-level I/O-automaton oracle (synchronous; every algorithm,
     including BLL).
@@ -20,6 +19,9 @@ a :class:`~repro.experiments.spec.ScenarioSpec`:
     to height messages over delayed / lossy / churning links.  Selected by
     giving the spec a ``delay_model``; supports the height-based algorithms
     (``pr`` → partial mode, ``fr`` → full mode).
+``dataplane``
+    Packet forwarding over a live async control plane, selected by giving
+    the spec a ``traffic`` model.
 
 Engines declare which specs they :meth:`~ExecutionEngine.supports`;
 ``resolve_engine("auto", spec)`` picks the highest-priority supporting
@@ -29,15 +31,18 @@ the engine list.  Registering a new engine is one
 :func:`register_engine` call — the runner, executor, CLI and store plumbing
 pick it up through the registry.
 
-Engines ``execute(spec, record, deadline)`` by mutating the flat result
-record in place; they must flush partial work tallies even when raising
+Engines ``execute(lanes, deadline)``: ``lanes`` is a list of ``(spec,
+record)`` pairs that share one deadline, and each flat result record is
+mutated in place; partial work tallies must be flushed even when raising
 (timeouts are recorded with the work done so far).
+:func:`repro.experiments.runner.run_scenarios` forms the groups: only the
+``kernel`` engine is ever handed more than one lane.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.experiments.spec import ScenarioSpec
@@ -68,14 +73,15 @@ class ExecutionEngine(ABC):
     @abstractmethod
     def execute(
         self,
-        spec: "ScenarioSpec",
-        record: Dict[str, Any],
+        lanes: List[Tuple["ScenarioSpec", Dict[str, Any]]],
         deadline: Optional[float],
     ) -> None:
-        """Run the scenario, mutating ``record`` in place.
+        """Run every ``(spec, record)`` lane, mutating each record in place.
 
-        Must update the record's work tallies (``node_steps`` etc.) even on
-        a timeout / error exit, so partial work is never lost.
+        Must update the records' work tallies (``node_steps`` etc.) even on
+        a timeout / error exit, so partial work is never lost.  Each
+        registered class defines ``execute`` itself: span tracing wraps it
+        per engine class.
         """
 
 

@@ -13,8 +13,8 @@ Failure containment is layered (the self-healing ladder, top rung first):
 * a bad *run* (exception, timeout) is caught inside the worker and comes back
   as a record with ``status`` ``"error"`` / ``"timeout"``;
 * a *hung* worker is caught by the heartbeat watchdog (``watchdog_s``):
-  workers stamp a shared array per chunk and per scenario, and a chunk whose
-  stamp goes stale is hard-killed and re-dispatched;
+  workers stamp a shared array per chunk and per group of lanes, and a
+  chunk whose stamp goes stale is hard-killed and re-dispatched;
 * a dead *worker process* (segfault, OOM-kill, watchdog kill) breaks the
   pool; the pool is **reformed** (up to ``max_pool_reforms`` times) and the
   surviving chunks re-dispatched with per-chunk retry budgets
@@ -53,20 +53,13 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set
 
-from collections import OrderedDict
 
 from repro import telemetry as _telemetry
 from repro._mp import fork_preferring_context
 from repro.faults import injector as _injector
 from repro.faults.plan import FAULT_PLAN_ENV, FaultPlan
 from repro.telemetry.metrics import MetricsRegistry
-from repro.experiments.runner import (
-    ENGINE_AUTO,
-    ENGINE_BATCH,
-    kernel_cache_stats,
-    run_scenarios,
-)
-from repro.experiments.batch_engine import batch_key
+from repro.experiments.runner import ENGINE_AUTO, kernel_cache_stats, run_scenarios
 from repro.experiments.spec import CRASH_SENTINEL, CampaignSpec
 from repro.experiments.store import MESSAGE_INIT, PACKET_INIT, RESULT_INIT, ResultStore
 
@@ -95,8 +88,8 @@ class CampaignReport:
     #: of the pool's capacity the campaign actually used.
     worker_utilisation: float = 0.0
     shard: Optional[str] = None
-    #: Executed runs per engine (``kernel``, ``legacy``, ``async``, ``batch``
-    #: or ``dataplane``; ``none`` for runs that failed before an engine was
+    #: Executed runs per engine (``kernel``, ``legacy``, ``async`` or
+    #: ``dataplane``; ``none`` for runs that failed before an engine was
     #: selected).
     engines: Dict[str, int] = field(default_factory=dict)
     #: Summed kernel-cache counters across every worker that ran a chunk.
@@ -273,38 +266,6 @@ def _default_chunk_size(pending: int, workers: int) -> int:
     return max(1, -(-pending // (max(1, workers) * 8)))
 
 
-def _default_batch_chunk_size(pending: int, workers: int) -> int:
-    # batched chunks want the opposite trade-off: the wider a lockstep call,
-    # the more lanes share kernels and deduplicated outcomes, so inline runs
-    # take whole batch-key groups and pooled runs aim for only ~2 chunks per
-    # worker — enough to keep every worker fed without fragmenting batches
-    if pending <= 0:
-        return 1
-    if workers <= 1:
-        return pending
-    return max(1, -(-pending // (workers * 2)))
-
-
-def _batch_aligned_chunks(
-    pending: List[Dict[str, Any]], chunk_size: int
-) -> List[List[Dict[str, Any]]]:
-    """Chunks that never straddle a batch-key boundary.
-
-    Pending runs are grouped by :func:`~repro.experiments.batch_engine.batch_key`
-    (stable first-appearance order, so resumed campaigns chunk the same way)
-    and each group is split on its own — a chunk shipped to a worker is
-    therefore one lockstep batch, never a mixture that the worker would have
-    to re-split into tiny groups.
-    """
-    groups: "OrderedDict[Any, List[Dict[str, Any]]]" = OrderedDict()
-    for spec in pending:
-        groups.setdefault(batch_key(spec), []).append(spec)
-    chunks: List[List[Dict[str, Any]]] = []
-    for group in groups.values():
-        chunks.extend(_chunked(group, chunk_size))
-    return chunks
-
-
 def _pool_context():
     return fork_preferring_context()
 
@@ -336,20 +297,21 @@ def run_campaign(
     workers:
         Pool size; ``<= 1`` executes inline without multiprocessing.
     chunk_size:
-        Runs per dispatched chunk (default: derived from the pending count
-        and worker count; ``engine="batch"`` prefers far wider chunks).
+        Runs per dispatched chunk, at least 1 (default: derived from the
+        pending count and worker count).
     timeout_s:
-        Cooperative per-run wall-clock budget; over-budget runs are recorded
-        with ``status="timeout"`` (shared per chunk under ``engine="batch"``).
+        Cooperative per-run wall-clock budget on every engine; over-budget
+        runs are recorded with ``status="timeout"``.  Without one, a chunk's
+        kernel runs of one batch key execute as one lockstep group (see
+        :func:`repro.experiments.runner.run_scenarios`).
     progress:
         Optional ``callback(done, pending_total)`` invoked after every chunk.
     engine:
         Execution engine for every run (see
-        :func:`repro.experiments.runner.execute_scenario`): ``"auto"``
-        (default — compiled kernels whenever the spec supports them),
-        ``"kernel"``, ``"legacy"``, ``"async"`` or ``"batch"``.  The batch
-        engine additionally changes chunking: chunks are aligned to batch
-        keys so each one executes as a single lockstep call.
+        :func:`repro.experiments.runner.run_scenarios`): ``"auto"``
+        (default — the highest-priority engine that supports each spec), or
+        any registered engine name (``"kernel"``, ``"legacy"``, ``"async"``,
+        ``"dataplane"``).
     telemetry:
         When set (the default), the campaign runs under an enabled
         :mod:`repro.telemetry` session: per-chunk spans, per-run scenario
@@ -364,7 +326,9 @@ def run_campaign(
         Heartbeat staleness deadline.  A pooled chunk whose worker has not
         stamped a heartbeat for this long is presumed hung: the worker is
         hard-killed and the chunk re-dispatched.  Must exceed the worst
-        single-*scenario* runtime (heartbeats are stamped per scenario).
+        single-*group* runtime: heartbeats are stamped per group of lanes
+        (one lockstep group of kernel runs, or one run on any other engine
+        or under a ``timeout_s``).
         ``None`` (default) disables the watchdog.
     max_retries:
         Re-dispatches a chunk may consume (worker death, watchdog kill or
@@ -377,6 +341,8 @@ def run_campaign(
         executor falls back to per-chunk quarantine pools.
     """
     start = time.perf_counter()
+    if chunk_size is not None and chunk_size < 1:
+        raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
     if fault_plan is not None:
         fault_plan.validate()
         if workers <= 1:
@@ -402,14 +368,9 @@ def run_campaign(
 
     shard = store.new_shard()
     report.shard = str(shard)
-    if engine == ENGINE_BATCH:
-        if chunk_size is None:
-            chunk_size = _default_batch_chunk_size(len(pending), workers)
-        chunks = _batch_aligned_chunks(pending, chunk_size)
-    else:
-        if chunk_size is None:
-            chunk_size = _default_chunk_size(len(pending), workers)
-        chunks = _chunked(pending, chunk_size)
+    if chunk_size is None:
+        chunk_size = _default_chunk_size(len(pending), workers)
+    chunks = _chunked(pending, chunk_size)
 
     logger.info(
         "campaign %s: %d pending of %d runs in %d chunks across %d workers "

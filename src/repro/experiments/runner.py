@@ -1,21 +1,28 @@
-"""Worker-side execution of one scenario.
+"""Worker-side execution of scenario chunks: the one scenario dispatch.
 
-:func:`execute_scenario` is the function the sharded executor ships to its
-worker pool.  It takes a :class:`~repro.experiments.spec.ScenarioSpec` (or its
-plain-dict form — the only thing that actually crosses the process boundary),
-rebuilds the instance locally, runs the scenario to quiescence and returns a
-flat, JSON-compatible result record.
+:func:`run_scenarios` is the function the campaign executor ships to its
+worker pool (and calls inline for ``workers <= 1``).  It takes a chunk of
+:class:`~repro.experiments.spec.ScenarioSpec` objects (or their plain-dict
+form — the only thing that actually crosses the process boundary), rebuilds
+each instance locally, runs every scenario to quiescence and returns one
+flat, JSON-compatible result record per spec, in input order.
+:func:`execute_scenario` is the same dispatch for a single spec.
 
-Two synchronous execution engines, selected by the ``engine`` argument:
+Every spec resolves to one registered engine (see
+:mod:`repro.experiments.engines`), and the chunk runs as groups of lanes,
+one ``execute`` call and one deadline per group.  Without a per-run
+timeout, the ``kernel`` lanes that share a
+:func:`~repro.experiments.batch_engine.batch_key` form one lockstep group;
+every other lane, and every lane under a per-run ``timeout_s``, is a group
+of its own.  The synchronous engines:
 
 ``kernel`` (the fast path)
     The compiled synchronous engine of
-    :mod:`repro.experiments.batch_engine`: the scenario runs as a width-1
-    group of lockstep lanes on the int kernels of :mod:`repro.kernels`, with
-    no automaton state ever materialised.  Available when the algorithm has
-    a compiled kernel (PR, OneStepPR, NewPR, FR) *and* the scheduler has a
-    mask-level twin (every registry scheduler does).  ``batch`` is the same
-    engine handed whole chunks at once (:func:`run_scenarios`).
+    :mod:`repro.experiments.batch_engine`: lockstep lanes on the int kernels
+    of :mod:`repro.kernels`, with no automaton state ever materialised.
+    Available when the algorithm has a compiled kernel (PR, OneStepPR,
+    NewPR, FR) *and* the scheduler has a mask-level twin (every registry
+    scheduler does).
 ``legacy`` (the oracle and fallback)
     The original object path: :func:`repro.automata.executions.run` over the
     I/O automaton with per-step observers.  BLL (and any future automaton
@@ -23,10 +30,11 @@ Two synchronous execution engines, selected by the ``engine`` argument:
     the compiled engine to field-for-field identical records, which is what
     makes it trustworthy.
 
-``engine="auto"`` (the default) picks ``kernel`` whenever the spec supports
-it.  One per-process :class:`~repro.kernels.simulator.KernelCache` amortises
-topology construction and kernel compilation across the scenarios of a
-worker chunk (campaign cells share paired topology seeds by design).
+``engine="auto"`` (the default) picks the highest-priority engine that
+supports each spec — ``kernel`` for every synchronous spec it can run.  One
+per-process :class:`~repro.kernels.simulator.KernelCache` amortises topology
+construction and kernel compilation across the scenarios of a worker chunk
+(campaign cells share paired topology seeds by design).
 
 Three execution modes, selected by ``spec.failure_model``:
 
@@ -52,13 +60,16 @@ convergence and every repair phase, so ``node_steps`` is the total work of
 the whole scenario.  A cooperative per-run timeout is enforced by checking
 the wall clock every :data:`~repro.kernels.simulator.DEADLINE_CHECK_STRIDE`
 automaton steps (always including the first, so an already-expired budget
-aborts immediately) and recording the run with status ``"timeout"``.
+aborts immediately) and recording the run with status ``"timeout"``.  A
+lane's ``wall_time_s`` is its group's wall time divided by the group's
+width.
 """
 
 from __future__ import annotations
 
 import logging
 import time
+from collections import Counter
 from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple, Union
 
 from repro import telemetry as _telemetry
@@ -66,18 +77,17 @@ from repro import telemetry as _telemetry
 from repro.analysis.work import WorkObserver
 from repro.automata.executions import run
 # the compiled engine's names stay importable from here (the CLI and the
-# tests use ENGINE_KERNEL, ENGINE_BATCH and algorithm_has_kernel)
+# tests use ENGINE_KERNEL and algorithm_has_kernel)
 from repro.experiments.batch_engine import (
     _KERNEL_CACHE,
-    ENGINE_BATCH,
     ENGINE_KERNEL,
-    BatchEngine,
     KernelEngine,
+    Lane,
     _bad_node_count,
     _canonical_key,
     algorithm_has_kernel,
+    batch_key,
     outcome_stats,
-    run_scenarios_batched,
 )
 from repro.experiments.churn import ScenarioChurn
 from repro.experiments.engines import (
@@ -111,44 +121,16 @@ ENGINE_ASYNC = "async"
 ENGINE_DATAPLANE = "dataplane"
 
 
-def configure_kernel_cache(capacity: int) -> None:
-    """Resize every per-process engine cache (kernel, async, dataplane).
-
-    The programmatic twin of the ``REPRO_KERNEL_CACHE_CAPACITY`` environment
-    variable; shrinking evicts least-recently-used entries immediately.
-    """
-    import repro.experiments.async_engine as _async_engine
-    import repro.experiments.dataplane_engine as _dataplane_engine
-
-    _KERNEL_CACHE.set_capacity(capacity)
-    _async_engine.set_cache_capacity(capacity)
-    _dataplane_engine.set_cache_capacity(capacity)
-
-
 def kernel_cache_stats() -> Dict[str, int]:
-    """Cumulative cache counters of this process's per-engine caches.
+    """Cumulative counters of this process's engine cache.
 
-    The compiled synchronous engine's instance/kernel cache (shared with the
-    legacy oracle) plus (``async_``-prefixed) the async engine's instance
-    cache, (``batch_``-prefixed) the synchronous engine's outcome-dedup
-    counters, and (``dataplane_``-prefixed) the dataplane engine's instance
-    cache, so ``repro sweep --json`` surfaces cache behaviour whichever
-    engine a campaign ran on.
+    The shared instance/kernel cache's counters, plus (``batch_``-prefixed)
+    the compiled engine's outcome-dedup counters, so ``repro sweep --json``
+    surfaces cache behaviour whichever engine a campaign ran on.
     """
-    from repro.experiments.async_engine import instance_cache_stats
-    from repro.experiments.dataplane_engine import (
-        instance_cache_stats as dataplane_cache_stats,
-    )
-
-    stats = dict(_KERNEL_CACHE.stats())
-    for name, value in instance_cache_stats().items():
-        if name.startswith("instance"):
-            stats[f"async_{name}"] = value
+    stats = _KERNEL_CACHE.stats()
     for name, value in outcome_stats().items():
         stats[f"batch_{name}"] = value
-    for name, value in dataplane_cache_stats().items():
-        if name.startswith("instance"):
-            stats[f"dataplane_{name}"] = value
     return stats
 
 
@@ -221,49 +203,6 @@ def _converge(automaton_factory, instance, scheduler, observers, max_steps):
     return run(
         automaton, scheduler, max_steps=max_steps, observers=observers, record_states=False
     )
-
-
-def execute_scenario(
-    spec: Union[ScenarioSpec, Dict[str, Any]],
-    timeout_s: Optional[float] = None,
-    engine: str = ENGINE_AUTO,
-) -> Dict[str, Any]:
-    """Execute one scenario and return its flat result record.
-
-    Never raises for per-run problems: failures are reported through the
-    record's ``status`` field (``ok`` / ``timeout`` / ``error``) so one bad
-    run cannot take down a whole campaign shard.  The record's ``engine``
-    field says which execution path produced it (``None`` when the run
-    failed before an engine was selected).
-    """
-    spec, record = spec_and_record(spec)
-    record.update(RESULT_INIT)
-
-    start = time.perf_counter()
-    deadline = None if timeout_s is None else start + timeout_s
-
-    try:
-        spec.validate()
-        chosen = get_engine(resolve_engine(engine, spec))
-        record["engine"] = chosen.name
-        chosen.execute(spec, record, deadline)
-    except DeadlineExceeded as exc:
-        record.update(status="timeout", error=str(exc))
-    except Exception as exc:  # noqa: BLE001 — crash isolation is the contract
-        record.update(status="error", error=f"{type(exc).__name__}: {exc}")
-        logger.debug(
-            "scenario %s failed on engine %s", record.get("run_id"),
-            record.get("engine"), exc_info=exc,
-        )
-
-    record["wall_time_s"] = wall_s = round(time.perf_counter() - start, 6)
-    if _telemetry.ENABLED:
-        registry = _telemetry.REGISTRY
-        engine_used = record["engine"] or "none"
-        registry.inc(f"scenarios.{engine_used}")
-        registry.inc(f"scenario_status.{record['status']}")
-        registry.observe(f"scenario_wall_s.{engine_used}", wall_s)
-    return record
 
 
 # ----------------------------------------------------------------------
@@ -373,17 +312,18 @@ class LegacyEngine(ExecutionEngine):
             f"(delay_model={spec.delay_model!r}); use engine='async'"
         )
 
-    def execute(self, spec, record, deadline) -> None:
-        work, rounds = WorkObserver(), _RoundObserver()
-        try:
-            _execute_legacy_scenario(spec, record, work, rounds, deadline)
-        finally:
-            record.update(
-                node_steps=work.node_steps,
-                edge_reversals=work.edge_reversals,
-                dummy_steps=work.dummy_steps,
-                rounds=rounds.rounds,
-            )
+    def execute(self, lanes, deadline) -> None:
+        for spec, record in lanes:
+            work, rounds = WorkObserver(), _RoundObserver()
+            try:
+                _execute_legacy_scenario(spec, record, work, rounds, deadline)
+            finally:
+                record.update(
+                    node_steps=work.node_steps,
+                    edge_reversals=work.edge_reversals,
+                    dummy_steps=work.dummy_steps,
+                    rounds=rounds.rounds,
+                )
 
 
 # registration order is the order ``repro sweep --engine`` lists; the async
@@ -393,37 +333,132 @@ class LegacyEngine(ExecutionEngine):
 register_engine(KernelEngine())
 register_engine(LegacyEngine())
 import repro.experiments.async_engine  # noqa: E402,F401  (registration import)
-
-register_engine(BatchEngine())
 import repro.experiments.dataplane_engine  # noqa: E402,F401  (registration import)
 
-#: Engine names accepted by :func:`execute_scenario` / ``repro sweep --engine``.
+#: Engine names accepted by :func:`run_scenarios` / ``repro sweep --engine``.
 ENGINE_CHOICES = engine_names()
 
 
 def run_scenarios(
-    specs: List[Dict[str, Any]],
+    specs: List[Union[ScenarioSpec, Dict[str, Any]]],
     timeout_s: Optional[float] = None,
     engine: str = ENGINE_AUTO,
     beat: Optional[Callable[[], None]] = None,
 ) -> List[Dict[str, Any]]:
-    """Execute a chunk of scenario dicts (the worker entry point).
+    """Execute a chunk of scenarios and return their records in input order.
 
-    ``engine="batch"`` routes the whole chunk through
-    :func:`repro.experiments.batch_engine.run_scenarios_batched`, which
-    groups it by batch key and runs each group in lockstep; every other
-    engine executes the chunk one scenario at a time.  ``beat``, when given,
-    is invoked before every scenario (once per chunk for ``batch``) — the
-    executor's watchdog heartbeat, so a hung scenario is distinguishable
-    from a long chunk.
+    Each spec is validated and resolved to an engine; then the chunk runs
+    as groups of lanes (see the module docstring), in order of first
+    appearance.  ``timeout_s`` is a per-run budget on every engine.
+    ``beat``, when given, is invoked before every group — the executor's
+    watchdog heartbeat, so a hung group is distinguishable from a long
+    chunk.
+
+    Never raises for per-run problems: failures are reported through each
+    record's ``status`` field (``ok`` / ``timeout`` / ``error``) so one bad
+    run cannot take down a whole campaign shard.  The record's ``engine``
+    field says which engine produced it (``None`` when the run failed
+    before an engine was selected).
     """
-    if engine == ENGINE_BATCH:
-        if beat is not None:
-            beat()
-        return run_scenarios_batched(specs, timeout_s=timeout_s)
     records = []
-    for spec in specs:
-        if beat is not None:
-            beat()
-        records.append(execute_scenario(spec, timeout_s=timeout_s, engine=engine))
+    groups: List[Tuple[ExecutionEngine, List[Lane]]] = []
+    lockstep: Dict[Tuple[Any, ...], List[Lane]] = {}
+    for raw in specs:
+        spec, record = spec_and_record(raw)
+        record.update(RESULT_INIT)
+        records.append(record)
+        start = time.perf_counter()
+        try:
+            spec.validate()
+            chosen = get_engine(resolve_engine(engine, spec))
+        except Exception as exc:  # noqa: BLE001 — crash isolation is the contract
+            record.update(status="error", error=f"{type(exc).__name__}: {exc}")
+            _finish([record], round(time.perf_counter() - start, 6))
+            continue
+        record["engine"] = chosen.name
+        if timeout_s is None and chosen.name == ENGINE_KERNEL:
+            key = batch_key(spec)
+            lanes = lockstep.get(key)
+            if lanes is None:
+                lanes = lockstep[key] = []
+                groups.append((chosen, lanes))
+            lanes.append((spec, record))
+        else:
+            groups.append((chosen, [(spec, record)]))
+    for chosen, lanes in groups:
+        _run_group(chosen, lanes, timeout_s, beat)
     return records
+
+
+def execute_scenario(
+    spec: Union[ScenarioSpec, Dict[str, Any]],
+    timeout_s: Optional[float] = None,
+    engine: str = ENGINE_AUTO,
+) -> Dict[str, Any]:
+    """Execute one scenario and return its flat result record."""
+    return run_scenarios([spec], timeout_s=timeout_s, engine=engine)[0]
+
+
+def _run_group(
+    chosen: ExecutionEngine,
+    lanes: List[Lane],
+    timeout_s: Optional[float],
+    beat: Optional[Callable[[], None]],
+) -> None:
+    """Run one group under one deadline and stamp each lane's record.
+
+    A group of several lanes that raises is re-run lane by lane, so one bad
+    lane cannot sink the others; a single lane that raises records
+    ``error``, and one past its deadline records ``timeout``.
+    """
+    if beat is not None:
+        beat()
+    start = time.perf_counter()
+    deadline = None if timeout_s is None else start + timeout_s
+    try:
+        chosen.execute(lanes, deadline)
+    except DeadlineExceeded as exc:
+        for _, record in lanes:
+            record.update(status="timeout", error=str(exc))
+    except Exception as exc:  # noqa: BLE001 — crash isolation is the contract
+        if len(lanes) > 1:
+            logger.exception(
+                "group of %d %s lanes (first run %s) failed; retrying lane by lane",
+                len(lanes), chosen.name, lanes[0][1].get("run_id"),
+            )
+            if _telemetry.ENABLED:
+                _telemetry.REGISTRY.inc("scenario_group_fallbacks")
+            for lane in lanes:
+                lane[1].update(RESULT_INIT, engine=chosen.name)
+                _run_group(chosen, [lane], timeout_s, beat)
+            return
+        record = lanes[0][1]
+        record.update(status="error", error=f"{type(exc).__name__}: {exc}")
+        logger.debug(
+            "scenario %s failed on engine %s", record.get("run_id"),
+            chosen.name, exc_info=exc,
+        )
+    _finish(
+        [record for _, record in lanes],
+        round((time.perf_counter() - start) / len(lanes), 6),
+    )
+
+
+def _finish(records: List[Dict[str, Any]], wall_s: float) -> None:
+    """Stamp each lane's wall time and count every lane in the telemetry registry.
+
+    The lanes of one group share their engine and wall time, so the counters
+    take one increment per group and status: per-lane registry calls cost
+    several percent of a wide lockstep group.
+    """
+    for record in records:
+        record["wall_time_s"] = wall_s
+    if _telemetry.ENABLED:
+        registry = _telemetry.REGISTRY
+        engine_used = records[0]["engine"] or "none"
+        registry.inc(f"scenarios.{engine_used}", len(records))
+        for status, count in Counter(record["status"] for record in records).items():
+            registry.inc(f"scenario_status.{status}", count)
+        histogram = registry.histogram(f"scenario_wall_s.{engine_used}")
+        for _ in records:
+            histogram.observe(wall_s)

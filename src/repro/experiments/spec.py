@@ -284,6 +284,8 @@ class CampaignSpec:
     node_fault_counts: Sequence[int] = (0,)
 
     def __post_init__(self) -> None:
+        if self.replicates < 0:
+            raise ValueError(f"replicates must be non-negative, got {self.replicates}")
         self.families = tuple(self.families)
         self.algorithms = tuple(self.algorithms)
         self.schedulers = tuple(self.schedulers)

@@ -492,8 +492,9 @@ class ResultStore:
     def engine_counts(self) -> Dict[str, int]:
         """Stored runs per execution engine.
 
-        The engines are ``kernel``, ``legacy``, ``async``, ``batch`` and
-        ``dataplane``.
+        The engines are ``kernel``, ``legacy``, ``async`` and ``dataplane``
+        (stores written before the ``batch`` name folded into ``kernel`` may
+        also count ``batch``).
 
         ``none`` aggregates runs with no recorded engine: failures before an
         engine was selected, crashed placeholders and pre-engine records.

@@ -69,7 +69,6 @@ from repro.kernels.simulator import (
     RoundTally,
     SignatureSimulator,
     WorkTally,
-    cache_capacity_from_env,
 )
 
 __all__ = [
@@ -83,7 +82,6 @@ __all__ = [
     "mask_is_acyclic_batch",
     "mask_is_destination_oriented_batch",
     "KernelCache",
-    "cache_capacity_from_env",
     "MASK_SCHEDULER_FACTORIES",
     "MaskScheduler",
     "NewPRExpander",

@@ -465,10 +465,6 @@ class _ListKernelMixin:
         self._step_memo[i][row] = pair
         return pair
 
-    def _step(self, i: int, sig: int) -> int:
-        """Historical argument order of :meth:`step` (kept for callers)."""
-        return self.step(sig, i)
-
     @property
     def signature_bits(self) -> int:
         # mask plus one bookkeeping bit per (node, incident edge) pair

@@ -33,7 +33,6 @@ counters that surface in ``repro sweep --json``.
 
 from __future__ import annotations
 
-import os
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -50,7 +49,7 @@ from repro.telemetry.metrics import MetricsRegistry
 #: deadline by at most ``stride - 1`` steps.
 DEADLINE_CHECK_STRIDE = 64
 
-#: Default :class:`KernelCache` capacity of the per-process engine caches.
+#: :class:`KernelCache` capacity of the per-process engine cache.
 #: Sized to hold a full campaign axis sweep's worth of topologies (families ×
 #: sizes × replicates regularly reaches several dozen distinct instances).
 DEFAULT_CACHE_CAPACITY = 64
@@ -60,27 +59,6 @@ DEFAULT_CACHE_CAPACITY = 64
 #: ``capacity * KERNELS_PER_INSTANCE`` the least recently used entry goes,
 #: so a hot instance cannot gather entries without bound.
 KERNELS_PER_INSTANCE = 32
-
-#: Environment variable overriding the per-process engine cache capacity.
-CACHE_CAPACITY_ENV = "REPRO_KERNEL_CACHE_CAPACITY"
-
-
-def cache_capacity_from_env(default: int = DEFAULT_CACHE_CAPACITY) -> int:
-    """The engine cache capacity, honouring :data:`CACHE_CAPACITY_ENV`.
-
-    Campaigns with very wide topology axes (many families × sizes ×
-    replicates per worker chunk) can raise the capacity without a code
-    change; malformed or non-positive values fall back to ``default``.
-    """
-    raw = os.environ.get(CACHE_CAPACITY_ENV)
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        return default
-    return value if value >= 1 else default
-
 
 class DeadlineExceeded(Exception):
     """Raised by the hot loop when a phase passes its wall-clock deadline."""
@@ -297,8 +275,8 @@ class KernelCache:
     :meth:`stats` around a chunk to report deltas.
 
     The counters live in a :class:`~repro.telemetry.metrics.MetricsRegistry`
-    (``metrics``, prefixed by ``prefix``) so the three per-process engine
-    caches all report into the shared ``ENGINE_METRICS`` namespace; a bare
+    (``metrics``, prefixed by ``prefix``) so the per-process engine cache
+    reports into the shared ``ENGINE_METRICS`` namespace; a bare
     ``KernelCache()`` gets a private registry and behaves exactly as before.
     """
 
@@ -339,16 +317,6 @@ class KernelCache:
     @property
     def kernel_compiles(self) -> int:
         return self._kernel_compiles.value
-
-    def set_capacity(self, capacity: int) -> None:
-        """Resize the cache, evicting least-recently-used entries if shrinking."""
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        while len(self._instances) > self.capacity:
-            evicted, _ = self._instances.popitem(last=False)
-            for kernel_key in [k for k in self._kernels if k[0] == evicted]:
-                del self._kernels[kernel_key]
 
     def instance(
         self, key: Hashable, build: Callable[[], LinkReversalInstance]

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional
 
 #: Buffered events per sink flush (batched, append-only writes).
 DEFAULT_BATCH_SIZE = 256
@@ -137,10 +137,6 @@ class SpanTracer:
         if self._sink is not None and len(self._buffer) >= self._batch_size:
             self.flush()
 
-    def emit_many(self, records: Sequence[Dict[str, Any]]) -> None:
-        for record in records:
-            self.emit(record)
-
     # -- buffer management -----------------------------------------------------
     def flush(self) -> None:
         """Hand every buffered event to the sink (no-op without a sink)."""
@@ -186,9 +182,6 @@ class NullTracer(SpanTracer):
         pass
 
     def emit(self, record: Dict[str, Any]) -> None:
-        pass
-
-    def emit_many(self, records: Sequence[Dict[str, Any]]) -> None:
         pass
 
     def flush(self) -> None:

@@ -39,8 +39,8 @@ FAMILY_NAMES = (
 )
 
 #: Families whose :func:`build_family` output ignores the seed — every
-#: replicate of a ``(family, size)`` cell is the *same* instance.  The batch
-#: engine keys its instance/kernel cache on this, sharing one compiled
+#: replicate of a ``(family, size)`` cell is the *same* instance.  The
+#: compiled engine keys its instance/kernel cache on this, sharing one compiled
 #: kernel across all replicate lanes; keep this set in sync with the
 #: dispatch below (a family belongs here iff its branch never reads ``seed``).
 SEEDLESS_FAMILIES = frozenset({"chain", "oriented-chain", "star", "grid"})

@@ -465,10 +465,3 @@ class MaskSimulationChain:
             failures=failures + r_failures,
         )
 
-
-def check_full_simulation_chain_masks(
-    instance: LinkReversalInstance,
-    pr_trace: Sequence[Tuple[int, ...]],
-) -> MaskSimulationChainReport:
-    """One-shot convenience wrapper around :class:`MaskSimulationChain`."""
-    return MaskSimulationChain(instance).check(pr_trace)

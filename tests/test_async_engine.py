@@ -34,7 +34,6 @@ from repro.experiments.engines import (
 from repro.experiments.executor import run_campaign
 from repro.experiments.runner import (
     ENGINE_ASYNC,
-    ENGINE_BATCH,
     ENGINE_CHOICES,
     ENGINE_DATAPLANE,
     ENGINE_KERNEL,
@@ -71,12 +70,10 @@ def _spec(**overrides):
 class TestRegistry:
     def test_registry_names(self):
         assert set(ENGINE_REGISTRY) == {
-            ENGINE_KERNEL, ENGINE_LEGACY, ENGINE_ASYNC, ENGINE_BATCH,
-            ENGINE_DATAPLANE,
+            ENGINE_KERNEL, ENGINE_LEGACY, ENGINE_ASYNC, ENGINE_DATAPLANE,
         }
         assert engine_names() == (
-            "auto", ENGINE_KERNEL, ENGINE_LEGACY, ENGINE_ASYNC, ENGINE_BATCH,
-            ENGINE_DATAPLANE,
+            "auto", ENGINE_KERNEL, ENGINE_LEGACY, ENGINE_ASYNC, ENGINE_DATAPLANE,
         )
         assert ENGINE_CHOICES == engine_names()
 

@@ -1,14 +1,15 @@
 """Differential tests: the compiled synchronous engine vs the legacy oracle.
 
-Every lane of a ``run_scenarios_batched`` call must be **field-for-field
+Every lane of a ``run_scenarios`` call on the ``kernel`` engine (lanes of
+one batch key run as one lockstep group) must be **field-for-field
 identical** to the legacy object oracle's record for the same fault-free
-spec, and to the per-scenario (``kernel``, width-1) record of the same
-engine — across every kernel algorithm × every registry scheduler × every
-churn model, regardless of which other lanes shared the batch and in which
-order.  On top of the record contract these tests pin the batching
-plumbing: outcome dedup correctness (crash-stop lanes included),
-shared-deadline timeout records, executor chunk alignment, campaign
-interrupt+resume through the store, and the CLI/report surface.
+spec, and to the single-scenario (width-1) record of the same engine —
+across every kernel algorithm × every registry scheduler × every churn
+model, regardless of which other lanes shared the group and in which order.
+On top of the record contract these tests pin the lockstep plumbing:
+outcome dedup correctness (crash-stop lanes included), per-run timeout
+records, the shared engine cache, campaign interrupt+resume through the
+store, and the CLI/report surface.
 """
 
 from __future__ import annotations
@@ -17,30 +18,19 @@ import json
 
 import pytest
 
-from repro.experiments.batch_engine import (
-    BatchEngine,
-    batch_key,
-    outcome_stats,
-    reset_kernel_caches,
-    run_scenarios_batched,
-)
-from repro.experiments.executor import (
-    _batch_aligned_chunks,
-    _default_batch_chunk_size,
-    _default_chunk_size,
-    run_campaign,
-)
+from repro.experiments.batch_engine import outcome_stats, reset_kernel_caches
+from repro.experiments.executor import _default_chunk_size, run_campaign
 from repro.experiments.runner import (
-    ENGINE_BATCH,
+    _KERNEL_CACHE,
     ENGINE_KERNEL,
     ENGINE_LEGACY,
     execute_scenario,
     kernel_cache_stats,
     resolve_engine,
+    run_scenarios,
 )
 from repro.experiments.spec import CampaignSpec, ScenarioSpec, derive_seed
 from repro.experiments.store import OUTCOME_FIELDS, ResultStore
-from repro.kernels.simulator import CACHE_CAPACITY_ENV, cache_capacity_from_env
 from repro.topology.generators import SEEDLESS_FAMILIES, build_family
 
 KERNEL_ALGORITHMS = ("pr", "onestep-pr", "new-pr", "fr")
@@ -64,11 +54,11 @@ def _stable(record):
 
 
 def _assert_batch_matches_oracle(specs) -> list:
-    """Batch the specs in one call; pin each lane to the legacy oracle and
-    to its per-scenario record."""
-    batched = run_scenarios_batched([s.to_dict() for s in specs])
+    """Run the specs in one call; pin each lane to the legacy oracle and
+    to its single-scenario record."""
+    batched = run_scenarios([s.to_dict() for s in specs])
     for spec, record in zip(specs, batched):
-        assert record["engine"] == ENGINE_BATCH
+        assert record["engine"] == ENGINE_KERNEL
         legacy = execute_scenario(spec.to_dict(), engine=ENGINE_LEGACY)
         assert _stable(record) == _stable(legacy), spec.run_id
         kernel = execute_scenario(spec.to_dict(), engine=ENGINE_KERNEL)
@@ -121,7 +111,7 @@ class TestFieldForFieldEquality:
     def test_batch_agrees_with_legacy_oracle(self):
         # a lone lane: no other lane to share a group or an outcome with
         spec = _spec(family="tree", size=14, scheduler="random")
-        batched = run_scenarios_batched([spec.to_dict()])[0]
+        batched = run_scenarios([spec.to_dict()])[0]
         legacy = execute_scenario(spec.to_dict(), engine=ENGINE_LEGACY)
         assert _stable(batched) == _stable(legacy)
 
@@ -146,15 +136,15 @@ class TestLaneIndependence:
             for sc in ("greedy", "random")
             for r in range(3)
         ]
-        straight = run_scenarios_batched([s.to_dict() for s in specs])
-        reversed_ = run_scenarios_batched([s.to_dict() for s in reversed(specs)])
+        straight = run_scenarios([s.to_dict() for s in specs])
+        reversed_ = run_scenarios([s.to_dict() for s in reversed(specs)])
         for record, mirrored in zip(straight, reversed(reversed_)):
             assert _stable(record) == _stable(mirrored)
 
     def test_batching_is_deterministic(self):
         specs = [_spec(scheduler="random", replicate=r) for r in range(4)]
-        first = run_scenarios_batched([s.to_dict() for s in specs])
-        second = run_scenarios_batched([s.to_dict() for s in specs])
+        first = run_scenarios([s.to_dict() for s in specs])
+        second = run_scenarios([s.to_dict() for s in specs])
         assert [_stable(r) for r in first] == [_stable(r) for r in second]
 
     def test_seedless_family_lanes_share_one_outcome(self):
@@ -181,7 +171,7 @@ class TestLaneIndependence:
                   topology_seed=derive_seed("faults", r))
             for r in range(8)
         ]
-        batched = run_scenarios_batched([s.to_dict() for s in specs])
+        batched = run_scenarios([s.to_dict() for s in specs])
         solo = []
         for spec in specs:
             reset_kernel_caches()  # no outcome memo carries between the runs
@@ -204,7 +194,7 @@ class TestTimeouts:
             _spec(family="chain", size=40, algorithm=a, scheduler=sc, replicate=r)
             for a in ("pr", "fr") for sc in ("greedy", "random") for r in range(2)
         ]
-        batched = run_scenarios_batched([s.to_dict() for s in specs], timeout_s=0.0)
+        batched = run_scenarios([s.to_dict() for s in specs], timeout_s=0.0)
         for spec, record in zip(specs, batched):
             kernel = execute_scenario(spec.to_dict(), timeout_s=0.0, engine=ENGINE_KERNEL)
             assert record["status"] == "timeout"
@@ -212,7 +202,7 @@ class TestTimeouts:
             assert record["error"] == "deadline exceeded at step 0"
 
     def test_timeout_keeps_partial_tallies(self):
-        record = run_scenarios_batched(
+        record = run_scenarios(
             [_spec(family="chain", size=40).to_dict()], timeout_s=0.0
         )[0]
         assert record["status"] == "timeout"
@@ -220,45 +210,39 @@ class TestTimeouts:
         assert record["steps_taken"] == 0  # but not counted as completed
         assert record["converged"] is False
 
-    def test_mid_batch_timeout_mixes_ok_and_timeout(self):
+    def test_mid_chunk_timeout_mixes_ok_and_timeout(self):
         # an already-converged lane retires before the deadline check fires,
         # so an expired budget still lets trivial lanes complete
         specs = [
             _spec(family="oriented-chain", size=10),  # starts converged
             _spec(family="chain", size=40),           # needs Θ(n²) work
         ]
-        records = run_scenarios_batched([s.to_dict() for s in specs], timeout_s=0.0)
+        records = run_scenarios([s.to_dict() for s in specs], timeout_s=0.0)
         assert records[0]["status"] == "ok" and records[0]["converged"]
         assert records[1]["status"] == "timeout"
 
 
 class TestUnsupportedLanes:
     def test_bll_lane_is_an_error_record(self):
-        records = run_scenarios_batched([
+        records = run_scenarios([
             _spec(size=8).to_dict(),
             _spec(algorithm="bll", size=8).to_dict(),
-        ])
+        ], engine=ENGINE_KERNEL)
         assert records[0]["status"] == "ok"
         assert records[1]["status"] == "error"
         assert "no signature kernel" in records[1]["error"]
         assert records[1]["engine"] is None
 
     def test_async_lane_is_an_error_record(self):
-        record = run_scenarios_batched([
+        record = run_scenarios([
             _spec(algorithm="fr", delay_model="uniform").to_dict()
-        ])[0]
+        ], engine=ENGINE_KERNEL)[0]
         assert record["status"] == "error"
         assert "delay_model" in record["error"]
 
-    def test_forced_batch_engine_on_bll_raises_in_resolution(self):
+    def test_forced_kernel_engine_on_bll_raises_in_resolution(self):
         with pytest.raises(ValueError, match="legacy"):
-            resolve_engine(ENGINE_BATCH, _spec(algorithm="bll"))
-
-    def test_auto_still_prefers_kernel(self):
-        # batch is the chunk dispatch of the kernel engine: auto resolves a
-        # single scenario to the kernel name, so stored engine values hold
-        assert BatchEngine.auto_priority < 20
-        assert resolve_engine("auto", _spec()) == ENGINE_KERNEL
+            resolve_engine(ENGINE_KERNEL, _spec(algorithm="bll"))
 
 
 class TestExecutorIntegration:
@@ -272,24 +256,24 @@ class TestExecutorIntegration:
             replicates=replicates,
         )
 
-    def test_campaign_records_match_kernel_engine(self, tmp_path):
+    def test_campaign_records_match_legacy_engine(self, tmp_path):
         campaign = self._campaign()
+        with ResultStore(tmp_path / "legacy") as store:
+            run_campaign(campaign, store, workers=1, engine=ENGINE_LEGACY)
+            legacy = {r["run_id"]: _stable(r) for r in store.records()}
         with ResultStore(tmp_path / "kernel") as store:
-            run_campaign(campaign, store, workers=1, engine=ENGINE_KERNEL)
+            report = run_campaign(campaign, store, workers=1, engine=ENGINE_KERNEL)
             kernel = {r["run_id"]: _stable(r) for r in store.records()}
-        with ResultStore(tmp_path / "batch") as store:
-            report = run_campaign(campaign, store, workers=1, engine=ENGINE_BATCH)
-            batched = {r["run_id"]: _stable(r) for r in store.records()}
-        assert report.engines == {"batch": report.executed}
-        assert batched == kernel
+        assert report.engines == {"kernel": report.executed}
+        assert kernel == legacy
 
     def test_pooled_campaign_matches_inline(self, tmp_path):
         campaign = self._campaign(replicates=2)
         with ResultStore(tmp_path / "inline") as store:
-            run_campaign(campaign, store, workers=1, engine=ENGINE_BATCH)
+            run_campaign(campaign, store, workers=1, engine=ENGINE_KERNEL)
             inline = {r["run_id"]: _stable(r) for r in store.records()}
         with ResultStore(tmp_path / "pooled") as store:
-            report = run_campaign(campaign, store, workers=2, engine=ENGINE_BATCH)
+            report = run_campaign(campaign, store, workers=2, engine=ENGINE_KERNEL)
             pooled = {r["run_id"]: _stable(r) for r in store.records()}
         assert report.crashed == 0
         assert pooled == inline
@@ -300,77 +284,59 @@ class TestExecutorIntegration:
         half = [s.to_dict() for s in specs[: len(specs) // 2]]
         with ResultStore(tmp_path / "resume") as store:
             # simulate an interrupted sweep: half the records already stored
-            store.append(run_scenarios_batched(half))
-            report = run_campaign(campaign, store, workers=1, engine=ENGINE_BATCH)
+            store.append(run_scenarios(half))
+            report = run_campaign(campaign, store, workers=1, engine=ENGINE_KERNEL)
             assert report.skipped == len(half)
             assert report.executed == len(specs) - len(half)
             resumed = {r["run_id"]: _stable(r) for r in store.records()}
         with ResultStore(tmp_path / "oneshot") as store:
-            run_campaign(campaign, store, workers=1, engine=ENGINE_BATCH)
+            run_campaign(campaign, store, workers=1, engine=ENGINE_KERNEL)
             oneshot = {r["run_id"]: _stable(r) for r in store.records()}
         assert resumed == oneshot
         # and a second invocation is a no-op
         with ResultStore(tmp_path / "resume") as store:
-            report = run_campaign(campaign, store, workers=1, engine=ENGINE_BATCH)
+            report = run_campaign(campaign, store, workers=1, engine=ENGINE_KERNEL)
             assert report.executed == 0
 
-    def test_batch_chunks_never_straddle_batch_keys(self):
-        specs = [s.to_dict() for s in self._campaign().expand()]
-        chunks = _batch_aligned_chunks(specs, chunk_size=5)
-        for chunk in chunks:
-            assert len({batch_key(s) for s in chunk}) == 1
-        assert sorted(s["run_id"] for c in chunks for s in c) == sorted(
-            s["run_id"] for s in specs
-        )
-
     def test_chunk_sizes_derive_from_workload(self):
-        # non-batch sizing scales with the pending count instead of a cap
+        # sizing scales with the pending count instead of a cap
         assert _default_chunk_size(10_000, workers=4) == 313
         assert _default_chunk_size(10, workers=4) == 1
-        # batch sizing keeps lockstep calls wide
-        assert _default_batch_chunk_size(10_000, workers=1) == 10_000
-        assert _default_batch_chunk_size(10_000, workers=4) == 1250
-        assert _default_batch_chunk_size(0, workers=4) == 1
+        assert _default_chunk_size(0, workers=4) == 1
 
     def test_campaign_report_sidecar_records_batch_stats(self, tmp_path):
         with ResultStore(tmp_path / "s") as store:
             run_campaign(self._campaign(replicates=2), store, workers=1,
-                         engine=ENGINE_BATCH)
+                         engine=ENGINE_KERNEL)
             sidecar = store.load_report()
-        assert sidecar["engines"] == {"batch": sidecar["executed"]}
+        assert sidecar["engines"] == {"kernel": sidecar["executed"]}
         assert any(k.startswith("batch_") for k in sidecar["kernel_cache"])
 
 
-class TestCacheConfiguration:
-    def test_env_var_overrides_capacity(self, monkeypatch):
-        monkeypatch.setenv(CACHE_CAPACITY_ENV, "128")
-        assert cache_capacity_from_env() == 128
-        monkeypatch.setenv(CACHE_CAPACITY_ENV, "not-a-number")
-        assert cache_capacity_from_env() == 64
-        monkeypatch.setenv(CACHE_CAPACITY_ENV, "0")
-        assert cache_capacity_from_env() == 64
-        monkeypatch.delenv(CACHE_CAPACITY_ENV)
-        assert cache_capacity_from_env(default=7) == 7
-
-    def test_configure_kernel_cache_resizes_all_engines(self):
-        from repro.experiments.async_engine import _INSTANCE_CACHE
-        from repro.experiments.dataplane_engine import (
-            _INSTANCE_CACHE as _DATAPLANE_CACHE,
-        )
-        from repro.experiments.runner import _KERNEL_CACHE, configure_kernel_cache
-
-        original = _KERNEL_CACHE.capacity
-        try:
-            configure_kernel_cache(3)
-            assert _KERNEL_CACHE.capacity == 3
-            assert _INSTANCE_CACHE.capacity == 3
-            assert _DATAPLANE_CACHE.capacity == 3
-            assert len(_KERNEL_CACHE._instances) <= 3
-        finally:
-            configure_kernel_cache(original)
+class TestSharedCache:
+    def test_every_engine_reads_its_instance_from_the_one_cache(self):
+        # the async and dataplane engines build no cache of their own: the
+        # instance an async run builds is the one a kernel run then hits
+        reset_kernel_caches()
+        spec = _spec(family="grid", size=9, algorithm="fr")
+        run_scenarios([_spec(family="grid", size=9, algorithm="fr",
+                             delay_model="fixed").to_dict()])
+        assert len(_KERNEL_CACHE._instances) == 1
+        before = kernel_cache_stats()
+        for raw in (spec.to_dict(),
+                    _spec(family="grid", size=9, algorithm="fr",
+                          traffic="trickle").to_dict()):
+            assert run_scenarios([raw])[0]["status"] == "ok"
+        after = kernel_cache_stats()
+        assert after["instance_builds"] == before["instance_builds"]
+        assert after["instance_hits"] - before["instance_hits"] == 2
+        assert set(after) == {
+            "instance_hits", "instance_builds", "kernel_hits", "kernel_compiles",
+            "batch_outcome_hits", "batch_outcome_misses",
+        }
 
     def test_batch_stats_surface_in_kernel_cache_stats(self):
-        run_scenarios_batched([_spec(size=8).to_dict()])
+        run_scenarios([_spec(size=8).to_dict()])
         stats = kernel_cache_stats()
         for name in ("instance_hits", "kernel_compiles",
                      "batch_outcome_hits", "batch_outcome_misses"):
@@ -378,19 +344,19 @@ class TestCacheConfiguration:
 
 
 class TestCli:
-    def test_sweep_engine_batch_flag(self, tmp_path, capsys):
+    def test_sweep_engine_kernel_flag(self, tmp_path, capsys):
         from repro.cli import main
 
         assert main([
             "sweep", "--families", "chain", "--algorithms", "pr,fr",
-            "--sizes", "5,7", "--replicates", "2", "--engine", "batch",
+            "--sizes", "5,7", "--replicates", "2", "--engine", "kernel",
             "--store", str(tmp_path / "s"), "--quiet", "--json",
         ]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["engines"] == {"batch": 8}
+        assert payload["engines"] == {"kernel": 8}
         assert any(k.startswith("batch_") for k in payload["kernel_cache"])
 
-    def test_batch_sweep_store_matches_kernel_sweep_store(self, tmp_path, capsys):
+    def test_kernel_sweep_store_matches_legacy_sweep_store(self, tmp_path, capsys):
         from repro.cli import main
 
         base = [
@@ -398,22 +364,22 @@ class TestCli:
             "--sizes", "6", "--replicates", "2", "--quiet",
         ]
         assert main(base + ["--engine", "kernel", "--store", str(tmp_path / "k")]) == 0
-        assert main(base + ["--engine", "batch", "--store", str(tmp_path / "b")]) == 0
+        assert main(base + ["--engine", "legacy", "--store", str(tmp_path / "l")]) == 0
         capsys.readouterr()
-        with ResultStore(tmp_path / "k") as ks, ResultStore(tmp_path / "b") as bs:
+        with ResultStore(tmp_path / "k") as ks, ResultStore(tmp_path / "l") as ls:
             kernel = {r["run_id"]: _stable(r) for r in ks.records()}
-            batched = {r["run_id"]: _stable(r) for r in bs.records()}
-        assert batched == kernel
+            legacy = {r["run_id"]: _stable(r) for r in ls.records()}
+        assert kernel == legacy
 
     def test_report_shows_last_sweep_engines(self, tmp_path, capsys):
         from repro.cli import main
 
         assert main([
             "sweep", "--families", "chain", "--algorithms", "pr", "--sizes", "5",
-            "--engine", "batch", "--store", str(tmp_path / "s"), "--quiet",
+            "--engine", "kernel", "--store", str(tmp_path / "s"), "--quiet",
         ]) == 0
         capsys.readouterr()
         assert main(["report", "--store", str(tmp_path / "s"), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["engine_counts"] == {"batch": 1}
-        assert payload["last_campaign_report"]["engines"] == {"batch": 1}
+        assert payload["engine_counts"] == {"kernel": 1}
+        assert payload["last_campaign_report"]["engines"] == {"kernel": 1}

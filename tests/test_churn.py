@@ -10,11 +10,14 @@ stored record.
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import pytest
 
+from repro import telemetry
 from repro.core.graph import LinkReversalInstance
-from repro.experiments.batch_engine import reset_kernel_caches, run_scenarios_batched
+from repro.experiments import batch_engine
+from repro.experiments.batch_engine import reset_kernel_caches
 from repro.experiments.churn import (
     PARTITION,
     ScenarioChurn,
@@ -22,14 +25,9 @@ from repro.experiments.churn import (
     fail_seeded_link,
     mobility_trajectory,
 )
-from repro.experiments.runner import (
-    _KERNEL_CACHE,
-    configure_kernel_cache,
-    run_scenarios,
-)
+from repro.experiments.runner import execute_scenario, run_scenarios
 from repro.experiments.spec import CampaignSpec, ScenarioSpec
 from repro.kernels import KernelCache, mask_directed_edges
-from repro.kernels.simulator import DEFAULT_CACHE_CAPACITY
 from repro.topology.generators import build_family
 
 VOLATILE = ("wall_time_s",)
@@ -165,29 +163,26 @@ def _stable(records):
     return [{k: v for k, v in r.items() if k not in VOLATILE} for r in records]
 
 
-@pytest.mark.parametrize("engine", ["kernel", "batch"])
-def test_no_cache_state_changes_a_churn_record(engine):
+@pytest.mark.parametrize("per_run", [False, True], ids=["lockstep", "per-run"])
+def test_no_cache_state_changes_a_churn_record(per_run):
     def run():
-        if engine == "batch":
-            return _stable(run_scenarios_batched(_churn_specs()))
+        if per_run:
+            return _stable([execute_scenario(spec) for spec in _churn_specs()])
         return _stable(run_scenarios(_churn_specs(), engine="kernel"))
 
-    original = _KERNEL_CACHE.capacity
-    try:
-        reset_kernel_caches()
-        cold = run()
-        warm = run()
-        configure_kernel_cache(1)  # every topology evicts the previous one
-        reset_kernel_caches()
+    reset_kernel_caches()
+    cold = run()
+    warm = run()
+    reset_kernel_caches()
+    with mock.patch.object(
+        # every topology evicts the previous one
+        batch_engine, "_KERNEL_CACHE",
+        KernelCache(capacity=1, metrics=telemetry.ENGINE_METRICS, prefix="kernel_"),
+    ):
         thrashing = run()
-        configure_kernel_cache(DEFAULT_CACHE_CAPACITY)
-        reset_kernel_caches()
-        default = run()
-    finally:
-        configure_kernel_cache(original)
     for field in ("failures_applied", "partition_skips", "reorientations"):
         assert any(r[field] for r in cold), field
-    assert cold == warm == thrashing == default
+    assert cold == warm == thrashing
     legacy = _stable(run_scenarios(_churn_specs(), engine="legacy"))
     for record, oracle in zip(cold, legacy):
         assert {**record, "engine": None} == {**oracle, "engine": None}

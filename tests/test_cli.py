@@ -350,6 +350,9 @@ class TestSweepAndReport:
         ["--algorithms", "nosuch"],
         ["--schedulers", "nosuch"],
         ["--node-faults", "-1"],
+        ["--chunk-size", "0"],
+        ["--chunk-size", "-3"],
+        ["--replicates", "-1"],
     ])
     def test_sweep_rejects_bad_axis_values_before_opening_a_store(
         self, tmp_path, capsys, flags,
@@ -360,6 +363,18 @@ class TestSweepAndReport:
         assert exit_code == 2
         assert err.startswith("error: ")
         assert "Traceback" not in err
+        assert not store.exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "run"])
+    def test_engine_batch_is_gone(self, tmp_path, capsys, command):
+        # the kernel engine runs a chunk's runs of one shape in lockstep
+        # itself; there is no separate engine name for it
+        store = tmp_path / "store"
+        extra = ["--store", str(store), "--quiet"] if command == "sweep" else []
+        with pytest.raises(SystemExit) as exited:
+            main([command, "--engine", "batch", *extra])
+        assert exited.value.code == 2
+        assert "invalid choice: 'batch'" in capsys.readouterr().err
         assert not store.exists()
 
     def test_report_empty_store_fails(self, tmp_path, capsys):

@@ -324,8 +324,8 @@ class TestDataPlaneEngine:
         assert record["status"] == "error"
         assert "dataplane" in record["error"]
 
-    def test_forced_kernel_and_batch_reject_traffic_spec(self):
-        for engine in ("kernel", "batch", "legacy"):
+    def test_forced_kernel_and_legacy_reject_traffic_spec(self):
+        for engine in ("kernel", "legacy"):
             record = execute_scenario(_spec(), engine=engine)
             assert record["status"] == "error", engine
             assert "traffic" in record["error"], engine

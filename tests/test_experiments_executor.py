@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 
+from repro import telemetry
+from repro.experiments import batch_engine
+from repro.experiments.batch_engine import reset_kernel_caches
 from repro.experiments.executor import CRASH_SENTINEL, run_campaign
-from repro.experiments.runner import execute_scenario
+from repro.experiments.runner import execute_scenario, run_scenarios
 from repro.experiments.spec import CampaignSpec, ScenarioSpec, derive_seed
 from repro.experiments.store import ResultStore
 
@@ -95,6 +100,94 @@ class TestExecuteScenario:
         assert record["destination_oriented"] is True
 
 
+def _stable(record):
+    return {k: v for k, v in record.items() if k != "wall_time_s"}
+
+
+class TestRunScenarios:
+    """The one dispatch: lockstep groups, input order and the group fallback."""
+
+    @staticmethod
+    def _lanes(count=4):
+        # one batch key; the random scheduler and distinct seeds keep every
+        # lane's outcome its own
+        return [
+            _spec(family="random-dag", size=10, scheduler="random", replicate=r,
+                  scheduler_seed=derive_seed("lane", r)).to_dict()
+            for r in range(count)
+        ]
+
+    @pytest.mark.parametrize("timeout_s,widths", [(None, [4]), (600, [1, 1, 1, 1])])
+    def test_kernel_lanes_of_one_batch_key_form_one_group(self, timeout_s, widths):
+        with mock.patch.object(
+            batch_engine, "_execute_group", wraps=batch_engine._execute_group
+        ) as group:
+            records = run_scenarios(self._lanes(), timeout_s=timeout_s)
+        assert [len(call.args[0]) for call in group.call_args_list] == widths
+        assert all(r["status"] == "ok" and r["engine"] == "kernel" for r in records)
+        if timeout_s is None:
+            # a lane's wall time is its group's, split evenly
+            assert len({r["wall_time_s"] for r in records}) == 1
+
+    def test_telemetry_counts_each_lane_once(self):
+        with telemetry.session() as (registry, _):
+            run_scenarios(self._lanes() + [dict(self._lanes(1)[0], algorithm="nope")])
+        snapshot = registry.snapshot()
+        assert snapshot["counters"]["scenarios.kernel"] == 4
+        assert snapshot["counters"]["scenarios.none"] == 1
+        assert snapshot["counters"]["scenario_status.ok"] == 4
+        assert snapshot["counters"]["scenario_status.error"] == 1
+        assert snapshot["histograms"]["scenario_wall_s.kernel"]["count"] == 4
+
+    def test_mixed_chunk_keeps_input_order_and_solo_records(self):
+        grid = dict(family="grid", size=9)
+        raws = [
+            _spec(**grid, algorithm="fr").to_dict(),                           # kernel
+            _spec(algorithm="bll").to_dict(),                                  # legacy
+            _spec(**grid, algorithm="pr", delay_model="fixed").to_dict(),      # async
+            _spec(**grid, algorithm="fr", traffic="trickle").to_dict(),        # dataplane
+            dict(_spec(size=7).to_dict(), algorithm="nope"),                   # invalid
+            _spec(**grid, algorithm="fr", scheduler="random").to_dict(),       # kernel
+            _spec(**grid, algorithm="fr", replicate=1,
+                  scheduler_seed=derive_seed("other")).to_dict(),              # kernel
+        ]
+        records = run_scenarios(raws)
+        assert [r["run_id"] for r in records] == [raw["run_id"] for raw in raws]
+        assert [r["engine"] for r in records] == [
+            "kernel", "legacy", "async", "dataplane", None, "kernel", "kernel",
+        ]
+        assert [r["status"] for r in records] == ["ok"] * 4 + ["error"] + ["ok"] * 2
+        for raw, record in zip(raws, records):
+            assert _stable(record) == _stable(execute_scenario(dict(raw)))
+
+    def test_a_failing_lockstep_group_is_retried_lane_by_lane(self):
+        original = batch_engine._execute_group
+
+        def lockstep_fails(lanes, deadline):
+            if len(lanes) > 1:
+                for _, record in lanes:  # leave half-written records behind
+                    record.update(steps_taken=-1, node_steps=-1, failures_applied=7)
+                raise RuntimeError("lockstep failure")
+            original(lanes, deadline)
+
+        lanes = self._lanes()
+        reset_kernel_caches()  # no outcome memo may answer the retried lanes
+        with mock.patch.object(
+            batch_engine, "_execute_group", side_effect=lockstep_fails
+        ) as group, telemetry.session() as (registry, _):
+            records = run_scenarios(lanes)
+        assert [len(call.args[0]) for call in group.call_args_list] == [4, 1, 1, 1, 1]
+        counters = registry.snapshot()["counters"]
+        assert counters["scenario_group_fallbacks"] == 1
+        assert counters["scenarios.kernel"] == 4
+        for raw, record in zip(lanes, records):
+            assert record["status"] == "ok" and record["engine"] == "kernel"
+            oracle = execute_scenario(dict(raw), engine="legacy")
+            assert {**_stable(record), "engine": None} == {
+                **_stable(oracle), "engine": None,
+            }
+
+
 class TestRunCampaign:
     def _campaign(self, **overrides) -> CampaignSpec:
         base = dict(
@@ -179,6 +272,17 @@ class TestRunCampaign:
         )
         assert seen[-1] == (8, 8)
         assert [d for d, _ in seen] == sorted(d for d, _ in seen)
+
+    @pytest.mark.parametrize("chunk_size", [0, -3])
+    def test_chunk_size_below_one_is_rejected_before_the_store(
+        self, tmp_path, chunk_size
+    ):
+        store = ResultStore(tmp_path)
+        with pytest.raises(ValueError, match="chunk_size"):
+            run_campaign(self._campaign(), store, workers=1, chunk_size=chunk_size)
+        assert store.load_campaign() is None
+        assert store.count() == 0
+        assert not list(store.shard_dir.glob("shard-*"))
 
     def test_per_run_timeout_in_campaign(self, tmp_path):
         store = ResultStore(tmp_path)

@@ -104,6 +104,13 @@ class TestCampaignSpec:
         assert len(runs) == campaign.run_count == 3 * 2 * 2
         assert len({s.run_id for s in runs}) == len(runs)
 
+    def test_negative_replicates_are_rejected(self):
+        # run_count == len(expand()) must hold: a negative count cannot
+        empty = CampaignSpec(replicates=0)
+        assert empty.run_count == len(empty.expand()) == 0
+        with pytest.raises(ValueError, match="replicates"):
+            CampaignSpec(replicates=-1)
+
     def test_topology_seed_shared_across_algorithms(self):
         campaign = CampaignSpec(algorithms=("pr", "fr", "bll"), replicates=2)
         runs = campaign.expand()

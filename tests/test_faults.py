@@ -246,8 +246,7 @@ class TestNodeFaultsAxis:
         assert resolve_engine(
             ENGINE_AUTO, self._spec(delay_model="fixed", node_faults=2)
         ) == "async"
-        # batch is the kernel engine's chunk dispatch: same crash-stop lanes
-        assert get_engine("batch").supports(self._spec(node_faults=2))
+        assert get_engine("kernel").supports(self._spec(node_faults=2))
         for name in ("legacy", "dataplane"):
             engine = get_engine(name)
             spec = self._spec(node_faults=2)

@@ -4,8 +4,9 @@ The link-failure and mobility churn phases of the synchronous engines are
 optimised without changing a single stored value, so a fixed campaign's
 records are kept in ``data/sync_campaign_records.jsonl`` and every field
 except ``wall_time_s`` (and the ``engine`` that ran it) must match under the
-``kernel``, ``batch`` and ``legacy`` engines (crash-stop cells: ``kernel``
-and ``batch``).  The campaign's base seed is
+``kernel`` engine — in lockstep groups, and one run at a time under a
+per-run timeout — and the ``legacy`` engine (crash-stop cells: ``kernel``
+only).  The campaign's base seed is
 chosen so that its mobility cells meet every churn branch: steps without a
 link change, partitioning steps that are skipped, and carried orientations
 that would form a cycle and are reoriented.  To re-record after a deliberate
@@ -56,16 +57,25 @@ def node_fault_campaign():
     )
 
 
-def campaign_records(campaign, engine="kernel", timeout_s=None):
-    """The records of ``campaign`` run on ``engine``, as the fixture stores them."""
+def campaign_records(campaign, engine="kernel", timeout_s=None, per_run=False):
+    """The records of ``campaign`` run on ``engine``, as the fixture stores them.
+
+    One :func:`run_scenarios` call over the whole campaign, or with
+    ``per_run`` one call per scenario (width-1 groups, no deadline).
+    """
     from repro.experiments.runner import run_scenarios
 
     specs = [spec.to_dict() for spec in campaign.expand()]
+    if per_run:
+        records = [
+            run_scenarios([spec], timeout_s=timeout_s, engine=engine)[0]
+            for spec in specs
+        ]
+    else:
+        records = run_scenarios(specs, timeout_s=timeout_s, engine=engine)
     # a JSON round trip, so tuples and floats compare as the fixture stores them
-    return [
-        json.loads(json.dumps(record))
-        for record in run_scenarios(specs, timeout_s=timeout_s, engine=engine)
-    ]
+    return [json.loads(json.dumps(record)) for record in records]
+
 
 
 def _golden():
@@ -101,17 +111,25 @@ def test_fixture_covers_every_churn_branch():
     assert any(r["crashed_nodes"] for r in golden)
 
 
-@pytest.mark.parametrize("engine", ["kernel", "batch", "legacy"])
-def test_churn_records_match_the_golden_campaign(engine):
+@pytest.mark.parametrize(
+    "engine,timeout_s",
+    [("kernel", None), ("kernel", 600), ("legacy", None)],
+    ids=["kernel-lockstep", "kernel-per-run-timeout", "legacy"],
+)
+def test_churn_records_match_the_golden_campaign(engine, timeout_s):
     golden = [r for r in _golden() if not r["node_faults"]]
-    assert_matches(campaign_records(churn_campaign(), engine), golden, engine)
+    assert_matches(
+        campaign_records(churn_campaign(), engine, timeout_s), golden, engine
+    )
 
 
-@pytest.mark.parametrize("engine", ["kernel", "batch"])
-def test_node_fault_records_match_the_golden_campaign(engine):
+@pytest.mark.parametrize("timeout_s", [None, 600], ids=["lockstep", "per-run-timeout"])
+def test_node_fault_records_match_the_golden_campaign(timeout_s):
     golden = [r for r in _golden() if r["node_faults"]]
     assert golden
-    assert_matches(campaign_records(node_fault_campaign(), engine), golden, engine)
+    assert_matches(
+        campaign_records(node_fault_campaign(), timeout_s=timeout_s), golden, "kernel"
+    )
 
 
 # ----------------------------------------------------------------------
@@ -142,28 +160,33 @@ def _phase_entries():
 
 
 @pytest.mark.parametrize("capacity", [None, 1])
-@pytest.mark.parametrize("engine", ["kernel", "batch"])
+@pytest.mark.parametrize("per_run", [False, True], ids=["lockstep", "per-run"])
 def test_phase_reuse_depends_on_neither_order_nor_cache_size(
-    engine, capacity, churn_first_oracle
+    per_run, capacity, churn_first_oracle
 ):
+    from contextlib import nullcontext
     from unittest import mock
 
+    from repro import telemetry
+    from repro.experiments import batch_engine
     from repro.experiments.batch_engine import _Phase, reset_kernel_caches
-    from repro.experiments.runner import _KERNEL_CACHE, configure_kernel_cache
+    from repro.kernels import KernelCache
 
-    original = _KERNEL_CACHE.capacity
-    try:
-        if capacity is not None:
-            configure_kernel_cache(capacity)  # every topology evicts the last one
-        reset_kernel_caches()
-        with mock.patch.object(
-            _Phase, "restore", autospec=True, side_effect=_Phase.restore
-        ) as restore:
-            records = campaign_records(churn_first_campaign(), engine)
-    finally:
-        configure_kernel_cache(original)
+    reset_kernel_caches()
+    cache = (
+        nullcontext() if capacity is None else mock.patch.object(
+            # every topology evicts the last one
+            batch_engine, "_KERNEL_CACHE",
+            KernelCache(capacity=capacity, metrics=telemetry.ENGINE_METRICS,
+                        prefix="kernel_"),
+        )
+    )
+    with cache, mock.patch.object(
+        _Phase, "restore", autospec=True, side_effect=_Phase.restore
+    ) as restore:
+        records = campaign_records(churn_first_campaign(), per_run=per_run)
     assert restore.call_count > 0
-    assert_matches(records, churn_first_oracle, engine)
+    assert_matches(records, churn_first_oracle, "kernel")
 
 
 def test_crash_stop_phases_are_kept_per_topology_seed():
@@ -177,24 +200,25 @@ def test_crash_stop_phases_are_kept_per_topology_seed():
     assert_matches(campaign_records(campaign), phase_free, "kernel")
 
 
-@pytest.mark.parametrize("engine", ["kernel", "batch"])
-def test_deadlined_runs_neither_write_nor_read_phases(engine):
+@pytest.mark.parametrize("per_run", [False, True], ids=["lockstep", "per-run"])
+def test_deadlined_runs_neither_write_nor_read_phases(per_run):
     from repro.experiments.batch_engine import reset_kernel_caches
 
     golden = [r for r in _golden() if not r["node_faults"]]
     reset_kernel_caches()
-    deadlined = campaign_records(churn_campaign(), engine, timeout_s=600)
+    deadlined = campaign_records(churn_campaign(), timeout_s=600)
     assert not _phase_entries()
-    assert_matches(deadlined, golden, engine)
+    assert_matches(deadlined, golden, "kernel")
 
-    campaign_records(churn_campaign(), engine)
+    # the phases are written by un-deadlined runs, grouped either way
+    campaign_records(churn_campaign(), per_run=per_run)
     phases = _phase_entries()
     assert phases and all(phase.filled for phase in phases)
     try:
         for phase in phases:  # a deadlined run that read one would record these
             phase.steps, phase.work, phase.rounds = 10**6, (-1, -1, -1), -1
         assert_matches(
-            campaign_records(churn_campaign(), engine, timeout_s=600), golden, engine
+            campaign_records(churn_campaign(), timeout_s=600), golden, "kernel"
         )
     finally:
         reset_kernel_caches()
