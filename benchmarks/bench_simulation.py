@@ -9,12 +9,12 @@ graph families, construct the corresponding OneStepPR and NewPR executions
 exactly as Lemmas 5.1/5.3 prescribe, and verify the relations at every
 correspondence point.
 
-Since the signature-kernel simulation engine landed, the tracked workload
-runs entirely on compiled int kernels: the PR execution is produced by
-:class:`~repro.kernels.simulator.SignatureSimulator` (recording the actor
-trace) and the chain is checked by
-a :class:`~repro.verification.simulation.MaskSimulationChain` —
-the same relations, collapsed to int compares and subset masks.  The
+The tracked workload runs entirely on compiled int kernels: the PR
+execution is one traced lane of a :class:`~repro.kernels.batch.BatchSimulator`
+(the mask-level convergence loop every kernel run goes through, recording
+the actor trace) and the chain is checked by a
+:class:`~repro.verification.simulation.MaskSimulationChain` — the same
+relations, collapsed to int compares and subset masks.  The
 object-level checkers remain the oracle:
 ``tests/test_simulation_engine_differential.py`` pins both implementations
 to identical verdicts and counts on these exact workloads, and
@@ -34,7 +34,7 @@ claim_experiment("E6", __name__)
 claim_experiment("E7", __name__)
 
 from repro.core.pr import PartialReversal
-from repro.kernels import SignatureSimulator, compile_expander
+from repro.kernels import BatchSimulator, SignatureSimulator, compile_expander
 from repro.kernels.schedulers import MaskGreedyScheduler, MaskRandomScheduler
 from repro.topology.generators import (
     grid_instance,
@@ -78,7 +78,9 @@ def _check_all_families():
         _instance, simulator, chain_checker = _compiled_family(family_name)
         for scheduler_name, scheduler_factory in SCHEDULERS.items():
             trace = []
-            outcome = simulator.run_phase(scheduler_factory(), trace=trace)
+            batch = BatchSimulator()
+            batch.add_lane(simulator, scheduler_factory(), trace=trace)
+            (outcome,) = batch.run()
             chain = chain_checker.check(trace)
             all_hold = all_hold and chain.holds
             rows.append(

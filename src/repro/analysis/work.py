@@ -147,54 +147,6 @@ def count_reversals(
     )
 
 
-def kernel_count_reversals(
-    automaton: IOAutomaton,
-    scheduler_name: str,
-    seed: Optional[int] = None,
-    max_steps: Optional[int] = None,
-) -> Optional[WorkSummary]:
-    """Fast-path :func:`count_reversals` on the compiled signature kernel.
-
-    Runs the convergence entirely as int operations (no state objects on the
-    hot path) and returns a summary with the same algorithm/scheduler labels
-    and — by the engine's differential contract — the same counters as the
-    object path.  Returns ``None`` when the automaton has no compiled kernel
-    or the scheduler no mask-level twin (callers fall back to the oracle).
-    Per-node breakdowns are not tracked on the fast path; the summary's
-    per-node dicts are empty.
-    """
-    from repro.kernels import (
-        MASK_SCHEDULER_FACTORIES,
-        SignatureSimulator,
-        WorkTally,
-        compile_expander,
-        make_mask_scheduler,
-        mask_is_destination_oriented,
-    )
-    from repro.schedulers import make_scheduler
-
-    if scheduler_name not in MASK_SCHEDULER_FACTORIES:
-        return None
-    kernel = compile_expander(automaton)
-    if kernel is None:
-        return None
-    simulator = SignatureSimulator(kernel)
-    work = WorkTally()
-    outcome = simulator.run_phase(
-        make_mask_scheduler(scheduler_name, seed), max_steps=max_steps, work=work
-    )
-    mask = kernel.orientation_mask(outcome.signature)
-    return WorkSummary(
-        algorithm=automaton.name,
-        scheduler=type(make_scheduler(scheduler_name, seed)).__name__,
-        node_steps=work.node_steps,
-        edge_reversals=work.edge_reversals,
-        dummy_steps=work.dummy_steps,
-        converged=outcome.converged,
-        destination_oriented=mask_is_destination_oriented(automaton.instance, mask),
-    )
-
-
 def per_node_reversals(
     automaton: IOAutomaton,
     scheduler,

@@ -3,8 +3,9 @@
 The CLI exposes the workflows a user typically wants without writing code:
 
 ``run``
-    Run one link-reversal algorithm on a generated topology and print the
-    work summary (optionally the final orientation as DOT).
+    Run one link-reversal algorithm on a generated topology as one scenario
+    through the engine registry (``--engine``) and print the work summary
+    (optionally the final orientation as DOT).
 ``compare``
     Run PR, OneStepPR, NewPR and FR on the same topology and print a
     comparison table.
@@ -13,11 +14,11 @@ The CLI exposes the workflows a user typically wants without writing code:
     theorems over every connected DAG with up to N nodes.
 ``check``
     Exhaustively model-check one algorithm on one generated topology with
-    the production engine: sharded multi-process frontier exploration over
-    int state signatures (``--workers``), optional twin-node symmetry
-    reduction (``--symmetry``) and disk-spilled visited set (``--spill``),
-    with verdicts and replayable counterexample traces written into an
-    experiments result store (``--store``, resumable).
+    the production engine: one compiled frontier loop over int state
+    signatures, optional twin-node symmetry reduction (``--symmetry``) and
+    disk-spilled visited set (``--spill``), with verdicts and replayable
+    counterexample traces written into an experiments result store
+    (``--store``, resumable).
 ``worst-case``
     Print the Θ(n_b²) worst-case sweep for FR and PR with a quadratic fit.
 ``simulate``
@@ -55,7 +56,7 @@ from pathlib import Path
 from typing import Callable, Dict, Optional, Sequence
 
 from repro.analysis.statistics import quadratic_fit_r2
-from repro.analysis.work import count_reversals, kernel_count_reversals, worst_case_sweep
+from repro.analysis.work import count_reversals, worst_case_sweep
 from repro.core.full_reversal import FullReversal
 from repro.core.graph import LinkReversalInstance
 from repro.core.new_pr import NewPartialReversal
@@ -70,10 +71,16 @@ from repro.experiments.runner import (
     ENGINE_ASYNC,
     ENGINE_CHOICES,
     ENGINE_DATAPLANE,
-    ENGINE_KERNEL,
     ENGINE_LEGACY,
+    execute_scenario,
 )
-from repro.experiments.spec import ALGORITHM_FACTORIES, FAILURE_MODELS, CampaignSpec, derive_seed
+from repro.experiments.spec import (
+    ALGORITHM_FACTORIES,
+    FAILURE_MODELS,
+    CampaignSpec,
+    ScenarioSpec,
+    derive_seed,
+)
 from repro.experiments.store import ResultStore
 from repro.exploration.checker import ModelChecker
 from repro.exploration.enumerate_graphs import all_connected_dag_instances
@@ -104,50 +111,45 @@ build_topology = build_family
 # commands
 # ----------------------------------------------------------------------
 def cmd_run(args: argparse.Namespace) -> int:
-    instance = build_topology(args.topology, args.nodes, args.seed)
-    automaton = ALGORITHMS[args.algorithm](instance)
-    # the compiled-kernel fast path and the object path are differentially
-    # tested to produce identical summaries, so --engine only changes speed
-    summary = None
-    engine_used = ENGINE_LEGACY
-    if args.engine != ENGINE_LEGACY:
-        summary = kernel_count_reversals(
-            automaton, args.scheduler, seed=args.seed, max_steps=args.max_steps
-        )
-        if summary is not None:
-            engine_used = ENGINE_KERNEL
-        elif args.engine == ENGINE_KERNEL:
-            print(f"error: no kernel fast path for algorithm {args.algorithm!r}; "
-                  f"use --engine legacy", file=sys.stderr)
-            return 2
-    if summary is None:
-        scheduler = SCHEDULERS[args.scheduler](args.seed)
-        summary = count_reversals(automaton, scheduler, max_steps=args.max_steps)
+    # one scenario through the engine registry: ``auto`` picks the compiled
+    # kernel where the algorithm has one and the legacy oracle otherwise, and
+    # an explicit engine that cannot run the spec is an error, not a swap
+    spec = ScenarioSpec(
+        family=args.topology, size=args.nodes, algorithm=args.algorithm,
+        scheduler=args.scheduler, topology_seed=args.seed,
+        scheduler_seed=args.seed, max_steps=args.max_steps,
+    )
+    record = execute_scenario(spec, engine=args.engine)
+    if record["status"] == "error":
+        print(f"error: {record['error']}", file=sys.stderr)
+        return 2
+    # labelled like the object-level work summary: automaton and scheduler names
+    algorithm = ALGORITHMS[args.algorithm].name
+    scheduler = type(SCHEDULERS[args.scheduler](args.seed)).__name__
     if args.json:
-        payload = summary.to_dict()
+        payload = {key: record[key] for key in (
+            "node_steps", "edge_reversals", "dummy_steps", "converged",
+            "destination_oriented", "engine", "nodes", "edges", "bad_nodes",
+        )}
         payload.update(
-            engine=engine_used,
-            topology=args.topology,
-            nodes=instance.node_count,
-            edges=instance.edge_count,
-            bad_nodes=len(instance.bad_nodes()),
-            seed=args.seed,
+            algorithm=algorithm, scheduler=scheduler, topology=args.topology, seed=args.seed
         )
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        print(f"topology      : {args.topology} ({instance.node_count} nodes, "
-              f"{instance.edge_count} edges, {len(instance.bad_nodes())} bad)")
-        print(f"algorithm     : {summary.algorithm}")
-        print(f"scheduler     : {summary.scheduler}")
-        print(f"engine        : {engine_used}")
-        print(f"node steps    : {summary.node_steps}")
-        print(f"edge reversals: {summary.edge_reversals}")
-        print(f"dummy steps   : {summary.dummy_steps}")
-        print(f"converged     : {summary.converged}")
-        print(f"dest oriented : {summary.destination_oriented}")
+        print(f"topology      : {args.topology} ({record['nodes']} nodes, "
+              f"{record['edges']} edges, {record['bad_nodes']} bad)")
+        print(f"algorithm     : {algorithm}")
+        print(f"scheduler     : {scheduler}")
+        print(f"engine        : {record['engine']}")
+        print(f"node steps    : {record['node_steps']}")
+        print(f"edge reversals: {record['edge_reversals']}")
+        print(f"dummy steps   : {record['dummy_steps']}")
+        print(f"converged     : {record['converged']}")
+        print(f"dest oriented : {record['destination_oriented']}")
     if args.dot:
         from repro.automata.executions import run as run_execution
 
+        instance = build_topology(args.topology, args.nodes, args.seed)
         result = run_execution(
             ALGORITHMS[args.algorithm](instance), SCHEDULERS[args.scheduler](args.seed)
         )
@@ -816,7 +818,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--max-steps", type=int, default=None)
     run_parser.add_argument("--engine", choices=ENGINE_CHOICES, default="auto",
                             help="execution engine: compiled int kernels (auto/kernel) "
-                                 "or the object-level oracle (legacy)")
+                                 "or the object-level oracle (legacy); an engine "
+                                 "that cannot run the scenario is an error")
     run_parser.add_argument("--dot", help="write the final orientation to this DOT file")
     run_parser.add_argument("--json", action="store_true",
                             help="print the work summary as JSON")

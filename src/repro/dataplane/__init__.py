@@ -7,7 +7,7 @@ TTL expiry and transient-loop accounting, with next-hop tables patched
 incrementally as reversals rewrite the DAG underneath.
 """
 
-from repro.dataplane.packets import PacketSimulator, numpy_available
+from repro.dataplane.packets import PacketSimulator
 from repro.dataplane.run import DataPlaneRun, SLOT_DT
 from repro.dataplane.traffic import (
     TRAFFIC_MODEL_NAMES,
@@ -23,6 +23,5 @@ __all__ = [
     "TRAFFIC_MODELS",
     "TRAFFIC_MODEL_NAMES",
     "TrafficModel",
-    "numpy_available",
     "resolve_traffic",
 ]

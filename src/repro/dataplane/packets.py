@@ -29,10 +29,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is a baked-in dependency
-    np = None
+import numpy as np
 
 
 #: Columns of a packet row in the packed queue array.
@@ -42,18 +39,8 @@ _SRC, _TTL, _BIRTH, _HOPS = range(4)
 ARRIVAL_BLOCK = 64
 
 
-def numpy_available() -> bool:
-    """Whether the array backend is importable (gates the dataplane engine)."""
-    return np is not None
-
-
-def _require_numpy() -> None:
-    if np is None:  # pragma: no cover - numpy is a baked-in dependency
-        raise ImportError("the packet data plane requires numpy")
-
-
 #: What crossing one link does to a packet row: TTL down one, hops up one.
-_HOP_DELTA = None if np is None else np.array([0, -1, 0, 1], dtype=np.int64)
+_HOP_DELTA = np.array([0, -1, 0, 1], dtype=np.int64)
 
 
 class PacketSimulator:
@@ -96,7 +83,6 @@ class PacketSimulator:
         burst_on: float = 1.0,
         seed: int = 0,
     ):
-        _require_numpy()
         if queue_capacity <= 0 or link_capacity <= 0 or ttl <= 0:
             raise ValueError("queue_capacity, link_capacity and ttl must be positive")
         self.link_from = np.asarray(link_from, dtype=np.int64)

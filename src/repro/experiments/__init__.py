@@ -42,9 +42,10 @@ from repro.experiments.engines import (
     engine_names,
     get_engine,
     register_engine,
+    resolve_engine,
 )
 from repro.experiments.executor import CampaignReport, run_campaign
-from repro.experiments.runner import ScenarioTimeout, execute_scenario, resolve_engine
+from repro.experiments.runner import ScenarioTimeout, execute_scenario
 from repro.experiments.spec import (
     ALGORITHM_FACTORIES,
     CampaignSpec,

@@ -65,7 +65,7 @@ DEFAULT_MAX_EVENTS = 1_000_000
 BEACON_ROUNDS = 20
 
 
-def _run_phase(
+def _quiesce(
     network: FastAsyncNetwork,
     loss: float,
     max_events: int,
@@ -167,7 +167,7 @@ class AsyncEngine(ExecutionEngine):
                 network.crash_stop_ids(dead_ids)
                 record["crashed_nodes"] = len(dead_ids)
 
-            report, converged = _run_phase(network, spec.loss, max_events, deadline)
+            report, converged = _quiesce(network, spec.loss, max_events, deadline)
             if spec.node_faults > 0:
                 # crashed nodes silently stop reversing, so destination
                 # orientation is generally unreachable; the honest success
@@ -218,7 +218,7 @@ class AsyncEngine(ExecutionEngine):
 
         def settle() -> None:
             nonlocal report, converged
-            report, phase_converged = _run_phase(
+            report, phase_converged = _quiesce(
                 network, spec.loss, max_events, deadline
             )
             converged = converged and phase_converged

@@ -40,7 +40,6 @@ import random
 from typing import Dict, Optional
 
 from repro import telemetry as _telemetry
-from repro.dataplane.packets import numpy_available
 from repro.dataplane.run import DataPlaneRun
 from repro.dataplane.traffic import TRAFFIC_MODEL_NAMES
 from repro.distributed.network import DELAY_MODELS
@@ -48,7 +47,7 @@ from repro.experiments.async_engine import (
     ASYNC_FAILURE_MODELS,
     ASYNC_MODES,
     DEFAULT_MAX_EVENTS,
-    _run_phase,
+    _quiesce,
 )
 from repro.experiments.batch_engine import (
     _KERNEL_CACHE,
@@ -84,7 +83,6 @@ class DataPlaneEngine(ExecutionEngine):
         return (
             spec.traffic is not None
             and spec.node_faults == 0
-            and numpy_available()
             and spec.algorithm in ASYNC_MODES
             and spec.failure_model in ASYNC_FAILURE_MODELS
         )
@@ -101,8 +99,6 @@ class DataPlaneEngine(ExecutionEngine):
                 f"(node_faults={spec.node_faults}); drop the traffic model and "
                 "use engine='kernel' or 'async'"
             )
-        if not numpy_available():
-            return "the dataplane engine requires numpy"
         if spec.algorithm not in ASYNC_MODES:
             return (
                 f"no height-based message-passing protocol for algorithm "
@@ -146,7 +142,7 @@ class DataPlaneEngine(ExecutionEngine):
             # Phase 1: converge the control plane so the traffic phase
             # measures a routed DAG disrupted by churn, not initial
             # convergence.
-            _, converged = _run_phase(run.network, spec.loss, max_events, deadline)
+            _, converged = _quiesce(run.network, spec.loss, max_events, deadline)
             # The patch cache only diffs inside step_slot; pick up the
             # convergence phase's height changes before injecting.
             run.advance_control(deadline)

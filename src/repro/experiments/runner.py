@@ -96,8 +96,8 @@ from repro.experiments.engines import (
     engine_names,
     get_engine,
     register_engine,
+    resolve_engine,
 )
-from repro.experiments.engines import resolve_engine as _registry_resolve_engine
 from repro.experiments.spec import (
     ALGORITHM_FACTORIES,
     ScenarioSpec,
@@ -132,17 +132,6 @@ def kernel_cache_stats() -> Dict[str, int]:
     for name, value in outcome_stats().items():
         stats[f"batch_{name}"] = value
     return stats
-
-
-def resolve_engine(engine: str, spec: ScenarioSpec) -> str:
-    """The engine name a spec will actually run on.
-
-    Delegates to the engine registry: ``"auto"`` picks the highest-priority
-    supporting engine (async for delay-model specs, else kernel, else the
-    legacy fallback); an explicit engine request on an unsupported spec
-    raises instead of silently changing semantics.
-    """
-    return _registry_resolve_engine(engine, spec)
 
 
 class ScenarioTimeout(DeadlineExceeded):

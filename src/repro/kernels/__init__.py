@@ -1,9 +1,9 @@
 """Compiled int-signature kernels shared by the model checker and simulator.
 
-PR 1 gave every automaton state a compact **int signature** (the
-orientation's edge-reversal bitmask with per-node bookkeeping packed into the
-high bits).  This package holds everything that computes *directly on those
-ints* with no state objects on the hot path:
+Every automaton state has a compact **int signature** (the orientation's
+edge-reversal bitmask with per-node bookkeeping packed into the high bits).
+This package holds everything that computes *directly on those ints* with no
+state objects on the hot path:
 
 * :mod:`repro.kernels.signature` — the compiled successor kernels
   (:class:`SignatureExpander` and the PR / OneStepPR / NewPR / FR
@@ -22,14 +22,16 @@ ints* with no state objects on the hot path:
   via bitwise column operations, in exact scalar generation order.  The
   model checker's compiled loop (:class:`repro.exploration.ModelChecker`)
   runs on these for every instance of at most 64 nodes.
-* :mod:`repro.kernels.simulator` — :class:`SignatureSimulator`, one
-  convergence phase with work/round accounting via signature XOR and
-  deadline handling, all as pure int operations; plus the per-process
-  :class:`KernelCache` that amortises kernel compilation across the runs of
-  a campaign chunk.
-* :mod:`repro.kernels.batch` — :class:`BatchSimulator`, many such phases as
-  lockstep lanes (crash-stopped nodes and per-lane step bounds included):
-  the scenario-execution fast path of the campaign engine.
+* :mod:`repro.kernels.simulator` — :class:`SignatureSimulator`, the
+  per-instance tables (incidence rows, sink candidates) that simulation
+  lanes share; the :class:`WorkTally` / :class:`RoundTally` accumulators;
+  and the per-process :class:`KernelCache` that amortises kernel
+  compilation across the runs of a campaign chunk.
+* :mod:`repro.kernels.batch` — :class:`BatchSimulator`, the one mask-level
+  convergence loop: any number of phases as lockstep lanes, with work/round
+  accounting via signature XOR, crash-stopped nodes, per-lane step bounds,
+  optional actor traces and the shared deadline.  The ``kernel`` campaign
+  engine, its churn repair phases and ``repro run`` all run on it.
 
 The object-level automata remain the *documented oracle*: differential tests
 assert field-for-field equality between a kernel run and the legacy
@@ -65,7 +67,6 @@ from repro.kernels.vector import (
 )
 from repro.kernels.simulator import (
     KernelCache,
-    PhaseOutcome,
     RoundTally,
     SignatureSimulator,
     WorkTally,
@@ -87,7 +88,6 @@ __all__ = [
     "NewPRExpander",
     "OneStepPRExpander",
     "PartialReversalExpander",
-    "PhaseOutcome",
     "RoundTally",
     "SignatureExpander",
     "SignatureSimulator",

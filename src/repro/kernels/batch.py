@@ -1,19 +1,17 @@
 """Lockstep structure-of-arrays execution of many convergence phases.
 
-:class:`BatchSimulator` is the substrate of the compiled synchronous
-campaign engine (:mod:`repro.experiments.batch_engine`, registered as
-``kernel`` and, for whole chunks, ``batch``) and the batched twin of
-:meth:`repro.kernels.simulator.SignatureSimulator.run_phase`: it holds B
-*lanes* — independent (simulator, scheduler, signature) runs of identical
-shape — as parallel arrays and advances them in lockstep rounds, one
-deadline stride per round:
+:class:`BatchSimulator` is the one mask-level convergence loop: every
+compiled synchronous run — a ``kernel``-engine scenario
+(:mod:`repro.experiments.batch_engine`), a churn repair phase, a traced
+single run — is one of its lanes.  It holds B *lanes* — independent
+(simulator, scheduler, signature) runs of identical shape — as parallel
+arrays and advances them in lockstep rounds, one deadline stride per round:
 
 * **per-lane arrays**: current signature, incremental sink-id set and step
   bound, plus one tuple per lane of its fixed tables (scheduler, ``step``
   function, edge mask, incidence rows, the schedulable-node table that
   keeps crash-stopped nodes out, work/round tallies), unpacked once per
-  lane and round, so the per-action loop runs on locals exactly like
-  ``run_phase``'s;
+  lane and round, so the per-action loop runs on locals;
 * **convergence mask**: a lane that converges (or hits its step bound /
   the deadline) retires from the live-lane list without breaking the
   lockstep of the remaining lanes;
@@ -25,31 +23,32 @@ deadline stride per round:
 Exactness contract
 ------------------
 
-Each fault-free lane's step sequence is **bit-for-bit identical** to
-running its scheduler through ``run_phase`` on its own: the per-lane order
-of scheduler select, kernel step, XOR work accounting, incremental sink
-update and round observation is copied verbatim from the ``run_phase`` hot
-loop, and lanes share no mutable state (each lane owns its scheduler, hence
-its RNG stream).  Lockstep only interleaves *independent* per-lane
-sequences, so results cannot depend on lane order — the batch differential
-suite pins the engine's records against the legacy object oracle field by
-field.
+Each fault-free lane takes the step sequence the object-level oracle
+(:func:`repro.automata.executions.run` with the lane scheduler's object
+twin) takes: per action the lane runs scheduler select, kernel step, XOR
+work accounting, incremental sink update and round observation, the order
+of the oracle's observers, and the differential suites pin final mask, step
+count and tallies field by field.  Lanes share no mutable state (each lane
+owns its scheduler, hence its RNG stream), and lockstep only interleaves
+*independent* per-lane sequences, so a lane's outcome does not depend on
+which other lanes share the call or in which order they were added.
 
 Deadline semantics: a round takes every live lane to the next action index
-at which ``run_phase``'s per-run countdown reads the clock (after action 0,
-then every :data:`~repro.kernels.simulator.DEADLINE_CHECK_STRIDE` actions),
-and the shared wall-clock deadline is checked once per round, so every lane
-is observed at the same action indices as ``run_phase`` would observe it.
-When the deadline passes, every lane still live times out together —
-retired lanes keep their outcome.  Without a deadline one round runs every
-lane to its end.
+at which the legacy deadline observer's per-run countdown reads the clock
+(after action 0, then every
+:data:`~repro.kernels.simulator.DEADLINE_CHECK_STRIDE` actions), and the
+shared wall-clock deadline is checked once per round, so every lane is
+observed at the same action indices as a run of its own would be.  When the
+deadline passes, every lane still live times out together — retired lanes
+keep their outcome.  Without a deadline one round runs every lane to its
+end.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Set
+from typing import List, Optional, Set, Tuple
 
 from repro.automata.executions import DEFAULT_MAX_STEPS
 from repro.kernels.schedulers import MaskScheduler
@@ -68,8 +67,8 @@ class BatchLaneOutcome:
     ``steps`` counts the lane's actions this phase; ``converged`` is ``True``
     iff the lane's scheduler declared quiescence (or the step bound was hit
     with no sinks left).  A ``timed_out`` lane carries the step index the
-    deadline check fired at (``timeout_step``), matching the index in
-    ``run_phase``'s ``DeadlineExceeded`` message.
+    deadline check fired at (``timeout_step``), the index the legacy
+    deadline observer reports for the same run.
     """
 
     signature: int
@@ -102,11 +101,11 @@ class BatchSimulator:
         simulator: SignatureSimulator,
         scheduler: MaskScheduler,
         *,
-        initial_signature: Optional[int] = None,
         work: Optional[WorkTally] = None,
         rounds: Optional[RoundTally] = None,
         dead_ids: Optional[Set[int]] = None,
         max_steps: Optional[int] = None,
+        trace: Optional[List[Tuple[int, ...]]] = None,
     ) -> int:
         """Append one lane; returns its index.
 
@@ -122,13 +121,21 @@ class BatchSimulator:
         neighbours of a dead sink may keep reversing against it until the
         step bound, the unbounded-work behaviour an unreachable destination
         induces.  ``max_steps`` overrides :meth:`run`'s bound for this lane.
+        ``trace``, when given, receives the actor-id tuple of every action
+        the lane takes; untraced lanes run the scheduler's ``select`` as is.
         """
         scheduler.bind(simulator)
-        sig = (
-            simulator.initial_signature()
-            if initial_signature is None
-            else initial_signature
-        )
+        select = scheduler.select
+        if trace is not None:
+            untraced, record = select, trace.append
+
+            def select(sim, sig, sinks):
+                actors = untraced(sim, sig, sinks)
+                if actors is not None:
+                    record(actors)
+                return actors
+
+        sig = simulator.initial_signature()
         sinks = simulator.sink_id_set(sig)
         can_sink = simulator._can_sink
         if dead_ids:
@@ -144,7 +151,7 @@ class BatchSimulator:
         self._sinks.append(sinks)
         self._bounds.append(max_steps)
         self._tables.append((
-            simulator, scheduler.select, kernel.step, kernel._edge_mask,
+            simulator, select, kernel.step, kernel._edge_mask,
             kernel._inc, kernel._tail, simulator._incident, can_sink,
             work, rounds, simulator.instance.nodes,
         ))
@@ -176,15 +183,15 @@ class BatchSimulator:
         live = list(range(width))
         # a round takes every live lane from action index `start` up to
         # `stop`: to the first deadline check (after action 0), then one
-        # stride per round, as run_phase's per-run countdown does; without
-        # a deadline one round ends every lane
+        # stride per round, as the legacy observer's per-run countdown does;
+        # without a deadline one round ends every lane
         start = 0
         stop = 1 if deadline is not None else max(bounds, default=0) + 1
         while live:
             next_live = []
             for lane in live:
-                # the inner loop is the run_phase hot loop verbatim, with its
-                # per-phase locals unpacked from the lane's tables
+                # the hot loop, on per-phase locals unpacked from the lane's
+                # tables
                 (
                     sim, select, step, edge_mask, inc, tail, incident,
                     can_sink, work, rounds, nodes,
@@ -231,9 +238,9 @@ class BatchSimulator:
                     sigs[lane] = sig
                     if steps < stop:
                         # step bound reached without the scheduler declaring
-                        # quiescence (the run_phase for-else branch); a
-                        # bound at `stop` is taken next round, after the
-                        # deadline check run_phase would make first
+                        # quiescence; a bound at `stop` is taken next round,
+                        # after the deadline check a run of its own would
+                        # make first
                         outcomes[lane] = BatchLaneOutcome(
                             signature=sig, steps=steps, converged=not sinks
                         )
@@ -242,7 +249,7 @@ class BatchSimulator:
             live = next_live
             if live and time.perf_counter() > deadline:
                 # every live lane has taken actions 0 .. stop-1, so it is
-                # observed at the same action index as run_phase's check
+                # observed at the same action index as a run of its own
                 for lane in live:
                     outcomes[lane] = BatchLaneOutcome(
                         signature=sigs[lane],

@@ -1,23 +1,28 @@
-"""The mask-level scenario simulator: whole executions as pure int ops.
+"""Per-instance simulation tables, run tallies and the kernel cache.
 
-:class:`SignatureSimulator` drives a compiled
-:class:`~repro.kernels.signature.SignatureExpander` through an entire
-convergence phase — scheduler decisions, work and round accounting,
-convergence detection and the cooperative deadline — without materialising a
-single :class:`~repro.core.graph.Orientation` or automaton state:
+:class:`SignatureSimulator` holds what every convergence phase on one
+compiled :class:`~repro.kernels.signature.SignatureExpander` shares: the
+per-node neighbour ids, the ``(edge bit, neighbour id)`` incidence rows of
+the incremental sink updates and the table of nodes that can ever be a sink.
+It carries no run state, so any number of
+:class:`~repro.kernels.batch.BatchSimulator` lanes may reference one
+simulator; :meth:`BatchSimulator.run <repro.kernels.batch.BatchSimulator.run>`
+is the loop that drives them:
 
 * the **sink set is maintained incrementally**: a step by node ``i`` can
   only change the sink status of ``i`` itself and of the neighbours whose
   edge it flipped, so each step updates ``O(deg(i))`` candidates via one
   XOR/AND membership test each instead of rescanning the graph;
-* **work accounting is signature-XOR**: ``edge_reversals`` is the popcount
-  of ``pre ^ post`` over the edge bits, and an actor's step is a dummy step
-  iff the XOR misses its incident-edge mask — the same arithmetic
-  :class:`repro.analysis.work.WorkObserver` uses, minus the state objects;
-* **rounds** replicate the experiment runner's scheduler-independent round
-  rule (a new round starts whenever an actor takes its second step since
-  the round began), tracking actor *nodes* so the count keeps accumulating
-  across churn phases whose instances re-index the ids;
+* **work accounting is signature-XOR** (:class:`WorkTally`):
+  ``edge_reversals`` is the popcount of ``pre ^ post`` over the edge bits,
+  and an actor's step is a dummy step iff the XOR misses its incident-edge
+  mask — the same arithmetic :class:`repro.analysis.work.WorkObserver` uses,
+  minus the state objects;
+* **rounds** (:class:`RoundTally`) replicate the experiment runner's
+  scheduler-independent round rule (a new round starts whenever an actor
+  takes its second step since the round began), tracking actor *nodes* so
+  the count keeps accumulating across churn phases whose instances
+  re-index the ids;
 * the **deadline** is checked every :data:`DEADLINE_CHECK_STRIDE` steps
   (always including the first), mirroring the legacy observer's stride.
 
@@ -33,13 +38,10 @@ counters that surface in ``repro sweep --json``.
 
 from __future__ import annotations
 
-import time
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Hashable, Optional, Set, Tuple
 
 from repro.core.graph import LinkReversalInstance
-from repro.kernels.schedulers import MaskScheduler
 from repro.kernels.signature import PartialReversalExpander, SignatureExpander
 from repro.telemetry.metrics import MetricsRegistry
 
@@ -61,7 +63,7 @@ DEFAULT_CACHE_CAPACITY = 64
 KERNELS_PER_INSTANCE = 32
 
 class DeadlineExceeded(Exception):
-    """Raised by the hot loop when a phase passes its wall-clock deadline."""
+    """Raised when a scenario passes its wall-clock deadline."""
 
 
 class WorkTally:
@@ -112,20 +114,6 @@ class RoundTally:
             seen.add(nodes[i])
 
 
-@dataclass
-class PhaseOutcome:
-    """Result of one convergence phase of the simulator.
-
-    ``signature`` is the kernel-encoded final signature (mask plus packed
-    bookkeeping); ``converged`` is ``True`` iff the phase reached quiescence
-    rather than the step bound.
-    """
-
-    signature: int
-    steps: int
-    converged: bool
-
-
 class _IncidentPairs(dict):
     """Per node id: its ``(edge bit, neighbour id)`` pairs, built on first use.
 
@@ -146,7 +134,7 @@ class _IncidentPairs(dict):
 
 
 class SignatureSimulator:
-    """Executes convergence phases of one kernel entirely on int signatures."""
+    """The run-state-free tables of one kernel that batch lanes share."""
 
     def __init__(self, kernel: SignatureExpander):
         self.kernel = kernel
@@ -170,97 +158,6 @@ class SignatureSimulator:
     def sink_id_set(self, sig: int) -> Set[int]:
         """The non-destination sink ids of ``sig`` as a mutable set."""
         return set(self.kernel.sink_ids(sig))
-
-    def run_phase(
-        self,
-        scheduler: MaskScheduler,
-        *,
-        max_steps: Optional[int] = None,
-        work: Optional[WorkTally] = None,
-        rounds: Optional[RoundTally] = None,
-        deadline: Optional[float] = None,
-        deadline_stride: int = DEADLINE_CHECK_STRIDE,
-        trace: Optional[List[Tuple[int, ...]]] = None,
-        initial_signature: Optional[int] = None,
-    ) -> PhaseOutcome:
-        """Run one phase to quiescence, a step bound or the deadline.
-
-        ``work`` and ``rounds`` tallies are updated in place (pass the same
-        objects across the phases of a scenario to accumulate, as the object
-        path shares its observers across phases).  ``trace``, when given,
-        receives the actor-id tuple of every action taken.  A blown
-        ``deadline`` raises :class:`DeadlineExceeded` *after* the current
-        step's tallies are recorded, matching the legacy observer order.
-        """
-        if max_steps is None:
-            from repro.automata.executions import DEFAULT_MAX_STEPS
-
-            max_steps = DEFAULT_MAX_STEPS
-        kernel = self.kernel
-        sig = (
-            kernel.initial_signature()
-            if initial_signature is None
-            else initial_signature
-        )
-        scheduler.bind(self)
-        sinks = self.sink_id_set(sig)
-
-        edge_mask = kernel._edge_mask
-        inc = kernel._inc
-        tail = kernel._tail
-        incident = self._incident
-        can_sink = self._can_sink
-        nodes = self.instance.nodes
-        step = kernel.step
-        select = scheduler.select
-
-        steps = 0
-        converged = False
-        deadline_countdown = 0
-        while steps < max_steps:
-            actors = select(self, sig, sinks)
-            if actors is None:
-                converged = True
-                break
-            if trace is not None:
-                trace.append(actors)
-            new_sig = sig
-            for i in actors:
-                new_sig = step(new_sig, i)
-            xor = (sig ^ new_sig) & edge_mask
-            mask = new_sig & edge_mask
-            if work is not None:
-                work.node_steps += len(actors)
-                work.edge_reversals += xor.bit_count()
-            for i in actors:
-                if xor & inc[i]:
-                    sinks.discard(i)
-                    for edge_bit, j in incident[i]:
-                        # a flipped edge now points at j: j may have become a
-                        # sink (it cannot have stopped being one)
-                        if (
-                            xor & edge_bit
-                            and can_sink[j]
-                            and not ((mask ^ tail[j]) & inc[j])
-                        ):
-                            sinks.add(j)
-                elif work is not None:
-                    work.dummy_steps += 1
-            if rounds is not None:
-                rounds.observe(actors, nodes)
-            if deadline is not None:
-                deadline_countdown -= 1
-                if deadline_countdown < 0:
-                    deadline_countdown = deadline_stride - 1
-                    if time.perf_counter() > deadline:
-                        raise DeadlineExceeded(f"deadline exceeded at step {steps}")
-            sig = new_sig
-            steps += 1
-        else:
-            # step bound reached without the scheduler declaring quiescence
-            converged = not sinks
-
-        return PhaseOutcome(signature=sig, steps=steps, converged=converged)
 
 
 class KernelCache:

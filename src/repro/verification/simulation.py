@@ -382,7 +382,7 @@ class MaskSimulationChain:
         """Check the chain along one PR execution given as actor-id tuples.
 
         ``pr_trace`` is one tuple per ``reverse(S)`` action (e.g. recorded
-        by :meth:`repro.kernels.simulator.SignatureSimulator.run_phase`).
+        by a traced :meth:`repro.kernels.batch.BatchSimulator.add_lane`).
         """
         os_kernel = self._os_kernel
         npr_kernel = self._npr_kernel

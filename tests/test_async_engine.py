@@ -24,6 +24,7 @@ import pytest
 from repro.distributed.fast_network import FastAsyncNetwork
 from repro.distributed.network import DELAY_MODELS
 from repro.distributed.protocol import ReversalMode
+from repro.experiments import resolve_engine
 from repro.experiments.async_engine import ASYNC_MODES, AsyncEngine
 from repro.experiments.engines import (
     ENGINE_REGISTRY,
@@ -39,7 +40,6 @@ from repro.experiments.runner import (
     ENGINE_KERNEL,
     ENGINE_LEGACY,
     execute_scenario,
-    resolve_engine,
 )
 from repro.experiments.spec import (
     DELAY_MODEL_NAMES,
@@ -48,8 +48,13 @@ from repro.experiments.spec import (
     derive_seed,
 )
 from repro.experiments.store import ResultStore
-from repro.kernels import compile_expander, make_mask_scheduler, mask_directed_edges
-from repro.kernels.simulator import SignatureSimulator
+from repro.kernels import (
+    BatchSimulator,
+    SignatureSimulator,
+    compile_expander,
+    make_mask_scheduler,
+    mask_directed_edges,
+)
 from repro.experiments.spec import ALGORITHM_FACTORIES
 from repro.topology.generators import build_family
 
@@ -217,7 +222,9 @@ def _kernel_final_edges(spec):
     instance = build_family(spec.family, spec.size, spec.topology_seed)
     automaton = ALGORITHM_FACTORIES[spec.algorithm](instance)
     simulator = SignatureSimulator(compile_expander(automaton))
-    outcome = simulator.run_phase(make_mask_scheduler(spec.scheduler, spec.scheduler_seed))
+    batch = BatchSimulator()
+    batch.add_lane(simulator, make_mask_scheduler(spec.scheduler, spec.scheduler_seed))
+    (outcome,) = batch.run()
     mask = simulator.kernel.orientation_mask(outcome.signature)
     return set(mask_directed_edges(instance, mask)), instance
 

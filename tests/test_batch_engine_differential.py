@@ -26,9 +26,9 @@ from repro.experiments.runner import (
     ENGINE_LEGACY,
     execute_scenario,
     kernel_cache_stats,
-    resolve_engine,
     run_scenarios,
 )
+from repro.experiments import resolve_engine
 from repro.experiments.spec import CampaignSpec, ScenarioSpec, derive_seed
 from repro.experiments.store import OUTCOME_FIELDS, ResultStore
 from repro.topology.generators import SEEDLESS_FAMILIES, build_family

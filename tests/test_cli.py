@@ -117,6 +117,34 @@ class TestCommands:
         assert payload["destination_oriented"] is True
         assert payload["nodes"] == 9
 
+    def test_run_step_bound_truncates(self, capsys):
+        assert main(["run", "--nodes", "12", "--max-steps", "2", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["node_steps"] == 2
+        assert payload["converged"] is False
+        assert payload["destination_oriented"] is False
+
+    def test_run_rejects_a_scenario_below_two_nodes(self, capsys):
+        assert main(["run", "--nodes", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: ValueError: size must be at least 2\n"
+
+    @pytest.mark.parametrize("algorithm,engine", [("pr", "async"), ("bll", "dataplane")])
+    def test_run_rejects_an_engine_that_cannot_run_the_scenario(
+        self, capsys, algorithm, engine
+    ):
+        # an explicit engine is never swapped for another one behind the
+        # user's back: the registry's reason is the error
+        argv = ["run", "--algorithm", algorithm, "--engine", engine, "--json"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        # the engine's own reason: a spec without a delay / traffic model
+        assert f"the {engine} engine needs a" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_compare_json_output(self, capsys):
         exit_code = main(["compare", "--topology", "chain", "--nodes", "8", "--json"])
         payload = json.loads(capsys.readouterr().out)

@@ -6,7 +6,7 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from repro.dataplane.packets import ARRIVAL_BLOCK, PacketSimulator, numpy_available
+from repro.dataplane.packets import ARRIVAL_BLOCK, PacketSimulator
 from repro.dataplane.run import DataPlaneRun
 from repro.dataplane.traffic import (
     TRAFFIC_MODELS,
@@ -281,7 +281,6 @@ class TestDataPlaneRun:
             assert counters["packets_delivered"] / injected > 0.9
 
 
-@pytest.mark.skipif(not numpy_available(), reason="numpy required")
 class TestDataPlaneEngine:
     def test_execute_scenario_routes_traffic_spec_to_dataplane(self):
         record = execute_scenario(_spec())

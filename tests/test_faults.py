@@ -7,9 +7,10 @@ import os
 
 import pytest
 
+from repro.experiments import resolve_engine
 from repro.experiments.engines import ENGINE_AUTO, get_engine
 from repro.experiments.executor import run_campaign
-from repro.experiments.runner import execute_scenario, resolve_engine
+from repro.experiments.runner import execute_scenario
 from repro.experiments.spec import CampaignSpec, ScenarioSpec
 from repro.experiments.store import ResultStore
 from repro.faults import FAULT_PLAN_ENV, FaultPlan, select_crashed_ids

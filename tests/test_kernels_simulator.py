@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from repro.analysis.work import WorkObserver, count_reversals, kernel_count_reversals
+from repro.analysis.work import WorkObserver
 from repro.automata.executions import run
 from repro.core.bll import BinaryLinkLabels
 from repro.core.full_reversal import FullReversal
@@ -16,6 +16,7 @@ from repro.core.one_step_pr import OneStepPartialReversal
 from repro.core.pr import PartialReversal
 from repro.kernels import (
     MASK_SCHEDULER_FACTORIES,
+    BatchSimulator,
     KernelCache,
     RoundTally,
     SignatureSimulator,
@@ -27,7 +28,7 @@ from repro.kernels import (
     mask_is_acyclic,
     mask_is_destination_oriented,
 )
-from repro.kernels.simulator import KERNELS_PER_INSTANCE, DeadlineExceeded
+from repro.kernels.simulator import DEADLINE_CHECK_STRIDE, KERNELS_PER_INSTANCE
 from repro.schedulers import SCHEDULER_FACTORIES, make_scheduler
 from repro.topology.generators import (
     grid_instance,
@@ -45,6 +46,15 @@ ALGORITHMS = {
 
 def _simulator(algorithm: str, instance) -> SignatureSimulator:
     return SignatureSimulator(compile_expander(ALGORITHMS[algorithm](instance)))
+
+
+def _solo(simulator, scheduler, *, deadline=None,
+          deadline_stride=DEADLINE_CHECK_STRIDE, **lane):
+    """Run one lane on a batch of its own and return its outcome."""
+    batch = BatchSimulator()
+    batch.add_lane(simulator, scheduler, **lane)
+    (outcome,) = batch.run(deadline=deadline, deadline_stride=deadline_stride)
+    return outcome
 
 
 @pytest.fixture
@@ -73,8 +83,8 @@ class TestRunPhaseAgainstObjectOracle:
     def test_final_graph_and_work_match_object_run(self, instance, algorithm, scheduler):
         simulator = _simulator(algorithm, instance)
         work, rounds = WorkTally(), RoundTally()
-        outcome = simulator.run_phase(
-            make_mask_scheduler(scheduler, seed=7), work=work, rounds=rounds
+        outcome = _solo(
+            simulator, make_mask_scheduler(scheduler, seed=7), work=work, rounds=rounds
         )
 
         automaton = ALGORITHMS[algorithm](instance)
@@ -93,14 +103,14 @@ class TestRunPhaseAgainstObjectOracle:
 
     def test_sink_set_empty_exactly_on_convergence(self, instance):
         simulator = _simulator("fr", instance)
-        outcome = simulator.run_phase(make_mask_scheduler("sequential"))
+        outcome = _solo(simulator, make_mask_scheduler("sequential"))
         assert outcome.converged
         assert simulator.sink_id_set(outcome.signature) == set()
 
     def test_trace_replays_to_final_signature(self, instance):
         simulator = _simulator("pr", instance)
         trace = []
-        outcome = simulator.run_phase(make_mask_scheduler("greedy"), trace=trace)
+        outcome = _solo(simulator, make_mask_scheduler("greedy"), trace=trace)
         sig = simulator.initial_signature()
         for token in trace:
             for i in token:
@@ -110,29 +120,69 @@ class TestRunPhaseAgainstObjectOracle:
     def test_step_bound_truncates_without_convergence(self):
         instance = worst_case_chain_instance(8)
         simulator = _simulator("fr", instance)
-        outcome = simulator.run_phase(make_mask_scheduler("sequential"), max_steps=3)
+        outcome = _solo(simulator, make_mask_scheduler("sequential"), max_steps=3)
         assert outcome.steps == 3
         assert not outcome.converged
 
 
 class TestBatchLanes:
-    def test_lanes_match_run_phase_under_their_own_step_bounds(self):
-        from repro.kernels.batch import BatchSimulator
+    @pytest.mark.parametrize("scheduler", sorted(SCHEDULER_FACTORIES))
+    def test_lane_order_does_not_change_outcomes(self, instance, scheduler):
+        # lanes share no run state, so reversing the order they are added
+        # in permutes the outcomes and changes nothing else
+        shapes = [
+            (_simulator(algorithm, instance), seed)
+            for algorithm in sorted(ALGORITHMS) for seed in (1, 2)
+        ]
 
+        def run_in(order):
+            batch = BatchSimulator()
+            tallies = {}
+            for index in order:
+                simulator, seed = shapes[index]
+                tallies[index] = (WorkTally(), RoundTally())
+                batch.add_lane(
+                    simulator, make_mask_scheduler(scheduler, seed=seed),
+                    work=tallies[index][0], rounds=tallies[index][1],
+                )
+            return {
+                index: (
+                    outcome.signature, outcome.steps, outcome.converged,
+                    tallies[index][0].node_steps, tallies[index][0].edge_reversals,
+                    tallies[index][0].dummy_steps, tallies[index][1].rounds,
+                )
+                for index, outcome in zip(order, batch.run())
+            }
+
+        order = list(range(len(shapes)))
+        assert run_in(order) == run_in(order[::-1])
+
+    def test_trace_records_its_own_lane_only(self, instance):
+        simulator = _simulator("pr", instance)
+        trace = []
+        batch = BatchSimulator()
+        batch.add_lane(simulator, make_mask_scheduler("random", seed=4), trace=trace)
+        batch.add_lane(simulator, make_mask_scheduler("greedy"))
+        traced, untraced = batch.run()
+        # one entry per action taken, never the quiescence `None`
+        assert len(trace) == traced.steps > 0
+        assert None not in trace
+        solo = _solo(simulator, make_mask_scheduler("greedy"))
+        assert (untraced.signature, untraced.steps) == (solo.signature, solo.steps)
+
+    def test_lanes_match_solo_runs_under_their_own_step_bounds(self):
         simulator = _simulator("fr", worst_case_chain_instance(8))
         batch = BatchSimulator()
         for bound in (3, None, 0):
             batch.add_lane(simulator, make_mask_scheduler("sequential"), max_steps=bound)
         outcomes = batch.run(max_steps=50)
         for bound, outcome in zip((3, 50, 0), outcomes):
-            solo = simulator.run_phase(make_mask_scheduler("sequential"), max_steps=bound)
+            solo = _solo(simulator, make_mask_scheduler("sequential"), max_steps=bound)
             assert (outcome.signature, outcome.steps, outcome.converged) == (
                 solo.signature, solo.steps, solo.converged,
             )
 
     def test_dead_ids_are_never_scheduled(self):
-        from repro.kernels.batch import BatchSimulator
-
         class Recording:
             def __init__(self):
                 self.inner = make_mask_scheduler("greedy")
@@ -155,16 +205,16 @@ class TestBatchLanes:
         assert 4 in free.actors and 4 not in faulted.actors
         assert fault_free.converged
         # the simulator's shared sink table is untouched by the faulted lane
-        solo = simulator.run_phase(make_mask_scheduler("greedy"))
+        solo = _solo(simulator, make_mask_scheduler("greedy"))
         assert (solo.signature, solo.steps) == (fault_free.signature, fault_free.steps)
         assert crashed.steps <= 500
 
 
     @pytest.mark.parametrize("expire_after", [0, 1, 2])
-    def test_deadline_fires_at_run_phase_action_index(self, monkeypatch, expire_after):
-        # lockstep rounds read the shared clock where run_phase's per-run
-        # countdown would: after action 0, then every stride
-        from repro.kernels.batch import BatchSimulator
+    def test_deadline_fires_at_the_legacy_observer_step(self, monkeypatch, expire_after):
+        # lockstep rounds read the shared clock where the legacy observer's
+        # per-run countdown would: after action 0, then every stride
+        from repro.experiments.runner import ScenarioTimeout, _DeadlineObserver
 
         class Clock:
             """Reads 0.0 until ``expire_after`` reads have passed, then 10.0."""
@@ -176,19 +226,21 @@ class TestBatchLanes:
                 self.reads += 1
                 return 10.0 if self.reads > expire_after else 0.0
 
-        simulator = _simulator("fr", worst_case_chain_instance(14))
         monkeypatch.setattr(time, "perf_counter", Clock())
-        with pytest.raises(DeadlineExceeded) as solo:
-            simulator.run_phase(
-                make_mask_scheduler("sequential"), deadline=5.0, deadline_stride=7
-            )
+        observer = _DeadlineObserver(deadline=5.0, stride=7)
+        with pytest.raises(ScenarioTimeout) as legacy:
+            for step in range(100):
+                observer(step, None, None, None)
+        assert str(legacy.value) == f"deadline exceeded at step {7 * expire_after}"
+
+        simulator = _simulator("fr", worst_case_chain_instance(14))
         monkeypatch.setattr(time, "perf_counter", Clock())
         batch = BatchSimulator()
         batch.add_lane(simulator, make_mask_scheduler("sequential"))
         batch.add_lane(simulator, make_mask_scheduler("sequential"), max_steps=3)
         long_lane, short_lane = batch.run(deadline=5.0, deadline_stride=7)
         assert long_lane.timed_out
-        assert str(solo.value) == f"deadline exceeded at step {long_lane.timeout_step}"
+        assert long_lane.timeout_step == 7 * expire_after
         assert long_lane.steps == long_lane.timeout_step + 1
         # a lane that reached its bound before a check keeps its outcome
         assert short_lane.timed_out == (expire_after == 0)
@@ -197,22 +249,25 @@ class TestBatchLanes:
 class TestDeadlines:
     def test_expired_deadline_aborts_on_first_step(self):
         simulator = _simulator("fr", worst_case_chain_instance(10))
-        with pytest.raises(DeadlineExceeded, match="step 0"):
-            simulator.run_phase(
-                make_mask_scheduler("sequential"), deadline=time.perf_counter() - 1.0
-            )
+        outcome = _solo(
+            simulator, make_mask_scheduler("sequential"),
+            deadline=time.perf_counter() - 1.0,
+        )
+        assert outcome.timed_out and not outcome.converged
+        assert (outcome.timeout_step, outcome.steps) == (0, 1)
 
     def test_clock_read_once_per_stride(self, monkeypatch):
         simulator = _simulator("fr", worst_case_chain_instance(10))
         reads = []
         real = time.perf_counter
         monkeypatch.setattr(time, "perf_counter", lambda: reads.append(1) or real())
-        outcome = simulator.run_phase(
+        outcome = _solo(
+            simulator,
             make_mask_scheduler("sequential"),
             deadline=real() + 60.0,
             deadline_stride=7,
         )
-        assert outcome.converged
+        assert outcome.converged and not outcome.timed_out
         # one read at step 0, then one per completed stride of 7 steps
         assert len(reads) == 1 + (outcome.steps - 1) // 7
 
@@ -296,21 +351,6 @@ class TestKernelCache:
         assert cache.stats()["kernel_compiles"] == 2  # None results re-compile
 
 
-class TestKernelCountReversals:
-    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
-    def test_matches_object_summary(self, instance, algorithm):
-        automaton = ALGORITHMS[algorithm](instance)
-        fast = kernel_count_reversals(automaton, "greedy", seed=3)
-        slow = count_reversals(
-            ALGORITHMS[algorithm](instance), make_scheduler("greedy", 3)
-        )
-        assert fast is not None
-        assert fast.to_dict() == slow.to_dict()
-
-    def test_returns_none_without_kernel(self, instance):
-        assert kernel_count_reversals(BinaryLinkLabels(instance), "greedy") is None
-
-
 class TestGridSubsetActions:
     def test_pr_random_subsets_match_object_path(self):
         from repro.kernels.schedulers import MaskRandomScheduler
@@ -319,8 +359,8 @@ class TestGridSubsetActions:
         instance = grid_instance(4, 4, oriented_towards_destination=False)
         simulator = _simulator("pr", instance)
         work = WorkTally()
-        outcome = simulator.run_phase(
-            MaskRandomScheduler(seed=11, subset_probability=0.6), work=work
+        outcome = _solo(
+            simulator, MaskRandomScheduler(seed=11, subset_probability=0.6), work=work
         )
         observer = WorkObserver()
         result = run(

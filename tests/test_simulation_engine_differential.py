@@ -15,13 +15,13 @@ import json
 
 import pytest
 
+from repro.experiments import resolve_engine
 from repro.experiments.executor import run_campaign
 from repro.experiments.runner import (
     ENGINE_KERNEL,
     ENGINE_LEGACY,
     algorithm_has_kernel,
     execute_scenario,
-    resolve_engine,
 )
 from repro.experiments.spec import ScenarioSpec, derive_seed
 from repro.experiments.spec import CampaignSpec
@@ -206,7 +206,7 @@ class TestMaskSimulationChainDifferential:
     def test_mask_chain_matches_object_chain(self, scheduler_seed, subset_probability):
         from repro.automata.executions import run
         from repro.core.pr import PartialReversal
-        from repro.kernels import SignatureSimulator, compile_expander
+        from repro.kernels import BatchSimulator, SignatureSimulator, compile_expander
         from repro.kernels.schedulers import MaskRandomScheduler
         from repro.schedulers.random_scheduler import RandomScheduler
         from repro.topology.generators import grid_instance
@@ -218,10 +218,13 @@ class TestMaskSimulationChainDifferential:
         instance = grid_instance(4, 4, oriented_towards_destination=False)
         simulator = SignatureSimulator(compile_expander(PartialReversal(instance)))
         trace = []
-        outcome = simulator.run_phase(
+        batch = BatchSimulator()
+        batch.add_lane(
+            simulator,
             MaskRandomScheduler(seed=scheduler_seed, subset_probability=subset_probability),
             trace=trace,
         )
+        (outcome,) = batch.run()
         fast = MaskSimulationChain(instance).check(trace)
 
         result = run(
@@ -239,7 +242,7 @@ class TestMaskSimulationChainDifferential:
         assert fast.newpr_steps == oracle.r.corresponding_execution.length
 
     def test_mask_chain_flags_a_corrupted_trace(self):
-        from repro.kernels import SignatureSimulator, compile_expander
+        from repro.kernels import BatchSimulator, SignatureSimulator, compile_expander
         from repro.kernels.schedulers import MaskGreedyScheduler
         from repro.core.pr import PartialReversal
         from repro.topology.generators import worst_case_chain_instance
@@ -248,7 +251,9 @@ class TestMaskSimulationChainDifferential:
         instance = worst_case_chain_instance(6)
         simulator = SignatureSimulator(compile_expander(PartialReversal(instance)))
         trace = []
-        simulator.run_phase(MaskGreedyScheduler(), trace=trace)
+        batch = BatchSimulator()
+        batch.add_lane(simulator, MaskGreedyScheduler(), trace=trace)
+        batch.run()
         # duplicate the first action: its actors are no longer sinks there
         corrupted = [trace[0], trace[0]] + trace[1:]
         report = MaskSimulationChain(instance).check(corrupted)
@@ -257,11 +262,13 @@ class TestMaskSimulationChainDifferential:
 
 
 class TestCliEngine:
-    def test_run_engine_flag_outputs_match(self, capsys):
+    @pytest.mark.parametrize("algorithm", KERNEL_ALGORITHMS)
+    @pytest.mark.parametrize("scheduler", ["random", "adversarial", "round-robin"])
+    def test_run_engine_flag_outputs_match(self, capsys, algorithm, scheduler):
         from repro.cli import main
 
-        base = ["run", "--topology", "grid", "--nodes", "9", "--scheduler", "random",
-                "--json"]
+        base = ["run", "--topology", "grid", "--nodes", "9", "--algorithm", algorithm,
+                "--scheduler", scheduler, "--json"]
         assert main(["--seed", "5"] + base + ["--engine", "kernel"]) == 0
         fast = json.loads(capsys.readouterr().out)
         assert main(["--seed", "5"] + base + ["--engine", "legacy"]) == 0
@@ -274,7 +281,7 @@ class TestCliEngine:
         from repro.cli import main
 
         assert main(["run", "--algorithm", "bll", "--engine", "kernel"]) == 2
-        assert "no kernel fast path" in capsys.readouterr().err
+        assert "no signature kernel" in capsys.readouterr().err
 
     def test_sweep_json_reports_engines_and_cache(self, tmp_path, capsys):
         from repro.cli import main
