@@ -1,22 +1,28 @@
-"""Experiment E15 — routing: route maintenance under link failures and mobility.
+"""Experiment E15 — route maintenance under link failures and mobility.
 
 Paper context: link reversal exists to provide "an efficient graph structure
 for routing" in networks "with frequently changing topology" (abstract and
 introduction, citing Gafni–Bertsekas).  The measurable claims are that after a
-link failure the reversal cascade restores destination orientation with work
-localised around the failure, and that routes stay usable.
+link failure the reversal cascade restores destination orientation, and that
+the repair work stays localised around the failure.
 
-Harness:
-* synchronous repair — fail each non-partitioning link of a grid in turn and
-  rerun PR from the surviving orientation; report steps needed per repair;
-* asynchronous repair — inject random link failures into the message-passing
-  network on a geometric (MANET-style) topology and report reversals,
-  messages and recovery time per failure;
-* mobility — drive a random-waypoint model for several steps and report the
-  fraction of non-partitioning changes from which routing recovered.
+Harness: three campaigns, each pairing every churn run with the ``none`` run
+of the same replicate and algorithm (same topology, same scheduler seed):
 
-Expected shape: every non-partitioning failure is recovered; per-failure work
-is far smaller than re-running the algorithm from scratch on the whole graph.
+* synchronous repair — 5x5 ``grid`` × {``none``, ``link-failures`` 4};
+* asynchronous repair — 25-node ``geometric`` (MANET-style) network over
+  ``uniform``-delay channels × {``none``, ``link-failures`` 8};
+* mobility — 20-node ``geometric`` network × {``none``, ``mobility`` 12}
+  random-waypoint steps.
+
+Both claims read from the stored records alone.  "Every non-partitioning
+failure is recovered": failures that would partition the network are skipped
+(``partition_skips``), and every record ends ``destination_oriented``.
+"Per-failure work is small": (churn ``node_steps`` − ``none`` ``node_steps``)
+/ ``failures_applied``, against the ``none`` run's from-scratch work.
+
+Expected shape: every run ends destination oriented; per-failure work is far
+smaller than re-running the algorithm from scratch on the whole graph.
 """
 
 from __future__ import annotations
@@ -26,93 +32,98 @@ from benchmarks._harness import claim_experiment, print_table, record
 claim_experiment("E15", __name__)
 
 from repro.analysis.statistics import mean
-from repro.core.pr import PartialReversal
-from repro.routing.dag_routing import RoutingTable
-from repro.routing.maintenance import RouteMaintenanceSimulation, repair_with_automaton
-from repro.topology.generators import grid_instance
-from repro.topology.manet import random_geometric_instance
-from repro.topology.mobility import RandomWaypointMobility
+from repro.experiments.executor import run_campaign
+from repro.experiments.spec import CampaignSpec
+from repro.experiments.store import ResultStore
+
+REPLICATES = 8
+ALGORITHMS = ("pr", "fr")
 
 
-def _synchronous_repair_sweep():
-    instance = grid_instance(5, 5, oriented_towards_destination=True)
-    orientation = instance.initial_orientation()
+def _campaign(name, family, size, churn, **axes) -> CampaignSpec:
+    return CampaignSpec(
+        name=name, families=(family,), algorithms=ALGORITHMS, sizes=(size,),
+        replicates=REPLICATES, failure_models=[("none", 0), churn], **axes,
+    )
+
+
+def _sweep(campaign: CampaignSpec, root) -> list:
+    with ResultStore(root / campaign.name) as store:
+        report = run_campaign(campaign, store, telemetry=False)
+        assert report.ok == report.total == campaign.run_count
+        return store.records()
+
+
+def _repair_rows(records):
+    """Per algorithm: from-scratch work, per-failure work, failures, skips."""
+    scratch = {
+        (r["algorithm"], r["replicate"]): r["node_steps"]
+        for r in records if r["failure_model"] == "none"
+    }
     rows = []
-    for u, v in instance.initial_edges:
-        new_instance, result = repair_with_automaton(
-            instance, orientation, (u, v), PartialReversal
-        )
-        table = RoutingTable.from_orientation(result.final_state.orientation)
-        rows.append(((u, v), result.steps_taken, table.routable_fraction()))
+    for algorithm in ALGORITHMS:
+        churned = [
+            r for r in records
+            if r["failure_model"] != "none" and r["algorithm"] == algorithm
+        ]
+        per_failure = [
+            (r["node_steps"] - scratch[algorithm, r["replicate"]]) / r["failures_applied"]
+            for r in churned if r["failures_applied"]
+        ]
+        rows.append((
+            algorithm,
+            mean([scratch[algorithm, r["replicate"]] for r in churned]),
+            mean(per_failure),
+            max(per_failure),
+            sum(r["failures_applied"] for r in churned),
+            sum(r["partition_skips"] for r in churned),
+        ))
     return rows
 
 
-def test_e15_synchronous_link_failure_repair(benchmark):
-    rows = benchmark.pedantic(_synchronous_repair_sweep, rounds=1, iterations=1)
-    display = [(f"{u}-{v}", steps, f"{fraction:.2f}") for (u, v), steps, fraction in rows]
+def _report(benchmark, experiment, title, records):
+    rows = _repair_rows(records)
     print_table(
-        "E15 — PR repair after each single link failure on a 5x5 grid",
-        ["failed link", "repair steps", "routable fraction"],
-        display[:12] + [("...", "", "")],
+        title,
+        ["algorithm", "from-scratch steps", "mean steps/failure",
+         "max steps/failure", "failures", "partition skips"],
+        [(a, f"{s:.1f}", f"{m:.2f}", f"{x:.2f}", f, k) for a, s, m, x, f, k in rows],
     )
-    record(
-        benchmark,
-        experiment="E15-sync",
-        failures=len(rows),
-        mean_repair_steps=mean([steps for _, steps, _ in rows]),
-        all_recovered=all(fraction == 1.0 for _, _, fraction in rows),
+    recovered = all(r["destination_oriented"] for r in records)
+    record(benchmark, experiment=experiment, rows=rows, all_recovered=recovered)
+    # every non-partitioning failure is recovered (partitioning ones are skipped)
+    assert recovered
+    return rows
+
+
+def test_e15_synchronous_link_failure_repair(benchmark, tmp_path):
+    campaign = _campaign("e15-sync", "grid", 25, ("link-failures", 4))
+    records = benchmark.pedantic(_sweep, args=(campaign, tmp_path), rounds=1, iterations=1)
+    rows = _report(
+        benchmark, "E15-sync",
+        "E15 — repair after seeded link failures on a 5x5 grid", records,
     )
-    # a 5x5 grid is 2-edge-connected: every single failure is recoverable
-    assert all(fraction == 1.0 for _, _, fraction in rows)
+    assert sum(failures for *_, failures, _ in rows) > 0
     # locality: a single repair needs far fewer steps than the node count
-    assert mean([steps for _, steps, _ in rows]) < 25
+    assert all(max_per_failure < 25 for _, _, _, max_per_failure, _, _ in rows)
 
 
-def _asynchronous_failure_sweep():
-    instance, _network = random_geometric_instance(25, radius=0.35, seed=11)
-    simulation = RouteMaintenanceSimulation(instance, seed=11)
-    results = simulation.fail_random_links(8)
-    return simulation, results
-
-
-def test_e15_asynchronous_failures_on_manet(benchmark):
-    simulation, results = benchmark.pedantic(_asynchronous_failure_sweep, rounds=1, iterations=1)
-    rows = [
-        (
-            "-".join(map(str, r.failed_links[0])) if r.failed_links else "-",
-            r.reversals,
-            r.messages,
-            f"{r.elapsed_time:.1f}",
-            "partitioned" if r.partitioned else ("yes" if r.destination_oriented else "NO"),
-        )
-        for r in results
-    ]
-    print_table(
-        "E15 — asynchronous recovery from random link failures (25-node MANET)",
-        ["failed link", "reversals", "messages", "time", "recovered"],
-        rows,
+def test_e15_asynchronous_failures_on_manet(benchmark, tmp_path):
+    campaign = _campaign(
+        "e15-async", "geometric", 25, ("link-failures", 8), delay_models=("uniform",),
     )
-    summary = simulation.summary()
-    record(benchmark, experiment="E15-async", **summary)
-    assert summary["recovered_fraction"] == 1.0
-
-
-def _mobility_sweep():
-    instance, network = random_geometric_instance(20, radius=0.45, seed=21)
-    simulation = RouteMaintenanceSimulation(instance, seed=21)
-    mobility = RandomWaypointMobility(network, speed=0.04, seed=21)
-    results = simulation.apply_topology_changes(mobility.run(12))
-    return simulation, results
-
-
-def test_e15_mobility_route_maintenance(benchmark):
-    simulation, results = benchmark.pedantic(_mobility_sweep, rounds=1, iterations=1)
-    summary = simulation.summary()
-    print(
-        f"\nE15 mobility: {summary['failures']} change batches, "
-        f"mean reversals {summary['mean_reversals']:.1f}, "
-        f"mean messages {summary['mean_messages']:.1f}, "
-        f"recovered fraction {summary['recovered_fraction']:.2f}"
+    records = benchmark.pedantic(_sweep, args=(campaign, tmp_path), rounds=1, iterations=1)
+    assert {r["engine"] for r in records} == {"async"}
+    _report(
+        benchmark, "E15-async",
+        "E15 — asynchronous recovery from link failures (25-node MANET)", records,
     )
-    record(benchmark, experiment="E15-mobility", **summary)
-    assert summary["recovered_fraction"] == 1.0
+
+
+def test_e15_mobility_route_maintenance(benchmark, tmp_path):
+    campaign = _campaign("e15-mobility", "geometric", 20, ("mobility", 12))
+    records = benchmark.pedantic(_sweep, args=(campaign, tmp_path), rounds=1, iterations=1)
+    _report(
+        benchmark, "E15-mobility",
+        "E15 — re-convergence after random-waypoint mobility (20 nodes)", records,
+    )

@@ -1,17 +1,19 @@
 #!/usr/bin/env python3
-"""MANET routing scenario: TORA-style route maintenance under mobility.
+"""MANET route maintenance: link reversal under link failures and mobility.
 
 This example exercises the application the paper's introduction motivates:
-routing in a network "with frequently changing topology".  It
+routing in a network "with frequently changing topology".  It sweeps a small
+campaign over random geometric (unit-disk) networks, the standard MANET
+abstraction, in three cells per replicate:
 
-1. places radio nodes uniformly in the unit square (a random geometric /
-   unit-disk graph) and derives a destination-oriented DAG;
-2. starts the asynchronous, message-passing link-reversal protocol on it;
-3. moves the nodes with a random-waypoint mobility model, which breaks and
-   creates links;
-4. after every batch of link failures, lets the reversal cascade repair the
-   routes and reports the cost (reversals, messages, simulated time);
-5. prints the final routing table and the average route stretch.
+* ``none`` — converge from the initial orientation;
+* ``link-failures`` — converge, then fail seeded links one at a time and
+  repair after each (failures that would partition the network are skipped);
+* ``mobility`` — converge, then move the nodes with a random-waypoint model
+  and re-converge after every step that changes the link set.
+
+It prints each cell's work and whether every run ended destination oriented,
+plus the repair work per applied failure or mobility step.
 
 Run with::
 
@@ -25,67 +27,42 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
-from repro.routing.dag_routing import RoutingTable
-from repro.routing.maintenance import RouteMaintenanceSimulation
-from repro.topology.manet import random_geometric_instance
-from repro.topology.mobility import RandomWaypointMobility
+from repro.analysis.statistics import mean
+from repro.experiments.runner import run_scenarios
+from repro.experiments.spec import CampaignSpec
 
-
-NUM_NODES = 24
-RADIUS = 0.38
-MOBILITY_STEPS = 15
-SPEED = 0.035
-SEED = 2024
+CAMPAIGN = CampaignSpec(
+    name="manet",
+    families=("geometric",),
+    algorithms=("pr", "fr"),
+    sizes=(24,),
+    replicates=4,
+    base_seed=2024,
+    failure_models=[("none", 0), ("link-failures", 6), ("mobility", 15)],
+)
 
 
 def main() -> None:
-    instance, network = random_geometric_instance(NUM_NODES, radius=RADIUS, seed=SEED)
-    print(f"MANET with {instance.node_count} nodes, {instance.edge_count} links, "
-          f"destination {instance.destination}")
-
-    simulation = RouteMaintenanceSimulation(instance, seed=SEED)
-    mobility = RandomWaypointMobility(network, speed=SPEED, seed=SEED)
-
-    print("\nMobility run:")
-    partitioned = False
-    for change in mobility.run(MOBILITY_STEPS):
-        if change.is_empty:
-            continue
-        results = simulation.apply_topology_changes([change])
-        for result in results:
-            status = "partitioned" if result.partitioned else (
-                "recovered" if result.destination_oriented else "NOT recovered"
-            )
-            links = ", ".join(f"{u}-{v}" for u, v in result.failed_links)
-            print(
-                f"  t={change.step:2d}  failed [{links:<12}]  "
-                f"reversals={result.reversals:3d}  messages={result.messages:4d}  "
-                f"time={result.elapsed_time:6.1f}  {status}"
-            )
-            partitioned = partitioned or result.partitioned
-        if partitioned:
-            print("  (network partitioned from the destination — the reversal cascade "
-                  "cannot terminate in the cut-off component; stopping the scenario, "
-                  "as a real deployment would fall back to TORA-style partition detection)")
-            break
-
-    summary = simulation.summary()
-    print("\nSummary over all failure batches:")
-    for key, value in summary.items():
-        print(f"  {key:>20}: {value:.2f}" if isinstance(value, float) else f"  {key:>20}: {value}")
-
-    # final routing table from the orientation induced by the true heights
-    edges = simulation.network.global_directed_edges()
-    table = RoutingTable.from_directed_edges(instance, edges)
-    print(f"\nRoutable fraction after the run: {table.routable_fraction():.2f}")
-    stretch = table.average_stretch()
-    if stretch is not None:
-        print(f"Average route stretch vs shortest undirected path: {stretch:.2f}")
-    print("\nSample routes:")
-    for node in list(instance.nodes)[1:6]:
-        route = table.route(node)
-        rendered = " -> ".join(map(str, route)) if route else "(no route)"
-        print(f"  {node}: {rendered}")
+    records = run_scenarios(CAMPAIGN.expand())
+    scratch = {
+        (r["algorithm"], r["replicate"]): r["node_steps"]
+        for r in records if r["failure_model"] == "none"
+    }
+    print(f"{CAMPAIGN.run_count} runs on {CAMPAIGN.replicates} geometric networks "
+          f"of {CAMPAIGN.sizes[0]} nodes\n")
+    print(f"{'algorithm':<9} {'churn':<13} {'steps':>6} {'changes':>8} "
+          f"{'skipped':>8} {'steps/change':>13} {'oriented':>9}")
+    for algorithm in CAMPAIGN.algorithms:
+        for model, _ in CAMPAIGN.failure_models:
+            cell = [r for r in records
+                    if r["algorithm"] == algorithm and r["failure_model"] == model]
+            changes = sum(r["failures_applied"] for r in cell)
+            repair = sum(r["node_steps"] - scratch[algorithm, r["replicate"]] for r in cell)
+            per_change = f"{repair / changes:.2f}" if changes else "-"
+            oriented = all(r["destination_oriented"] for r in cell)
+            print(f"{algorithm:<9} {model:<13} {mean([r['node_steps'] for r in cell]):>6.1f} "
+                  f"{changes:>8} {sum(r['partition_skips'] for r in cell):>8} "
+                  f"{per_change:>13} {str(oriented):>9}")
 
 
 if __name__ == "__main__":

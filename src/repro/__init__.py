@@ -17,8 +17,9 @@ paper's new parity-based variant ``NewPR``, and the Full Reversal baseline
 * schedulers / adversaries and work counting (:mod:`repro.schedulers`,
   :mod:`repro.analysis`);
 * a discrete-event simulator for asynchronous, message-passing executions of
-  link reversal, and the destination-oriented routing that motivates the
-  paper (:mod:`repro.distributed`, :mod:`repro.routing`);
+  link reversal (:mod:`repro.distributed`), with route maintenance under
+  link failures and mobility run as experiment campaigns
+  (:mod:`repro.experiments`);
 * topology generators, including MANET-style geometric graphs and mobility
   (:mod:`repro.topology`).
 

@@ -11,7 +11,6 @@ from repro.analysis.work import (
     WorkSummary,
     count_reversals,
     compare_algorithms,
-    per_node_reversals,
     worst_case_sweep,
 )
 from repro.analysis.statistics import mean, percentile, fit_polynomial, quadratic_fit_r2
@@ -22,7 +21,6 @@ __all__ = [
     "count_reversals",
     "fit_polynomial",
     "mean",
-    "per_node_reversals",
     "percentile",
     "quadratic_fit_r2",
     "worst_case_sweep",

@@ -6,7 +6,6 @@ nodes until the graph becomes destination oriented.  This module measures it
 for any automaton / scheduler combination and provides:
 
 * :func:`count_reversals` — run one execution and summarise the work;
-* :func:`per_node_reversals` — work broken down per node;
 * :func:`compare_algorithms` — PR vs OneStepPR vs NewPR vs FR on the same
   instance under the same scheduler family (experiments E9 and E12);
 * :func:`worst_case_sweep` — total work on the worst-case chain family as a
@@ -145,18 +144,6 @@ def count_reversals(
         per_node_steps=observer.per_node_steps,
         per_node_reversals=observer.per_node_reversals,
     )
-
-
-def per_node_reversals(
-    automaton: IOAutomaton,
-    scheduler,
-    max_steps: Optional[int] = None,
-) -> Dict[Node, int]:
-    """Per-node edge-reversal counts of one execution (zero for idle nodes)."""
-    summary = count_reversals(automaton, scheduler, max_steps=max_steps)
-    counts = {u: 0 for u in automaton.instance.nodes}
-    counts.update(summary.per_node_reversals)
-    return counts
 
 
 #: The default set of algorithms compared by :func:`compare_algorithms`.

@@ -197,7 +197,7 @@ def run(
         Upper bound on transitions (defaults to :data:`DEFAULT_MAX_STEPS`).
     initial_state:
         Start from this state instead of the automaton's initial state (used
-        when resuming after a topology change in the routing layer).
+        when resuming after a topology change).
     observers:
         Callables invoked after every transition with
         ``(step_index, pre_state, action, post_state)``.  Invariant checking

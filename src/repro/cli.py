@@ -5,10 +5,13 @@ The CLI exposes the workflows a user typically wants without writing code:
 ``run``
     Run one link-reversal algorithm on a generated topology as one scenario
     through the engine registry (``--engine``) and print the work summary
-    (optionally the final orientation as DOT).
+    (optionally the final orientation as DOT).  ``--delay-model`` and
+    ``--loss`` make it an asynchronous message-passing run, and
+    ``--failures`` injects seeded link failures after convergence; both
+    add the record's message and churn columns to the summary.
 ``compare``
-    Run PR, OneStepPR, NewPR and FR on the same topology and print a
-    comparison table.
+    Run every algorithm on the same topology, one scenario each through the
+    engine registry, and print a comparison table.
 ``verify``
     Exhaustively model-check the paper's invariants and the acyclicity
     theorems over every connected DAG with up to N nodes.
@@ -21,9 +24,6 @@ The CLI exposes the workflows a user typically wants without writing code:
     (``--store``, resumable).
 ``worst-case``
     Print the Θ(n_b²) worst-case sweep for FR and PR with a quadratic fit.
-``simulate``
-    Run the asynchronous message-passing protocol, optionally injecting
-    random link failures, and print the network report.
 ``sweep``
     Expand a campaign cross-product (families × algorithms × schedulers ×
     sizes × replicates × failure models), execute it across a worker pool and
@@ -56,26 +56,23 @@ from pathlib import Path
 from typing import Callable, Dict, Optional, Sequence
 
 from repro.analysis.statistics import quadratic_fit_r2
-from repro.analysis.work import count_reversals, worst_case_sweep
+from repro.analysis.work import worst_case_sweep
 from repro.core.full_reversal import FullReversal
 from repro.core.graph import LinkReversalInstance
 from repro.core.new_pr import NewPartialReversal
 from repro.core.one_step_pr import OneStepPartialReversal
 from repro.core.pr import PartialReversal
-from repro.distributed.fast_network import FastAsyncNetwork
-from repro.distributed.network import DELAY_MODELS, AsyncLinkReversalNetwork
-from repro.distributed.protocol import ReversalMode
 from repro.experiments.aggregate import build_report
 from repro.experiments.executor import run_campaign
 from repro.experiments.runner import (
     ENGINE_ASYNC,
     ENGINE_CHOICES,
     ENGINE_DATAPLANE,
-    ENGINE_LEGACY,
     execute_scenario,
 )
 from repro.experiments.spec import (
     ALGORITHM_FACTORIES,
+    DELAY_MODEL_NAMES,
     FAILURE_MODELS,
     CampaignSpec,
     ScenarioSpec,
@@ -86,7 +83,6 @@ from repro.exploration.checker import ModelChecker
 from repro.exploration.enumerate_graphs import all_connected_dag_instances
 from repro.exploration.state_space import explore_and_check
 from repro.io.dot import orientation_to_dot
-from repro.routing.maintenance import RouteMaintenanceSimulation
 from repro.schedulers import SCHEDULER_FACTORIES
 from repro import telemetry as _telemetry
 from repro.telemetry.trace import check_span_nesting, summarise_telemetry, top_spans
@@ -102,35 +98,56 @@ ALGORITHMS: Dict[str, Callable[[LinkReversalInstance], object]] = dict(ALGORITHM
 SCHEDULERS: Dict[str, Callable[[int], object]] = dict(SCHEDULER_FACTORIES)
 TOPOLOGIES = FAMILY_NAMES
 
-#: Backwards-compatible alias; the implementation moved to
-#: :func:`repro.topology.generators.build_family`.
-build_topology = build_family
-
 
 # ----------------------------------------------------------------------
 # commands
 # ----------------------------------------------------------------------
+#: Record fields of one algorithm's work, as ``compare`` reports them.
+WORK_FIELDS = (
+    "node_steps", "edge_reversals", "dummy_steps", "converged", "destination_oriented",
+)
+#: Fields of ``repro run``'s summary; an async spec adds the message
+#: columns and a churn spec the churn columns, each with its text label.
+RUN_FIELDS = WORK_FIELDS + ("engine", "nodes", "edges", "bad_nodes")
+MESSAGE_COLUMNS = (
+    ("messages_sent", "msgs sent"), ("messages_delivered", "msgs delivered"),
+    ("messages_lost", "msgs lost"), ("simulated_time", "simulated time"),
+)
+CHURN_COLUMNS = (("failures_applied", "links failed"), ("partition_skips", "cuts skipped"))
+
+
 def cmd_run(args: argparse.Namespace) -> int:
-    # one scenario through the engine registry: ``auto`` picks the compiled
-    # kernel where the algorithm has one and the legacy oracle otherwise, and
-    # an explicit engine that cannot run the spec is an error, not a swap
+    # one scenario through the engine registry: ``auto`` picks the async
+    # engine for a spec with a delay model, the compiled kernel where the
+    # algorithm has one and the legacy oracle otherwise, and an explicit
+    # engine that cannot run the spec is an error, not a swap
     spec = ScenarioSpec(
         family=args.topology, size=args.nodes, algorithm=args.algorithm,
         scheduler=args.scheduler, topology_seed=args.seed,
         scheduler_seed=args.seed, max_steps=args.max_steps,
+        delay_model=args.delay_model, loss=args.loss,
+        failure_model="link-failures" if args.failures else "none",
+        failure_count=args.failures,
     )
+    if args.dot and (spec.delay_model is not None or spec.failure_model != "none"):
+        print("error: --dot writes the final orientation of a synchronous run "
+              "without --failures", file=sys.stderr)
+        return 2
     record = execute_scenario(spec, engine=args.engine)
     if record["status"] == "error":
         print(f"error: {record['error']}", file=sys.stderr)
         return 2
+    columns = ()
+    if spec.delay_model is not None:
+        columns += MESSAGE_COLUMNS
+    if spec.failure_model != "none":
+        columns += CHURN_COLUMNS
     # labelled like the object-level work summary: automaton and scheduler names
     algorithm = ALGORITHMS[args.algorithm].name
     scheduler = type(SCHEDULERS[args.scheduler](args.seed)).__name__
     if args.json:
-        payload = {key: record[key] for key in (
-            "node_steps", "edge_reversals", "dummy_steps", "converged",
-            "destination_oriented", "engine", "nodes", "edges", "bad_nodes",
-        )}
+        payload = {key: record[key] for key in RUN_FIELDS}
+        payload.update((key, record[key]) for key, _ in columns)
         payload.update(
             algorithm=algorithm, scheduler=scheduler, topology=args.topology, seed=args.seed
         )
@@ -146,10 +163,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"dummy steps   : {record['dummy_steps']}")
         print(f"converged     : {record['converged']}")
         print(f"dest oriented : {record['destination_oriented']}")
+        for key, label in columns:
+            print(f"{label:<14}: {record[key]}")
     if args.dot:
         from repro.automata.executions import run as run_execution
 
-        instance = build_topology(args.topology, args.nodes, args.seed)
+        instance = build_family(args.topology, args.nodes, args.seed)
         result = run_execution(
             ALGORITHMS[args.algorithm](instance), SCHEDULERS[args.scheduler](args.seed)
         )
@@ -163,31 +182,44 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    instance = build_topology(args.topology, args.nodes, args.seed)
-    # every algorithm gets its own seed derived from --seed and its name, so
-    # the randomised schedulers are not correlated across the compared runs
-    # (a shared schedule would make the comparison hinge on one sample)
-    results = {
-        name: count_reversals(
-            factory(instance),
-            SCHEDULERS[args.scheduler](derive_seed(args.seed, "compare", name)),
-        )
-        for name, factory in ALGORITHMS.items()
-    }
+    # one scenario per algorithm through the engine registry; every algorithm
+    # gets its own scheduler seed derived from --seed and its name, so the
+    # randomised schedulers are not correlated across the compared runs (a
+    # shared schedule would make the comparison hinge on one sample)
+    scheduler = type(SCHEDULERS[args.scheduler](args.seed)).__name__
+    results = {}
+    for name in ALGORITHMS:
+        record = execute_scenario(ScenarioSpec(
+            family=args.topology, size=args.nodes, algorithm=name,
+            scheduler=args.scheduler, topology_seed=args.seed,
+            scheduler_seed=derive_seed(args.seed, "compare", name),
+        ))
+        if record["status"] == "error":
+            print(f"error: {record['error']}", file=sys.stderr)
+            return 2
+        results[name] = record
     if args.json:
         payload = {
             "topology": args.topology,
-            "nodes": instance.node_count,
+            "nodes": record["nodes"],
             "seed": args.seed,
             "scheduler": args.scheduler,
-            "results": {name: summary.to_dict() for name, summary in results.items()},
+            "results": {
+                name: {
+                    "algorithm": ALGORITHMS[name].name,
+                    "scheduler": scheduler,
+                    **{key: record[key] for key in WORK_FIELDS},
+                }
+                for name, record in results.items()
+            },
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
     print(f"{'algorithm':<12} {'steps':>8} {'reversals':>10} {'dummy':>6} {'oriented':>9}")
-    for summary in results.values():
-        print(f"{summary.algorithm:<12} {summary.node_steps:>8} {summary.edge_reversals:>10} "
-              f"{summary.dummy_steps:>6} {str(summary.destination_oriented):>9}")
+    for name, record in results.items():
+        print(f"{ALGORITHMS[name].name:<12} {record['node_steps']:>8} "
+              f"{record['edge_reversals']:>10} {record['dummy_steps']:>6} "
+              f"{str(record['destination_oriented']):>9}")
     return 0
 
 
@@ -249,6 +281,10 @@ def cmd_check(args: argparse.Namespace) -> int:
               f"choose from {', '.join(CHECK_INVARIANTS)}", file=sys.stderr)
         return 2
 
+    if args.nodes < 2:
+        print("error: size must be at least 2", file=sys.stderr)
+        return 2
+
     run_id = _check_run_id(args)
     store = ResultStore(args.store) if args.store else None
     if store is not None and not args.no_resume and run_id in store.existing_run_ids():
@@ -261,7 +297,7 @@ def cmd_check(args: argparse.Namespace) -> int:
                   f"use --no-resume to re-verify")
         return 0 if stored["status"] in ("ok", "truncated") else 1
 
-    instance = build_topology(args.topology, args.nodes, args.seed)
+    instance = build_family(args.topology, args.nodes, args.seed)
     automaton = ALGORITHMS[args.algorithm](instance)
     predicates = {}
     if "paper" in invariants:
@@ -358,46 +394,6 @@ def cmd_worst_case(args: argparse.Namespace) -> int:
         print(f"FR quadratic fit: {coefficients[0]:.3f}x² + {coefficients[1]:.3f}x "
               f"+ {coefficients[2]:.3f}  (R²={r2:.5f})")
     return 0
-
-
-def cmd_simulate(args: argparse.Namespace) -> int:
-    instance = build_topology(args.topology, args.nodes, args.seed)
-    mode = ReversalMode.PARTIAL if args.mode == "partial" else ReversalMode.FULL
-    if args.failures > 0:
-        simulation = RouteMaintenanceSimulation(
-            instance, mode=mode, loss_probability=args.loss, seed=args.seed
-        )
-        results = simulation.fail_random_links(args.failures)
-        for result in results:
-            print(f"  {result}")
-        summary = simulation.summary()
-        print("summary:")
-        for key, value in summary.items():
-            print(f"  {key}: {value:.2f}" if isinstance(value, float) else f"  {key}: {value}")
-        return 0
-    min_delay, max_delay, fifo = DELAY_MODELS[args.delay_model]
-    # the two network engines are differentially pinned to identical reports,
-    # so --engine only changes speed (fast is the campaign-scale default)
-    network_class = (
-        FastAsyncNetwork if args.engine != ENGINE_LEGACY else AsyncLinkReversalNetwork
-    )
-    network = network_class(
-        instance,
-        mode=mode,
-        min_delay=min_delay,
-        max_delay=max_delay,
-        loss_probability=args.loss,
-        seed=args.seed,
-        fifo=fifo,
-    )
-    if args.loss > 0:
-        # lost height updates are never retransmitted, so lossy runs recover
-        # destination orientation through anti-entropy beacon rounds
-        report = network.run_with_beacons(max_rounds=20)
-    else:
-        report = network.run_to_quiescence()
-    print(report)
-    return 0 if report.destination_oriented else 1
 
 
 def _csv(text: str) -> tuple:
@@ -816,10 +812,19 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--nodes", type=int, default=20)
     run_parser.add_argument("--scheduler", choices=sorted(SCHEDULERS), default="greedy")
     run_parser.add_argument("--max-steps", type=int, default=None)
+    run_parser.add_argument("--delay-model", choices=sorted(DELAY_MODEL_NAMES), default=None,
+                            help="run the asynchronous message-passing protocol "
+                                 "over channels with this delay model")
+    run_parser.add_argument("--loss", type=float, default=0.0,
+                            help="per-message loss probability (needs --delay-model)")
+    run_parser.add_argument("--failures", type=int, default=0,
+                            help="inject this many seeded link failures after "
+                                 "convergence and repair after each")
     run_parser.add_argument("--engine", choices=ENGINE_CHOICES, default="auto",
-                            help="execution engine: compiled int kernels (auto/kernel) "
-                                 "or the object-level oracle (legacy); an engine "
-                                 "that cannot run the scenario is an error")
+                            help="execution engine: compiled int kernels (auto/kernel), "
+                                 "the object-level oracle (legacy) or the compiled "
+                                 "message-passing network (async); an engine that "
+                                 "cannot run the scenario is an error")
     run_parser.add_argument("--dot", help="write the final orientation to this DOT file")
     run_parser.add_argument("--json", action="store_true",
                             help="print the work summary as JSON")
@@ -884,26 +889,6 @@ def build_parser() -> argparse.ArgumentParser:
     worst_parser.add_argument("--max-bad", type=int, default=12)
     worst_parser.set_defaults(handler=cmd_worst_case)
 
-    simulate_parser = subparsers.add_parser(
-        "simulate", help="asynchronous message-passing simulation"
-    )
-    simulate_parser.add_argument("--topology", choices=TOPOLOGIES, default="grid")
-    simulate_parser.add_argument("--nodes", type=int, default=16)
-    simulate_parser.add_argument("--mode", choices=("partial", "full"), default="partial")
-    simulate_parser.add_argument("--loss", type=float, default=0.0)
-    simulate_parser.add_argument(
-        "--failures", type=int, default=0, help="inject this many random link failures"
-    )
-    simulate_parser.add_argument("--delay-model", choices=sorted(DELAY_MODELS),
-                                 default="uniform",
-                                 help="channel delay model (zero/fixed/uniform/fifo)")
-    simulate_parser.add_argument("--engine", choices=("fast", ENGINE_LEGACY),
-                                 default="fast",
-                                 help="compiled network engine (fast) or the "
-                                      "object-level oracle (legacy); both produce "
-                                      "identical reports")
-    simulate_parser.set_defaults(handler=cmd_simulate)
-
     sweep_parser = subparsers.add_parser(
         "sweep", help="run a sharded experiment campaign into a result store"
     )
@@ -923,7 +908,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="failures / mobility steps per run")
     sweep_parser.add_argument("--delay-models", default="",
                               help="comma-separated channel delay models "
-                                   f"({','.join(sorted(DELAY_MODELS))}, or 'none' for "
+                                   f"({','.join(sorted(DELAY_MODEL_NAMES))}, or 'none' for "
                                    "synchronous cells); setting one routes the cells "
                                    "to the async message-passing engine")
     sweep_parser.add_argument("--losses", default="",

@@ -35,7 +35,6 @@ from repro.distributed.fast_network import FastAsyncNetwork
 from repro.distributed.network import DELAY_MODELS
 from repro.distributed.protocol import ReversalMode
 from repro.kernels.simulator import DeadlineExceeded
-from repro.routing.dag_routing import undirected_distances
 
 Node = object
 
@@ -47,6 +46,31 @@ SLOT_DT = 1.0
 #: How often (in slots) a lossy, stalled, unoriented network re-broadcasts
 #: heights so dropped updates cannot wedge the control plane forever.
 BEACON_EVERY_SLOTS = 32
+
+
+def undirected_distances(instance: LinkReversalInstance) -> Dict[Node, int]:
+    """Undirected BFS hop distance to the destination for every reachable node.
+
+    Nodes in a component not containing the destination are absent from the
+    map (not mapped to 0 or -1), which marks their per-packet stretch
+    undefined.
+    """
+    nodes = instance.nodes
+    node_index = instance.node_index
+    adjacency = [[node_index(v) for v in instance.incident_neighbours(u)] for u in nodes]
+    dist = [-1] * len(nodes)
+    frontier = [node_index(instance.destination)]
+    dist[frontier[0]] = 0
+    while frontier:
+        next_frontier: List[int] = []
+        for i in frontier:
+            d = dist[i] + 1
+            for j in adjacency[i]:
+                if dist[j] < 0:
+                    dist[j] = d
+                    next_frontier.append(j)
+        frontier = next_frontier
+    return {nodes[i]: d for i, d in enumerate(dist) if d >= 0}
 
 
 class DataPlaneRun:

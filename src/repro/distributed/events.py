@@ -3,8 +3,9 @@
 Events are callbacks scheduled at a simulated time; ties are broken by a
 monotonically increasing sequence number so runs are fully deterministic for a
 given seed and schedule of calls.  The simulator knows nothing about networks
-or link reversal — it only orders and dispatches events — which keeps it
-reusable for the routing layer.
+or link reversal — it only orders and dispatches events — so the channel and
+protocol logic stays in :mod:`repro.distributed.channel` and
+:mod:`repro.distributed.network`.
 """
 
 from __future__ import annotations

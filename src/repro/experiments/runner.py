@@ -43,7 +43,7 @@ Three execution modes, selected by ``spec.failure_model``:
 ``link-failures``
     Converge first, then inject ``failure_count`` random link failures one at
     a time; after each, the algorithm repairs from the surviving orientation
-    (the abstraction level of :func:`repro.routing.maintenance.repair_with_automaton`).
+    (the abstraction level of the paper itself).
     Failures that would partition the network are skipped and counted.
 ``mobility``
     (geometric family only) Converge, then advance a random-waypoint mobility

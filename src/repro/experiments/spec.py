@@ -130,6 +130,8 @@ class ScenarioSpec:
             raise ValueError("size must be at least 2")
         if self.failure_count < 0:
             raise ValueError("failure_count must be non-negative")
+        if self.max_steps is not None and self.max_steps < 0:
+            raise ValueError("max_steps must be non-negative")
         if self.delay_model is not None and self.delay_model not in DELAY_MODEL_NAMES:
             raise ValueError(
                 f"unknown delay model {self.delay_model!r}; "

@@ -8,8 +8,9 @@ to derive a :class:`~repro.core.graph.LinkReversalInstance` (with an initial
 DAG orientation) and to recompute the link set after nodes move.
 
 The paper itself has no MANET evaluation (it is a proof paper), but its
-motivating application, routing, is exercised on this substrate in
-experiment E15.
+motivating application, route maintenance under topology change, is
+exercised on this substrate by the ``geometric`` family's ``link-failures``
+and ``mobility`` campaign cells (experiment E15).
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Derived correctness properties of link-reversal executions.
 
-Beyond the acyclicity invariants, the applications built on link reversal
-(routing, leader election, mutual exclusion) rely on a handful of global
+Beyond the acyclicity invariants, destination-oriented routing (the
+application that motivates the paper) relies on a handful of global
 properties that the library makes checkable:
 
 * **destination orientation at quiescence** — when no non-destination node is

@@ -407,23 +407,16 @@ class TestAsyncSweepCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["engines"] == {"async": 1}
 
-    def test_simulate_fast_engine(self, capsys):
+    def test_run_async_engine(self, capsys):
         from repro.cli import main
 
-        code = main(["simulate", "--topology", "grid", "--nodes", "16",
-                     "--delay-model", "fixed"])
-        out = capsys.readouterr().out
+        code = main(["run", "--topology", "grid", "--nodes", "16",
+                     "--delay-model", "fixed", "--json"])
+        payload = json.loads(capsys.readouterr().out)
         assert code == 0
-        assert "oriented=True" in out
-
-    def test_simulate_engines_agree(self, capsys):
-        from repro.cli import main
-
-        main(["simulate", "--topology", "grid", "--nodes", "16", "--engine", "fast"])
-        fast_out = capsys.readouterr().out
-        main(["simulate", "--topology", "grid", "--nodes", "16", "--engine", "legacy"])
-        legacy_out = capsys.readouterr().out
-        assert fast_out == legacy_out
+        assert payload["engine"] == "async"
+        assert payload["destination_oriented"] is True
+        assert payload["messages_sent"] == payload["messages_delivered"] > 0
 
 
 class TestNetworkReportSerialization:

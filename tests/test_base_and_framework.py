@@ -141,7 +141,6 @@ class TestPackageSurface:
         import repro.distributed
         import repro.exploration
         import repro.io
-        import repro.routing
         import repro.schedulers
         import repro.topology
         import repro.verification

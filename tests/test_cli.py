@@ -7,8 +7,11 @@ import os
 
 import pytest
 
-from repro.cli import ALGORITHMS, SCHEDULERS, TOPOLOGIES, build_parser, build_topology, main
+from repro.cli import ALGORITHMS, SCHEDULERS, TOPOLOGIES, build_parser, main
+from repro.experiments.runner import execute_scenario
+from repro.experiments.spec import ScenarioSpec
 from repro.experiments.store import ResultStore
+from repro.topology.generators import build_family
 
 
 class TestParser:
@@ -40,13 +43,13 @@ class TestParser:
 class TestBuildTopology:
     @pytest.mark.parametrize("name", TOPOLOGIES)
     def test_every_family_builds_a_valid_instance(self, name):
-        instance = build_topology(name, 12, seed=1)
+        instance = build_family(name, 12, seed=1)
         assert instance.node_count >= 2
         assert instance.is_initially_acyclic()
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
-            build_topology("moebius", 10, seed=0)
+            build_family("moebius", 10, seed=0)
 
 
 class TestCommands:
@@ -88,19 +91,98 @@ class TestCommands:
         assert exit_code == 0
         assert "FR quadratic fit" in output
 
-    def test_simulate_command(self, capsys):
-        exit_code = main(["simulate", "--topology", "grid", "--nodes", "9"])
+    def test_run_async_command(self, capsys):
+        exit_code = main(["run", "--topology", "grid", "--nodes", "9",
+                          "--delay-model", "uniform"])
         output = capsys.readouterr().out
         assert exit_code == 0
-        assert "oriented=True" in output
+        assert "engine        : async" in output
+        assert "dest oriented : True" in output
+        assert "msgs sent     : " in output
+        # no churn: the churn columns stay out of the summary
+        assert "links failed" not in output
 
-    def test_simulate_with_failures(self, capsys):
-        exit_code = main(
-            ["simulate", "--topology", "grid", "--nodes", "16", "--failures", "2"]
-        )
+    def test_run_async_with_failures(self, capsys):
+        exit_code = main(["run", "--topology", "grid", "--nodes", "16",
+                          "--delay-model", "uniform", "--failures", "2"])
         output = capsys.readouterr().out
         assert exit_code == 0
-        assert "summary:" in output
+        assert "dest oriented : True" in output
+        assert "links failed  : 2" in output
+        assert "cuts skipped  : 0" in output
+
+    def test_run_prints_the_record_of_its_scenario(self, capsys):
+        # `run` is one scenario through the engine registry: apart from its
+        # labels, the summary is the record a campaign stores for that spec
+        argv = ["--seed", "3", "run", "--topology", "grid", "--nodes", "16",
+                "--delay-model", "uniform", "--failures", "2", "--json"]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        record = execute_scenario(ScenarioSpec(
+            family="grid", size=16, algorithm="pr", scheduler="greedy",
+            topology_seed=3, scheduler_seed=3, delay_model="uniform",
+            failure_model="link-failures", failure_count=2,
+        ))
+        fields = set(payload) - {"algorithm", "scheduler", "topology", "seed"}
+        assert {"messages_sent", "failures_applied", "node_steps"} <= fields
+        assert {k: payload[k] for k in fields} == {k: record[k] for k in fields}
+
+    def test_run_rejects_a_negative_step_bound(self, capsys):
+        assert main(["run", "--max-steps", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: ValueError: max_steps must be non-negative\n"
+
+    def test_run_dot_refuses_an_async_run(self, tmp_path, capsys):
+        dot_path = tmp_path / "final.dot"
+        argv = ["run", "--delay-model", "fixed", "--dot", str(dot_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: --dot ")
+        assert not dot_path.exists()
+
+    @pytest.mark.parametrize("delay_model", ["zero", "fixed", "uniform", "fifo"])
+    def test_run_every_delay_model_goes_to_the_async_engine(self, capsys, delay_model):
+        argv = ["run", "--topology", "grid", "--nodes", "9", "--algorithm", "fr",
+                "--delay-model", delay_model, "--json"]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["engine"] == "async"
+        assert payload["algorithm"] == "FR"
+        assert payload["destination_oriented"] is True
+        assert payload["messages_lost"] == 0
+        assert "failures_applied" not in payload
+
+    def test_run_synchronous_failures_stay_on_the_kernel(self, capsys):
+        assert main(["run", "--topology", "grid", "--nodes", "16", "--failures", "2"]) == 0
+        output = capsys.readouterr().out
+        assert "engine        : kernel" in output
+        assert "dest oriented : True" in output
+        assert "links failed  : 2" in output
+        # no delay model: the message columns stay out of the summary
+        assert "msgs sent" not in output
+
+    def test_run_dot_refuses_a_churn_run(self, tmp_path, capsys):
+        dot_path = tmp_path / "final.dot"
+        assert main(["run", "--failures", "1", "--dot", str(dot_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: --dot ")
+        assert not dot_path.exists()
+
+    def test_run_legacy_engine_rejects_a_delay_model(self, capsys):
+        assert main(["run", "--engine", "legacy", "--delay-model", "uniform"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command", ["check", "compare"])
+    def test_single_node_topology_rejected(self, capsys, command):
+        # like `run` and `sweep`: a size below two is an error, not a
+        # silently clamped two-node chain
+        assert main([command, "--nodes", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.endswith("size must be at least 2\n")
 
     def test_seed_is_threaded_through(self, capsys):
         main(["--seed", "7", "run", "--topology", "random-dag", "--nodes", "15"])
@@ -169,6 +251,48 @@ class TestCommands:
         main(["--seed", "7", "compare", "--topology", "random-dag", "--nodes", "12",
               "--scheduler", "random", "--json"])
         assert first == capsys.readouterr().out
+
+    @pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
+    def test_compare_reports_one_scenario_record_per_algorithm(self, capsys, scheduler):
+        from repro.experiments.spec import derive_seed
+
+        argv = ["--seed", "7", "compare", "--topology", "random-dag", "--nodes", "12",
+                "--scheduler", scheduler, "--json"]
+        assert main(argv) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        for name, row in results.items():
+            record = execute_scenario(ScenarioSpec(
+                family="random-dag", size=12, algorithm=name, scheduler=scheduler,
+                topology_seed=7, scheduler_seed=derive_seed(7, "compare", name),
+            ))
+            assert row["algorithm"] == ALGORITHMS[name].name
+            fields = set(row) - {"algorithm", "scheduler"}
+            assert {k: row[k] for k in fields} == {k: record[k] for k in fields}
+
+    def test_compare_table_matches_its_json(self, capsys):
+        argv = ["compare", "--topology", "tree", "--nodes", "10", "--scheduler", "random"]
+        assert main(argv + ["--json"]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert main(argv) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert header.split() == ["algorithm", "steps", "reversals", "dummy", "oriented"]
+        assert [row.split() for row in rows] == [
+            [r["algorithm"], str(r["node_steps"]), str(r["edge_reversals"]),
+             str(r["dummy_steps"]), str(r["destination_oriented"])]
+            for r in (results[name] for name in ALGORITHMS)
+        ]
+
+    def test_compare_error_record_exits_2(self, capsys, monkeypatch):
+        import repro.cli as cli
+
+        def failing(spec, engine="auto"):
+            return {"status": "error", "error": "RuntimeError: boom"}
+
+        monkeypatch.setattr(cli, "execute_scenario", failing)
+        assert main(["compare", "--nodes", "6"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: RuntimeError: boom\n"
 
 
 class TestCheck:
@@ -381,6 +505,7 @@ class TestSweepAndReport:
         ["--chunk-size", "0"],
         ["--chunk-size", "-3"],
         ["--replicates", "-1"],
+        ["--sizes", "5", "--max-steps", "-1"],
     ])
     def test_sweep_rejects_bad_axis_values_before_opening_a_store(
         self, tmp_path, capsys, flags,

@@ -7,7 +7,8 @@ import pytest
 np = pytest.importorskip("numpy")
 
 from repro.dataplane.packets import ARRIVAL_BLOCK, PacketSimulator
-from repro.dataplane.run import DataPlaneRun
+from repro.core.graph import LinkReversalInstance
+from repro.dataplane.run import DataPlaneRun, undirected_distances
 from repro.dataplane.traffic import (
     TRAFFIC_MODELS,
     TRAFFIC_MODEL_NAMES,
@@ -279,6 +280,34 @@ class TestDataPlaneRun:
             injected = counters["packets_injected"]
             assert injected > 0
             assert counters["packets_delivered"] / injected > 0.9
+
+    def test_distances_leave_out_a_partitioned_component(self):
+        # 2 -> 1 -> 0 (destination) plus a disconnected island 4 -> 3: island
+        # nodes have no undirected path to the destination, so they are absent
+        # from the map (their stretch is undefined), never mapped to 0 or -1
+        instance = LinkReversalInstance(
+            nodes=(0, 1, 2, 3, 4), destination=0,
+            initial_edges=((1, 0), (2, 1), (4, 3)),
+        )
+        assert undirected_distances(instance) == {0: 0, 1: 1, 2: 2}
+
+    def test_distances_ignore_link_direction(self):
+        # 0 -> 1 -> 2 (destination 2) plus 0 -> 3: hops count over links in
+        # either direction, so node 3 is reached through node 0 in three hops
+        instance = LinkReversalInstance(
+            nodes=(0, 1, 2, 3), destination=2,
+            initial_edges=((0, 1), (1, 2), (0, 3)),
+        )
+        assert undirected_distances(instance) == {2: 0, 1: 1, 0: 2, 3: 3}
+
+    def test_distances_on_a_grid_are_manhattan(self):
+        instance = build_family("grid", 16, 0)
+        distances = undirected_distances(instance)
+        assert set(distances) == set(instance.nodes)
+        # a 4x4 grid numbered row by row
+        dest = instance.destination
+        for node, hops in distances.items():
+            assert hops == abs(node // 4 - dest // 4) + abs(node % 4 - dest % 4)
 
 
 class TestDataPlaneEngine:

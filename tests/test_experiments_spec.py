@@ -72,6 +72,7 @@ class TestScenarioSpec:
         dict(failure_model="mobility"),  # only valid on the geometric family
         dict(size=1),
         dict(failure_count=-1),
+        dict(max_steps=-1),
     ])
     def test_validate_rejects_bad_axes(self, bad):
         with pytest.raises(ValueError):

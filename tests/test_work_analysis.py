@@ -8,7 +8,6 @@ from repro.analysis.statistics import quadratic_fit_r2
 from repro.analysis.work import (
     compare_algorithms,
     count_reversals,
-    per_node_reversals,
     worst_case_sweep,
 )
 from repro.core.full_reversal import FullReversal
@@ -58,11 +57,6 @@ class TestCountReversals:
     def test_total_work_property(self, bad_chain):
         summary = count_reversals(FullReversal(bad_chain), GreedyScheduler())
         assert summary.total_work == summary.node_steps
-
-    def test_per_node_reversals_helper(self, bad_chain):
-        counts = per_node_reversals(OneStepPartialReversal(bad_chain), SequentialScheduler())
-        assert set(counts) == set(bad_chain.nodes)
-        assert counts[0] == 0  # the destination never reverses
 
 
 class TestCompareAlgorithms:
