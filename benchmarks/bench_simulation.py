@@ -16,7 +16,7 @@ the actor trace) and the chain is checked by a
 :class:`~repro.verification.simulation.MaskSimulationChain` — the same
 relations, collapsed to int compares and subset masks.  The
 object-level checkers remain the oracle:
-``tests/test_simulation_engine_differential.py`` pins both implementations
+``tests/test_kernel_engine_differential.py`` pins both implementations
 to identical verdicts and counts on these exact workloads, and
 ``test_e6_e7_matches_object_oracle`` below re-asserts it (untimed).
 

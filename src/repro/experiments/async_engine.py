@@ -36,15 +36,11 @@ from typing import Any, Dict, Optional, Tuple
 from repro.distributed.fast_network import FastAsyncNetwork
 from repro.distributed.network import DELAY_MODELS
 from repro.distributed.protocol import ReversalMode
-from repro.experiments.batch_engine import (
-    _KERNEL_CACHE,
-    _bad_node_count,
-    _canonical_key,
-)
+from repro.experiments.batch_engine import load_instance
 from repro.experiments.churn import fail_seeded_links
 from repro.experiments.engines import ExecutionEngine, register_engine
 from repro.experiments.spec import ScenarioSpec, derive_seed
-from repro.topology.generators import build_family
+from repro.experiments.store import MESSAGE, RESULT
 
 #: Height-based protocol modes per algorithm name.  Partial Reversal runs the
 #: Gafni–Bertsekas triple heights, Full Reversal the pair heights; the other
@@ -86,6 +82,26 @@ def _quiesce(
     return report, network.quiescent() and report.destination_oriented
 
 
+def flush_network_counters(network: FastAsyncNetwork, record: Dict[str, Any]) -> None:
+    """Write the network's work and message counters into the record.
+
+    Called from a ``finally`` block, so timeouts keep their partial work.
+    """
+    sent, delivered, lost = network.message_counts()
+    record.update(
+        node_steps=network.total_reversals(),
+        steps_taken=network.total_reversals(),
+        edge_reversals=network.edge_flips,
+        dummy_steps=network.dummy_reversals,
+        rounds=network.beacon_rounds,
+        messages_sent=sent,
+        messages_delivered=delivered,
+        messages_lost=lost,
+        simulated_time=round(network.now, 6),
+        events_dispatched=network.events_dispatched,
+    )
+
+
 class AsyncEngine(ExecutionEngine):
     """Compiled asynchronous message-passing execution of a scenario."""
 
@@ -93,6 +109,7 @@ class AsyncEngine(ExecutionEngine):
     #: outranks the synchronous engines: a spec with a delay model *is* an
     #: async scenario, so auto must never hand it to a scheduler loop
     auto_priority = 30
+    record_groups = (RESULT, MESSAGE)
 
     def supports(self, spec: ScenarioSpec) -> bool:
         return (
@@ -131,16 +148,7 @@ class AsyncEngine(ExecutionEngine):
     def _execute_one(self, spec, record, deadline) -> None:
         network: Optional[FastAsyncNetwork] = None
         try:
-            cache_key = _canonical_key(spec)
-            instance = _KERNEL_CACHE.instance(
-                cache_key,
-                lambda: build_family(spec.family, spec.size, spec.topology_seed),
-            )
-            record.update(
-                nodes=instance.node_count,
-                edges=instance.edge_count,
-                bad_nodes=_bad_node_count(cache_key, instance),
-            )
+            _, instance = load_instance(spec, record)
             min_delay, max_delay, fifo = DELAY_MODELS[spec.delay_model]
             network = FastAsyncNetwork(
                 instance,
@@ -185,21 +193,8 @@ class AsyncEngine(ExecutionEngine):
                 acyclic_final=report.acyclic,
             )
         finally:
-            # flush whatever happened, so timeouts keep their partial work
             if network is not None:
-                sent, delivered, lost = network.message_counts()
-                record.update(
-                    node_steps=network.total_reversals(),
-                    steps_taken=network.total_reversals(),
-                    edge_reversals=network.edge_flips,
-                    dummy_steps=network.dummy_reversals,
-                    rounds=network.beacon_rounds,
-                    messages_sent=sent,
-                    messages_delivered=delivered,
-                    messages_lost=lost,
-                    simulated_time=round(network.now, 6),
-                    events_dispatched=network.events_dispatched,
-                )
+                flush_network_counters(network, record)
 
     def _churn(
         self, spec, network, report, converged, max_events, deadline, record

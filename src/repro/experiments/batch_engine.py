@@ -17,7 +17,8 @@ The engine amortises four costs:
 * **instance/kernel construction** — one ``kernel_``-prefixed
   :class:`~repro.kernels.simulator.KernelCache` keyed by
   :func:`_canonical_key` serves every engine of the process (the legacy
-  oracle, async and dataplane engines read their instances from it too);
+  oracle, async and dataplane engines read their instances from it too,
+  through :func:`load_instance`);
   for the seed-deterministic families
   (:data:`~repro.topology.generators.SEEDLESS_FAMILIES`) every replicate is
   the *same* instance, so one build and one compile serve them all;
@@ -35,7 +36,7 @@ The engine amortises four costs:
 
 Exactness: every record is field-for-field identical to the legacy
 object-automaton oracle's record for the same fault-free spec
-(``tests/test_batch_engine_differential.py``), whatever other lanes shared
+(``tests/test_kernel_engine_differential.py``), whatever other lanes shared
 the group and in which order.  A timed-out lane keeps its partial tallies
 and records ``deadline exceeded at step N``; lanes deduplicated onto one
 computation share that computation's fate.
@@ -125,6 +126,19 @@ def outcome_stats() -> Dict[str, int]:
     }
 
 
+def kernel_cache_stats() -> Dict[str, int]:
+    """Cumulative counters of this process's engine cache.
+
+    The shared instance/kernel cache's counters, plus (``batch_``-prefixed)
+    the compiled engine's outcome-dedup counters, so ``repro sweep --json``
+    surfaces cache behaviour whichever engine a campaign ran on.
+    """
+    stats = _KERNEL_CACHE.stats()
+    for name, value in outcome_stats().items():
+        stats[f"batch_{name}"] = value
+    return stats
+
+
 def reset_kernel_caches() -> None:
     """Drop the engine's cache and every memo (counters are kept).
 
@@ -187,14 +201,25 @@ def _outcome_key(spec: ScenarioSpec) -> Tuple[Any, ...]:
     )
 
 
-def _bad_node_count(key: Hashable, instance) -> int:
-    count = _BAD_NODES_MEMO.get(key)
-    if count is None:
-        count = len(instance.bad_nodes())
+def load_instance(spec: ScenarioSpec, record: Dict[str, Any]) -> Tuple[Hashable, Any]:
+    """The spec's cache key and instance, from the engine cache every engine shares.
+
+    Fills the record's instance facts (``nodes``, ``edges``, ``bad_nodes``).
+    """
+    key = _canonical_key(spec)
+    instance = _KERNEL_CACHE.instance(
+        key, lambda: build_family(spec.family, spec.size, spec.topology_seed)
+    )
+    bad_nodes = _BAD_NODES_MEMO.get(key)
+    if bad_nodes is None:
+        bad_nodes = len(instance.bad_nodes())
         if len(_BAD_NODES_MEMO) >= 64:
             _BAD_NODES_MEMO.clear()
-        _BAD_NODES_MEMO[key] = count
-    return count
+        _BAD_NODES_MEMO[key] = bad_nodes
+    record.update(
+        nodes=instance.node_count, edges=instance.edge_count, bad_nodes=bad_nodes
+    )
+    return key, instance
 
 
 def _final_state_checks(key: Hashable, instance, mask: int) -> Tuple[bool, bool]:
@@ -294,16 +319,7 @@ def _run_lanes(lanes: List[Lane], deadline: Optional[float]) -> None:
         batch = BatchSimulator()
         running: List[Tuple[int, SignatureSimulator, Optional[_Phase]]] = []
         for pos, (spec, record) in enumerate(lanes):
-            key = _canonical_key(spec)
-            instance = _KERNEL_CACHE.instance(
-                key,
-                lambda s=spec: build_family(s.family, s.size, s.topology_seed),
-            )
-            record.update(
-                nodes=instance.node_count,
-                edges=instance.edge_count,
-                bad_nodes=_bad_node_count(key, instance),
-            )
+            key, instance = load_instance(spec, record)
             keys[pos] = key
             instances[pos] = instance
             dead_ids = max_steps = phase = None

@@ -22,10 +22,9 @@ Phases per scenario:
    ``injected == delivered + dropped + in_flight`` is reported with the
    smallest possible in-flight remainder.
 
-Record schema additions (all flushed even on deadline timeouts): the
-``packets_*`` totals, per-cause drop counters, ``transient_loops``,
-``peak_queue_depth``, ``slots``, and the derived ``mean_latency_slots`` /
-``max_latency_slots`` / ``mean_hops`` / ``mean_stretch``.
+Records carry the ``message`` and ``packet`` field groups of
+:data:`~repro.experiments.store.RECORD_FIELDS` beside the ``result`` group,
+all flushed even on deadline timeouts.
 
 Seed scheme: channel randomness derives from ``spec.topology_seed`` (paired
 across algorithms of a replicate, like the async engine), traffic arrivals
@@ -48,17 +47,13 @@ from repro.experiments.async_engine import (
     ASYNC_MODES,
     DEFAULT_MAX_EVENTS,
     _quiesce,
+    flush_network_counters,
 )
-from repro.experiments.batch_engine import (
-    _KERNEL_CACHE,
-    _bad_node_count,
-    _canonical_key,
-)
+from repro.experiments.batch_engine import load_instance
 from repro.experiments.churn import fail_seeded_links
 from repro.experiments.engines import ExecutionEngine, register_engine
 from repro.experiments.spec import ScenarioSpec, derive_seed
-from repro.experiments.store import PACKET_INIT
-from repro.topology.generators import build_family
+from repro.experiments.store import MESSAGE, PACKET, RESULT
 
 #: Injection slots when the spec does not set ``max_steps``.
 DEFAULT_SLOTS = 512
@@ -78,6 +73,7 @@ class DataPlaneEngine(ExecutionEngine):
     #: outranks even the async engine: a spec with a traffic model is a
     #: data-plane scenario whatever its delay model says
     auto_priority = 40
+    record_groups = (RESULT, MESSAGE, PACKET)
 
     def supports(self, spec: ScenarioSpec) -> bool:
         return (
@@ -115,19 +111,9 @@ class DataPlaneEngine(ExecutionEngine):
             self._execute_one(spec, record, deadline)
 
     def _execute_one(self, spec, record, deadline) -> None:
-        record.update(PACKET_INIT)
         run: Optional[DataPlaneRun] = None
         try:
-            cache_key = _canonical_key(spec)
-            instance = _KERNEL_CACHE.instance(
-                cache_key,
-                lambda: build_family(spec.family, spec.size, spec.topology_seed),
-            )
-            record.update(
-                nodes=instance.node_count,
-                edges=instance.edge_count,
-                bad_nodes=_bad_node_count(cache_key, instance),
-            )
+            _, instance = load_instance(spec, record)
             delay_model = spec.delay_model or DEFAULT_DELAY_MODEL
             run = DataPlaneRun(
                 instance,
@@ -179,20 +165,7 @@ class DataPlaneEngine(ExecutionEngine):
         finally:
             # flush whatever happened, so timeouts keep their partial work
             if run is not None:
-                network = run.network
-                sent, delivered, lost = network.message_counts()
-                record.update(
-                    node_steps=network.total_reversals(),
-                    steps_taken=network.total_reversals(),
-                    edge_reversals=network.edge_flips,
-                    dummy_steps=network.dummy_reversals,
-                    rounds=network.beacon_rounds,
-                    messages_sent=sent,
-                    messages_delivered=delivered,
-                    messages_lost=lost,
-                    simulated_time=round(network.now, 6),
-                    events_dispatched=network.events_dispatched,
-                )
+                flush_network_counters(run.network, record)
                 record.update(run.sim.counters())
                 self._report_telemetry(run)
 

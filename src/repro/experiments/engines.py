@@ -42,7 +42,10 @@ mutated in place; partial work tallies must be flushed even when raising
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from functools import cached_property
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+
+from repro.experiments.store import RESULT, group_defaults
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.experiments.spec import ScenarioSpec
@@ -61,6 +64,14 @@ class ExecutionEngine(ABC):
 
     name: str = ""
     auto_priority: int = 0
+    #: The record field groups this engine's records carry beside the spec
+    #: fields (see :data:`~repro.experiments.store.RECORD_FIELDS`).
+    record_groups: Tuple[str, ...] = (RESULT,)
+
+    @cached_property
+    def record_init(self) -> Dict[str, Any]:
+        """The declared fields of :attr:`record_groups` at their fresh values."""
+        return group_defaults(*self.record_groups)
 
     @abstractmethod
     def supports(self, spec: "ScenarioSpec") -> bool:
@@ -77,6 +88,8 @@ class ExecutionEngine(ABC):
         deadline: Optional[float],
     ) -> None:
         """Run every ``(spec, record)`` lane, mutating each record in place.
+
+        Each record arrives holding its spec fields and :attr:`record_init`.
 
         Must update the records' work tallies (``node_steps`` etc.) even on
         a timeout / error exit, so partial work is never lost.  Each
@@ -119,7 +132,8 @@ def resolve_engine(engine: str, spec: "ScenarioSpec") -> str:
     """The engine name a spec will actually run on.
 
     ``auto`` picks the highest-priority registered engine that supports the
-    spec; an explicit engine name must support the spec or a ``ValueError``
+    spec, or raises a ``ValueError`` listing every engine's reason to refuse
+    it; an explicit engine name must support the spec or a ``ValueError``
     explains why (silently changing semantics is worse than failing).
     """
     if engine == ENGINE_AUTO:
@@ -129,7 +143,11 @@ def resolve_engine(engine: str, spec: "ScenarioSpec") -> str:
         for candidate in candidates:
             if candidate.supports(spec):
                 return candidate.name
-        raise ValueError(f"no registered engine supports spec {spec!r}")
+        reasons = " ".join(
+            f"[{candidate.name}] {candidate.unsupported_reason(spec)}."
+            for candidate in ENGINE_REGISTRY.values()
+        )
+        raise ValueError(f"no registered engine supports this spec: {reasons}")
     chosen = get_engine(engine)
     if not chosen.supports(spec):
         raise ValueError(chosen.unsupported_reason(spec))

@@ -61,7 +61,7 @@ from repro.faults.plan import FAULT_PLAN_ENV, FaultPlan
 from repro.telemetry.metrics import MetricsRegistry
 from repro.experiments.runner import ENGINE_AUTO, kernel_cache_stats, run_scenarios
 from repro.experiments.spec import CRASH_SENTINEL, CampaignSpec
-from repro.experiments.store import MESSAGE_INIT, PACKET_INIT, RESULT_INIT, ResultStore
+from repro.experiments.store import MESSAGE, PACKET, RESULT, ResultStore, group_defaults
 
 logger = logging.getLogger(__name__)
 
@@ -239,17 +239,17 @@ def _execute_chunk(
     return result
 
 
+#: A crashed run's placeholder fields: every declared group, since no
+#: engine was resolved for it.
+_CRASHED_INIT = group_defaults(RESULT, MESSAGE, PACKET)
+
+
 def _crashed_records(chunk: Sequence[Dict[str, Any]], detail: str) -> List[Dict[str, Any]]:
     """Placeholder records for runs whose worker died before reporting."""
-    records = []
-    for spec in chunk:
-        record = dict(spec)
-        record.update(RESULT_INIT)
-        record.update(MESSAGE_INIT)
-        record.update(PACKET_INIT)
-        record.update(status="crashed", error=detail)
-        records.append(record)
-    return records
+    return [
+        {**spec, **_CRASHED_INIT, "status": "crashed", "error": detail}
+        for spec in chunk
+    ]
 
 
 def _chunked(items: List[Dict[str, Any]], chunk_size: int) -> List[List[Dict[str, Any]]]:

@@ -76,18 +76,17 @@ from repro import telemetry as _telemetry
 
 from repro.analysis.work import WorkObserver
 from repro.automata.executions import run
-# the compiled engine's names stay importable from here (the CLI and the
-# tests use ENGINE_KERNEL and algorithm_has_kernel)
+# the compiled engine's names stay importable from here (the CLI, the
+# executor and the tests use ENGINE_KERNEL, algorithm_has_kernel and
+# kernel_cache_stats)
 from repro.experiments.batch_engine import (
-    _KERNEL_CACHE,
     ENGINE_KERNEL,
     KernelEngine,
     Lane,
-    _bad_node_count,
-    _canonical_key,
     algorithm_has_kernel,
     batch_key,
-    outcome_stats,
+    kernel_cache_stats,
+    load_instance,
 )
 from repro.experiments.churn import ScenarioChurn
 from repro.experiments.engines import (
@@ -107,7 +106,6 @@ from repro.experiments.spec import (
 from repro.experiments.store import RESULT_INIT
 from repro.kernels.simulator import DEADLINE_CHECK_STRIDE, DeadlineExceeded
 from repro.schedulers import make_scheduler
-from repro.topology.generators import build_family
 from repro.verification.acyclicity import is_acyclic
 
 logger = logging.getLogger(__name__)
@@ -119,19 +117,6 @@ Node = Hashable
 ENGINE_LEGACY = "legacy"
 ENGINE_ASYNC = "async"
 ENGINE_DATAPLANE = "dataplane"
-
-
-def kernel_cache_stats() -> Dict[str, int]:
-    """Cumulative counters of this process's engine cache.
-
-    The shared instance/kernel cache's counters, plus (``batch_``-prefixed)
-    the compiled engine's outcome-dedup counters, so ``repro sweep --json``
-    surfaces cache behaviour whichever engine a campaign ran on.
-    """
-    stats = _KERNEL_CACHE.stats()
-    for name, value in outcome_stats().items():
-        stats[f"batch_{name}"] = value
-    return stats
 
 
 class ScenarioTimeout(DeadlineExceeded):
@@ -203,15 +188,7 @@ def _execute_legacy_scenario(spec, record, work, rounds, deadline) -> None:
     if deadline is not None:
         observers = observers + (_DeadlineObserver(deadline),)
 
-    cache_key = _canonical_key(spec)
-    instance = _KERNEL_CACHE.instance(
-        cache_key, lambda: build_family(spec.family, spec.size, spec.topology_seed)
-    )
-    record.update(
-        nodes=instance.node_count,
-        edges=instance.edge_count,
-        bad_nodes=_bad_node_count(cache_key, instance),
-    )
+    _, instance = load_instance(spec, record)
     automaton_factory = ALGORITHM_FACTORIES[spec.algorithm]
     scheduler = make_scheduler(spec.scheduler, spec.scheduler_seed)
 
@@ -354,17 +331,16 @@ def run_scenarios(
     lockstep: Dict[Tuple[Any, ...], List[Lane]] = {}
     for raw in specs:
         spec, record = spec_and_record(raw)
-        record.update(RESULT_INIT)
         records.append(record)
         start = time.perf_counter()
         try:
             spec.validate()
             chosen = get_engine(resolve_engine(engine, spec))
         except Exception as exc:  # noqa: BLE001 — crash isolation is the contract
-            record.update(status="error", error=f"{type(exc).__name__}: {exc}")
+            record.update(RESULT_INIT, status="error", error=f"{type(exc).__name__}: {exc}")
             _finish([record], round(time.perf_counter() - start, 6))
             continue
-        record["engine"] = chosen.name
+        record.update(chosen.record_init, engine=chosen.name)
         if timeout_s is None and chosen.name == ENGINE_KERNEL:
             key = batch_key(spec)
             lanes = lockstep.get(key)
@@ -418,7 +394,7 @@ def _run_group(
             if _telemetry.ENABLED:
                 _telemetry.REGISTRY.inc("scenario_group_fallbacks")
             for lane in lanes:
-                lane[1].update(RESULT_INIT, engine=chosen.name)
+                lane[1].update(chosen.record_init, engine=chosen.name)
                 _run_group(chosen, [lane], timeout_s, beat)
             return
         record = lanes[0][1]

@@ -32,7 +32,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.bll import BinaryLinkLabels
@@ -167,18 +168,7 @@ class ScenarioSpec:
     @property
     def run_id(self) -> str:
         """Stable content hash identifying this run in the result store."""
-        identity = {
-            "family": self.family,
-            "size": self.size,
-            "algorithm": self.algorithm,
-            "scheduler": self.scheduler,
-            "topology_seed": self.topology_seed,
-            "scheduler_seed": self.scheduler_seed,
-            "replicate": self.replicate,
-            "failure_model": self.failure_model,
-            "failure_count": self.failure_count,
-            "max_steps": self.max_steps,
-        }
+        identity = dict(zip(_IDENTITY_FIELDS, _spec_values(self)))
         # async axes join the identity only when set, so every pre-async
         # run_id (and therefore campaign resume against old stores) is stable
         if self.delay_model is not None:
@@ -196,39 +186,27 @@ class ScenarioSpec:
     def to_dict(self) -> Dict[str, Any]:
         """Plain-data form (what is sent to worker processes and stored).
 
-        Built by hand rather than with :func:`dataclasses.asdict` — the
-        latter deep-copies every field and dominated the campaign engine's
-        per-run dispatch overhead (every field here is already plain data).
+        Zips :data:`SPEC_FIELDS` with the field values rather than calling
+        :func:`dataclasses.asdict` — the latter deep-copies every field and
+        dominated the campaign engine's per-run dispatch overhead (every
+        field here is already plain data).
         """
-        return {
-            "family": self.family,
-            "size": self.size,
-            "algorithm": self.algorithm,
-            "scheduler": self.scheduler,
-            "topology_seed": self.topology_seed,
-            "scheduler_seed": self.scheduler_seed,
-            "replicate": self.replicate,
-            "failure_model": self.failure_model,
-            "failure_count": self.failure_count,
-            "max_steps": self.max_steps,
-            "campaign": self.campaign,
-            "delay_model": self.delay_model,
-            "loss": self.loss,
-            "traffic": self.traffic,
-            "node_faults": self.node_faults,
-            "run_id": self.run_id,
-        }
+        record = dict(zip(SPEC_FIELDS, _spec_values(self)))
+        record["run_id"] = self.run_id
+        return record
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ScenarioSpec":
         """Rebuild a spec from :meth:`to_dict` output (extra keys ignored)."""
-        fields = {
-            "family", "size", "algorithm", "scheduler", "topology_seed",
-            "scheduler_seed", "replicate", "failure_model", "failure_count",
-            "max_steps", "campaign", "delay_model", "loss", "traffic",
-            "node_faults",
-        }
-        return cls(**{k: v for k, v in data.items() if k in fields})
+        return cls(**{name: data[name] for name in SPEC_FIELDS if name in data})
+
+
+#: The spec's field names in constructor order, read from the dataclass.
+SPEC_FIELDS: Tuple[str, ...] = tuple(f.name for f in fields(ScenarioSpec))
+_spec_values = attrgetter(*SPEC_FIELDS)
+#: The fields every ``run_id`` hashes: those declared before ``campaign``
+#: (the later axes join the hash only when set).
+_IDENTITY_FIELDS = SPEC_FIELDS[:SPEC_FIELDS.index("campaign")]
 
 
 def spec_and_record(
@@ -247,13 +225,7 @@ def spec_and_record(
         return raw, raw.to_dict()
     if "run_id" in raw:
         try:
-            spec = ScenarioSpec(
-                raw["family"], raw["size"], raw["algorithm"], raw["scheduler"],
-                raw["topology_seed"], raw["scheduler_seed"], raw["replicate"],
-                raw["failure_model"], raw["failure_count"], raw["max_steps"],
-                raw["campaign"], raw["delay_model"], raw["loss"], raw["traffic"],
-                raw.get("node_faults", 0),
-            )
+            spec = ScenarioSpec(*map(raw.__getitem__, SPEC_FIELDS))
         except KeyError:
             spec = ScenarioSpec.from_dict(raw)
         return spec, dict(raw)

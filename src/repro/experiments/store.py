@@ -28,7 +28,7 @@ import logging
 import os
 import sqlite3
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from repro.io.serialization import (
     checksummed_line,
@@ -49,84 +49,118 @@ def _atomic_write_text(path: Path, text: str) -> None:
     tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
 
-#: Record fields mirrored into queryable SQLite columns (everything else is
-#: still available via the ``record`` JSON column).
-_COLUMNS = (
-    ("run_id", "TEXT PRIMARY KEY"),
-    ("campaign", "TEXT"),
-    ("family", "TEXT"),
-    ("algorithm", "TEXT"),
-    ("scheduler", "TEXT"),
-    ("size", "INTEGER"),
-    ("replicate", "INTEGER"),
-    ("failure_model", "TEXT"),
-    ("failure_count", "INTEGER"),
-    ("node_faults", "INTEGER"),
-    ("delay_model", "TEXT"),
-    ("traffic", "TEXT"),
-    ("status", "TEXT"),
-    ("engine", "TEXT"),
-    ("node_steps", "INTEGER"),
-    ("edge_reversals", "INTEGER"),
-    ("dummy_steps", "INTEGER"),
-    ("rounds", "INTEGER"),
-    ("converged", "INTEGER"),
-    ("destination_oriented", "INTEGER"),
-    ("acyclic_final", "INTEGER"),
-    ("messages_sent", "INTEGER"),
-    ("simulated_time", "REAL"),
-    ("slots", "INTEGER"),
-    ("packets_injected", "INTEGER"),
-    ("packets_delivered", "INTEGER"),
-    ("packets_dropped", "INTEGER"),
-    ("packets_in_flight", "INTEGER"),
-    ("drop_tail", "INTEGER"),
-    ("drop_ttl", "INTEGER"),
-    ("drop_no_route", "INTEGER"),
-    ("drop_link_down", "INTEGER"),
-    ("transient_loops", "INTEGER"),
-    ("peak_queue_depth", "INTEGER"),
-    ("mean_latency_slots", "REAL"),
-    ("max_latency_slots", "REAL"),
-    ("mean_hops", "REAL"),
-    ("mean_stretch", "REAL"),
-    ("wall_time_s", "REAL"),
+#: Field groups.  Every record carries its ``spec`` fields (the
+#: :meth:`~repro.experiments.spec.ScenarioSpec.to_dict` keys) and the
+#: ``result`` group; the engine that ran it adds the groups it declares in
+#: :attr:`~repro.experiments.engines.ExecutionEngine.record_groups`.
+SPEC, RESULT, MESSAGE, PACKET = "spec", "result", "message", "packet"
+
+#: Field marks: a ``volatile`` field differs between two runs of the same
+#: spec (the wall clock), and the ``stamp`` names the engine that ran it.
+VOLATILE, STAMP = "volatile", "stamp"
+
+
+class Field(NamedTuple):
+    """One run-record field."""
+
+    name: str
+    #: SQLite column type of the index, or ``None`` when not indexed (the
+    #: field is still available via the ``record`` JSON column).
+    column: Optional[str]
+    #: The value a fresh record starts from (spec fields take the spec's).
+    default: Any
+    group: str
+    mark: Optional[str] = None
+
+
+#: The run record: one row per field, in index-column order.  Every field
+#: table below is derived from it.
+RECORD_FIELDS: Tuple[Field, ...] = (
+    Field("run_id", "TEXT PRIMARY KEY", None, SPEC),
+    Field("campaign", "TEXT", None, SPEC),
+    Field("family", "TEXT", None, SPEC),
+    Field("algorithm", "TEXT", None, SPEC),
+    Field("scheduler", "TEXT", None, SPEC),
+    Field("size", "INTEGER", None, SPEC),
+    Field("topology_seed", None, None, SPEC),
+    Field("scheduler_seed", None, None, SPEC),
+    Field("replicate", "INTEGER", None, SPEC),
+    Field("failure_model", "TEXT", None, SPEC),
+    Field("failure_count", "INTEGER", None, SPEC),
+    Field("max_steps", None, None, SPEC),
+    Field("node_faults", "INTEGER", None, SPEC),
+    Field("delay_model", "TEXT", None, SPEC),
+    Field("loss", None, None, SPEC),
+    Field("traffic", "TEXT", None, SPEC),
+    # result: the instance facts, work counters, verdicts and churn counters
+    # every engine fills in place
+    Field("status", "TEXT", "ok", RESULT),
+    Field("error", None, None, RESULT),
+    Field("engine", "TEXT", None, RESULT, STAMP),
+    Field("nodes", None, None, RESULT),
+    Field("edges", None, None, RESULT),
+    Field("bad_nodes", None, None, RESULT),
+    Field("node_steps", "INTEGER", 0, RESULT),
+    Field("edge_reversals", "INTEGER", 0, RESULT),
+    Field("dummy_steps", "INTEGER", 0, RESULT),
+    Field("rounds", "INTEGER", 0, RESULT),
+    Field("steps_taken", None, 0, RESULT),
+    Field("converged", "INTEGER", False, RESULT),
+    Field("destination_oriented", "INTEGER", False, RESULT),
+    Field("acyclic_final", "INTEGER", False, RESULT),
+    Field("failures_applied", None, 0, RESULT),
+    Field("partition_skips", None, 0, RESULT),
+    Field("reorientations", None, 0, RESULT),
+    Field("crashed_nodes", None, 0, RESULT),
+    # message: the control-plane message statistics of the async and
+    # data-plane engines
+    Field("messages_sent", "INTEGER", None, MESSAGE),
+    Field("messages_delivered", None, None, MESSAGE),
+    Field("messages_lost", None, None, MESSAGE),
+    Field("simulated_time", "REAL", None, MESSAGE),
+    Field("events_dispatched", None, None, MESSAGE),
+    # packet: the data-plane engine's packet counters and latency summaries
+    Field("slots", "INTEGER", 0, PACKET),
+    Field("packets_injected", "INTEGER", 0, PACKET),
+    Field("packets_delivered", "INTEGER", 0, PACKET),
+    Field("packets_dropped", "INTEGER", 0, PACKET),
+    Field("packets_in_flight", "INTEGER", 0, PACKET),
+    Field("packets_forwarded", None, 0, PACKET),
+    Field("drop_tail", "INTEGER", 0, PACKET),
+    Field("drop_ttl", "INTEGER", 0, PACKET),
+    Field("drop_no_route", "INTEGER", 0, PACKET),
+    Field("drop_link_down", "INTEGER", 0, PACKET),
+    Field("transient_loops", "INTEGER", 0, PACKET),
+    Field("peak_queue_depth", "INTEGER", 0, PACKET),
+    Field("mean_latency_slots", "REAL", None, PACKET),
+    Field("max_latency_slots", "REAL", None, PACKET),
+    Field("mean_hops", "REAL", None, PACKET),
+    Field("mean_stretch", "REAL", None, PACKET),
+    Field("wall_time_s", "REAL", 0.0, RESULT, VOLATILE),
 )
 
-#: The result fields every run record carries beside its spec fields, with
-#: the value a fresh record starts from; engines fill them in place.
-RESULT_INIT: Dict[str, Any] = {
-    "status": "ok", "error": None, "engine": None,
-    "nodes": None, "edges": None, "bad_nodes": None,
-    "node_steps": 0, "edge_reversals": 0, "dummy_steps": 0, "rounds": 0,
-    "steps_taken": 0,
-    "converged": False, "destination_oriented": False, "acyclic_final": False,
-    "failures_applied": 0, "partition_skips": 0, "reorientations": 0,
-    "crashed_nodes": 0, "wall_time_s": 0.0,
-}
 
-#: The fields of :data:`RESULT_INIT` that are pure run results: everything
-#: but the engine stamp and the wall clock.
+def group_defaults(*groups: str) -> Dict[str, Any]:
+    """The fields of ``groups`` with the values a fresh record starts from."""
+    return {f.name: f.default for f in RECORD_FIELDS if f.group in groups}
+
+
+RESULT_INIT = group_defaults(RESULT)
+MESSAGE_INIT = group_defaults(MESSAGE)
+PACKET_INIT = group_defaults(PACKET)
+
+#: The result fields that are pure run results: all but the marked ones.
 OUTCOME_FIELDS = tuple(
-    name for name in RESULT_INIT if name not in ("engine", "wall_time_s")
+    f.name for f in RECORD_FIELDS if f.group == RESULT and f.mark is None
 )
 
-#: The message-passing columns, filled by the async and data-plane engines.
-MESSAGE_INIT: Dict[str, Any] = {
-    "messages_sent": None, "messages_delivered": None, "messages_lost": None,
-    "simulated_time": None, "events_dispatched": None,
-}
+#: Fields that differ between two runs of one spec on one engine, and
+#: between two engines that agree on a spec.
+VOLATILE_FIELDS = tuple(f.name for f in RECORD_FIELDS if f.mark == VOLATILE)
+ENGINE_VOLATILE_FIELDS = tuple(f.name for f in RECORD_FIELDS if f.mark is not None)
 
-#: The packet columns, filled by the data-plane engine (zeroed up front, so
-#: even an early failure reports them).
-PACKET_INIT: Dict[str, Any] = {
-    "slots": 0, "packets_injected": 0, "packets_delivered": 0,
-    "packets_dropped": 0, "packets_in_flight": 0,
-    "drop_tail": 0, "drop_ttl": 0, "drop_no_route": 0, "drop_link_down": 0,
-    "transient_loops": 0, "peak_queue_depth": 0,
-    "mean_latency_slots": None, "max_latency_slots": None,
-    "mean_hops": None, "mean_stretch": None,
-}
+#: The indexed fields and their SQLite column types.
+_COLUMNS = tuple((f.name, f.column) for f in RECORD_FIELDS if f.column is not None)
 
 _SCHEMA = (
     "CREATE TABLE IF NOT EXISTS runs ("

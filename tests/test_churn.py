@@ -27,10 +27,9 @@ from repro.experiments.churn import (
 )
 from repro.experiments.runner import execute_scenario, run_scenarios
 from repro.experiments.spec import CampaignSpec, ScenarioSpec
+from repro.experiments.store import VOLATILE_FIELDS
 from repro.kernels import KernelCache, mask_directed_edges
 from repro.topology.generators import build_family
-
-VOLATILE = ("wall_time_s",)
 
 
 def _reference_carried_over(fresh, directed_edges):
@@ -160,7 +159,7 @@ def _churn_specs():
 
 
 def _stable(records):
-    return [{k: v for k, v in r.items() if k not in VOLATILE} for r in records]
+    return [{k: v for k, v in r.items() if k not in VOLATILE_FIELDS} for r in records]
 
 
 @pytest.mark.parametrize("per_run", [False, True], ids=["lockstep", "per-run"])

@@ -227,6 +227,20 @@ class TestCommands:
         assert f"the {engine} engine needs a" in captured.err
         assert "Traceback" not in captured.err
 
+    def test_run_auto_rejection_names_every_engine_reason(self, capsys):
+        # no engine runs OneStepPR with a delay model: the error says why,
+        # engine by engine, instead of only echoing the spec
+        argv = ["run", "--algorithm", "onestep-pr", "--delay-model", "uniform"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ValueError: no registered engine ")
+        assert "[async] no height-based message-passing protocol for algorithm " \
+            "'onestep-pr'" in captured.err
+        for engine in ("kernel", "legacy", "async", "dataplane"):
+            assert f"[{engine}] " in captured.err
+        assert "Traceback" not in captured.err
+
     def test_compare_json_output(self, capsys):
         exit_code = main(["compare", "--topology", "chain", "--nodes", "8", "--json"])
         payload = json.loads(capsys.readouterr().out)

@@ -4,12 +4,14 @@ Every lane of a ``run_scenarios`` call on the ``kernel`` engine (lanes of
 one batch key run as one lockstep group) must be **field-for-field
 identical** to the legacy object oracle's record for the same fault-free
 spec, and to the single-scenario (width-1) record of the same engine —
-across every kernel algorithm × every registry scheduler × every churn
-model, regardless of which other lanes shared the group and in which order.
-On top of the record contract these tests pin the lockstep plumbing:
-outcome dedup correctness (crash-stop lanes included), per-run timeout
-records, the shared engine cache, campaign interrupt+resume through the
-store, and the CLI/report surface.
+final orientation, work counters, round counts, convergence step counts and
+churn bookkeeping — across every kernel algorithm × every registry
+scheduler × every churn model, regardless of which other lanes shared the
+group and in which order.  On top of the record contract these tests pin
+the lockstep plumbing: outcome dedup correctness (crash-stop lanes
+included), per-run timeout records, engine selection, the shared engine
+cache, campaign interrupt+resume through the store, the mask-level
+simulation chain, and the CLI/report surface.
 """
 
 from __future__ import annotations
@@ -18,26 +20,28 @@ import json
 
 import pytest
 
-from repro.experiments.batch_engine import outcome_stats, reset_kernel_caches
+from repro.experiments.batch_engine import (
+    _KERNEL_CACHE,
+    kernel_cache_stats,
+    outcome_stats,
+    reset_kernel_caches,
+)
 from repro.experiments.executor import _default_chunk_size, run_campaign
 from repro.experiments.runner import (
-    _KERNEL_CACHE,
     ENGINE_KERNEL,
     ENGINE_LEGACY,
+    algorithm_has_kernel,
     execute_scenario,
-    kernel_cache_stats,
     run_scenarios,
 )
 from repro.experiments import resolve_engine
+from repro.experiments.engines import ENGINE_REGISTRY
 from repro.experiments.spec import CampaignSpec, ScenarioSpec, derive_seed
-from repro.experiments.store import OUTCOME_FIELDS, ResultStore
+from repro.experiments.store import ENGINE_VOLATILE_FIELDS, OUTCOME_FIELDS, ResultStore
 from repro.topology.generators import SEEDLESS_FAMILIES, build_family
 
 KERNEL_ALGORITHMS = ("pr", "onestep-pr", "new-pr", "fr")
 ALL_SCHEDULERS = ("greedy", "sequential", "random", "adversarial", "lazy", "round-robin")
-
-#: Everything except the wall clock and the engine stamp must be identical.
-VOLATILE = ("wall_time_s", "engine")
 
 
 def _spec(**overrides) -> ScenarioSpec:
@@ -50,7 +54,8 @@ def _spec(**overrides) -> ScenarioSpec:
 
 
 def _stable(record):
-    return {k: v for k, v in record.items() if k not in VOLATILE}
+    """Everything except the wall clock and the engine stamp must be identical."""
+    return {k: v for k, v in record.items() if k not in ENGINE_VOLATILE_FIELDS}
 
 
 def _assert_batch_matches_oracle(specs) -> list:
@@ -201,6 +206,13 @@ class TestTimeouts:
             assert _stable(record) == _stable(kernel)
             assert record["error"] == "deadline exceeded at step 0"
 
+    def test_kernel_timeout_recorded(self):
+        record = execute_scenario(
+            _spec(family="chain", size=60), timeout_s=0.0, engine=ENGINE_KERNEL
+        )
+        assert record["status"] == "timeout"
+        assert record["engine"] == ENGINE_KERNEL
+
     def test_timeout_keeps_partial_tallies(self):
         record = run_scenarios(
             [_spec(family="chain", size=40).to_dict()], timeout_s=0.0
@@ -220,6 +232,35 @@ class TestTimeouts:
         records = run_scenarios([s.to_dict() for s in specs], timeout_s=0.0)
         assert records[0]["status"] == "ok" and records[0]["converged"]
         assert records[1]["status"] == "timeout"
+
+
+class TestEngineSelection:
+    def test_auto_prefers_kernel(self):
+        assert resolve_engine("auto", _spec()) == ENGINE_KERNEL
+
+    def test_auto_falls_back_for_bll(self):
+        assert resolve_engine("auto", _spec(algorithm="bll")) == ENGINE_LEGACY
+        record = execute_scenario(_spec(algorithm="bll", size=8).to_dict())
+        assert record["status"] == "ok"
+        assert record["engine"] == ENGINE_LEGACY
+
+    def test_auto_rejection_lists_every_engine_reason(self):
+        spec = _spec(algorithm="onestep-pr", delay_model="uniform")
+        with pytest.raises(ValueError) as rejected:
+            resolve_engine("auto", spec)
+        for engine in ENGINE_REGISTRY.values():
+            assert f"[{engine.name}] {engine.unsupported_reason(spec)}" in str(rejected.value)
+
+    def test_unknown_engine_is_an_error_record(self):
+        record = execute_scenario(_spec().to_dict(), engine="warp-drive")
+        assert record["status"] == "error"
+        assert "unknown engine" in record["error"]
+
+    def test_algorithm_has_kernel_registry(self):
+        for name in KERNEL_ALGORITHMS:
+            assert algorithm_has_kernel(name)
+        assert not algorithm_has_kernel("bll")
+        assert not algorithm_has_kernel("no-such-algorithm")
 
 
 class TestUnsupportedLanes:
@@ -276,6 +317,8 @@ class TestExecutorIntegration:
             report = run_campaign(campaign, store, workers=2, engine=ENGINE_KERNEL)
             pooled = {r["run_id"]: _stable(r) for r in store.records()}
         assert report.crashed == 0
+        assert report.engines == {"kernel": report.executed}
+        assert sum(report.kernel_cache.values()) > 0
         assert pooled == inline
 
     def test_interrupt_and_resume_through_the_store(self, tmp_path):
@@ -313,6 +356,50 @@ class TestExecutorIntegration:
         assert any(k.startswith("batch_") for k in sidecar["kernel_cache"])
 
 
+class TestCampaignEnginePlumbing:
+    def _campaign(self, **overrides) -> CampaignSpec:
+        base = dict(
+            name="diff", families=("chain", "random-dag"), algorithms=("pr", "fr"),
+            schedulers=("greedy", "random"), sizes=(5, 9), replicates=1,
+        )
+        base.update(overrides)
+        return CampaignSpec(**base)
+
+    def test_engines_and_cache_stats_reported(self, tmp_path):
+        with ResultStore(tmp_path) as store:
+            report = run_campaign(self._campaign(), store, workers=1)
+            payload = report.to_dict()
+            assert payload["engines"] == {"kernel": 16}
+            assert payload["kernel_cache"]["kernel_compiles"] >= 1
+            assert payload["kernel_cache"]["kernel_hits"] >= 1
+            assert store.engine_counts() == {"kernel": 16}
+            assert len(store.records(engine="kernel")) == 16
+
+    def test_inline_crash_sentinel_does_not_kill_the_parent(self, tmp_path):
+        # workers<=1 executes in-process: the crash sentinel must become an
+        # error record, not an os._exit of the calling process
+        from repro.experiments.spec import CRASH_SENTINEL
+
+        with ResultStore(tmp_path) as store:
+            report = run_campaign(
+                self._campaign(algorithms=("pr", CRASH_SENTINEL), schedulers=("greedy",),
+                               families=("chain",), sizes=(5,)),
+                store, workers=1,
+            )
+            assert report.ok == 1
+            assert report.errors == 1
+            assert store.records(algorithm=CRASH_SENTINEL)[0]["status"] == "error"
+
+    def test_mixed_campaign_counts_both_engines(self, tmp_path):
+        with ResultStore(tmp_path) as store:
+            report = run_campaign(
+                self._campaign(algorithms=("pr", "bll"), schedulers=("greedy",)),
+                store, workers=1,
+            )
+            assert report.engines == {"kernel": 4, "legacy": 4}
+            assert store.engine_counts() == {"kernel": 4, "legacy": 4}
+
+
 class TestSharedCache:
     def test_every_engine_reads_its_instance_from_the_one_cache(self):
         # the async and dataplane engines build no cache of their own: the
@@ -343,7 +430,100 @@ class TestSharedCache:
             assert name in stats
 
 
+class TestMaskSimulationChainDifferential:
+    @pytest.mark.parametrize("scheduler_seed", [3, 17])
+    @pytest.mark.parametrize("subset_probability", [0.0, 0.5])
+    def test_mask_chain_matches_object_chain(self, scheduler_seed, subset_probability):
+        from repro.automata.executions import run
+        from repro.core.pr import PartialReversal
+        from repro.kernels import BatchSimulator, SignatureSimulator, compile_expander
+        from repro.kernels.schedulers import MaskRandomScheduler
+        from repro.schedulers.random_scheduler import RandomScheduler
+        from repro.topology.generators import grid_instance
+        from repro.verification.simulation import (
+            MaskSimulationChain,
+            check_full_simulation_chain,
+        )
+
+        instance = grid_instance(4, 4, oriented_towards_destination=False)
+        simulator = SignatureSimulator(compile_expander(PartialReversal(instance)))
+        trace = []
+        batch = BatchSimulator()
+        batch.add_lane(
+            simulator,
+            MaskRandomScheduler(seed=scheduler_seed, subset_probability=subset_probability),
+            trace=trace,
+        )
+        (outcome,) = batch.run()
+        fast = MaskSimulationChain(instance).check(trace)
+
+        result = run(
+            PartialReversal(instance),
+            RandomScheduler(seed=scheduler_seed, subset_probability=subset_probability),
+        )
+        oracle = check_full_simulation_chain(result.execution)
+        assert outcome.steps == result.steps_taken
+        assert fast.holds == oracle.holds
+        assert fast.r_prime_holds == oracle.r_prime.holds
+        assert fast.r_holds == oracle.r.holds
+        assert fast.r_prime_points == oracle.r_prime.correspondence_points
+        assert fast.r_points == oracle.r.correspondence_points
+        assert fast.onestep_steps == oracle.r_prime.corresponding_execution.length
+        assert fast.newpr_steps == oracle.r.corresponding_execution.length
+
+    def test_mask_chain_flags_a_corrupted_trace(self):
+        from repro.kernels import BatchSimulator, SignatureSimulator, compile_expander
+        from repro.kernels.schedulers import MaskGreedyScheduler
+        from repro.core.pr import PartialReversal
+        from repro.topology.generators import worst_case_chain_instance
+        from repro.verification.simulation import MaskSimulationChain
+
+        instance = worst_case_chain_instance(6)
+        simulator = SignatureSimulator(compile_expander(PartialReversal(instance)))
+        trace = []
+        batch = BatchSimulator()
+        batch.add_lane(simulator, MaskGreedyScheduler(), trace=trace)
+        batch.run()
+        # duplicate the first action: its actors are no longer sinks there
+        corrupted = [trace[0], trace[0]] + trace[1:]
+        report = MaskSimulationChain(instance).check(corrupted)
+        assert not report.r_prime_holds
+        assert report.failures
+
+
 class TestCli:
+    @pytest.mark.parametrize("algorithm", KERNEL_ALGORITHMS)
+    @pytest.mark.parametrize("scheduler", ["random", "adversarial", "round-robin"])
+    def test_run_engine_flag_outputs_match(self, capsys, algorithm, scheduler):
+        from repro.cli import main
+
+        base = ["run", "--topology", "grid", "--nodes", "9", "--algorithm", algorithm,
+                "--scheduler", scheduler, "--json"]
+        assert main(["--seed", "5"] + base + ["--engine", "kernel"]) == 0
+        fast = json.loads(capsys.readouterr().out)
+        assert main(["--seed", "5"] + base + ["--engine", "legacy"]) == 0
+        legacy = json.loads(capsys.readouterr().out)
+        assert fast.pop("engine") == "kernel"
+        assert legacy.pop("engine") == "legacy"
+        assert fast == legacy
+
+    def test_run_forced_kernel_on_bll_fails(self, capsys):
+        from repro.cli import main
+
+        assert main(["run", "--algorithm", "bll", "--engine", "kernel"]) == 2
+        assert "no signature kernel" in capsys.readouterr().err
+
+    def test_sweep_json_reports_engines_and_cache(self, tmp_path, capsys):
+        from repro.cli import main
+
+        assert main([
+            "sweep", "--families", "chain", "--algorithms", "pr,fr",
+            "--sizes", "5,7", "--store", str(tmp_path / "s"), "--quiet", "--json",
+        ]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["engines"] == {"kernel": 4}
+        assert "kernel_compiles" in payload["kernel_cache"]
+
     def test_sweep_engine_kernel_flag(self, tmp_path, capsys):
         from repro.cli import main
 
@@ -367,6 +547,7 @@ class TestCli:
         assert main(base + ["--engine", "legacy", "--store", str(tmp_path / "l")]) == 0
         capsys.readouterr()
         with ResultStore(tmp_path / "k") as ks, ResultStore(tmp_path / "l") as ls:
+            assert ls.engine_counts() == {"legacy": 4}
             kernel = {r["run_id"]: _stable(r) for r in ks.records()}
             legacy = {r["run_id"]: _stable(r) for r in ls.records()}
         assert kernel == legacy

@@ -14,9 +14,9 @@ import json
 import sys
 from pathlib import Path
 
-FIXTURE = Path(__file__).resolve().parent / "data" / "net_campaign_records.jsonl"
+from repro.experiments.store import VOLATILE_FIELDS
 
-VOLATILE = ("wall_time_s",)
+FIXTURE = Path(__file__).resolve().parent / "data" / "net_campaign_records.jsonl"
 
 
 def _campaigns():
@@ -55,7 +55,7 @@ def campaign_records():
     for campaign in _campaigns():
         for spec in campaign.expand():
             record = execute_scenario(spec)
-            records.append({k: v for k, v in record.items() if k not in VOLATILE})
+            records.append({k: v for k, v in record.items() if k not in VOLATILE_FIELDS})
     return records
 
 

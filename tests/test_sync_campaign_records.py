@@ -23,9 +23,9 @@ from pathlib import Path
 
 import pytest
 
-FIXTURE = Path(__file__).resolve().parent / "data" / "sync_campaign_records.jsonl"
+from repro.experiments.store import ENGINE_VOLATILE_FIELDS
 
-VOLATILE = ("wall_time_s", "engine")
+FIXTURE = Path(__file__).resolve().parent / "data" / "sync_campaign_records.jsonl"
 
 
 def churn_campaign():
@@ -90,7 +90,7 @@ def assert_matches(records, golden, engine):
         mismatched = {
             key: (record.get(key), expected.get(key))
             for key in record.keys() | expected.keys()
-            if key not in VOLATILE and record.get(key) != expected.get(key)
+            if key not in ENGINE_VOLATILE_FIELDS and record.get(key) != expected.get(key)
         }
         assert not mismatched, (engine, record["run_id"], mismatched)
 
