@@ -475,6 +475,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     try:
         if args.chunk_size is not None and args.chunk_size < 1:
             raise ValueError(f"--chunk-size must be at least 1, got {args.chunk_size}")
+        if args.watchdog is not None and args.watchdog <= 0:
+            raise ValueError(f"--watchdog must be above 0 seconds, got {args.watchdog}")
+        if args.max_retries < 0:
+            raise ValueError(f"--max-retries must be at least 0, got {args.max_retries}")
         campaign = _campaign_from_args(args)
         fault_plan = _fault_plan_from_args(args)
     except ValueError as error:
@@ -968,11 +972,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="attempts per chunk that may fault (default 1: "
                             "every fault recovers on first retry)")
     sweep_parser.add_argument("--watchdog", type=float, default=None,
-                              help="heartbeat watchdog: kill and re-dispatch worker "
-                                   "chunks silent for this many seconds")
+                              help="heartbeat watchdog: kill the worker of a chunk "
+                                   "silent for this many seconds (above 0) and "
+                                   "rerun the chunk alone")
     sweep_parser.add_argument("--max-retries", type=int, default=3,
-                              help="re-dispatch budget per chunk before its runs "
-                                   "are recorded as crashed")
+                              help="re-dispatch budget per chunk (at least 0) "
+                                   "before its runs are recorded as crashed")
     sweep_parser.set_defaults(handler=cmd_sweep)
 
     report_parser = subparsers.add_parser(

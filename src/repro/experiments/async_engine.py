@@ -161,7 +161,9 @@ class AsyncEngine(ExecutionEngine):
                 seed=derive_seed(spec.topology_seed, "async-channels"),
                 fifo=fifo,
             )
-            max_events = spec.max_steps or DEFAULT_MAX_EVENTS
+            max_events = (
+                DEFAULT_MAX_EVENTS if spec.max_steps is None else spec.max_steps
+            )
 
             if spec.node_faults > 0:
                 from repro.faults.nodes import select_crashed_ids

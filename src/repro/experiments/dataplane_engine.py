@@ -133,7 +133,7 @@ class DataPlaneEngine(ExecutionEngine):
             # convergence phase's height changes before injecting.
             run.advance_control(deadline)
 
-            slots = spec.max_steps or DEFAULT_SLOTS
+            slots = DEFAULT_SLOTS if spec.max_steps is None else spec.max_steps
             failure_plan: Optional[Dict[int, int]] = None
             fail_hook = None
             if spec.failure_model == "link-failures" and spec.failure_count > 0:

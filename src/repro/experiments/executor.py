@@ -8,21 +8,26 @@ across a ``multiprocessing`` worker pool.  Workers rebuild all heavyweight
 objects (instances, automata, schedulers) locally from the dicts, so nothing
 but plain data is ever pickled.
 
-Failure containment is layered (the self-healing ladder, top rung first):
+Failure containment, from the cheapest case up:
 
 * a bad *run* (exception, timeout) is caught inside the worker and comes back
   as a record with ``status`` ``"error"`` / ``"timeout"``;
+* a chunk whose worker raises or returns records with mangled run ids takes
+  a strike and is resubmitted to the same pool;
 * a *hung* worker is caught by the heartbeat watchdog (``watchdog_s``):
-  workers stamp a shared array per chunk and per group of lanes, and a
-  chunk whose stamp goes stale is hard-killed and re-dispatched;
-* a dead *worker process* (segfault, OOM-kill, watchdog kill) breaks the
-  pool; the pool is **reformed** (up to ``max_pool_reforms`` times) and the
-  surviving chunks re-dispatched with per-chunk retry budgets
-  (``max_retries``) under exponential backoff with deterministic jitter;
-* a chunk that keeps failing falls to **quarantine**: one single-use pool
-  each, and only a chunk that kills its private pool is written out as
-  ``status="crashed"`` records, so the campaign still completes;
-* when no pool can be created at all, the executor **degrades to serial**
+  workers stamp a shared array per chunk and per group of lanes, and the
+  worker of a chunk whose stamp goes stale is hard-killed, which breaks the
+  pool like any dead *worker process* (segfault, OOM-kill);
+* when a shared pool breaks, every chunk that had started in it (stamped a
+  heartbeat since its dispatch, or was killed by the watchdog) takes a
+  strike and reruns **alone** in a one-worker pool; a chunk that breaks a
+  pool it has to itself, or runs out of strikes (``max_retries``), is
+  written out as ``status="crashed"`` records, so the campaign still
+  completes.  Chunks that never started go to a fresh shared pool with
+  their budget intact.  Each break is followed by an exponential backoff
+  with deterministic jitter, and isolates at least one chunk, so the shared
+  pool is rebuilt at most once per chunk;
+* when a pool cannot be created at all, the executor **degrades to serial**
   in-process execution of the leftover chunks — slower, but the campaign
   finishes;
 * an interrupted *campaign* (Ctrl-C, machine loss) is resumable: records are
@@ -32,7 +37,7 @@ Failure containment is layered (the self-healing ladder, top rung first):
 All of it is deterministic-testable: a seeded
 :class:`~repro.faults.plan.FaultPlan` (``fault_plan=``) makes pooled workers
 crash, hang, run slow or corrupt their results at plan-chosen chunk indices,
-and the ladder above is what recovers (see :mod:`repro.faults`).
+and the policy above is what recovers (see :mod:`repro.faults`).
 
 ``workers <= 1`` bypasses multiprocessing entirely and executes inline —
 deterministic, easy to debug, and what the tests mostly use.  Faults are
@@ -42,7 +47,6 @@ never injected inline: the plan only arms in pooled workers.
 from __future__ import annotations
 
 import logging
-import multiprocessing
 import os
 import random
 import signal
@@ -51,11 +55,10 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from multiprocessing import get_all_start_methods, get_context
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set
 
-
 from repro import telemetry as _telemetry
-from repro._mp import fork_preferring_context
 from repro.faults import injector as _injector
 from repro.faults.plan import FAULT_PLAN_ENV, FaultPlan
 from repro.telemetry.metrics import MetricsRegistry
@@ -266,8 +269,18 @@ def _default_chunk_size(pending: int, workers: int) -> int:
     return max(1, -(-pending // (max(1, workers) * 8)))
 
 
-def _pool_context():
-    return fork_preferring_context()
+#: Base delay of the exponential backoff (with deterministic jitter) taken
+#: after a shared pool breaks; it doubles with every further break.
+BACKOFF_S = 0.05
+
+
+def _fork_preferring_context():
+    """The ``fork`` multiprocessing context where available, default otherwise.
+
+    Forked workers start with the parent's modules already imported; on
+    spawn-only platforms (Windows) each worker imports them afresh.
+    """
+    return get_context("fork" if "fork" in get_all_start_methods() else None)
 
 
 def run_campaign(
@@ -283,8 +296,6 @@ def run_campaign(
     fault_plan: Optional[FaultPlan] = None,
     watchdog_s: Optional[float] = None,
     max_retries: int = 3,
-    backoff_s: float = 0.05,
-    max_pool_reforms: int = 2,
 ) -> CampaignReport:
     """Execute (the missing part of) a campaign and persist every record.
 
@@ -323,26 +334,30 @@ def run_campaign(
         pooled workers (chaos testing).  Ignored — with a warning — when
         ``workers <= 1``, because faults only ever arm in pooled workers.
     watchdog_s:
-        Heartbeat staleness deadline.  A pooled chunk whose worker has not
-        stamped a heartbeat for this long is presumed hung: the worker is
-        hard-killed and the chunk re-dispatched.  Must exceed the worst
+        Heartbeat staleness deadline, above 0.  A pooled chunk whose worker
+        has not stamped a heartbeat for this long is presumed hung and its
+        worker hard-killed, which breaks the pool.  Must exceed the worst
         single-*group* runtime: heartbeats are stamped per group of lanes
         (one lockstep group of kernel runs, or one run on any other engine
         or under a ``timeout_s``).
         ``None`` (default) disables the watchdog.
     max_retries:
-        Re-dispatches a chunk may consume (worker death, watchdog kill or
-        corrupt result) before its runs are recorded as ``crashed``.
-    backoff_s:
-        Base delay of the exponential backoff (with deterministic jitter)
-        between pool generations after a failure.
-    max_pool_reforms:
-        Shared-pool rebuilds allowed after ``BrokenProcessPool`` before the
-        executor falls back to per-chunk quarantine pools.
+        Failed attempts a chunk may retry, at least 0.  A chunk fails an
+        attempt when its pool broke while it ran (a worker died or was
+        killed by the watchdog) or it returned an exception or corrupt
+        records; past the budget its runs are recorded ``crashed``.  The
+        module docstring gives the whole pooled failure policy.
+
+    Raises ``ValueError`` for a ``chunk_size`` below 1, a ``watchdog_s`` of
+    0 or less, or a negative ``max_retries``, before the store is touched.
     """
     start = time.perf_counter()
     if chunk_size is not None and chunk_size < 1:
         raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
+    if watchdog_s is not None and watchdog_s <= 0:
+        raise ValueError(f"watchdog_s must be above 0, got {watchdog_s}")
+    if max_retries < 0:
+        raise ValueError(f"max_retries must be at least 0, got {max_retries}")
     if fault_plan is not None:
         fault_plan.validate()
         if workers <= 1:
@@ -385,8 +400,29 @@ def run_campaign(
     done = 0
     busy = {"wall_s": 0.0, "cpu_s": 0.0}
 
-    def _absorb(records: List[Dict[str, Any]]) -> None:
+    def _absorb(result: Dict[str, Any], index: Optional[int]) -> None:
+        # one chunk's records into the store, the report and the telemetry;
+        # a crashed chunk's placeholders come without worker figures
         nonlocal done
+        for name, value in result.get("kernel_cache", {}).items():
+            report.kernel_cache[name] = report.kernel_cache.get(name, 0) + value
+        worker = result.get("worker") or {}
+        busy["wall_s"] += worker.get("wall_s", 0.0)
+        busy["cpu_s"] += worker.get("cpu_s", 0.0)
+        if registry is not None and "metrics" in result:
+            registry.merge(result["metrics"])
+        records = result["records"]
+        if tracer is not None and worker:
+            wall_s = worker.get("wall_s", 0.0)
+            tracer.emit_span(
+                "chunk",
+                t_start=max(0.0, tracer.now() - wall_s),
+                dur_s=wall_s,
+                index=index,
+                runs=len(records),
+                pid=worker.get("pid"),
+                cpu_s=worker.get("cpu_s", 0.0),
+            )
         store.append(records, shard)
         done += len(records)
         for record in records:
@@ -417,27 +453,6 @@ def run_campaign(
         if progress is not None:
             progress(done, len(pending))
 
-    def _absorb_chunk_result(result: Dict[str, Any], index: Optional[int] = None) -> None:
-        for name, value in result.get("kernel_cache", {}).items():
-            report.kernel_cache[name] = report.kernel_cache.get(name, 0) + value
-        worker = result.get("worker") or {}
-        busy["wall_s"] += worker.get("wall_s", 0.0)
-        busy["cpu_s"] += worker.get("cpu_s", 0.0)
-        if registry is not None and "metrics" in result:
-            registry.merge(result["metrics"])
-        if tracer is not None and worker:
-            wall_s = worker.get("wall_s", 0.0)
-            tracer.emit_span(
-                "chunk",
-                t_start=max(0.0, tracer.now() - wall_s),
-                dur_s=wall_s,
-                index=index,
-                runs=len(result["records"]),
-                pid=worker.get("pid"),
-                cpu_s=worker.get("cpu_s", 0.0),
-            )
-        _absorb(result["records"])
-
     exec_start = time.perf_counter()
     try:
         campaign_span = nullcontext() if tracer is None else tracer.span(
@@ -447,17 +462,13 @@ def run_campaign(
         with campaign_span:
             if workers <= 1:
                 for index, chunk in enumerate(chunks):
-                    _absorb_chunk_result(
-                        _run_chunk_with_stats(chunk, timeout_s, engine), index
-                    )
+                    _absorb(_run_chunk_with_stats(chunk, timeout_s, engine), index)
             else:
-                _run_pooled(
-                    chunks, workers, timeout_s, engine,
-                    _absorb, _absorb_chunk_result, collect=telemetry,
-                    fault_plan=fault_plan, watchdog_s=watchdog_s,
-                    max_retries=max_retries, backoff_s=backoff_s,
-                    max_pool_reforms=max_pool_reforms, report=report,
-                )
+                _PooledDispatch(
+                    chunks, workers, _absorb, timeout_s=timeout_s, engine=engine,
+                    collect=telemetry, fault_plan=fault_plan,
+                    watchdog_s=watchdog_s, max_retries=max_retries, report=report,
+                ).run()
         report.execution_wall_s = time.perf_counter() - exec_start
         report.cpu_time_s = busy["cpu_s"]
         if report.execution_wall_s > 0:
@@ -500,388 +511,253 @@ def run_campaign(
     return report
 
 
-def _run_pooled(
-    chunks: List[List[Dict[str, Any]]],
-    workers: int,
-    timeout_s: Optional[float],
-    engine: str,
-    absorb: Callable[[List[Dict[str, Any]]], None],
-    absorb_chunk_result: Callable[[Dict[str, Any], Optional[int]], None],
-    collect: bool = False,
-    fault_plan: Optional[FaultPlan] = None,
-    watchdog_s: Optional[float] = None,
-    max_retries: int = 3,
-    backoff_s: float = 0.05,
-    max_pool_reforms: int = 2,
-    report: Optional[CampaignReport] = None,
-) -> None:
-    """Dispatch chunks over a process pool, self-healing around failures.
+class _NoPool(Exception):
+    """No worker pool could be created; the ``OSError`` is the cause."""
 
-    Fast path: one shared pool for every chunk.  When a worker process dies
-    (or the watchdog kills a hung one) the pool is broken and *every* pending
-    future fails, which says nothing about which chunk was at fault — so the
-    pool is reformed and the surviving chunks re-dispatched, with attempts
-    counted only against chunks that had actually *started* (stamped a
-    heartbeat) in the broken generation.  Chunks that exhaust their retry
-    budget, and everything left when the reform budget runs out, fall to
-    quarantine mode: each runs in its own single-use pool, and only a chunk
-    that kills its private pool is recorded as crashed.  If no pool can be
-    created at all, the leftovers run serially in-process.
+
+class _PooledDispatch:
+    """Chunks dispatched over process pools, healing around broken ones.
+
+    :meth:`_pool` is the one place a pool is created, polled and
+    watchdogged; :meth:`run` decides what the next pool runs after one
+    breaks (the policy is in the module docstring).
     """
-    context = _pool_context()
-    remaining = {index: chunk for index, chunk in enumerate(chunks)}
-    expected_ids = {
-        index: {spec.get("run_id") for spec in chunk}
-        for index, chunk in remaining.items()
-    }
-    attempts = {index: 0 for index in remaining}
-    tracer = _telemetry.TRACER if _telemetry.ENABLED else None
-    report = report if report is not None else CampaignReport(
-        total=0, skipped=0, executed=0
-    )
 
-    # Shared heartbeat/pid arrays, always allocated: the watchdog reads them,
-    # and the generation logic uses the stamps to tell started-but-unfinished
-    # chunks from never-started ones after a pool break.  lock=False — each
-    # slot has a single writer (the worker owning that chunk) and a reader
-    # that tolerates a torn double (worst case: one late watchdog poll).
-    heartbeats = context.Array("d", len(chunks), lock=False)
-    pids = context.Array("l", len(chunks), lock=False)
+    def __init__(
+        self,
+        chunks: List[List[Dict[str, Any]]],
+        workers: int,
+        settle: Callable[[Dict[str, Any], Optional[int]], None],
+        *,
+        timeout_s: Optional[float],
+        engine: str,
+        collect: bool,
+        fault_plan: Optional[FaultPlan],
+        watchdog_s: Optional[float],
+        max_retries: int,
+        report: CampaignReport,
+    ) -> None:
+        self.remaining = dict(enumerate(chunks))
+        self.attempts = dict.fromkeys(self.remaining, 0)
+        self.workers = workers
+        self.settle = settle
+        self.job = (timeout_s, engine, collect)
+        armed = fault_plan is not None and fault_plan.any_faults()
+        self.fault_plan = fault_plan if armed else None
+        self.watchdog_s = watchdog_s
+        self.poll_s = None if watchdog_s is None else min(0.25, max(0.05, watchdog_s / 4.0))
+        self.max_retries = max_retries
+        self.report = report
+        self.tracer = _telemetry.TRACER if _telemetry.ENABLED else None
+        self.context = _fork_preferring_context()
+        # one heartbeat and pid slot per chunk, shared by every pool: the
+        # watchdog reads them, and a broken pool's stamps tell the chunks
+        # that started in it from those that never did.  lock=False — each
+        # slot has a single writer (the worker running that chunk) and a
+        # reader that tolerates a torn double (worst case: one late poll).
+        self.heartbeats = self.context.Array("d", len(chunks), lock=False)
+        self.pids = self.context.Array("l", len(chunks), lock=False)
 
-    armed = fault_plan is not None and fault_plan.any_faults()
+    def run(self) -> None:
+        if self.fault_plan is not None:
+            os.environ[FAULT_PLAN_ENV] = self.fault_plan.to_json()
+        try:
+            breaks = 0
+            while self.remaining:
+                started = self._pool(sorted(self.remaining), self.workers)
+                if started is None:
+                    break
+                breaks += 1
+                if self.tracer is not None:
+                    self.tracer.event(
+                        "pool_broken", breaks=breaks,
+                        surviving_chunks=len(self.remaining),
+                        started_chunks=len(started),
+                    )
+                delay = min(2.0, BACKOFF_S * 2 ** (breaks - 1))
+                time.sleep(delay * (1.0 + 0.5 * random.Random(breaks).random()))
+                for index in started:
+                    if (
+                        self._strike(index, "worker process died mid-chunk", "chunk_interrupted")
+                        and self._pool([index], 1) is not None
+                    ):
+                        self._crash(index, "worker process died with the chunk alone in its pool")
+                if self.remaining:
+                    self.report.pool_reforms += 1
+        except _NoPool as exc:
+            logger.error(
+                "cannot create a worker pool (%s); degrading %d chunks to "
+                "serial in-process execution", exc, len(self.remaining),
+            )
+            for index in sorted(self.remaining):
+                self._run_serially(index)
+        finally:
+            if self.fault_plan is not None:
+                os.environ.pop(FAULT_PLAN_ENV, None)
 
-    def _note_planned_fault(index: int, attempt: int) -> None:
-        # a crashing/hanging worker can never report its own injection, so
-        # the parent mirrors the (deterministic) roll at dispatch time
-        if not armed:
+    def _pool(self, indices: List[int], size: int) -> Optional[List[int]]:
+        """Run chunks ``indices`` in a fresh pool of ``size`` workers.
+
+        Submits the chunks, polls them, runs the heartbeat watchdog and
+        settles every result, resubmitting a failed or corrupt chunk while
+        its budget lasts.  Returns ``None`` once every chunk is settled, or —
+        when the pool broke — the chunks that had started in it: those that
+        stamped a heartbeat since their dispatch or were killed by the
+        watchdog (every chunk it still held, if none had).  Raises
+        :class:`_NoPool` when the pool cannot be created.
+        """
+        try:
+            pool = ProcessPoolExecutor(
+                max_workers=size, mp_context=self.context,
+                initializer=_injector.arm_pool_worker,
+                initargs=(self.heartbeats, self.pids),
+            )
+        except OSError as exc:
+            raise _NoPool(exc) from exc
+        futures: Dict[Any, int] = {}
+        dispatched: Dict[int, float] = {}  # unsettled chunk -> dispatch time
+        killed: Set[int] = set()
+        broken = False
+
+        def submit(index: int) -> None:
+            nonlocal broken
+            # stamped before the submit, so the worker's first beat is later
+            dispatched[index] = time.monotonic()
+            try:
+                future = pool.submit(
+                    _execute_chunk, self.remaining[index], *self.job,
+                    index, self.attempts[index],
+                )
+            except BrokenProcessPool:
+                broken = True
+                return
+            except OSError as exc:  # the first submit starts the workers
+                raise _NoPool(exc) from exc
+            self._note_planned_fault(index)
+            futures[future] = index
+
+        with pool:
+            for index in indices:
+                if broken:
+                    break
+                submit(index)
+            while futures:
+                finished, _ = wait(futures, timeout=self.poll_s, return_when=FIRST_COMPLETED)
+                for future in finished:
+                    index = futures.pop(future)
+                    try:
+                        result = future.result()
+                    except BrokenProcessPool:
+                        broken = True
+                        continue
+                    except Exception as exc:  # noqa: BLE001 — keep going
+                        detail, event = f"{type(exc).__name__}: {exc}", "chunk_failed"
+                    else:
+                        expected = {spec.get("run_id") for spec in self.remaining[index]}
+                        if {record.get("run_id") for record in result["records"]} == expected:
+                            del dispatched[index]
+                            self.remaining.pop(index)
+                            self.settle(result, index)
+                            continue
+                        # mangled run ids: the signature of a corrupting worker
+                        self.report.corrupt_chunks += 1
+                        detail, event = "worker returned corrupted records", "chunk_corrupt"
+                    del dispatched[index]
+                    if self._strike(index, detail, event) and not broken:
+                        submit(index)
+                if broken or self.watchdog_s is None:
+                    continue
+                now = time.monotonic()
+                for index in futures.values():
+                    stamp = self.heartbeats[index]
+                    pid = int(self.pids[index])
+                    # only a stamp made since this dispatch is live: a chunk
+                    # still queued is not hung, and an older stamp's pid may
+                    # have been recycled
+                    if (
+                        index in killed or stamp < dispatched[index]
+                        or now - stamp <= self.watchdog_s or pid <= 0
+                    ):
+                        continue
+                    logger.warning(
+                        "watchdog: chunk %d silent for %.2fs (> %.2fs); "
+                        "killing worker %d", index, now - stamp, self.watchdog_s, pid,
+                    )
+                    self.report.watchdog_kills += 1
+                    killed.add(index)
+                    if self.tracer is not None:
+                        self.tracer.event(
+                            "watchdog_kill", index=index, pid=pid,
+                            silent_s=round(now - stamp, 3),
+                        )
+                    try:
+                        os.kill(pid, signal.SIGKILL)  # breaks the pool
+                    except ProcessLookupError:
+                        pass  # already gone; the pool will notice
+        if not broken:
+            return None
+        started = [
+            index for index, at in sorted(dispatched.items())
+            if self.heartbeats[index] >= at or index in killed
+        ]
+        return started or sorted(dispatched)
+
+    def _note_planned_fault(self, index: int) -> None:
+        # a crashing or hanging worker can never report its own injection,
+        # so the parent mirrors the (deterministic) roll at dispatch time
+        if self.fault_plan is None:
             return
-        fault = fault_plan.fault_for(index, attempt)
+        attempt = self.attempts[index]
+        fault = self.fault_plan.fault_for(index, attempt)
         if fault is None:
             return
-        report.faults_injected += 1
-        report.fault_kinds[fault] = report.fault_kinds.get(fault, 0) + 1
-        if tracer is not None:
-            tracer.event("fault_planned", index=index, attempt=attempt, kind=fault)
+        self.report.faults_injected += 1
+        self.report.fault_kinds[fault] = self.report.fault_kinds.get(fault, 0) + 1
+        if self.tracer is not None:
+            self.tracer.event("fault_planned", index=index, attempt=attempt, kind=fault)
 
-    def _fail_or_retry(index: int, detail: str, event: str) -> None:
-        # one strike against `index`; past the budget its runs are recorded
-        # as crashed placeholders, otherwise it re-enters the next generation
-        chunk = remaining[index]
-        attempts[index] += 1
-        if attempts[index] > max_retries:
-            remaining.pop(index)
-            logger.error(
-                "chunk %d (%d runs) failed %d times (%s); recording crashed "
-                "placeholders", index, len(chunk), attempts[index], detail,
+    def _strike(self, index: int, detail: str, event: str) -> bool:
+        """Count a failed attempt of chunk ``index``; ``True`` while it may
+        run again, else its runs are recorded ``crashed``."""
+        self.attempts[index] += 1
+        if self.attempts[index] > self.max_retries:
+            self._crash(index, detail)
+            return False
+        self.report.retries += 1
+        runs = len(self.remaining[index])
+        logger.warning(
+            "chunk %d (%d runs) will be re-dispatched (attempt %d/%d): %s",
+            index, runs, self.attempts[index] + 1, self.max_retries + 1, detail,
+        )
+        if self.tracer is not None:
+            self.tracer.event(
+                event, index=index, runs=runs, attempt=self.attempts[index], error=detail,
             )
-            if tracer is not None:
-                tracer.event(
-                    "chunk_crashed", index=index, runs=len(chunk), error=detail,
-                )
-            absorb(_crashed_records(chunk, detail))
-        else:
-            report.retries += 1
-            logger.warning(
-                "chunk %d (%d runs) will be re-dispatched (attempt %d/%d): %s",
-                index, len(chunk), attempts[index] + 1, max_retries + 1, detail,
-            )
-            if tracer is not None:
-                tracer.event(
-                    event, index=index, runs=len(chunk),
-                    attempt=attempts[index], error=detail,
-                )
+        return True
 
-    def _run_serially(index: int, chunk: List[Dict[str, Any]]) -> None:
-        # last rung: no pool at all — execute in-process (faults never arm
-        # here; a crash sentinel becomes an error record, not a dead parent)
-        report.degraded_serial += 1
-        if tracer is not None:
-            tracer.event("degraded_serial", index=index, runs=len(chunk))
+    def _crash(self, index: int, detail: str) -> None:
+        chunk = self.remaining.pop(index)
+        logger.error(
+            "chunk %d (%d runs): %s; recording crashed placeholders",
+            index, len(chunk), detail,
+        )
+        if self.tracer is not None:
+            self.tracer.event("chunk_crashed", index=index, runs=len(chunk), error=detail)
+        self.settle({"records": _crashed_records(chunk, detail)}, index)
+
+    def _run_serially(self, index: int) -> None:
+        # the last rung: no pool at all, so execute in-process (faults never
+        # arm here; a crash sentinel becomes an error record, not a dead parent)
+        chunk = self.remaining.pop(index)
+        self.report.degraded_serial += 1
+        if self.tracer is not None:
+            self.tracer.event("degraded_serial", index=index, runs=len(chunk))
         try:
-            result = _run_chunk_with_stats(chunk, timeout_s, engine, collect=collect)
+            result = _run_chunk_with_stats(chunk, *self.job)
         except Exception as exc:  # noqa: BLE001 — keep the campaign alive
             logger.error(
                 "chunk %d (%d runs) failed even in serial fallback",
                 index, len(chunk), exc_info=exc,
             )
-            absorb(_crashed_records(chunk, f"{type(exc).__name__}: {exc}"))
-            return
-        absorb_chunk_result(result, index)
-
-    def _handle_success(index: int, result: Dict[str, Any]) -> bool:
-        # reject results whose run ids don't match the dispatched specs —
-        # the signature of a corrupting worker; True = chunk settled
-        got_ids = {record.get("run_id") for record in result["records"]}
-        if got_ids != expected_ids[index]:
-            report.corrupt_chunks += 1
-            _fail_or_retry(index, "worker returned corrupted records", "chunk_corrupt")
-            return index not in remaining
-        absorb_chunk_result(result, index)
-        remaining.pop(index)
-        return True
-
-    if armed:
-        os.environ[FAULT_PLAN_ENV] = fault_plan.to_json()
-    try:
-        _run_pool_generations(
-            remaining, workers, timeout_s, engine, collect, context,
-            heartbeats, pids, attempts, watchdog_s, backoff_s,
-            max_pool_reforms, report, tracer, absorb,
-            _note_planned_fault, _fail_or_retry, _handle_success, _run_serially,
-        )
-    finally:
-        if armed:
-            os.environ.pop(FAULT_PLAN_ENV, None)
-
-
-def _run_pool_generations(
-    remaining: Dict[int, List[Dict[str, Any]]],
-    workers: int,
-    timeout_s: Optional[float],
-    engine: str,
-    collect: bool,
-    context,
-    heartbeats,
-    pids,
-    attempts: Dict[int, int],
-    watchdog_s: Optional[float],
-    backoff_s: float,
-    max_pool_reforms: int,
-    report: CampaignReport,
-    tracer,
-    absorb: Callable[[List[Dict[str, Any]]], None],
-    note_planned_fault: Callable[[int, int], None],
-    fail_or_retry: Callable[[int, str, str], None],
-    handle_success: Callable[[int, Dict[str, Any]], bool],
-    run_serially: Callable[[int, List[Dict[str, Any]]], None],
-) -> None:
-    """The generation loop behind :func:`_run_pooled` (shared-pool rungs)."""
-    poll_s = None
-    if watchdog_s is not None:
-        poll_s = min(0.25, max(0.05, watchdog_s / 4.0))
-    pool_reforms_used = 0
-    generation = 0
-    degraded = False
-
-    while remaining:
-        generation += 1
-        try:
-            pool = ProcessPoolExecutor(
-                max_workers=workers, mp_context=context,
-                initializer=_injector.arm_pool_worker,
-                initargs=(heartbeats, pids),
-            )
-        except OSError as exc:
-            logger.error(
-                "cannot create a worker pool (%s); degrading %d chunks to "
-                "serial in-process execution", exc, len(remaining),
-            )
-            degraded = True
-            break
-        gen_start = time.monotonic()
-        pool_broke = False
-        killed: Set[int] = set()
-        with pool:
-            futures = {}
-            for index in sorted(remaining):
-                try:
-                    future = pool.submit(
-                        _execute_chunk, remaining[index], timeout_s, engine,
-                        collect, index, attempts[index],
-                    )
-                except BrokenProcessPool:
-                    # an already-dispatched chunk killed its worker before
-                    # the dispatch loop even finished; stop submitting —
-                    # undispatched chunks never started, so they keep their
-                    # full budget for the next generation
-                    pool_broke = True
-                    break
-                note_planned_fault(index, attempts[index])
-                futures[future] = index
-            not_done = set(futures)
-            while not_done:
-                finished, not_done = wait(
-                    not_done, timeout=poll_s, return_when=FIRST_COMPLETED
-                )
-                if watchdog_s is not None and not_done:
-                    now = time.monotonic()
-                    for future in not_done:
-                        index = futures[future]
-                        stamp = heartbeats[index]
-                        pid = int(pids[index])
-                        # only stamps from *this* generation are live: a
-                        # stale stamp + recycled pid must never be killed
-                        if (
-                            index not in killed
-                            and stamp >= gen_start
-                            and now - stamp > watchdog_s
-                            and pid > 0
-                        ):
-                            logger.warning(
-                                "watchdog: chunk %d silent for %.2fs "
-                                "(> %.2fs); killing worker %d",
-                                index, now - stamp, watchdog_s, pid,
-                            )
-                            report.watchdog_kills += 1
-                            killed.add(index)
-                            if tracer is not None:
-                                tracer.event(
-                                    "watchdog_kill", index=index, pid=pid,
-                                    silent_s=round(now - stamp, 3),
-                                )
-                            try:
-                                os.kill(pid, signal.SIGKILL)
-                            except ProcessLookupError:
-                                pass  # already gone; the pool will notice
-                for future in finished:
-                    index = futures[future]
-                    try:
-                        result = future.result()
-                    except BrokenProcessPool:
-                        pool_broke = True
-                        continue  # stays in `remaining` for the next rung
-                    except Exception as exc:  # noqa: BLE001 — keep going
-                        fail_or_retry(
-                            index, f"{type(exc).__name__}: {exc}", "chunk_failed"
-                        )
-                        continue
-                    handle_success(index, result)
-                if pool_broke:
-                    break
-        if not remaining:
-            return
-        if pool_broke:
-            pool_reforms_used += 1
-            report.pool_reforms += 1
-            # strike only the chunks that actually started in the broken
-            # generation — the guilty crash/hang plus in-flight casualties;
-            # never-started chunks keep their full budget
-            started = sorted(
-                index for index in remaining
-                if heartbeats[index] >= gen_start or index in killed
-            )
-            if tracer is not None:
-                tracer.event(
-                    "pool_broken", generation=generation,
-                    surviving_chunks=len(remaining), started_chunks=len(started),
-                )
-            for index in started:
-                if index in remaining:
-                    fail_or_retry(index, "worker process died mid-chunk", "chunk_interrupted")
-            if pool_reforms_used > max_pool_reforms:
-                logger.warning(
-                    "pool reform budget exhausted (%d); retrying %d surviving "
-                    "chunks in quarantine", max_pool_reforms, len(remaining),
-                )
-                break
-        if remaining:
-            # exponential backoff with deterministic jitter before reforming
-            delay = min(2.0, backoff_s * (2 ** (generation - 1)))
-            delay *= 1.0 + 0.5 * random.Random(generation).random()
-            time.sleep(delay)
-
-    # quarantine: isolate each surviving chunk in a throwaway pool
-    for index in sorted(remaining):
-        if degraded:
-            break
-        chunk = remaining.pop(index)
-        note_planned_fault(index, attempts[index])
-        if tracer is not None:
-            tracer.event("quarantine_retry", index=index, runs=len(chunk))
-        try:
-            quarantine = ProcessPoolExecutor(
-                max_workers=1, mp_context=context,
-                initializer=_injector.arm_pool_worker,
-                initargs=(heartbeats, pids),
-            )
-        except OSError as exc:
-            logger.error(
-                "cannot create a quarantine pool (%s); degrading to serial "
-                "in-process execution", exc,
-            )
-            degraded = True
-            remaining[index] = chunk
-            break
-        try:
-            with quarantine:
-                future = quarantine.submit(
-                    _execute_chunk, chunk, timeout_s, engine, collect,
-                    index, attempts[index],
-                )
-                result = _await_quarantined(
-                    future, index, heartbeats, pids, watchdog_s, poll_s,
-                    report, tracer,
-                )
-        except Exception as exc:  # noqa: BLE001 — BrokenProcessPool included
-            logger.error(
-                "chunk %d (%d runs) killed its quarantine pool; recording "
-                "crashed placeholders", index, len(chunk), exc_info=exc,
-            )
-            if tracer is not None:
-                tracer.event(
-                    "chunk_crashed", index=index, runs=len(chunk),
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            absorb(_crashed_records(
-                chunk, f"worker process died: {type(exc).__name__}: {exc}"
-            ))
-            continue
-        remaining[index] = chunk
-        if handle_success(index, result):
-            continue
-        # corrupt result in quarantine past the retry budget was already
-        # settled by handle_success/fail_or_retry; if the chunk survived
-        # with budget left, spend the rest of it serially — the quarantine
-        # rung is the end of pooled dispatch
-        if index in remaining:
-            run_serially(index, remaining.pop(index))
-
-    # serial degradation: the very last rung
-    if degraded:
-        for index in sorted(remaining):
-            run_serially(index, remaining.pop(index))
-
-
-def _await_quarantined(
-    future,
-    index: int,
-    heartbeats,
-    pids,
-    watchdog_s: Optional[float],
-    poll_s: Optional[float],
-    report: CampaignReport,
-    tracer,
-):
-    """Wait on a quarantine future, watchdogging the hung-worker case."""
-    if watchdog_s is None:
-        return future.result()
-    q_start = time.monotonic()
-    already_killed = False
-    while True:
-        finished, _ = wait([future], timeout=poll_s)
-        if finished:
-            return future.result()
-        now = time.monotonic()
-        stamp = heartbeats[index]
-        reference = stamp if stamp >= q_start else q_start
-        pid = int(pids[index]) if stamp >= q_start else 0
-        # a worker that has not stamped yet is still starting up, not hung —
-        # its pid slot may hold a dead predecessor, which must not be killed
-        if not already_killed and now - reference > watchdog_s and pid > 0:
-            already_killed = True
-            report.watchdog_kills += 1
-            logger.warning(
-                "watchdog: quarantined chunk %d silent for %.2fs; "
-                "killing worker %d", index, now - reference, pid,
-            )
-            if tracer is not None:
-                tracer.event(
-                    "watchdog_kill", index=index, pid=pid,
-                    silent_s=round(now - reference, 3),
-                )
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
-            # the kill breaks the private pool; the next wait() returns the
-            # future as failed and future.result() raises BrokenProcessPool
+            result = {"records": _crashed_records(chunk, f"{type(exc).__name__}: {exc}")}
+        self.settle(result, index)

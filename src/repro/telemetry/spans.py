@@ -17,7 +17,7 @@ Event kinds written to the sidecar (all share ``kind``):
     ``parent_id`` is ``None`` for roots and ``depth`` counts enclosing spans.
 ``event``
     ``{"kind", "name", "t", "attrs"}`` — a point-in-time marker (chunk
-    crashes, quarantine retries, campaign summaries).
+    crashes, pool breaks, campaign summaries).
 ``scenario``
     ``{"kind", "t", "run_id", "engine", "status", "family", "algorithm",
     "wall_s"}`` — one flat record per executed run, emitted by the executor.

@@ -518,6 +518,9 @@ class TestSweepAndReport:
         ["--node-faults", "-1"],
         ["--chunk-size", "0"],
         ["--chunk-size", "-3"],
+        ["--watchdog", "0", "--workers", "2"],
+        ["--watchdog", "-1", "--workers", "2"],
+        ["--max-retries", "-1", "--workers", "2"],
         ["--replicates", "-1"],
         ["--sizes", "5", "--max-steps", "-1"],
     ])

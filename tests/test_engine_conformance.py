@@ -56,8 +56,8 @@ def scenario_specs(draw) -> ScenarioSpec:
     if family == "geometric" and delay_model is None and traffic is None:
         failure_models.append("mobility")
     failure_model = draw(st.sampled_from(failure_models))
-    # a data-plane run injects for max_steps slots, or 512 when it is unset
-    # or 0: short runs keep the sample fast
+    # a data-plane run injects for max_steps slots, or 512 when it is
+    # unset: short runs keep the sample fast
     max_steps = st.none() | st.integers(min_value=0, max_value=64)
     if plane == "packet":
         max_steps = st.integers(min_value=1, max_value=64)
@@ -94,6 +94,23 @@ def test_every_engine_conforms(spec):
     spec.validate()
     for name, engine in ENGINE_REGISTRY.items():
         _assert_conforms(engine, execute_scenario(spec, engine=name), spec)
+
+
+def test_zero_step_budget_is_a_budget_on_every_engine():
+    # max_steps=0 runs nothing anywhere; it never means "use the default"
+    base = dict(family="chain", size=8, algorithm="pr", scheduler="greedy",
+                topology_seed=1, scheduler_seed=2, max_steps=0)
+    for name in ("kernel", "legacy"):
+        record = execute_scenario(ScenarioSpec(**base), engine=name)
+        assert (record["status"], record["converged"], record["steps_taken"]) == (
+            "ok", False, 0), name
+    record = execute_scenario(ScenarioSpec(delay_model="uniform", **base))
+    assert (record["engine"], record["status"]) == ("async", "ok")
+    assert record["converged"] is False
+    assert record["events_dispatched"] == 0
+    record = execute_scenario(ScenarioSpec(traffic="steady", **base))
+    assert (record["engine"], record["status"]) == ("dataplane", "ok")
+    assert record["packets_injected"] == 0
 
 
 def _assert_conforms(engine, record, spec) -> None:

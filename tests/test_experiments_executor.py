@@ -284,6 +284,17 @@ class TestRunCampaign:
         assert store.count() == 0
         assert not list(store.shard_dir.glob("shard-*"))
 
+    @pytest.mark.parametrize("knob", [
+        dict(watchdog_s=0.0), dict(watchdog_s=-1.0), dict(max_retries=-1),
+    ])
+    def test_bad_pool_knob_is_rejected_before_the_store(self, tmp_path, knob):
+        store = ResultStore(tmp_path)
+        with pytest.raises(ValueError, match=next(iter(knob))):
+            run_campaign(self._campaign(), store, workers=2, **knob)
+        assert store.load_campaign() is None
+        assert store.count() == 0
+        assert not list(store.shard_dir.glob("shard-*"))
+
     def test_per_run_timeout_in_campaign(self, tmp_path):
         store = ResultStore(tmp_path)
         campaign = self._campaign(families=("chain",), sizes=(80,), algorithms=("fr",),

@@ -9,7 +9,7 @@ import pytest
 
 from repro.experiments import resolve_engine
 from repro.experiments.engines import ENGINE_AUTO, get_engine
-from repro.experiments.executor import run_campaign
+from repro.experiments.executor import _fork_preferring_context, run_campaign
 from repro.experiments.runner import execute_scenario
 from repro.experiments.spec import CampaignSpec, ScenarioSpec
 from repro.experiments.store import ResultStore
@@ -107,7 +107,7 @@ class TestSelfHealingExecutor:
         campaign = self._campaign()
         report = run_campaign(
             campaign, chaos_store, workers=2, chunk_size=2,
-            fault_plan=plan, watchdog_s=1.0, backoff_s=0.01,
+            fault_plan=plan, watchdog_s=1.0,
         )
         run_campaign(campaign, clean_store, workers=2, chunk_size=2)
 
@@ -122,7 +122,7 @@ class TestSelfHealingExecutor:
         store = ResultStore(tmp_path)
         report = run_campaign(
             self._campaign(sizes=(4,)), store, workers=2, chunk_size=2,
-            fault_plan=plan, watchdog_s=0.5, backoff_s=0.01,
+            fault_plan=plan, watchdog_s=0.5,
         )
         assert report.ok == report.executed == 4
         assert report.watchdog_kills >= 1
@@ -133,7 +133,7 @@ class TestSelfHealingExecutor:
         store = ResultStore(tmp_path)
         report = run_campaign(
             self._campaign(sizes=(4,)), store, workers=2, chunk_size=2,
-            fault_plan=plan, backoff_s=0.01,
+            fault_plan=plan,
         )
         assert report.ok == 4
         assert report.corrupt_chunks == 2
@@ -141,21 +141,40 @@ class TestSelfHealingExecutor:
         assert not any("__corrupt__" in r["run_id"] for r in store.records())
 
     def test_repeated_pool_breakage_exhausts_retries(self, tmp_path):
-        # every attempt of every chunk crashes: reform budget and retry
-        # budgets are both exhausted, yet the campaign completes unattended
-        # with honest crashed records instead of hanging or raising
+        # every attempt of every chunk crashes: each chunk that started in
+        # a broken shared pool crashes again alone, yet the campaign
+        # completes unattended with honest crashed records instead of
+        # hanging or raising
         plan = FaultPlan(seed=1, crash=1.0, strikes=99)
         store = ResultStore(tmp_path)
         report = run_campaign(
             self._campaign(sizes=(4, 6), algorithms=("pr",)),
             store, workers=2, chunk_size=1,
-            fault_plan=plan, max_retries=1, backoff_s=0.01, max_pool_reforms=1,
+            fault_plan=plan, max_retries=1,
         )
         assert report.executed == 4
         assert report.crashed == 4
         assert report.ok == 0
         assert report.pool_reforms >= 1
         assert all(r["status"] == "crashed" for r in store.records())
+
+    def test_chunk_that_hangs_alone_is_crashed_by_the_watchdog(self, tmp_path):
+        # chunk 0 hangs on every attempt: the watchdog kills it in the
+        # shared pool, then again in the one-worker pool it reruns in, and
+        # only its runs are recorded crashed
+        plan = FaultPlan(seed=1, overrides={0: "hang"}, strikes=99)
+        store = ResultStore(tmp_path)
+        campaign = self._campaign(sizes=(4,))
+        report = run_campaign(
+            campaign, store, workers=2, chunk_size=2,
+            fault_plan=plan, watchdog_s=0.5,
+        )
+        chunk0 = {spec.run_id for spec in list(campaign.expand())[:2]}
+        statuses = {r["run_id"]: r["status"] for r in store.records()}
+        assert len(statuses) == report.executed == 4
+        assert {rid for rid, status in statuses.items() if status == "crashed"} == chunk0
+        assert all(status == "ok" for rid, status in statuses.items() if rid not in chunk0)
+        assert report.watchdog_kills >= 2
 
     def test_degrades_to_serial_when_pool_unavailable(self, tmp_path, monkeypatch):
         def no_pool(*args, **kwargs):
@@ -170,6 +189,20 @@ class TestSelfHealingExecutor:
         )
         assert report.ok == report.executed == 4
         assert report.degraded_serial == 2  # every chunk ran in-process
+
+    def test_degrades_to_serial_when_workers_cannot_start(self, tmp_path, monkeypatch):
+        # a failed fork surfaces from the pool's first submit, not its
+        # constructor, and takes the same way out
+        def no_start(self):
+            raise OSError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(_fork_preferring_context().Process, "start", no_start)
+        store = ResultStore(tmp_path)
+        report = run_campaign(
+            self._campaign(sizes=(4,)), store, workers=2, chunk_size=2,
+        )
+        assert report.ok == report.executed == 4
+        assert report.degraded_serial == 2
 
     def test_timeout_and_hang_are_distinct(self, tmp_path):
         # a per-run timeout is an in-worker deadline: the record says
@@ -190,7 +223,7 @@ class TestSelfHealingExecutor:
             self._campaign(sizes=(4,), algorithms=("pr",)),
             hang_store, workers=2, chunk_size=4,
             fault_plan=FaultPlan(seed=1, overrides={0: "hang"}),
-            watchdog_s=0.5, backoff_s=0.01,
+            watchdog_s=0.5,
         )
         assert report.watchdog_kills == 1
         assert report.timeouts == 0
