@@ -368,7 +368,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         print(f"transitions   : {report.transitions_explored}")
         print(f"max depth     : {report.max_depth}")
         print(f"quiescent     : {report.quiescent_states}")
-        print("engine        : " + ("compiled" if report.vectorized else "generic")
+        print("engine        : " + ("compiled" if report.vectorized else "reference")
               + (" [symmetry-reduced]" if report.symmetry_reduced else "")
               + (" [spilled]" if report.spilled else ""))
         print(f"wall time     : {report.wall_time_s:.2f}s")

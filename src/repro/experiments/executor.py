@@ -56,7 +56,7 @@ from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from multiprocessing import get_all_start_methods, get_context
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import telemetry as _telemetry
 from repro.faults import injector as _injector
@@ -106,7 +106,8 @@ class CampaignReport:
     #: Chunk results rejected because their records' run ids were mangled.
     corrupt_chunks: int = 0
     #: Faults the active :class:`~repro.faults.plan.FaultPlan` injected
-    #: (counted on the dispatch side — a crashed worker can't report).
+    #: (counted on the dispatch side — a crashed worker can't report —
+    #: once per ``(chunk, attempt)``).
     faults_injected: int = 0
     #: Planned injections per fault kind (subset of ``faults_injected``).
     fault_kinds: Dict[str, int] = field(default_factory=dict)
@@ -548,6 +549,7 @@ class _PooledDispatch:
         self.poll_s = None if watchdog_s is None else min(0.25, max(0.05, watchdog_s / 4.0))
         self.max_retries = max_retries
         self.report = report
+        self.planned: Set[Tuple[int, int]] = set()  # (index, attempt) counted
         self.tracer = _telemetry.TRACER if _telemetry.ENABLED else None
         self.context = _fork_preferring_context()
         # one heartbeat and pid slot per chunk, shared by every pool: the
@@ -704,10 +706,13 @@ class _PooledDispatch:
 
     def _note_planned_fault(self, index: int) -> None:
         # a crashing or hanging worker can never report its own injection,
-        # so the parent mirrors the (deterministic) roll at dispatch time
-        if self.fault_plan is None:
-            return
+        # so the parent mirrors the (deterministic) roll at dispatch time;
+        # a chunk that never started in a broken pool is resubmitted with
+        # the same attempt, and that planned fault is counted once
         attempt = self.attempts[index]
+        if self.fault_plan is None or (index, attempt) in self.planned:
+            return
+        self.planned.add((index, attempt))
         fault = self.fault_plan.fault_for(index, attempt)
         if fault is None:
             return

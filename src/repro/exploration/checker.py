@@ -6,34 +6,36 @@ directly on signature rows from :mod:`repro.kernels.vector` (no state
 materialisation on the hot path), and offers:
 
 * **per-state invariant hooks** — the bundles from
-  :mod:`repro.verification.invariants` plus two built-in signature-level
-  checks: ``acyclic`` (Theorems 4.3/5.5, checked with a bit-parallel Kahn
-  peel) and ``progress`` (every quiescent state is destination oriented —
-  the termination/goal condition of link reversal);
-* **counterexample extraction** — predecessor pointers are kept per state,
-  and any predicate violation is reconstructed into a replayable
+  :mod:`repro.verification.invariants` plus two built-in checks, run on
+  signatures by the compiled loop: ``acyclic`` (Theorems 4.3/5.5, checked
+  with a bit-parallel Kahn peel) and ``progress`` (every quiescent state is
+  destination oriented — the termination/goal condition of link reversal);
+* **counterexample extraction** — predecessor pointers are kept per state
+  (an action path per queued state on the reference loop), and any
+  predicate violation is reconstructed into a replayable
   :class:`~repro.exploration.counterexample.CounterexampleTrace`;
 * **twin-node symmetry reduction** (``symmetry=True``) and a **disk-spilled
   visited set** (``spill_threshold=...``) for explorations beyond what
   memory can hold.
 
-There are two loops.  The compiled loop expands one whole BFS level per
-round through the batch kernels; it runs PR / OneStepPR / NewPR / FR on
-instances of at most :data:`~repro.kernels.vector.MAX_NODES` nodes, with
-signatures of any width.  The generic loop materialises states and serves
-every other automaton and larger instance (no spill, no symmetry).  Both
-match the reference :class:`~repro.exploration.state_space
-.StateSpaceExplorer` exactly — same BFS order, same
-state/transition/depth/quiescence accounting, same truncation behaviour,
-same failure order — which the differential regression tests pin down.
+There is one compiled loop.  It expands one whole BFS level per round
+through the batch kernels; it runs PR / OneStepPR / NewPR / FR on instances
+of at most :data:`~repro.kernels.vector.MAX_NODES` nodes, with signatures of
+any width.  Every other automaton and larger instance (BLL, say) runs on the
+reference :class:`~repro.exploration.state_space.StateSpaceExplorer` itself,
+with the built-in checks handed to it as ordinary predicates (no spill, no
+symmetry).  The compiled loop matches the explorer exactly — same BFS order,
+same state/transition/depth/quiescence accounting, same truncation
+behaviour, same failure order — which the differential regression tests pin
+down.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import time
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Any, Dict, Hashable, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
@@ -41,7 +43,15 @@ import numpy as np
 from repro import telemetry as _telemetry
 from repro.automata.ioa import IOAutomaton
 from repro.exploration.counterexample import CounterexampleTrace
-from repro.exploration.frontier import VisitedSet, compile_expander
+from repro.exploration.frontier import VisitedSet
+from repro.exploration.state_space import (
+    ExplorationReport,
+    PredicateFailure,
+    StatePredicate,
+    StateSpaceExplorer,
+    _predicate_outcome,
+)
+from repro.kernels.signature import compile_expander
 from repro.kernels.vector import (
     MAX_NODES,
     compile_vector_expander,
@@ -52,15 +62,12 @@ from repro.kernels.vector import (
     row_ints,
     row_keys,
 )
-from repro.exploration.state_space import (
-    PredicateFailure,
-    StatePredicate,
-    _predicate_outcome,
-)
+from repro.verification.properties import check_destination_oriented_at_quiescence
 
 logger = logging.getLogger(__name__)
 
-#: Built-in predicate names (checked on the signature level, no decoding).
+#: Built-in predicate names (the compiled loop checks them on the signature
+#: level, without decoding).
 ACYCLIC = "acyclic"
 PROGRESS = "progress"
 
@@ -73,16 +80,10 @@ _ACYCLIC_BATCH = 4096
 
 
 @dataclass
-class CheckReport:
-    """Outcome of one :meth:`ModelChecker.run` invocation."""
+class CheckReport(ExplorationReport):
+    """Outcome of one :meth:`ModelChecker.run`: the explorer's report plus
+    the fields only the checker fills in."""
 
-    automaton_name: str
-    states_explored: int = 0
-    transitions_explored: int = 0
-    quiescent_states: int = 0
-    truncated: bool = False
-    max_depth: int = 0
-    failures: List[PredicateFailure] = field(default_factory=list)
     predicate_names: Tuple[str, ...] = ()
     symmetry_reduced: bool = False
     spilled: bool = False
@@ -94,27 +95,16 @@ class CheckReport:
     #: Visited-set spill/compaction counters (telemetry surface, not stored).
     spill_stats: Optional[Dict[str, int]] = None
 
-    @property
-    def all_predicates_hold(self) -> bool:
-        """Whether no predicate was violated on any explored state."""
-        return not self.failures
-
     def __str__(self) -> str:
-        status = "OK" if self.all_predicates_hold else f"{len(self.failures)} FAILURE(S)"
-        suffix = " (truncated)" if self.truncated else ""
-        extras = []
-        if self.symmetry_reduced:
-            extras.append("symmetry-reduced")
-        if self.vectorized:
-            extras.append("vectorised")
-        if self.spilled:
-            extras.append("spilled")
+        extras = [
+            label for label, present in (
+                ("symmetry-reduced", self.symmetry_reduced),
+                ("vectorised", self.vectorized),
+                ("spilled", self.spilled),
+            ) if present
+        ]
         extra = f" [{', '.join(extras)}]" if extras else ""
-        return (
-            f"[{self.automaton_name}] {self.states_explored} states, "
-            f"{self.transitions_explored} transitions, depth {self.max_depth}, "
-            f"{self.quiescent_states} quiescent — {status}{suffix}{extra}"
-        )
+        return super().__str__() + extra
 
     def to_record(self, **extra: Any) -> Dict[str, Any]:
         """Flat JSON-safe record for the experiments result store.
@@ -205,7 +195,8 @@ class ModelChecker:
     automaton:
         The automaton to explore.  PR / OneStepPR / NewPR / FR on at most
         :data:`~repro.kernels.vector.MAX_NODES` nodes run on the compiled
-        loop; anything else uses the generic state-materialising loop.
+        loop; anything else runs on the reference
+        :class:`~repro.exploration.state_space.StateSpaceExplorer`.
     predicates:
         Named state predicates (the bundles from
         :mod:`repro.verification.invariants`), evaluated on every newly
@@ -223,8 +214,13 @@ class ModelChecker:
         :mod:`repro.kernels.signature` for the argument and caveats.
         Compiled loop only.
     check_acyclicity / check_progress:
-        Built-in signature-level checks: every state's orientation is a DAG;
-        every quiescent state is destination oriented.
+        Built-in checks: every state's orientation is a DAG; every quiescent
+        state is destination oriented.  The compiled loop runs them on
+        signatures; the reference loop as the predicates
+        ``state.is_acyclic()`` and
+        :func:`~repro.verification.properties
+        .check_destination_oriented_at_quiescence`, and refuses states that
+        lack the ``is_acyclic`` / ``is_destination_oriented`` hooks.
     spill_threshold / spill_dir:
         Enable the disk-spilled visited set once the in-memory set reaches
         the threshold.  Compiled loop only.
@@ -233,7 +229,9 @@ class ModelChecker:
         many accumulate (``None`` disables).
     track_traces:
         Keep predecessor pointers so violations come back as replayable
-        counterexample traces.  Disable to halve memory on huge clean runs.
+        counterexample traces.  Disable to halve memory on huge clean runs
+        (the reference loop keeps its paths regardless and drops them from
+        the report).
     collect_signatures:
         Attach the full visited signature set to the report (tests only).
     max_traced_failures:
@@ -283,28 +281,27 @@ class ModelChecker:
                     raise ValueError(
                         f"{feature} requires a compiled signature kernel "
                         f"(PR, OneStepPR, NewPR or FR on at most {MAX_NODES} "
-                        f"nodes); {automaton.name!r} runs on the generic loop"
+                        f"nodes); {automaton.name!r} runs on the reference loop"
                     )
 
     # ------------------------------------------------------------------
     def run(self) -> CheckReport:
         """Explore the reachable state space and return the report."""
         start = time.perf_counter()
-        names = list(self.predicates)
-        if self.check_acyclicity:
-            names.insert(0, ACYCLIC)
-        if self.check_progress:
-            names.append(PROGRESS)
-        report = CheckReport(
-            automaton_name=self.automaton.name,
-            predicate_names=tuple(names),
-            symmetry_reduced=bool(self.symmetry and self._vector is not None
-                                  and self._expander.has_symmetry),
-        )
         if self._vector is not None:
+            names = list(self.predicates)
+            if self.check_acyclicity:
+                names.insert(0, ACYCLIC)
+            if self.check_progress:
+                names.append(PROGRESS)
+            report = CheckReport(
+                automaton_name=self.automaton.name,
+                predicate_names=tuple(names),
+                symmetry_reduced=bool(self.symmetry and self._expander.has_symmetry),
+            )
             self._run_vector(report)
         else:
-            self._run_generic(report)
+            report = self._run_reference()
         report.wall_time_s = time.perf_counter() - start
         logger.info(
             "%s: %d states, %d transitions, depth %d in %.3fs",
@@ -505,10 +502,9 @@ class ModelChecker:
     ) -> None:
         """Walk predecessor chains into traced failures.
 
-        ``parent_of(sig)`` returns the stored ``(parent, token)`` entry or
-        ``None`` (``parent_of`` itself is ``None`` when traces are off); a
-        ``None`` entry or parent ends the walk.  The compiled loop stores
-        actor tokens, the generic loop the actions themselves.
+        ``parent_of(sig)`` returns the stored ``(parent, actor token)``
+        entry or ``None`` (``parent_of`` itself is ``None`` when traces are
+        off); a ``None`` entry or parent ends the walk.
         """
         expander = self._expander
         for index, (sig, name, detail) in enumerate(raw_failures):
@@ -522,9 +518,7 @@ class ModelChecker:
                     if entry is None or entry[0] is None:
                         break
                     parent, token = entry
-                    actions.append(
-                        expander.action_for(token) if expander is not None else token
-                    )
+                    actions.append(expander.action_for(token))
                     signatures.append(parent)
                     current = parent
                 actions.reverse()
@@ -541,82 +535,49 @@ class ModelChecker:
             report.failures.append(PredicateFailure(name, trace, detail))
 
     # ------------------------------------------------------------------
-    # the generic loop: reference state-materialising BFS
+    # the reference loop, for automata without a compiled kernel
     # ------------------------------------------------------------------
-    def _run_generic(self, report: CheckReport) -> None:
+    def _run_reference(self) -> CheckReport:
+        """Run :class:`StateSpaceExplorer` with the built-in checks as predicates."""
         automaton = self.automaton
         initial = automaton.initial_state()
         # the built-in checks must not silently turn into no-ops: a report
         # listing them (and a store record claiming acyclic_final) would
         # otherwise assert something that was never evaluated
-        if self.check_acyclicity and getattr(initial, "is_acyclic", None) is None:
-            raise ValueError(
-                f"check_acyclicity requires states exposing is_acyclic(); "
-                f"{type(initial).__name__} has none"
-            )
-        if self.check_progress and getattr(initial, "is_destination_oriented", None) is None:
-            raise ValueError(
-                f"check_progress requires states exposing is_destination_oriented(); "
-                f"{type(initial).__name__} has none"
-            )
-        initial_sig = initial.signature()
-        visited = {initial_sig}
-        report.states_explored = 1
-        predecessors: Optional[Dict] = {initial_sig: (None, None)} if self.track_traces else None
-        raw_failures = self._generic_state_failures(initial_sig, initial)
-
-        queue: deque = deque()
-        queue.append((initial, 0))
-        while queue:
-            state, depth = queue.popleft()
-            if depth > report.max_depth:
-                report.max_depth = depth
-            if self.single_actions_only:
-                actions = list(automaton.enabled_single_actions(state))
-            else:
-                actions = list(automaton.enabled_actions(state))
-            if not actions:
-                report.quiescent_states += 1
-                if self.check_progress and not state.is_destination_oriented():
-                    raw_failures.append(
-                        (state.signature(), PROGRESS, _PROGRESS_DETAIL)
-                    )
-                continue
-            sig = state.signature()
-            for action in actions:
-                successor = automaton.apply(state, action)
-                report.transitions_explored += 1
-                successor_sig = successor.signature()
-                if successor_sig in visited:
-                    continue
-                if report.states_explored >= self.max_states:
-                    report.truncated = True
-                    queue.clear()
-                    break
-                visited.add(successor_sig)
-                report.states_explored += 1
-                if predecessors is not None:
-                    predecessors[successor_sig] = (sig, action)
-                raw_failures.extend(
-                    self._generic_state_failures(successor_sig, successor)
+        for wanted, hook, option in (
+            (self.check_acyclicity, "is_acyclic", "check_acyclicity"),
+            (self.check_progress, "is_destination_oriented", "check_progress"),
+        ):
+            if wanted and getattr(initial, hook, None) is None:
+                raise ValueError(
+                    f"{option} requires states exposing {hook}(); "
+                    f"{type(initial).__name__} has none"
                 )
-                queue.append((successor, depth + 1))
-
+        checks: Dict[Optional[str], StatePredicate] = {}
+        if self.check_acyclicity:
+            checks[ACYCLIC] = lambda state: state.is_acyclic()
+        checks.update(self.predicates)
+        if self.check_progress:
+            checks[PROGRESS] = functools.partial(
+                check_destination_oriented_at_quiescence, automaton
+            )
+        names = tuple(checks)
+        signatures: Optional[Set[Hashable]] = None
         if self.collect_signatures:
-            report.signatures = set(visited)
-        self._attach_failures(
-            report, raw_failures, predecessors.get if predecessors is not None else None
-        )
-
-    def _generic_state_failures(self, sig, state) -> List[Tuple[Hashable, str, str]]:
-        failures: List[Tuple[Hashable, str, str]] = []
-        if self.check_acyclicity and not state.is_acyclic():
-            failures.append((sig, ACYCLIC, "directed cycle in reachable state"))
-        for name, predicate in self.predicates.items():
-            holds, detail = _predicate_outcome(predicate(state))
-            if not holds:
-                failures.append((sig, name, detail))
-        return failures
+            # a predicate sees every discovered state exactly once, so what
+            # it collects is the explorer's visited set; it never fails, and
+            # its key cannot clash with a predicate name
+            signatures = set()
+            checks[None] = lambda state: signatures.add(state.signature()) or True
+        explored = StateSpaceExplorer(
+            automaton, checks, max_states=self.max_states,
+            use_single_actions_only=self.single_actions_only,
+        ).explore()
+        report = CheckReport(**vars(explored), predicate_names=names, signatures=signatures)
+        for index, failure in enumerate(report.failures):
+            if not self.track_traces or index >= self.max_traced_failures:
+                failure.trace = replace(failure.trace, actions=(), reconstructed=False)
+        return report
 
 
 def check_exhaustively(

@@ -18,7 +18,7 @@ Two replay modes exist:
   after every step.  This is the validity check for traces extracted *with*
   symmetry reduction, where each recorded state is the canonical
   representative of the orbit actually reached (see
-  :mod:`repro.exploration.frontier` for the soundness argument).
+  :mod:`repro.kernels.signature` for the soundness argument).
 """
 
 from __future__ import annotations

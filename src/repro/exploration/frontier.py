@@ -1,9 +1,4 @@
-"""Frontier machinery for the exhaustive model checker.
-
-The compiled signature kernels that used to live here moved to
-:mod:`repro.kernels.signature` when the simulation engine started sharing
-them (they are re-exported below, so every historical import path keeps
-working).  What remains exploration-specific is the deduplication layer:
+"""The visited set of the exhaustive model checker.
 
 :class:`VisitedSet`
     The deduplication set over signature keys, batch-first: a whole
@@ -16,13 +11,8 @@ working).  What remains exploration-specific is the deduplication layer:
 
     * ``_segments`` — sorted key arrays, merged when they pile up;
     * ``_runs`` — on-disk sorted runs written whenever the in-memory layer
-      reaches ``spill_threshold``.  One-word keys are written
-      **delta-encoded with block fences** (absolute ``uint64`` fence per
-      512-key block, per-block deltas in the narrowest unsigned dtype that
-      fits) and probed through ``np.memmap`` — a batch probe gathers only
-      the touched blocks, decodes them with one ``cumsum`` and answers the
-      whole batch with a single ``searchsorted``.  Wider keys are written
-      as sorted fixed-width records, memmapped and probed with one
+      reaches ``spill_threshold``.  Every run is the raw sorted fixed-width
+      keys (``uint64`` or void records), memmapped and probed with one
       ``searchsorted`` per batch.  Runs are compacted into one whenever
       more than ``max_runs`` accumulate, keeping membership
       ``O(log runs · log n)`` worst case and ``O(1)`` amortised per batched
@@ -31,45 +21,20 @@ working).  What remains exploration-specific is the deduplication layer:
     Layers are mutually disjoint by construction — a key is only ever
     inserted after missing every layer — so :meth:`__len__` stays exact.
 
-See the :mod:`repro.kernels.signature` docstring for the kernel encodings
-and the twin-node symmetry-reduction soundness argument.
+The signature kernels that produce the keys live in
+:mod:`repro.kernels.signature` and :mod:`repro.kernels.vector`.
 """
 
 from __future__ import annotations
 
-import struct
 from pathlib import Path
 from typing import Iterator, List, Optional
 
 import numpy as np
 
-from repro.kernels.signature import (  # noqa: F401 — historical import surface
-    FullReversalExpander,
-    NewPRExpander,
-    OneStepPRExpander,
-    PartialReversalExpander,
-    SignatureExpander,
-    compile_expander,
-    mask_directed_edges,
-    mask_is_acyclic,
-    mask_is_destination_oriented,
-    twin_node_classes,
-)
 from repro.kernels.vector import key_rows, row_ints
 
-__all__ = [
-    "FullReversalExpander",
-    "NewPRExpander",
-    "OneStepPRExpander",
-    "PartialReversalExpander",
-    "SignatureExpander",
-    "VisitedSet",
-    "compile_expander",
-    "mask_directed_edges",
-    "mask_is_acyclic",
-    "mask_is_destination_oriented",
-    "twin_node_classes",
-]
+__all__ = ["VisitedSet"]
 
 #: Batch-inserted segments are merged into one once this many accumulate, so
 #: a membership probe never scans more than a handful of sorted arrays.
@@ -79,143 +44,18 @@ _MAX_SEGMENTS = 8
 # ----------------------------------------------------------------------
 # on-disk sorted runs
 # ----------------------------------------------------------------------
-class _DeltaRun:
-    """One immutable sorted run of ``uint64`` keys, delta-encoded on disk.
-
-    Layout (little-endian): a 24-byte header (magic, key count, block size,
-    delta item size), one absolute ``uint64`` **fence** per block, then one
-    delta per key in the narrowest unsigned dtype that fits the largest
-    intra-block gap.  Each block's first delta is stored as 0 (the fence is
-    the absolute value), so decoding a block is ``fence + cumsum(deltas)``.
-    The file is mapped read-only; probes touch only the fence array and the
-    blocks their keys land in.
-    """
-
-    MAGIC = b"VSD1"
-    HEADER = 24
-    BLOCK = 512
-
-    __slots__ = ("path", "count", "block", "_fences", "_deltas")
-
-    @classmethod
-    def write(cls, path: Path, values: "np.ndarray") -> "_DeltaRun":
-        """Write sorted unique ``uint64`` ``values`` as a new run file."""
-        count = int(values.size)
-        block = cls.BLOCK
-        fences = values[::block].astype("<u8")
-        deltas = np.zeros(count, dtype=np.uint64)
-        if count > 1:
-            deltas[1:] = values[1:] - values[:-1]
-        deltas[::block] = 0
-        largest = int(deltas.max()) if count else 0
-        if largest < (1 << 8):
-            delta_dtype = "<u1"
-        elif largest < (1 << 16):
-            delta_dtype = "<u2"
-        elif largest < (1 << 32):
-            delta_dtype = "<u4"
-        else:
-            delta_dtype = "<u8"
-        item = np.dtype(delta_dtype).itemsize
-        with path.open("wb") as handle:
-            handle.write(
-                (cls.MAGIC + struct.pack("<QIB", count, block, item)).ljust(
-                    cls.HEADER, b"\0"
-                )
-            )
-            handle.write(fences.tobytes())
-            handle.write(deltas.astype(delta_dtype).tobytes())
-        return cls(path)
-
-    def __init__(self, path: Path):
-        self.path = path
-        with path.open("rb") as handle:
-            header = handle.read(self.HEADER)
-        if header[:4] != self.MAGIC:
-            raise ValueError(f"{path} is not a visited-set delta run")
-        count, block, item = struct.unpack_from("<QIB", header, 4)
-        self.count = count
-        self.block = block
-        blocks = (count + block - 1) // block
-        self._fences = np.memmap(
-            path, dtype="<u8", mode="r", offset=self.HEADER, shape=(blocks,)
-        )
-        self._deltas = np.memmap(
-            path,
-            dtype=f"<u{item}",
-            mode="r",
-            offset=self.HEADER + 8 * blocks,
-            shape=(count,),
-        )
-
-    def decode_range(self, first_block: int, last_block: int) -> "np.ndarray":
-        """Absolute keys of blocks ``[first_block, last_block)``, in order."""
-        start = first_block * self.block
-        stop = min(last_block * self.block, self.count)
-        packed = np.zeros((last_block - first_block) * self.block, dtype=np.uint64)
-        packed[: stop - start] = self._deltas[start:stop]
-        matrix = packed.reshape(last_block - first_block, self.block)
-        fences = np.asarray(
-            self._fences[first_block:last_block], dtype=np.uint64
-        )
-        values = fences[:, None] + np.cumsum(matrix, axis=1, dtype=np.uint64)
-        return values.ravel()[: stop - start]
-
-    def contains_many(self, queries: "np.ndarray") -> "np.ndarray":
-        """Membership of sorted unique ``uint64`` ``queries``, vectorised.
-
-        Gathers only the touched blocks; the zero-padding of a partial
-        block replicates its last key (delta 0), so the flattened decode
-        stays globally sorted and one ``searchsorted`` answers everything.
-        """
-        hit = np.zeros(queries.size, dtype=bool)
-        fences = np.asarray(self._fences, dtype=np.uint64)
-        position = np.searchsorted(fences, queries, side="right").astype(np.int64) - 1
-        valid = position >= 0
-        if not valid.any():
-            return hit
-        touched = np.unique(position[valid])
-        width = self.block
-        gather = touched[:, None] * width + np.arange(width, dtype=np.int64)[None, :]
-        in_range = gather < self.count
-        deltas = np.zeros(gather.shape, dtype=np.uint64)
-        deltas[in_range] = self._deltas[gather[in_range]]
-        values = fences[touched][:, None] + np.cumsum(deltas, axis=1, dtype=np.uint64)
-        flat = values.ravel()
-        wanted = queries[valid]
-        slot = np.minimum(np.searchsorted(flat, wanted), flat.size - 1)
-        hit[valid] = flat[slot] == wanted
-        return hit
-
-    def iter_chunks(self, chunk_blocks: int = 256) -> Iterator["np.ndarray"]:
-        """The run's keys as bounded decoded chunks (streaming iteration)."""
-        blocks = int(self._fences.shape[0])
-        for first in range(0, blocks, chunk_blocks):
-            yield self.decode_range(first, min(first + chunk_blocks, blocks))
-
-    def close(self) -> None:
-        for attribute in ("_fences", "_deltas"):
-            mapped = getattr(getattr(self, attribute), "_mmap", None)
-            if mapped is not None:
-                mapped.close()
-        try:
-            self.path.unlink()
-        except OSError:  # pragma: no cover - best-effort scratch cleanup
-            pass
-
-
 class _RecordRun:
-    """One immutable sorted run of fixed-width void keys (signatures of ``k > 1`` words).
+    """One immutable sorted run of fixed-width keys, ``uint64`` or void.
 
-    The file is the raw sorted records, mapped read-only; a batch probe is
-    one ``searchsorted`` over the map.
+    The file is the raw sorted keys, mapped read-only; a batch probe is one
+    ``searchsorted`` over the map.
     """
 
     __slots__ = ("path", "count", "_keys")
 
     @classmethod
     def write(cls, path: Path, values: "np.ndarray") -> "_RecordRun":
-        """Write sorted unique void ``values`` as a new run file."""
+        """Write sorted unique ``values`` as a new run file."""
         values.tofile(path)
         return cls(path, values.dtype, int(values.size))
 
@@ -254,10 +94,9 @@ class VisitedSet:
     (:func:`repro.kernels.vector.row_keys`); one set holds one kind.
     Without a ``spill_threshold`` this is a list of sorted in-memory
     segments.  With one, the segments are flushed to a sorted run file every
-    time they reach the threshold — delta-encoded for one-word keys, raw
-    records otherwise — and runs are compacted into one once more than
-    ``max_runs`` accumulate.  See the module docstring for the layer/probe
-    design.
+    time they reach the threshold, and runs are compacted into one once
+    more than ``max_runs`` accumulate.  See the module docstring for the
+    layer/probe design.
     """
 
     def __init__(
@@ -276,7 +115,7 @@ class VisitedSet:
         self._max_runs = max_runs
         self._spill_dir = Path(spill_dir) if spill_dir is not None else None
         self._created_dir: Optional[Path] = None  # auto temp dir, removed on close
-        self._runs: List = []  # _DeltaRun | _RecordRun
+        self._runs: List[_RecordRun] = []
         self._spilled_total = 0
         self._run_seq = 0
         self.spill_count = 0
@@ -370,15 +209,10 @@ class VisitedSet:
         self._run_seq += 1
         return path
 
-    def _write_run(self, values: "np.ndarray"):
-        """Write sorted unique keys as a run in the format their kind uses."""
-        run_class = _RecordRun if values.dtype.kind == "V" else _DeltaRun
-        return run_class.write(self._next_run_path(), values)
-
     def _spill(self) -> None:
         parts = self._segments
         values = np.sort(np.concatenate(parts)) if len(parts) > 1 else parts[0]
-        self._runs.append(self._write_run(values))
+        self._runs.append(_RecordRun.write(self._next_run_path(), values))
         self._spilled_total += int(values.size)
         self.spill_count += 1
         self._segments = []
@@ -389,7 +223,7 @@ class VisitedSet:
     def _compact(self) -> None:
         """Merge every run into one (runs are disjoint, so concat+sort)."""
         chunks = [chunk for run in self._runs for chunk in run.iter_chunks()]
-        merged = self._write_run(np.sort(np.concatenate(chunks)))
+        merged = _RecordRun.write(self._next_run_path(), np.sort(np.concatenate(chunks)))
         for run in self._runs:
             run.close()
         self._runs = [merged]

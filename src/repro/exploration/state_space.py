@@ -87,15 +87,20 @@ class ExplorationReport:
 
 
 def _predicate_outcome(result: object) -> Tuple[bool, str]:
-    """Normalise a predicate result to ``(holds, detail)``."""
+    """Normalise a predicate result to ``(holds, detail)``.
+
+    The detail is the first three ``violations`` when the result lists
+    them, else its ``detail`` string (a
+    :class:`~repro.verification.properties.PropertyReport` has one), else
+    empty.
+    """
     holds = getattr(result, "holds", None)
     if holds is None:
         return bool(result), ""
-    detail = ""
     violations = getattr(result, "violations", None)
     if violations:
-        detail = "; ".join(str(v) for v in list(violations)[:3])
-    return bool(holds), detail
+        return bool(holds), "; ".join(str(v) for v in list(violations)[:3])
+    return bool(holds), str(getattr(result, "detail", "") or "")
 
 
 class StateSpaceExplorer:

@@ -225,7 +225,7 @@ class SignatureExpander(abc.ABC):
     for predicates and traces) *and* the simulation fast path (the scenario
     engine drives ``step`` directly and never materialises a state).
     Automata without a kernel (``compile_expander`` returns ``None``) run on
-    the checker's generic loop and the simulator's legacy object path.
+    the checker's reference explorer and the simulator's legacy object path.
     """
 
     def __init__(self, automaton: IOAutomaton):
@@ -602,7 +602,8 @@ def compile_expander(
     """Compile a signature kernel for ``automaton``, or ``None`` if unsupported.
 
     Unsupported automata (BLL, the height formulations, custom test automata)
-    fall back to the model checker's generic state-materialising loop and the
+    fall back to the model checker's reference loop
+    (:class:`~repro.exploration.state_space.StateSpaceExplorer`) and the
     simulator's legacy object path, which keep the legacy semantics but
     cannot spill, reduce symmetry or skip state materialisation.
     """

@@ -45,7 +45,8 @@ points, failure order) all lean on this.
 :data:`MAX_NODES` nodes, because action tokens and node sets are one word,
 and for a PR/OneStepPR node of degree above 58, whose ``(row, candidate)``
 table key would not fit one word (such a node needs at least 60 nodes).
-The model checker then runs its generic loop.
+The model checker then runs the reference
+:class:`~repro.exploration.state_space.StateSpaceExplorer`.
 """
 
 from __future__ import annotations

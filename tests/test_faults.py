@@ -117,6 +117,21 @@ class TestSelfHealingExecutor:
         assert report.retries >= 1
         assert _volatile_stripped(chaos_store) == _volatile_stripped(clean_store)
 
+    def test_planned_fault_counted_once_when_requeued(self, tmp_path):
+        # chunk 0 kills its worker while the other worker sleeps in chunk 1,
+        # so chunk 7 never starts in the broken pool and is resubmitted to
+        # the next one with the same attempt: its fault is counted once
+        plan = FaultPlan(seed=1, overrides={0: "crash", 1: "slow", 7: "slow"},
+                         slow_s=0.5)
+        store = ResultStore(tmp_path)
+        report = run_campaign(
+            self._campaign(), store, workers=2, chunk_size=1, fault_plan=plan,
+        )
+        assert report.ok == report.executed == 8
+        assert report.pool_reforms >= 1
+        assert report.faults_injected == 3
+        assert report.fault_kinds == {"crash": 1, "slow": 2}
+
     def test_watchdog_kills_hung_worker(self, tmp_path):
         plan = FaultPlan(seed=1, overrides={0: "hang"})
         store = ResultStore(tmp_path)

@@ -13,7 +13,7 @@ bad-state predicates:
 
 Plus targeted coverage for the supporting machinery: twin-node symmetry
 reduction (exact orbit quotient on stars), the disk-spilled visited set, and
-the generic fallback path for automata without a compiled kernel.
+the reference loop that automata without a compiled kernel run on.
 """
 
 from __future__ import annotations
@@ -25,9 +25,11 @@ from repro.core.full_reversal import FullReversal
 from repro.core.new_pr import NewPartialReversal
 from repro.core.one_step_pr import OneStepPartialReversal
 from repro.core.pr import PartialReversal
+from repro.core.graph import LinkReversalInstance
 from repro.exploration.checker import ModelChecker, check_exhaustively
-from repro.exploration.frontier import (
-    VisitedSet,
+from repro.exploration.state_space import StateSpaceExplorer
+from repro.exploration.frontier import VisitedSet
+from repro.kernels.signature import (
     compile_expander,
     mask_is_acyclic,
     mask_is_destination_oriented,
@@ -42,6 +44,11 @@ from repro.topology.generators import (
 )
 
 ALGORITHM_CLASSES = (PartialReversal, OneStepPartialReversal, NewPartialReversal, FullReversal)
+
+#: The report fields the checker shares with the reference explorer.
+REPORT_FIELDS = (
+    "states_explored", "transitions_explored", "quiescent_states", "max_depth", "truncated",
+)
 
 
 def random_topologies(seed: int):
@@ -383,7 +390,7 @@ class TestVisitedSetSpill:
 
 
 # ----------------------------------------------------------------------
-# structural mask checks and the generic fallback
+# structural mask checks and the reference loop
 # ----------------------------------------------------------------------
 class TestMaskChecks:
     def test_mask_acyclicity_agrees_with_orientation(self, diamond):
@@ -423,7 +430,7 @@ class _CounterState:
 
 
 class _CountdownAutomaton:
-    """A tiny non-link-reversal automaton driving the generic checker path."""
+    """A tiny non-link-reversal automaton driving the checker's reference loop."""
 
     name = "countdown"
 
@@ -460,10 +467,55 @@ class TestGenericFallback:
         with pytest.raises(ValueError, match="is_destination_oriented"):
             ModelChecker(_CountdownAutomaton(), check_progress=True).run()
 
-    def test_bll_explores_without_compiled_kernel(self, bad_chain):
-        report = ModelChecker(BinaryLinkLabels(bad_chain), check_acyclicity=True).run()
-        assert report.states_explored > 1
-        assert report.all_predicates_hold
+    def test_bll_matches_the_explorer_and_the_oracle(self, bad_chain):
+        report = ModelChecker(
+            BinaryLinkLabels(bad_chain), check_acyclicity=True, check_progress=True,
+            collect_signatures=True,
+        ).run()
+        explored = StateSpaceExplorer(BinaryLinkLabels(bad_chain)).explore()
+        assert not report.vectorized
+        assert report.predicate_names == ("acyclic", "progress")
+        assert report.all_predicates_hold and report.states_explored > 1
+        assert [getattr(report, name) for name in REPORT_FIELDS] == [
+            getattr(explored, name) for name in REPORT_FIELDS
+        ]
+        assert report.signatures == brute_force_signatures(BinaryLinkLabels(bad_chain))
+        assert str(report) == str(explored)
+
+    def test_bll_trace_cap_and_untracked_traces(self, bad_chain):
+        # every non-initial state fails: the stored record carries at most
+        # max_traced_failures traces, and violations still counts them all
+        automaton = BinaryLinkLabels(bad_chain)
+        initial_signature = automaton.initial_state().signature()
+        predicates = {"is-initial": lambda s: s.signature() == initial_signature}
+        failing = ModelChecker(automaton, predicates).run().states_explored - 1
+        assert failing > 3
+        capped = ModelChecker(automaton, predicates, max_traced_failures=2).run()
+        record = capped.to_record()
+        assert record["violations"] == failing
+        assert len(record["counterexamples"]) == 2
+        assert all(trace["reconstructed"] for trace in record["counterexamples"])
+        for failure in capped.failures[:2]:
+            failure.trace.replay(BinaryLinkLabels(bad_chain)).validate()
+        assert all(
+            not f.trace.reconstructed and f.path == () for f in capped.failures[2:]
+        )
+        untracked = ModelChecker(automaton, predicates, track_traces=False).run()
+        assert untracked.to_record()["violations"] == failing
+        assert untracked.to_record()["counterexamples"] == []
+        with pytest.raises(ValueError, match="not reconstructed"):
+            untracked.failures[0].trace.replay(BinaryLinkLabels(bad_chain))
+
+    def test_progress_failure_names_the_stranded_node(self):
+        # node 2 has no link at all, so the quiescent state cannot route it
+        instance = LinkReversalInstance((0, 1, 2), 0, ((1, 0),))
+        report = ModelChecker(
+            BinaryLinkLabels(instance), check_acyclicity=True, check_progress=True
+        ).run()
+        assert [(f.predicate_name, f.detail) for f in report.failures] == [
+            ("progress", "quiescent but nodes ['2'] cannot reach the destination")
+        ]
+        assert report.to_record()["acyclic_final"] is True
 
     def test_bll_counterexample_replays(self, bad_chain):
         automaton = BinaryLinkLabels(bad_chain)

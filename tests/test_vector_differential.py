@@ -94,7 +94,7 @@ class TestCompiledLoop:
                       check_progress=True)
         assert report.vectorized and report.all_predicates_hold
 
-    def test_more_than_64_nodes_run_on_the_generic_loop(self):
+    def test_more_than_64_nodes_run_on_the_reference_loop(self):
         instance = chain_instance(66, towards_destination=True)
         report = _run(PartialReversal(instance), check_acyclicity=True,
                       check_progress=True)
