@@ -103,7 +103,7 @@ def _baseline_workloads():
         "bench_model_check_pr_tree": _measure_model_check_pr_tree,
         "bench_async_quiescence": _measure_async,
         # the batch pair shares one workload: their timing ratio is what
-        # outcome dedup buys on the lockstep engine
+        # phase sharing buys over running every lane alone
         "bench_batch_sweep": _measure_batch,
         "bench_batch_sweep_nodedup": _measure_nodedup,
         # same workload again inside a telemetry session; drift against

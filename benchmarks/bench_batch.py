@@ -1,18 +1,20 @@
-"""Experiment E21 — outcome dedup on the compiled synchronous engine.
+"""Experiment E21 — phase sharing on the compiled synchronous engine.
 
 The compiled synchronous engine runs campaign lanes in lockstep, sharing
-compiled kernels, and memoises the outcomes of deterministic lanes
+compiled kernels, and lets lanes with equal initial phases share one run
 (seedless families ignore the topology seed and five of the six mask
-schedulers ignore their seed, so every replicate of such a cell is one
-leader run fanned out to its followers).  This experiment times the same
-6144-run campaign chunk — two families, PR + FR, all six mask schedulers,
-256 replicates — twice on the same lockstep code, with every cache and memo
-cleared inside each workload so both sides pay cold-start costs:
+schedulers ignore their seed, so every replicate of such a cell meets one
+phase entry: the first lane runs it and the others follow).  This
+experiment times the same 6144-run campaign chunk — two families, PR + FR,
+all six mask schedulers, 256 replicates — twice through ``run_scenarios``,
+with every cache cleared inside each workload so both sides pay cold-start
+costs:
 
-* **dedup on** — ``run_scenarios``, the one scenario dispatch, which runs
-  each batch-key group of the chunk as one lockstep call;
-* **dedup off** — ``_run_lanes`` called directly once per batch-key group,
-  so every lane executes.
+* **dedup on** — no per-run timeout, so each batch-key group of the chunk
+  runs as one lockstep call and followers restore their leader's phase;
+* **dedup off** — the same chunk under a per-run timeout too far off to
+  fire, so every lane runs alone and, deadlined, neither reads nor writes
+  phases: this side measures per-run execution.
 
 Expected shape: identical records lane for lane and a dedup-off/dedup-on
 time ratio well above 1; the deterministic five-sixths of the lanes
@@ -29,24 +31,23 @@ from benchmarks._harness import claim_experiment, print_table, record
 
 claim_experiment("E21", __name__)
 
-from repro.experiments.batch_engine import (
-    ENGINE_KERNEL,
-    _run_lanes,
-    batch_key,
-    outcome_stats,
-    reset_kernel_caches,
-)
-from repro.experiments.runner import run_scenarios
-from repro.experiments.spec import CampaignSpec, ScenarioSpec
-from repro.experiments.store import RESULT_INIT
+from unittest import mock
 
-#: Conservative CI floor for the dedup-off/dedup-on time ratio: eleven
-#: runs on a shared 2-CPU VM measured 2.6–4.5×, so the floor leaves
-#: headroom under the noisiest of them.
+from repro.experiments.batch_engine import _Phase, reset_kernel_caches
+from repro.experiments.runner import run_scenarios
+from repro.experiments.spec import CampaignSpec
+
+#: Conservative CI floor for the dedup-off/dedup-on time ratio: six runs
+#: on a shared 2-CPU VM measured 3.6–4.5×, so the floor leaves headroom
+#: under the noisiest of them.
 MIN_DEDUP_SPEEDUP = 2.0
 
 #: Lanes per campaign cell — the batch width the engine is measured at.
 REPLICATES = 256
+
+#: The dedup-off side's per-run timeout: far enough off never to fire, so
+#: it only makes each lane a deadlined group of its own.
+FAR_TIMEOUT_S = 3600.0
 
 
 def _campaign() -> CampaignSpec:
@@ -81,33 +82,33 @@ def _measure_batch() -> list:
 
 
 def _measure_nodedup() -> list:
-    """Dedup off: every lane of each batch-key group runs, cold caches."""
+    """Dedup off: every lane runs alone under a far deadline, cold caches."""
     reset_kernel_caches()
-    records, groups = [], {}
-    for raw in _specs():
-        record = dict(raw)
-        record.update(RESULT_INIT, engine=ENGINE_KERNEL)
-        records.append(record)
-        spec = ScenarioSpec.from_dict(raw)
-        groups.setdefault(batch_key(spec), []).append((spec, record))
-    for lanes in groups.values():
-        _run_lanes(lanes, None)
-    return records
+    return run_scenarios(_specs(), timeout_s=FAR_TIMEOUT_S)
 
 
-def test_e21_outcome_dedup(benchmark):
+def test_e21_phase_sharing(benchmark):
     import time
 
     def workload():
         start = time.perf_counter()
         nodedup_records = _measure_nodedup()
         nodedup_s = time.perf_counter() - start
-        start = time.perf_counter()
-        batch_records = _measure_batch()
-        batch_s = time.perf_counter() - start
-        return nodedup_records, nodedup_s, batch_records, batch_s
+        # a bare counting wrapper: a Mock's per-call cost would show in batch_s
+        restores = []
+        restore = _Phase.restore
 
-    nodedup_records, nodedup_s, batch_records, batch_s = benchmark.pedantic(
+        def counted(phase, work, rounds):
+            restores.append(None)
+            restore(phase, work, rounds)
+
+        with mock.patch.object(_Phase, "restore", counted):
+            start = time.perf_counter()
+            batch_records = _measure_batch()
+            batch_s = time.perf_counter() - start
+        return nodedup_records, nodedup_s, batch_records, batch_s, len(restores)
+
+    nodedup_records, nodedup_s, batch_records, batch_s, restores = benchmark.pedantic(
         workload, rounds=1, iterations=1
     )
 
@@ -119,17 +120,16 @@ def test_e21_outcome_dedup(benchmark):
         if {k: v for k, v in a.items() if k not in volatile}
         != {k: v for k, v in b.items() if k not in volatile}
     )
-    stats = outcome_stats()
     ratio = nodedup_s / batch_s if batch_s else 0.0
 
     rows = [
-        ("dedup off (every lane runs)", lanes, round(nodedup_s, 4),
+        ("dedup off (every lane runs alone)", lanes, round(nodedup_s, 4),
          round(lanes / nodedup_s) if nodedup_s else 0),
-        ("dedup on (leader lanes fan out)", lanes, round(batch_s, 4),
+        ("dedup on (followers restore a phase)", lanes, round(batch_s, 4),
          round(lanes / batch_s) if batch_s else 0),
     ]
     print_table(
-        "E21 — outcome dedup on the lockstep engine (runs/s)",
+        "E21 — phase sharing on the lockstep engine (runs/s)",
         ["engine path", "lanes", "wall s", "runs/s"],
         rows,
     )
@@ -140,14 +140,14 @@ def test_e21_outcome_dedup(benchmark):
         lanes=lanes,
         replicates=REPLICATES,
         speedup_dedup=round(ratio, 2),
-        outcome_hits=stats["outcome_hits"],
-        outcome_misses=stats["outcome_misses"],
+        phase_restores=restores,
         mismatched_lanes=mismatches,
     )
     assert lanes == len(nodedup_records) == _campaign().run_count
     assert all(r["status"] == "ok" for r in batch_records)
     assert mismatches == 0, "deduplicated records must match every lane run"
+    assert restores >= lanes // 2, "most lanes follow a leader's phase"
     assert ratio >= MIN_DEDUP_SPEEDUP, (
-        f"outcome dedup only {ratio:.2f}x faster than running every lane "
+        f"phase sharing only {ratio:.2f}x faster than running every lane "
         f"(floor {MIN_DEDUP_SPEEDUP}x)"
     )

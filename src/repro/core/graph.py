@@ -480,6 +480,11 @@ class LinkReversalInstance:
         """
         return self.initial_orientation().nodes_without_path_to_destination()
 
+    @cached_property
+    def bad_node_count(self) -> int:
+        """``n_b = len(bad_nodes())``, computed once per instance."""
+        return len(self.bad_nodes())
+
     def oriented_by(self, mask: int, drop: Optional[int] = None) -> "LinkReversalInstance":
         """This graph with the ``mask`` orientation as its initial one.
 

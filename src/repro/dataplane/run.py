@@ -263,7 +263,7 @@ class DataPlaneRun:
         the wall-clock ``deadline`` passes; all tallies remain consistent.
         """
         for slot in range(slots):
-            if deadline is not None and time.monotonic() >= deadline:
+            if deadline is not None and time.perf_counter() >= deadline:
                 raise DeadlineExceeded(f"deadline exceeded at slot {slot}")
             if failure_plan and fail_hook is not None:
                 count = failure_plan.get(slot, 0)
@@ -273,6 +273,6 @@ class DataPlaneRun:
         for _ in range(drain_slots):
             if self.sim.in_flight == 0:
                 break
-            if deadline is not None and time.monotonic() >= deadline:
+            if deadline is not None and time.perf_counter() >= deadline:
                 raise DeadlineExceeded("deadline exceeded during drain")
             self.step_slot(inject=False, deadline=deadline)

@@ -317,7 +317,7 @@ def build_report(
         "status_counts": status_counts(store),
         "engine_counts": store.engine_counts(),
         # the latest run_campaign invocation's engine/cache telemetry (how
-        # the most recent sweep executed, incl. batch dedup counters), as
+        # the most recent sweep executed, incl. engine cache counters), as
         # opposed to engine_counts which spans every stored record
         "last_campaign_report": last_report,
         # summarised span/metrics sidecar of the sweeps run against this

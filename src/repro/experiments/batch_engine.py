@@ -12,7 +12,7 @@ groups — lanes of one :func:`batch_key` shape (``(family, size, algorithm,
 scheduler, churn model, node faults, max_steps)``) when the chunk has no
 per-run timeout, width-1 groups with their own deadlines when it has one.
 
-The engine amortises four costs:
+The engine amortises three costs:
 
 * **instance/kernel construction** — one ``kernel_``-prefixed
   :class:`~repro.kernels.simulator.KernelCache` keyed by
@@ -22,29 +22,30 @@ The engine amortises four costs:
   for the seed-deterministic families
   (:data:`~repro.topology.generators.SEEDLESS_FAMILIES`) every replicate is
   the *same* instance, so one build and one compile serve them all;
-* **initial convergence phases** — a sweep cell's ``none``,
-  ``link-failures`` and ``mobility`` runs share a topology and a scheduler
-  seed, so they start with the same phase; an un-deadlined lane keeps its
-  phase (final mask, steps, ``converged``, work and round tallies) as a
-  :class:`_Phase` entry beside its topology in the same cache, keyed by
-  :func:`_phase_name`, and every later lane of the cell restores it instead
-  of running it, in whatever order the runs come;
-* **whole-run outcomes** — a lane's result fields are a pure function of
-  its :func:`_outcome_key`, so equal lanes run once and fan out, and
-  un-deadlined outcomes are memoised across calls;
+* **initial convergence phases** — a lane's initial phase (final mask,
+  steps, ``converged``, work and round tallies) depends only on the inputs
+  named by :func:`_phase_name`, so an un-deadlined lane keeps it as a
+  :class:`_Phase` entry beside its topology in the same cache.  The first
+  lane of a group to claim an unfilled entry runs the phase; every later
+  lane with the same entry, in this group or a later one, is a follower:
+  it never joins the lockstep call and restores the filled entry after it.
+  A sweep cell's ``none``, ``link-failures`` and ``mobility`` runs share
+  one entry, and so do the replicates of a seedless family under a
+  scheduler that ignores its seed;
 * **per-run dispatch plumbing** — one deadline, one record-unpacking pass.
 
 Exactness: every record is field-for-field identical to the legacy
 object-automaton oracle's record for the same fault-free spec
 (``tests/test_kernel_engine_differential.py``), whatever other lanes shared
 the group and in which order.  A timed-out lane keeps its partial tallies
-and records ``deadline exceeded at step N``; lanes deduplicated onto one
-computation share that computation's fate.
+and records ``deadline exceeded at step N``; deadlined lanes neither read
+nor write phases, so each runs on its own.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from functools import partial
+from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
 
 from repro import telemetry as _telemetry
 from repro.core.full_reversal import FullReversal
@@ -54,7 +55,6 @@ from repro.core.pr import PartialReversal
 from repro.experiments.churn import ScenarioChurn
 from repro.experiments.engines import ExecutionEngine
 from repro.experiments.spec import ALGORITHM_FACTORIES, ScenarioSpec, derive_seed
-from repro.experiments.store import OUTCOME_FIELDS
 from repro.faults.nodes import select_crashed_ids
 from repro.kernels import (
     MASK_SCHEDULER_FACTORIES,
@@ -67,7 +67,6 @@ from repro.kernels import (
     mask_final_state_checks,
 )
 from repro.kernels.batch import BatchSimulator
-from repro.kernels.simulator import DEFAULT_CACHE_CAPACITY
 from repro.topology.generators import SEEDLESS_FAMILIES, build_family
 
 ENGINE_KERNEL = "kernel"
@@ -85,32 +84,11 @@ _KERNEL_ALGORITHM_NAMES = frozenset(
     )
 )
 
-#: Per-process cache of instances and compiled simulators, keyed by
-#: :func:`_canonical_key` and shared by every engine; counters live in the
-#: always-on ``ENGINE_METRICS`` registry under ``kernel_``-prefixed names.
-_KERNEL_CACHE = KernelCache(
-    capacity=DEFAULT_CACHE_CAPACITY,
-    metrics=_telemetry.ENGINE_METRICS,
-    prefix="kernel_",
-)
-
-#: Per-topology bad-node counts, keyed like the cache.
-_BAD_NODES_MEMO: Dict[Hashable, int] = {}
-
-#: Final-state verdicts per (topology key, final mask) — a pure function of
-#: the two, and by confluence every scheduler drives an algorithm on one
-#: topology to the same final orientation, so campaign cells hit constantly.
-_FINAL_CHECK_MEMO: Dict[Tuple[Hashable, int], Tuple[bool, bool]] = {}
-
-#: Whole-run outcomes per :func:`_outcome_key`, for un-deadlined runs that
-#: ended ``ok``.  Bounded like the other memos; cleared, not LRU'd.
-_OUTCOME_MEMO: Dict[Hashable, Dict[str, Any]] = {}
-_OUTCOME_MEMO_CAP = 1024
-
-#: Cumulative outcome-dedup counters: a *hit* is a lane satisfied without
-#: running (memo or in-group fan-out), a *miss* is a lane actually executed.
-_OUTCOME_HITS = _telemetry.ENGINE_METRICS.counter("batch_outcome_hits")
-_OUTCOME_MISSES = _telemetry.ENGINE_METRICS.counter("batch_outcome_misses")
+#: Per-process cache of instances, compiled simulators, initial phases and
+#: final-state verdicts, keyed by :func:`_canonical_key` and shared by every
+#: engine; counters live in the always-on ``ENGINE_METRICS`` registry under
+#: ``kernel_``-prefixed names.
+_KERNEL_CACHE = KernelCache(metrics=_telemetry.ENGINE_METRICS, prefix="kernel_")
 
 
 def algorithm_has_kernel(algorithm: str) -> bool:
@@ -118,37 +96,18 @@ def algorithm_has_kernel(algorithm: str) -> bool:
     return algorithm in _KERNEL_ALGORITHM_NAMES
 
 
-def outcome_stats() -> Dict[str, int]:
-    """Cumulative outcome-dedup counters (JSON-compatible)."""
-    return {
-        "outcome_hits": _OUTCOME_HITS.value,
-        "outcome_misses": _OUTCOME_MISSES.value,
-    }
-
-
 def kernel_cache_stats() -> Dict[str, int]:
-    """Cumulative counters of this process's engine cache.
-
-    The shared instance/kernel cache's counters, plus (``batch_``-prefixed)
-    the compiled engine's outcome-dedup counters, so ``repro sweep --json``
-    surfaces cache behaviour whichever engine a campaign ran on.
-    """
-    stats = _KERNEL_CACHE.stats()
-    for name, value in outcome_stats().items():
-        stats[f"batch_{name}"] = value
-    return stats
+    """Cumulative counters of this process's engine cache (JSON-compatible)."""
+    return _KERNEL_CACHE.stats()
 
 
 def reset_kernel_caches() -> None:
-    """Drop the engine's cache and every memo (counters are kept).
+    """Drop every entry of the engine cache (counters are kept).
 
     Used by the benchmarks to measure cold-cache performance; production
     campaigns never need this.
     """
     _KERNEL_CACHE.clear()
-    _BAD_NODES_MEMO.clear()
-    _FINAL_CHECK_MEMO.clear()
-    _OUTCOME_MEMO.clear()
 
 
 def batch_key(spec: ScenarioSpec) -> Tuple[Any, ...]:
@@ -177,30 +136,6 @@ def _canonical_key(spec: ScenarioSpec) -> Tuple[Any, ...]:
     return (spec.family, spec.size, spec.topology_seed)
 
 
-def _outcome_key(spec: ScenarioSpec) -> Tuple[Any, ...]:
-    """Key under which a lane's whole result record is deterministic.
-
-    Includes every input the run's result can depend on: the instance
-    structure, algorithm, scheduler and step bound, the churn model and
-    crash-stop count, and the seeds *only where they are consumed* — the
-    scheduler seed feeds the RNG of the ``random`` scheduler and of the
-    churn streams (failure choice and repair-phase scheduling both derive
-    from it), and the topology seed additionally drives mobility's waypoint
-    stream and the choice of crash-stopped nodes (even on seedless
-    families).  Every other scheduler ignores its seed (the mask
-    schedulers' documented contract), so lanes differing only in unconsumed
-    seeds share one outcome.
-    """
-    seed_sensitive = spec.scheduler == "random" or spec.failure_count > 0
-    topology_sensitive = spec.failure_model == "mobility" or spec.node_faults > 0
-    return (
-        _canonical_key(spec), spec.algorithm, spec.scheduler, spec.max_steps,
-        spec.failure_model, spec.failure_count, spec.node_faults,
-        spec.scheduler_seed if seed_sensitive else None,
-        spec.topology_seed if topology_sensitive else None,
-    )
-
-
 def load_instance(spec: ScenarioSpec, record: Dict[str, Any]) -> Tuple[Hashable, Any]:
     """The spec's cache key and instance, from the engine cache every engine shares.
 
@@ -210,27 +145,12 @@ def load_instance(spec: ScenarioSpec, record: Dict[str, Any]) -> Tuple[Hashable,
     instance = _KERNEL_CACHE.instance(
         key, lambda: build_family(spec.family, spec.size, spec.topology_seed)
     )
-    bad_nodes = _BAD_NODES_MEMO.get(key)
-    if bad_nodes is None:
-        bad_nodes = len(instance.bad_nodes())
-        if len(_BAD_NODES_MEMO) >= 64:
-            _BAD_NODES_MEMO.clear()
-        _BAD_NODES_MEMO[key] = bad_nodes
     record.update(
-        nodes=instance.node_count, edges=instance.edge_count, bad_nodes=bad_nodes
+        nodes=instance.node_count,
+        edges=instance.edge_count,
+        bad_nodes=instance.bad_node_count,
     )
     return key, instance
-
-
-def _final_state_checks(key: Hashable, instance, mask: int) -> Tuple[bool, bool]:
-    memo_key = (key, mask)
-    verdict = _FINAL_CHECK_MEMO.get(memo_key)
-    if verdict is None:
-        verdict = mask_final_state_checks(instance, mask)
-        if len(_FINAL_CHECK_MEMO) >= 256:
-            _FINAL_CHECK_MEMO.clear()
-        _FINAL_CHECK_MEMO[memo_key] = verdict
-    return verdict
 
 
 def _crash_stop(spec: ScenarioSpec, instance, record: Dict[str, Any]):
@@ -273,9 +193,10 @@ def _phase_name(spec: ScenarioSpec) -> Tuple[Any, ...]:
 class _Phase:
     """An initial convergence phase's result, kept in the ``KernelCache``.
 
-    The cache creates the entry empty; the lane that runs the phase fills
-    it.  An empty entry (made earlier in the same group, or left by a run
-    that raised) reads as a miss, and its lane runs the phase again.
+    The cache creates the entry empty; the lane that claims it runs the
+    phase and fills it, and the lanes that meet it later restore it.  An
+    empty entry left by a group that raised reads as a miss, and the next
+    lane to meet it claims it again.
     """
 
     __slots__ = ("filled", "mask", "steps", "converged", "work", "rounds", "seen")
@@ -302,9 +223,10 @@ def _run_lanes(lanes: List[Lane], deadline: Optional[float]) -> None:
 
     Mutates each lane's record in place.  A timed-out lane keeps its
     partial tallies but no final-state verdicts, and its ``steps_taken``
-    excludes the aborted phase.  Without a deadline a lane whose initial
-    phase is cached (see :func:`_phase_name`) restores it instead of
-    running it, and a lane that runs it caches it.
+    excludes the aborted phase.  Without a deadline each lane meets its
+    initial phase's cache entry (see :func:`_phase_name`): the first lane
+    to claim an unfilled entry runs the phase and fills it, and every other
+    lane with that entry restores it after the lockstep call.
     """
     spec0 = lanes[0][0]
     automaton_factory = ALGORITHM_FACTORIES[spec0.algorithm]
@@ -318,6 +240,8 @@ def _run_lanes(lanes: List[Lane], deadline: Optional[float]) -> None:
     try:
         batch = BatchSimulator()
         running: List[Tuple[int, SignatureSimulator, Optional[_Phase]]] = []
+        followers: List[Tuple[int, _Phase]] = []
+        claimed: Set[_Phase] = set()
         for pos, (spec, record) in enumerate(lanes):
             key, instance = load_instance(spec, record)
             keys[pos] = key
@@ -326,14 +250,13 @@ def _run_lanes(lanes: List[Lane], deadline: Optional[float]) -> None:
             if spec.node_faults > 0:
                 dead_ids, max_steps = _crash_stop(spec, instance, record)
             if deadline is None:
-                # deadlined runs neither read nor write phases, the rule of
-                # the outcome memo
+                # deadlined runs neither read nor write phases: a deadlined
+                # record must never inherit an "ok" it might not have earned
                 phase = _KERNEL_CACHE.kernel(key, _phase_name(spec), _Phase)
-                if phase.filled:
-                    phase.restore(works[pos], rounds[pos])
-                    record["steps_taken"] += phase.steps
-                    masks[pos], convergeds[pos] = phase.mask, phase.converged
+                if phase.filled or phase in claimed:
+                    followers.append((pos, phase))
                     continue
+                claimed.add(phase)
             # the cache holds whole simulators: their id tables are
             # per-instance setup just like the kernel tables, and they carry
             # no run state
@@ -372,6 +295,10 @@ def _run_lanes(lanes: List[Lane], deadline: Optional[float]) -> None:
                         masks[pos], outcome.steps, outcome.converged,
                         works[pos], rounds[pos],
                     )
+        for pos, phase in followers:
+            phase.restore(works[pos], rounds[pos])
+            lanes[pos][1]["steps_taken"] += phase.steps
+            masks[pos], convergeds[pos] = phase.mask, phase.converged
         active = [pos for pos in range(width) if lanes[pos][1]["status"] != "timeout"]
 
         initial = list(instances)
@@ -382,16 +309,16 @@ def _run_lanes(lanes: List[Lane], deadline: Optional[float]) -> None:
             )
 
         for pos in active:
-            if instances[pos] is initial[pos]:
-                # the memo key describes the cached topology only, never
-                # churn products
-                acyclic, oriented = _final_state_checks(
-                    keys[pos], instances[pos], masks[pos]
+            instance, mask = instances[pos], masks[pos]
+            if instance is initial[pos]:
+                # the verdict is a pure function of the cached topology and
+                # the final mask; churn products are never cached
+                acyclic, oriented = _KERNEL_CACHE.kernel(
+                    keys[pos], ("final", mask),
+                    partial(mask_final_state_checks, instance, mask),
                 )
             else:
-                acyclic, oriented = mask_final_state_checks(
-                    instances[pos], masks[pos]
-                )
+                acyclic, oriented = mask_final_state_checks(instance, mask)
             lanes[pos][1].update(
                 converged=convergeds[pos],
                 destination_oriented=oriented,
@@ -470,51 +397,12 @@ def _churn(
     return looping
 
 
-def _execute_group(lanes: List[Lane], deadline: Optional[float]) -> None:
-    """Run one batch-key group: dedup equal outcomes, lockstep the rest.
-
-    Lanes whose :func:`_outcome_key` matches are literally the same
-    computation (the key includes every consumed seed), so one leader lane
-    runs and the others copy its result fields.  The cross-call memo is
-    consulted/populated only for un-deadlined, successful runs, so a later
-    deadlined campaign can never inherit an "ok" it might not have earned.
-    """
-    groups: Dict[Hashable, List[Lane]] = {}
-    for lane in lanes:
-        groups.setdefault(_outcome_key(lane[0]), []).append(lane)
-    leaders: List[Tuple[Hashable, List[Lane]]] = []
-    run_list: List[Lane] = []
-    for key, members in groups.items():
-        memo = _OUTCOME_MEMO.get(key) if deadline is None else None
-        if memo is not None:
-            for _, record in members:
-                record.update(memo)
-            _OUTCOME_HITS.inc(len(members))
-            continue
-        leaders.append((key, members))
-        run_list.append(members[0])
-    if run_list:
-        _run_lanes(run_list, deadline)
-    for key, members in leaders:
-        leader_record = members[0][1]
-        outcome = {name: leader_record[name] for name in OUTCOME_FIELDS}
-        _OUTCOME_MISSES.inc()
-        if len(members) > 1:
-            for _, record in members[1:]:
-                record.update(outcome)
-            _OUTCOME_HITS.inc(len(members) - 1)
-        if deadline is None and leader_record["status"] == "ok":
-            if len(_OUTCOME_MEMO) >= _OUTCOME_MEMO_CAP:
-                _OUTCOME_MEMO.clear()
-            _OUTCOME_MEMO[key] = outcome
-
-
 class KernelEngine(ExecutionEngine):
     """The compiled synchronous engine: one call runs a group of lanes.
 
     The runner hands it lanes of one :func:`batch_key` under one shared
     deadline, or a single lane under its own per-run deadline; either way
-    the group runs through :func:`_execute_group`.
+    the group runs through :func:`_run_lanes`.
     """
 
     name = ENGINE_KERNEL
@@ -545,4 +433,4 @@ class KernelEngine(ExecutionEngine):
         )
 
     def execute(self, lanes, deadline) -> None:
-        _execute_group(lanes, deadline)
+        _run_lanes(lanes, deadline)

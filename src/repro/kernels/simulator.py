@@ -51,15 +51,10 @@ from repro.telemetry.metrics import MetricsRegistry
 #: deadline by at most ``stride - 1`` steps.
 DEADLINE_CHECK_STRIDE = 64
 
-#: :class:`KernelCache` capacity of the per-process engine cache.
-#: Sized to hold a full campaign axis sweep's worth of topologies (families ×
-#: sizes × replicates regularly reaches several dozen distinct instances).
-DEFAULT_CACHE_CAPACITY = 64
-
-#: Compiled entries (simulators, mobility trajectories, initial phases) a
-#: :class:`KernelCache` keeps per instance of capacity: past
-#: ``capacity * KERNELS_PER_INSTANCE`` the least recently used entry goes,
-#: so a hot instance cannot gather entries without bound.
+#: Compiled entries (simulators, mobility trajectories, initial phases,
+#: final-state verdicts) a :class:`KernelCache` keeps per instance of
+#: capacity: past ``capacity * KERNELS_PER_INSTANCE`` the least recently used
+#: entry goes, so a hot instance cannot gather entries without bound.
 KERNELS_PER_INSTANCE = 32
 
 class DeadlineExceeded(Exception):
@@ -171,15 +166,18 @@ class KernelCache:
     across scenarios is safe.  Stats are cumulative; callers snapshot
     :meth:`stats` around a chunk to report deltas.
 
-    The counters live in a :class:`~repro.telemetry.metrics.MetricsRegistry`
-    (``metrics``, prefixed by ``prefix``) so the per-process engine cache
-    reports into the shared ``ENGINE_METRICS`` namespace; a bare
-    ``KernelCache()`` gets a private registry and behaves exactly as before.
+    The default ``capacity`` holds a full campaign axis sweep's worth of
+    topologies (families × sizes × replicates regularly reaches several
+    dozen distinct instances).  The counters live in a
+    :class:`~repro.telemetry.metrics.MetricsRegistry` (``metrics``, prefixed
+    by ``prefix``) so the per-process engine cache reports into the shared
+    ``ENGINE_METRICS`` namespace; a bare ``KernelCache()`` counts into a
+    private registry of its own.
     """
 
     def __init__(
         self,
-        capacity: int = 16,
+        capacity: int = 64,
         metrics: Optional[MetricsRegistry] = None,
         prefix: str = "",
     ):
@@ -196,24 +194,6 @@ class KernelCache:
         self._instance_builds = metrics.counter(prefix + "instance_builds")
         self._kernel_hits = metrics.counter(prefix + "kernel_hits")
         self._kernel_compiles = metrics.counter(prefix + "kernel_compiles")
-
-    # counters are registry-backed; these properties keep the historical
-    # integer-attribute read API (`cache.instance_hits`) working
-    @property
-    def instance_hits(self) -> int:
-        return self._instance_hits.value
-
-    @property
-    def instance_builds(self) -> int:
-        return self._instance_builds.value
-
-    @property
-    def kernel_hits(self) -> int:
-        return self._kernel_hits.value
-
-    @property
-    def kernel_compiles(self) -> int:
-        return self._kernel_compiles.value
 
     def instance(
         self, key: Hashable, build: Callable[[], LinkReversalInstance]
@@ -269,10 +249,10 @@ class KernelCache:
     def stats(self) -> Dict[str, int]:
         """Cumulative cache counters (JSON-compatible)."""
         return {
-            "instance_hits": self.instance_hits,
-            "instance_builds": self.instance_builds,
-            "kernel_hits": self.kernel_hits,
-            "kernel_compiles": self.kernel_compiles,
+            "instance_hits": self._instance_hits.value,
+            "instance_builds": self._instance_builds.value,
+            "kernel_hits": self._kernel_hits.value,
+            "kernel_compiles": self._kernel_compiles.value,
         }
 
     def clear(self) -> None:

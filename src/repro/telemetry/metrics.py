@@ -3,8 +3,8 @@
 A :class:`MetricsRegistry` is a flat, dict-backed namespace of named
 instruments.  It generalises the ``kernel_cache_stats()`` before/after-delta
 pattern the campaign executor used for cache counters into one mechanism
-every subsystem reports into: engines count scenarios per status, the caches
-count hits and builds, the model checker observes frontier sizes, and
+every subsystem reports into: engines count scenarios per status, the cache
+counts hits and builds, the model checker observes frontier sizes, and
 ``FastAsyncNetwork`` tracks peak heap depth.
 
 Design constraints, in priority order:
@@ -22,8 +22,8 @@ Design constraints, in priority order:
   records nothing, so instrumented code needs no conditionals beyond the
   module-level ``telemetry.ENABLED`` guard.
 
-:data:`ENGINE_METRICS` is the always-on registry behind the engine caches;
-the legacy ``kernel_cache_stats()`` dict is a thin view over it.
+:data:`ENGINE_METRICS` is the always-on registry behind the engine cache;
+``kernel_cache_stats()`` is a thin dict view over its counters.
 """
 
 from __future__ import annotations
@@ -241,9 +241,8 @@ class NullMetricsRegistry(MetricsRegistry):
 #: Shared no-op registry bound to ``telemetry.REGISTRY`` while disabled.
 NULL_REGISTRY = NullMetricsRegistry()
 
-#: Always-on process-local registry behind the engine caches.  The
-#: ``kernel_cache_stats()`` compatibility view reads these counters, so they
-#: must count regardless of whether campaign telemetry is enabled; campaign
-#: snapshots still use the per-campaign registry, keeping worker merges
-#: deterministic.
+#: Always-on process-local registry behind the engine cache.
+#: ``kernel_cache_stats()`` reads its counters, so they must count regardless
+#: of whether campaign telemetry is enabled; campaign snapshots still use the
+#: per-campaign registry, keeping worker merges deterministic.
 ENGINE_METRICS = MetricsRegistry()

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import time
+from types import SimpleNamespace
+from unittest import mock
+
 import pytest
 
 np = pytest.importorskip("numpy")
 
+from repro.dataplane import run as dataplane_run
 from repro.dataplane.packets import ARRIVAL_BLOCK, PacketSimulator
 from repro.core.graph import LinkReversalInstance
 from repro.dataplane.run import DataPlaneRun, undirected_distances
@@ -16,6 +21,7 @@ from repro.dataplane.traffic import (
     resolve_traffic,
 )
 from repro.distributed.protocol import ReversalMode
+from repro.kernels.simulator import DeadlineExceeded
 from repro.experiments.runner import execute_scenario
 from repro.experiments.spec import CampaignSpec, ScenarioSpec
 from repro.experiments.spec import TRAFFIC_MODEL_NAMES as SPEC_TRAFFIC_NAMES
@@ -258,6 +264,18 @@ class TestDataPlaneRun:
         # the cascades genuinely rewrote the DAG under the packets
         assert network.total_reversals() > 0
         assert run.repatched_nodes > 0
+
+    def test_deadline_reads_the_runners_clock(self):
+        # the runner's deadlines are perf_counter() readings; a run that
+        # compared them with another clock could keep going past its budget
+        run = self._converged_run()
+        stopped_clock = SimpleNamespace(
+            monotonic=lambda: 0.0, perf_counter=time.perf_counter
+        )
+        with mock.patch.object(dataplane_run, "time", stopped_clock):
+            with pytest.raises(DeadlineExceeded, match="at slot 0"):
+                run.run(64, drain_slots=128, deadline=time.perf_counter() - 1.0)
+        assert run.slots_run == 0
 
     def test_run_is_deterministic(self):
         def counters_once():

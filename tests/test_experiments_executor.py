@@ -120,7 +120,7 @@ class TestRunScenarios:
     @pytest.mark.parametrize("timeout_s,widths", [(None, [4]), (600, [1, 1, 1, 1])])
     def test_kernel_lanes_of_one_batch_key_form_one_group(self, timeout_s, widths):
         with mock.patch.object(
-            batch_engine, "_execute_group", wraps=batch_engine._execute_group
+            batch_engine, "_run_lanes", wraps=batch_engine._run_lanes
         ) as group:
             records = run_scenarios(self._lanes(), timeout_s=timeout_s)
         assert [len(call.args[0]) for call in group.call_args_list] == widths
@@ -161,7 +161,7 @@ class TestRunScenarios:
             assert _stable(record) == _stable(execute_scenario(dict(raw)))
 
     def test_a_failing_lockstep_group_is_retried_lane_by_lane(self):
-        original = batch_engine._execute_group
+        original = batch_engine._run_lanes
 
         def lockstep_fails(lanes, deadline):
             if len(lanes) > 1:
@@ -171,9 +171,9 @@ class TestRunScenarios:
             original(lanes, deadline)
 
         lanes = self._lanes()
-        reset_kernel_caches()  # no outcome memo may answer the retried lanes
+        reset_kernel_caches()  # no phase may answer the retried lanes
         with mock.patch.object(
-            batch_engine, "_execute_group", side_effect=lockstep_fails
+            batch_engine, "_run_lanes", side_effect=lockstep_fails
         ) as group, telemetry.session() as (registry, _):
             records = run_scenarios(lanes)
         assert [len(call.args[0]) for call in group.call_args_list] == [4, 1, 1, 1, 1]

@@ -8,7 +8,7 @@ final orientation, work counters, round counts, convergence step counts and
 churn bookkeeping — across every kernel algorithm × every registry
 scheduler × every churn model, regardless of which other lanes shared the
 group and in which order.  On top of the record contract these tests pin
-the lockstep plumbing: outcome dedup correctness (crash-stop lanes
+the lockstep plumbing: lanes sharing one phase entry (crash-stop lanes
 included), per-run timeout records, engine selection, the shared engine
 cache, campaign interrupt+resume through the store, the mask-level
 simulation chain, and the CLI/report surface.
@@ -17,13 +17,13 @@ simulation chain, and the CLI/report surface.
 from __future__ import annotations
 
 import json
+from unittest import mock
 
 import pytest
 
 from repro.experiments.batch_engine import (
     _KERNEL_CACHE,
     kernel_cache_stats,
-    outcome_stats,
     reset_kernel_caches,
 )
 from repro.experiments.executor import _default_chunk_size, run_campaign
@@ -38,6 +38,7 @@ from repro.experiments import resolve_engine
 from repro.experiments.engines import ENGINE_REGISTRY
 from repro.experiments.spec import CampaignSpec, ScenarioSpec, derive_seed
 from repro.experiments.store import ENGINE_VOLATILE_FIELDS, OUTCOME_FIELDS, ResultStore
+from repro.kernels.batch import BatchSimulator
 from repro.topology.generators import SEEDLESS_FAMILIES, build_family
 
 KERNEL_ALGORITHMS = ("pr", "onestep-pr", "new-pr", "fr")
@@ -58,10 +59,11 @@ def _stable(record):
     return {k: v for k, v in record.items() if k not in ENGINE_VOLATILE_FIELDS}
 
 
-def _assert_batch_matches_oracle(specs) -> list:
-    """Run the specs in one call; pin each lane to the legacy oracle and
-    to its single-scenario record."""
-    batched = run_scenarios([s.to_dict() for s in specs])
+def _assert_batch_matches_oracle(specs, batched=None) -> list:
+    """Run the specs in one call (unless ``batched`` holds their records);
+    pin each lane to the legacy oracle and to its single-scenario record."""
+    if batched is None:
+        batched = run_scenarios([s.to_dict() for s in specs])
     for spec, record in zip(specs, batched):
         assert record["engine"] == ENGINE_KERNEL
         legacy = execute_scenario(spec.to_dict(), engine=ENGINE_LEGACY)
@@ -152,25 +154,45 @@ class TestLaneIndependence:
         second = run_scenarios([s.to_dict() for s in specs])
         assert [_stable(r) for r in first] == [_stable(r) for r in second]
 
-    def test_seedless_family_lanes_share_one_outcome(self):
-        # chain ignores its topology seed, and greedy ignores its scheduler
-        # seed: every replicate is provably the same run, so the engine
-        # deduplicates — and the shared record still matches the oracle
-        assert "chain" in SEEDLESS_FAMILIES
-        before = outcome_stats()
-        specs = [
+    @staticmethod
+    def _seedless_replicates():
+        return [
             _spec(family="chain", size=18, topology_seed=derive_seed("t", r),
                   scheduler_seed=derive_seed("s", r), replicate=r)
             for r in range(8)
         ]
-        _assert_batch_matches_oracle(specs)
-        delta = {k: outcome_stats()[k] - before[k] for k in before}
-        assert delta["outcome_misses"] >= 1
-        assert delta["outcome_hits"] >= 7  # 8 lanes, at most one executed
+
+    @staticmethod
+    def _lanes_added(specs, timeout_s=None):
+        """The records of one call over cold caches, and the lanes it ran."""
+        reset_kernel_caches()
+        with mock.patch.object(
+            BatchSimulator, "add_lane", autospec=True,
+            side_effect=BatchSimulator.add_lane,
+        ) as add_lane:
+            records = run_scenarios([s.to_dict() for s in specs], timeout_s=timeout_s)
+        return records, add_lane.call_count
+
+    def test_seedless_family_lanes_share_one_outcome(self):
+        # chain ignores its topology seed, and greedy ignores its scheduler
+        # seed: every replicate meets the same phase entry, so one lane runs
+        # and seven follow it — and every record still matches the oracle
+        assert "chain" in SEEDLESS_FAMILIES
+        specs = self._seedless_replicates()
+        records, lanes = self._lanes_added(specs)
+        assert lanes == 1
+        _assert_batch_matches_oracle(specs, records)
+
+    def test_deadlined_seedless_lanes_each_run(self):
+        # deadlined runs neither read nor write phases: all eight run
+        specs = self._seedless_replicates()
+        records, lanes = self._lanes_added(specs, timeout_s=600)
+        assert lanes == 8
+        _assert_batch_matches_oracle(specs, records)
 
     def test_crash_stop_lanes_keep_their_topology_seed(self):
         # chain ignores its topology seed, but the crash-stopped nodes are
-        # drawn from it: replicates must not share one leader's outcome
+        # drawn from it: replicates must not share one leader's phase
         specs = [
             _spec(family="chain", size=12, node_faults=1, replicate=r,
                   topology_seed=derive_seed("faults", r))
@@ -179,7 +201,7 @@ class TestLaneIndependence:
         batched = run_scenarios([s.to_dict() for s in specs])
         solo = []
         for spec in specs:
-            reset_kernel_caches()  # no outcome memo carries between the runs
+            reset_kernel_caches()  # no phase carries between the runs
             solo.append(execute_scenario(spec.to_dict(), engine=ENGINE_KERNEL))
         assert [_stable(r) for r in batched] == [_stable(r) for r in solo]
         outcomes = {tuple(r[k] for k in OUTCOME_FIELDS) for r in solo}
@@ -347,13 +369,13 @@ class TestExecutorIntegration:
         assert _default_chunk_size(10, workers=4) == 1
         assert _default_chunk_size(0, workers=4) == 1
 
-    def test_campaign_report_sidecar_records_batch_stats(self, tmp_path):
+    def test_campaign_report_sidecar_records_cache_stats(self, tmp_path):
         with ResultStore(tmp_path / "s") as store:
             run_campaign(self._campaign(replicates=2), store, workers=1,
                          engine=ENGINE_KERNEL)
             sidecar = store.load_report()
         assert sidecar["engines"] == {"kernel": sidecar["executed"]}
-        assert any(k.startswith("batch_") for k in sidecar["kernel_cache"])
+        assert set(sidecar["kernel_cache"]) == set(kernel_cache_stats())
 
 
 class TestCampaignEnginePlumbing:
@@ -419,14 +441,12 @@ class TestSharedCache:
         assert after["instance_hits"] - before["instance_hits"] == 2
         assert set(after) == {
             "instance_hits", "instance_builds", "kernel_hits", "kernel_compiles",
-            "batch_outcome_hits", "batch_outcome_misses",
         }
 
     def test_batch_stats_surface_in_kernel_cache_stats(self):
         run_scenarios([_spec(size=8).to_dict()])
         stats = kernel_cache_stats()
-        for name in ("instance_hits", "kernel_compiles",
-                     "batch_outcome_hits", "batch_outcome_misses"):
+        for name in ("instance_hits", "kernel_compiles"):
             assert name in stats
 
 
@@ -534,7 +554,7 @@ class TestCli:
         ]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["engines"] == {"kernel": 8}
-        assert any(k.startswith("batch_") for k in payload["kernel_cache"])
+        assert set(payload["kernel_cache"]) == set(kernel_cache_stats())
 
     def test_kernel_sweep_store_matches_legacy_sweep_store(self, tmp_path, capsys):
         from repro.cli import main
