@@ -9,8 +9,14 @@ Harness: drive BLL (all-unmarked start) and OneStepPR with identical node
 schedules on several families and verify that the directed graphs and the
 label/list contents coincide after every step; also confirm the FR
 instantiation reproduces FR, and that both instantiations remain acyclic.
+Then the claim over the whole reachable space: on the compiled model
+checker, BLL's reachable signature set equals OneStepPR's and the
+never-marking BLL's equals FR's (BLL signatures pack the marks in the PR
+list layout, so the sets compare directly).  A space above
+:data:`EXHAUSTIVE_BUDGET` states is reported as such and not compared.
 
-Expected outcome: byte-for-byte agreement at every step, zero cycles.
+Expected outcome: byte-for-byte agreement at every step, zero cycles, and
+equal reachable sets wherever the space fits the budget.
 """
 
 from __future__ import annotations
@@ -26,6 +32,8 @@ from repro.core.bll import (
     partial_reversal_as_bll,
 )
 from repro.core.full_reversal import FullReversal
+from repro.core.one_step_pr import OneStepPartialReversal
+from repro.exploration.checker import ModelChecker
 from repro.schedulers.random_scheduler import RandomScheduler
 from repro.schedulers.sequential import SequentialScheduler
 from repro.topology.generators import (
@@ -45,9 +53,31 @@ FAMILIES = {
 }
 
 
+#: Largest reachable space the exhaustive comparison explores.
+EXHAUSTIVE_BUDGET = 250_000
+
+
+def _reachable(automaton):
+    """The compiled reachable signature set, or ``None`` above the budget."""
+    report = ModelChecker(
+        automaton, max_states=EXHAUSTIVE_BUDGET, collect_signatures=True
+    ).run()
+    assert report.vectorized, automaton.name
+    return None if report.truncated else report.signatures
+
+
+def _reachable_cell(bll, direct):
+    """Whether two automata reach the same signatures, as a table cell."""
+    left, right = _reachable(bll), _reachable(direct)
+    if left is None or right is None:
+        return f"> {EXHAUSTIVE_BUDGET} states"
+    return f"yes ({len(left)})" if left == right else f"NO ({len(left)} vs {len(right)})"
+
+
 def _check_families():
     rows = []
     all_ok = True
+    exhaustive = 0
     for name, factory in FAMILIES.items():
         instance = factory()
         schedule = list(instance.non_destination_nodes) * instance.node_count
@@ -64,7 +94,14 @@ def _check_families():
             run(partial_reversal_as_bll(instance), RandomScheduler(seed=1)).execution
         ).holds
 
+        reach = (
+            _reachable_cell(partial_reversal_as_bll(instance), OneStepPartialReversal(instance)),
+            _reachable_cell(full_reversal_as_bll(instance), FullReversal(instance)),
+        )
+        exhaustive += sum(cell.startswith("yes") for cell in reach)
+
         all_ok = all_ok and matches_pr and matches_fr and acyclic
+        all_ok = all_ok and not any(cell.startswith("NO") for cell in reach)
         rows.append(
             (
                 name,
@@ -72,16 +109,19 @@ def _check_families():
                 "yes" if matches_pr else "NO",
                 "yes" if matches_fr else "NO",
                 "yes" if acyclic else "NO",
+                *reach,
             )
         )
-    return rows, all_ok
+    # every family's PR space fits the budget; tree-25's FR space does not
+    return rows, all_ok and exhaustive >= 2 * len(FAMILIES) - 1
 
 
 def test_e13_bll_specialisations(benchmark):
     rows, all_ok = benchmark.pedantic(_check_families, rounds=1, iterations=1)
     print_table(
         "E13 — BLL vs direct PR / FR implementations",
-        ["family", "n", "BLL == PR (stepwise)", "BLL(no-mark) == FR", "BLL acyclic"],
+        ["family", "n", "BLL == PR (stepwise)", "BLL(no-mark) == FR", "BLL acyclic",
+         "reach(BLL) == reach(PR)", "reach(BLL no-mark) == reach(FR)"],
         rows,
     )
     record(benchmark, experiment="E13", rows=rows)

@@ -118,9 +118,9 @@ CHURN_COLUMNS = (("failures_applied", "links failed"), ("partition_skips", "cuts
 
 def cmd_run(args: argparse.Namespace) -> int:
     # one scenario through the engine registry: ``auto`` picks the async
-    # engine for a spec with a delay model, the compiled kernel where the
-    # algorithm has one and the legacy oracle otherwise, and an explicit
-    # engine that cannot run the spec is an error, not a swap
+    # engine for a spec with a delay model and the compiled kernel for a
+    # synchronous one, and an explicit engine that cannot run the spec is an
+    # error, not a swap
     spec = ScenarioSpec(
         family=args.topology, size=args.nodes, algorithm=args.algorithm,
         scheduler=args.scheduler, topology_seed=args.seed,
@@ -931,8 +931,8 @@ def build_parser() -> argparse.ArgumentParser:
                               help="per-run step bound")
     sweep_parser.add_argument("--engine", choices=ENGINE_CHOICES, default="auto",
                               help="execution engine for every run: auto picks the "
-                                   "compiled kernel engine whenever the algorithm "
-                                   "has one (without --timeout it runs a chunk's "
+                                   "compiled kernel engine for every synchronous "
+                                   "run (without --timeout it runs a chunk's "
                                    "runs of one shape in lockstep); legacy forces "
                                    "the object-path oracle")
     sweep_parser.add_argument("--store", required=True,

@@ -25,6 +25,10 @@ With all labels initially 0 this is *exactly* the Partial Reversal automaton
 :func:`bll_matches_partial_reversal` and by the E13 benchmark.  The
 ``mark_on_reversal=False`` mode never sets labels, which degenerates to Full
 Reversal.
+
+BLL is compiled on exactly that reading: marking BLL (from any labelling)
+on the OneStepPR kernel, never-marking BLL from the all-unmarked labelling on
+the FR kernel (:func:`repro.kernels.signature.compile_expander`).
 """
 
 from __future__ import annotations

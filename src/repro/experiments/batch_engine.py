@@ -1,9 +1,9 @@
 """The compiled synchronous engine: scenarios as lockstep lanes.
 
-Every synchronous spec whose algorithm has a signature kernel (PR,
-OneStepPR, NewPR, FR) and whose scheduler has a mask-level twin (every
-registry scheduler does) runs here, as the ``kernel`` engine, on
-:class:`~repro.kernels.batch.BatchSimulator` lanes: scheduler decisions,
+Every synchronous spec runs here, as the ``kernel`` engine: each algorithm
+has a signature kernel (BLL runs on OneStepPR's) and each registry
+scheduler a mask-level twin.  Lanes run on
+:class:`~repro.kernels.batch.BatchSimulator`: scheduler decisions,
 convergence detection, work/round accounting, crash-stopped nodes and the
 churn phases all operate on int signatures, and no automaton state is ever
 materialised.  :meth:`KernelEngine.execute` runs one group of lanes as one
@@ -48,10 +48,6 @@ from functools import partial
 from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
 
 from repro import telemetry as _telemetry
-from repro.core.full_reversal import FullReversal
-from repro.core.new_pr import NewPartialReversal
-from repro.core.one_step_pr import OneStepPartialReversal
-from repro.core.pr import PartialReversal
 from repro.experiments.churn import ScenarioChurn
 from repro.experiments.engines import ExecutionEngine
 from repro.experiments.spec import ALGORITHM_FACTORIES, ScenarioSpec, derive_seed
@@ -71,29 +67,11 @@ from repro.topology.generators import SEEDLESS_FAMILIES, build_family
 
 ENGINE_KERNEL = "kernel"
 
-#: Algorithm names with a compiled signature kernel (mirrors
-#: ``compile_expander``), precomputed: ``supports`` runs once per lane of
-#: every chunk, where an ABC ``issubclass`` is measurable.
-_KERNEL_ALGORITHM_NAMES = frozenset(
-    name
-    for name, factory in ALGORITHM_FACTORIES.items()
-    if isinstance(factory, type)
-    and issubclass(
-        factory,
-        (PartialReversal, OneStepPartialReversal, NewPartialReversal, FullReversal),
-    )
-)
-
 #: Per-process cache of instances, compiled simulators, initial phases and
 #: final-state verdicts, keyed by :func:`_canonical_key` and shared by every
 #: engine; counters live in the always-on ``ENGINE_METRICS`` registry under
 #: ``kernel_``-prefixed names.
 _KERNEL_CACHE = KernelCache(metrics=_telemetry.ENGINE_METRICS, prefix="kernel_")
-
-
-def algorithm_has_kernel(algorithm: str) -> bool:
-    """Whether the named algorithm compiles to a signature kernel."""
-    return algorithm in _KERNEL_ALGORITHM_NAMES
 
 
 def kernel_cache_stats() -> Dict[str, int]:
@@ -412,7 +390,8 @@ class KernelEngine(ExecutionEngine):
         return (
             spec.delay_model is None
             and spec.traffic is None
-            and spec.algorithm in _KERNEL_ALGORITHM_NAMES
+            # every registered algorithm compiles from its default start
+            and spec.algorithm in ALGORITHM_FACTORIES
             and spec.scheduler in MASK_SCHEDULER_FACTORIES
         )
 

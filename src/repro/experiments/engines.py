@@ -1,18 +1,15 @@
 """The execution-engine registry: every way to run a scenario, as peers.
 
-Historically the ``engine=auto|kernel|legacy`` dispatch was hardcoded in
-:mod:`repro.experiments.runner`; adding the asynchronous message-passing
-engine made that a three-way special case, so the dispatch now lives behind a
-small registry.  An :class:`ExecutionEngine` is one complete way of executing
-a :class:`~repro.experiments.spec.ScenarioSpec`:
+An :class:`ExecutionEngine` is one complete way of executing a
+:class:`~repro.experiments.spec.ScenarioSpec`:
 
 ``kernel``
     The compiled signature-kernel fast path (synchronous scheduler model;
-    PR / OneStepPR / NewPR / FR on any registry scheduler): a group of
-    lockstep lanes per call.
+    every algorithm on any registry scheduler): a group of lockstep lanes
+    per call.
 ``legacy``
-    The object-level I/O-automaton oracle (synchronous; every algorithm,
-    including BLL).
+    The object-level I/O-automaton oracle (synchronous): what the
+    differential suites pin ``kernel`` to, and ``--engine legacy`` runs.
 ``async``
     The compiled asynchronous message-passing engine
     (:class:`~repro.distributed.fast_network.FastAsyncNetwork`): nodes react
@@ -26,8 +23,8 @@ a :class:`~repro.experiments.spec.ScenarioSpec`:
 Engines declare which specs they :meth:`~ExecutionEngine.supports`;
 ``resolve_engine("auto", spec)`` picks the highest-priority supporting
 engine, so a spec with a ``delay_model`` routes to the async engine and a
-synchronous BLL spec falls back to the legacy path, with no caller knowing
-the engine list.  Registering a new engine is one
+synchronous spec to the kernel engine, with no caller knowing the engine
+list.  Registering a new engine is one
 :func:`register_engine` call — the runner, executor, CLI and store plumbing
 pick it up through the registry.
 

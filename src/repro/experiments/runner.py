@@ -20,13 +20,11 @@ of its own.  The synchronous engines:
     The compiled synchronous engine of
     :mod:`repro.experiments.batch_engine`: lockstep lanes on the int kernels
     of :mod:`repro.kernels`, with no automaton state ever materialised.
-    Available when the algorithm has a compiled kernel (PR, OneStepPR,
-    NewPR, FR) *and* the scheduler has a mask-level twin (every registry
-    scheduler does).
-``legacy`` (the oracle and fallback)
+    Every algorithm has a compiled kernel (BLL runs on OneStepPR's) and
+    every registry scheduler a mask-level twin.
+``legacy`` (the oracle)
     The original object path: :func:`repro.automata.executions.run` over the
-    I/O automaton with per-step observers.  BLL (and any future automaton
-    without a kernel) always runs here.  The differential test suite pins
+    I/O automaton with per-step observers.  The differential test suite pins
     the compiled engine to field-for-field identical records, which is what
     makes it trustworthy.
 
@@ -77,13 +75,11 @@ from repro import telemetry as _telemetry
 from repro.analysis.work import WorkObserver
 from repro.automata.executions import run
 # the compiled engine's names stay importable from here (the CLI, the
-# executor and the tests use ENGINE_KERNEL, algorithm_has_kernel and
-# kernel_cache_stats)
+# executor and the tests use ENGINE_KERNEL and kernel_cache_stats)
 from repro.experiments.batch_engine import (
     ENGINE_KERNEL,
     KernelEngine,
     Lane,
-    algorithm_has_kernel,
     batch_key,
     kernel_cache_stats,
     load_instance,
@@ -180,7 +176,7 @@ def _converge(automaton_factory, instance, scheduler, observers, max_steps):
 
 
 # ----------------------------------------------------------------------
-# legacy engine (the object-path oracle and BLL fallback)
+# legacy engine (the object-path oracle)
 # ----------------------------------------------------------------------
 def _execute_legacy_scenario(spec, record, work, rounds, deadline) -> None:
     """Run one scenario through the object-level automaton path."""
@@ -222,7 +218,7 @@ def _run_churn(spec, instance, final_state, converged, automaton_factory, observ
     churn = ScenarioChurn(spec)
     for index in range(spec.failure_count):
         candidate = churn.next_instance(
-            index, instance, _orientation_of(final_state).signature(), record
+            index, instance, final_state.graph_signature(), record
         )
         if candidate is None:
             continue
@@ -238,19 +234,11 @@ def _run_churn(spec, instance, final_state, converged, automaton_factory, observ
     return final_state, converged
 
 
-def _orientation_of(state):
-    """The orientation of any link-reversal state (height states derive one)."""
-    orientation = getattr(state, "orientation", None)
-    if orientation is None:
-        orientation = state.to_orientation()
-    return orientation
-
-
 # ----------------------------------------------------------------------
 # engine registration (see repro.experiments.engines)
 # ----------------------------------------------------------------------
 class LegacyEngine(ExecutionEngine):
-    """The object-level I/O-automaton oracle (and BLL fallback)."""
+    """The object-level I/O-automaton oracle."""
 
     name = ENGINE_LEGACY
     auto_priority = 10

@@ -19,10 +19,11 @@ materialisation on the hot path), and offers:
   memory can hold.
 
 There is one compiled loop.  It expands one whole BFS level per round
-through the batch kernels; it runs PR / OneStepPR / NewPR / FR on instances
-of at most :data:`~repro.kernels.vector.MAX_NODES` nodes, with signatures of
-any width.  Every other automaton and larger instance (BLL, say) runs on the
-reference :class:`~repro.exploration.state_space.StateSpaceExplorer` itself,
+through the batch kernels; it runs PR / OneStepPR / NewPR / FR / BLL on
+instances of at most :data:`~repro.kernels.vector.MAX_NODES` nodes, with
+signatures of any width.  Every other automaton (BLL that never marks but
+starts with marks, say) and larger instance runs on the reference
+:class:`~repro.exploration.state_space.StateSpaceExplorer` itself,
 with the built-in checks handed to it as ordinary predicates (no spill, no
 symmetry).  The compiled loop matches the explorer exactly — same BFS order,
 same state/transition/depth/quiescence accounting, same truncation
@@ -193,9 +194,10 @@ class ModelChecker:
     Parameters
     ----------
     automaton:
-        The automaton to explore.  PR / OneStepPR / NewPR / FR on at most
-        :data:`~repro.kernels.vector.MAX_NODES` nodes run on the compiled
-        loop; anything else runs on the reference
+        The automaton to explore.  PR / OneStepPR / NewPR / FR / BLL on at
+        most :data:`~repro.kernels.vector.MAX_NODES` nodes run on the
+        compiled loop; anything else (``compile_expander`` returns ``None``)
+        runs on the reference
         :class:`~repro.exploration.state_space.StateSpaceExplorer`.
     predicates:
         Named state predicates (the bundles from
@@ -279,8 +281,8 @@ class ModelChecker:
                                     (spill_threshold is not None, "disk spill")):
                 if wanted:
                     raise ValueError(
-                        f"{feature} requires a compiled signature kernel "
-                        f"(PR, OneStepPR, NewPR or FR on at most {MAX_NODES} "
+                        f"{feature} requires a compiled signature kernel (PR, "
+                        f"OneStepPR, NewPR, FR or BLL on at most {MAX_NODES} "
                         f"nodes); {automaton.name!r} runs on the reference loop"
                     )
 

@@ -7,7 +7,7 @@ state objects on the hot path:
 
 * :mod:`repro.kernels.signature` — the compiled successor kernels
   (:class:`SignatureExpander` and the PR / OneStepPR / NewPR / FR
-  specialisations) plus the mask-level structural checks and twin-node
+  specialisations, which BLL reuses) plus the mask-level checks and twin-node
   symmetry machinery.  The exhaustive model checker
   (:mod:`repro.exploration`) and the simulation engine both build on these.
 * :mod:`repro.kernels.schedulers` — mask-level scheduler choice logic: every

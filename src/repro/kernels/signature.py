@@ -10,9 +10,9 @@ This module makes those ints the only thing a hot path touches:
     applies one ``reverse(node_i)`` — both with pure integer arithmetic: no
     :class:`~repro.core.graph.Orientation`, no state objects, no
     per-transition allocation beyond the result ints.  Kernels exist for FR,
-    OneStepPR, PR (subset actions) and NewPR; states are only re-materialised
-    (:meth:`SignatureExpander.state_for`) when a predicate needs one or a
-    counterexample is replayed.
+    OneStepPR, PR (subset actions), NewPR and BLL (on the OneStepPR and FR
+    kernels); states are only re-materialised (:meth:`SignatureExpander
+    .state_for`) when a predicate needs one or a counterexample is replayed.
 
 Both the exhaustive model checker (:mod:`repro.exploration`) and the
 scenario simulator (:mod:`repro.kernels.simulator`) are built on these
@@ -24,30 +24,33 @@ Twin-node symmetry reduction
     representative of its orbit under permutations of *structurally
     equivalent* nodes — non-destination nodes with identical neighbour sets
     and identical initial in-neighbour sets ("twins", e.g. the leaves of a
-    star).  Any such permutation is an automorphism of the initial directed
-    graph that commutes with every automaton's transition function, so the
-    canonical image of a reachable state is itself reachable.  Exploration
-    over canonical representatives therefore visits at least one member of
-    every reachable orbit (induction over executions: if ``σ(s)`` is visited
-    and ``s → s'``, then expanding ``σ(s)`` adds ``canonicalize(σ(s'))``),
-    which makes the reduction *sound* for checking label-invariant
-    predicates.  Caveats: when several twin classes overlap (members of one
-    class adjacent to members of another) the per-class sort is not a perfect
-    orbit quotient — it may keep more than one representative per orbit
-    (never fewer); and predicates that depend on node labels (e.g. the
-    embedding-based NewPR invariants 4.1/4.2) are evaluated on the
-    representative only, which is still a reachable state but not the
-    specific orbit member first encountered.
+    star) whose bookkeeping bits also agree in the initial signature (BLL's
+    initial marks can tell twins apart).  Any such permutation is an
+    automorphism of the initial state that commutes with every automaton's
+    transition function, so the canonical image of a reachable state is
+    itself reachable.  Exploration over canonical representatives therefore
+    visits at least one member of every reachable orbit (induction over
+    executions: if ``σ(s)`` is visited and ``s → s'``, then expanding
+    ``σ(s)`` adds ``canonicalize(σ(s'))``), which makes the reduction
+    *sound* for checking label-invariant predicates.  Caveats: when several
+    twin classes overlap (members of one class adjacent to members of
+    another) the per-class sort is not a perfect orbit quotient — it may
+    keep more than one representative per orbit (never fewer); and
+    predicates that depend on node labels (e.g. the embedding-based NewPR
+    invariants 4.1/4.2) are evaluated on the representative only, which is
+    still a reachable state but not the specific orbit member first
+    encountered.
 """
 
 from __future__ import annotations
 
 import abc
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.automata.ioa import Action, IOAutomaton
 from repro.core.base import Reverse
+from repro.core.bll import BinaryLinkLabels, BLLState
 from repro.core.full_reversal import FRState, FullReversal
 from repro.core.graph import DirectedEdge, LinkReversalInstance, Orientation
 from repro.core.new_pr import NewPartialReversal, NewPRState
@@ -195,6 +198,15 @@ class _TwinClass:
         self.clear_mask = clear_mask
 
 
+def _twin_key(row, count_shift: Optional[int], sig: int) -> Tuple:
+    """A twin's sort key in ``sig``: its (edge, own-row, partner-row) bits per
+    shared neighbour, then its counter field when it has one."""
+    key: List = [tuple(1 if sig & bit else 0 for bit in bits) for bits in row]
+    if count_shift is not None:
+        key.append((sig >> count_shift) & _COUNT_MASK)
+    return tuple(key)
+
+
 def twin_node_classes(instance: LinkReversalInstance) -> List[Tuple[int, ...]]:
     """Classes (size >= 2) of structurally equivalent non-destination nodes.
 
@@ -307,32 +319,34 @@ class SignatureExpander(abc.ABC):
 
     def _build_twin_classes(self) -> List[_TwinClass]:
         instance = self.instance
+        initial = self.initial_signature()
         classes = []
-        for members in twin_node_classes(instance):
-            shared = sorted(
-                instance._node_id[v] for v in instance._nbrs[instance.nodes[members[0]]]
-            )
-            fields = []
-            count_shifts: List[int] = []
-            clear = 0
-            for i in members:
+        for structural in twin_node_classes(instance):
+            first = instance.nodes[structural[0]]
+            shared = sorted(instance._node_id[v] for v in instance._nbrs[first])
+            # twins whose bits differ in the initial signature (BLL's initial
+            # marks) are not interchangeable: split the class by those bits
+            groups: Dict[Tuple, List[Tuple[int, Tuple, Optional[int]]]] = {}
+            for i in structural:
                 u = instance.nodes[i]
-                row = []
-                for j in shared:
-                    w = instance.nodes[j]
-                    edge_bit = 1 << instance._edge_id[(u, w)]
-                    own_bit = self._own_row_bit(i, j)
-                    partner_bit = self._own_row_bit(j, i)
-                    row.append((edge_bit, own_bit, partner_bit))
-                    clear |= edge_bit | own_bit | partner_bit
+                row = tuple(
+                    (1 << instance._edge_id[(u, instance.nodes[j])],
+                     self._own_row_bit(i, j), self._own_row_bit(j, i))
+                    for j in shared
+                )
                 shift = self._count_shift(i)
-                if shift is not None:
-                    count_shifts.append(shift)
+                groups.setdefault(_twin_key(row, shift, initial), []).append((i, row, shift))
+            for group in groups.values():
+                if len(group) < 2:
+                    continue
+                members, fields, shifts = zip(*group)
+                clear = 0
+                for bit in chain.from_iterable(chain.from_iterable(fields)):
+                    clear |= bit
+                count_shifts = tuple(shift for shift in shifts if shift is not None)
+                for shift in count_shifts:
                     clear |= _COUNT_MASK << shift
-                fields.append(tuple(row))
-            classes.append(
-                _TwinClass(members, tuple(fields), tuple(count_shifts) or None, ~clear)
-            )
+                classes.append(_TwinClass(members, fields, count_shifts or None, ~clear))
         return classes
 
     @property
@@ -354,19 +368,8 @@ class SignatureExpander(abc.ABC):
         if self._twin_classes is None:
             self._twin_classes = self._build_twin_classes()
         for cls in self._twin_classes:
-            keys = []
-            for m in range(len(cls.members)):
-                key: List = [
-                    (
-                        1 if sig & edge_bit else 0,
-                        1 if own_bit and sig & own_bit else 0,
-                        1 if partner_bit and sig & partner_bit else 0,
-                    )
-                    for edge_bit, own_bit, partner_bit in cls.fields[m]
-                ]
-                if cls.count_shifts is not None:
-                    key.append((sig >> cls.count_shifts[m]) & _COUNT_MASK)
-                keys.append(tuple(key))
+            shifts = cls.count_shifts or (None,) * len(cls.members)
+            keys = [_twin_key(row, shift, sig) for row, shift in zip(cls.fields, shifts)]
             ordered = sorted(keys)
             if ordered == keys:
                 continue
@@ -596,16 +599,36 @@ class NewPRExpander(SignatureExpander):
         return sig
 
 
+class BLLExpander(OneStepPRExpander):
+    """BLL that marks on reversal: the OneStepPR kernel with ``marked[u]`` as
+    ``list[u]``, from any initial marks (they are the initial list rows).
+
+    ``BLLState.signature()`` packs the marks in ``PRState.signature()``'s
+    layout, so the two share the encoding; states decode to ``BLLState``.
+    """
+
+    def state_for(self, sig: int) -> BLLState:
+        return self._decode(sig, BLLState)
+
+
+class BLLFullReversalExpander(FullReversalExpander):
+    """BLL that never marks, from the all-unmarked labelling: the FR kernel."""
+
+    def state_for(self, sig: int) -> BLLState:
+        return BLLState(self.instance, Orientation(self.instance, sig & self._edge_mask))
+
+
 def compile_expander(
     automaton: IOAutomaton, single_actions_only: bool = False
 ) -> Optional[SignatureExpander]:
     """Compile a signature kernel for ``automaton``, or ``None`` if unsupported.
 
-    Unsupported automata (BLL, the height formulations, custom test automata)
-    fall back to the model checker's reference loop
-    (:class:`~repro.exploration.state_space.StateSpaceExplorer`) and the
-    simulator's legacy object path, which keep the legacy semantics but
-    cannot spill, reduce symmetry or skip state materialisation.
+    Unsupported automata (BLL that never marks but starts with marks, the
+    height formulations, custom test automata) run on the model checker's
+    reference loop (:class:`~repro.exploration.state_space
+    .StateSpaceExplorer`) and the simulator's legacy object path, which keep
+    the legacy semantics but cannot spill, reduce symmetry or skip state
+    materialisation.
     """
     if isinstance(automaton, PartialReversal):
         return PartialReversalExpander(automaton, single_actions_only)
@@ -615,4 +638,9 @@ def compile_expander(
         return NewPRExpander(automaton)
     if isinstance(automaton, FullReversal):
         return FullReversalExpander(automaton)
+    if isinstance(automaton, BinaryLinkLabels):
+        if automaton.mark_on_reversal:
+            return BLLExpander(automaton)
+        if not any(automaton.initial_state().marks.values()):
+            return BLLFullReversalExpander(automaton)
     return None

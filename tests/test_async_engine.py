@@ -84,7 +84,7 @@ class TestRegistry:
 
     def test_auto_routes_by_spec_content(self):
         assert resolve_engine("auto", _spec()) == ENGINE_KERNEL
-        assert resolve_engine("auto", _spec(algorithm="bll")) == ENGINE_LEGACY
+        assert resolve_engine("auto", _spec(algorithm="bll")) == ENGINE_KERNEL
         assert resolve_engine("auto", _spec(delay_model="uniform")) == ENGINE_ASYNC
 
     def test_explicit_engine_must_support_the_spec(self):

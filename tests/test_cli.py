@@ -440,7 +440,9 @@ class TestCheck:
         assert "max_states must be at least 1" in capsys.readouterr().err
 
     def test_check_spill_refused_without_kernel(self, capsys):
-        exit_code = main(["check", "--algorithm", "bll", "--nodes", "5", "--spill"])
+        # BLL compiles up to 64 nodes; above that it runs on the reference loop
+        exit_code = main(["check", "--algorithm", "bll", "--topology", "chain",
+                          "--nodes", "70", "--spill"])
         assert exit_code == 2
         assert "compiled signature kernel" in capsys.readouterr().err
 

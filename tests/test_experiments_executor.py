@@ -143,7 +143,7 @@ class TestRunScenarios:
         grid = dict(family="grid", size=9)
         raws = [
             _spec(**grid, algorithm="fr").to_dict(),                           # kernel
-            _spec(algorithm="bll").to_dict(),                                  # legacy
+            _spec(algorithm="bll").to_dict(),                                  # kernel
             _spec(**grid, algorithm="pr", delay_model="fixed").to_dict(),      # async
             _spec(**grid, algorithm="fr", traffic="trickle").to_dict(),        # dataplane
             dict(_spec(size=7).to_dict(), algorithm="nope"),                   # invalid
@@ -154,7 +154,7 @@ class TestRunScenarios:
         records = run_scenarios(raws)
         assert [r["run_id"] for r in records] == [raw["run_id"] for raw in raws]
         assert [r["engine"] for r in records] == [
-            "kernel", "legacy", "async", "dataplane", None, "kernel", "kernel",
+            "kernel", "kernel", "async", "dataplane", None, "kernel", "kernel",
         ]
         assert [r["status"] for r in records] == ["ok"] * 4 + ["error"] + ["ok"] * 2
         for raw, record in zip(raws, records):

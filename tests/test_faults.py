@@ -12,7 +12,7 @@ from repro.experiments.engines import ENGINE_AUTO, get_engine
 from repro.experiments.executor import _fork_preferring_context, run_campaign
 from repro.experiments.runner import execute_scenario
 from repro.experiments.spec import CampaignSpec, ScenarioSpec
-from repro.experiments.store import ResultStore
+from repro.experiments.store import OUTCOME_FIELDS, ResultStore
 from repro.faults import FAULT_PLAN_ENV, FaultPlan, select_crashed_ids
 from repro.faults import injector
 
@@ -303,10 +303,19 @@ class TestNodeFaultsAxis:
             assert "node_faults" in engine.unsupported_reason(spec) or \
                 "traffic" in engine.unsupported_reason(spec)
 
-    def test_unsupported_algorithm_is_error_record(self):
+    def test_bll_node_faults_run_on_the_kernel_only(self):
+        # BLL runs on OneStepPR's kernel, crash-stops included; the legacy
+        # oracle still refuses crash-stop specs
         record = execute_scenario(self._spec(algorithm="bll", node_faults=2))
-        assert record["status"] == "error"
-        assert "engine" in record["error"]
+        assert record["status"] == "ok" and record["engine"] == "kernel"
+        assert record["crashed_nodes"] == 2
+        twin = execute_scenario(self._spec(algorithm="onestep-pr", node_faults=2))
+        assert [record[k] for k in OUTCOME_FIELDS] == [twin[k] for k in OUTCOME_FIELDS]
+        refused = execute_scenario(
+            self._spec(algorithm="bll", node_faults=2), engine="legacy"
+        )
+        assert refused["status"] == "error"
+        assert "node_faults" in refused["error"]
 
     def test_validate_bounds_and_exclusions(self):
         with pytest.raises(ValueError):

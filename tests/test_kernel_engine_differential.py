@@ -30,18 +30,23 @@ from repro.experiments.executor import _default_chunk_size, run_campaign
 from repro.experiments.runner import (
     ENGINE_KERNEL,
     ENGINE_LEGACY,
-    algorithm_has_kernel,
     execute_scenario,
     run_scenarios,
 )
 from repro.experiments import resolve_engine
 from repro.experiments.engines import ENGINE_REGISTRY
-from repro.experiments.spec import CampaignSpec, ScenarioSpec, derive_seed
+from repro.experiments.spec import (
+    ALGORITHM_FACTORIES,
+    CampaignSpec,
+    ScenarioSpec,
+    derive_seed,
+)
 from repro.experiments.store import ENGINE_VOLATILE_FIELDS, OUTCOME_FIELDS, ResultStore
 from repro.kernels.batch import BatchSimulator
+from repro.kernels.signature import compile_expander
 from repro.topology.generators import SEEDLESS_FAMILIES, build_family
 
-KERNEL_ALGORITHMS = ("pr", "onestep-pr", "new-pr", "fr")
+KERNEL_ALGORITHMS = ("pr", "onestep-pr", "new-pr", "fr", "bll")
 ALL_SCHEDULERS = ("greedy", "sequential", "random", "adversarial", "lazy", "round-robin")
 
 
@@ -260,11 +265,16 @@ class TestEngineSelection:
     def test_auto_prefers_kernel(self):
         assert resolve_engine("auto", _spec()) == ENGINE_KERNEL
 
-    def test_auto_falls_back_for_bll(self):
-        assert resolve_engine("auto", _spec(algorithm="bll")) == ENGINE_LEGACY
-        record = execute_scenario(_spec(algorithm="bll", size=8).to_dict())
+    def test_auto_runs_bll_on_the_kernel(self):
+        # BLL from the all-unmarked labelling is OneStepPR: no synchronous
+        # spec resolves to the legacy oracle any more
+        assert resolve_engine("auto", _spec(algorithm="bll")) == ENGINE_KERNEL
+        spec = _spec(algorithm="bll", size=8)
+        record = execute_scenario(spec.to_dict())
         assert record["status"] == "ok"
-        assert record["engine"] == ENGINE_LEGACY
+        assert record["engine"] == ENGINE_KERNEL
+        legacy = execute_scenario(spec.to_dict(), engine=ENGINE_LEGACY)
+        assert _stable(record) == _stable(legacy)
 
     def test_auto_rejection_lists_every_engine_reason(self):
         spec = _spec(algorithm="onestep-pr", delay_model="uniform")
@@ -279,21 +289,26 @@ class TestEngineSelection:
         assert "unknown engine" in record["error"]
 
     def test_algorithm_has_kernel_registry(self):
-        for name in KERNEL_ALGORITHMS:
-            assert algorithm_has_kernel(name)
-        assert not algorithm_has_kernel("bll")
-        assert not algorithm_has_kernel("no-such-algorithm")
+        # every registered algorithm compiles from its default start, which
+        # is what lets the kernel engine answer from the name alone
+        instance = build_family("grid", 9, 0)
+        kernel = ENGINE_REGISTRY[ENGINE_KERNEL]
+        assert set(KERNEL_ALGORITHMS) == set(ALGORITHM_FACTORIES)
+        for name, factory in ALGORITHM_FACTORIES.items():
+            assert kernel.supports(_spec(algorithm=name))
+            assert compile_expander(factory(instance)) is not None
+        assert not kernel.supports(_spec(algorithm="no-such-algorithm"))
 
 
 class TestUnsupportedLanes:
-    def test_bll_lane_is_an_error_record(self):
+    def test_traffic_lane_is_an_error_record(self):
         records = run_scenarios([
             _spec(size=8).to_dict(),
-            _spec(algorithm="bll", size=8).to_dict(),
+            _spec(algorithm="bll", size=8, traffic="trickle").to_dict(),
         ], engine=ENGINE_KERNEL)
         assert records[0]["status"] == "ok"
         assert records[1]["status"] == "error"
-        assert "no signature kernel" in records[1]["error"]
+        assert "moves no packets" in records[1]["error"]
         assert records[1]["engine"] is None
 
     def test_async_lane_is_an_error_record(self):
@@ -303,9 +318,9 @@ class TestUnsupportedLanes:
         assert record["status"] == "error"
         assert "delay_model" in record["error"]
 
-    def test_forced_kernel_engine_on_bll_raises_in_resolution(self):
-        with pytest.raises(ValueError, match="legacy"):
-            resolve_engine(ENGINE_KERNEL, _spec(algorithm="bll"))
+    def test_forced_kernel_engine_on_traffic_raises_in_resolution(self):
+        with pytest.raises(ValueError, match="dataplane"):
+            resolve_engine(ENGINE_KERNEL, _spec(algorithm="bll", traffic="trickle"))
 
 
 class TestExecutorIntegration:
@@ -378,6 +393,71 @@ class TestExecutorIntegration:
         assert set(sidecar["kernel_cache"]) == set(kernel_cache_stats())
 
 
+class TestBLLCampaignConformance:
+    """BLL campaigns: the kernel against the legacy oracle, and old stores."""
+
+    @staticmethod
+    def _campaign() -> CampaignSpec:
+        return CampaignSpec(
+            name="bll-twin",
+            families=("chain", "grid", "random-dag", "geometric"),
+            algorithms=("bll",),
+            schedulers=("greedy", "random", "adversarial"),
+            sizes=(8, 12),
+            base_seed=26,
+            failure_models=[("none", 0), ("link-failures", 2), ("mobility", 3)],
+        )
+
+    @staticmethod
+    def _records(store):
+        return {r["run_id"]: r for r in store.records()}
+
+    def test_churn_campaign_matches_its_legacy_twin(self, tmp_path):
+        campaign = self._campaign()
+        with ResultStore(tmp_path / "kernel") as store:
+            report = run_campaign(campaign, store, workers=1)
+            kernel = self._records(store)
+        with ResultStore(tmp_path / "legacy") as store:
+            run_campaign(campaign, store, workers=1, engine=ENGINE_LEGACY)
+            legacy = self._records(store)
+        assert report.engines == {"kernel": len(campaign.expand())} == {"kernel": 54}
+        assert kernel.keys() == legacy.keys()
+        for run_id, record in kernel.items():
+            twin = legacy[run_id]
+            assert [record[k] for k in OUTCOME_FIELDS] == [twin[k] for k in OUTCOME_FIELDS]
+            differing = {k for k in record.keys() | twin.keys() if record.get(k) != twin.get(k)}
+            assert differing <= {"engine", "wall_time_s"}, (run_id, differing)
+        records = list(kernel.values())
+        assert all(r["status"] == "ok" for r in records)
+        assert sum(r["failures_applied"] for r in records) > 0
+        assert sum(r["reorientations"] + r["partition_skips"] for r in records) > 0
+
+    def test_a_store_of_legacy_bll_records_resumes_as_a_no_op(self, tmp_path):
+        # before BLL had a kernel, ``auto`` ran it on the legacy oracle; such
+        # a store is complete, its records already equal the kernel's, and
+        # it stays clean
+        from repro.cli import main
+
+        def outcomes(store):
+            return {
+                run_id: [r[k] for k in OUTCOME_FIELDS]
+                for run_id, r in self._records(store).items()
+            }
+
+        campaign = self._campaign()
+        with ResultStore(tmp_path / "old") as store:
+            run_campaign(campaign, store, workers=1, engine=ENGINE_LEGACY)
+            before = outcomes(store)
+            report = run_campaign(campaign, store, workers=1)
+            assert report.executed == 0 and report.skipped == 54
+            assert store.engine_counts() == {"legacy": 54}
+            assert outcomes(store) == before
+        with ResultStore(tmp_path / "fresh") as store:
+            run_campaign(campaign, store, workers=1)
+            assert outcomes(store) == before
+        assert main(["fsck", str(tmp_path / "old"), "--no-repair"]) == 0
+
+
 class TestCampaignEnginePlumbing:
     def _campaign(self, **overrides) -> CampaignSpec:
         base = dict(
@@ -415,11 +495,12 @@ class TestCampaignEnginePlumbing:
     def test_mixed_campaign_counts_both_engines(self, tmp_path):
         with ResultStore(tmp_path) as store:
             report = run_campaign(
-                self._campaign(algorithms=("pr", "bll"), schedulers=("greedy",)),
+                self._campaign(algorithms=("pr",), schedulers=("greedy",),
+                               delay_models=(None, "fixed")),
                 store, workers=1,
             )
-            assert report.engines == {"kernel": 4, "legacy": 4}
-            assert store.engine_counts() == {"kernel": 4, "legacy": 4}
+            assert report.engines == {"kernel": 4, "async": 4}
+            assert store.engine_counts() == {"kernel": 4, "async": 4}
 
 
 class TestSharedCache:
@@ -527,11 +608,12 @@ class TestCli:
         assert legacy.pop("engine") == "legacy"
         assert fast == legacy
 
-    def test_run_forced_kernel_on_bll_fails(self, capsys):
+    def test_run_forced_kernel_on_async_spec_fails(self, capsys):
         from repro.cli import main
 
-        assert main(["run", "--algorithm", "bll", "--engine", "kernel"]) == 2
-        assert "no signature kernel" in capsys.readouterr().err
+        assert main(["run", "--algorithm", "bll", "--engine", "kernel",
+                     "--delay-model", "uniform"]) == 2
+        assert "synchronous specs only" in capsys.readouterr().err
 
     def test_sweep_json_reports_engines_and_cache(self, tmp_path, capsys):
         from repro.cli import main

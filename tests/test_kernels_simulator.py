@@ -346,7 +346,9 @@ class TestKernelCache:
         cache = KernelCache()
         instance = worst_case_chain_instance(3)
         cache.instance("k", lambda: instance)
-        assert cache.kernel("k", "bll", lambda: compile_expander(BinaryLinkLabels(instance))) is None
+        # BLL that never marks but starts marked is neither PR nor FR
+        unlisted = BinaryLinkLabels(instance, initial_marks={2: [1]}, mark_on_reversal=False)
+        assert cache.kernel("k", "bll", lambda: compile_expander(unlisted)) is None
         assert cache.kernel("k", "bll", lambda: None) is None
         assert cache.stats()["kernel_compiles"] == 2  # None results re-compile
 

@@ -43,7 +43,10 @@ from repro.topology.generators import (
     worst_case_chain_instance,
 )
 
-ALGORITHM_CLASSES = (PartialReversal, OneStepPartialReversal, NewPartialReversal, FullReversal)
+ALGORITHM_CLASSES = (
+    PartialReversal, OneStepPartialReversal, NewPartialReversal, FullReversal,
+    BinaryLinkLabels,
+)
 
 #: The report fields the checker shares with the reference explorer.
 REPORT_FIELDS = (
@@ -90,9 +93,12 @@ class TestOracleCounts:
             assert report.states_explored == len(oracle)
             assert not report.truncated
 
-    @pytest.mark.parametrize("automaton_class", (FullReversal, OneStepPartialReversal, PartialReversal))
+    @pytest.mark.parametrize(
+        "automaton_class",
+        (FullReversal, OneStepPartialReversal, PartialReversal, BinaryLinkLabels),
+    )
     def test_signature_sets_match_oracle_encoding(self, automaton_class, bad_grid):
-        # FR / OneStepPR / PR compiled signatures use the states' own
+        # FR / OneStepPR / PR / BLL compiled signatures use the states' own
         # encoding, so the sets (not just the counts) must coincide
         oracle = brute_force_signatures(automaton_class(bad_grid))
         report = ModelChecker(automaton_class(bad_grid), collect_signatures=True).run()
@@ -453,6 +459,15 @@ class _CountdownAutomaton:
         return _CounterState(state.value - 1)
 
 
+def reference_bll(instance: LinkReversalInstance) -> BinaryLinkLabels:
+    """BLL that never marks but starts with node 2's edge to node 1 marked.
+
+    It is neither PR nor FR, so it has no compiled kernel and runs on the
+    checker's reference loop (on ``bad_chain``: 20 states, all clean).
+    """
+    return BinaryLinkLabels(instance, initial_marks={2: [1]}, mark_on_reversal=False)
+
+
 class TestGenericFallback:
     def test_countdown_automaton_explores(self):
         report = ModelChecker(_CountdownAutomaton()).run()
@@ -469,34 +484,35 @@ class TestGenericFallback:
 
     def test_bll_matches_the_explorer_and_the_oracle(self, bad_chain):
         report = ModelChecker(
-            BinaryLinkLabels(bad_chain), check_acyclicity=True, check_progress=True,
+            reference_bll(bad_chain), check_acyclicity=True, check_progress=True,
             collect_signatures=True,
         ).run()
-        explored = StateSpaceExplorer(BinaryLinkLabels(bad_chain)).explore()
+        explored = StateSpaceExplorer(reference_bll(bad_chain)).explore()
         assert not report.vectorized
         assert report.predicate_names == ("acyclic", "progress")
-        assert report.all_predicates_hold and report.states_explored > 1
+        assert report.all_predicates_hold and report.states_explored == 20
         assert [getattr(report, name) for name in REPORT_FIELDS] == [
             getattr(explored, name) for name in REPORT_FIELDS
         ]
-        assert report.signatures == brute_force_signatures(BinaryLinkLabels(bad_chain))
+        assert report.signatures == brute_force_signatures(reference_bll(bad_chain))
         assert str(report) == str(explored)
 
     def test_bll_trace_cap_and_untracked_traces(self, bad_chain):
         # every non-initial state fails: the stored record carries at most
         # max_traced_failures traces, and violations still counts them all
-        automaton = BinaryLinkLabels(bad_chain)
+        automaton = reference_bll(bad_chain)
         initial_signature = automaton.initial_state().signature()
         predicates = {"is-initial": lambda s: s.signature() == initial_signature}
         failing = ModelChecker(automaton, predicates).run().states_explored - 1
         assert failing > 3
         capped = ModelChecker(automaton, predicates, max_traced_failures=2).run()
+        assert not capped.vectorized
         record = capped.to_record()
         assert record["violations"] == failing
         assert len(record["counterexamples"]) == 2
         assert all(trace["reconstructed"] for trace in record["counterexamples"])
         for failure in capped.failures[:2]:
-            failure.trace.replay(BinaryLinkLabels(bad_chain)).validate()
+            failure.trace.replay(reference_bll(bad_chain)).validate()
         assert all(
             not f.trace.reconstructed and f.path == () for f in capped.failures[2:]
         )
@@ -504,33 +520,35 @@ class TestGenericFallback:
         assert untracked.to_record()["violations"] == failing
         assert untracked.to_record()["counterexamples"] == []
         with pytest.raises(ValueError, match="not reconstructed"):
-            untracked.failures[0].trace.replay(BinaryLinkLabels(bad_chain))
+            untracked.failures[0].trace.replay(reference_bll(bad_chain))
 
     def test_progress_failure_names_the_stranded_node(self):
         # node 2 has no link at all, so the quiescent state cannot route it
         instance = LinkReversalInstance((0, 1, 2), 0, ((1, 0),))
         report = ModelChecker(
-            BinaryLinkLabels(instance), check_acyclicity=True, check_progress=True
+            BinaryLinkLabels(instance, initial_marks={1: [0]}, mark_on_reversal=False),
+            check_acyclicity=True, check_progress=True,
         ).run()
+        assert not report.vectorized
         assert [(f.predicate_name, f.detail) for f in report.failures] == [
             ("progress", "quiescent but nodes ['2'] cannot reach the destination")
         ]
         assert report.to_record()["acyclic_final"] is True
 
     def test_bll_counterexample_replays(self, bad_chain):
-        automaton = BinaryLinkLabels(bad_chain)
+        automaton = reference_bll(bad_chain)
         initial_signature = automaton.initial_state().signature()
         predicates = {"is-initial": lambda s: s.signature() == initial_signature}
-        report = ModelChecker(BinaryLinkLabels(bad_chain), predicates).run()
-        assert not report.all_predicates_hold
-        execution = report.failures[0].trace.replay(BinaryLinkLabels(bad_chain))
+        report = ModelChecker(reference_bll(bad_chain), predicates).run()
+        assert not report.all_predicates_hold and not report.vectorized
+        execution = report.failures[0].trace.replay(reference_bll(bad_chain))
         execution.validate()
         assert execution.final_state.signature() != initial_signature
 
     def test_bll_refuses_symmetry(self, bad_chain):
         with pytest.raises(ValueError, match="symmetry"):
-            ModelChecker(BinaryLinkLabels(bad_chain), symmetry=True)
+            ModelChecker(reference_bll(bad_chain), symmetry=True)
 
     def test_bll_refuses_spill(self, bad_chain):
         with pytest.raises(ValueError, match="spill"):
-            ModelChecker(BinaryLinkLabels(bad_chain), spill_threshold=10).run()
+            ModelChecker(reference_bll(bad_chain), spill_threshold=10).run()
