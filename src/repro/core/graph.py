@@ -34,9 +34,10 @@ index in :meth:`LinkReversalInstance.__post_init__` and precomputes, once:
 
 The node-keyed views — the ordered-pair edge index (``edge_index(u, v)``),
 ``incident_neighbours`` and the ``nbrs`` / ``in_nbrs`` / ``out_nbrs`` sets —
-are built on first use: the compiled engines work on ids alone, and a churn
-repair phase derives a new instance from the previous one
-(:meth:`LinkReversalInstance.oriented_by`) without revalidating it.
+are built on first use: the compiled engines work on ids alone, and the
+legacy oracle's churn derives each repair phase's instance from the
+previous one (:meth:`LinkReversalInstance.oriented_by`) without
+revalidating it.
 
 :class:`Orientation` stores the whole directed version as a *single Python
 int bitmask* (bit ``e`` set iff edge ``e`` is currently reversed relative to
@@ -202,7 +203,8 @@ class LinkReversalInstance:
         set_attr(self, "_dest_id", node_id[self.destination])
 
     # the node-keyed views are built on first use: the compiled engines work
-    # on the id tables above, and churn phases build an instance per repair
+    # on the id tables above, and the oracle's churn builds an instance per
+    # repair
     @cached_property
     def _edge_id(self) -> Mapping[Tuple[Node, Node], int]:
         edge_id: Dict[Tuple[Node, Node], int] = {}
@@ -408,8 +410,9 @@ class LinkReversalInstance:
         """Whether ``G'_init`` is a DAG (a requirement of the system model).
 
         Kahn's algorithm over the precomputed index arrays, run once per
-        instance (the churn phases check a candidate and then build an
-        automaton on it, which validates it again).
+        instance (the oracle's mobility churn checks a carried-over
+        candidate and then builds an automaton on it, which validates it
+        again).
         """
         return self._initially_acyclic
 
@@ -494,7 +497,10 @@ class LinkReversalInstance:
         edge list.  The nodes are unchanged and the edges are a subset of
         this instance's, so nothing is re-validated and no node is looked up
         again: the id tables are rebuilt from the edges' node ids, or, with
-        no edge dropped, shared where re-orienting cannot change them.
+        no edge dropped, shared where re-orienting cannot change them.  The
+        legacy oracle's churn re-packs its instances with this; the compiled
+        engine keeps the topology and clears failed links' bits instead
+        (:class:`repro.experiments.churn.Links`).
         """
         edges = [
             (v, u) if (mask >> e) & 1 else (u, v)

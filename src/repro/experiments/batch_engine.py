@@ -6,11 +6,15 @@ scheduler a mask-level twin.  Lanes run on
 :class:`~repro.kernels.batch.BatchSimulator`: scheduler decisions,
 convergence detection, work/round accounting, crash-stopped nodes and the
 churn phases all operate on int signatures, and no automaton state is ever
-materialised.  :meth:`KernelEngine.execute` runs one group of lanes as one
-lockstep call; :func:`repro.experiments.runner.run_scenarios` forms the
-groups — lanes of one :func:`batch_key` shape (``(family, size, algorithm,
-scheduler, churn model, node faults, max_steps)``) when the chunk has no
-per-run timeout, width-1 groups with their own deadlines when it has one.
+materialised.  Churn never builds an instance either: a lane carries an
+alive-link mask and an orientation mask in its topology's edge ids, and a
+repair phase runs on the topology's cached kernel restricted to the alive
+links (see :func:`_churn`).  :meth:`KernelEngine.execute` runs one group
+of lanes as one lockstep call; :func:`repro.experiments.runner.run_scenarios`
+forms the groups — lanes of one :func:`batch_key` shape (``(family, size,
+algorithm, scheduler, churn model, node faults, max_steps)``) when the chunk
+has no per-run timeout, width-1 groups with their own deadlines when it has
+one.
 
 The engine amortises three costs:
 
@@ -21,7 +25,9 @@ The engine amortises three costs:
   through :func:`load_instance`);
   for the seed-deterministic families
   (:data:`~repro.topology.generators.SEEDLESS_FAMILIES`) every replicate is
-  the *same* instance, so one build and one compile serve them all;
+  the *same* instance, so one build and one compile serve them all.  Churn
+  adds no compile of its own beyond one per mobility trajectory step and
+  algorithm, kept beside the topology;
 * **initial convergence phases** — a lane's initial phase (final mask,
   steps, ``converged``, work and round tallies) depends only on the inputs
   named by :func:`_phase_name`, so an un-deadlined lane keeps it as a
@@ -48,7 +54,7 @@ from functools import partial
 from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
 
 from repro import telemetry as _telemetry
-from repro.experiments.churn import ScenarioChurn
+from repro.experiments.churn import Links, ScenarioChurn
 from repro.experiments.engines import ExecutionEngine
 from repro.experiments.spec import ALGORITHM_FACTORIES, ScenarioSpec, derive_seed
 from repro.faults.nodes import select_crashed_ids
@@ -196,6 +202,18 @@ class _Phase:
         rounds.rounds, rounds._seen = self.rounds, set(self.seen)
 
 
+def _simulator(key: Hashable, name: Hashable, instance, algorithm: str) -> SignatureSimulator:
+    """The cached simulator of ``algorithm`` on ``instance``, under ``(key, name)``.
+
+    The cache holds whole simulators: their id tables are per-instance
+    setup just like the kernel tables, and they carry no run state.
+    """
+    return _KERNEL_CACHE.kernel(
+        key, name,
+        lambda: SignatureSimulator(compile_expander(ALGORITHM_FACTORIES[algorithm](instance))),
+    )
+
+
 def _run_lanes(lanes: List[Lane], deadline: Optional[float]) -> None:
     """Execute lanes sharing one batch key as one lockstep group.
 
@@ -207,7 +225,6 @@ def _run_lanes(lanes: List[Lane], deadline: Optional[float]) -> None:
     lane with that entry restores it after the lockstep call.
     """
     spec0 = lanes[0][0]
-    automaton_factory = ALGORITHM_FACTORIES[spec0.algorithm]
     width = len(lanes)
     works = [WorkTally() for _ in range(width)]
     rounds = [RoundTally() for _ in range(width)]
@@ -235,16 +252,7 @@ def _run_lanes(lanes: List[Lane], deadline: Optional[float]) -> None:
                     followers.append((pos, phase))
                     continue
                 claimed.add(phase)
-            # the cache holds whole simulators: their id tables are
-            # per-instance setup just like the kernel tables, and they carry
-            # no run state
-            simulator = _KERNEL_CACHE.kernel(
-                key,
-                spec.algorithm,
-                lambda inst=instance: SignatureSimulator(
-                    compile_expander(automaton_factory(inst))
-                ),
-            )
+            simulator = _simulator(key, spec.algorithm, instance, spec.algorithm)
             batch.add_lane(
                 simulator,
                 make_mask_scheduler(spec.scheduler, spec.scheduler_seed),
@@ -279,24 +287,26 @@ def _run_lanes(lanes: List[Lane], deadline: Optional[float]) -> None:
             masks[pos], convergeds[pos] = phase.mask, phase.converged
         active = [pos for pos in range(width) if lanes[pos][1]["status"] != "timeout"]
 
-        initial = list(instances)
+        churned: Dict[int, Links] = {}
         if spec0.failure_model != "none" and spec0.failure_count > 0:
             active = _churn(
                 lanes, active, keys, instances, masks, convergeds,
-                works, rounds, automaton_factory, deadline,
+                works, rounds, deadline, churned,
             )
 
         for pos in active:
-            instance, mask = instances[pos], masks[pos]
-            if instance is initial[pos]:
+            links = churned.get(pos)
+            if links is None:
                 # the verdict is a pure function of the cached topology and
-                # the final mask; churn products are never cached
+                # the final mask; churned links are never cached
                 acyclic, oriented = _KERNEL_CACHE.kernel(
-                    keys[pos], ("final", mask),
-                    partial(mask_final_state_checks, instance, mask),
+                    keys[pos], ("final", masks[pos]),
+                    partial(mask_final_state_checks, instances[pos], masks[pos]),
                 )
             else:
-                acyclic, oriented = mask_final_state_checks(instance, mask)
+                acyclic, oriented = mask_final_state_checks(
+                    links.topology, links.mask, links.alive
+                )
             lanes[pos][1].update(
                 converged=convergeds[pos],
                 destination_oriented=oriented,
@@ -315,22 +325,35 @@ def _run_lanes(lanes: List[Lane], deadline: Optional[float]) -> None:
 
 def _churn(
     lanes, active, keys, instances, masks, convergeds, works, rounds,
-    automaton_factory, deadline,
+    deadline, churned,
 ) -> List[int]:
     """Apply each link-failure or mobility step, then repair in lockstep.
 
-    Every lane the step changed re-converges from its surviving orientation
-    on a freshly compiled instance (see
-    :class:`~repro.experiments.churn.ScenarioChurn`); the repair phases of
-    one step run as one lockstep call.  A lane counts the failure as applied
-    and adds the phase steps; a timed-out lane keeps its partial tallies and
-    leaves the loop.  ``converged`` stays ``True`` only if the initial
-    convergence *and* every repair phase reached quiescence.  Returns the
-    lanes that did not time out.
+    Every lane carries its :class:`~repro.experiments.churn.Links`: its
+    topology, alive-link mask and orientation mask.  A step of
+    :class:`~repro.experiments.churn.ScenarioChurn` clears a failed link's
+    bit or moves the lane onto a mobility step's trajectory instance, whose
+    simulator the cache compiles once per topology, step and algorithm.
+    The lane then re-converges from the step's start orientation, with
+    fresh bookkeeping, on its topology's simulator restricted to the alive
+    links; the repair phases of one step run as one lockstep call.  A lane
+    counts the failure as applied and adds the phase steps; a timed-out
+    lane keeps its partial tallies and leaves the loop.  ``converged`` stays
+    ``True`` only if the initial convergence *and* every repair phase
+    reached quiescence.  Lanes with an applied step land in ``churned``
+    with their final links.  Returns the lanes that did not time out.
     """
     spec0 = lanes[0][0]
+    algorithm = spec0.algorithm
     churns = {
         pos: ScenarioChurn(lanes[pos][0], _KERNEL_CACHE, keys[pos]) for pos in active
+    }
+    links = {
+        pos: Links(instances[pos], (1 << instances[pos].edge_count) - 1, masks[pos])
+        for pos in active
+    }
+    simulators = {
+        pos: _simulator(keys[pos], algorithm, instances[pos], algorithm) for pos in active
     }
     looping = list(active)
     for index in range(spec0.failure_count):
@@ -341,24 +364,29 @@ def _churn(
         for pos in looping:
             spec, record = lanes[pos]
             churn = churns[pos]
-            candidate = churn.next_instance(index, instances[pos], masks[pos], record)
-            if candidate is None:
+            start = churn.next_links(index, links[pos], record)
+            if start is None:
                 continue
-            simulator = SignatureSimulator(compile_expander(automaton_factory(candidate)))
+            simulator = simulators[pos]
+            if start.topology is not links[pos].topology:
+                simulator = _simulator(
+                    keys[pos], ("mobility", index, algorithm), start.topology, algorithm
+                )
             batch.add_lane(
-                simulator,
+                simulator.restricted(start.alive, start.mask),
                 make_mask_scheduler(
                     spec.scheduler,
                     derive_seed(spec.scheduler_seed, churn.seed_label, index),
                 ),
                 work=works[pos],
                 rounds=rounds[pos],
+                start=start.mask,
             )
-            phase.append((pos, candidate, simulator))
+            phase.append((pos, start, simulator))
         if not phase:
             continue
         outcomes = batch.run(max_steps=spec0.max_steps, deadline=deadline)
-        for (pos, candidate, simulator), outcome in zip(phase, outcomes):
+        for (pos, start, simulator), outcome in zip(phase, outcomes):
             record = lanes[pos][1]
             if outcome.timed_out:
                 record.update(
@@ -366,10 +394,11 @@ def _churn(
                     error=f"deadline exceeded at step {outcome.timeout_step}",
                 )
                 continue
-            masks[pos] = simulator.kernel.orientation_mask(outcome.signature)
+            start.mask = outcome.signature & start.alive
+            links[pos] = churned[pos] = start
+            simulators[pos] = simulator
             record["failures_applied"] += 1
             record["steps_taken"] += outcome.steps
-            instances[pos] = candidate
             convergeds[pos] = convergeds[pos] and outcome.converged
         looping = [pos for pos in looping if lanes[pos][1]["status"] != "timeout"]
     return looping

@@ -106,6 +106,7 @@ class BatchSimulator:
         dead_ids: Optional[Set[int]] = None,
         max_steps: Optional[int] = None,
         trace: Optional[List[Tuple[int, ...]]] = None,
+        start: Optional[int] = None,
     ) -> int:
         """Append one lane; returns its index.
 
@@ -123,6 +124,9 @@ class BatchSimulator:
         induces.  ``max_steps`` overrides :meth:`run`'s bound for this lane.
         ``trace``, when given, receives the actor-id tuple of every action
         the lane takes; untraced lanes run the scheduler's ``select`` as is.
+        ``start`` is the lane's first signature, the kernel's initial one by
+        default; a churn repair phase starts at the surviving orientation
+        with fresh bookkeeping, which is that orientation mask itself.
         """
         scheduler.bind(simulator)
         select = scheduler.select
@@ -135,7 +139,7 @@ class BatchSimulator:
                     record(actors)
                 return actors
 
-        sig = simulator.initial_signature()
+        sig = simulator.initial_signature() if start is None else start
         sinks = simulator.sink_id_set(sig)
         can_sink = simulator._can_sink
         if dead_ids:

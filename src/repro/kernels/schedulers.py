@@ -129,22 +129,7 @@ class _DistanceScheduler(MaskScheduler):
         self._distance: Tuple[int, ...] = ()
 
     def bind(self, simulator) -> None:
-        instance = simulator.instance
-        n = instance.node_count
-        infinity = n + 1
-        distance = [infinity] * n
-        distance[instance._dest_id] = 0
-        frontier = [instance._dest_id]
-        nbr_ids = simulator.neighbour_ids
-        while frontier:
-            next_frontier = []
-            for i in frontier:
-                for j in nbr_ids[i]:
-                    if distance[j] == infinity:
-                        distance[j] = distance[i] + 1
-                        next_frontier.append(j)
-            frontier = next_frontier
-        self._distance = tuple(distance)
+        self._distance = simulator.hop_distances
 
 
 class MaskAdversarialScheduler(_DistanceScheduler):

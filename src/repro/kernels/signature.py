@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import abc
 from itertools import chain, combinations
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.automata.ioa import Action, IOAutomaton
 from repro.core.base import Reverse
@@ -113,25 +113,26 @@ def mask_is_destination_oriented(instance: LinkReversalInstance, mask: int) -> b
 
 
 def mask_final_state_checks(
-    instance: LinkReversalInstance, mask: int
+    instance: LinkReversalInstance, mask: int, alive: Optional[int] = None
 ) -> Tuple[bool, bool]:
     """``(is_acyclic, is_destination_oriented)`` of the ``mask`` orientation.
 
-    The two checks share the successor/predecessor adjacency, so computing
-    them together halves the allocation work of calling
-    :func:`mask_is_acyclic` and :func:`mask_is_destination_oriented`
-    separately — this is what the scenario runner stamps on every finished
-    run.
+    The two checks share one successor adjacency: following out-edges from
+    any node of a DAG ends at a node without one, so a DAG is destination
+    oriented iff the destination is its only such node, and only a cyclic
+    orientation needs the reverse search.  This is what the scenario runner
+    stamps on every finished run.  ``alive``, when given, restricts the
+    graph to the edges whose bit it sets (the links a churned run has left).
     """
     n = instance.node_count
     succ: List[List[int]] = [[] for _ in range(n)]
-    pred: List[List[int]] = [[] for _ in range(n)]
     indegree = [0] * n
     for e, (tail_id, head_id) in enumerate(instance._edge_node_ids):
+        if alive is not None and not (alive >> e) & 1:
+            continue
         if (mask >> e) & 1:
             tail_id, head_id = head_id, tail_id
         succ[tail_id].append(head_id)
-        pred[head_id].append(tail_id)
         indegree[head_id] += 1
     queue = [i for i in range(n) if indegree[i] == 0]
     removed = 0
@@ -142,8 +143,13 @@ def mask_final_state_checks(
             indegree[j] -= 1
             if indegree[j] == 0:
                 queue.append(j)
-    acyclic = removed == n
     dest = instance._dest_id
+    if removed == n:
+        return True, all([succ[i] for i in range(n) if i != dest])
+    pred: List[List[int]] = [[] for _ in range(n)]
+    for i, row in enumerate(succ):
+        for j in row:
+            pred[j].append(i)
     reached = [False] * n
     reached[dest] = True
     frontier = [dest]
@@ -155,7 +161,7 @@ def mask_final_state_checks(
                 reached[j] = True
                 count += 1
                 frontier.append(j)
-    return acyclic, count == n
+    return False, count == n
 
 
 def mask_directed_edges(
@@ -164,9 +170,7 @@ def mask_directed_edges(
     """The ``(tail, head)`` edges of the ``mask`` orientation, in edge order.
 
     Equivalent to ``Orientation(instance, mask).directed_edges()`` without
-    building the orientation (no counter array, no sink set) — what the
-    simulation fast path uses to hand a final orientation over to the
-    instance re-packing of a churn phase.
+    building the orientation (no counter array, no sink set).
     """
     return tuple(
         (head, tail) if (mask >> e) & 1 else (tail, head)
@@ -292,6 +296,55 @@ class SignatureExpander(abc.ABC):
     def orientation_mask(self, sig: int) -> int:
         """The edge-reversal bitmask component of ``sig``."""
         return sig & self._edge_mask
+
+    # -- repair phases after churn --------------------------------------
+    def restricted(self, alive: int, start: int) -> "SignatureExpander":
+        """This kernel on the links in ``alive``, for a phase started at ``start``.
+
+        A churn repair phase runs on its topology's compiled kernel: a failed
+        link is a cleared bit of ``alive``, and the phase starts at the
+        orientation ``start`` (in this kernel's edge ids) with fresh
+        bookkeeping.  The result is a copy of this kernel whose edge mask,
+        incidence masks, sink candidates and per-algorithm tables
+        (:meth:`_restrict`) see the alive links only, so it steps and finds
+        sinks as a kernel compiled on the surviving graph, re-oriented by
+        ``start``, would; its :meth:`state_for` still decodes on the whole
+        topology.  Returns ``self`` when no table changes.
+        """
+        dead = self._edge_mask & ~alive
+        if not dead and not self._rebased_on(start):
+            return self
+        derived = object.__new__(type(self))
+        derived.__dict__.update(self.__dict__)
+        derived._edge_mask = alive
+        # only the endpoints of the dead links change their tables
+        touched = set()
+        if dead:
+            inc = list(self._inc)
+            ends = self.instance._edge_node_ids
+            while dead:
+                bit = dead & -dead
+                dead ^= bit
+                for i in ends[bit.bit_length() - 1]:
+                    inc[i] &= ~bit
+                    touched.add(i)
+            derived._inc = tuple(inc)
+            if not all(inc[i] for i in touched):
+                derived._sink_candidates = tuple(
+                    [i for i in self._sink_candidates if inc[i]]
+                )
+        derived._restrict(self, start, touched)
+        return derived
+
+    def _rebased_on(self, start: int) -> bool:
+        """Whether a phase starting at orientation ``start`` needs own tables."""
+        return False
+
+    def _restrict(self, base: "SignatureExpander", start: int, touched: Set[int]) -> None:
+        """Derive this restricted copy's own tables from ``base``'s.
+
+        ``touched`` holds the nodes that lost a link.
+        """
 
     # -- shared sink enumeration ----------------------------------------
     def sink_ids(self, sig: int) -> List[int]:
@@ -434,6 +487,19 @@ class _ListKernelMixin:
             [{} for _ in range(instance.node_count)]
         )
 
+    def _restrict(self, base: SignatureExpander, start: int, touched: Set[int]) -> None:
+        # a node keeps its row mask and step memo while all its links live:
+        # its steps are the same in both kernels, so the memo is shared
+        eids = self.instance._incident_eids
+        alive = self._edge_mask
+        row_mask = list(base._row_mask)
+        memo = list(base._step_memo)
+        for i in touched:
+            row_mask[i] = sum([1 << k for k, e in enumerate(eids[i]) if (alive >> e) & 1])
+            memo[i] = {}
+        self._row_mask = tuple(row_mask)
+        self._step_memo = tuple(memo)
+
     def _own_row_bit(self, i: int, w_id: int) -> int:
         w = self.instance.nodes[w_id]
         position = self.instance._incident_nbrs[i].index(w)
@@ -450,16 +516,18 @@ class _ListKernelMixin:
     def _compile_step(self, i: int, row: int) -> Tuple[int, int]:
         """Flip/bookkeeping masks of one ``(node, row)`` pair, memoised.
 
-        Built on demand, so a kernel compiled for one short repair phase
-        only pays for the nodes that actually step.
+        Built on demand, so only the rows a run meets are paid for.  A
+        restricted kernel (:meth:`~SignatureExpander.restricted`) skips the
+        links that are not alive.
         """
         instance = self.instance
         incident_eids = instance._incident_eids
         effective = 0 if row == self._row_mask[i] else row
+        inc = self._inc[i]
         flip = 0
         partners = 0
         for k, (e, j) in enumerate(zip(incident_eids[i], instance._incident_nbr_ids[i])):
-            if not (effective >> k) & 1:
+            if not (effective >> k) & 1 and (inc >> e) & 1:
                 # the edge to every neighbour outside list[u] is reversed and
                 # u enters that neighbour's list
                 flip ^= 1 << e
@@ -569,6 +637,17 @@ class NewPRExpander(SignatureExpander):
 
     def _count_shift(self, i: int) -> Optional[int]:
         return self._shift[i]
+
+    def _rebased_on(self, start: int) -> bool:
+        return bool(start & self._edge_mask)
+
+    def _restrict(self, base: SignatureExpander, start: int, touched: Set[int]) -> None:
+        # the parities are relative to the phase's initial orientation: the
+        # initial out-edges of node i at `start` are those it tails there
+        self._odd_flip = tuple(
+            [(tail ^ start) & inc for tail, inc in zip(self.instance._tail_sel, self._inc)]
+        )
+        self._even_flip = tuple([inc ^ odd for inc, odd in zip(self._inc, self._odd_flip)])
 
     def step(self, sig: int, i: int) -> int:
         count = (sig >> self._shift[i]) & _COUNT_MASK

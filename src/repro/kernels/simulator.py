@@ -21,8 +21,8 @@ is the loop that drives them:
 * **rounds** (:class:`RoundTally`) replicate the experiment runner's
   scheduler-independent round rule (a new round starts whenever an actor
   takes its second step since the round began), tracking actor *nodes* so
-  the count keeps accumulating across churn phases whose instances
-  re-index the ids;
+  the count keeps accumulating across the churn phases of a run, whichever
+  topology each phase's kernel was compiled on;
 * the **deadline** is checked every :data:`DEADLINE_CHECK_STRIDE` steps
   (always including the first), mirroring the legacy observer's stride.
 
@@ -39,6 +39,7 @@ counters that surface in ``repro sweep --json``.
 from __future__ import annotations
 
 from collections import OrderedDict
+from functools import cached_property
 from typing import Callable, Dict, Hashable, Optional, Set, Tuple
 
 from repro.core.graph import LinkReversalInstance
@@ -51,8 +52,9 @@ from repro.telemetry.metrics import MetricsRegistry
 #: deadline by at most ``stride - 1`` steps.
 DEADLINE_CHECK_STRIDE = 64
 
-#: Compiled entries (simulators, mobility trajectories, initial phases,
-#: final-state verdicts) a :class:`KernelCache` keeps per instance of
+#: Compiled entries (simulators, mobility trajectories and the simulators of
+#: their steps, link-draw tables, initial phases, final-state verdicts) a
+#: :class:`KernelCache` keeps per instance of
 #: capacity: past ``capacity * KERNELS_PER_INSTANCE`` the least recently used
 #: entry goes, so a hot instance cannot gather entries without bound.
 KERNELS_PER_INSTANCE = 32
@@ -77,8 +79,9 @@ class RoundTally:
 
     A round ends when an actor takes its second step since the round began.
     Actors are tracked as *nodes*, not ids, so the tally keeps accumulating
-    across churn phases that rebuild the instance (ids may be re-assigned,
-    node identities are stable).
+    across churn phases: a mobility step moves the run onto another
+    trajectory instance, whose ids need not match (node identities are
+    stable).
     """
 
     __slots__ = ("rounds", "_seen")
@@ -110,41 +113,99 @@ class RoundTally:
 
 
 class _IncidentPairs(dict):
-    """Per node id: its ``(edge bit, neighbour id)`` pairs, built on first use.
+    """Per node id: its alive ``(edge bit, neighbour id)`` pairs, built on first use.
 
-    A churn repair phase runs a fresh simulator for a few steps, so only the
-    rows of the nodes that actually step are worth building.
+    A churn repair phase runs a restricted simulator for a few steps, so
+    only the rows of the nodes that actually step are worth building.
     """
 
-    __slots__ = ("_eids", "_ids")
+    __slots__ = ("_eids", "_ids", "_kernel", "_base")
 
-    def __init__(self, instance: LinkReversalInstance):
+    def __init__(
+        self, instance: LinkReversalInstance, kernel: SignatureExpander,
+        base: Optional["SignatureSimulator"],
+    ):
         super().__init__()
         self._eids = instance._incident_eids
         self._ids = instance._incident_nbr_ids
+        self._kernel = kernel
+        self._base = base
 
     def __missing__(self, i: int) -> Tuple[Tuple[int, int], ...]:
-        row = self[i] = tuple((1 << e, j) for e, j in zip(self._eids[i], self._ids[i]))
+        base = self._base
+        if base is not None and self._kernel._inc[i] == base.kernel._inc[i]:
+            # the node lost no link: its base row, built once per topology
+            row = self[i] = base._incident[i]
+            return row
+        alive = self._kernel._edge_mask
+        row = self[i] = tuple(
+            (1 << e, j) for e, j in zip(self._eids[i], self._ids[i]) if (alive >> e) & 1
+        )
         return row
 
 
 class SignatureSimulator:
-    """The run-state-free tables of one kernel that batch lanes share."""
+    """The run-state-free tables of one kernel that batch lanes share.
 
-    def __init__(self, kernel: SignatureExpander):
+    The tables cover the kernel's alive links: all of them for a compiled
+    kernel, the survivors for a churn repair phase's restricted one
+    (:meth:`restricted`).
+    """
+
+    def __init__(
+        self, kernel: SignatureExpander, base: Optional["SignatureSimulator"] = None
+    ):
         self.kernel = kernel
         self.instance: LinkReversalInstance = kernel.instance
         instance = self.instance
-        #: per node id: incident neighbours as ids, aligned with the CSR lists
-        self.neighbour_ids: Tuple[Tuple[int, ...], ...] = instance._incident_nbr_ids
         # per node id: (edge bit, neighbour id) pairs for the sink updates
-        self._incident = _IncidentPairs(instance)
-        self._can_sink = [False] * instance.node_count
-        for i in kernel._sink_candidates:
-            self._can_sink[i] = True
+        self._incident = _IncidentPairs(instance, kernel, base)
+        if base is not None and kernel._sink_candidates is base.kernel._sink_candidates:
+            self._can_sink = base._can_sink
+        else:
+            self._can_sink = [False] * instance.node_count
+            for i in kernel._sink_candidates:
+                self._can_sink[i] = True
         #: whether the kernel accepts multi-id actions (PR's ``reverse(S)``);
         #: a plain attribute — schedulers read it on every select call
         self.supports_subsets = isinstance(kernel, PartialReversalExpander)
+
+    @cached_property
+    def hop_distances(self) -> Tuple[int, ...]:
+        """Per node id: its hop distance to the destination over alive links.
+
+        ``node_count + 1`` marks a node the destination cannot reach.  The
+        distance-driven schedulers read it on every bind, so it is computed
+        once per simulator.
+        """
+        instance = self.instance
+        alive = self.kernel._edge_mask
+        eids, ids = instance._incident_eids, instance._incident_nbr_ids
+        infinity = instance.node_count + 1
+        distance = [infinity] * instance.node_count
+        distance[instance._dest_id] = 0
+        frontier = [instance._dest_id]
+        while frontier:
+            next_frontier = []
+            for i in frontier:
+                for e, j in zip(eids[i], ids[i]):
+                    if distance[j] == infinity and (alive >> e) & 1:
+                        distance[j] = distance[i] + 1
+                        next_frontier.append(j)
+            frontier = next_frontier
+        return tuple(distance)
+
+    def restricted(self, alive: int, start: int) -> "SignatureSimulator":
+        """The simulator of a repair phase on the ``alive`` links from ``start``.
+
+        See :meth:`SignatureExpander.restricted
+        <repro.kernels.signature.SignatureExpander.restricted>`; returns
+        ``self`` when the kernel is unchanged.  The phase's lane starts at
+        ``start`` (:meth:`BatchSimulator.add_lane
+        <repro.kernels.batch.BatchSimulator.add_lane>`).
+        """
+        kernel = self.kernel.restricted(alive, start)
+        return self if kernel is self.kernel else SignatureSimulator(kernel, self)
 
     def initial_signature(self) -> int:
         """The kernel's initial signature (fresh bookkeeping, initial mask)."""

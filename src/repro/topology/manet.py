@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.graph import LinkReversalInstance
 
@@ -63,13 +63,22 @@ class GeometricNetwork:
 
     def links(self) -> FrozenSet[FrozenSet[Node]]:
         """The current undirected link set induced by the radius."""
-        nodes = self.nodes
-        result = set()
-        for i, u in enumerate(nodes):
-            for v in nodes[i + 1:]:
-                if self.distance(u, v) <= self.radius:
-                    result.add(frozenset((u, v)))
-        return frozenset(result)
+        return frozenset(frozenset(pair) for pair in self._linked_pairs())
+
+    def _linked_pairs(self) -> Iterator[Tuple[Node, Node]]:
+        """Every linked pair ``(u, v)``, ``u`` before ``v`` in node order.
+
+        The pairs come sorted by their endpoints' node order.
+        :meth:`distance` is inlined: the mobility trajectories of churn
+        campaigns derive an instance per step.
+        """
+        placed = list(self.positions.items())
+        radius = self.radius
+        hypot = math.hypot
+        for i, (u, (x1, y1)) in enumerate(placed):
+            for v, (x2, y2) in placed[i + 1:]:
+                if hypot(x1 - x2, y1 - y2) <= radius:
+                    yield u, v
 
     def is_connected(self) -> bool:
         """Whether the current link set connects all nodes."""
@@ -100,23 +109,18 @@ class GeometricNetwork:
         which yields an initial DAG that is already destination oriented —
         the state a MANET is in *before* mobility breaks links.
         """
-        order = {u: i for i, u in enumerate(self.nodes)}
         # each node's (distance to the destination, node order), computed once
         # with the same hypot call as distance()
         dx, dy = self.positions[self.destination]
         key = {
-            u: (math.hypot(x - dx, y - dy), order[u])
-            for u, (x, y) in self.positions.items()
+            u: (math.hypot(x - dx, y - dy), i)
+            for i, (u, (x, y)) in enumerate(self.positions.items())
         }
-
-        edges: List[Tuple[Node, Node]] = []
-        for link in sorted(self.links(), key=lambda l: tuple(sorted(order[x] for x in l))):
-            u, v = tuple(link)
-            if key[u] > key[v]:
-                edges.append((u, v))
-            else:
-                edges.append((v, u))
-        return LinkReversalInstance(self.nodes, self.destination, tuple(edges))
+        # the edges in the order of their endpoints' node order
+        edges = tuple(
+            (u, v) if key[u] > key[v] else (v, u) for u, v in self._linked_pairs()
+        )
+        return LinkReversalInstance(self.nodes, self.destination, edges)
 
     def moved(self, new_positions: Dict[Node, Position]) -> "GeometricNetwork":
         """Return a copy of the network with updated node positions."""

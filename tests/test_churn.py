@@ -1,10 +1,13 @@
-"""The shared churn layer: trajectories, re-packing, and the engine caches.
+"""The shared churn layer: trajectories, packed links, re-packing, and the caches.
 
-The synchronous engines re-pack an instance per repair phase at the id
-level and share one mobility trajectory per topology seed through their
-per-process caches.  These tests pin each shortcut to the plain
-construction it replaces, and check that no cache state can change a
-stored record.
+The kernel engine churns on packed state (an alive-link mask and an
+orientation mask in the topology's edge ids) where the legacy oracle
+re-packs an instance per repair phase, and both share one mobility
+trajectory per topology seed through the engine cache.  These tests pin
+each shortcut to the plain construction it replaces, pin the packed draw
+and partition test to the oracle's, check the property the packed path no
+longer re-checks (every repair starts connected and acyclic), and check
+that no cache state can change a stored record.
 """
 
 from __future__ import annotations
@@ -18,8 +21,11 @@ from repro import telemetry
 from repro.core.graph import LinkReversalInstance
 from repro.experiments import batch_engine
 from repro.experiments.batch_engine import reset_kernel_caches
+from repro.experiments import churn
 from repro.experiments.churn import (
     PARTITION,
+    LinkDraw,
+    Links,
     ScenarioChurn,
     carried_over_instance,
     fail_seeded_link,
@@ -29,7 +35,7 @@ from repro.experiments.runner import execute_scenario, run_scenarios
 from repro.experiments.spec import CampaignSpec, ScenarioSpec
 from repro.experiments.store import VOLATILE_FIELDS
 from repro.kernels import KernelCache, mask_directed_edges
-from repro.topology.generators import build_family
+from repro.topology.generators import FAMILY_NAMES, build_family
 
 
 def _reference_carried_over(fresh, directed_edges):
@@ -113,6 +119,167 @@ class TestChurnHelpers:
     def test_a_bridge_failure_is_a_partition(self):
         chain = build_family("chain", 5, 0)
         assert fail_seeded_link(chain, 0, random.Random(1)) is PARTITION
+
+
+def _link_failure_spec(family, size, seed, count):
+    return ScenarioSpec(
+        family=family, size=size, algorithm="pr", scheduler="greedy",
+        topology_seed=seed, scheduler_seed=seed, failure_model="link-failures",
+        failure_count=count,
+    )
+
+
+def _surviving_instance(links: Links, mask: int) -> LinkReversalInstance:
+    """The instance the oracle would build from packed links in orientation ``mask``."""
+    topology = links.topology
+    edges = tuple(
+        edge for e, edge in enumerate(mask_directed_edges(topology, mask))
+        if (links.alive >> e) & 1
+    )
+    return LinkReversalInstance(topology.nodes, topology.destination, edges)
+
+
+def _draw_topology(name: str, seed: int) -> LinkReversalInstance:
+    """A family's topology, or one relabelled so that pairs sort unlike ids.
+
+    ``grid-tuples`` labels the grid's nodes ``(row, column)``, so pairs
+    compare as nested tuples; ``geometric-reversed`` gives the nodes labels
+    that sort in reverse id order.
+    """
+    if name == "grid-tuples":
+        grid = build_family("grid", 16, seed)
+        return grid.relabelled({i: divmod(i, 4) for i in grid.nodes})
+    if name == "geometric-reversed":
+        geometric = build_family("geometric", 12, seed)
+        return geometric.relabelled({i: f"n{99 - i}" for i in geometric.nodes})
+    return build_family(name, 12, seed)
+
+
+class TestPackedDraw:
+    """The packed draw and partition test give the oracle's decisions."""
+
+    @pytest.mark.parametrize(
+        "name", FAMILY_NAMES + ("grid-tuples", "geometric-reversed")
+    )
+    @pytest.mark.parametrize("seed", range(2))
+    def test_failure_sequences_match_the_instance_oracle(self, name, seed):
+        topology = _draw_topology(name, seed)
+        spec = _link_failure_spec("grid", 16, seed, topology.edge_count + 3)
+        packed, oracle = ScenarioChurn(spec), ScenarioChurn(spec)
+        links = Links(topology, (1 << topology.edge_count) - 1, 0)
+        instance = topology
+        orientations = random.Random(f"{name}-{seed}")
+        outcomes = set()
+        for index in range(spec.failure_count):
+            # any orientation will do: a repair phase may end anywhere
+            links.mask = orientations.getrandbits(topology.edge_count) & links.alive
+            want = _surviving_instance(links, links.mask)
+            mask = 0
+            for k, edge in enumerate(instance.initial_edges):
+                mask |= (edge not in want.initial_edges) << k
+            got_record = {"partition_skips": 0, "reorientations": 0}
+            want_record = dict(got_record)
+            start = packed.next_links(index, links, got_record)
+            candidate = oracle.next_instance(index, instance, mask, want_record)
+            assert got_record == want_record
+            assert packed._rng.getstate() == oracle._rng.getstate()
+            if candidate is None:
+                assert start is None
+                outcomes.add("skip" if got_record["partition_skips"] else "empty")
+                continue
+            assert start is not None and start.base == start.mask
+            assert _surviving_instance(start, start.mask) == candidate
+            outcomes.add("failure")
+            links, instance = start, candidate
+        # trees (chains and stars too) are all bridges
+        assert outcomes == ({"skip"} if topology.edge_count < topology.node_count
+                            else {"skip", "failure"})
+
+    def test_every_bridge_of_a_grid_with_failed_links(self):
+        grid = build_family("grid", 16, 0)
+        draw = LinkDraw(grid)
+        rng = random.Random(4)
+        full = (1 << grid.edge_count) - 1
+        for _ in range(30):
+            alive = full
+            for e in rng.sample(range(grid.edge_count), 4):
+                if not draw.splits(alive, e):
+                    alive &= ~(1 << e)
+            survivor = _surviving_instance(Links(grid, alive, 0), 0)
+            assert survivor.is_connected()
+            for k, e in enumerate(e for e in range(grid.edge_count) if (alive >> e) & 1):
+                assert draw.splits(alive, e) == (not survivor.is_connected(without_edge=k))
+
+
+def _repair_starts(specs):
+    """The records of a kernel run over cold caches, and every repair start."""
+    starts = []
+    next_links = ScenarioChurn.next_links
+
+    def spy(self, index, links, record):
+        start = next_links(self, index, links, record)
+        if start is not None:
+            starts.append(Links(start.topology, start.alive, start.mask))
+        return start
+
+    reset_kernel_caches()
+    with mock.patch.object(ScenarioChurn, "next_links", spy):
+        records = run_scenarios([spec.to_dict() for spec in specs], engine="kernel")
+    return records, starts
+
+
+def _broken_starts(starts):
+    """The starts whose alive links are disconnected or cyclic in the start mask."""
+    return [
+        start for start in starts
+        if not (
+            (survivor := _surviving_instance(start, start.mask)).is_connected()
+            and survivor.is_initially_acyclic()
+        )
+    ]
+
+
+class TestRepairStarts:
+    """Every packed repair starts from a connected, acyclic orientation.
+
+    The automaton constructor validated each rebuilt instance; the packed
+    path relies on a failure never cutting a bridge and a carried-over
+    orientation always passing its cycle test instead.
+    """
+
+    @staticmethod
+    def _specs():
+        campaign = CampaignSpec(
+            name="repair-starts",
+            families=FAMILY_NAMES,
+            algorithms=("pr", "onestep-pr", "new-pr", "fr", "bll"),
+            schedulers=("greedy", "random"),
+            sizes=(9,),
+            replicates=2,
+            base_seed=11,
+            failure_models=[("link-failures", 4), ("mobility", 6)],
+            # a mutant's broken start may never quiesce: bound its phases
+            max_steps=120,
+        )
+        return campaign.expand()
+
+    def test_every_start_is_connected_and_acyclic(self):
+        records, starts = _repair_starts(self._specs())
+        assert all(r["status"] == "ok" and r["converged"] for r in records)
+        assert sum(r["failures_applied"] for r in records) == len(starts) > 0
+        for field in ("partition_skips", "reorientations"):
+            assert any(r[field] for r in records), field
+        assert not _broken_starts(starts)
+
+    def test_a_carry_over_without_its_cycle_test_is_caught(self):
+        with mock.patch.object(churn, "mask_is_acyclic", lambda instance, mask: True):
+            _, starts = _repair_starts(self._specs())
+        assert _broken_starts(starts)
+
+    def test_a_failure_applied_to_a_bridge_is_caught(self):
+        with mock.patch.object(LinkDraw, "splits", lambda self, alive, link: False):
+            _, starts = _repair_starts(self._specs())
+        assert _broken_starts(starts)
 
 
 class TestTrajectoryCache:

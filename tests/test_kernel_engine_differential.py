@@ -90,18 +90,25 @@ class TestFieldForFieldEquality:
         assert all(r["status"] == "ok" and r["converged"] for r in records)
 
     @pytest.mark.parametrize("algorithm", KERNEL_ALGORITHMS)
-    @pytest.mark.parametrize("scheduler", ("greedy", "random", "adversarial"))
+    @pytest.mark.parametrize("scheduler", ALL_SCHEDULERS)
     def test_link_failure_churn(self, algorithm, scheduler):
+        # chain's links are all bridges, so its failures are all skipped;
+        # adversarial and lazy read hop distances on the surviving links
         records = _assert_batch_matches_oracle([
-            _spec(family="grid", size=16, algorithm=algorithm, scheduler=scheduler,
-                  failure_model="link-failures", failure_count=3, replicate=r,
-                  scheduler_seed=derive_seed("batch-churn", r))
-            for r in range(2)
+            _spec(family=family, size=size, algorithm=algorithm,
+                  scheduler=scheduler, failure_model="link-failures",
+                  failure_count=3, topology_seed=derive_seed("batch-churn-topo", family),
+                  scheduler_seed=derive_seed("batch-churn", family))
+            for family, size in (
+                ("chain", 8), ("grid", 16), ("random-dag", 12), ("geometric", 12),
+            )
         ])
-        assert all(r["failures_applied"] >= 1 for r in records)
+        chain, *meshed = records
+        assert chain["partition_skips"] == 3 and not chain["failures_applied"]
+        assert all(r["failures_applied"] >= 1 for r in meshed)
 
     @pytest.mark.parametrize("algorithm", KERNEL_ALGORITHMS)
-    @pytest.mark.parametrize("scheduler", ("greedy", "random"))
+    @pytest.mark.parametrize("scheduler", ALL_SCHEDULERS)
     def test_mobility_churn(self, algorithm, scheduler):
         records = _assert_batch_matches_oracle([
             _spec(family="geometric", size=12, algorithm=algorithm,
@@ -109,7 +116,7 @@ class TestFieldForFieldEquality:
                   replicate=r, topology_seed=derive_seed("batch-mob", r))
             for r in range(2)
         ])
-        assert all(r["status"] == "ok" for r in records)
+        assert all(r["status"] == "ok" and r["failures_applied"] for r in records)
 
     def test_truncated_runs_match(self):
         _assert_batch_matches_oracle([
