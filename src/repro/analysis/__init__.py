@@ -1,7 +1,7 @@
 """Quantitative analysis of link-reversal executions.
 
 * :mod:`repro.analysis.work` — reversal and step counting, per-node work,
-  algorithm comparison (PR vs FR vs NewPR), and the Θ(n_b²) worst-case sweep;
+  and algorithm comparison (PR vs FR vs NewPR);
 * :mod:`repro.analysis.statistics` — tiny self-contained helpers (means,
   percentiles, least-squares polynomial fit) so the benchmarks do not need
   scipy at runtime.
@@ -11,7 +11,6 @@ from repro.analysis.work import (
     WorkSummary,
     count_reversals,
     compare_algorithms,
-    worst_case_sweep,
 )
 from repro.analysis.statistics import mean, percentile, fit_polynomial, quadratic_fit_r2
 
@@ -23,5 +22,4 @@ __all__ = [
     "mean",
     "percentile",
     "quadratic_fit_r2",
-    "worst_case_sweep",
 ]

@@ -7,16 +7,17 @@ for any automaton / scheduler combination and provides:
 
 * :func:`count_reversals` — run one execution and summarise the work;
 * :func:`compare_algorithms` — PR vs OneStepPR vs NewPR vs FR on the same
-  instance under the same scheduler family (experiments E9 and E12);
-* :func:`worst_case_sweep` — total work on the worst-case chain family as a
-  function of the number of bad nodes ``n_b`` (experiment E10, the Θ(n_b²)
-  bound of Busch & Tirthapura quoted by the paper).
+  instance under the same scheduler family (experiments E9 and E12).
+
+The Θ(n_b²) worst-case series of experiment E10 (the bound of Busch &
+Tirthapura quoted by the paper) is a campaign over the ``chain`` family at
+size ``n_b + 1``: see ``repro worst-case``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Mapping, Optional
 
 from repro.automata.executions import run
 from repro.automata.ioa import IOAutomaton
@@ -25,7 +26,6 @@ from repro.core.graph import LinkReversalInstance
 from repro.core.new_pr import NewPartialReversal
 from repro.core.one_step_pr import OneStepPartialReversal
 from repro.core.pr import PartialReversal
-from repro.topology.generators import worst_case_chain_instance
 
 Node = Hashable
 
@@ -173,24 +173,3 @@ def compare_algorithms(
         scheduler = scheduler_factory()
         results[name] = count_reversals(automaton, scheduler, max_steps=max_steps)
     return results
-
-
-def worst_case_sweep(
-    bad_node_counts: Sequence[int],
-    algorithm_factory: Callable[[LinkReversalInstance], IOAutomaton],
-    scheduler_factory: Callable[[], object],
-    max_steps: Optional[int] = None,
-) -> List[Tuple[int, int]]:
-    """Total work on the worst-case chain as a function of ``n_b``.
-
-    Returns ``[(n_b, total node steps), ...]`` — the data series behind the
-    Θ(n_b²) experiment (E10).  Callers typically feed the series to
-    :func:`repro.analysis.statistics.quadratic_fit_r2`.
-    """
-    series: List[Tuple[int, int]] = []
-    for n_bad in bad_node_counts:
-        instance = worst_case_chain_instance(n_bad)
-        automaton = algorithm_factory(instance)
-        summary = count_reversals(automaton, scheduler_factory(), max_steps=max_steps)
-        series.append((n_bad, summary.node_steps))
-    return series

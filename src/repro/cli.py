@@ -16,14 +16,15 @@ The CLI exposes the workflows a user typically wants without writing code:
     Exhaustively model-check the paper's invariants and the acyclicity
     theorems over every connected DAG with up to N nodes.
 ``check``
-    Exhaustively model-check one algorithm on one generated topology with
-    the production engine: one compiled frontier loop over int state
-    signatures, optional twin-node symmetry reduction (``--symmetry``) and
-    disk-spilled visited set (``--spill``), with verdicts and replayable
-    counterexample traces written into an experiments result store
-    (``--store``, resumable).
+    Exhaustively model-check one algorithm on one generated topology: one
+    check spec on the ``check`` engine, whose compiled frontier loop runs
+    over int state signatures, with optional twin-node symmetry reduction
+    (``--symmetry``) and disk-spilled visited set (``--spill``).  With
+    ``--store`` the campaign executor writes the verdict and replayable
+    counterexample traces into a result store, resumable like a sweep.
 ``worst-case``
-    Print the Θ(n_b²) worst-case sweep for FR and PR with a quadratic fit.
+    Print the Θ(n_b²) worst-case series for FR and PR with a quadratic fit:
+    greedy ``chain`` scenarios at size n_b + 1.
 ``sweep``
     Expand a campaign cross-product (families × algorithms × schedulers ×
     sizes × replicates × failure models), execute it across a worker pool and
@@ -47,22 +48,21 @@ Every command accepts ``--seed`` so runs are reproducible, and ``-v`` /
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import logging
+import os
 import sys
 import time
 from pathlib import Path
 from typing import Callable, Dict, Optional, Sequence
 
 from repro.analysis.statistics import quadratic_fit_r2
-from repro.analysis.work import worst_case_sweep
 from repro.core.full_reversal import FullReversal
 from repro.core.graph import LinkReversalInstance
 from repro.core.new_pr import NewPartialReversal
-from repro.core.one_step_pr import OneStepPartialReversal
 from repro.core.pr import PartialReversal
 from repro.experiments.aggregate import build_report
+from repro.experiments.check_engine import PAPER_INVARIANTS
 from repro.experiments.executor import run_campaign
 from repro.experiments.runner import (
     ENGINE_ASYNC,
@@ -72,21 +72,21 @@ from repro.experiments.runner import (
 )
 from repro.experiments.spec import (
     ALGORITHM_FACTORIES,
+    CHECK_INVARIANTS,
     DELAY_MODEL_NAMES,
     FAILURE_MODELS,
     CampaignSpec,
+    CheckSpec,
     ScenarioSpec,
     derive_seed,
 )
 from repro.experiments.store import ResultStore
-from repro.exploration.checker import ModelChecker
+from repro.exploration.counterexample import describe_trace
 from repro.exploration.enumerate_graphs import all_connected_dag_instances
 from repro.exploration.state_space import explore_and_check
 from repro.io.dot import orientation_to_dot
 from repro.schedulers import SCHEDULER_FACTORIES
-from repro import telemetry as _telemetry
 from repro.telemetry.trace import check_span_nesting, summarise_telemetry, top_spans
-from repro.schedulers.greedy import GreedyScheduler
 from repro.topology.generators import FAMILY_NAMES, build_family
 from repro.verification.acyclicity import is_acyclic
 from repro.verification.invariants import newpr_invariant_checks, pr_invariant_checks
@@ -224,6 +224,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.max_nodes < 2:
+        print(f"error: --max-nodes must be at least 2, got {args.max_nodes}", file=sys.stderr)
+        return 2
     total_failures = 0
     graphs = 0
     states = 0
@@ -245,152 +248,93 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if total_failures == 0 else 1
 
 
-#: Invariant groups selectable via ``repro check --invariants``.
-CHECK_INVARIANTS = ("acyclic", "progress", "paper")
-
-
-def _check_run_id(args: argparse.Namespace) -> str:
-    """Stable content hash identifying one ``repro check`` verification run.
-
-    Spill settings and the store layout are excluded — they change how the
-    check executes, not what it verifies — so a resumed run with a different
-    spill configuration still matches the stored verdict.  Stored checks
-    from before the single-loop checker carry a ``workers`` field their id
-    never included, so they resume too.
-    """
-    identity = {
-        "kind": "check",
-        "family": args.topology,
-        "size": args.nodes,
-        "algorithm": args.algorithm,
-        "seed": args.seed,
-        "invariants": sorted(_csv(args.invariants)),
-        "max_states": args.max_states,
-        "single_actions": args.single_actions,
-        "symmetry": args.symmetry,
-    }
-    blob = json.dumps(identity, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha1(blob.encode("utf-8")).hexdigest()[:16]
-
-
 def cmd_check(args: argparse.Namespace) -> int:
-    invariants = _csv(args.invariants)
-    unknown = set(invariants) - set(CHECK_INVARIANTS)
-    if unknown:
-        print(f"error: unknown invariant group(s) {sorted(unknown)}; "
-              f"choose from {', '.join(CHECK_INVARIANTS)}", file=sys.stderr)
-        return 2
-
-    if args.nodes < 2:
-        print("error: size must be at least 2", file=sys.stderr)
-        return 2
-
-    run_id = _check_run_id(args)
-    store = ResultStore(args.store) if args.store else None
-    if store is not None and not args.no_resume and run_id in store.existing_run_ids():
-        stored = store.records(run_id=run_id)[0]
-        if args.json:
-            stored["skipped"] = True
-            print(json.dumps(stored, indent=2, sort_keys=True))
-        else:
-            print(f"check {run_id} already stored (status {stored['status']}); "
-                  f"use --no-resume to re-verify")
-        return 0 if stored["status"] in ("ok", "truncated") else 1
-
-    instance = build_family(args.topology, args.nodes, args.seed)
-    automaton = ALGORITHMS[args.algorithm](instance)
-    predicates = {}
-    if "paper" in invariants:
-        if args.algorithm in ("pr", "onestep-pr"):
-            predicates.update(pr_invariant_checks())
-        elif args.algorithm == "new-pr":
-            predicates.update(newpr_invariant_checks())
-        else:
-            print(f"warning: no paper invariant bundle for {args.algorithm!r}; "
-                  f"checking structural invariants only", file=sys.stderr)
-
+    # one check spec: with --store through the campaign executor (stored,
+    # resumable, traced), without it straight through the engine registry
+    spec = CheckSpec(
+        family=args.topology, size=args.nodes, algorithm=args.algorithm,
+        seed=args.seed, invariants=_csv(args.invariants),
+        max_states=args.max_states, single_actions=args.single_actions,
+        symmetry=args.symmetry, campaign=args.name,
+        spill_threshold=args.spill_threshold if args.spill else None,
+        spill_dir=args.spill_dir, spill_max_runs=args.spill_max_runs,
+        max_traced=args.max_traced,
+    )
     try:
-        checker = ModelChecker(
-            automaton,
-            predicates,
-            max_states=args.max_states,
-            single_actions_only=args.single_actions,
-            symmetry=args.symmetry,
-            check_acyclicity="acyclic" in invariants,
-            check_progress="progress" in invariants,
-            spill_threshold=args.spill_threshold if args.spill else None,
-            spill_dir=args.spill_dir,
-            spill_max_runs=args.spill_max_runs,
-            max_traced_failures=args.max_traced,
-        )
-        if store is not None and not args.no_telemetry:
-            with _telemetry.session(sink=store.record_telemetry) as (registry, tracer):
-                report = checker.run()
-                tracer.emit({
-                    "kind": "metrics",
-                    "t": round(tracer.now(), 6),
-                    **registry.snapshot(),
-                })
-        else:
-            report = checker.run()
+        spec.validate()
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-
-    record = report.to_record(
-        run_id=run_id,
-        kind="check",
-        campaign=args.name,
-        family=args.topology,
-        size=args.nodes,
-        algorithm=args.algorithm,
-        scheduler="exhaustive",
-        seed=args.seed,
-        nodes=instance.node_count,
-        edges=instance.edge_count,
-        invariants=sorted(invariants),
-        max_states=args.max_states,
-        single_actions=args.single_actions,
-        symmetry=args.symmetry,
-    )
-    if store is not None:
-        store.append([record])
-
+    if "paper" in spec.invariants and spec.algorithm not in PAPER_INVARIANTS:
+        print(f"warning: no paper invariant bundle for {args.algorithm!r}; "
+              f"checking structural invariants only", file=sys.stderr)
+    store = ResultStore(args.store) if args.store else None
+    if store is None:
+        record = execute_scenario(spec)
+    else:
+        report = run_campaign(
+            spec, store, resume=not args.no_resume, telemetry=not args.no_telemetry
+        )
+        record = store.records(run_id=spec.run_id)[0]
+        if report.skipped:
+            if args.json:
+                print(json.dumps({**record, "skipped": True}, indent=2, sort_keys=True))
+            else:
+                print(f"check {spec.run_id} already stored (status {record['status']}); "
+                      f"use --no-resume to re-verify")
+            return 0 if record["status"] in ("ok", "truncated") else 1
+    if record["status"] == "error":
+        print(f"error: {record['error']}", file=sys.stderr)
+        return 2
     if args.json:
         print(json.dumps(record, indent=2, sort_keys=True))
     else:
-        print(f"topology      : {args.topology} ({instance.node_count} nodes, "
-              f"{instance.edge_count} edges)")
-        print(f"algorithm     : {report.automaton_name}")
-        print(f"invariants    : {', '.join(report.predicate_names)}")
-        print(f"states        : {report.states_explored}"
-              + (" (truncated)" if report.truncated else " (exhaustive)"))
-        print(f"transitions   : {report.transitions_explored}")
-        print(f"max depth     : {report.max_depth}")
-        print(f"quiescent     : {report.quiescent_states}")
-        print("engine        : " + ("compiled" if report.vectorized else "reference")
-              + (" [symmetry-reduced]" if report.symmetry_reduced else "")
-              + (" [spilled]" if report.spilled else ""))
-        print(f"wall time     : {report.wall_time_s:.2f}s")
-        print(f"violations    : {len(report.failures)}")
-        for failure in report.failures[:args.max_traced]:
-            print(f"  {failure.trace}")
+        print(f"topology      : {args.topology} ({record['nodes']} nodes, "
+              f"{record['edges']} edges)")
+        print(f"algorithm     : {ALGORITHMS[args.algorithm].name}")
+        print(f"invariants    : {', '.join(record['predicates'])}")
+        print(f"states        : {record['states_explored']}"
+              + (" (truncated)" if record["truncated"] else " (exhaustive)"))
+        print(f"transitions   : {record['transitions_explored']}")
+        print(f"max depth     : {record['max_depth']}")
+        print(f"quiescent     : {record['quiescent_states']}")
+        print("engine        : " + ("compiled" if record["vectorized"] else "reference")
+              + (" [symmetry-reduced]" if record["symmetry_reduced"] else "")
+              + (" [spilled]" if record["spilled"] else ""))
+        print(f"wall time     : {record['wall_time_s']:.2f}s")
+        print(f"violations    : {record['violations']}")
+        for trace in record["counterexamples"]:
+            print(f"  {describe_trace(trace)}")
         if store is not None:
-            print(f"stored        : {run_id} -> {store.root}")
-    return 1 if report.failures else 0
+            print(f"stored        : {spec.run_id} -> {store.root}")
+    return 1 if record["violations"] else 0
 
 
 def cmd_worst_case(args: argparse.Namespace) -> int:
-    sizes = range(1, args.max_bad + 1)
-    fr_series = worst_case_sweep(sizes, FullReversal, GreedyScheduler)
-    pr_series = worst_case_sweep(sizes, OneStepPartialReversal, GreedyScheduler)
+    # E10's chain with n_b bad nodes is the chain family at size n_b + 1,
+    # run greedily to quiescence: one scenario per size and algorithm
+    if args.max_bad < 1:
+        print(f"error: --max-bad must be at least 1, got {args.max_bad}", file=sys.stderr)
+        return 2
+    rows = []
+    for n_bad in range(1, args.max_bad + 1):
+        row = [n_bad]
+        for algorithm in ("fr", "onestep-pr"):
+            record = execute_scenario(ScenarioSpec(
+                "chain", n_bad + 1, algorithm, "greedy", args.seed, args.seed,
+            ))
+            if record["status"] != "ok":
+                print(f"error: {record['error']}", file=sys.stderr)
+                return 2
+            row.append(record["node_steps"])
+        rows.append(row)
     print(f"{'n_bad':>6} {'FR steps':>10} {'PR steps':>10}")
-    for (n_bad, fr_steps), (_, pr_steps) in zip(fr_series, pr_series):
+    for n_bad, fr_steps, pr_steps in rows:
         print(f"{n_bad:>6} {fr_steps:>10} {pr_steps:>10}")
-    if len(fr_series) >= 4:
-        xs = [float(n) for n, _ in fr_series]
-        ys = [float(s) for _, s in fr_series]
-        coefficients, r2 = quadratic_fit_r2(xs, ys)
+    if len(rows) >= 4:
+        coefficients, r2 = quadratic_fit_r2(
+            [float(n) for n, _, _ in rows], [float(s) for _, s, _ in rows]
+        )
         print(f"FR quadratic fit: {coefficients[0]:.3f}x² + {coefficients[1]:.3f}x "
               f"+ {coefficients[2]:.3f}  (R²={r2:.5f})")
     return 0
@@ -1045,7 +989,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _configure_logging(args.verbose)
-    return args.handler(args)
+    try:
+        code = args.handler(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away (``repro ... --json | head -1``): point stdout
+        # at devnull so the interpreter's last flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

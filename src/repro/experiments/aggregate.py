@@ -274,12 +274,11 @@ def invariant_outcomes(records: Sequence[Dict[str, Any]]) -> Dict[str, int]:
         # acyclic_final is tri-state since the model-check records joined the
         # store: True (checked, held), False (checked, failed), None (the
         # acyclicity check did not run) — only an actual failure is a
-        # violation.  Check records additionally carry their own explicit
-        # violation count.
+        # violation.  A check record also counts its own (the check group's
+        # ``violations``, which no other record carries).
         if record.get("status") == "ok" and record.get("acyclic_final") is False:
             outcome["violations"] += 1
-        if record.get("kind") == "check":
-            outcome["violations"] += int(record.get("violations") or 0)
+        outcome["violations"] += record.get("violations") or 0
     return outcome
 
 

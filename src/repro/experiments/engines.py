@@ -19,12 +19,14 @@ An :class:`ExecutionEngine` is one complete way of executing a
 ``dataplane``
     Packet forwarding over a live async control plane, selected by giving
     the spec a ``traffic`` model.
+``check``
+    One exhaustive model check per :class:`~repro.experiments.spec.CheckSpec`.
 
 Engines declare which specs they :meth:`~ExecutionEngine.supports`;
 ``resolve_engine("auto", spec)`` picks the highest-priority supporting
-engine, so a spec with a ``delay_model`` routes to the async engine and a
-synchronous spec to the kernel engine, with no caller knowing the engine
-list.  Registering a new engine is one
+engine of the spec's class, so a spec with a ``delay_model`` routes to the
+async engine, a synchronous spec to the kernel engine and a check spec to
+the check engine, with no caller knowing the engine list.  Registering a new engine is one
 :func:`register_engine` call — the runner, executor, CLI and store plumbing
 pick it up through the registry.
 
@@ -40,12 +42,10 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from functools import cached_property
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
+from repro.experiments.spec import ScenarioSpec
 from repro.experiments.store import RESULT, group_defaults
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.experiments.spec import ScenarioSpec
 
 #: The pseudo-engine name that picks the best supporting engine per spec.
 ENGINE_AUTO = "auto"
@@ -61,6 +61,8 @@ class ExecutionEngine(ABC):
 
     name: str = ""
     auto_priority: int = 0
+    #: The spec class this engine runs (``auto`` offers a spec to its class's).
+    spec_type: type = ScenarioSpec
     #: The record field groups this engine's records carry beside the spec
     #: fields (see :data:`~repro.experiments.store.RECORD_FIELDS`).
     record_groups: Tuple[str, ...] = (RESULT,)
@@ -99,6 +101,9 @@ class ExecutionEngine(ABC):
 #: ``auto_priority``, then registration order).
 ENGINE_REGISTRY: Dict[str, ExecutionEngine] = {}
 
+#: spec class -> its engines by falling ``auto_priority`` (built on first use).
+_AUTO_ORDER: Dict[type, Tuple[ExecutionEngine, ...]] = {}
+
 
 def register_engine(engine: ExecutionEngine, replace: bool = False) -> ExecutionEngine:
     """Add an engine to the registry (``replace=True`` to override)."""
@@ -107,6 +112,7 @@ def register_engine(engine: ExecutionEngine, replace: bool = False) -> Execution
     if engine.name in ENGINE_REGISTRY and not replace:
         raise ValueError(f"engine {engine.name!r} already registered")
     ENGINE_REGISTRY[engine.name] = engine
+    _AUTO_ORDER.clear()
     return engine
 
 
@@ -128,21 +134,26 @@ def get_engine(name: str) -> ExecutionEngine:
 def resolve_engine(engine: str, spec: "ScenarioSpec") -> str:
     """The engine name a spec will actually run on.
 
-    ``auto`` picks the highest-priority registered engine that supports the
-    spec, or raises a ``ValueError`` listing every engine's reason to refuse
-    it; an explicit engine name must support the spec or a ``ValueError``
-    explains why (silently changing semantics is worse than failing).
+    ``auto`` picks the highest-priority engine of the spec's class that
+    supports the spec, or raises a ``ValueError`` listing each such
+    engine's reason to refuse it; an explicit engine name must support the
+    spec or a ``ValueError`` explains why (silently changing semantics is
+    worse than failing).
     """
     if engine == ENGINE_AUTO:
-        candidates = sorted(
-            ENGINE_REGISTRY.values(), key=lambda e: -e.auto_priority
-        )
+        candidates = _AUTO_ORDER.get(type(spec))
+        if candidates is None:
+            candidates = _AUTO_ORDER[type(spec)] = tuple(sorted(
+                (e for e in ENGINE_REGISTRY.values() if isinstance(spec, e.spec_type)),
+                key=lambda e: -e.auto_priority,
+            ))
         for candidate in candidates:
             if candidate.supports(spec):
                 return candidate.name
         reasons = " ".join(
             f"[{candidate.name}] {candidate.unsupported_reason(spec)}."
             for candidate in ENGINE_REGISTRY.values()
+            if isinstance(spec, candidate.spec_type)
         )
         raise ValueError(f"no registered engine supports this spec: {reasons}")
     chosen = get_engine(engine)

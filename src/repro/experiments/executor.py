@@ -54,7 +54,7 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from multiprocessing import get_all_start_methods, get_context
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -131,32 +131,16 @@ class CampaignReport:
         return self.executed / wall
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-compatible form (printed by ``repro sweep --json``)."""
-        return {
-            "total": self.total,
-            "skipped": self.skipped,
-            "executed": self.executed,
-            "ok": self.ok,
-            "errors": self.errors,
-            "timeouts": self.timeouts,
-            "crashed": self.crashed,
-            "workers": self.workers,
-            "wall_time_s": round(self.wall_time_s, 4),
-            "execution_wall_s": round(self.execution_wall_s, 4),
-            "cpu_time_s": round(self.cpu_time_s, 4),
-            "worker_utilisation": round(self.worker_utilisation, 3),
-            "runs_per_second": round(self.runs_per_second, 2),
-            "shard": self.shard,
-            "engines": dict(sorted(self.engines.items())),
-            "kernel_cache": dict(sorted(self.kernel_cache.items())),
-            "retries": self.retries,
-            "watchdog_kills": self.watchdog_kills,
-            "pool_reforms": self.pool_reforms,
-            "corrupt_chunks": self.corrupt_chunks,
-            "faults_injected": self.faults_injected,
-            "fault_kinds": dict(sorted(self.fault_kinds.items())),
-            "degraded_serial": self.degraded_serial,
-        }
+        """JSON-compatible form (printed by ``repro sweep --json``): every
+        field, times rounded, plus ``runs_per_second``."""
+        data = asdict(self)
+        for name, digits in (
+            ("wall_time_s", 4), ("execution_wall_s", 4), ("cpu_time_s", 4),
+            ("worker_utilisation", 3),
+        ):
+            data[name] = round(data[name], digits)
+        data["runs_per_second"] = round(self.runs_per_second, 2)
+        return data
 
 
 def _run_chunk_with_stats(

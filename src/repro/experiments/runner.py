@@ -6,7 +6,9 @@ worker pool (and calls inline for ``workers <= 1``).  It takes a chunk of
 form — the only thing that actually crosses the process boundary), rebuilds
 each instance locally, runs every scenario to quiescence and returns one
 flat, JSON-compatible result record per spec, in input order.
-:func:`execute_scenario` is the same dispatch for a single spec.
+:func:`execute_scenario` is the same dispatch for a single spec.  A
+:class:`~repro.experiments.spec.CheckSpec` goes the same way, to the
+``check`` engine (:mod:`repro.experiments.check_engine`).
 
 Every spec resolves to one registered engine (see
 :mod:`repro.experiments.engines`), and the chunk runs as groups of lanes,
@@ -95,6 +97,7 @@ from repro.experiments.engines import (
 )
 from repro.experiments.spec import (
     ALGORITHM_FACTORIES,
+    CheckSpec,
     ScenarioSpec,
     derive_seed,
     spec_and_record,
@@ -280,21 +283,22 @@ class LegacyEngine(ExecutionEngine):
                 )
 
 
-# registration order is the order ``repro sweep --engine`` lists; the async
-# and dataplane engines register as a side effect of importing their modules,
-# which build on subsystems (repro.distributed, repro.dataplane) the
-# synchronous engines never touch
+# registration order is the order ``repro sweep --engine`` lists; the async,
+# dataplane and check engines register as a side effect of importing their
+# modules, which build on subsystems (repro.distributed, repro.dataplane,
+# repro.exploration) the synchronous engines never touch
 register_engine(KernelEngine())
 register_engine(LegacyEngine())
 import repro.experiments.async_engine  # noqa: E402,F401  (registration import)
 import repro.experiments.dataplane_engine  # noqa: E402,F401  (registration import)
+import repro.experiments.check_engine  # noqa: E402,F401  (registration import)
 
 #: Engine names accepted by :func:`run_scenarios` / ``repro sweep --engine``.
 ENGINE_CHOICES = engine_names()
 
 
 def run_scenarios(
-    specs: List[Union[ScenarioSpec, Dict[str, Any]]],
+    specs: List[Union[ScenarioSpec, CheckSpec, Dict[str, Any]]],
     timeout_s: Optional[float] = None,
     engine: str = ENGINE_AUTO,
     beat: Optional[Callable[[], None]] = None,
@@ -344,7 +348,7 @@ def run_scenarios(
 
 
 def execute_scenario(
-    spec: Union[ScenarioSpec, Dict[str, Any]],
+    spec: Union[ScenarioSpec, CheckSpec, Dict[str, Any]],
     timeout_s: Optional[float] = None,
     engine: str = ENGINE_AUTO,
 ) -> Dict[str, Any]:

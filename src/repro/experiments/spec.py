@@ -13,6 +13,10 @@ replicates and failure models.  :meth:`CampaignSpec.expand` flattens it into
 a deterministic, seed-stamped run list, which is what the sharded executor
 partitions across workers and what the result store keys on.
 
+A :class:`CheckSpec` pins down one exhaustive model check of one algorithm
+on one generated topology.  It is its own one-run campaign, so the executor
+stores, resumes and traces it like any sweep.
+
 Seed derivation
 ---------------
 
@@ -209,17 +213,128 @@ _spec_values = attrgetter(*SPEC_FIELDS)
 _IDENTITY_FIELDS = SPEC_FIELDS[:SPEC_FIELDS.index("campaign")]
 
 
+#: The ``kind`` of a model check's record, which tells its dict apart.
+CHECK_KIND = "check"
+
+#: Invariant groups a model check can select (``repro check --invariants``).
+CHECK_INVARIANTS = ("acyclic", "progress", "paper")
+
+
+@dataclass(frozen=True)
+class CheckSpec:
+    """One exhaustive model check of one algorithm on one generated topology.
+
+    ``run_id`` hashes the fields before ``campaign``.  The ones after it
+    change how the check executes, not what it verifies: they stay out of
+    the ``run_id`` and out of the stored record.  A check spec is its own
+    one-run campaign (``name``, :meth:`expand`) for ``run_campaign``.
+    """
+
+    family: str = "chain"
+    size: int = 8
+    algorithm: str = "pr"
+    seed: int = 0
+    invariants: Tuple[str, ...] = ("acyclic", "progress")
+    max_states: int = 1_000_000
+    single_actions: bool = False
+    symmetry: bool = False
+    campaign: str = "check"
+    #: Spill the visited set to disk (into ``spill_dir``, or a temporary
+    #: directory) beyond this many signatures; ``None`` never spills.
+    spill_threshold: Optional[int] = None
+    spill_dir: Optional[str] = None
+    spill_max_runs: Optional[int] = 8
+    #: Counterexamples reconstructed into full traces.
+    max_traced: int = 10
+
+    def validate(self) -> None:
+        """Check every field's range; raise ``ValueError`` if one is off."""
+        unknown = set(self.invariants) - set(CHECK_INVARIANTS)
+        if unknown:
+            raise ValueError(
+                f"unknown invariant group(s) {sorted(unknown)}; "
+                f"choose from {', '.join(CHECK_INVARIANTS)}"
+            )
+        if self.family not in FAMILY_NAMES:
+            raise ValueError(f"unknown family {self.family!r}")
+        if self.algorithm not in ALGORITHM_FACTORIES:
+            raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        if self.size < 2:
+            raise ValueError("size must be at least 2")
+        if self.max_states < 1:
+            raise ValueError(f"max_states must be at least 1, got {self.max_states}")
+        if self.max_traced < 0:
+            raise ValueError(f"max_traced must be at least 0, got {self.max_traced}")
+        if self.symmetry or self.spill_threshold is not None:
+            # refused before a record exists: the spill setting is no part
+            # of the run_id, so a stored refusal would answer for the check
+            # without it
+            from repro.kernels.vector import MAX_NODES
+            from repro.topology.generators import build_family
+
+            nodes = build_family(self.family, self.size, self.seed).node_count
+            if nodes > MAX_NODES:
+                feature = "symmetry reduction" if self.symmetry else "disk spill"
+                raise ValueError(
+                    f"{feature} requires a compiled signature kernel (at most "
+                    f"{MAX_NODES} nodes); {nodes} nodes run on the reference loop"
+                )
+
+    @property
+    def run_id(self) -> str:
+        """Stable content hash of the identity fields, ``kind`` included."""
+        identity = dict(zip(_CHECK_IDENTITY_FIELDS, _check_values(self)))
+        identity.update(kind=CHECK_KIND, invariants=sorted(self.invariants))
+        blob = json.dumps(identity, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha1(blob.encode("utf-8")).hexdigest()[:16]
+
+    def to_dict(self) -> Dict[str, Any]:
+        """The record's spec fields, plus the execution settings for the
+        worker (the check engine drops them from the record)."""
+        record = dict(zip(CHECK_SPEC_FIELDS, _check_values(self)))
+        record.update(run_id=self.run_id, kind=CHECK_KIND, scheduler="exhaustive",
+                      invariants=sorted(self.invariants))
+        return record
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, Any]) -> "CheckSpec":
+        """Rebuild a spec from :meth:`to_dict` output or a stored record."""
+        values = {name: data[name] for name in CHECK_SPEC_FIELDS if name in data}
+        return cls(**{**values, "invariants": tuple(values.get("invariants", cls.invariants))})
+
+    @property
+    def name(self) -> str:
+        return self.campaign
+
+    def expand(self) -> List["CheckSpec"]:
+        self.validate()
+        return [self]
+
+
+CHECK_SPEC_FIELDS: Tuple[str, ...] = tuple(f.name for f in fields(CheckSpec))
+_check_values = attrgetter(*CHECK_SPEC_FIELDS)
+_CHECK_IDENTITY_FIELDS = CHECK_SPEC_FIELDS[:CHECK_SPEC_FIELDS.index("campaign")]
+#: The execution settings: shipped to the worker, kept out of the record.
+CHECK_EXECUTION_FIELDS = CHECK_SPEC_FIELDS[len(_CHECK_IDENTITY_FIELDS) + 1:]
+
+
+def spec_from_dict(data: Dict[str, Any]) -> Union[ScenarioSpec, CheckSpec]:
+    """Rebuild a scenario or a check spec from its plain-data form."""
+    return (CheckSpec if data.get("kind") == CHECK_KIND else ScenarioSpec).from_dict(data)
+
+
 def spec_and_record(
-    raw: Union[ScenarioSpec, Dict[str, Any]],
-) -> Tuple[ScenarioSpec, Dict[str, Any]]:
+    raw: Union[ScenarioSpec, CheckSpec, Dict[str, Any]],
+) -> Tuple[Union[ScenarioSpec, CheckSpec], Dict[str, Any]]:
     """A run's spec and a fresh record of its spec fields (the worker entry).
 
     An executor-shipped dict is :meth:`ScenarioSpec.to_dict` output with
     every field and its ``run_id``: it is copied as the record, so the
     content-hash ``run_id`` is not derived again per run, and the spec is
     built positionally, skipping :meth:`~ScenarioSpec.from_dict`'s
-    filtering dictcomp (both showed up in sweep profiles).  Any other dict
-    goes through ``from_dict``.  The spec is not validated here.
+    filtering dictcomp (both showed up in sweep profiles).  Any other dict,
+    a check spec's among them, goes through :func:`spec_from_dict`.  The
+    spec is not validated here.
     """
     if not isinstance(raw, dict):
         return raw, raw.to_dict()
@@ -227,9 +342,9 @@ def spec_and_record(
         try:
             spec = ScenarioSpec(*map(raw.__getitem__, SPEC_FIELDS))
         except KeyError:
-            spec = ScenarioSpec.from_dict(raw)
+            spec = spec_from_dict(raw)
         return spec, dict(raw)
-    spec = ScenarioSpec.from_dict(raw)
+    spec = spec_from_dict(raw)
     return spec, spec.to_dict()
 
 
@@ -381,37 +496,10 @@ class CampaignSpec:
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-compatible form, stored next to the results for provenance."""
-        return {
-            "name": self.name,
-            "families": list(self.families),
-            "algorithms": list(self.algorithms),
-            "schedulers": list(self.schedulers),
-            "sizes": list(self.sizes),
-            "replicates": self.replicates,
-            "base_seed": self.base_seed,
-            "failure_models": [list(fm) for fm in self.failure_models],
-            "max_steps": self.max_steps,
-            "delay_models": list(self.delay_models),
-            "losses": list(self.losses),
-            "traffics": list(self.traffics),
-            "node_fault_counts": list(self.node_fault_counts),
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "CampaignSpec":
-        """Rebuild a campaign from :meth:`to_dict` output."""
-        return cls(
-            name=data.get("name", "campaign"),
-            families=data.get("families", ("chain",)),
-            algorithms=data.get("algorithms", ("pr", "fr")),
-            schedulers=data.get("schedulers", ("greedy",)),
-            sizes=data.get("sizes", (10,)),
-            replicates=data.get("replicates", 1),
-            base_seed=data.get("base_seed", 0),
-            failure_models=[tuple(fm) for fm in data.get("failure_models", [("none", 0)])],
-            max_steps=data.get("max_steps"),
-            delay_models=data.get("delay_models", (None,)),
-            losses=data.get("losses", (0.0,)),
-            traffics=data.get("traffics", (None,)),
-            node_fault_counts=data.get("node_fault_counts", (0,)),
-        )
+        """Rebuild a campaign from :meth:`to_dict` output (absent axes take
+        their defaults)."""
+        return cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data})

@@ -49,11 +49,13 @@ def _atomic_write_text(path: Path, text: str) -> None:
     tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
 
-#: Field groups.  Every record carries its ``spec`` fields (the
+#: Field groups.  Every scenario record carries its ``spec`` fields (the
 #: :meth:`~repro.experiments.spec.ScenarioSpec.to_dict` keys) and the
 #: ``result`` group; the engine that ran it adds the groups it declares in
-#: :attr:`~repro.experiments.engines.ExecutionEngine.record_groups`.
-SPEC, RESULT, MESSAGE, PACKET = "spec", "result", "message", "packet"
+#: :attr:`~repro.experiments.engines.ExecutionEngine.record_groups`.  A model
+#: check record (:class:`~repro.experiments.spec.CheckSpec`) carries the
+#: ``check`` group instead, beside the spec and result fields it shares.
+SPEC, RESULT, MESSAGE, PACKET, CHECK = "spec", "result", "message", "packet", "check"
 
 #: Field marks: a ``volatile`` field differs between two runs of the same
 #: spec (the wall clock), and the ``stamp`` names the engine that ran it.
@@ -136,6 +138,25 @@ RECORD_FIELDS: Tuple[Field, ...] = (
     Field("max_latency_slots", "REAL", None, PACKET),
     Field("mean_hops", "REAL", None, PACKET),
     Field("mean_stretch", "REAL", None, PACKET),
+    # check: a model check's own spec fields, then what the check engine
+    # fills in; not indexed, so sweep stores keep their schema
+    Field("kind", None, None, CHECK),
+    Field("seed", None, None, CHECK),
+    Field("invariants", None, None, CHECK),
+    Field("max_states", None, None, CHECK),
+    Field("single_actions", None, None, CHECK),
+    Field("symmetry", None, None, CHECK),
+    Field("states_explored", None, 0, CHECK),
+    Field("transitions_explored", None, 0, CHECK),
+    Field("quiescent_states", None, 0, CHECK),
+    Field("max_depth", None, 0, CHECK),
+    Field("truncated", None, False, CHECK),
+    Field("violations", None, 0, CHECK),
+    Field("predicates", None, None, CHECK),
+    Field("symmetry_reduced", None, False, CHECK),
+    Field("spilled", None, False, CHECK),
+    Field("vectorized", None, False, CHECK),
+    Field("counterexamples", None, None, CHECK),
     Field("wall_time_s", "REAL", 0.0, RESULT, VOLATILE),
 )
 
@@ -146,8 +167,6 @@ def group_defaults(*groups: str) -> Dict[str, Any]:
 
 
 RESULT_INIT = group_defaults(RESULT)
-MESSAGE_INIT = group_defaults(MESSAGE)
-PACKET_INIT = group_defaults(PACKET)
 
 #: The result fields that are pure run results: all but the marked ones.
 OUTCOME_FIELDS = tuple(
@@ -526,12 +545,13 @@ class ResultStore:
     def engine_counts(self) -> Dict[str, int]:
         """Stored runs per execution engine.
 
-        The engines are ``kernel``, ``legacy``, ``async`` and ``dataplane``
-        (stores written before the ``batch`` name folded into ``kernel`` may
-        also count ``batch``).
+        The engines are ``kernel``, ``legacy``, ``async``, ``dataplane`` and
+        ``check`` (stores written before the ``batch`` name folded into
+        ``kernel`` may also count ``batch``).
 
         ``none`` aggregates runs with no recorded engine: failures before an
-        engine was selected, crashed placeholders and pre-engine records.
+        engine was selected, crashed placeholders and pre-engine records
+        (model checks stored before the ``check`` engine among them).
         """
         connection = self._connect()
         return {

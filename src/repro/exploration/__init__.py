@@ -10,7 +10,8 @@ facts at the largest instance sizes the hardware allows:
   optional disk-spilled visited set
   (:class:`~repro.exploration.frontier.VisitedSet`) and first-class
   counterexample traces.  Automata without a compiled kernel run on the
-  reference explorer below.  Surfaced as ``repro check``;
+  reference explorer below.  Surfaced as ``repro check`` through the
+  ``check`` engine (:mod:`repro.experiments.check_engine`);
 * :class:`~repro.exploration.state_space.StateSpaceExplorer` — the simple
   state-materialising reference explorer: the oracle the compiled loop is
   differentially tested against, and the checker's loop for every other
@@ -25,7 +26,7 @@ The compiled signature kernels the checker explores with live in
 :mod:`repro.kernels` (they are shared with the scenario simulation engine).
 """
 
-from repro.exploration.checker import CheckReport, ModelChecker, check_exhaustively
+from repro.exploration.checker import CheckReport, ModelChecker
 from repro.exploration.counterexample import CounterexampleTrace
 from repro.exploration.frontier import VisitedSet
 from repro.exploration.state_space import (
@@ -52,6 +53,5 @@ __all__ = [
     "VisitedSet",
     "all_connected_dag_instances",
     "all_dag_instances",
-    "check_exhaustively",
     "explore_and_check",
 ]

@@ -37,7 +37,7 @@ import functools
 import logging
 import time
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Hashable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Hashable, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
@@ -95,60 +95,6 @@ class CheckReport(ExplorationReport):
     signatures: Optional[Set[Hashable]] = None
     #: Visited-set spill/compaction counters (telemetry surface, not stored).
     spill_stats: Optional[Dict[str, int]] = None
-
-    def __str__(self) -> str:
-        extras = [
-            label for label, present in (
-                ("symmetry-reduced", self.symmetry_reduced),
-                ("vectorised", self.vectorized),
-                ("spilled", self.spilled),
-            ) if present
-        ]
-        extra = f" [{', '.join(extras)}]" if extras else ""
-        return super().__str__() + extra
-
-    def to_record(self, **extra: Any) -> Dict[str, Any]:
-        """Flat JSON-safe record for the experiments result store.
-
-        ``status`` is ``"violated"`` when any predicate failed, else
-        ``"truncated"`` / ``"ok"``; counterexample traces ride along under
-        ``counterexamples`` in the serialised trace schema.  Only the
-        reconstructed traces (bounded by the checker's
-        ``max_traced_failures``) are serialised — ``violations`` still
-        counts every failure, so a predicate failing on a large fraction of
-        a huge space cannot balloon the stored record.
-        """
-        if self.failures:
-            status = "violated"
-        elif self.truncated:
-            status = "truncated"
-        else:
-            status = "ok"
-        record: Dict[str, Any] = {
-            "status": status,
-            "states_explored": self.states_explored,
-            "transitions_explored": self.transitions_explored,
-            "quiescent_states": self.quiescent_states,
-            "max_depth": self.max_depth,
-            "truncated": self.truncated,
-            "violations": len(self.failures),
-            "predicates": list(self.predicate_names),
-            "symmetry_reduced": self.symmetry_reduced,
-            "spilled": self.spilled,
-            "vectorized": self.vectorized,
-            "wall_time_s": round(self.wall_time_s, 4),
-            # only a verified claim when the acyclicity check actually ran
-            "acyclic_final": (
-                not any(f.predicate_name == ACYCLIC for f in self.failures)
-                if ACYCLIC in self.predicate_names
-                else None
-            ),
-            "counterexamples": [
-                f.trace.to_dict() for f in self.failures if f.trace.reconstructed
-            ],
-        }
-        record.update(extra)
-        return record
 
 
 # ----------------------------------------------------------------------
@@ -580,12 +526,3 @@ class ModelChecker:
             if not self.track_traces or index >= self.max_traced_failures:
                 failure.trace = replace(failure.trace, actions=(), reconstructed=False)
         return report
-
-
-def check_exhaustively(
-    automaton: IOAutomaton,
-    predicates: Optional[Mapping[str, StatePredicate]] = None,
-    **options: Any,
-) -> CheckReport:
-    """Convenience wrapper: build a :class:`ModelChecker` and run it."""
-    return ModelChecker(automaton, predicates, **options).run()

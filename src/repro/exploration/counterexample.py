@@ -154,8 +154,18 @@ class CounterexampleTrace:
         }
 
     def __str__(self) -> str:
-        steps = " ; ".join(str(action) for action in self.actions) or "<initial state>"
-        return (
-            f"[{self.automaton_name}] {self.predicate_name} violated at depth "
-            f"{self.depth}: {steps}"
-        )
+        return describe_trace(self.to_dict())
+
+
+def describe_trace(data: Dict[str, Any]) -> str:
+    """One line for a trace in its :meth:`~CounterexampleTrace.to_dict` form
+    (PR's actions are sets), so a stored trace prints as the live one."""
+    steps = " ; ".join(
+        f"reverse({{{', '.join(map(str, action['actors']))}}})"
+        if data["automaton"] == "PR" else f"reverse({action['actors'][0]})"
+        for action in data["actions"]
+    ) or "<initial state>"
+    return (
+        f"[{data['automaton']}] {data['predicate']} violated at depth "
+        f"{data['depth']}: {steps}"
+    )

@@ -26,6 +26,7 @@ from repro.distributed.network import DELAY_MODELS
 from repro.distributed.protocol import ReversalMode
 from repro.experiments import resolve_engine
 from repro.experiments.async_engine import ASYNC_MODES, AsyncEngine
+from repro.experiments.check_engine import ENGINE_CHECK
 from repro.experiments.engines import (
     ENGINE_REGISTRY,
     engine_names,
@@ -44,6 +45,7 @@ from repro.experiments.runner import (
 from repro.experiments.spec import (
     DELAY_MODEL_NAMES,
     CampaignSpec,
+    CheckSpec,
     ScenarioSpec,
     derive_seed,
 )
@@ -75,10 +77,11 @@ def _spec(**overrides):
 class TestRegistry:
     def test_registry_names(self):
         assert set(ENGINE_REGISTRY) == {
-            ENGINE_KERNEL, ENGINE_LEGACY, ENGINE_ASYNC, ENGINE_DATAPLANE,
+            ENGINE_KERNEL, ENGINE_LEGACY, ENGINE_ASYNC, ENGINE_DATAPLANE, ENGINE_CHECK,
         }
         assert engine_names() == (
             "auto", ENGINE_KERNEL, ENGINE_LEGACY, ENGINE_ASYNC, ENGINE_DATAPLANE,
+            ENGINE_CHECK,
         )
         assert ENGINE_CHOICES == engine_names()
 
@@ -86,6 +89,9 @@ class TestRegistry:
         assert resolve_engine("auto", _spec()) == ENGINE_KERNEL
         assert resolve_engine("auto", _spec(algorithm="bll")) == ENGINE_KERNEL
         assert resolve_engine("auto", _spec(delay_model="uniform")) == ENGINE_ASYNC
+        assert resolve_engine("auto", CheckSpec()) == ENGINE_CHECK
+        with pytest.raises(ValueError, match="CheckSpec"):
+            resolve_engine(ENGINE_CHECK, _spec())
 
     def test_explicit_engine_must_support_the_spec(self):
         with pytest.raises(ValueError, match="async"):

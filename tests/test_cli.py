@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 
 import pytest
 
 from repro.cli import ALGORITHMS, SCHEDULERS, TOPOLOGIES, build_parser, main
 from repro.experiments.runner import execute_scenario
-from repro.experiments.spec import ScenarioSpec
+from repro.experiments.spec import CheckSpec, ScenarioSpec
 from repro.experiments.store import ResultStore
 from repro.topology.generators import build_family
 
@@ -90,6 +91,27 @@ class TestCommands:
         output = capsys.readouterr().out
         assert exit_code == 0
         assert "FR quadratic fit" in output
+
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "--max-nodes", "1"], "--max-nodes must be at least 2, got 1"),
+        (["worst-case", "--max-bad", "0"], "--max-bad must be at least 1, got 0"),
+        (["check", "--max-traced", "-1"], "max_traced must be at least 0, got -1"),
+    ])
+    def test_out_of_range_input_exits_2(self, argv, message, capsys):
+        # each used to print a vacuous or truncated answer and exit 0
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_closed_stdout_is_not_a_traceback(self, monkeypatch, capsys):
+        # `repro ... --json | head -1`: the reader is gone before the flush
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with os.fdopen(write_end, "w") as closed:
+            monkeypatch.setattr(sys, "stdout", closed)
+            assert main(["compare", "--nodes", "6", "--json"]) == 1
+        assert capsys.readouterr().err == ""
 
     def test_run_async_command(self, capsys):
         exit_code = main(["run", "--topology", "grid", "--nodes", "9",
@@ -366,6 +388,32 @@ class TestCheck:
         assert "skipped" not in third
         assert third["states_explored"] == first["states_explored"]
 
+    def test_check_run_id_and_store_from_before_the_check_engine(self, tmp_path, capsys):
+        # the run id hashes what it hashed before checks became specs, so a
+        # check stored then (no engine stamp) resumes as a no-op
+        spec = CheckSpec(family="grid", size=9, algorithm="fr")
+        assert spec.run_id == "2860f52a1ccd669f"
+        record = execute_scenario(spec)
+        assert record["engine"] == "check"
+        old = {key: value for key, value in record.items() if key != "engine"}
+        with ResultStore(tmp_path / "store") as store:
+            store.append([old])
+        args = ["check", "--algorithm", "fr", "--topology", "grid", "--nodes", "9",
+                "--store", str(tmp_path / "store"), "--json"]
+        assert main(args) == 0
+        assert json.loads(capsys.readouterr().out) == {**old, "skipped": True}
+        assert main(["fsck", str(tmp_path / "store")]) == 0
+        assert "store is clean" in capsys.readouterr().out
+        assert ResultStore(tmp_path / "store").count() == 1
+
+    def test_check_store_report_names_the_engine(self, tmp_path, capsys):
+        store = str(tmp_path / "store")
+        assert main(["check", "--algorithm", "fr", "--topology", "grid", "--nodes", "9",
+                     "--store", store]) == 0
+        capsys.readouterr()
+        assert main(["report", "--store", store]) == 0
+        assert "engines  : {'check': 1}" in capsys.readouterr().out
+
     def test_check_resume_after_interrupt_reuses_partial_store(self, tmp_path, capsys):
         # an interrupted campaign leaves some runs stored; re-running the
         # same set of checks skips those and executes only the missing ones
@@ -439,12 +487,19 @@ class TestCheck:
         assert exit_code == 2
         assert "max_states must be at least 1" in capsys.readouterr().err
 
-    def test_check_spill_refused_without_kernel(self, capsys):
-        # BLL compiles up to 64 nodes; above that it runs on the reference loop
-        exit_code = main(["check", "--algorithm", "bll", "--topology", "chain",
-                          "--nodes", "70", "--spill"])
-        assert exit_code == 2
+    @pytest.mark.parametrize("option", ["--spill", "--symmetry"])
+    def test_check_refused_without_kernel_stores_nothing(self, option, tmp_path, capsys):
+        # BLL compiles up to 64 nodes; above that it runs on the reference
+        # loop.  The refusal comes before the store opens: a stored refusal
+        # would answer for the check without --spill, whose run_id it shares
+        store = tmp_path / "store"
+        args = ["check", "--algorithm", "bll", "--topology", "chain", "--nodes", "70",
+                "--store", str(store)]
+        assert main(args + [option]) == 2
         assert "compiled signature kernel" in capsys.readouterr().err
+        assert not store.exists()
+        assert main(args) == 0
+        assert "(exhaustive)" in capsys.readouterr().out
 
     def test_check_paper_warning_for_fr(self, capsys):
         exit_code = main(["check", "--algorithm", "fr", "--nodes", "5",

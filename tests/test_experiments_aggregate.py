@@ -13,7 +13,7 @@ from repro.experiments.aggregate import (
 )
 from repro.experiments.executor import run_campaign
 from repro.experiments.spec import CampaignSpec
-from repro.experiments.store import ResultStore
+from repro.experiments.store import CHECK, ResultStore, group_defaults
 
 
 @pytest.fixture(scope="module")
@@ -112,15 +112,16 @@ class TestInvariantsAndReport:
         # check records with --invariants progress); only False is a failure
         records = [
             {"status": "ok", "acyclic_final": True},
-            {"status": "ok", "acyclic_final": None, "kind": "check", "violations": 0},
+            {**group_defaults(CHECK), "status": "ok", "acyclic_final": None},
             {"status": "ok", "acyclic_final": False},
         ]
         outcome = invariant_outcomes(records)
         assert outcome["violations"] == 1
 
     def test_invariant_outcomes_count_check_record_violations(self):
+        # the check group's declared violation count, whatever the record's kind
         records = [
-            {"status": "violated", "kind": "check", "acyclic_final": False,
+            {**group_defaults(CHECK), "status": "violated", "acyclic_final": False,
              "violations": 3},
         ]
         assert invariant_outcomes(records)["violations"] == 3

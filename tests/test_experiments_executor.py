@@ -11,7 +11,7 @@ from repro.experiments import batch_engine
 from repro.experiments.batch_engine import reset_kernel_caches
 from repro.experiments.executor import CRASH_SENTINEL, run_campaign
 from repro.experiments.runner import execute_scenario, run_scenarios
-from repro.experiments.spec import CampaignSpec, ScenarioSpec, derive_seed
+from repro.experiments.spec import CampaignSpec, CheckSpec, ScenarioSpec, derive_seed
 from repro.experiments.store import ResultStore
 
 
@@ -203,6 +203,22 @@ class TestRunCampaign:
         assert report.total == report.executed == report.ok == 16
         assert store.count() == 16
         assert store.load_campaign()["name"] == "t"
+
+    def test_check_spec_is_a_one_run_campaign(self, tmp_path):
+        # the spill settings cross the pool in the shipped dict and leave
+        # the record there: pooled and inline checks store the same record
+        spec = CheckSpec(family="grid", size=9, algorithm="fr", spill_threshold=4,
+                         spill_dir=str(tmp_path / "spill"), campaign="c")
+        stored = []
+        for workers in (1, 2):
+            store = ResultStore(tmp_path / f"store{workers}")
+            report = run_campaign(spec, store, workers=workers)
+            assert (report.executed, report.engines) == (1, {"check": 1})
+            (record,) = store.records()
+            assert record["spilled"] and "spill_threshold" not in record
+            stored.append({k: v for k, v in record.items() if k != "wall_time_s"})
+        assert stored[0] == stored[1]
+        assert stored[0]["run_id"] == spec.run_id and stored[0]["campaign"] == "c"
 
     def test_resume_skips_stored_runs(self, tmp_path):
         store = ResultStore(tmp_path)

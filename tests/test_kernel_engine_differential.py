@@ -288,7 +288,9 @@ class TestEngineSelection:
         with pytest.raises(ValueError) as rejected:
             resolve_engine("auto", spec)
         for engine in ENGINE_REGISTRY.values():
-            assert f"[{engine.name}] {engine.unsupported_reason(spec)}" in str(rejected.value)
+            reason = f"[{engine.name}] {engine.unsupported_reason(spec)}"
+            # auto offers a scenario spec to the scenario engines only
+            assert (reason in str(rejected.value)) == (engine.name != "check")
 
     def test_unknown_engine_is_an_error_record(self):
         record = execute_scenario(_spec().to_dict(), engine="warp-drive")

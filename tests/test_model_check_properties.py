@@ -18,6 +18,8 @@ the reference loop that automata without a compiled kernel run on.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.core.bll import BinaryLinkLabels
@@ -26,7 +28,9 @@ from repro.core.new_pr import NewPartialReversal
 from repro.core.one_step_pr import OneStepPartialReversal
 from repro.core.pr import PartialReversal
 from repro.core.graph import LinkReversalInstance
-from repro.exploration.checker import ModelChecker, check_exhaustively
+from repro.experiments.check_engine import check_outcome
+from repro.exploration.checker import ModelChecker
+from repro.exploration.counterexample import describe_trace
 from repro.exploration.state_space import StateSpaceExplorer
 from repro.exploration.frontier import VisitedSet
 from repro.kernels.signature import (
@@ -193,6 +197,20 @@ class TestCounterexampleReplay:
         text = str(report.failures[0].trace)
         assert "violated at depth" in text
         assert "NewPR" in text
+
+    @pytest.mark.parametrize("automaton_class", [PartialReversal, FullReversal])
+    def test_stored_trace_prints_its_actions(self, automaton_class):
+        # `repro check` prints the traces of the stored record: after a JSON
+        # round trip each must read as the live actions do
+        automaton = automaton_class(grid_instance(3, 3))
+        report = ModelChecker(automaton, _planted_predicates(automaton)).run()
+        widest = max(len(a.actors()) for f in report.failures for a in f.trace.actions)
+        assert (widest > 1) == (automaton_class is PartialReversal)
+        for failure in report.failures:
+            stored = json.loads(json.dumps(failure.trace.to_dict()))
+            steps = " ; ".join(str(action) for action in failure.trace.actions)
+            assert describe_trace(stored).endswith(f": {steps or '<initial state>'}")
+            assert describe_trace(stored) == str(failure.trace)
 
     def test_untraced_failures_refuse_to_replay(self, bad_chain):
         automaton = NewPartialReversal(bad_chain)
@@ -415,9 +433,9 @@ class TestMaskChecks:
 
     def test_builtin_invariants_hold_on_all_algorithms(self, bad_grid):
         for automaton_class in ALGORITHM_CLASSES:
-            report = check_exhaustively(
+            report = ModelChecker(
                 automaton_class(bad_grid), check_acyclicity=True, check_progress=True
-            )
+            ).run()
             assert report.all_predicates_hold, str(report)
             assert set(report.predicate_names) >= {"acyclic", "progress"}
 
@@ -498,8 +516,9 @@ class TestGenericFallback:
         assert str(report) == str(explored)
 
     def test_bll_trace_cap_and_untracked_traces(self, bad_chain):
-        # every non-initial state fails: the stored record carries at most
-        # max_traced_failures traces, and violations still counts them all
+        # every non-initial state fails: the check engine's record carries
+        # at most max_traced_failures traces, and violations still counts
+        # them all
         automaton = reference_bll(bad_chain)
         initial_signature = automaton.initial_state().signature()
         predicates = {"is-initial": lambda s: s.signature() == initial_signature}
@@ -507,7 +526,7 @@ class TestGenericFallback:
         assert failing > 3
         capped = ModelChecker(automaton, predicates, max_traced_failures=2).run()
         assert not capped.vectorized
-        record = capped.to_record()
+        record = check_outcome(capped)
         assert record["violations"] == failing
         assert len(record["counterexamples"]) == 2
         assert all(trace["reconstructed"] for trace in record["counterexamples"])
@@ -517,8 +536,10 @@ class TestGenericFallback:
             not f.trace.reconstructed and f.path == () for f in capped.failures[2:]
         )
         untracked = ModelChecker(automaton, predicates, track_traces=False).run()
-        assert untracked.to_record()["violations"] == failing
-        assert untracked.to_record()["counterexamples"] == []
+        untracked_record = check_outcome(untracked)
+        assert (untracked_record["status"], untracked_record["violations"]) == (
+            "violated", failing)
+        assert untracked_record["counterexamples"] == []
         with pytest.raises(ValueError, match="not reconstructed"):
             untracked.failures[0].trace.replay(reference_bll(bad_chain))
 
@@ -533,7 +554,7 @@ class TestGenericFallback:
         assert [(f.predicate_name, f.detail) for f in report.failures] == [
             ("progress", "quiescent but nodes ['2'] cannot reach the destination")
         ]
-        assert report.to_record()["acyclic_final"] is True
+        assert check_outcome(report)["acyclic_final"] is True
 
     def test_bll_counterexample_replays(self, bad_chain):
         automaton = reference_bll(bad_chain)

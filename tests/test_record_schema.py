@@ -2,7 +2,7 @@
 
 :data:`repro.experiments.store.RECORD_FIELDS` declares each field of a run
 record once: its index column, fresh value, group and mark.  These tests pin
-the declaration to what the spec, the engines, the crash placeholders, the
+the declaration to what the specs, the engines, the crash placeholders, the
 SQLite index and the README actually hold.
 """
 
@@ -18,8 +18,9 @@ from repro.dataplane.packets import PacketSimulator
 from repro.experiments.engines import ENGINE_REGISTRY
 from repro.experiments.executor import _crashed_records
 from repro.experiments.runner import execute_scenario
-from repro.experiments.spec import ScenarioSpec
+from repro.experiments.spec import CHECK_EXECUTION_FIELDS, CheckSpec, ScenarioSpec
 from repro.experiments.store import (
+    CHECK,
     ENGINE_VOLATILE_FIELDS,
     MESSAGE,
     OUTCOME_FIELDS,
@@ -34,6 +35,8 @@ from repro.experiments.store import (
 )
 
 FIELD_NAMES = [f.name for f in RECORD_FIELDS]
+#: Every field a scenario record can carry: all but the check group.
+SCENARIO_FIELDS = set(FIELD_NAMES) - set(group_defaults(CHECK))
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -45,7 +48,7 @@ def _schema_section() -> str:
 
 def test_every_field_is_declared_once():
     assert len(FIELD_NAMES) == len(set(FIELD_NAMES))
-    assert {f.group for f in RECORD_FIELDS} == {SPEC, RESULT, MESSAGE, PACKET}
+    assert {f.group for f in RECORD_FIELDS} == {SPEC, RESULT, MESSAGE, PACKET, CHECK}
 
 
 def test_spec_group_is_the_spec_dict():
@@ -68,10 +71,10 @@ def test_packet_group_is_what_the_simulator_counts():
     assert set(sim.counters()) == set(group_defaults(PACKET))
 
 
-def test_crashed_placeholder_carries_every_declared_field():
+def test_crashed_placeholder_carries_every_scenario_field():
     spec = ScenarioSpec("chain", 6, "pr", "greedy", 1, 2, traffic="steady")
     (record,) = _crashed_records([spec.to_dict()], "worker died")
-    assert set(record) == set(FIELD_NAMES)
+    assert set(record) == SCENARIO_FIELDS
     assert record["packets_forwarded"] == 0
     assert (record["status"], record["error"]) == ("crashed", "worker died")
 
@@ -83,6 +86,7 @@ def test_engines_declare_their_groups():
         "legacy": (RESULT,),
         "async": (RESULT, MESSAGE),
         "dataplane": (RESULT, MESSAGE, PACKET),
+        "check": (CHECK,),
     }
 
 
@@ -98,7 +102,7 @@ def test_early_dataplane_error_still_carries_its_groups(monkeypatch):
     spec = ScenarioSpec("chain", 6, "pr", "greedy", 1, 2, traffic="steady")
     record = execute_scenario(spec)
     assert record["status"] == "error"
-    assert set(record) == set(FIELD_NAMES)
+    assert set(record) == SCENARIO_FIELDS
     assert record["messages_sent"] is None and record["packets_forwarded"] == 0
 
 
@@ -115,6 +119,38 @@ def test_index_mirrors_every_indexed_field(tmp_path):
         for name in indexed
     ]
     assert list(row) == expected
+
+
+#: The fields a check record shares with the spec and result groups.
+CHECK_SHARED = {
+    "run_id", "campaign", "family", "size", "algorithm", "scheduler",
+    "status", "engine", "nodes", "edges", "acyclic_final", "wall_time_s",
+}
+
+
+def test_check_group_is_the_check_record():
+    # the check spec's record fields, less its execution settings, are the
+    # group's spec half plus the shared spec fields; the engine adds the rest
+    spec = CheckSpec(family="grid", size=9, algorithm="fr", spill_threshold=4)
+    spec_half = set(spec.to_dict()) - set(CHECK_EXECUTION_FIELDS)
+    assert spec_half <= set(group_defaults(CHECK)) | CHECK_SHARED
+    record = execute_scenario(spec)
+    assert record["status"] == "ok"
+    assert set(record) == set(group_defaults(CHECK)) | CHECK_SHARED
+    assert record["spilled"] is True
+
+
+def test_check_group_is_not_indexed(tmp_path):
+    # sweep stores keep their SQLite schema; a check record still stores
+    # and reads back whole through the record column
+    assert all(f.column is None for f in RECORD_FIELDS if f.group == CHECK)
+    record = execute_scenario(CheckSpec(family="grid", size=9, algorithm="fr"))
+    with ResultStore(tmp_path) as store:
+        store.append([record])
+        assert store.records(engine="check") == [record]
+    with sqlite3.connect(tmp_path / "index.sqlite") as connection:
+        columns = {row[1] for row in connection.execute("PRAGMA table_info(runs)")}
+    assert not columns & set(group_defaults(CHECK))
 
 
 @pytest.mark.parametrize("name", FIELD_NAMES)

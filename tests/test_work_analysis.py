@@ -1,19 +1,17 @@
-"""Unit tests for work accounting and the worst-case sweep (experiments E9, E10, E12)."""
+"""Unit tests for work accounting and the worst-case chain (experiments E9, E10, E12)."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.analysis.statistics import quadratic_fit_r2
-from repro.analysis.work import (
-    compare_algorithms,
-    count_reversals,
-    worst_case_sweep,
-)
+from repro.analysis.work import compare_algorithms, count_reversals
 from repro.core.full_reversal import FullReversal
 from repro.core.new_pr import NewPartialReversal
 from repro.core.one_step_pr import OneStepPartialReversal
 from repro.core.pr import PartialReversal
+from repro.experiments.runner import run_scenarios
+from repro.experiments.spec import CampaignSpec
 from repro.schedulers.greedy import GreedyScheduler
 from repro.schedulers.sequential import SequentialScheduler
 from repro.topology.generators import star_instance, worst_case_chain_instance
@@ -96,27 +94,62 @@ class TestCompareAlgorithms:
         assert list(results) == ["only-fr"]
 
 
+#: E10's range of bad-node counts, n_b = 1…MAX_BAD.
+MAX_BAD = 29
+
+
+@pytest.fixture(scope="module")
+def chain_records():
+    """Greedy records of the chain family at size n_b + 1, per algorithm."""
+    campaign = CampaignSpec(
+        name="e10", families=("chain",), algorithms=("fr", "onestep-pr"),
+        sizes=range(2, MAX_BAD + 2),
+    )
+    records = {"fr": [], "onestep-pr": []}
+    for record in run_scenarios(campaign.expand()):
+        assert record["status"] == "ok"
+        records[record["algorithm"]].append((record["size"] - 1, record["node_steps"]))
+    return records
+
+
 class TestWorstCaseSweep:
-    """Experiment E10: the Θ(n_b²) worst-case total work bound."""
+    """Experiment E10: the Θ(n_b²) worst-case total work bound, read from
+    ``chain`` campaign records."""
 
-    def test_fr_work_is_exactly_quadratic_on_chain(self):
-        series = worst_case_sweep(range(1, 9), FullReversal, GreedyScheduler)
-        for n_bad, steps in series:
-            assert steps == n_bad * (n_bad + 1) // 2
+    @pytest.mark.parametrize(
+        "algorithm, automaton_class",
+        [("fr", FullReversal), ("onestep-pr", OneStepPartialReversal)],
+    )
+    def test_records_match_the_object_level_runs(
+        self, chain_records, algorithm, automaton_class
+    ):
+        # the chain family at size n_b + 1 is the worst-case chain, and its
+        # compiled greedy record counts the object-level run's steps
+        expected = [
+            (n_bad, count_reversals(
+                automaton_class(worst_case_chain_instance(n_bad)), GreedyScheduler()
+            ).node_steps)
+            for n_bad in range(1, MAX_BAD + 1)
+        ]
+        assert chain_records[algorithm] == expected
 
-    def test_fr_quadratic_fit(self):
-        series = worst_case_sweep(range(1, 12), FullReversal, GreedyScheduler)
-        xs = [float(n) for n, _ in series]
-        ys = [float(s) for _, s in series]
+    def test_fr_work_is_exactly_quadratic_on_chain(self, chain_records):
+        assert chain_records["fr"] == [
+            (n_bad, n_bad * (n_bad + 1) // 2) for n_bad in range(1, MAX_BAD + 1)
+        ]
+
+    def test_fr_quadratic_fit(self, chain_records):
+        xs = [float(n) for n, _ in chain_records["fr"]]
+        ys = [float(s) for _, s in chain_records["fr"]]
         coefficients, r2 = quadratic_fit_r2(xs, ys)
         assert r2 > 0.999
         assert coefficients[0] > 0.3  # leading coefficient close to 1/2
 
-    def test_pr_work_on_away_chain_is_linear(self):
+    def test_pr_work_on_away_chain_is_linear(self, chain_records):
         """On this particular family PR needs only one step per bad node."""
-        series = worst_case_sweep(range(1, 9), OneStepPartialReversal, GreedyScheduler)
-        for n_bad, steps in series:
-            assert steps == n_bad
+        assert chain_records["onestep-pr"] == [
+            (n_bad, n_bad) for n_bad in range(1, MAX_BAD + 1)
+        ]
 
     def test_star_best_case_single_round(self):
         instance = star_instance(8, destination_is_center=True)
