@@ -37,9 +37,8 @@ The CLI exposes the workflows a user typically wants without writing code:
     result store: top spans, per-engine scenario timings, worker timeline
     and the final metrics snapshot.
 ``fsck``
-    Verify a result store's integrity: per-line CRC32 checksums, torn
-    shard tails and index drift; quarantine corrupt lines and rebuild the
-    SQLite index so an interrupted campaign resumes cleanly.
+    Verify a result store's integrity: per-line CRC32 checksums and torn
+    shard tails; quarantine corrupt lines out of the shards.
 
 Every command accepts ``--seed`` so runs are reproducible, and ``-v`` /
 ``-vv`` raise the stderr log level (INFO / DEBUG) of the library loggers.
@@ -533,12 +532,10 @@ def cmd_report(args: argparse.Namespace) -> int:
     store = _existing_store(args.store)
     if store is None:
         return 2
-    if args.consolidate:
-        store.consolidate()
-    if not store.existing_run_ids():  # consolidates from shards if index is missing
+    data = build_report(store, by=_csv(args.by), metric=args.metric)
+    if not data["status_counts"]:
         print(f"error: no stored runs under {store.root}", file=sys.stderr)
         return 2
-    data = build_report(store, by=_csv(args.by), metric=args.metric)
     if args.json:
         print(json.dumps(data, indent=2, sort_keys=True))
         return 0
@@ -731,10 +728,6 @@ def cmd_fsck(args: argparse.Namespace) -> int:
     if report["quarantined"]:
         print(f"quarantined  : {len(report['bad_lines'])} line(s) -> "
               f"{store.quarantine_dir}")
-    if report["repaired"]:
-        print(f"index        : rebuilt with {report['index_records']} record(s)")
-    else:
-        print("index        : untouched (--no-repair)")
     if not report["bad_lines"]:
         print("store is clean")
         return 0
@@ -932,8 +925,6 @@ def build_parser() -> argparse.ArgumentParser:
                                help="comma-separated record fields to group by")
     report_parser.add_argument("--metric", default="node_steps",
                                help="record field to summarise")
-    report_parser.add_argument("--consolidate", action="store_true",
-                               help="rebuild the SQLite index from the JSONL shards first")
     report_parser.add_argument("--json", action="store_true",
                                help="print the full report as JSON")
     report_parser.set_defaults(handler=cmd_report)
@@ -954,7 +945,6 @@ def build_parser() -> argparse.ArgumentParser:
     fsck_parser.add_argument("store", help="result store directory to check")
     fsck_parser.add_argument("--no-repair", action="store_true",
                              help="report problems only: keep bad lines in place "
-                                  "and leave the SQLite index untouched "
                                   "(exit 1 if any are found)")
     fsck_parser.add_argument("--max-shown", type=int, default=10,
                              help="bad lines to list individually")

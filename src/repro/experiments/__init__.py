@@ -22,7 +22,7 @@ that granularity instead of one scenario at a time:
   ``multiprocessing`` pool with chunked dispatch, cooperative per-run
   timeouts and crash isolation;
 * :mod:`repro.experiments.store` — persistent results: append-only JSONL
-  shards plus a consolidated SQLite index, supporting campaign resume;
+  shards, the one store format that campaign resume and every query read;
 * :mod:`repro.experiments.aggregate` — group-by summaries, work-vs-size
   curves with quadratic fits, and the PR-vs-FR worst-case ordering check.
 

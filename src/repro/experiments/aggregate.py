@@ -27,11 +27,6 @@ from repro.experiments.store import ResultStore
 MIN_FIT_POINTS = 4
 
 
-def ok_records(store: ResultStore, **filters: Any) -> List[Dict[str, Any]]:
-    """Successful run records matching the filters (failed runs excluded)."""
-    return store.records(status="ok", **filters)
-
-
 def group_summary(
     records: Sequence[Dict[str, Any]],
     by: Sequence[str] = ("family", "algorithm"),
@@ -271,10 +266,10 @@ def invariant_outcomes(records: Sequence[Dict[str, Any]]) -> Dict[str, int]:
         outcome["converged"] += bool(record.get("converged"))
         outcome["destination_oriented"] += bool(record.get("destination_oriented"))
         outcome["acyclic_final"] += bool(record.get("acyclic_final"))
-        # acyclic_final is tri-state since the model-check records joined the
-        # store: True (checked, held), False (checked, failed), None (the
-        # acyclicity check did not run) — only an actual failure is a
-        # violation.  A check record also counts its own (the check group's
+        # acyclic_final and destination_oriented are tri-state on a check
+        # record: True (checked, held), False (checked, failed), None (that
+        # check did not run) — only an actual failure is a violation.  A
+        # check record also counts its own (the check group's
         # ``violations``, which no other record carries).
         if record.get("status") == "ok" and record.get("acyclic_final") is False:
             outcome["violations"] += 1
@@ -282,9 +277,18 @@ def invariant_outcomes(records: Sequence[Dict[str, Any]]) -> Dict[str, int]:
     return outcome
 
 
-def status_counts(store: ResultStore) -> Dict[str, int]:
-    """How many stored runs ended in each status (SQL aggregate, no scan)."""
-    return store.status_counts()
+def count_by(records: Sequence[Dict[str, Any]], field: str) -> Dict[str, int]:
+    """How many records hold each value of ``field``, in value order.
+
+    A missing or ``None`` value counts as ``"none"``: for ``engine`` that
+    is a run that failed before an engine was selected, a crashed
+    placeholder or a record stored before engines were named.
+    """
+    counts: Dict[str, int] = defaultdict(int)
+    for record in records:
+        value = record.get(field)
+        counts["none" if value is None else value] += 1
+    return dict(sorted(counts.items()))
 
 
 def telemetry_summary(store: ResultStore) -> Optional[Dict[str, Any]]:
@@ -305,16 +309,21 @@ def build_report(
     by: Sequence[str] = ("family", "algorithm"),
     metric: str = "node_steps",
 ) -> Dict[str, Any]:
-    """The full aggregation bundle behind ``repro report``."""
-    records = ok_records(store)
+    """The full aggregation bundle behind ``repro report``.
+
+    The store is read once: the status and engine counts span every stored
+    record, everything else the ``ok`` ones.
+    """
+    stored = store.records()
+    records = [record for record in stored if record.get("status") == "ok"]
     summaries = group_summary(records, by=by, metric=metric)
     curves = work_curves(records, metric=metric)
     last_report = store.load_report()
     return {
         "store": str(store.root),
         "campaign": store.load_campaign(),
-        "status_counts": status_counts(store),
-        "engine_counts": store.engine_counts(),
+        "status_counts": count_by(stored, "status"),
+        "engine_counts": count_by(stored, "engine"),
         # the latest run_campaign invocation's engine/cache telemetry (how
         # the most recent sweep executed, incl. engine cache counters), as
         # opposed to engine_counts which spans every stored record

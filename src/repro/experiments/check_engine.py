@@ -33,20 +33,21 @@ def check_outcome(report: CheckReport) -> Dict[str, Any]:
     ``max_traced_failures``) are serialised, while ``violations`` counts
     every failure, so a predicate failing on much of a huge space cannot
     balloon the record.  ``acyclic_final`` is ``None`` unless the
-    acyclicity check ran.
+    acyclicity check ran, and ``destination_oriented`` is ``None`` unless
+    the progress check ran.
     """
     record = {name: getattr(report, name) for name in (
         "states_explored", "transitions_explored", "quiescent_states", "max_depth",
         "truncated", "symmetry_reduced", "spilled", "vectorized",
     )}
+    checked = report.predicate_names
+    failed = {f.predicate_name for f in report.failures}
     record.update(
         status="violated" if report.failures else "truncated" if report.truncated else "ok",
         violations=len(report.failures),
-        predicates=list(report.predicate_names),
-        acyclic_final=(
-            not any(f.predicate_name == ACYCLIC for f in report.failures)
-            if ACYCLIC in report.predicate_names else None
-        ),
+        predicates=list(checked),
+        acyclic_final=ACYCLIC not in failed if ACYCLIC in checked else None,
+        destination_oriented=PROGRESS not in failed if PROGRESS in checked else None,
         counterexamples=[f.trace.to_dict() for f in report.failures if f.trace.reconstructed],
     )
     return record

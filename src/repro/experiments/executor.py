@@ -76,6 +76,8 @@ class CampaignReport:
     total: int
     skipped: int
     executed: int
+    #: Runs that completed: status ``ok``, or a model check's ``violated``
+    #: or ``truncated`` verdict.
     ok: int = 0
     errors: int = 0
     timeouts: int = 0
@@ -412,14 +414,14 @@ def run_campaign(
         done += len(records)
         for record in records:
             status = record.get("status")
-            if status == "ok":
-                report.ok += 1
-            elif status == "timeout":
+            if status == "timeout":
                 report.timeouts += 1
             elif status == "crashed":
                 report.crashed += 1
-            else:
+            elif status == "error":
                 report.errors += 1
+            else:  # ok, or a completed check's violated/truncated verdict
+                report.ok += 1
             engine_used = record.get("engine") or "none"
             report.engines[engine_used] = report.engines.get(engine_used, 0) + 1
         if tracer is not None:

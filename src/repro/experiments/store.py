@@ -1,4 +1,4 @@
-"""Persistent campaign result store: JSONL shards + a SQLite index.
+"""Persistent campaign result store: append-only JSONL shards.
 
 Layout of a store directory::
 
@@ -9,13 +9,14 @@ Layout of a store directory::
         shards/
             shard-00001.jsonl  # one JSON record per line, append-only
             shard-00002.jsonl
-        index.sqlite           # consolidated queryable index over all shards
+        quarantine/            # lines fsck pulled out of damaged shards
 
-The JSONL shards are the source of truth: append-only, diffable, and safe to
-copy around or concatenate.  The SQLite index is derived — it exists so
-``repro report`` and campaign resume can answer "which runs exist / give me
-the chain-family rows" without re-parsing every shard, and it can always be
-rebuilt from the shards with :meth:`ResultStore.consolidate`.
+The JSONL shards are the only store format: append-only, diffable, and safe
+to copy around or concatenate.  Every query (campaign resume,
+:meth:`ResultStore.records`, ``repro report``) reads them through
+:meth:`ResultStore.iter_shard_records`.  The last line for a ``run_id``
+wins, and a shard copied in from another store counts at once.  (The SQLite
+index file that older versions kept beside the shards is ignored.)
 
 Only the executor's parent process writes; workers hand their records back
 over the pool, so there is no cross-process write contention.
@@ -26,7 +27,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-import sqlite3
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
@@ -66,98 +66,95 @@ class Field(NamedTuple):
     """One run-record field."""
 
     name: str
-    #: SQLite column type of the index, or ``None`` when not indexed (the
-    #: field is still available via the ``record`` JSON column).
-    column: Optional[str]
     #: The value a fresh record starts from (spec fields take the spec's).
     default: Any
     group: str
     mark: Optional[str] = None
 
 
-#: The run record: one row per field, in index-column order.  Every field
-#: table below is derived from it.
+#: The run record: one row per field.  Every field table below is derived
+#: from it.
 RECORD_FIELDS: Tuple[Field, ...] = (
-    Field("run_id", "TEXT PRIMARY KEY", None, SPEC),
-    Field("campaign", "TEXT", None, SPEC),
-    Field("family", "TEXT", None, SPEC),
-    Field("algorithm", "TEXT", None, SPEC),
-    Field("scheduler", "TEXT", None, SPEC),
-    Field("size", "INTEGER", None, SPEC),
-    Field("topology_seed", None, None, SPEC),
-    Field("scheduler_seed", None, None, SPEC),
-    Field("replicate", "INTEGER", None, SPEC),
-    Field("failure_model", "TEXT", None, SPEC),
-    Field("failure_count", "INTEGER", None, SPEC),
-    Field("max_steps", None, None, SPEC),
-    Field("node_faults", "INTEGER", None, SPEC),
-    Field("delay_model", "TEXT", None, SPEC),
-    Field("loss", None, None, SPEC),
-    Field("traffic", "TEXT", None, SPEC),
+    Field("run_id", None, SPEC),
+    Field("campaign", None, SPEC),
+    Field("family", None, SPEC),
+    Field("algorithm", None, SPEC),
+    Field("scheduler", None, SPEC),
+    Field("size", None, SPEC),
+    Field("topology_seed", None, SPEC),
+    Field("scheduler_seed", None, SPEC),
+    Field("replicate", None, SPEC),
+    Field("failure_model", None, SPEC),
+    Field("failure_count", None, SPEC),
+    Field("max_steps", None, SPEC),
+    Field("node_faults", None, SPEC),
+    Field("delay_model", None, SPEC),
+    Field("loss", None, SPEC),
+    Field("traffic", None, SPEC),
     # result: the instance facts, work counters, verdicts and churn counters
     # every engine fills in place
-    Field("status", "TEXT", "ok", RESULT),
-    Field("error", None, None, RESULT),
-    Field("engine", "TEXT", None, RESULT, STAMP),
-    Field("nodes", None, None, RESULT),
-    Field("edges", None, None, RESULT),
-    Field("bad_nodes", None, None, RESULT),
-    Field("node_steps", "INTEGER", 0, RESULT),
-    Field("edge_reversals", "INTEGER", 0, RESULT),
-    Field("dummy_steps", "INTEGER", 0, RESULT),
-    Field("rounds", "INTEGER", 0, RESULT),
-    Field("steps_taken", None, 0, RESULT),
-    Field("converged", "INTEGER", False, RESULT),
-    Field("destination_oriented", "INTEGER", False, RESULT),
-    Field("acyclic_final", "INTEGER", False, RESULT),
-    Field("failures_applied", None, 0, RESULT),
-    Field("partition_skips", None, 0, RESULT),
-    Field("reorientations", None, 0, RESULT),
-    Field("crashed_nodes", None, 0, RESULT),
+    Field("status", "ok", RESULT),
+    Field("error", None, RESULT),
+    Field("engine", None, RESULT, STAMP),
+    Field("nodes", None, RESULT),
+    Field("edges", None, RESULT),
+    Field("bad_nodes", None, RESULT),
+    Field("node_steps", 0, RESULT),
+    Field("edge_reversals", 0, RESULT),
+    Field("dummy_steps", 0, RESULT),
+    Field("rounds", 0, RESULT),
+    Field("steps_taken", 0, RESULT),
+    Field("converged", False, RESULT),
+    Field("destination_oriented", False, RESULT),
+    Field("acyclic_final", False, RESULT),
+    Field("failures_applied", 0, RESULT),
+    Field("partition_skips", 0, RESULT),
+    Field("reorientations", 0, RESULT),
+    Field("crashed_nodes", 0, RESULT),
     # message: the control-plane message statistics of the async and
     # data-plane engines
-    Field("messages_sent", "INTEGER", None, MESSAGE),
-    Field("messages_delivered", None, None, MESSAGE),
-    Field("messages_lost", None, None, MESSAGE),
-    Field("simulated_time", "REAL", None, MESSAGE),
-    Field("events_dispatched", None, None, MESSAGE),
+    Field("messages_sent", None, MESSAGE),
+    Field("messages_delivered", None, MESSAGE),
+    Field("messages_lost", None, MESSAGE),
+    Field("simulated_time", None, MESSAGE),
+    Field("events_dispatched", None, MESSAGE),
     # packet: the data-plane engine's packet counters and latency summaries
-    Field("slots", "INTEGER", 0, PACKET),
-    Field("packets_injected", "INTEGER", 0, PACKET),
-    Field("packets_delivered", "INTEGER", 0, PACKET),
-    Field("packets_dropped", "INTEGER", 0, PACKET),
-    Field("packets_in_flight", "INTEGER", 0, PACKET),
-    Field("packets_forwarded", None, 0, PACKET),
-    Field("drop_tail", "INTEGER", 0, PACKET),
-    Field("drop_ttl", "INTEGER", 0, PACKET),
-    Field("drop_no_route", "INTEGER", 0, PACKET),
-    Field("drop_link_down", "INTEGER", 0, PACKET),
-    Field("transient_loops", "INTEGER", 0, PACKET),
-    Field("peak_queue_depth", "INTEGER", 0, PACKET),
-    Field("mean_latency_slots", "REAL", None, PACKET),
-    Field("max_latency_slots", "REAL", None, PACKET),
-    Field("mean_hops", "REAL", None, PACKET),
-    Field("mean_stretch", "REAL", None, PACKET),
+    Field("slots", 0, PACKET),
+    Field("packets_injected", 0, PACKET),
+    Field("packets_delivered", 0, PACKET),
+    Field("packets_dropped", 0, PACKET),
+    Field("packets_in_flight", 0, PACKET),
+    Field("packets_forwarded", 0, PACKET),
+    Field("drop_tail", 0, PACKET),
+    Field("drop_ttl", 0, PACKET),
+    Field("drop_no_route", 0, PACKET),
+    Field("drop_link_down", 0, PACKET),
+    Field("transient_loops", 0, PACKET),
+    Field("peak_queue_depth", 0, PACKET),
+    Field("mean_latency_slots", None, PACKET),
+    Field("max_latency_slots", None, PACKET),
+    Field("mean_hops", None, PACKET),
+    Field("mean_stretch", None, PACKET),
     # check: a model check's own spec fields, then what the check engine
-    # fills in; not indexed, so sweep stores keep their schema
-    Field("kind", None, None, CHECK),
-    Field("seed", None, None, CHECK),
-    Field("invariants", None, None, CHECK),
-    Field("max_states", None, None, CHECK),
-    Field("single_actions", None, None, CHECK),
-    Field("symmetry", None, None, CHECK),
-    Field("states_explored", None, 0, CHECK),
-    Field("transitions_explored", None, 0, CHECK),
-    Field("quiescent_states", None, 0, CHECK),
-    Field("max_depth", None, 0, CHECK),
-    Field("truncated", None, False, CHECK),
-    Field("violations", None, 0, CHECK),
-    Field("predicates", None, None, CHECK),
-    Field("symmetry_reduced", None, False, CHECK),
-    Field("spilled", None, False, CHECK),
-    Field("vectorized", None, False, CHECK),
-    Field("counterexamples", None, None, CHECK),
-    Field("wall_time_s", "REAL", 0.0, RESULT, VOLATILE),
+    # fills in
+    Field("kind", None, CHECK),
+    Field("seed", None, CHECK),
+    Field("invariants", None, CHECK),
+    Field("max_states", None, CHECK),
+    Field("single_actions", None, CHECK),
+    Field("symmetry", None, CHECK),
+    Field("states_explored", 0, CHECK),
+    Field("transitions_explored", 0, CHECK),
+    Field("quiescent_states", 0, CHECK),
+    Field("max_depth", 0, CHECK),
+    Field("truncated", False, CHECK),
+    Field("violations", 0, CHECK),
+    Field("predicates", None, CHECK),
+    Field("symmetry_reduced", False, CHECK),
+    Field("spilled", False, CHECK),
+    Field("vectorized", False, CHECK),
+    Field("counterexamples", None, CHECK),
+    Field("wall_time_s", 0.0, RESULT, VOLATILE),
 )
 
 
@@ -178,27 +175,8 @@ OUTCOME_FIELDS = tuple(
 VOLATILE_FIELDS = tuple(f.name for f in RECORD_FIELDS if f.mark == VOLATILE)
 ENGINE_VOLATILE_FIELDS = tuple(f.name for f in RECORD_FIELDS if f.mark is not None)
 
-#: The indexed fields and their SQLite column types.
-_COLUMNS = tuple((f.name, f.column) for f in RECORD_FIELDS if f.column is not None)
-
-_SCHEMA = (
-    "CREATE TABLE IF NOT EXISTS runs ("
-    + ", ".join(f"{name} {kind}" for name, kind in _COLUMNS)
-    + ", record TEXT NOT NULL)"
-)
-
-_COLUMN_NAMES = tuple(name for name, _ in _COLUMNS)
-
-#: One index row per record: the column values, then the record's JSON.
-_INSERT = (
-    f"INSERT OR REPLACE INTO runs ({', '.join(_COLUMN_NAMES)}, record) "
-    f"VALUES ({', '.join('?' * (len(_COLUMN_NAMES) + 1))})"
-)
-
-#: Row positions of the INTEGER columns, where a bool is stored as 0/1.
-_INTEGER_POSITIONS = tuple(
-    i for i, (_, kind) in enumerate(_COLUMNS) if kind == "INTEGER"
-)
+#: Every declared field: what :meth:`ResultStore.records` may filter on.
+FIELD_NAMES = frozenset(f.name for f in RECORD_FIELDS)
 
 
 class ResultStore:
@@ -208,51 +186,19 @@ class ResultStore:
         self.root = Path(root)
         self.shard_dir = self.root / "shards"
         self.quarantine_dir = self.root / "quarantine"
-        self.index_path = self.root / "index.sqlite"
         self.campaign_path = self.root / "campaign.json"
         self.report_path = self.root / "report.json"
         self.telemetry_path = self.root / "telemetry.jsonl"
         self.shard_dir.mkdir(parents=True, exist_ok=True)
-        self._connection: Optional[sqlite3.Connection] = None
 
     # ------------------------------------------------------------------
     # low-level plumbing
     # ------------------------------------------------------------------
-    def _connect(self) -> sqlite3.Connection:
-        if self._connection is None:
-            self._connection = sqlite3.connect(self.index_path)
-            # the index is *derived* data, always rebuildable from the JSONL
-            # shards (the source of truth), so durability pragmas are waived
-            # for write throughput: a torn index after a crash is repaired by
-            # consolidate(), never a data loss
-            self._connection.execute("PRAGMA journal_mode=MEMORY")
-            self._connection.execute("PRAGMA synchronous=OFF")
-            self._connection.execute(_SCHEMA)
-            # migrate indexes written before a column existed (the JSONL
-            # shards are authoritative, so adding a NULL column is safe; a
-            # consolidate() backfills it from the records)
-            existing = {
-                row[1] for row in self._connection.execute("PRAGMA table_info(runs)")
-            }
-            for name, kind in _COLUMNS:
-                if name not in existing:
-                    self._connection.execute(
-                        f"ALTER TABLE runs ADD COLUMN {name} {kind.replace(' PRIMARY KEY', '')}"
-                    )
-            self._connection.commit()
-        return self._connection
-
-    def close(self) -> None:
-        """Close the SQLite connection (the JSONL shards need no closing)."""
-        if self._connection is not None:
-            self._connection.close()
-            self._connection = None
-
     def __enter__(self) -> "ResultStore":
         return self
 
     def __exit__(self, *exc_info) -> None:
-        self.close()
+        """Nothing to release: every read and write opens its own file."""
 
     def _shard_paths(self) -> List[Path]:
         return sorted(self.shard_dir.glob("shard-*.jsonl"))
@@ -269,40 +215,18 @@ class ResultStore:
     # writing
     # ------------------------------------------------------------------
     def append(self, records: Sequence[Dict[str, Any]], shard: Union[str, Path, None] = None) -> Path:
-        """Append records to a shard and index them; returns the shard path.
+        """Append records to a shard; returns the shard path.
 
         Each shard line carries a CRC32 suffix (``<json>\\t<crc hex>``, see
         :func:`repro.io.serialization.checksummed_line`) so torn or
-        bit-rotted lines are detected on read; the index's ``record`` column
-        keeps the pure JSON.
+        bit-rotted lines are detected on read.
         """
         shard_path = Path(shard) if shard is not None else self.new_shard()
-        # serialise each record once; the same JSON goes into the shard line
-        # (checksummed) and the index's record column (plain)
-        dumped = [encode_record(record) for record in records]
         with shard_path.open("a", encoding="utf-8") as handle:
-            handle.write("".join(checksummed_line(line) + "\n" for line in dumped))
-        self._index(records, dumped)
+            handle.write("".join(
+                checksummed_line(encode_record(record)) + "\n" for record in records
+            ))
         return shard_path
-
-    def _index(
-        self,
-        records: Sequence[Dict[str, Any]],
-        dumped: Optional[Sequence[str]] = None,
-    ) -> None:
-        connection = self._connect()
-        if dumped is None:
-            dumped = [encode_record(record) for record in records]
-        rows = []
-        for record, line in zip(records, dumped):
-            values = list(map(record.get, _COLUMN_NAMES))
-            for i in _INTEGER_POSITIONS:
-                if isinstance(values[i], bool):
-                    values[i] = int(values[i])
-            values.append(line)
-            rows.append(values)
-        connection.executemany(_INSERT, rows)
-        connection.commit()
 
     def record_campaign(self, campaign_dict: Dict[str, Any]) -> None:
         """Persist the campaign spec next to its results for provenance.
@@ -383,7 +307,7 @@ class ResultStore:
                 yield telemetry_event_from_dict(data)
 
     # ------------------------------------------------------------------
-    # consolidation / resume
+    # reading: every query goes through the shards
     # ------------------------------------------------------------------
     @staticmethod
     def _parse_shard_line(line: str) -> Tuple[Optional[Dict[str, Any]], Optional[str]]:
@@ -402,10 +326,12 @@ class ResultStore:
             return None, "unparseable JSON (torn line?)"
         if not isinstance(record, dict):
             return None, f"record is {type(record).__name__}, not an object"
+        if not isinstance(record.get("run_id"), str):
+            return None, "record has no run_id"
         return record, None
 
     def iter_shard_records(self) -> Iterator[Dict[str, Any]]:
-        """Every healthy record in every JSONL shard, in shard order.
+        """Every healthy shard line's record, in shard order.
 
         Tolerant by design: a torn trailing line (crash mid-append) or a
         checksum-failing line is logged and skipped, never raised — an
@@ -427,30 +353,29 @@ class ResultStore:
                         continue
                     yield record
 
-    def consolidate(self) -> int:
-        """Rebuild the SQLite index from the JSONL shards; returns row count.
+    def existing_run_ids(self) -> Set[str]:
+        """The run ids already stored (what campaign resume skips)."""
+        return {record["run_id"] for record in self.iter_shard_records()}
 
-        The shards are authoritative, so this is safe to call any time — e.g.
-        after concatenating shards from another machine, or when the index
-        file was deleted or is suspected stale.
+    def records(self, **filters: Any) -> List[Dict[str, Any]]:
+        """Stored records matching equality filters on declared fields.
+
+        One record per ``run_id``, the last shard line for it (a re-run
+        replaces, never duplicates), in ``run_id`` order.  Example:
+        ``store.records(family="chain", status="ok")``.
         """
-        self.close()
-        if self.index_path.exists():
-            self.index_path.unlink()
-        records = list(self.iter_shard_records())
-        if records:
-            self._index(records)
-        else:
-            self._connect()
-        count = self.count()
-        logger.info(
-            "rebuilt index at %s: %d records from %d shards",
-            self.index_path, count, len(self._shard_paths()),
-        )
-        return count
+        unknown = set(filters).difference(FIELD_NAMES)
+        if unknown:
+            raise ValueError(f"cannot filter on undeclared fields: {sorted(unknown)}")
+        latest = {record["run_id"]: record for record in self.iter_shard_records()}
+        conditions = filters.items()
+        return [
+            record for _, record in sorted(latest.items())
+            if all(record.get(name) == value for name, value in conditions)
+        ]
 
     def fsck(self, repair: bool = True) -> Dict[str, Any]:
-        """Verify shard integrity; quarantine bad lines and rebuild the index.
+        """Verify shard integrity; quarantine bad lines.
 
         Walks every shard line, checking the CRC32 suffix where present and
         JSON-parseability always (legacy pre-checksum lines stay valid).  A
@@ -459,14 +384,12 @@ class ResultStore:
         signature of a crash mid-append rather than bit rot.
 
         With ``repair=True`` (the default) every bad line is moved to
-        ``quarantine/<shard>.bad``, the shard is rewritten atomically with
-        only its healthy lines, and the SQLite index is rebuilt from the
-        cleaned shards.  With ``repair=False`` nothing is touched — the
-        returned report just describes the damage.
+        ``quarantine/<shard>.bad`` and the shard is rewritten atomically with
+        only its healthy lines.  With ``repair=False`` nothing is touched —
+        the returned report just describes the damage.
 
         Returns a plain-data report: per-shard and total line/record counts,
-        bad-line locations, truncated-tail detection, quarantine paths, and
-        the rebuilt index's row count (``None`` when ``repair=False``).
+        bad-line locations, truncated-tail detection and quarantine paths.
         """
         report: Dict[str, Any] = {
             "shards": 0,
@@ -517,66 +440,4 @@ class ResultStore:
                     "fsck quarantined %d bad line(s) from %s to %s",
                     len(bad), path, quarantine_path,
                 )
-        report["index_records"] = self.consolidate() if repair else None
         return report
-
-    def existing_run_ids(self) -> Set[str]:
-        """The run ids already stored (what campaign resume skips)."""
-        if not self.index_path.exists() and self._shard_paths():
-            self.consolidate()
-        connection = self._connect()
-        return {row[0] for row in connection.execute("SELECT run_id FROM runs")}
-
-    # ------------------------------------------------------------------
-    # querying
-    # ------------------------------------------------------------------
-    def count(self) -> int:
-        """Number of stored runs."""
-        connection = self._connect()
-        return connection.execute("SELECT COUNT(*) FROM runs").fetchone()[0]
-
-    def status_counts(self) -> Dict[str, int]:
-        """Stored runs per status, aggregated in SQLite (no record parsing)."""
-        connection = self._connect()
-        return dict(
-            connection.execute("SELECT status, COUNT(*) FROM runs GROUP BY status")
-        )
-
-    def engine_counts(self) -> Dict[str, int]:
-        """Stored runs per execution engine.
-
-        The engines are ``kernel``, ``legacy``, ``async``, ``dataplane`` and
-        ``check`` (stores written before the ``batch`` name folded into
-        ``kernel`` may also count ``batch``).
-
-        ``none`` aggregates runs with no recorded engine: failures before an
-        engine was selected, crashed placeholders and pre-engine records
-        (model checks stored before the ``check`` engine among them).
-        """
-        connection = self._connect()
-        return {
-            engine if engine is not None else "none": count
-            for engine, count in connection.execute(
-                "SELECT engine, COUNT(*) FROM runs GROUP BY engine"
-            )
-        }
-
-    def records(self, **filters: Any) -> List[Dict[str, Any]]:
-        """Full records matching equality filters on the indexed columns.
-
-        Example: ``store.records(family="chain", status="ok")``.
-        """
-        unknown = set(filters).difference(_COLUMN_NAMES)
-        if unknown:
-            raise ValueError(f"cannot filter on non-indexed fields: {sorted(unknown)}")
-        sql = "SELECT record FROM runs"
-        values: List[Any] = []
-        if filters:
-            clauses = []
-            for name, value in sorted(filters.items()):
-                clauses.append(f"{name} = ?")
-                values.append(int(value) if isinstance(value, bool) else value)
-            sql += " WHERE " + " AND ".join(clauses)
-        sql += " ORDER BY run_id"
-        connection = self._connect()
-        return [json.loads(row[0]) for row in connection.execute(sql, values)]

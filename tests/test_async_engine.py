@@ -332,7 +332,7 @@ class TestAsyncCampaigns:
         assert report.executed == campaign.run_count == 16
         assert report.engines == {"async": 16}
         assert report.ok == 16
-        # the async columns are indexed and filterable
+        # the async fields are filterable
         zero_rows = store.records(delay_model="zero")
         assert len(zero_rows) == 8
         assert all(row["messages_sent"] > 0 for row in zero_rows)

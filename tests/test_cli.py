@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import sys
 
 import pytest
@@ -404,7 +405,7 @@ class TestCheck:
         assert json.loads(capsys.readouterr().out) == {**old, "skipped": True}
         assert main(["fsck", str(tmp_path / "store")]) == 0
         assert "store is clean" in capsys.readouterr().out
-        assert ResultStore(tmp_path / "store").count() == 1
+        assert len(ResultStore(tmp_path / "store").records()) == 1
 
     def test_check_store_report_names_the_engine(self, tmp_path, capsys):
         store = str(tmp_path / "store")
@@ -413,6 +414,27 @@ class TestCheck:
         capsys.readouterr()
         assert main(["report", "--store", store]) == 0
         assert "engines  : {'check': 1}" in capsys.readouterr().out
+
+    def test_check_truncated_verdict_is_a_completed_run(self, tmp_path, capsys):
+        store = tmp_path / "store"
+        assert main(["check", "--algorithm", "fr", "--topology", "grid", "--nodes", "9",
+                     "--max-states", "3", "--store", str(store), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "truncated"
+        report = json.loads((store / "report.json").read_text())
+        assert (report["executed"], report["ok"], report["errors"]) == (1, 1, 0)
+
+    def test_check_store_report_counts_destination_oriented(self, tmp_path, capsys):
+        store = str(tmp_path / "store")
+        for invariants in ("acyclic,progress", "acyclic"):
+            assert main(["check", "--algorithm", "pr", "--topology", "grid", "--nodes", "9",
+                         "--invariants", invariants, "--store", store, "--json"]) == 0
+            record = json.loads(capsys.readouterr().out)
+            assert record["destination_oriented"] is (
+                True if "progress" in invariants else None
+            )
+        assert main(["report", "--store", store]) == 0
+        assert ("invariants: 2 ok runs, 2 acyclic, 1 destination oriented, 0 violations"
+                in capsys.readouterr().out)
 
     def test_check_resume_after_interrupt_reuses_partial_store(self, tmp_path, capsys):
         # an interrupted campaign leaves some runs stored; re-running the
@@ -428,7 +450,7 @@ class TestCheck:
         assert "skipped" not in json.loads(capsys.readouterr().out)
         from repro.experiments.store import ResultStore
 
-        assert ResultStore(str(store)).count() == 2
+        assert len(ResultStore(str(store)).records()) == 2
 
     def test_check_symmetry_on_star(self, capsys):
         args = ["check", "--algorithm", "fr", "--topology", "star", "--nodes", "7", "--json"]
@@ -605,18 +627,27 @@ class TestSweepAndReport:
         assert not store.exists()
 
     def test_report_empty_store_fails(self, tmp_path, capsys):
-        ResultStore(tmp_path / "empty").close()
+        ResultStore(tmp_path / "empty")
         assert main(["report", "--store", str(tmp_path / "empty")]) == 2
         assert "no stored runs" in capsys.readouterr().err
 
-    def test_report_consolidate_flag(self, tmp_path, capsys):
-        store = tmp_path / "store"
-        self._sweep(store)
+    def test_report_counts_a_copied_shard(self, tmp_path, capsys):
+        # the shards are the store: a shard copied in from another store is
+        # counted, resumed over and clean at once
+        source, target = tmp_path / "a", tmp_path / "b"
+        assert self._sweep(source) == 0
+        assert self._sweep(target, ["--sizes", "12"]) == 0
+        shutil.copy(source / "shards" / "shard-00001.jsonl",
+                    target / "shards" / "shard-00101.jsonl")
         capsys.readouterr()
-        (store / "index.sqlite").unlink()
-        assert main(["report", "--store", str(store), "--consolidate", "--json"]) == 0
+        assert main(["report", "--store", str(target), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert sum(payload["status_counts"].values()) == 16
+        assert payload["status_counts"] == {"ok": 20}
+        assert payload["invariants"]["runs"] == 20
+        assert self._sweep(target, ["--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["executed"] == 0
+        assert main(["fsck", str(target)]) == 0
+        assert "store is clean" in capsys.readouterr().out
 
 
 class TestReadOnlyStoreCommands:
@@ -642,6 +673,6 @@ class TestReadOnlyStoreCommands:
         assert sorted(tmp_path.rglob("*")) == before
 
     def test_fsck_accepts_an_empty_store(self, tmp_path, capsys):
-        ResultStore(tmp_path / "store").close()
+        ResultStore(tmp_path / "store")
         assert main(["fsck", str(tmp_path / "store")]) == 0
         assert "store is clean" in capsys.readouterr().out

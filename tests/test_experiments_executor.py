@@ -201,7 +201,7 @@ class TestRunCampaign:
         store = ResultStore(tmp_path)
         report = run_campaign(self._campaign(), store, workers=1)
         assert report.total == report.executed == report.ok == 16
-        assert store.count() == 16
+        assert len(store.records()) == 16
         assert store.load_campaign()["name"] == "t"
 
     def test_check_spec_is_a_one_run_campaign(self, tmp_path):
@@ -227,7 +227,7 @@ class TestRunCampaign:
         report = run_campaign(self._campaign(), store, workers=1)
         assert report.skipped == 8
         assert report.executed == 8
-        assert store.count() == 16
+        assert len(store.records()) == 16
 
     def test_no_resume_reexecutes(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -235,7 +235,7 @@ class TestRunCampaign:
         report = run_campaign(self._campaign(), store, workers=1, resume=False)
         assert report.skipped == 0
         assert report.executed == 16
-        assert store.count() == 16  # run_ids are primary keys: replaced, not duplicated
+        assert len(store.records()) == 16  # a run_id's last line wins: replaced, not duplicated
 
     def test_pooled_matches_inline(self, tmp_path):
         inline_store = ResultStore(tmp_path / "inline")
@@ -278,7 +278,7 @@ class TestRunCampaign:
         report = run_campaign(campaign, store, workers=1)
         assert report.skipped == 5
         assert report.executed == len(specs) - 5
-        assert store.count() == len(specs)
+        assert len(store.records()) == len(specs)
 
     def test_progress_callback(self, tmp_path):
         seen = []
@@ -297,7 +297,7 @@ class TestRunCampaign:
         with pytest.raises(ValueError, match="chunk_size"):
             run_campaign(self._campaign(), store, workers=1, chunk_size=chunk_size)
         assert store.load_campaign() is None
-        assert store.count() == 0
+        assert len(store.records()) == 0
         assert not list(store.shard_dir.glob("shard-*"))
 
     @pytest.mark.parametrize("knob", [
@@ -308,7 +308,7 @@ class TestRunCampaign:
         with pytest.raises(ValueError, match=next(iter(knob))):
             run_campaign(self._campaign(), store, workers=2, **knob)
         assert store.load_campaign() is None
-        assert store.count() == 0
+        assert len(store.records()) == 0
         assert not list(store.shard_dir.glob("shard-*"))
 
     def test_per_run_timeout_in_campaign(self, tmp_path):

@@ -3,10 +3,21 @@
 from __future__ import annotations
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
+from repro.experiments.aggregate import build_report
+from repro.experiments.executor import run_campaign
+from repro.experiments.spec import CampaignSpec
 from repro.experiments.store import ResultStore
+
+#: A store the version with the SQLite index wrote (its shard, its
+#: ``index.sqlite``, ``campaign.json`` and ``report.json``; telemetry off),
+#: and that version's ``build_report`` of it less the ``store`` path.
+PARENT_STORE = Path(__file__).resolve().parent / "data" / "parent_store"
+PARENT_REPORT = PARENT_STORE.with_name("parent_store_report.json")
 
 
 def _record(run_id: str, **overrides) -> dict:
@@ -35,12 +46,12 @@ def _record(run_id: str, **overrides) -> dict:
 
 
 class TestAppendAndQuery:
-    def test_append_writes_jsonl_and_indexes(self, tmp_path):
+    def test_append_writes_jsonl(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         shard = store.append([_record("a"), _record("b", family="grid")])
         assert shard.exists()
         assert len(shard.read_text().strip().splitlines()) == 2
-        assert store.count() == 2
+        assert len(store.records()) == 2
         assert store.existing_run_ids() == {"a", "b"}
 
     def test_records_filtering(self, tmp_path):
@@ -60,13 +71,19 @@ class TestAppendAndQuery:
             store.records(flavour="vanilla")
 
     def test_duplicate_run_id_replaces(self, tmp_path):
+        # the last line for a run_id wins, within a shard and across shards
         store = ResultStore(tmp_path)
-        store.append([_record("a", node_steps=1)])
-        store.append([_record("a", node_steps=99)])
-        assert store.count() == 1
-        assert store.records()[0]["node_steps"] == 99
+        shard = store.append([_record("a", node_steps=1), _record("b")])
+        store.append([_record("a", node_steps=2)], shard)
+        store.append([_record("a", node_steps=99, status="error")])
+        assert store.existing_run_ids() == {"a", "b"}
+        assert [(r["run_id"], r["node_steps"]) for r in store.records()] == [
+            ("a", 99), ("b", 5),
+        ]
+        assert store.records(status="ok") == [_record("b")]
+        assert build_report(store)["status_counts"] == {"error": 1, "ok": 1}
 
-    def test_full_record_preserved_through_index(self, tmp_path):
+    def test_full_record_preserved(self, tmp_path):
         store = ResultStore(tmp_path)
         record = _record("a", custom_metric=123.5, error=None)
         store.append([record])
@@ -90,34 +107,78 @@ class TestShards:
         assert len(list((store.shard_dir).glob("*.jsonl"))) == 1
 
 
-class TestConsolidate:
-    def test_index_rebuilt_from_shards(self, tmp_path):
+def _campaign(name: str, sizes) -> CampaignSpec:
+    return CampaignSpec(name=name, families=("chain", "grid"), algorithms=("pr", "fr"),
+                        sizes=tuple(sizes))
+
+
+def _report_counts(store: ResultStore):
+    report = build_report(store)
+    return report["status_counts"], report["engine_counts"]
+
+
+class TestOneStoreFormat:
+    """The shards answer every query: resume, ``records`` and ``build_report``."""
+
+    def test_copied_shard_is_seen_without_an_extra_step(self, tmp_path):
+        first, second = _campaign("a", (4, 5)), _campaign("b", (6,))
+        source = ResultStore(tmp_path / "a")
+        run_campaign(first, source, workers=1, telemetry=False)
+        target = ResultStore(tmp_path / "b")
+        run_campaign(second, target, workers=1, telemetry=False)
+        shutil.copy(source.shard_dir / "shard-00001.jsonl",
+                    target.shard_dir / "shard-00101.jsonl")
+
+        total = first.run_count + second.run_count
+        assert len(target.existing_run_ids()) == len(target.records()) == total == 12
+        assert _report_counts(target) == ({"ok": total}, {"kernel": total})
+        for campaign in (first, second):
+            report = run_campaign(campaign, target, workers=1, telemetry=False)
+            assert (report.executed, report.skipped) == (0, campaign.run_count)
+
+    def test_corrupt_line_is_skipped_alike_and_resume_reruns_it(self, tmp_path):
+        campaign = _campaign("corrupt", (4, 5))
         store = ResultStore(tmp_path)
-        store.append([_record("a"), _record("b")])
-        store.close()
-        store.index_path.unlink()
+        run_campaign(campaign, store, workers=1, telemetry=False)
+        shard = store.shard_dir / "shard-00001.jsonl"
+        lines = shard.read_text().splitlines()
+        lost = json.loads(lines[2].rpartition("\t")[0])["run_id"]
+        lines[2] = lines[2].replace('"ok"', '"ko"', 1)  # the CRC must catch it
+        shard.write_text("\n".join(lines) + "\n")
 
-        reopened = ResultStore(tmp_path)
-        # existing_run_ids transparently consolidates when the index is gone
-        assert reopened.existing_run_ids() == {"a", "b"}
-        assert reopened.count() == 2
+        left = campaign.run_count - 1
+        assert lost not in store.existing_run_ids()
+        assert len(store.existing_run_ids()) == len(store.records()) == left
+        assert lost not in {r["run_id"] for r in store.records()}
+        assert _report_counts(store)[0] == {"ok": left}
+        report = run_campaign(campaign, store, workers=1, telemetry=False)
+        assert (report.executed, report.skipped) == (1, left)
+        assert store.records(run_id=lost)[0]["status"] == "ok"
+        assert _report_counts(store)[0] == {"ok": campaign.run_count}
 
-    def test_consolidate_after_manual_shard_copy(self, tmp_path):
-        source = ResultStore(tmp_path / "src")
-        source.append([_record("a"), _record("b")])
-        target = ResultStore(tmp_path / "dst")
-        target.append([_record("c")])
-        # simulate merging stores by copying shard files
-        shard = source.shard_dir / "shard-00001.jsonl"
-        (target.shard_dir / "shard-00099.jsonl").write_text(shard.read_text())
-        assert target.consolidate() == 3
-        assert target.existing_run_ids() == {"a", "b", "c"}
+    def test_parent_written_store_reports_and_resumes_unchanged(self, tmp_path):
+        root = tmp_path / "parent"
+        shutil.copytree(PARENT_STORE, root)
+        store = ResultStore(root)
+        expected = json.loads(PARENT_REPORT.read_text(encoding="utf-8"))
+        report = build_report(store)
+        assert report.pop("store") == str(root)
+        assert json.loads(json.dumps(report)) == expected
+
+        campaign = CampaignSpec.from_dict(store.load_campaign())
+        before = store.records()
+        resumed = run_campaign(campaign, store, workers=1, telemetry=False)
+        assert (resumed.executed, resumed.skipped) == (0, campaign.run_count) == (0, 32)
+        assert store.records() == before
+        assert (root / "index.sqlite").read_bytes() == (
+            PARENT_STORE / "index.sqlite"
+        ).read_bytes()
 
     def test_empty_store(self, tmp_path):
         store = ResultStore(tmp_path)
-        assert store.consolidate() == 0
         assert store.existing_run_ids() == set()
         assert store.records() == []
+        assert _report_counts(store) == ({}, {})
 
 
 class TestCampaignProvenance:
@@ -158,7 +219,6 @@ class TestIntegrity:
         with self._shard(store).open("a") as handle:
             handle.write(json.dumps(_record("legacy")) + "\n")
         assert {r["run_id"] for r in store.iter_shard_records()} == {"a", "legacy"}
-        store.consolidate()
         assert store.existing_run_ids() == {"a", "legacy"}
         report = store.fsck()
         assert report["legacy_lines"] == 1
@@ -173,7 +233,6 @@ class TestIntegrity:
         with self._shard(store).open("a") as handle:
             handle.write('{"run_id": "torn", "status"')  # no newline: torn
         assert {r["run_id"] for r in store.iter_shard_records()} == {"a", "b"}
-        assert store.consolidate() == 2
         assert store.existing_run_ids() == {"a", "b"}
 
     def test_corrupt_checksum_line_skipped(self, tmp_path):
@@ -186,7 +245,7 @@ class TestIntegrity:
         shard.write_text("\n".join(lines) + "\n")
         assert [r["run_id"] for r in store.iter_shard_records()] == ["b"]
 
-    def test_fsck_quarantines_and_rebuilds(self, tmp_path):
+    def test_fsck_quarantines_bad_lines(self, tmp_path):
         store = ResultStore(tmp_path)
         store.append([_record("a"), _record("b"), _record("c")])
         shard = self._shard(store)
@@ -198,13 +257,22 @@ class TestIntegrity:
         assert report["records"] == 2
         assert len(report["bad_lines"]) == 2
         assert len(report["truncated_tails"]) == 1
-        assert report["index_records"] == 2
         quarantined = (store.quarantine_dir / "shard-00001.jsonl.bad").read_text()
         assert "dead" in quarantined and '{"torn"' in quarantined
         # the shard itself is clean now: a second fsck finds nothing
         second = store.fsck()
         assert second["bad_lines"] == []
         assert store.existing_run_ids() == {"a", "c"}
+
+    def test_record_without_a_run_id_is_damage(self, tmp_path):
+        from repro.io.serialization import checksummed_line
+
+        store = ResultStore(tmp_path)
+        store.append([_record("a")])
+        with self._shard(store).open("a") as handle:
+            handle.write(checksummed_line(json.dumps({"status": "ok"})) + "\n")
+        assert [r["run_id"] for r in store.records()] == ["a"]
+        assert store.fsck(repair=False)["bad_lines"][0]["reason"] == "record has no run_id"
 
     def test_fsck_no_repair_reports_only(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -214,7 +282,6 @@ class TestIntegrity:
         before = shard.read_text()
         report = store.fsck(repair=False)
         assert len(report["bad_lines"]) == 1
-        assert report["index_records"] is None
         assert shard.read_text() == before
         assert not store.quarantine_dir.exists()
 
@@ -243,37 +310,16 @@ def _awkward_records():
 
 def _parent_append(store: ResultStore, records) -> None:
     """``ResultStore.append`` as it was before the shared encoder: one
-    ``json.dumps`` per record, one write per line, the SQL built per call."""
-    from repro.experiments.store import _COLUMNS
+    ``json.dumps`` per record, one write per line."""
     from repro.io.serialization import checksummed_line
 
-    dumped = [json.dumps(record, sort_keys=True) for record in records]
     with store.new_shard().open("a", encoding="utf-8") as handle:
-        for line in dumped:
-            handle.write(checksummed_line(line) + "\n")
-    names = [name for name, _ in _COLUMNS]
-    placeholders = ", ".join("?" for _ in range(len(names) + 1))
-    rows = []
-    for record, line in zip(records, dumped):
-        values = [record.get(name) for name in names]
-        for i, (name, kind) in enumerate(_COLUMNS):
-            if kind == "INTEGER" and isinstance(values[i], bool):
-                values[i] = int(values[i])
-        rows.append((*values, line))
-    connection = store._connect()
-    connection.executemany(
-        f"INSERT OR REPLACE INTO runs ({', '.join(names)}, record) VALUES ({placeholders})",
-        rows,
-    )
-    connection.commit()
-
-
-def _index_rows(store: ResultStore):
-    return list(store._connect().execute("SELECT * FROM runs ORDER BY run_id"))
+        for record in records:
+            handle.write(checksummed_line(json.dumps(record, sort_keys=True)) + "\n")
 
 
 class TestSharedEncoder:
-    def test_shard_and_index_text_equal_json_dumps(self, tmp_path):
+    def test_shard_text_equals_json_dumps(self, tmp_path):
         from repro.io.serialization import split_checksummed_line
 
         records = _awkward_records()
@@ -284,12 +330,10 @@ class TestSharedEncoder:
         assert [split_checksummed_line(line) for line in lines] == [
             (text, True) for text in expected
         ]
-        indexed = dict(store._connect().execute("SELECT run_id, record FROM runs"))
-        assert indexed == {r["run_id"]: text for r, text in zip(records, expected)}
-        bools = store._connect().execute(
-            "SELECT converged, drop_tail, slots FROM runs WHERE run_id = 'bools'"
-        ).fetchone()
-        assert bools == (0, 1, 0) and all(type(v) is int for v in bools)
+        bools = store.records(run_id="bools")[0]
+        assert [bools[name] for name in ("converged", "drop_tail", "slots")] == [
+            False, True, False,
+        ]
 
     def test_telemetry_lines_equal_compact_json_dumps(self):
         from repro.io.serialization import telemetry_events_to_jsonl
@@ -305,9 +349,7 @@ class TestSharedEncoder:
         assert telemetry_events_to_jsonl([]) == ""
 
     def test_parent_written_store_resumes_as_a_no_op(self, tmp_path):
-        from repro.experiments.executor import run_campaign
         from repro.experiments.runner import run_scenarios
-        from repro.experiments.spec import CampaignSpec
 
         campaign = CampaignSpec(
             name="encoder", families=("chain", "grid"), algorithms=("pr", "fr"),
@@ -323,15 +365,10 @@ class TestSharedEncoder:
         assert report.executed == 0 and report.skipped == campaign.run_count
         check = parent.fsck()
         assert check["bad_lines"] == [] and check["legacy_lines"] == 0
-        assert check["checksummed_lines"] == check["index_records"] == len(records)
+        assert check["checksummed_lines"] == len(records)
 
-        # equal records give byte-identical shard lines and index rows
+        # equal records give byte-identical shard lines
         fresh = ResultStore(tmp_path / "fresh")
         fresh.append(records)
         parent_bytes = (parent.shard_dir / "shard-00001.jsonl").read_bytes()
         assert (fresh.shard_dir / "shard-00001.jsonl").read_bytes() == parent_bytes
-        reference = ResultStore(tmp_path / "reference")
-        _parent_append(reference, records)
-        assert repr(_index_rows(fresh)) == repr(_index_rows(reference))
-        for store in (parent, fresh, reference):
-            store.close()

@@ -34,6 +34,7 @@ from repro.experiments.runner import (
     run_scenarios,
 )
 from repro.experiments import resolve_engine
+from repro.experiments.aggregate import count_by
 from repro.experiments.engines import ENGINE_REGISTRY
 from repro.experiments.spec import (
     ALGORITHM_FACTORIES,
@@ -459,7 +460,7 @@ class TestBLLCampaignConformance:
             before = outcomes(store)
             report = run_campaign(campaign, store, workers=1)
             assert report.executed == 0 and report.skipped == 54
-            assert store.engine_counts() == {"legacy": 54}
+            assert count_by(store.records(), "engine") == {"legacy": 54}
             assert outcomes(store) == before
         with ResultStore(tmp_path / "fresh") as store:
             run_campaign(campaign, store, workers=1)
@@ -483,7 +484,7 @@ class TestCampaignEnginePlumbing:
             assert payload["engines"] == {"kernel": 16}
             assert payload["kernel_cache"]["kernel_compiles"] >= 1
             assert payload["kernel_cache"]["kernel_hits"] >= 1
-            assert store.engine_counts() == {"kernel": 16}
+            assert count_by(store.records(), "engine") == {"kernel": 16}
             assert len(store.records(engine="kernel")) == 16
 
     def test_inline_crash_sentinel_does_not_kill_the_parent(self, tmp_path):
@@ -509,7 +510,7 @@ class TestCampaignEnginePlumbing:
                 store, workers=1,
             )
             assert report.engines == {"kernel": 4, "async": 4}
-            assert store.engine_counts() == {"kernel": 4, "async": 4}
+            assert count_by(store.records(), "engine") == {"kernel": 4, "async": 4}
 
 
 class TestSharedCache:
@@ -658,7 +659,7 @@ class TestCli:
         assert main(base + ["--engine", "legacy", "--store", str(tmp_path / "l")]) == 0
         capsys.readouterr()
         with ResultStore(tmp_path / "k") as ks, ResultStore(tmp_path / "l") as ls:
-            assert ls.engine_counts() == {"legacy": 4}
+            assert count_by(ls.records(), "engine") == {"legacy": 4}
             kernel = {r["run_id"]: _stable(r) for r in ks.records()}
             legacy = {r["run_id"]: _stable(r) for r in ls.records()}
         assert kernel == legacy

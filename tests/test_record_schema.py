@@ -1,15 +1,14 @@
 """The run-record declaration: every field table is derived from one list.
 
 :data:`repro.experiments.store.RECORD_FIELDS` declares each field of a run
-record once: its index column, fresh value, group and mark.  These tests pin
-the declaration to what the specs, the engines, the crash placeholders, the
-SQLite index and the README actually hold.
+record once: its fresh value, group and mark.  These tests pin the
+declaration to what the specs, the engines, the crash placeholders, the
+store's filters and the README actually hold.
 """
 
 from __future__ import annotations
 
 import re
-import sqlite3
 from pathlib import Path
 
 import pytest
@@ -106,25 +105,21 @@ def test_early_dataplane_error_still_carries_its_groups(monkeypatch):
     assert record["messages_sent"] is None and record["packets_forwarded"] == 0
 
 
-def test_index_mirrors_every_indexed_field(tmp_path):
+def test_every_declared_field_filters(tmp_path):
     spec = ScenarioSpec("grid", 9, "fr", "greedy", 1, 2, traffic="steady", max_steps=16)
     record = execute_scenario(spec)
     with ResultStore(tmp_path) as store:
         store.append([record])
-    indexed = [f.name for f in RECORD_FIELDS if f.column is not None]
-    with sqlite3.connect(tmp_path / "index.sqlite") as connection:
-        row = connection.execute(f"SELECT {', '.join(indexed)} FROM runs").fetchone()
-    expected = [
-        int(record[name]) if isinstance(record[name], bool) else record[name]
-        for name in indexed
-    ]
-    assert list(row) == expected
+        for name in FIELD_NAMES:
+            if name in record:
+                assert store.records(**{name: record[name]}) == [record], name
 
 
 #: The fields a check record shares with the spec and result groups.
 CHECK_SHARED = {
     "run_id", "campaign", "family", "size", "algorithm", "scheduler",
-    "status", "engine", "nodes", "edges", "acyclic_final", "wall_time_s",
+    "status", "engine", "nodes", "edges", "acyclic_final", "destination_oriented",
+    "wall_time_s",
 }
 
 
@@ -140,17 +135,11 @@ def test_check_group_is_the_check_record():
     assert record["spilled"] is True
 
 
-def test_check_group_is_not_indexed(tmp_path):
-    # sweep stores keep their SQLite schema; a check record still stores
-    # and reads back whole through the record column
-    assert all(f.column is None for f in RECORD_FIELDS if f.group == CHECK)
+def test_check_record_reads_back_whole(tmp_path):
     record = execute_scenario(CheckSpec(family="grid", size=9, algorithm="fr"))
     with ResultStore(tmp_path) as store:
         store.append([record])
         assert store.records(engine="check") == [record]
-    with sqlite3.connect(tmp_path / "index.sqlite") as connection:
-        columns = {row[1] for row in connection.execute("PRAGMA table_info(runs)")}
-    assert not columns & set(group_defaults(CHECK))
 
 
 @pytest.mark.parametrize("name", FIELD_NAMES)

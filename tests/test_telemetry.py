@@ -13,6 +13,7 @@ import pytest
 
 from repro import telemetry
 from repro.cli import main
+from repro.experiments.aggregate import count_by
 from repro.experiments.executor import CampaignReport, run_campaign
 from repro.experiments.runner import kernel_cache_stats
 from repro.experiments.spec import CampaignSpec
@@ -229,7 +230,7 @@ class TestCampaignTelemetry:
             if event["kind"] == "scenario":
                 engine = event.get("engine") or "none"
                 scenario_counts[engine] = scenario_counts.get(engine, 0) + 1
-        assert scenario_counts == store.engine_counts()
+        assert scenario_counts == count_by(store.records(), "engine")
 
     def test_sidecar_spans_are_well_nested(self, tmp_path):
         store = ResultStore(tmp_path / "store")
