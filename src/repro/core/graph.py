@@ -21,6 +21,9 @@ the edges changes.  This module provides:
     ``dir[u, v]`` state variables of the paper's automata.
 :class:`EdgeDirection`
     The two values ``IN`` / ``OUT`` of a ``dir`` variable.
+:func:`mask_is_acyclic`, :func:`mask_is_destination_oriented`, :func:`hop_distances`
+    The structural searches over a reversal mask, one of each: a Kahn DAG
+    test and one breadth-first search from the destination.
 
 Indexed representation
 ----------------------
@@ -409,30 +412,15 @@ class LinkReversalInstance:
     def is_initially_acyclic(self) -> bool:
         """Whether ``G'_init`` is a DAG (a requirement of the system model).
 
-        Kahn's algorithm over the precomputed index arrays, run once per
-        instance (the oracle's mobility churn checks a carried-over
-        candidate and then builds an automaton on it, which validates it
-        again).
+        :func:`mask_is_acyclic` at mask 0, run once per instance (the
+        oracle's mobility churn checks a carried-over candidate and then
+        builds an automaton on it, which validates it again).
         """
         return self._initially_acyclic
 
     @cached_property
     def _initially_acyclic(self) -> bool:
-        n = len(self.nodes)
-        indegree = list(self._init_in_count)
-        succ: List[List[int]] = [[] for _ in range(n)]
-        for tail_id, head_id in self._edge_node_ids:
-            succ[tail_id].append(head_id)
-        queue = [i for i in range(n) if indegree[i] == 0]
-        removed = 0
-        while queue:
-            i = queue.pop()
-            removed += 1
-            for j in succ[i]:
-                indegree[j] -= 1
-                if indegree[j] == 0:
-                    queue.append(j)
-        return removed == n
+        return mask_is_acyclic(self, 0)
 
     def is_connected(self, without_edge: Optional[int] = None) -> bool:
         """Whether the undirected graph ``G`` is connected.
@@ -567,6 +555,152 @@ def _derive_counters(
         if degree[i] and count == degree[i]:
             sink_ids.add(i)
     return in_count, sink_ids
+
+
+# ----------------------------------------------------------------------
+# searches over a reversal mask
+# ----------------------------------------------------------------------
+# Every structural question about an orientation is answered here, once, on
+# the instance's id tables: bit ``e`` of ``mask`` reverses edge ``e``, and
+# ``alive``, when given, keeps only the edges whose bit it sets (the links a
+# churned run has left).  :class:`Orientation`, the compiled engines'
+# final-state verdicts, churn's carry-over test and the distance-driven
+# schedulers all call these.
+def mask_directed_edges(
+    instance: LinkReversalInstance, mask: int
+) -> Tuple[DirectedEdge, ...]:
+    """The ``(tail, head)`` edges of the ``mask`` orientation, in edge order."""
+    return tuple(
+        (head, tail) if (mask >> e) & 1 else (tail, head)
+        for e, (tail, head) in enumerate(instance.initial_edges)
+    )
+
+
+def _successor_ids(
+    instance: LinkReversalInstance, mask: int, alive: Optional[int] = None
+) -> List[List[int]]:
+    """Per node id: the ids its alive edges point at in the ``mask`` orientation."""
+    succ: List[List[int]] = [[] for _ in instance.nodes]
+    for e, (tail_id, head_id) in enumerate(instance._edge_node_ids):
+        if alive is None or (alive >> e) & 1:
+            if (mask >> e) & 1:
+                succ[head_id].append(tail_id)
+            else:
+                succ[tail_id].append(head_id)
+    return succ
+
+
+def _predecessor_ids(
+    instance: LinkReversalInstance, mask: int, alive: Optional[int] = None
+) -> List[List[int]]:
+    """Per node id: the ids whose alive edges point at it (``~mask`` turns every edge)."""
+    return _successor_ids(instance, ~mask, alive)
+
+
+def mask_is_acyclic(
+    instance: LinkReversalInstance, mask: int, alive: Optional[int] = None
+) -> bool:
+    """Whether the ``mask`` orientation is a DAG."""
+    return _is_dag(_successor_ids(instance, mask, alive))
+
+
+def _is_dag(succ: List[List[int]]) -> bool:
+    """Kahn's algorithm on successor lists: whether it removes every node."""
+    indegree = [0] * len(succ)
+    for row in succ:
+        for j in row:
+            indegree[j] += 1
+    queue = [i for i, d in enumerate(indegree) if d == 0]
+    removed = 0
+    while queue:
+        i = queue.pop()
+        removed += 1
+        for j in succ[i]:
+            indegree[j] -= 1
+            if indegree[j] == 0:
+                queue.append(j)
+    return removed == len(succ)
+
+
+def _distances_from_destination(
+    instance: LinkReversalInstance, adjacency: Sequence[Sequence[int]]
+) -> List[int]:
+    """Breadth-first hop distance from the destination to every node id.
+
+    ``adjacency[i]`` lists the ids one hop from node ``i``: an orientation's
+    predecessor lists give reverse reachability, the alive undirected
+    neighbours give hop distances.  A node the search does not reach gets
+    ``node_count + 1``, more hops than any path has.
+    """
+    unreached = len(adjacency) + 1
+    distance = [unreached] * len(adjacency)
+    dest = instance._dest_id
+    distance[dest] = 0
+    frontier = [dest]
+    while frontier:
+        next_frontier: List[int] = []
+        for i in frontier:
+            d = distance[i] + 1
+            for j in adjacency[i]:
+                if distance[j] == unreached:
+                    distance[j] = d
+                    next_frontier.append(j)
+        frontier = next_frontier
+    return distance
+
+
+def reaching_destination(
+    instance: LinkReversalInstance, predecessors: Sequence[Sequence[int]]
+) -> List[bool]:
+    """Per node id: whether it has a directed path to the destination.
+
+    ``predecessors[i]`` lists the ids with an edge into node ``i``.  The
+    message-passing networks pass lists derived from their heights.
+    """
+    unreached = instance.node_count + 1
+    return [d != unreached for d in _distances_from_destination(instance, predecessors)]
+
+
+def mask_is_destination_oriented(
+    instance: LinkReversalInstance, mask: int, alive: Optional[int] = None
+) -> bool:
+    """Whether every node reaches the destination in the ``mask`` orientation."""
+    return all(reaching_destination(instance, _predecessor_ids(instance, mask, alive)))
+
+
+def mask_final_state_checks(
+    instance: LinkReversalInstance, mask: int, alive: Optional[int] = None
+) -> Tuple[bool, bool]:
+    """``(is_acyclic, is_destination_oriented)`` of the ``mask`` orientation.
+
+    What the scenario runner stamps on every finished run.  Following
+    out-edges from any node of a DAG ends at a node without one, so a DAG
+    is destination oriented iff the destination is its only such node, and
+    only a cyclic orientation needs the search from the destination.
+    """
+    succ = _successor_ids(instance, mask, alive)
+    if _is_dag(succ):
+        dest = instance._dest_id
+        return True, all([row for i, row in enumerate(succ) if i != dest])
+    return False, mask_is_destination_oriented(instance, mask, alive)
+
+
+def hop_distances(
+    instance: LinkReversalInstance, alive: Optional[int] = None
+) -> Tuple[int, ...]:
+    """Per node id: its hop distance to the destination over the alive links.
+
+    Links count in either direction.  ``node_count + 1`` marks a node the
+    destination cannot reach.
+    """
+    adjacency: List[Sequence[int]] = list(instance._incident_nbr_ids)
+    if alive is not None:
+        # a failed link leaves both endpoints' rows (a churned run has few)
+        for e, (i, j) in enumerate(instance._edge_node_ids):
+            if not (alive >> e) & 1:
+                adjacency[i] = [k for k in adjacency[i] if k != j]
+                adjacency[j] = [k for k in adjacency[j] if k != i]
+    return tuple(_distances_from_destination(instance, adjacency))
 
 
 class Orientation:
@@ -790,33 +924,7 @@ class Orientation:
     # ------------------------------------------------------------------
     def directed_edges(self) -> Tuple[DirectedEdge, ...]:
         """All edges as directed pairs ``(tail, head)`` in instance edge order."""
-        mask = self._mask
-        return tuple(
-            (head, tail) if (mask >> e) & 1 else (tail, head)
-            for e, (tail, head) in enumerate(self.instance.initial_edges)
-        )
-
-    def _successor_ids(self) -> List[List[int]]:
-        """Per-node-id successor lists of the current directed graph."""
-        succ: List[List[int]] = [[] for _ in self.instance.nodes]
-        mask = self._mask
-        for e, (tail_id, head_id) in enumerate(self.instance._edge_node_ids):
-            if (mask >> e) & 1:
-                succ[head_id].append(tail_id)
-            else:
-                succ[tail_id].append(head_id)
-        return succ
-
-    def _predecessor_ids(self) -> List[List[int]]:
-        """Per-node-id predecessor lists of the current directed graph."""
-        pred: List[List[int]] = [[] for _ in self.instance.nodes]
-        mask = self._mask
-        for e, (tail_id, head_id) in enumerate(self.instance._edge_node_ids):
-            if (mask >> e) & 1:
-                pred[tail_id].append(head_id)
-            else:
-                pred[head_id].append(tail_id)
-        return pred
+        return mask_directed_edges(self.instance, self._mask)
 
     def to_networkx(self):
         """Return the current directed graph ``G'`` as a ``networkx.DiGraph``."""
@@ -828,23 +936,8 @@ class Orientation:
         return graph
 
     def is_acyclic(self) -> bool:
-        """Whether the current directed graph is a DAG (Kahn over index arrays)."""
-        n = len(self.instance.nodes)
-        succ = self._successor_ids()
-        indegree = [0] * n
-        for targets in succ:
-            for h in targets:
-                indegree[h] += 1
-        queue = [i for i in range(n) if indegree[i] == 0]
-        removed = 0
-        while queue:
-            i = queue.pop()
-            removed += 1
-            for h in succ[i]:
-                indegree[h] -= 1
-                if indegree[h] == 0:
-                    queue.append(h)
-        return removed == n
+        """Whether the current directed graph is a DAG."""
+        return mask_is_acyclic(self.instance, self._mask)
 
     def find_cycle(self) -> Tuple[Node, ...]:
         """Return a directed cycle as a node tuple, or ``()`` if none exists.
@@ -853,7 +946,7 @@ class Orientation:
         """
         nodes = self.instance.nodes
         n = len(nodes)
-        succ = self._successor_ids()
+        succ = _successor_ids(self.instance, self._mask)
 
         WHITE, GREY, BLACK = 0, 1, 2
         colour = [WHITE] * n
@@ -887,27 +980,11 @@ class Orientation:
                     stack.pop()
         return ()
 
-    def _reachable_ids_to_destination(self) -> List[int]:
-        """Node ids with a directed path to the destination (BFS over ids)."""
-        pred = self._predecessor_ids()
-        reached = [False] * len(pred)
-        dest = self.instance._dest_id
-        reached[dest] = True
-        frontier = [dest]
-        result = [dest]
-        while frontier:
-            i = frontier.pop()
-            for j in pred[i]:
-                if not reached[j]:
-                    reached[j] = True
-                    result.append(j)
-                    frontier.append(j)
-        return result
-
     def nodes_with_path_to_destination(self) -> FrozenSet[Node]:
         """Nodes that currently have a directed path to the destination."""
-        nodes = self.instance.nodes
-        return frozenset(nodes[i] for i in self._reachable_ids_to_destination())
+        instance = self.instance
+        reached = reaching_destination(instance, _predecessor_ids(instance, self._mask))
+        return frozenset(u for u, ok in zip(instance.nodes, reached) if ok)
 
     def nodes_without_path_to_destination(self) -> FrozenSet[Node]:
         """Nodes with no directed path to the destination (the "bad" nodes)."""
@@ -920,42 +997,7 @@ class Orientation:
         *destination oriented* when the only sink is the destination and every
         node can reach it.
         """
-        return len(self._reachable_ids_to_destination()) == len(self.instance.nodes)
-
-    def shortest_path_to_destination(self, u: Node) -> Tuple[Node, ...]:
-        """A shortest directed path from ``u`` to the destination, or ``()``.
-
-        Breadth-first search over the current orientation; used by the routing
-        layer to extract routes and measure stretch.
-        """
-        instance = self.instance
-        destination_id = instance._dest_id
-        start = instance._node_id[u]
-        if start == destination_id:
-            return (u,)
-        succ = self._successor_ids()
-        n = len(succ)
-        parent = [-1] * n
-        frontier = [start]
-        seen = [False] * n
-        seen[start] = True
-        while frontier:
-            next_frontier: List[int] = []
-            for w in frontier:
-                for x in succ[w]:
-                    if seen[x]:
-                        continue
-                    parent[x] = w
-                    if x == destination_id:
-                        path_ids = [x]
-                        while path_ids[-1] != start:
-                            path_ids.append(parent[path_ids[-1]])
-                        path_ids.reverse()
-                        return tuple(instance.nodes[i] for i in path_ids)
-                    seen[x] = True
-                    next_frontier.append(x)
-            frontier = next_frontier
-        return ()
+        return mask_is_destination_oriented(self.instance, self._mask)
 
     # ------------------------------------------------------------------
     # hashing / equality (used by the model checker)

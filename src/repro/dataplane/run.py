@@ -28,7 +28,7 @@ from __future__ import annotations
 import time
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.core.graph import LinkReversalInstance
+from repro.core.graph import LinkReversalInstance, hop_distances
 from repro.dataplane.packets import PacketSimulator
 from repro.dataplane.traffic import TrafficModel, resolve_traffic
 from repro.distributed.fast_network import FastAsyncNetwork
@@ -46,31 +46,6 @@ SLOT_DT = 1.0
 #: How often (in slots) a lossy, stalled, unoriented network re-broadcasts
 #: heights so dropped updates cannot wedge the control plane forever.
 BEACON_EVERY_SLOTS = 32
-
-
-def undirected_distances(instance: LinkReversalInstance) -> Dict[Node, int]:
-    """Undirected BFS hop distance to the destination for every reachable node.
-
-    Nodes in a component not containing the destination are absent from the
-    map (not mapped to 0 or -1), which marks their per-packet stretch
-    undefined.
-    """
-    nodes = instance.nodes
-    node_index = instance.node_index
-    adjacency = [[node_index(v) for v in instance.incident_neighbours(u)] for u in nodes]
-    dist = [-1] * len(nodes)
-    frontier = [node_index(instance.destination)]
-    dist[frontier[0]] = 0
-    while frontier:
-        next_frontier: List[int] = []
-        for i in frontier:
-            d = dist[i] + 1
-            for j in adjacency[i]:
-                if dist[j] < 0:
-                    dist[j] = d
-                    next_frontier.append(j)
-        frontier = next_frontier
-    return {nodes[i]: d for i, d in enumerate(dist) if d >= 0}
 
 
 class DataPlaneRun:
@@ -121,8 +96,8 @@ class DataPlaneRun:
                 link_from.append(u)
                 link_to.append(v)
 
-        distances = undirected_distances(instance)
-        dist = [distances.get(u, -1) for u in instance.nodes]
+        # a node the destination cannot reach gets -1: its stretch is undefined
+        dist = [d if d <= n else -1 for d in hop_distances(instance)]
 
         if ttl is None:
             # Generous backstop: transient loops should bounce packets, not

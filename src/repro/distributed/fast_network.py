@@ -57,7 +57,7 @@ from time import perf_counter
 from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Tuple
 
 from repro import telemetry as _telemetry
-from repro.core.graph import LinkReversalInstance, Orientation
+from repro.core.graph import LinkReversalInstance, Orientation, reaching_destination
 from repro.distributed.network import (
     NetworkReport,
     channel_seed_deriver,
@@ -929,26 +929,14 @@ class FastAsyncNetwork:
 
     def is_destination_oriented(self) -> bool:
         """Whether every node reaches the destination along the induced edges."""
-        n = len(self._nodes)
         heights = self._height
-        predecessors: List[List[int]] = [[] for _ in range(n)]
+        predecessors: List[List[int]] = [[] for _ in self._nodes]
         for lo, hi in self._links:
             if heights[lo] > heights[hi]:
                 predecessors[hi].append(lo)
             else:
                 predecessors[lo].append(hi)
-        reached = bytearray(n)
-        reached[self._dest] = 1
-        frontier = [self._dest]
-        count = 1
-        while frontier:
-            u = frontier.pop()
-            for v in predecessors[u]:
-                if not reached[v]:
-                    reached[v] = 1
-                    count += 1
-                    frontier.append(v)
-        return count == n
+        return all(reaching_destination(self.instance, predecessors))
 
     # ------------------------------------------------------------------
     @property

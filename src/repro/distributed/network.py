@@ -22,7 +22,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Hashable, List, Optional, Tuple
 
-from repro.core.graph import LinkReversalInstance, Orientation
+from repro.core.graph import LinkReversalInstance, Orientation, reaching_destination
 from repro.distributed.channel import Channel, Message
 from repro.distributed.events import DiscreteEventSimulator
 from repro.distributed.protocol import (
@@ -368,19 +368,11 @@ class AsyncLinkReversalNetwork:
 
     def is_destination_oriented(self) -> bool:
         """Whether every node can currently reach the destination along the induced edges."""
-        destination = self.instance.destination
-        predecessors: Dict[Node, List[Node]] = {u: [] for u in self.instance.nodes}
+        node_index = self.instance.node_index
+        predecessors: List[List[int]] = [[] for _ in self.instance.nodes]
         for tail, head in self.global_directed_edges():
-            predecessors[head].append(tail)
-        reached = {destination}
-        frontier = [destination]
-        while frontier:
-            u = frontier.pop()
-            for v in predecessors[u]:
-                if v not in reached:
-                    reached.add(v)
-                    frontier.append(v)
-        return len(reached) == len(self.instance.nodes)
+            predecessors[node_index(head)].append(node_index(tail))
+        return all(reaching_destination(self.instance, predecessors))
 
     # ------------------------------------------------------------------
     def report(self) -> NetworkReport:

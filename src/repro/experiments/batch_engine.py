@@ -54,6 +54,7 @@ from functools import partial
 from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
 
 from repro import telemetry as _telemetry
+from repro.core.graph import mask_final_state_checks
 from repro.experiments.churn import Links, ScenarioChurn
 from repro.experiments.engines import ExecutionEngine
 from repro.experiments.spec import ALGORITHM_FACTORIES, ScenarioSpec, derive_seed
@@ -66,7 +67,6 @@ from repro.kernels import (
     WorkTally,
     compile_expander,
     make_mask_scheduler,
-    mask_final_state_checks,
 )
 from repro.kernels.batch import BatchSimulator
 from repro.topology.generators import SEEDLESS_FAMILIES, build_family

@@ -14,8 +14,7 @@ agree on every churn decision byte for byte, and both take their steps from
   Deleting a link cannot close a cycle, so nothing is re-checked.  A
   mobility step moves the run onto the step's trajectory instance, carrying
   the surviving links' orientations over when that stays acyclic
-  (:func:`carried_over_flips`, :func:`~repro.kernels.signature
-  .mask_is_acyclic`);
+  (:func:`carried_over_flips`, :func:`~repro.core.graph.mask_is_acyclic`);
 * **instances** (:meth:`ScenarioChurn.next_instance`, the legacy oracle):
   a link failure re-packs the survivor as a new instance
   (:func:`fail_seeded_link`, through
@@ -39,9 +38,8 @@ import random
 from functools import partial
 from typing import Callable, Dict, Hashable, List, Optional, Tuple, Union
 
-from repro.core.graph import LinkReversalInstance
+from repro.core.graph import LinkReversalInstance, mask_is_acyclic
 from repro.experiments.spec import derive_seed
-from repro.kernels.signature import mask_is_acyclic
 
 Node = Hashable
 

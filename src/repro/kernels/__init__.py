@@ -7,9 +7,10 @@ state objects on the hot path:
 
 * :mod:`repro.kernels.signature` — the compiled successor kernels
   (:class:`SignatureExpander` and the PR / OneStepPR / NewPR / FR
-  specialisations, which BLL reuses) plus the mask-level checks and twin-node
-  symmetry machinery.  The exhaustive model checker
-  (:mod:`repro.exploration`) and the simulation engine both build on these.
+  specialisations, which BLL reuses) plus the twin-node symmetry
+  machinery.  The exhaustive model checker (:mod:`repro.exploration`) and
+  the simulation engine both build on these; the mask-level structural
+  checks live in :mod:`repro.core.graph`.
 * :mod:`repro.kernels.schedulers` — mask-level scheduler choice logic: every
   scheduler in :data:`repro.schedulers.SCHEDULER_FACTORIES` has a twin here
   that picks actors from the simulator's incremental sink-id set without
@@ -45,10 +46,6 @@ from repro.kernels.signature import (
     PartialReversalExpander,
     SignatureExpander,
     compile_expander,
-    mask_directed_edges,
-    mask_final_state_checks,
-    mask_is_acyclic,
-    mask_is_destination_oriented,
     twin_node_classes,
 )
 from repro.kernels.schedulers import (
@@ -94,9 +91,5 @@ __all__ = [
     "WorkTally",
     "compile_expander",
     "make_mask_scheduler",
-    "mask_directed_edges",
-    "mask_final_state_checks",
-    "mask_is_acyclic",
-    "mask_is_destination_oriented",
     "twin_node_classes",
 ]

@@ -122,7 +122,7 @@ class MaskGreedyScheduler(MaskScheduler):
 
 
 class _DistanceScheduler(MaskScheduler):
-    """Shared BFS-distance machinery of the adversarial/lazy heuristics."""
+    """Shared hop-distance machinery of the adversarial/lazy heuristics."""
 
     def __init__(self, seed: Optional[int] = None):
         self.seed = seed

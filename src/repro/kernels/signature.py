@@ -52,7 +52,7 @@ from repro.automata.ioa import Action, IOAutomaton
 from repro.core.base import Reverse
 from repro.core.bll import BinaryLinkLabels, BLLState
 from repro.core.full_reversal import FRState, FullReversal
-from repro.core.graph import DirectedEdge, LinkReversalInstance, Orientation
+from repro.core.graph import LinkReversalInstance, Orientation
 from repro.core.new_pr import NewPartialReversal, NewPRState
 from repro.core.one_step_pr import OneStepPartialReversal, OneStepPRState
 from repro.core.pr import PartialReversal, PRState, ReverseSet
@@ -62,120 +62,6 @@ from repro.core.pr import PartialReversal, PRState, ReverseSet
 #: cover every instance the checker can exhaust; overflow raises.
 _COUNT_BITS = 16
 _COUNT_MASK = (1 << _COUNT_BITS) - 1
-
-
-# ----------------------------------------------------------------------
-# mask-level structural checks (no Orientation materialisation)
-# ----------------------------------------------------------------------
-def mask_is_acyclic(instance: LinkReversalInstance, mask: int) -> bool:
-    """Whether the orientation encoded by ``mask`` is a DAG (Kahn over ids)."""
-    n = instance.node_count
-    succ: List[List[int]] = [[] for _ in range(n)]
-    indegree = [0] * n
-    for e, (tail_id, head_id) in enumerate(instance._edge_node_ids):
-        if (mask >> e) & 1:
-            tail_id, head_id = head_id, tail_id
-        succ[tail_id].append(head_id)
-        indegree[head_id] += 1
-    queue = [i for i in range(n) if indegree[i] == 0]
-    removed = 0
-    while queue:
-        i = queue.pop()
-        removed += 1
-        for j in succ[i]:
-            indegree[j] -= 1
-            if indegree[j] == 0:
-                queue.append(j)
-    return removed == n
-
-
-def mask_is_destination_oriented(instance: LinkReversalInstance, mask: int) -> bool:
-    """Whether every node reaches the destination in the ``mask`` orientation."""
-    n = instance.node_count
-    pred: List[List[int]] = [[] for _ in range(n)]
-    for e, (tail_id, head_id) in enumerate(instance._edge_node_ids):
-        if (mask >> e) & 1:
-            tail_id, head_id = head_id, tail_id
-        pred[head_id].append(tail_id)
-    reached = [False] * n
-    dest = instance._dest_id
-    reached[dest] = True
-    frontier = [dest]
-    count = 1
-    while frontier:
-        i = frontier.pop()
-        for j in pred[i]:
-            if not reached[j]:
-                reached[j] = True
-                count += 1
-                frontier.append(j)
-    return count == n
-
-
-def mask_final_state_checks(
-    instance: LinkReversalInstance, mask: int, alive: Optional[int] = None
-) -> Tuple[bool, bool]:
-    """``(is_acyclic, is_destination_oriented)`` of the ``mask`` orientation.
-
-    The two checks share one successor adjacency: following out-edges from
-    any node of a DAG ends at a node without one, so a DAG is destination
-    oriented iff the destination is its only such node, and only a cyclic
-    orientation needs the reverse search.  This is what the scenario runner
-    stamps on every finished run.  ``alive``, when given, restricts the
-    graph to the edges whose bit it sets (the links a churned run has left).
-    """
-    n = instance.node_count
-    succ: List[List[int]] = [[] for _ in range(n)]
-    indegree = [0] * n
-    for e, (tail_id, head_id) in enumerate(instance._edge_node_ids):
-        if alive is not None and not (alive >> e) & 1:
-            continue
-        if (mask >> e) & 1:
-            tail_id, head_id = head_id, tail_id
-        succ[tail_id].append(head_id)
-        indegree[head_id] += 1
-    queue = [i for i in range(n) if indegree[i] == 0]
-    removed = 0
-    while queue:
-        i = queue.pop()
-        removed += 1
-        for j in succ[i]:
-            indegree[j] -= 1
-            if indegree[j] == 0:
-                queue.append(j)
-    dest = instance._dest_id
-    if removed == n:
-        return True, all([succ[i] for i in range(n) if i != dest])
-    pred: List[List[int]] = [[] for _ in range(n)]
-    for i, row in enumerate(succ):
-        for j in row:
-            pred[j].append(i)
-    reached = [False] * n
-    reached[dest] = True
-    frontier = [dest]
-    count = 1
-    while frontier:
-        i = frontier.pop()
-        for j in pred[i]:
-            if not reached[j]:
-                reached[j] = True
-                count += 1
-                frontier.append(j)
-    return False, count == n
-
-
-def mask_directed_edges(
-    instance: LinkReversalInstance, mask: int
-) -> Tuple[DirectedEdge, ...]:
-    """The ``(tail, head)`` edges of the ``mask`` orientation, in edge order.
-
-    Equivalent to ``Orientation(instance, mask).directed_edges()`` without
-    building the orientation (no counter array, no sink set).
-    """
-    return tuple(
-        (head, tail) if (mask >> e) & 1 else (tail, head)
-        for e, (tail, head) in enumerate(instance.initial_edges)
-    )
 
 
 # ----------------------------------------------------------------------

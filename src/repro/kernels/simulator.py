@@ -3,10 +3,11 @@
 :class:`SignatureSimulator` holds what every convergence phase on one
 compiled :class:`~repro.kernels.signature.SignatureExpander` shares: the
 per-node neighbour ids, the ``(edge bit, neighbour id)`` incidence rows of
-the incremental sink updates and the table of nodes that can ever be a sink.
-It carries no run state, so any number of
-:class:`~repro.kernels.batch.BatchSimulator` lanes may reference one
-simulator; :meth:`BatchSimulator.run <repro.kernels.batch.BatchSimulator.run>`
+the incremental sink updates, the table of nodes that can ever be a sink
+and the hop distances the distance-driven schedulers read
+(:func:`repro.core.graph.hop_distances`).  It carries no run state, so any
+number of :class:`~repro.kernels.batch.BatchSimulator` lanes may reference
+one simulator; :meth:`BatchSimulator.run <repro.kernels.batch.BatchSimulator.run>`
 is the loop that drives them:
 
 * the **sink set is maintained incrementally**: a step by node ``i`` can
@@ -42,7 +43,7 @@ from collections import OrderedDict
 from functools import cached_property
 from typing import Callable, Dict, Hashable, Optional, Set, Tuple
 
-from repro.core.graph import LinkReversalInstance
+from repro.core.graph import LinkReversalInstance, hop_distances
 from repro.kernels.signature import PartialReversalExpander, SignatureExpander
 from repro.telemetry.metrics import MetricsRegistry
 
@@ -174,26 +175,11 @@ class SignatureSimulator:
     def hop_distances(self) -> Tuple[int, ...]:
         """Per node id: its hop distance to the destination over alive links.
 
-        ``node_count + 1`` marks a node the destination cannot reach.  The
+        :func:`repro.core.graph.hop_distances` on the kernel's links.  The
         distance-driven schedulers read it on every bind, so it is computed
         once per simulator.
         """
-        instance = self.instance
-        alive = self.kernel._edge_mask
-        eids, ids = instance._incident_eids, instance._incident_nbr_ids
-        infinity = instance.node_count + 1
-        distance = [infinity] * instance.node_count
-        distance[instance._dest_id] = 0
-        frontier = [instance._dest_id]
-        while frontier:
-            next_frontier = []
-            for i in frontier:
-                for e, j in zip(eids[i], ids[i]):
-                    if distance[j] == infinity and (alive >> e) & 1:
-                        distance[j] = distance[i] + 1
-                        next_frontier.append(j)
-            frontier = next_frontier
-        return tuple(distance)
+        return hop_distances(self.instance, self.kernel._edge_mask)
 
     def restricted(self, alive: int, start: int) -> "SignatureSimulator":
         """The simulator of a repair phase on the ``alive`` links from ``start``.

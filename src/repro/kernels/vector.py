@@ -156,7 +156,7 @@ def _read_field(rows: "np.ndarray", shift: int, mask: int) -> "np.ndarray":
 
 
 # ----------------------------------------------------------------------
-# batch structural checks (bit-parallel mask_is_acyclic / destination checks)
+# batch structural checks (bit-parallel twins of core.graph's mask checks)
 # ----------------------------------------------------------------------
 def _in_neighbour_sets(
     instance: LinkReversalInstance, masks: "np.ndarray"
@@ -196,7 +196,7 @@ def _pack_node_sets(flags: "np.ndarray") -> "np.ndarray":
 def mask_is_acyclic_batch(
     instance: LinkReversalInstance, masks: "np.ndarray"
 ) -> "np.ndarray":
-    """Batch twin of ``mask_is_acyclic``: one bool per mask, bit-parallel peel.
+    """Batch twin of :func:`repro.core.graph.mask_is_acyclic`: bit-parallel peel.
 
     Every lane keeps its remaining nodes as one ``uint64`` set; each round
     removes the remaining nodes with no remaining in-neighbour.  A lane is
@@ -223,7 +223,7 @@ def mask_is_acyclic_batch(
 def mask_is_destination_oriented_batch(
     instance: LinkReversalInstance, masks: "np.ndarray"
 ) -> "np.ndarray":
-    """Batch twin of ``mask_is_destination_oriented``: reverse reachability.
+    """Batch twin of :func:`repro.core.graph.mask_is_destination_oriented`.
 
     Each round adds the in-neighbours of every reached node to the lane's
     reached set; lanes leave the batch once complete or stalled.  Raises

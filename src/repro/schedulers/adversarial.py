@@ -5,7 +5,8 @@ Section 1 of the paper) is attained on chain-like topologies when reversals
 are propagated as far as possible before the "good" part of the graph absorbs
 them.  :class:`AdversarialScheduler` approximates that adversary with a
 distance heuristic: among the enabled sinks it always fires the one whose
-undirected hop distance to the destination is largest, pushing reversal waves
+undirected hop distance to the destination
+(:func:`repro.core.graph.hop_distances`) is largest, pushing reversal waves
 back and forth across the bad region.  :class:`LazyScheduler` is the opposite
 (closest sink first), which tends to finish quickly.
 
@@ -18,25 +19,10 @@ from __future__ import annotations
 from typing import Dict, Hashable, Optional
 
 from repro.automata.ioa import Action, IOAutomaton
+from repro.core.graph import hop_distances
 from repro.schedulers.base import Scheduler
 
 Node = Hashable
-
-
-def _hop_distances_to_destination(instance) -> Dict[Node, int]:
-    """Undirected BFS hop distance from every node to the destination."""
-    distances: Dict[Node, int] = {instance.destination: 0}
-    frontier = [instance.destination]
-    while frontier:
-        next_frontier = []
-        for u in frontier:
-            for v in instance.nbrs(u):
-                if v not in distances:
-                    distances[v] = distances[u] + 1
-                    next_frontier.append(v)
-        frontier = next_frontier
-    infinity = len(instance.nodes) + 1
-    return {u: distances.get(u, infinity) for u in instance.nodes}
 
 
 class AdversarialScheduler(Scheduler):
@@ -51,8 +37,9 @@ class AdversarialScheduler(Scheduler):
         self._order: Dict[Node, int] = {}
 
     def reset(self, automaton: IOAutomaton) -> None:
-        self._distance = _hop_distances_to_destination(automaton.instance)
-        self._order = {u: i for i, u in enumerate(automaton.instance.nodes)}
+        instance = automaton.instance
+        self._distance = dict(zip(instance.nodes, hop_distances(instance)))
+        self._order = {u: i for i, u in enumerate(instance.nodes)}
 
     def select(self, automaton: IOAutomaton, state) -> Optional[Action]:
         if not self._distance:
@@ -73,8 +60,9 @@ class LazyScheduler(Scheduler):
         self._order: Dict[Node, int] = {}
 
     def reset(self, automaton: IOAutomaton) -> None:
-        self._distance = _hop_distances_to_destination(automaton.instance)
-        self._order = {u: i for i, u in enumerate(automaton.instance.nodes)}
+        instance = automaton.instance
+        self._distance = dict(zip(instance.nodes, hop_distances(instance)))
+        self._order = {u: i for i, u in enumerate(instance.nodes)}
 
     def select(self, automaton: IOAutomaton, state) -> Optional[Action]:
         if not self._distance:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterator, Tuple
 
 from repro.core.graph import LinkReversalInstance
 
@@ -80,26 +80,6 @@ class GeometricNetwork:
                 if hypot(x1 - x2, y1 - y2) <= radius:
                     yield u, v
 
-    def is_connected(self) -> bool:
-        """Whether the current link set connects all nodes."""
-        nodes = self.nodes
-        if not nodes:
-            return True
-        adjacency: Dict[Node, List[Node]] = {u: [] for u in nodes}
-        for link in self.links():
-            u, v = tuple(link)
-            adjacency[u].append(v)
-            adjacency[v].append(u)
-        seen = {nodes[0]}
-        frontier = [nodes[0]]
-        while frontier:
-            u = frontier.pop()
-            for v in adjacency[u]:
-                if v not in seen:
-                    seen.add(v)
-                    frontier.append(v)
-        return len(seen) == len(nodes)
-
     # ------------------------------------------------------------------
     def to_instance(self) -> LinkReversalInstance:
         """Derive a link-reversal instance with a destination-distance DAG orientation.
@@ -154,8 +134,9 @@ def random_geometric_instance(
         rng = random.Random(seed + attempt)
         positions = {i: (rng.random(), rng.random()) for i in range(num_nodes)}
         network = GeometricNetwork(positions, radius, destination=destination_index)
-        if not require_connected or network.is_connected():
-            return network.to_instance(), network
+        instance = network.to_instance()
+        if not require_connected or instance.is_connected():
+            return instance, network
         attempt += 1
         if attempt >= max_attempts:
             raise RuntimeError(

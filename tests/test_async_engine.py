@@ -21,6 +21,7 @@ import json
 
 import pytest
 
+from repro.core.graph import mask_directed_edges
 from repro.distributed.fast_network import FastAsyncNetwork
 from repro.distributed.network import DELAY_MODELS
 from repro.distributed.protocol import ReversalMode
@@ -55,7 +56,6 @@ from repro.kernels import (
     SignatureSimulator,
     compile_expander,
     make_mask_scheduler,
-    mask_directed_edges,
 )
 from repro.experiments.spec import ALGORITHM_FACTORIES
 from repro.topology.generators import build_family

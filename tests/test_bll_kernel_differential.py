@@ -24,7 +24,7 @@ import random
 from itertools import permutations
 
 from repro.core.bll import BinaryLinkLabels
-from repro.core.graph import LinkReversalInstance
+from repro.core.graph import LinkReversalInstance, mask_directed_edges
 from repro.exploration.checker import ModelChecker
 from repro.exploration.enumerate_graphs import all_connected_dag_instances
 from repro.exploration.state_space import StateSpaceExplorer
@@ -33,7 +33,6 @@ from repro.kernels.signature import (
     BLLExpander,
     BLLFullReversalExpander,
     compile_expander,
-    mask_directed_edges,
 )
 
 #: Every connected DAG start with two to five nodes (771 of them).

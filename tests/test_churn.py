@@ -18,7 +18,7 @@ from unittest import mock
 import pytest
 
 from repro import telemetry
-from repro.core.graph import LinkReversalInstance
+from repro.core.graph import LinkReversalInstance, mask_directed_edges
 from repro.experiments import batch_engine
 from repro.experiments.batch_engine import reset_kernel_caches
 from repro.experiments import churn
@@ -34,7 +34,7 @@ from repro.experiments.churn import (
 from repro.experiments.runner import execute_scenario, run_scenarios
 from repro.experiments.spec import CampaignSpec, ScenarioSpec
 from repro.experiments.store import VOLATILE_FIELDS
-from repro.kernels import KernelCache, mask_directed_edges
+from repro.kernels import KernelCache
 from repro.topology.generators import FAMILY_NAMES, build_family
 
 

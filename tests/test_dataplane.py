@@ -12,8 +12,8 @@ np = pytest.importorskip("numpy")
 
 from repro.dataplane import run as dataplane_run
 from repro.dataplane.packets import ARRIVAL_BLOCK, PacketSimulator
-from repro.core.graph import LinkReversalInstance
-from repro.dataplane.run import DataPlaneRun, undirected_distances
+from repro.core.graph import LinkReversalInstance, hop_distances
+from repro.dataplane.run import DataPlaneRun
 from repro.dataplane.traffic import (
     TRAFFIC_MODELS,
     TRAFFIC_MODEL_NAMES,
@@ -301,13 +301,15 @@ class TestDataPlaneRun:
 
     def test_distances_leave_out_a_partitioned_component(self):
         # 2 -> 1 -> 0 (destination) plus a disconnected island 4 -> 3: island
-        # nodes have no undirected path to the destination, so they are absent
-        # from the map (their stretch is undefined), never mapped to 0 or -1
+        # nodes have no undirected path to the destination: their hop
+        # distance is node_count + 1, and the data plane leaves them out of
+        # its stretch (its distance table holds -1, never 0)
         instance = LinkReversalInstance(
             nodes=(0, 1, 2, 3, 4), destination=0,
             initial_edges=((1, 0), (2, 1), (4, 3)),
         )
-        assert undirected_distances(instance) == {0: 0, 1: 1, 2: 2}
+        assert hop_distances(instance) == (0, 1, 2, 6, 6)
+        assert DataPlaneRun(instance).sim._dist.tolist() == [0, 1, 2, -1, -1]
 
     def test_distances_ignore_link_direction(self):
         # 0 -> 1 -> 2 (destination 2) plus 0 -> 3: hops count over links in
@@ -316,15 +318,13 @@ class TestDataPlaneRun:
             nodes=(0, 1, 2, 3), destination=2,
             initial_edges=((0, 1), (1, 2), (0, 3)),
         )
-        assert undirected_distances(instance) == {2: 0, 1: 1, 0: 2, 3: 3}
+        assert hop_distances(instance) == (2, 1, 0, 3)
 
     def test_distances_on_a_grid_are_manhattan(self):
         instance = build_family("grid", 16, 0)
-        distances = undirected_distances(instance)
-        assert set(distances) == set(instance.nodes)
         # a 4x4 grid numbered row by row
         dest = instance.destination
-        for node, hops in distances.items():
+        for node, hops in zip(instance.nodes, hop_distances(instance)):
             assert hops == abs(node // 4 - dest // 4) + abs(node % 4 - dest % 4)
 
 

@@ -246,15 +246,6 @@ class TestOrientation:
         assert bad_chain.initial_orientation().nodes_with_path_to_destination() == frozenset({0})
         assert good_chain.initial_orientation().is_destination_oriented()
 
-    def test_shortest_path_to_destination(self, good_chain):
-        orientation = good_chain.initial_orientation()
-        assert orientation.shortest_path_to_destination(4) == (4, 3, 2, 1, 0)
-        assert orientation.shortest_path_to_destination(0) == (0,)
-
-    def test_shortest_path_absent(self, bad_chain):
-        orientation = bad_chain.initial_orientation()
-        assert orientation.shortest_path_to_destination(4) == ()
-
     def test_signature_and_hash(self, diamond):
         a = diamond.initial_orientation()
         b = diamond.initial_orientation()

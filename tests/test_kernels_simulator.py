@@ -10,7 +10,7 @@ from repro.analysis.work import WorkObserver
 from repro.automata.executions import run
 from repro.core.bll import BinaryLinkLabels
 from repro.core.full_reversal import FullReversal
-from repro.core.graph import Orientation
+from repro.core.graph import Orientation, mask_directed_edges
 from repro.core.new_pr import NewPartialReversal
 from repro.core.one_step_pr import OneStepPartialReversal
 from repro.core.pr import PartialReversal
@@ -23,10 +23,6 @@ from repro.kernels import (
     WorkTally,
     compile_expander,
     make_mask_scheduler,
-    mask_directed_edges,
-    mask_final_state_checks,
-    mask_is_acyclic,
-    mask_is_destination_oriented,
 )
 from repro.kernels.simulator import DEADLINE_CHECK_STRIDE, KERNELS_PER_INSTANCE
 from repro.schedulers import SCHEDULER_FACTORIES, make_scheduler
@@ -293,13 +289,6 @@ class TestMaskHelpers:
             assert mask_directed_edges(instance, mask) == Orientation(
                 instance, mask
             ).directed_edges()
-
-    def test_final_state_checks_match_individual_checks(self, instance):
-        for mask in range(0, 1 << min(instance.edge_count, 6)):
-            assert mask_final_state_checks(instance, mask) == (
-                mask_is_acyclic(instance, mask),
-                mask_is_destination_oriented(instance, mask),
-            )
 
 
 class TestKernelCache:

@@ -33,12 +33,7 @@ from repro.exploration.checker import ModelChecker
 from repro.exploration.counterexample import describe_trace
 from repro.exploration.state_space import StateSpaceExplorer
 from repro.exploration.frontier import VisitedSet
-from repro.kernels.signature import (
-    compile_expander,
-    mask_is_acyclic,
-    mask_is_destination_oriented,
-    twin_node_classes,
-)
+from repro.kernels.signature import compile_expander, twin_node_classes
 from repro.topology.generators import (
     grid_instance,
     random_dag_instance,
@@ -417,20 +412,6 @@ class TestVisitedSetSpill:
 # structural mask checks and the reference loop
 # ----------------------------------------------------------------------
 class TestMaskChecks:
-    def test_mask_acyclicity_agrees_with_orientation(self, diamond):
-        from repro.core.graph import Orientation
-
-        for mask in range(1 << diamond.edge_count):
-            assert mask_is_acyclic(diamond, mask) == Orientation(diamond, mask).is_acyclic()
-
-    def test_mask_destination_oriented_agrees(self, diamond):
-        from repro.core.graph import Orientation
-
-        for mask in range(1 << diamond.edge_count):
-            assert mask_is_destination_oriented(diamond, mask) == Orientation(
-                diamond, mask
-            ).is_destination_oriented()
-
     def test_builtin_invariants_hold_on_all_algorithms(self, bad_grid):
         for automaton_class in ALGORITHM_CLASSES:
             report = ModelChecker(

@@ -19,14 +19,14 @@ from repro.core.full_reversal import FullReversal
 from repro.core.new_pr import NewPartialReversal
 from repro.core.one_step_pr import OneStepPartialReversal
 from repro.core.pr import PartialReversal
-from repro.core.graph import LinkReversalInstance
-from repro.exploration.checker import ModelChecker
-from repro.exploration.frontier import VisitedSet
-from repro.kernels.signature import (
-    compile_expander,
+from repro.core.graph import (
+    LinkReversalInstance,
     mask_is_acyclic,
     mask_is_destination_oriented,
 )
+from repro.exploration.checker import ModelChecker
+from repro.exploration.frontier import VisitedSet
+from repro.kernels.signature import compile_expander
 from repro.kernels.vector import (
     compile_vector_expander,
     decode_token,
