@@ -429,23 +429,45 @@ class LinkReversalInstance:
         id — whether failing the link would partition the network — without
         building the smaller instance.
         """
-        n = len(self.nodes)
-        if not n:
-            return True
+        return next(self._component_sizes(without_edge), 0) == len(self.nodes)
+
+    def is_forest(self) -> bool:
+        """Whether ``G`` has no undirected cycle (``|E| = |V| - components``).
+
+        A directed cycle needs an undirected one, so no orientation of a
+        forest has a directed cycle; the model checker skips its acyclicity
+        check on forests.
+        """
+        return self._forest
+
+    @cached_property
+    def _forest(self) -> bool:
+        components = sum(1 for _ in self._component_sizes())
+        return self.edge_count == self.node_count - components
+
+    def _component_sizes(self, without_edge: Optional[int] = None) -> Iterator[int]:
+        """Sizes of the components of ``G`` minus ``without_edge``, lazily.
+
+        The components come in the order of their lowest node id, so the
+        first one holds node id 0.
+        """
         eids = self._incident_eids
         nbr_ids = self._incident_nbr_ids
-        seen = [False] * n
-        seen[0] = True
-        frontier = [0]
-        reached = 1
-        while frontier:
-            i = frontier.pop()
-            for e, j in zip(eids[i], nbr_ids[i]):
-                if not seen[j] and e != without_edge:
-                    seen[j] = True
-                    reached += 1
-                    frontier.append(j)
-        return reached == n
+        seen = [False] * len(self.nodes)
+        for root in range(len(seen)):
+            if seen[root]:
+                continue
+            seen[root] = True
+            frontier = [root]
+            reached = 1
+            while frontier:
+                i = frontier.pop()
+                for e, j in zip(eids[i], nbr_ids[i]):
+                    if not seen[j] and e != without_edge:
+                        seen[j] = True
+                        reached += 1
+                        frontier.append(j)
+            yield reached
 
     def validate(self, require_dag: bool = True, require_connected: bool = False) -> None:
         """Raise :class:`GraphValidationError` if the instance violates the model.

@@ -8,8 +8,9 @@ materialisation on the hot path), and offers:
 * **per-state invariant hooks** — the bundles from
   :mod:`repro.verification.invariants` plus two built-in checks, run on
   signatures by the compiled loop: ``acyclic`` (Theorems 4.3/5.5, checked
-  with a bit-parallel Kahn peel) and ``progress`` (every quiescent state is
-  destination oriented — the termination/goal condition of link reversal);
+  with a bit-parallel Kahn peel on the states whose step could have closed
+  a cycle) and ``progress`` (every quiescent state is destination oriented
+  — the termination/goal condition of link reversal);
 * **counterexample extraction** — predecessor pointers are kept per state
   (an action path per queued state on the reference loop), and any
   predicate violation is reconstructed into a replayable
@@ -73,11 +74,6 @@ ACYCLIC = "acyclic"
 PROGRESS = "progress"
 
 _PROGRESS_DETAIL = "quiescent state is not destination oriented"
-
-#: Deferred-acyclicity batch size: when no other failure source can
-#: interleave, freshly discovered states are buffered across rounds and
-#: Kahn-checked in bulk once this many accumulate.
-_ACYCLIC_BATCH = 4096
 
 
 @dataclass
@@ -164,7 +160,15 @@ class ModelChecker:
     check_acyclicity / check_progress:
         Built-in checks: every state's orientation is a DAG; every quiescent
         state is destination oriented.  The compiled loop runs them on
-        signatures; the reference loop as the predicates
+        signatures, and checks acyclicity exactly without peeling every
+        state: (a) a cycle that a step closes from an acyclic parent passes
+        through an actor that kept an in-edge, so a successor whose changed
+        edges all touch its actors, all of them sources now, is acyclic;
+        (b) a forest has no directed cycle at all, so on one no state is
+        peeled.  The full peel runs for the start state, for successors that
+        fail (a)'s test or whose parent failed the check, and for every
+        state when symmetry reduction is active.  The reference loop runs
+        them as the predicates
         ``state.is_acyclic()`` and
         :func:`~repro.verification.properties
         .check_destination_oriented_at_quiescence`, and refuses states that
@@ -292,9 +296,16 @@ class ModelChecker:
           transitions/quiescents are only counted up to that point;
         * failure ordering is reconstructed by sorting round events on
           (frontier position, emission position, check index) — the order
-          the reference emits them in.  Acyclicity is Kahn-checked as a
-          batch mask; when no predicate can interleave it is additionally
-          deferred across rounds in :data:`_ACYCLIC_BATCH` buffers.
+          the reference emits them in.
+
+        Acyclicity is checked once per round on the states it accepted.
+        Each new state is handed to ``mask_is_acyclic_batch`` with its
+        parent row and actor token, so only the states whose step could
+        have closed a cycle take the Kahn peel (see
+        :mod:`repro.kernels.vector`); a per-row flag keeps which frontier
+        states passed, and the successors of one that failed get its zero
+        token, that is the full peel.  The start state and every run with
+        symmetry reduction active take the full peel throughout.
         """
         expander = self._expander
         vector = self._vector
@@ -313,45 +324,36 @@ class ModelChecker:
         report.states_explored = 1
         predecessors = _ArrayPredecessors(initial) if self.track_traces else None
         raw_failures: List[Tuple[Hashable, str, str]] = []
-        # acyclicity can only be deferred across rounds when nothing else
-        # (predicate or progress failures) has to interleave with it
-        defer_acyclic = (
-            self.check_acyclicity
-            and not self.predicates
-            and not self.check_progress
-        )
-        pending: List = []
-        pending_count = 0
+        # the parent-based acyclicity test needs rows that differ from their
+        # parents in the flipped edges only, which canonical rows need not
+        incremental = self.check_acyclicity and not report.symmetry_reduced
+        frontier_acyclic = None  # the start state's verdict, then each round's
 
-        def cycle_failure(sig: int) -> Tuple[Hashable, str, str]:
-            cycle = expander.state_for(sig).orientation.find_cycle()
-            return (sig, ACYCLIC, "cycle: " + " -> ".join(map(str, cycle)))
+        def discover(new_sigs, parents, positions, events, parent_rows=None,
+                     tokens=None) -> None:
+            """Queue the discovery checks of the states one round accepted.
 
-        def flush_acyclic() -> None:
-            nonlocal pending_count
-            if not pending:
-                return
-            sigs = np.concatenate(pending) if len(pending) > 1 else pending[0]
-            pending.clear()
-            pending_count = 0
-            bad = sigs[~mask_is_acyclic_batch(instance, sigs)]
-            raw_failures.extend(cycle_failure(sig) for sig in row_ints(bad))
-
-        def discover(new_sigs, parents, positions, events) -> None:
-            """Queue the discovery checks of the states one round accepted."""
-            nonlocal pending_count
+            ``parent_rows`` and ``tokens`` (the accepted states' parent rows
+            and actor tokens) let the acyclicity check skip the peel where
+            the step provably closed no cycle.
+            """
+            nonlocal frontier_acyclic
             if self.check_acyclicity:
-                if defer_acyclic:
-                    pending.append(new_sigs)
-                    pending_count += len(new_sigs)
-                    if pending_count >= _ACYCLIC_BATCH:
-                        flush_acyclic()
+                if parent_rows is None or not incremental:
+                    acyclic = mask_is_acyclic_batch(instance, new_sigs)
                 else:
-                    bad = np.flatnonzero(~mask_is_acyclic_batch(instance, new_sigs))
-                    for k, sig in zip(bad.tolist(), row_ints(new_sigs[bad])):
-                        events.append(
-                            (int(parents[k]), int(positions[k]), 0, cycle_failure(sig))
-                        )
+                    acyclic = mask_is_acyclic_batch(
+                        instance, new_sigs, parent_rows,
+                        np.where(frontier_acyclic[parents], tokens, np.uint64(0)),
+                    )
+                frontier_acyclic = acyclic
+                bad = np.flatnonzero(~acyclic)
+                for k, sig in zip(bad.tolist(), row_ints(new_sigs[bad])):
+                    cycle = expander.state_for(sig).orientation.find_cycle()
+                    events.append((
+                        int(parents[k]), int(positions[k]), 0,
+                        (sig, ACYCLIC, "cycle: " + " -> ".join(map(str, cycle))),
+                    ))
             if self.predicates:
                 for k, sig in enumerate(row_ints(new_sigs)):
                     state = expander.state_for(sig)
@@ -416,13 +418,17 @@ class ModelChecker:
                 new_sigs = successors.take(accepted, axis=0)
                 report.states_explored += int(accepted.size)
                 if accepted.size:
+                    new_parents = parents[accepted]
+                    tokens = expansion.tokens[accepted]
+                    # one gather serves the traces and the acyclicity check
+                    parent_rows = (
+                        frontier.take(new_parents, axis=0)
+                        if predecessors is not None or incremental
+                        else None
+                    )
                     if predecessors is not None:
-                        predecessors.append_round(
-                            new_sigs,
-                            frontier.take(parents[accepted], axis=0),
-                            expansion.tokens[accepted],
-                        )
-                    discover(new_sigs, parents[accepted], accepted, events)
+                        predecessors.append_round(new_sigs, parent_rows, tokens)
+                    discover(new_sigs, new_parents, accepted, events, parent_rows, tokens)
                 if truncating:
                     visited.update_sorted(np.sort(row_keys(new_sigs)))
                     frontier = new_sigs[:0]
@@ -431,7 +437,6 @@ class ModelChecker:
                     frontier = new_sigs
                 depth += 1
 
-            flush_acyclic()
             report.spilled = visited.spilled_runs > 0
             report.spill_stats = visited.stats
             if self.collect_signatures:

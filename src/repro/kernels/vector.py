@@ -32,7 +32,21 @@ The structural checks :func:`mask_is_acyclic_batch` and
 :func:`mask_is_destination_oriented_batch` read edge bits from any word and
 keep one ``uint64`` node set per lane and node (in-neighbours), peeling
 sources / growing the reached set bit-parallel and dropping finished lanes
-round by round.
+round by round.  Given each lane's parent row and actor token, the
+acyclicity check peels only the lanes that two graph facts leave open:
+
+* (a) if the parent is acyclic, a cycle in the child uses an edge the step
+  flipped, so it passes through that edge's tail, which must still have an
+  in-edge.  A lane whose flipped bits are all incident to its actors, and
+  whose actors are all sources in the child, is acyclic without a peel;
+* (b) a forest has no directed cycle under any orientation, so on a forest
+  no lane is peeled.
+
+The full peel still runs for a lane that fails (a)'s test, for a lane whose
+parent is not known to be acyclic (zero token), and for every call without
+parent rows: the model checker's start state, every run with symmetry
+reduction active (a canonical row does not differ from its parent in the
+flipped edges only) and the differential oracle.
 
 **Exactness contract.**  :meth:`VectorExpander.expand` returns successors in
 *exactly* the scalar generation order: for each frontier state (in frontier
@@ -57,6 +71,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import telemetry as _telemetry
 from repro.core.graph import LinkReversalInstance
 from repro.kernels.signature import (
     _COUNT_BITS,
@@ -194,15 +209,90 @@ def _pack_node_sets(flags: "np.ndarray") -> "np.ndarray":
 
 
 def mask_is_acyclic_batch(
+    instance: LinkReversalInstance,
+    masks: "np.ndarray",
+    parents: Optional["np.ndarray"] = None,
+    tokens: Optional["np.ndarray"] = None,
+) -> "np.ndarray":
+    """Batch twin of :func:`repro.core.graph.mask_is_acyclic`.
+
+    Without ``parents`` every lane takes the full peel
+    (:func:`_peel_is_acyclic`).  With ``parents`` (the rows each mask was
+    stepped from, acyclic ones) and ``tokens`` (each step's actors as a
+    node-id bitmask), a lane skips the peel when :func:`_flips_close_no_cycle`
+    proves it acyclic, and on a forest every lane does.  A zero token marks
+    a lane whose parent is not known to be acyclic: it always takes the
+    peel.  The peel raises ``ValueError`` above 64 nodes.  Under telemetry
+    the peeled lanes count as ``checker.acyclic_peeled_rows``.
+    """
+    if masks.ndim == 1:
+        masks = masks[:, None]
+    if parents is None:
+        acyclic = _peel_is_acyclic(instance, masks)
+        peeled = acyclic.size
+    elif instance.is_forest():
+        acyclic = np.ones(masks.shape[0], dtype=bool)
+        peeled = 0
+    else:
+        acyclic = _flips_close_no_cycle(instance, masks, parents.reshape(masks.shape), tokens)
+        peel = np.flatnonzero(~acyclic)
+        if peel.size:
+            acyclic[peel] = _peel_is_acyclic(instance, masks.take(peel, axis=0))
+        peeled = peel.size
+    if _telemetry.ENABLED:
+        _telemetry.REGISTRY.inc("checker.acyclic_peeled_rows", int(peeled))
+    return acyclic
+
+
+def _flips_close_no_cycle(
+    instance: LinkReversalInstance,
+    masks: "np.ndarray",
+    parents: "np.ndarray",
+    tokens: "np.ndarray",
+) -> "np.ndarray":
+    """Lanes whose step provably keeps an acyclic parent acyclic.
+
+    A cycle that the step closed uses an edge it flipped.  When every edge
+    bit that differs between parent and child is incident to an actor, and
+    every actor is a source in the child, each flipped edge leaves a node
+    without an in-edge, which no cycle passes through.  The test reads the
+    rows themselves, not what the kernel meant to flip, so a step that
+    flips a stray edge fails it.  Actors are taken one bit at a time, so a
+    PR subset token costs one pass per member.
+    """
+    words = signature_words(instance.edge_count)
+    inc = int_rows(instance._incident_mask, words)
+    tail = int_rows(instance._tail_sel, words)
+    edges = int_rows([(1 << instance.edge_count) - 1], words)[0]
+    child = masks[:, :words]
+    covered = np.zeros_like(child)
+    sources = tokens != 0
+    rest = tokens.copy()
+    lanes = np.flatnonzero(rest)
+    while lanes.size:
+        remaining = rest[lanes]
+        low = remaining & (~remaining + np.uint64(1))
+        rest[lanes] = remaining ^ low
+        actor = np.frexp(low.astype(np.float64))[1] - 1
+        actor_inc = inc[actor]
+        sources[lanes] &= (
+            ((child[lanes] ^ tail[actor]) & actor_inc) == actor_inc
+        ).all(axis=1)
+        covered[lanes] |= actor_inc
+        lanes = lanes[remaining != low]
+    stray = ((child ^ parents[:, :words]) & ~covered & edges).any(axis=1)
+    return sources & ~stray
+
+
+def _peel_is_acyclic(
     instance: LinkReversalInstance, masks: "np.ndarray"
 ) -> "np.ndarray":
-    """Batch twin of :func:`repro.core.graph.mask_is_acyclic`: bit-parallel peel.
+    """Bit-parallel Kahn peel of every lane.
 
     Every lane keeps its remaining nodes as one ``uint64`` set; each round
     removes the remaining nodes with no remaining in-neighbour.  A lane is
     acyclic once its set empties and cyclic once a round removes nothing;
     either way it leaves the batch, so later rounds only touch live lanes.
-    Raises ``ValueError`` above 64 nodes.
     """
     B = int(masks.shape[0])
     ins = _in_neighbour_sets(instance, masks)
