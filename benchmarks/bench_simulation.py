@@ -34,7 +34,7 @@ claim_experiment("E6", __name__)
 claim_experiment("E7", __name__)
 
 from repro.core.pr import PartialReversal
-from repro.kernels import BatchSimulator, SignatureSimulator, compile_expander
+from repro.kernels import BatchSimulator, compile_expander
 from repro.kernels.schedulers import MaskGreedyScheduler, MaskRandomScheduler
 from repro.topology.generators import (
     grid_instance,
@@ -59,7 +59,7 @@ SCHEDULERS = {
 
 @lru_cache(maxsize=None)
 def _compiled_family(family_name: str):
-    """Instance + compiled PR simulator + chain checker, built once per family.
+    """Instance + compiled PR kernel + chain checker, built once per family.
 
     Topology generation and kernel compilation are one-time setup in the
     production engine too (the campaign runner's ``KernelCache``), so the
@@ -67,19 +67,19 @@ def _compiled_family(family_name: str):
     simulation hot path and the relation checks.
     """
     instance = FAMILIES[family_name]()
-    simulator = SignatureSimulator(compile_expander(PartialReversal(instance)))
-    return instance, simulator, MaskSimulationChain(instance)
+    kernel = compile_expander(PartialReversal(instance))
+    return instance, kernel, MaskSimulationChain(instance)
 
 
 def _check_all_families():
     rows = []
     all_hold = True
     for family_name in FAMILIES:
-        _instance, simulator, chain_checker = _compiled_family(family_name)
+        _instance, kernel, chain_checker = _compiled_family(family_name)
         for scheduler_name, scheduler_factory in SCHEDULERS.items():
             trace = []
             batch = BatchSimulator()
-            batch.add_lane(simulator, scheduler_factory(), trace=trace)
+            batch.add_lane(kernel, scheduler_factory(), trace=trace)
             (outcome,) = batch.run()
             chain = chain_checker.check(trace)
             all_hold = all_hold and chain.holds

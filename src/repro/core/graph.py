@@ -222,6 +222,18 @@ class LinkReversalInstance:
         return tuple(tuple(nodes[j] for j in row) for row in self._incident_nbr_ids)
 
     @cached_property
+    def _incident_pairs(self) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+        """Per node id: its ``(edge bit, neighbour id)`` pairs, in CSR order.
+
+        The compiled engine's incremental sink updates walk them, so every
+        kernel of the instance shares one table.
+        """
+        return tuple(
+            tuple([(1 << e, j) for e, j in zip(eids, ids)])
+            for eids, ids in zip(self._incident_eids, self._incident_nbr_ids)
+        )
+
+    @cached_property
     def _nbrs(self) -> Mapping[Node, FrozenSet[Node]]:
         return {u: frozenset(row) for u, row in zip(self.nodes, self._incident_nbrs)}
 
@@ -246,6 +258,16 @@ class LinkReversalInstance:
         for (_, v), (ui, _) in zip(self.initial_edges, self._edge_node_ids):
             rows[ui].append(v)
         return {u: frozenset(row) for u, row in zip(self.nodes, rows)}
+
+    @cached_property
+    def _derived(self) -> Dict[Hashable, object]:
+        """Memo of tables other functions derive from this instance alone.
+
+        Keyed by the deriving function: :func:`hop_distances` per alive
+        mask, and the batch structural checks' packed rows.  The instance is
+        immutable, so an entry never goes stale; it goes with the instance.
+        """
+        return {}
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -713,16 +735,27 @@ def hop_distances(
     """Per node id: its hop distance to the destination over the alive links.
 
     Links count in either direction.  ``node_count + 1`` marks a node the
-    destination cannot reach.
+    destination cannot reach.  The search runs once per instance and alive
+    mask (every link alive when ``alive`` is ``None``): the compiled
+    engine's repair phases ask again for the same links.
     """
-    adjacency: List[Sequence[int]] = list(instance._incident_nbr_ids)
-    if alive is not None:
-        # a failed link leaves both endpoints' rows (a churned run has few)
-        for e, (i, j) in enumerate(instance._edge_node_ids):
-            if not (alive >> e) & 1:
-                adjacency[i] = [k for k in adjacency[i] if k != j]
-                adjacency[j] = [k for k in adjacency[j] if k != i]
-    return tuple(_distances_from_destination(instance, adjacency))
+    links = (1 << instance.edge_count) - 1
+    alive = links if alive is None else alive & links
+    key = ("hop_distances", alive)
+    memo = instance._derived
+    distances = memo.get(key)
+    if distances is None:
+        adjacency: List[Sequence[int]] = list(instance._incident_nbr_ids)
+        dead = links & ~alive
+        while dead:
+            # a failed link leaves both endpoints' rows (a churned run has few)
+            bit = dead & -dead
+            dead ^= bit
+            i, j = instance._edge_node_ids[bit.bit_length() - 1]
+            adjacency[i] = [k for k in adjacency[i] if k != j]
+            adjacency[j] = [k for k in adjacency[j] if k != i]
+        distances = memo[key] = tuple(_distances_from_destination(instance, adjacency))
+    return distances
 
 
 class Orientation:

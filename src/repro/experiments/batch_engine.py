@@ -63,7 +63,7 @@ from repro.kernels import (
     MASK_SCHEDULER_FACTORIES,
     KernelCache,
     RoundTally,
-    SignatureSimulator,
+    SignatureExpander,
     WorkTally,
     compile_expander,
     make_mask_scheduler,
@@ -73,7 +73,7 @@ from repro.topology.generators import SEEDLESS_FAMILIES, build_family
 
 ENGINE_KERNEL = "kernel"
 
-#: Per-process cache of instances, compiled simulators, initial phases and
+#: Per-process cache of instances, compiled kernels, initial phases and
 #: final-state verdicts, keyed by :func:`_canonical_key` and shared by every
 #: engine; counters live in the always-on ``ENGINE_METRICS`` registry under
 #: ``kernel_``-prefixed names.
@@ -202,15 +202,10 @@ class _Phase:
         rounds.rounds, rounds._seen = self.rounds, set(self.seen)
 
 
-def _simulator(key: Hashable, name: Hashable, instance, algorithm: str) -> SignatureSimulator:
-    """The cached simulator of ``algorithm`` on ``instance``, under ``(key, name)``.
-
-    The cache holds whole simulators: their id tables are per-instance
-    setup just like the kernel tables, and they carry no run state.
-    """
+def _kernel(key: Hashable, name: Hashable, instance, algorithm: str) -> SignatureExpander:
+    """The cached kernel of ``algorithm`` on ``instance``, under ``(key, name)``."""
     return _KERNEL_CACHE.kernel(
-        key, name,
-        lambda: SignatureSimulator(compile_expander(ALGORITHM_FACTORIES[algorithm](instance))),
+        key, name, lambda: compile_expander(ALGORITHM_FACTORIES[algorithm](instance))
     )
 
 
@@ -234,7 +229,7 @@ def _run_lanes(lanes: List[Lane], deadline: Optional[float]) -> None:
     convergeds = [False] * width
     try:
         batch = BatchSimulator()
-        running: List[Tuple[int, SignatureSimulator, Optional[_Phase]]] = []
+        running: List[Tuple[int, SignatureExpander, Optional[_Phase]]] = []
         followers: List[Tuple[int, _Phase]] = []
         claimed: Set[_Phase] = set()
         for pos, (spec, record) in enumerate(lanes):
@@ -252,20 +247,20 @@ def _run_lanes(lanes: List[Lane], deadline: Optional[float]) -> None:
                     followers.append((pos, phase))
                     continue
                 claimed.add(phase)
-            simulator = _simulator(key, spec.algorithm, instance, spec.algorithm)
+            kernel = _kernel(key, spec.algorithm, instance, spec.algorithm)
             batch.add_lane(
-                simulator,
+                kernel,
                 make_mask_scheduler(spec.scheduler, spec.scheduler_seed),
                 work=works[pos],
                 rounds=rounds[pos],
                 dead_ids=dead_ids,
                 max_steps=max_steps,
             )
-            running.append((pos, simulator, phase))
+            running.append((pos, kernel, phase))
 
         if running:
             outcomes = batch.run(max_steps=spec0.max_steps, deadline=deadline)
-            for (pos, simulator, phase), outcome in zip(running, outcomes):
+            for (pos, kernel, phase), outcome in zip(running, outcomes):
                 record = lanes[pos][1]
                 if outcome.timed_out:
                     record.update(
@@ -274,7 +269,7 @@ def _run_lanes(lanes: List[Lane], deadline: Optional[float]) -> None:
                     )
                     continue
                 record["steps_taken"] += outcome.steps
-                masks[pos] = simulator.kernel.orientation_mask(outcome.signature)
+                masks[pos] = kernel.orientation_mask(outcome.signature)
                 convergeds[pos] = outcome.converged
                 if phase is not None:
                     phase.fill(
@@ -333,9 +328,9 @@ def _churn(
     topology, alive-link mask and orientation mask.  A step of
     :class:`~repro.experiments.churn.ScenarioChurn` clears a failed link's
     bit or moves the lane onto a mobility step's trajectory instance, whose
-    simulator the cache compiles once per topology, step and algorithm.
+    kernel the cache compiles once per topology, step and algorithm.
     The lane then re-converges from the step's start orientation, with
-    fresh bookkeeping, on its topology's simulator restricted to the alive
+    fresh bookkeeping, on its topology's kernel restricted to the alive
     links; the repair phases of one step run as one lockstep call.  A lane
     counts the failure as applied and adds the phase steps; a timed-out
     lane keeps its partial tallies and leaves the loop.  ``converged`` stays
@@ -352,8 +347,8 @@ def _churn(
         pos: Links(instances[pos], (1 << instances[pos].edge_count) - 1, masks[pos])
         for pos in active
     }
-    simulators = {
-        pos: _simulator(keys[pos], algorithm, instances[pos], algorithm) for pos in active
+    kernels = {
+        pos: _kernel(keys[pos], algorithm, instances[pos], algorithm) for pos in active
     }
     looping = list(active)
     for index in range(spec0.failure_count):
@@ -367,13 +362,13 @@ def _churn(
             start = churn.next_links(index, links[pos], record)
             if start is None:
                 continue
-            simulator = simulators[pos]
+            kernel = kernels[pos]
             if start.topology is not links[pos].topology:
-                simulator = _simulator(
+                kernel = _kernel(
                     keys[pos], ("mobility", index, algorithm), start.topology, algorithm
                 )
             batch.add_lane(
-                simulator.restricted(start.alive, start.mask),
+                kernel.restricted(start.alive, start.mask),
                 make_mask_scheduler(
                     spec.scheduler,
                     derive_seed(spec.scheduler_seed, churn.seed_label, index),
@@ -382,11 +377,11 @@ def _churn(
                 rounds=rounds[pos],
                 start=start.mask,
             )
-            phase.append((pos, start, simulator))
+            phase.append((pos, start, kernel))
         if not phase:
             continue
         outcomes = batch.run(max_steps=spec0.max_steps, deadline=deadline)
-        for (pos, start, simulator), outcome in zip(phase, outcomes):
+        for (pos, start, kernel), outcome in zip(phase, outcomes):
             record = lanes[pos][1]
             if outcome.timed_out:
                 record.update(
@@ -396,7 +391,7 @@ def _churn(
                 continue
             start.mask = outcome.signature & start.alive
             links[pos] = churned[pos] = start
-            simulators[pos] = simulator
+            kernels[pos] = kernel
             record["failures_applied"] += 1
             record["steps_taken"] += outcome.steps
             convergeds[pos] = convergeds[pos] and outcome.converged

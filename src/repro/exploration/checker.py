@@ -288,9 +288,10 @@ class ModelChecker:
         Every accounting decision the reference explorer takes per state is
         taken here per round, in a way provably equal to its outcome:
 
-        * successors come out of the batch expander in exact scalar
-          generation order, so ``np.unique``'s first-occurrence indices pick
-          the same predecessor/token the reference FIFO would have;
+        * successors come out of the batch expander in the automaton's
+          exact ``enabled_actions`` order, so ``np.unique``'s
+          first-occurrence indices pick the same predecessor/token the
+          reference FIFO would have;
         * truncation is emulated per state: the first genuinely-new
           successor past ``max_states`` is located inside the round and
           transitions/quiescents are only counted up to that point;

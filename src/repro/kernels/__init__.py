@@ -5,29 +5,32 @@ edge-reversal bitmask with per-node bookkeeping packed into the high bits).
 This package holds everything that computes *directly on those ints* with no
 state objects on the hot path:
 
-* :mod:`repro.kernels.signature` — the compiled successor kernels
+* :mod:`repro.kernels.signature` — the compiled kernels
   (:class:`SignatureExpander` and the PR / OneStepPR / NewPR / FR
-  specialisations, which BLL reuses) plus the twin-node symmetry
-  machinery.  The exhaustive model checker (:mod:`repro.exploration`) and
-  the simulation engine both build on these; the mask-level structural
-  checks live in :mod:`repro.core.graph`.
+  specialisations, which BLL reuses), each the one object of its kernel:
+  the ``step`` tables, the simulation tables (incidence rows, can-sink
+  table, hop distances) and their restriction to a churn repair phase's
+  alive links, plus the twin-node symmetry machinery.  The exhaustive
+  model checker (:mod:`repro.exploration`) and the simulation engine both
+  build on these; the mask-level structural checks live in
+  :mod:`repro.core.graph`.
 * :mod:`repro.kernels.schedulers` — mask-level scheduler choice logic: every
   scheduler in :data:`repro.schedulers.SCHEDULER_FACTORIES` has a twin here
-  that picks actors from the simulator's incremental sink-id set without
+  that picks actors from a lane's incremental sink-id set without
   unpacking a single neighbour set, consuming randomness identically to its
   object-level counterpart so seeded runs are bit-for-bit reproducible
   across engines.
 * :mod:`repro.kernels.vector` — batch twins of the compiled expanders:
   :class:`VectorExpander` takes a numpy array of signature rows (``k``
   ``uint64`` words per signature) and returns the whole successor frontier
-  via bitwise column operations, in exact scalar generation order.  The
-  model checker's compiled loop (:class:`repro.exploration.ModelChecker`)
-  runs on these for every instance of at most 64 nodes.
-* :mod:`repro.kernels.simulator` — :class:`SignatureSimulator`, the
-  per-instance tables (incidence rows, sink candidates) that simulation
-  lanes share; the :class:`WorkTally` / :class:`RoundTally` accumulators;
-  and the per-process :class:`KernelCache` that amortises kernel
-  compilation across the runs of a campaign chunk.
+  via bitwise column operations, in the automaton's ``enabled_actions``
+  order.  The model checker's compiled loop
+  (:class:`repro.exploration.ModelChecker`) runs on these for every
+  instance of at most 64 nodes.
+* :mod:`repro.kernels.simulator` — the :class:`WorkTally` /
+  :class:`RoundTally` accumulators and the per-process
+  :class:`KernelCache` that amortises kernel compilation across the runs
+  of a campaign chunk.
 * :mod:`repro.kernels.batch` — :class:`BatchSimulator`, the one mask-level
   convergence loop: any number of phases as lockstep lanes, with work/round
   accounting via signature XOR, crash-stopped nodes, per-lane step bounds,
@@ -62,12 +65,7 @@ from repro.kernels.vector import (
     mask_is_acyclic_batch,
     mask_is_destination_oriented_batch,
 )
-from repro.kernels.simulator import (
-    KernelCache,
-    RoundTally,
-    SignatureSimulator,
-    WorkTally,
-)
+from repro.kernels.simulator import KernelCache, RoundTally, WorkTally
 
 __all__ = [
     "BatchExpansion",
@@ -87,7 +85,6 @@ __all__ = [
     "PartialReversalExpander",
     "RoundTally",
     "SignatureExpander",
-    "SignatureSimulator",
     "WorkTally",
     "compile_expander",
     "make_mask_scheduler",

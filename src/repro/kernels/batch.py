@@ -4,7 +4,7 @@
 compiled synchronous run — a ``kernel``-engine scenario
 (:mod:`repro.experiments.batch_engine`), a churn repair phase, a traced
 single run — is one of its lanes.  It holds B *lanes* — independent
-(simulator, scheduler, signature) runs of identical shape — as parallel
+(kernel, scheduler, signature) runs of identical shape — as parallel
 arrays and advances them in lockstep rounds, one deadline stride per round:
 
 * **per-lane arrays**: current signature, incremental sink-id set and step
@@ -16,9 +16,10 @@ arrays and advances them in lockstep rounds, one deadline stride per round:
   the deadline) retires from the live-lane list without breaking the
   lockstep of the remaining lanes;
 * **shared kernels**: lanes may (and, for seed-deterministic topology
-  families, do) reference the *same* :class:`SignatureSimulator` object —
-  simulators carry no run state, so one compiled kernel serves any number of
-  lanes, which is where the batch amortisation comes from.
+  families, do) reference the *same* compiled
+  :class:`~repro.kernels.signature.SignatureExpander` — kernels carry no
+  run state, so one serves any number of lanes, which is where the batch
+  amortisation comes from.
 
 Exactness contract
 ------------------
@@ -52,12 +53,8 @@ from typing import List, Optional, Set, Tuple
 
 from repro.automata.executions import DEFAULT_MAX_STEPS
 from repro.kernels.schedulers import MaskScheduler
-from repro.kernels.simulator import (
-    DEADLINE_CHECK_STRIDE,
-    RoundTally,
-    SignatureSimulator,
-    WorkTally,
-)
+from repro.kernels.signature import SignatureExpander
+from repro.kernels.simulator import DEADLINE_CHECK_STRIDE, RoundTally, WorkTally
 
 
 @dataclass
@@ -98,7 +95,7 @@ class BatchSimulator:
 
     def add_lane(
         self,
-        simulator: SignatureSimulator,
+        kernel: SignatureExpander,
         scheduler: MaskScheduler,
         *,
         work: Optional[WorkTally] = None,
@@ -110,7 +107,7 @@ class BatchSimulator:
     ) -> int:
         """Append one lane; returns its index.
 
-        ``simulator`` may be shared with other lanes (it carries no run
+        ``kernel`` may be shared with other lanes (it carries no run
         state); ``scheduler`` must be exclusive to this lane (it carries the
         RNG / rotation state).  The scheduler is bound here, exactly once per
         phase.  ``work`` / ``rounds`` tallies are updated in place — pass
@@ -128,36 +125,34 @@ class BatchSimulator:
         default; a churn repair phase starts at the surviving orientation
         with fresh bookkeeping, which is that orientation mask itself.
         """
-        scheduler.bind(simulator)
+        scheduler.bind(kernel)
         select = scheduler.select
         if trace is not None:
             untraced, record = select, trace.append
 
-            def select(sim, sig, sinks):
-                actors = untraced(sim, sig, sinks)
+            def select(sinks):
+                actors = untraced(sinks)
                 if actors is not None:
                     record(actors)
                 return actors
 
-        sig = simulator.initial_signature() if start is None else start
-        sinks = simulator.sink_id_set(sig)
-        can_sink = simulator._can_sink
+        sig = kernel.initial_signature() if start is None else start
+        sinks = set(kernel.sink_ids(sig))
+        can_sink = kernel._can_sink
         if dead_ids:
-            # a copied can_sink (the simulator's list is shared with
+            # a copied can_sink (the kernel's table is shared with
             # fault-free lanes) keeps the dead ids out of the incremental
             # sink updates, and the initial sink set drops them up front
             can_sink = list(can_sink)
             for i in dead_ids:
                 can_sink[i] = False
             sinks.difference_update(dead_ids)
-        kernel = simulator.kernel
         self._sigs.append(sig)
         self._sinks.append(sinks)
         self._bounds.append(max_steps)
         self._tables.append((
-            simulator, select, kernel.step, kernel._edge_mask,
-            kernel._inc, kernel._tail, simulator._incident, can_sink,
-            work, rounds, simulator.instance.nodes,
+            select, kernel.step, kernel._edge_mask, kernel._inc, kernel._tail,
+            kernel._incident, can_sink, work, rounds, kernel.instance.nodes,
         ))
         return len(self._sigs) - 1
 
@@ -197,7 +192,7 @@ class BatchSimulator:
                 # the hot loop, on per-phase locals unpacked from the lane's
                 # tables
                 (
-                    sim, select, step, edge_mask, inc, tail, incident,
+                    select, step, edge_mask, inc, tail, incident,
                     can_sink, work, rounds, nodes,
                 ) = tables[lane]
                 sig = sigs[lane]
@@ -205,7 +200,7 @@ class BatchSimulator:
                 steps = start
                 end = min(stop, bounds[lane])
                 while steps < end:
-                    actors = select(sim, sig, sinks)
+                    actors = select(sinks)
                     if actors is None:
                         outcomes[lane] = BatchLaneOutcome(
                             signature=sig, steps=steps, converged=True

@@ -1,7 +1,7 @@
-"""Mask-level scheduler choice logic for the signature simulator.
+"""Mask-level scheduler choice logic for the lockstep simulation loop.
 
 Every scheduler in :data:`repro.schedulers.SCHEDULER_FACTORIES` has a twin
-here that picks the next actors directly from the simulator's incremental
+here that picks the next actors directly from a lane's incremental
 **sink-id set** — no state objects, no action objects, and (for the
 adversarial/greedy heuristics) no neighbour-set unpacking: hop distances and
 instance order are precomputed id arrays, so a pick is a ``max``/``min`` over
@@ -14,17 +14,20 @@ A mask scheduler must reproduce its object-level counterpart *bit for bit*:
 same actor choice at every step and — for the seeded schedulers — the same
 RNG consumption.  That holds because the object schedulers enumerate enabled
 nodes as ``state.sinks()`` (sink ids ascending, i.e. instance node order)
-and the simulator hands the mask schedulers the same ids in the same order,
+and the mask schedulers sort the same ids into the same order,
 and because ``random.Random.choice`` / ``sample`` / ``randint`` consume
 randomness as a function of the sequence *length* only, never of the element
 values.  The differential test suite pins this equivalence for every
 scheduler on every kernel algorithm.
 
-``select`` returns a tuple of actor node-ids (one action of the run — a
-multi-id tuple is PR's concurrent ``reverse(S)``) or ``None`` for
-quiescence.  Scheduler objects are single-phase: the scenario runner builds
-a fresh one per convergence/repair phase, exactly as the object path builds
-a fresh :class:`~repro.schedulers.base.Scheduler` per phase.
+``bind(kernel)`` reads what a scheduler needs of the compiled kernel once
+per phase, before the first pick (hop distances, node order, whether it
+takes multi-id actions); ``select(sinks)`` then returns a tuple of actor
+node-ids (one action of the run — a multi-id tuple is PR's concurrent
+``reverse(S)``) or ``None`` for quiescence.  Scheduler objects are
+single-phase: the scenario runner builds a fresh one per
+convergence/repair phase, exactly as the object path builds a fresh
+:class:`~repro.schedulers.base.Scheduler` per phase.
 """
 
 from __future__ import annotations
@@ -37,12 +40,12 @@ Token = Tuple[int, ...]
 
 
 class MaskScheduler:
-    """Base class: picks actor-id tuples from the simulator's sink set."""
+    """Base class: picks actor-id tuples from a lane's sink set."""
 
-    def bind(self, simulator) -> None:
-        """Attach to one simulator (per-instance tables); default: no-op."""
+    def bind(self, kernel) -> None:
+        """Attach to one compiled kernel (per-instance tables); default: no-op."""
 
-    def select(self, simulator, sig: int, sinks: Set[int]) -> Optional[Token]:
+    def select(self, sinks: Set[int]) -> Optional[Token]:
         """The next action's actor ids, or ``None`` to declare quiescence."""
         raise NotImplementedError
 
@@ -50,10 +53,7 @@ class MaskScheduler:
 class MaskSequentialScheduler(MaskScheduler):
     """First enabled node in instance order (twin of ``SequentialScheduler``)."""
 
-    def __init__(self, seed: Optional[int] = None):
-        self.seed = seed
-
-    def select(self, simulator, sig: int, sinks: Set[int]) -> Optional[Token]:
+    def select(self, sinks: Set[int]) -> Optional[Token]:
         if not sinks:
             return None
         return (min(sinks),)
@@ -72,20 +72,18 @@ class MaskRandomScheduler(MaskScheduler):
     def __init__(self, seed: Optional[int] = None, subset_probability: float = 0.0):
         if not 0.0 <= subset_probability <= 1.0:
             raise ValueError("subset_probability must be in [0, 1]")
-        self.seed = seed
         self.subset_probability = subset_probability
         self._rng = random.Random(seed)
 
-    def select(self, simulator, sig: int, sinks: Set[int]) -> Optional[Token]:
+    def bind(self, kernel) -> None:
+        self._subsets = self.subset_probability > 0.0 and kernel.supports_subsets
+
+    def select(self, sinks: Set[int]) -> Optional[Token]:
         if not sinks:
             return None
         ids = sorted(sinks)
         rng = self._rng
-        if (
-            self.subset_probability > 0.0
-            and simulator.supports_subsets
-            and rng.random() < self.subset_probability
-        ):
+        if self._subsets and rng.random() < self.subset_probability:
             size = rng.randint(1, len(ids))
             return tuple(rng.sample(ids, size))
         return (ids[rng.randrange(len(ids))],)
@@ -101,13 +99,15 @@ class MaskGreedyScheduler(MaskScheduler):
     re-checks enabledness).
     """
 
-    def __init__(self, seed: Optional[int] = None, concurrent_for_pr: bool = True):
-        self.seed = seed
+    def __init__(self, concurrent_for_pr: bool = True):
         self.concurrent_for_pr = concurrent_for_pr
         self._round_queue: Deque[int] = deque()
 
-    def select(self, simulator, sig: int, sinks: Set[int]) -> Optional[Token]:
-        if self.concurrent_for_pr and simulator.supports_subsets:
+    def bind(self, kernel) -> None:
+        self._concurrent = self.concurrent_for_pr and kernel.supports_subsets
+
+    def select(self, sinks: Set[int]) -> Optional[Token]:
+        if self._concurrent:
             if not sinks:
                 return None
             return tuple(sorted(sinks))
@@ -124,12 +124,8 @@ class MaskGreedyScheduler(MaskScheduler):
 class _DistanceScheduler(MaskScheduler):
     """Shared hop-distance machinery of the adversarial/lazy heuristics."""
 
-    def __init__(self, seed: Optional[int] = None):
-        self.seed = seed
-        self._distance: Tuple[int, ...] = ()
-
-    def bind(self, simulator) -> None:
-        self._distance = simulator.hop_distances
+    def bind(self, kernel) -> None:
+        self._distance = kernel.hop_distances
 
 
 class MaskAdversarialScheduler(_DistanceScheduler):
@@ -139,7 +135,7 @@ class MaskAdversarialScheduler(_DistanceScheduler):
     ``max`` by ``(distance, -instance order)``.
     """
 
-    def select(self, simulator, sig: int, sinks: Set[int]) -> Optional[Token]:
+    def select(self, sinks: Set[int]) -> Optional[Token]:
         if not sinks:
             return None
         distance = self._distance
@@ -149,7 +145,7 @@ class MaskAdversarialScheduler(_DistanceScheduler):
 class MaskLazyScheduler(_DistanceScheduler):
     """Closest sink to the destination (twin of ``LazyScheduler``)."""
 
-    def select(self, simulator, sig: int, sinks: Set[int]) -> Optional[Token]:
+    def select(self, sinks: Set[int]) -> Optional[Token]:
         if not sinks:
             return None
         distance = self._distance
@@ -159,19 +155,14 @@ class MaskLazyScheduler(_DistanceScheduler):
 class MaskRoundRobinScheduler(MaskScheduler):
     """Fair rotation over the non-destination ids (twin of ``RoundRobinScheduler``)."""
 
-    def __init__(self, seed: Optional[int] = None):
-        self.seed = seed
-        self._cursor = 0
-        self._order: Tuple[int, ...] = ()
-
-    def bind(self, simulator) -> None:
-        instance = simulator.instance
+    def bind(self, kernel) -> None:
+        instance = kernel.instance
         self._order = tuple(
             i for i in range(instance.node_count) if i != instance._dest_id
         )
         self._cursor = 0
 
-    def select(self, simulator, sig: int, sinks: Set[int]) -> Optional[Token]:
+    def select(self, sinks: Set[int]) -> Optional[Token]:
         order = self._order
         n = len(order)
         for offset in range(n):
@@ -184,14 +175,15 @@ class MaskRoundRobinScheduler(MaskScheduler):
 
 #: Name → factory registry; the names (and per-name seed semantics) mirror
 #: :data:`repro.schedulers.SCHEDULER_FACTORIES` one-for-one, so a scenario
-#: spec's scheduler axis resolves on either engine.
+#: spec's scheduler axis resolves on either engine.  Only ``random`` draws
+#: from its seed.
 MASK_SCHEDULER_FACTORIES: Dict[str, Callable[[Optional[int]], MaskScheduler]] = {
-    "greedy": lambda seed: MaskGreedyScheduler(seed=seed),
-    "sequential": lambda seed: MaskSequentialScheduler(seed=seed),
+    "greedy": lambda seed: MaskGreedyScheduler(),
+    "sequential": lambda seed: MaskSequentialScheduler(),
     "random": lambda seed: MaskRandomScheduler(seed=seed),
-    "adversarial": lambda seed: MaskAdversarialScheduler(seed=seed),
-    "lazy": lambda seed: MaskLazyScheduler(seed=seed),
-    "round-robin": lambda seed: MaskRoundRobinScheduler(seed=seed),
+    "adversarial": lambda seed: MaskAdversarialScheduler(),
+    "lazy": lambda seed: MaskLazyScheduler(),
+    "round-robin": lambda seed: MaskRoundRobinScheduler(),
 }
 
 

@@ -5,19 +5,24 @@ edge-reversal bitmask, with per-node bookkeeping packed into the high bits).
 This module makes those ints the only thing a hot path touches:
 
 :class:`SignatureExpander`
-    A compiled successor kernel for one automaton: ``successors(sig)`` maps an
-    int signature directly to its successor signatures, and ``step(sig, i)``
-    applies one ``reverse(node_i)`` — both with pure integer arithmetic: no
+    The one object of a compiled kernel for one automaton: ``step(sig, i)``
+    applies one ``reverse(node_i)`` with pure integer arithmetic — no
     :class:`~repro.core.graph.Orientation`, no state objects, no
-    per-transition allocation beyond the result ints.  Kernels exist for FR,
-    OneStepPR, PR (subset actions), NewPR and BLL (on the OneStepPR and FR
-    kernels); states are only re-materialised (:meth:`SignatureExpander
-    .state_for`) when a predicate needs one or a counterexample is replayed.
+    per-transition allocation beyond the result int — and ``sink_ids(sig)``
+    lists the nodes that may step.  Kernels exist for FR, OneStepPR, PR
+    (whose ``reverse(S)`` composes its members' steps), NewPR and BLL (on
+    the OneStepPR and FR kernels).  The expander also holds the tables the
+    lockstep simulation loop reads (:class:`~repro.kernels.batch
+    .BatchSimulator`): incidence rows, the can-sink table and hop
+    distances, and :meth:`SignatureExpander.restricted` derives all of them
+    for a churn repair phase.  States are only
+    re-materialised (:meth:`SignatureExpander.state_for`) when a predicate
+    needs one or a counterexample is replayed.
 
-Both the exhaustive model checker (:mod:`repro.exploration`) and the
-scenario simulator (:mod:`repro.kernels.simulator`) are built on these
-kernels; the module lives here — below both — so neither subsystem depends
-on the other.
+Both the exhaustive model checker (:mod:`repro.exploration`, through the
+batch twins in :mod:`repro.kernels.vector`) and the scenario simulator
+(:mod:`repro.kernels.batch`) are built on these kernels; the module lives
+here — below both — so neither subsystem depends on the other.
 
 Twin-node symmetry reduction
     :meth:`SignatureExpander.canonicalize` maps a signature to a canonical
@@ -45,14 +50,15 @@ Twin-node symmetry reduction
 from __future__ import annotations
 
 import abc
-from itertools import chain, combinations
+from functools import cached_property
+from itertools import chain
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.automata.ioa import Action, IOAutomaton
 from repro.core.base import Reverse
 from repro.core.bll import BinaryLinkLabels, BLLState
 from repro.core.full_reversal import FRState, FullReversal
-from repro.core.graph import LinkReversalInstance, Orientation
+from repro.core.graph import LinkReversalInstance, Orientation, hop_distances
 from repro.core.new_pr import NewPartialReversal, NewPRState
 from repro.core.one_step_pr import OneStepPartialReversal, OneStepPRState
 from repro.core.pr import PartialReversal, PRState, ReverseSet
@@ -128,7 +134,13 @@ class SignatureExpander(abc.ABC):
     engine drives ``step`` directly and never materialises a state).
     Automata without a kernel (``compile_expander`` returns ``None``) run on
     the checker's reference explorer and the simulator's legacy object path.
+
+    A kernel carries no run state, so any number of simulation lanes and
+    checker runs may share one.
     """
+
+    #: whether the kernel accepts multi-id actions (PR's ``reverse(S)``)
+    supports_subsets = False
 
     def __init__(self, automaton: IOAutomaton):
         self.automaton = automaton
@@ -151,10 +163,6 @@ class SignatureExpander(abc.ABC):
     @abc.abstractmethod
     def step(self, sig: int, i: int) -> int:
         """Signature after node id ``i`` (a current sink) takes one step."""
-
-    @abc.abstractmethod
-    def successors(self, sig: int) -> List[Tuple[Tuple[int, ...], int]]:
-        """Every ``(actor_id_token, successor_signature)`` pair of ``sig``."""
 
     @abc.abstractmethod
     def state_for(self, sig: int):
@@ -183,6 +191,37 @@ class SignatureExpander(abc.ABC):
         """The edge-reversal bitmask component of ``sig``."""
         return sig & self._edge_mask
 
+    # -- simulation tables ----------------------------------------------
+    @cached_property
+    def _incident(self) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+        """Per node id: its alive ``(edge bit, neighbour id)`` pairs.
+
+        The batch loop's incremental sink updates walk them.  A compiled
+        kernel shares its instance's table (built on first use, since the
+        model checker never reads it); :meth:`restricted` drops the dead
+        links' pairs.
+        """
+        return self.instance._incident_pairs
+
+    @cached_property
+    def _can_sink(self) -> Tuple[bool, ...]:
+        """Per node id: whether it is a sink candidate (has a link, not the
+        destination), so the incremental sink updates can skip the rest."""
+        can_sink = [False] * self.instance.node_count
+        for i in self._sink_candidates:
+            can_sink[i] = True
+        return tuple(can_sink)
+
+    @property
+    def hop_distances(self) -> Tuple[int, ...]:
+        """Per node id: its hop distance to the destination over alive links.
+
+        :func:`repro.core.graph.hop_distances` on the kernel's links, which
+        memoises it per instance and alive mask; the distance-driven
+        schedulers read it on every bind.
+        """
+        return hop_distances(self.instance, self._edge_mask)
+
     # -- repair phases after churn --------------------------------------
     def restricted(self, alive: int, start: int) -> "SignatureExpander":
         """This kernel on the links in ``alive``, for a phase started at ``start``.
@@ -191,11 +230,12 @@ class SignatureExpander(abc.ABC):
         link is a cleared bit of ``alive``, and the phase starts at the
         orientation ``start`` (in this kernel's edge ids) with fresh
         bookkeeping.  The result is a copy of this kernel whose edge mask,
-        incidence masks, sink candidates and per-algorithm tables
-        (:meth:`_restrict`) see the alive links only, so it steps and finds
-        sinks as a kernel compiled on the surviving graph, re-oriented by
-        ``start``, would; its :meth:`state_for` still decodes on the whole
-        topology.  Returns ``self`` when no table changes.
+        incidence masks, sink candidates, simulation tables and
+        per-algorithm tables (:meth:`_restrict`) see the alive links only, so
+        it steps, finds sinks and measures hop distances as a kernel compiled
+        on the surviving graph, re-oriented by ``start``, would; its
+        :meth:`state_for` still decodes on the whole topology.  Returns
+        ``self`` when no table changes.
         """
         dead = self._edge_mask & ~alive
         if not dead and not self._rebased_on(start):
@@ -219,6 +259,12 @@ class SignatureExpander(abc.ABC):
                 derived._sink_candidates = tuple(
                     [i for i in self._sink_candidates if inc[i]]
                 )
+                derived.__dict__.pop("_can_sink", None)  # rebuilt on use
+            # a node that lost no link keeps its row
+            rows = list(self._incident)
+            for i in touched:
+                rows[i] = tuple([pair for pair in rows[i] if pair[0] & alive])
+            derived._incident = tuple(rows)
         derived._restrict(self, start, touched)
         return derived
 
@@ -342,10 +388,6 @@ class FullReversalExpander(SignatureExpander):
     def step(self, sig: int, i: int) -> int:
         return sig ^ self._inc[i]
 
-    def successors(self, sig: int) -> List[Tuple[Tuple[int, ...], int]]:
-        inc = self._inc
-        return [((i,), sig ^ inc[i]) for i in self.sink_ids(sig)]
-
     def state_for(self, sig: int) -> FRState:
         return FRState(self.instance, Orientation(self.instance, sig & self._edge_mask))
 
@@ -445,9 +487,6 @@ class OneStepPRExpander(_ListKernelMixin, SignatureExpander):
     def initial_signature(self) -> int:
         return self._initial_sig
 
-    def successors(self, sig: int) -> List[Tuple[Tuple[int, ...], int]]:
-        return [((i,), self.step(sig, i)) for i in self.sink_ids(sig)]
-
     def state_for(self, sig: int) -> OneStepPRState:
         return self._decode(sig, OneStepPRState)
 
@@ -461,6 +500,8 @@ class PartialReversalExpander(_ListKernelMixin, SignatureExpander):
     exactly Algorithm 1's simultaneous effect.
     """
 
+    supports_subsets = True
+
     def __init__(self, automaton: PartialReversal, single_actions_only: bool = False):
         super().__init__(automaton)
         self._build_list_tables()
@@ -469,19 +510,6 @@ class PartialReversalExpander(_ListKernelMixin, SignatureExpander):
 
     def initial_signature(self) -> int:
         return self._initial_sig
-
-    def successors(self, sig: int) -> List[Tuple[Tuple[int, ...], int]]:
-        sinks = self.sink_ids(sig)
-        if self.single_actions_only:
-            return [((i,), self.step(sig, i)) for i in sinks]
-        result = []
-        for size in range(1, len(sinks) + 1):
-            for subset in combinations(sinks, size):
-                successor = sig
-                for i in subset:
-                    successor = self.step(successor, i)
-                result.append((subset, successor))
-        return result
 
     def action_for(self, token: Tuple[int, ...]) -> Action:
         return ReverseSet(frozenset(self.instance.nodes[i] for i in token))
@@ -543,9 +571,6 @@ class NewPRExpander(SignatureExpander):
             )
         flip = self._even_flip[i] if count % 2 == 0 else self._odd_flip[i]
         return (sig ^ flip) + (1 << self._shift[i])
-
-    def successors(self, sig: int) -> List[Tuple[Tuple[int, ...], int]]:
-        return [((i,), self.step(sig, i)) for i in self.sink_ids(sig)]
 
     def state_for(self, sig: int) -> NewPRState:
         instance = self.instance

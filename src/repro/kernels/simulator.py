@@ -1,19 +1,10 @@
-"""Per-instance simulation tables, run tallies and the kernel cache.
+"""Run tallies, the deadline stride and the kernel cache of the simulation engine.
 
-:class:`SignatureSimulator` holds what every convergence phase on one
-compiled :class:`~repro.kernels.signature.SignatureExpander` shares: the
-per-node neighbour ids, the ``(edge bit, neighbour id)`` incidence rows of
-the incremental sink updates, the table of nodes that can ever be a sink
-and the hop distances the distance-driven schedulers read
-(:func:`repro.core.graph.hop_distances`).  It carries no run state, so any
-number of :class:`~repro.kernels.batch.BatchSimulator` lanes may reference
-one simulator; :meth:`BatchSimulator.run <repro.kernels.batch.BatchSimulator.run>`
-is the loop that drives them:
+:meth:`BatchSimulator.run <repro.kernels.batch.BatchSimulator.run>` is the
+loop that drives convergence phases on compiled
+:class:`~repro.kernels.signature.SignatureExpander` kernels; this module
+holds what it counts with:
 
-* the **sink set is maintained incrementally**: a step by node ``i`` can
-  only change the sink status of ``i`` itself and of the neighbours whose
-  edge it flipped, so each step updates ``O(deg(i))`` candidates via one
-  XOR/AND membership test each instead of rescanning the graph;
 * **work accounting is signature-XOR** (:class:`WorkTally`):
   ``edge_reversals`` is the popcount of ``pre ^ post`` over the edge bits,
   and an actor's step is a dummy step iff the XOR misses its incident-edge
@@ -40,11 +31,9 @@ counters that surface in ``repro sweep --json``.
 from __future__ import annotations
 
 from collections import OrderedDict
-from functools import cached_property
 from typing import Callable, Dict, Hashable, Optional, Set, Tuple
 
-from repro.core.graph import LinkReversalInstance, hop_distances
-from repro.kernels.signature import PartialReversalExpander, SignatureExpander
+from repro.core.graph import LinkReversalInstance
 from repro.telemetry.metrics import MetricsRegistry
 
 #: Steps between wall-clock reads of a cooperative deadline.  The first step
@@ -53,8 +42,8 @@ from repro.telemetry.metrics import MetricsRegistry
 #: deadline by at most ``stride - 1`` steps.
 DEADLINE_CHECK_STRIDE = 64
 
-#: Compiled entries (simulators, mobility trajectories and the simulators of
-#: their steps, link-draw tables, initial phases, final-state verdicts) a
+#: Compiled entries (kernels, mobility trajectories and the kernels of their
+#: steps, link-draw tables, initial phases, final-state verdicts) a
 #: :class:`KernelCache` keeps per instance of
 #: capacity: past ``capacity * KERNELS_PER_INSTANCE`` the least recently used
 #: entry goes, so a hot instance cannot gather entries without bound.
@@ -113,95 +102,6 @@ class RoundTally:
             seen.add(nodes[i])
 
 
-class _IncidentPairs(dict):
-    """Per node id: its alive ``(edge bit, neighbour id)`` pairs, built on first use.
-
-    A churn repair phase runs a restricted simulator for a few steps, so
-    only the rows of the nodes that actually step are worth building.
-    """
-
-    __slots__ = ("_eids", "_ids", "_kernel", "_base")
-
-    def __init__(
-        self, instance: LinkReversalInstance, kernel: SignatureExpander,
-        base: Optional["SignatureSimulator"],
-    ):
-        super().__init__()
-        self._eids = instance._incident_eids
-        self._ids = instance._incident_nbr_ids
-        self._kernel = kernel
-        self._base = base
-
-    def __missing__(self, i: int) -> Tuple[Tuple[int, int], ...]:
-        base = self._base
-        if base is not None and self._kernel._inc[i] == base.kernel._inc[i]:
-            # the node lost no link: its base row, built once per topology
-            row = self[i] = base._incident[i]
-            return row
-        alive = self._kernel._edge_mask
-        row = self[i] = tuple(
-            (1 << e, j) for e, j in zip(self._eids[i], self._ids[i]) if (alive >> e) & 1
-        )
-        return row
-
-
-class SignatureSimulator:
-    """The run-state-free tables of one kernel that batch lanes share.
-
-    The tables cover the kernel's alive links: all of them for a compiled
-    kernel, the survivors for a churn repair phase's restricted one
-    (:meth:`restricted`).
-    """
-
-    def __init__(
-        self, kernel: SignatureExpander, base: Optional["SignatureSimulator"] = None
-    ):
-        self.kernel = kernel
-        self.instance: LinkReversalInstance = kernel.instance
-        instance = self.instance
-        # per node id: (edge bit, neighbour id) pairs for the sink updates
-        self._incident = _IncidentPairs(instance, kernel, base)
-        if base is not None and kernel._sink_candidates is base.kernel._sink_candidates:
-            self._can_sink = base._can_sink
-        else:
-            self._can_sink = [False] * instance.node_count
-            for i in kernel._sink_candidates:
-                self._can_sink[i] = True
-        #: whether the kernel accepts multi-id actions (PR's ``reverse(S)``);
-        #: a plain attribute — schedulers read it on every select call
-        self.supports_subsets = isinstance(kernel, PartialReversalExpander)
-
-    @cached_property
-    def hop_distances(self) -> Tuple[int, ...]:
-        """Per node id: its hop distance to the destination over alive links.
-
-        :func:`repro.core.graph.hop_distances` on the kernel's links.  The
-        distance-driven schedulers read it on every bind, so it is computed
-        once per simulator.
-        """
-        return hop_distances(self.instance, self.kernel._edge_mask)
-
-    def restricted(self, alive: int, start: int) -> "SignatureSimulator":
-        """The simulator of a repair phase on the ``alive`` links from ``start``.
-
-        See :meth:`SignatureExpander.restricted
-        <repro.kernels.signature.SignatureExpander.restricted>`; returns
-        ``self`` when the kernel is unchanged.  The phase's lane starts at
-        ``start`` (:meth:`BatchSimulator.add_lane
-        <repro.kernels.batch.BatchSimulator.add_lane>`).
-        """
-        kernel = self.kernel.restricted(alive, start)
-        return self if kernel is self.kernel else SignatureSimulator(kernel, self)
-
-    def initial_signature(self) -> int:
-        """The kernel's initial signature (fresh bookkeeping, initial mask)."""
-        return self.kernel.initial_signature()
-
-    def sink_id_set(self, sig: int) -> Set[int]:
-        """The non-destination sink ids of ``sig`` as a mutable set."""
-        return set(self.kernel.sink_ids(sig))
-
-
 class KernelCache:
     """LRU cache of instances and compiled kernels with hit/miss counters.
 
@@ -232,8 +132,8 @@ class KernelCache:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self._instances: "OrderedDict[Hashable, LinkReversalInstance]" = OrderedDict()
-        # values are whatever the caller compiles: a bare SignatureExpander
-        # or a wrapper built on one (the runner caches whole simulators)
+        # values are whatever the caller compiles: a SignatureExpander or
+        # another per-topology product (phases, trajectories, verdicts)
         self._kernels: "OrderedDict[Tuple[Hashable, Hashable], object]" = OrderedDict()
         if metrics is None:
             metrics = MetricsRegistry()
@@ -269,11 +169,10 @@ class KernelCache:
         """The cached compiled object for ``(key, algorithm)``.
 
         The value is whatever ``compile_kernel`` builds — a
-        :class:`~repro.kernels.signature.SignatureExpander` or a wrapper on
-        one (e.g. a :class:`SignatureSimulator`, or any other per-topology
-        product such as a mobility trajectory).  A ``None`` result (no
-        kernel for this automaton) is not cached — those callers fall back
-        to the object path anyway.  Nor is anything cached for a ``key``
+        :class:`~repro.kernels.signature.SignatureExpander`, or any other
+        per-topology product such as a mobility trajectory.  A ``None``
+        result (no kernel for this automaton) is not cached — those callers
+        fall back to the object path anyway.  Nor is anything cached for a ``key``
         whose instance is not: entries are evicted with their instance, and
         past :data:`KERNELS_PER_INSTANCE` entries per instance of capacity
         in least-recently-used order, so the cache stays bounded by its

@@ -1,6 +1,6 @@
 """Batch (vectorised) twins of the compiled signature expanders.
 
-The scalar kernels in :mod:`repro.kernels.signature` expand one int
+The scalar kernels in :mod:`repro.kernels.signature` step one int
 signature per Python call; at 10⁸ states the interpreter loop itself is the
 bottleneck.  This module re-expresses each kernel as **whole-frontier numpy
 column ops** over *signature rows*: a signature of ``b`` bits is
@@ -49,11 +49,12 @@ reduction active (a canonical row does not differ from its parent in the
 flipped edges only) and the differential oracle.
 
 **Exactness contract.**  :meth:`VectorExpander.expand` returns successors in
-*exactly* the scalar generation order: for each frontier state (in frontier
+*exactly* the automaton's order: for each frontier state (in frontier
 order) every ``(token, successor)`` pair appears in the order
-``SignatureExpander.successors`` would emit it.  The model checker's
-differential pins (counts, visited sets, predecessor choices, truncation
-points, failure order) all lean on this.
+``automaton.enabled_actions`` yields its action — sinks ascending, and for
+PR's ``reverse(S)`` subsets size by size, each size in lexicographic order.
+The model checker's differential pins (counts, visited sets, predecessor
+choices, truncation points, failure order) all lean on this.
 
 **Gate.**  :func:`compile_vector_expander` returns ``None`` above
 :data:`MAX_NODES` nodes, because action tokens and node sets are one word,
@@ -260,10 +261,17 @@ def _flips_close_no_cycle(
     flips a stray edge fails it.  Actors are taken one bit at a time, so a
     PR subset token costs one pass per member.
     """
-    words = signature_words(instance.edge_count)
-    inc = int_rows(instance._incident_mask, words)
-    tail = int_rows(instance._tail_sel, words)
-    edges = int_rows([(1 << instance.edge_count) - 1], words)[0]
+    rows = instance._derived.get("flip_rows")
+    if rows is None:
+        # packed once per instance: the checker asks every BFS round
+        words = signature_words(instance.edge_count)
+        rows = instance._derived["flip_rows"] = (
+            words,
+            int_rows(instance._incident_mask, words),
+            int_rows(instance._tail_sel, words),
+            int_rows([(1 << instance.edge_count) - 1], words)[0],
+        )
+    words, inc, tail, edges = rows
     child = masks[:, :words]
     covered = np.zeros_like(child)
     sources = tokens != 0
@@ -343,12 +351,13 @@ def mask_is_destination_oriented_batch(
 # batch expansion
 # ----------------------------------------------------------------------
 class BatchExpansion:
-    """One whole-frontier expansion, in exact scalar generation order.
+    """One whole-frontier expansion, in exact ``enabled_actions`` order.
 
-    ``successors[k]`` is the row of the ``k``-th successor signature the
-    scalar BFS would have generated from this frontier, ``parents[k]`` the
-    frontier index it came from and ``tokens[k]`` its actor set as a node-id
-    bitmask (:func:`decode_token` recovers the scalar tuple).  ``quiescent``
+    ``successors[k]`` is the row of the ``k``-th successor signature a BFS
+    over the automaton's enabled actions would have generated from this
+    frontier, ``parents[k]`` the frontier index it came from and
+    ``tokens[k]`` its actor set as a node-id bitmask (:func:`decode_token`
+    recovers the scalar tuple).  ``quiescent``
     holds the frontier indices with no enabled action, ascending.
     """
 
@@ -449,7 +458,7 @@ class VectorExpander:
         parents = np.concatenate(parent_parts)
         tokens = np.concatenate(token_parts)
         # candidate-major → frontier-major: a stable sort by parent recovers
-        # the scalar per-state emission order (candidates were appended
+        # the automaton's per-state action order (candidates were appended
         # ascending, matching sink_ids / combinations order)
         order = np.argsort(parents, kind="stable")
         return BatchExpansion(
@@ -593,9 +602,10 @@ class _VectorOneStepPR(_VectorListKernel):
 def _subset_order(k: int) -> "np.ndarray":
     """Subset bitmasks of ``k`` sinks in ``itertools.combinations`` order.
 
-    Size by size, each size in lexicographic order — the scalar PR kernel's
-    emission order — with bit ``b`` standing for the ``b``-th sink.  The
-    array is read-only because the cache hands it to every caller.
+    Size by size, each size in lexicographic order — PR's
+    ``enabled_actions`` order — with bit ``b`` standing for the ``b``-th
+    sink.  The array is read-only because the cache hands it to every
+    caller.
     """
     order = np.array(
         [

@@ -51,12 +51,7 @@ from repro.experiments.spec import (
     derive_seed,
 )
 from repro.experiments.store import ResultStore
-from repro.kernels import (
-    BatchSimulator,
-    SignatureSimulator,
-    compile_expander,
-    make_mask_scheduler,
-)
+from repro.kernels import BatchSimulator, compile_expander, make_mask_scheduler
 from repro.experiments.spec import ALGORITHM_FACTORIES
 from repro.topology.generators import build_family
 
@@ -227,11 +222,11 @@ class TestCampaignExpansion:
 def _kernel_final_edges(spec):
     instance = build_family(spec.family, spec.size, spec.topology_seed)
     automaton = ALGORITHM_FACTORIES[spec.algorithm](instance)
-    simulator = SignatureSimulator(compile_expander(automaton))
+    kernel = compile_expander(automaton)
     batch = BatchSimulator()
-    batch.add_lane(simulator, make_mask_scheduler(spec.scheduler, spec.scheduler_seed))
+    batch.add_lane(kernel, make_mask_scheduler(spec.scheduler, spec.scheduler_seed))
     (outcome,) = batch.run()
-    mask = simulator.kernel.orientation_mask(outcome.signature)
+    mask = kernel.orientation_mask(outcome.signature)
     return set(mask_directed_edges(instance, mask)), instance
 
 

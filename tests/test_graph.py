@@ -10,6 +10,7 @@ from repro.core.graph import (
     LinkReversalInstance,
     Orientation,
     all_orientations,
+    hop_distances,
     undirected,
 )
 
@@ -156,6 +157,23 @@ class TestInstanceStructure:
     def test_connected(self, bad_chain, diamond):
         assert bad_chain.is_connected()
         assert diamond.is_connected()
+
+    def test_hop_distances_search_once_per_alive_mask(self, diamond, monkeypatch):
+        import repro.core.graph as graph
+
+        searches = []
+        search = graph._distances_from_destination
+        monkeypatch.setattr(
+            graph, "_distances_from_destination",
+            lambda *args: searches.append(1) or search(*args),
+        )
+        every = (1 << diamond.edge_count) - 1
+        full = hop_distances(diamond)
+        # no alive mask and the all-links mask are one pair
+        assert hop_distances(diamond, every) == full and len(searches) == 1
+        survivors = hop_distances(diamond, every & ~1)
+        assert hop_distances(diamond, every & ~1) == survivors
+        assert len(searches) == 2
 
 
 class TestOrientation:

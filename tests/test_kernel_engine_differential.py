@@ -547,7 +547,7 @@ class TestMaskSimulationChainDifferential:
     def test_mask_chain_matches_object_chain(self, scheduler_seed, subset_probability):
         from repro.automata.executions import run
         from repro.core.pr import PartialReversal
-        from repro.kernels import BatchSimulator, SignatureSimulator, compile_expander
+        from repro.kernels import BatchSimulator, compile_expander
         from repro.kernels.schedulers import MaskRandomScheduler
         from repro.schedulers.random_scheduler import RandomScheduler
         from repro.topology.generators import grid_instance
@@ -557,11 +557,11 @@ class TestMaskSimulationChainDifferential:
         )
 
         instance = grid_instance(4, 4, oriented_towards_destination=False)
-        simulator = SignatureSimulator(compile_expander(PartialReversal(instance)))
+        kernel = compile_expander(PartialReversal(instance))
         trace = []
         batch = BatchSimulator()
         batch.add_lane(
-            simulator,
+            kernel,
             MaskRandomScheduler(seed=scheduler_seed, subset_probability=subset_probability),
             trace=trace,
         )
@@ -583,17 +583,17 @@ class TestMaskSimulationChainDifferential:
         assert fast.newpr_steps == oracle.r.corresponding_execution.length
 
     def test_mask_chain_flags_a_corrupted_trace(self):
-        from repro.kernels import BatchSimulator, SignatureSimulator, compile_expander
+        from repro.kernels import BatchSimulator, compile_expander
         from repro.kernels.schedulers import MaskGreedyScheduler
         from repro.core.pr import PartialReversal
         from repro.topology.generators import worst_case_chain_instance
         from repro.verification.simulation import MaskSimulationChain
 
         instance = worst_case_chain_instance(6)
-        simulator = SignatureSimulator(compile_expander(PartialReversal(instance)))
+        kernel = compile_expander(PartialReversal(instance))
         trace = []
         batch = BatchSimulator()
-        batch.add_lane(simulator, MaskGreedyScheduler(), trace=trace)
+        batch.add_lane(kernel, MaskGreedyScheduler(), trace=trace)
         batch.run()
         # duplicate the first action: its actors are no longer sinks there
         corrupted = [trace[0], trace[0]] + trace[1:]

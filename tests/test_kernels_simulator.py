@@ -10,16 +10,16 @@ from repro.analysis.work import WorkObserver
 from repro.automata.executions import run
 from repro.core.bll import BinaryLinkLabels
 from repro.core.full_reversal import FullReversal
-from repro.core.graph import Orientation, mask_directed_edges
+from repro.core.graph import LinkReversalInstance, Orientation, mask_directed_edges
 from repro.core.new_pr import NewPartialReversal
 from repro.core.one_step_pr import OneStepPartialReversal
 from repro.core.pr import PartialReversal
+from repro.experiments.spec import ALGORITHM_FACTORIES
 from repro.kernels import (
     MASK_SCHEDULER_FACTORIES,
     BatchSimulator,
     KernelCache,
     RoundTally,
-    SignatureSimulator,
     WorkTally,
     compile_expander,
     make_mask_scheduler,
@@ -40,15 +40,15 @@ ALGORITHMS = {
 }
 
 
-def _simulator(algorithm: str, instance) -> SignatureSimulator:
-    return SignatureSimulator(compile_expander(ALGORITHMS[algorithm](instance)))
+def _kernel(algorithm: str, instance):
+    return compile_expander(ALGORITHMS[algorithm](instance))
 
 
-def _solo(simulator, scheduler, *, deadline=None,
+def _solo(kernel, scheduler, *, deadline=None,
           deadline_stride=DEADLINE_CHECK_STRIDE, **lane):
     """Run one lane on a batch of its own and return its outcome."""
     batch = BatchSimulator()
-    batch.add_lane(simulator, scheduler, **lane)
+    batch.add_lane(kernel, scheduler, **lane)
     (outcome,) = batch.run(deadline=deadline, deadline_stride=deadline_stride)
     return outcome
 
@@ -77,10 +77,10 @@ class TestRunPhaseAgainstObjectOracle:
     @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
     @pytest.mark.parametrize("scheduler", sorted(SCHEDULER_FACTORIES))
     def test_final_graph_and_work_match_object_run(self, instance, algorithm, scheduler):
-        simulator = _simulator(algorithm, instance)
+        kernel = _kernel(algorithm, instance)
         work, rounds = WorkTally(), RoundTally()
         outcome = _solo(
-            simulator, make_mask_scheduler(scheduler, seed=7), work=work, rounds=rounds
+            kernel, make_mask_scheduler(scheduler, seed=7), work=work, rounds=rounds
         )
 
         automaton = ALGORITHMS[algorithm](instance)
@@ -91,34 +91,95 @@ class TestRunPhaseAgainstObjectOracle:
         )
         assert outcome.converged == result.converged
         assert outcome.steps == result.steps_taken
-        mask = simulator.kernel.orientation_mask(outcome.signature)
+        mask = kernel.orientation_mask(outcome.signature)
         assert mask == result.final_state.graph_signature()
         assert work.node_steps == observer.node_steps
         assert work.edge_reversals == observer.edge_reversals
         assert work.dummy_steps == observer.dummy_steps
 
     def test_sink_set_empty_exactly_on_convergence(self, instance):
-        simulator = _simulator("fr", instance)
-        outcome = _solo(simulator, make_mask_scheduler("sequential"))
+        kernel = _kernel("fr", instance)
+        outcome = _solo(kernel, make_mask_scheduler("sequential"))
         assert outcome.converged
-        assert simulator.sink_id_set(outcome.signature) == set()
+        assert kernel.sink_ids(outcome.signature) == []
 
     def test_trace_replays_to_final_signature(self, instance):
-        simulator = _simulator("pr", instance)
+        kernel = _kernel("pr", instance)
         trace = []
-        outcome = _solo(simulator, make_mask_scheduler("greedy"), trace=trace)
-        sig = simulator.initial_signature()
+        outcome = _solo(kernel, make_mask_scheduler("greedy"), trace=trace)
+        sig = kernel.initial_signature()
         for token in trace:
             for i in token:
-                sig = simulator.kernel.step(sig, i)
+                sig = kernel.step(sig, i)
         assert sig == outcome.signature
 
     def test_step_bound_truncates_without_convergence(self):
         instance = worst_case_chain_instance(8)
-        simulator = _simulator("fr", instance)
-        outcome = _solo(simulator, make_mask_scheduler("sequential"), max_steps=3)
+        kernel = _kernel("fr", instance)
+        outcome = _solo(kernel, make_mask_scheduler("sequential"), max_steps=3)
         assert outcome.steps == 3
         assert not outcome.converged
+
+
+def _surviving_kernel(algorithm, instance, alive, start):
+    """The kernel compiled on the ``alive`` links, re-oriented by ``start``."""
+    edges = tuple(
+        (v, u) if (start >> e) & 1 else (u, v)
+        for e, (u, v) in enumerate(instance.initial_edges)
+        if (alive >> e) & 1
+    )
+    surviving = LinkReversalInstance(instance.nodes, instance.destination, edges)
+    return compile_expander(ALGORITHM_FACTORIES[algorithm](surviving))
+
+
+class TestRestrictedKernels:
+    """A repair phase's restricted kernel against one compiled on the
+    surviving graph: same sinks, steps and simulation tables."""
+
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHM_FACTORIES))
+    @pytest.mark.parametrize("failed", [(2, 7, 11), (4, 6)], ids=["scattered", "corner"])
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_restricted_equals_compiled_on_survivors(self, algorithm, failed, warm):
+        instance = grid_instance(4, 4, oriented_towards_destination=False)
+        base = compile_expander(ALGORITHM_FACTORIES[algorithm](instance))
+        if warm:
+            # the base's own tables, built before it is restricted, must
+            # not leak into the copy
+            base._incident, base._can_sink, base.hop_distances
+        sig = base.initial_signature()
+        for _ in range(5):
+            sig = base.step(sig, min(base.sink_ids(sig)))
+        start = base.orientation_mask(sig)
+        alive = base._edge_mask & ~sum(1 << e for e in failed)
+        restricted = base.restricted(alive, start)
+        compiled = _surviving_kernel(algorithm, instance, alive, start)
+        ids = [e for e in range(instance.edge_count) if (alive >> e) & 1]
+
+        def in_base_ids(mask):
+            return sum(1 << ids[k] for k in range(len(ids)) if (mask >> k) & 1)
+
+        assert restricted._can_sink == compiled._can_sink
+        assert restricted.hop_distances == compiled.hop_distances
+        assert restricted._incident == tuple(
+            tuple((in_base_ids(bit), j) for bit, j in row) for row in compiled._incident
+        )
+        ours, theirs = start, compiled.initial_signature()
+        for _ in range(200):
+            sinks = restricted.sink_ids(ours)
+            assert sinks == compiled.sink_ids(theirs)
+            assert restricted.orientation_mask(ours) == alive & (
+                start ^ in_base_ids(compiled.orientation_mask(theirs))
+            )
+            if not sinks:
+                break
+            ours, theirs = restricted.step(ours, sinks[0]), compiled.step(theirs, sinks[0])
+        else:
+            pytest.fail("the repair phase did not converge")
+        # and the base kept its own tables
+        fresh = compile_expander(ALGORITHM_FACTORIES[algorithm](instance))
+        assert base._incident == fresh._incident
+        assert base._can_sink == fresh._can_sink
+        assert base.hop_distances == fresh.hop_distances
 
 
 class TestBatchLanes:
@@ -127,7 +188,7 @@ class TestBatchLanes:
         # lanes share no run state, so reversing the order they are added
         # in permutes the outcomes and changes nothing else
         shapes = [
-            (_simulator(algorithm, instance), seed)
+            (_kernel(algorithm, instance), seed)
             for algorithm in sorted(ALGORITHMS) for seed in (1, 2)
         ]
 
@@ -135,10 +196,10 @@ class TestBatchLanes:
             batch = BatchSimulator()
             tallies = {}
             for index in order:
-                simulator, seed = shapes[index]
+                kernel, seed = shapes[index]
                 tallies[index] = (WorkTally(), RoundTally())
                 batch.add_lane(
-                    simulator, make_mask_scheduler(scheduler, seed=seed),
+                    kernel, make_mask_scheduler(scheduler, seed=seed),
                     work=tallies[index][0], rounds=tallies[index][1],
                 )
             return {
@@ -154,26 +215,26 @@ class TestBatchLanes:
         assert run_in(order) == run_in(order[::-1])
 
     def test_trace_records_its_own_lane_only(self, instance):
-        simulator = _simulator("pr", instance)
+        kernel = _kernel("pr", instance)
         trace = []
         batch = BatchSimulator()
-        batch.add_lane(simulator, make_mask_scheduler("random", seed=4), trace=trace)
-        batch.add_lane(simulator, make_mask_scheduler("greedy"))
+        batch.add_lane(kernel, make_mask_scheduler("random", seed=4), trace=trace)
+        batch.add_lane(kernel, make_mask_scheduler("greedy"))
         traced, untraced = batch.run()
         # one entry per action taken, never the quiescence `None`
         assert len(trace) == traced.steps > 0
         assert None not in trace
-        solo = _solo(simulator, make_mask_scheduler("greedy"))
+        solo = _solo(kernel, make_mask_scheduler("greedy"))
         assert (untraced.signature, untraced.steps) == (solo.signature, solo.steps)
 
     def test_lanes_match_solo_runs_under_their_own_step_bounds(self):
-        simulator = _simulator("fr", worst_case_chain_instance(8))
+        kernel = _kernel("fr", worst_case_chain_instance(8))
         batch = BatchSimulator()
         for bound in (3, None, 0):
-            batch.add_lane(simulator, make_mask_scheduler("sequential"), max_steps=bound)
+            batch.add_lane(kernel, make_mask_scheduler("sequential"), max_steps=bound)
         outcomes = batch.run(max_steps=50)
         for bound, outcome in zip((3, 50, 0), outcomes):
-            solo = _solo(simulator, make_mask_scheduler("sequential"), max_steps=bound)
+            solo = _solo(kernel, make_mask_scheduler("sequential"), max_steps=bound)
             assert (outcome.signature, outcome.steps, outcome.converged) == (
                 solo.signature, solo.steps, solo.converged,
             )
@@ -184,24 +245,24 @@ class TestBatchLanes:
                 self.inner = make_mask_scheduler("greedy")
                 self.actors = set()
 
-            def bind(self, simulator):
-                self.inner.bind(simulator)
+            def bind(self, kernel):
+                self.inner.bind(kernel)
 
-            def select(self, simulator, sig, sinks):
-                actors = self.inner.select(simulator, sig, sinks)
+            def select(self, sinks):
+                actors = self.inner.select(sinks)
                 self.actors.update(actors or ())
                 return actors
 
-        simulator = _simulator("pr", grid_instance(3, 3))
+        kernel = _kernel("pr", grid_instance(3, 3))
         free, faulted = Recording(), Recording()
         batch = BatchSimulator()
-        batch.add_lane(simulator, free)
-        batch.add_lane(simulator, faulted, dead_ids={4}, max_steps=500)
+        batch.add_lane(kernel, free)
+        batch.add_lane(kernel, faulted, dead_ids={4}, max_steps=500)
         fault_free, crashed = batch.run()
         assert 4 in free.actors and 4 not in faulted.actors
         assert fault_free.converged
-        # the simulator's shared sink table is untouched by the faulted lane
-        solo = _solo(simulator, make_mask_scheduler("greedy"))
+        # the kernel's shared sink table is untouched by the faulted lane
+        solo = _solo(kernel, make_mask_scheduler("greedy"))
         assert (solo.signature, solo.steps) == (fault_free.signature, fault_free.steps)
         assert crashed.steps <= 500
 
@@ -229,11 +290,11 @@ class TestBatchLanes:
                 observer(step, None, None, None)
         assert str(legacy.value) == f"deadline exceeded at step {7 * expire_after}"
 
-        simulator = _simulator("fr", worst_case_chain_instance(14))
+        kernel = _kernel("fr", worst_case_chain_instance(14))
         monkeypatch.setattr(time, "perf_counter", Clock())
         batch = BatchSimulator()
-        batch.add_lane(simulator, make_mask_scheduler("sequential"))
-        batch.add_lane(simulator, make_mask_scheduler("sequential"), max_steps=3)
+        batch.add_lane(kernel, make_mask_scheduler("sequential"))
+        batch.add_lane(kernel, make_mask_scheduler("sequential"), max_steps=3)
         long_lane, short_lane = batch.run(deadline=5.0, deadline_stride=7)
         assert long_lane.timed_out
         assert long_lane.timeout_step == 7 * expire_after
@@ -244,21 +305,21 @@ class TestBatchLanes:
 
 class TestDeadlines:
     def test_expired_deadline_aborts_on_first_step(self):
-        simulator = _simulator("fr", worst_case_chain_instance(10))
+        kernel = _kernel("fr", worst_case_chain_instance(10))
         outcome = _solo(
-            simulator, make_mask_scheduler("sequential"),
+            kernel, make_mask_scheduler("sequential"),
             deadline=time.perf_counter() - 1.0,
         )
         assert outcome.timed_out and not outcome.converged
         assert (outcome.timeout_step, outcome.steps) == (0, 1)
 
     def test_clock_read_once_per_stride(self, monkeypatch):
-        simulator = _simulator("fr", worst_case_chain_instance(10))
+        kernel = _kernel("fr", worst_case_chain_instance(10))
         reads = []
         real = time.perf_counter
         monkeypatch.setattr(time, "perf_counter", lambda: reads.append(1) or real())
         outcome = _solo(
-            simulator,
+            kernel,
             make_mask_scheduler("sequential"),
             deadline=real() + 60.0,
             deadline_stride=7,
@@ -348,10 +409,10 @@ class TestGridSubsetActions:
         from repro.schedulers.random_scheduler import RandomScheduler
 
         instance = grid_instance(4, 4, oriented_towards_destination=False)
-        simulator = _simulator("pr", instance)
+        kernel = _kernel("pr", instance)
         work = WorkTally()
         outcome = _solo(
-            simulator, MaskRandomScheduler(seed=11, subset_probability=0.6), work=work
+            kernel, MaskRandomScheduler(seed=11, subset_probability=0.6), work=work
         )
         observer = WorkObserver()
         result = run(
@@ -360,7 +421,7 @@ class TestGridSubsetActions:
             observers=(observer,), record_states=False,
         )
         assert outcome.steps == result.steps_taken
-        assert simulator.kernel.orientation_mask(outcome.signature) == (
+        assert kernel.orientation_mask(outcome.signature) == (
             result.final_state.graph_signature()
         )
         assert work.node_steps == observer.node_steps

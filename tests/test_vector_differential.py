@@ -1,9 +1,10 @@
 """Kernel-level pins for the batch expanders and the batch-first visited set.
 
 The batch kernels in :mod:`repro.kernels.vector` promise *exact* equality
-with the scalar kernels in :mod:`repro.kernels.signature`: the same
-successors in the same order, the same canonical forms and the same
-structural verdicts, for signature rows of any width.  The checker loop
+with the object-level automata and the scalar kernels in
+:mod:`repro.kernels.signature`: the successors of ``enabled_actions`` in
+its order, the same canonical forms and the same structural verdicts, for
+signature rows of any width.  The checker loop
 built on them is pinned to the reference explorer in
 ``tests/test_model_check_differential.py``; this file pins the pieces,
 plus the :class:`VisitedSet` the loop rides on, the compiled loop's gate
@@ -15,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.bll import BinaryLinkLabels
 from repro.core.full_reversal import FullReversal
 from repro.core.new_pr import NewPartialReversal
 from repro.core.one_step_pr import OneStepPartialReversal
@@ -280,35 +282,68 @@ class TestBatchMasks:
 
 
 # ----------------------------------------------------------------------
-# PR's multi-action emission order on many-sink instances
+# emission order == the automaton's enabled_actions order
 # ----------------------------------------------------------------------
-class TestPartialReversalEmissionOrder:
+def _oracle_successors(automaton, expander, sig):
+    """``(actor-id token, successor)`` of every action the automaton enables
+    in ``sig``'s state, in its ``enabled_actions`` order."""
+    instance = automaton.instance
+    state = expander.state_for(sig)
+    return [
+        (
+            tuple(sorted(instance.node_index(u) for u in action.actors())),
+            expander.encode_state(automaton.apply(state, action)),
+        )
+        for action in automaton.enabled_actions(state)
+    ]
+
+
+def _assert_expand_follows_enabled_actions(automaton):
+    """Expand every reachable state at once; returns the oracle's pairs."""
+    scalar = compile_expander(automaton)
+    vector = compile_vector_expander(scalar)
+    reachable = _run(automaton, collect_signatures=True).signatures
+    sigs = sorted(reachable)
+    expansion = vector.expand(int_rows(sigs, vector.words))
+    per_state = [_oracle_successors(automaton, scalar, sig) for sig in sigs]
+    expected = [
+        (index, token, successor)
+        for index, pairs in enumerate(per_state)
+        for token, successor in pairs
+    ]
+    emitted = list(zip(
+        expansion.parents.tolist(),
+        [decode_token(token) for token in expansion.tokens.tolist()],
+        row_ints(expansion.successors),
+    ))
+    assert emitted == expected
+    assert expansion.quiescent.tolist() == [
+        index for index, pairs in enumerate(per_state) if not pairs
+    ]
+    return expected
+
+
+class TestEmissionOrder:
     @pytest.mark.parametrize(
         "instance",
         [tree_instance(n, seed=1) for n in (12, 13, 14)] + [star_instance(9)],
         ids=["tree-12", "tree-13", "tree-14", "star-9"],
     )
-    def test_expand_equals_scalar_successors(self, instance):
-        scalar = compile_expander(PartialReversal(instance))
-        vector = compile_vector_expander(scalar)
-        reachable = _run(PartialReversal(instance), collect_signatures=True).signatures
-        sigs = sorted(reachable)
-        expansion = vector.expand(int_rows(sigs, vector.words))
-        expected = [
-            (index, token, successor)
-            for index, sig in enumerate(sigs)
-            for token, successor in scalar.successors(sig)
-        ]
-        emitted = list(zip(
-            expansion.parents.tolist(),
-            [decode_token(token) for token in expansion.tokens.tolist()],
-            row_ints(expansion.successors),
-        ))
-        assert emitted == expected
+    def test_pr_subsets_follow_enabled_actions(self, instance):
+        expected = _assert_expand_follows_enabled_actions(PartialReversal(instance))
         assert max(len(token) for _, token, _ in expected) >= 5
-        assert expansion.quiescent.tolist() == [
-            index for index, sig in enumerate(sigs) if not scalar.successors(sig)
-        ]
+
+    @pytest.mark.parametrize(
+        "automaton_class",
+        [OneStepPartialReversal, NewPartialReversal, FullReversal, BinaryLinkLabels],
+    )
+    @pytest.mark.parametrize(
+        "instance",
+        [tree_instance(12, seed=1), star_instance(7), grid_instance(3, 3)],
+        ids=["tree-12", "star-7", "grid-3x3"],
+    )
+    def test_single_actions_follow_enabled_actions(self, automaton_class, instance):
+        _assert_expand_follows_enabled_actions(automaton_class(instance))
 
 
 # ----------------------------------------------------------------------
