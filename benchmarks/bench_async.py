@@ -43,7 +43,7 @@ FAMILIES = {
     "random-dag-60": lambda: random_dag_instance(60, edge_probability=0.2, seed=14),
 }
 
-#: The deterministic delay models: the ring-buffer fast paths campaigns use.
+#: The deterministic delay models: the delivery-deque fast path campaigns use.
 MODELS = ("zero", "fixed")
 
 

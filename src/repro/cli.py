@@ -821,7 +821,8 @@ def build_parser() -> argparse.ArgumentParser:
     check_parser.add_argument("--no-resume", action="store_true",
                               help="re-verify even if the run is already stored")
     check_parser.add_argument("--max-traced", type=int, default=10,
-                              help="counterexamples reconstructed into full traces")
+                              help="counterexamples reconstructed into full traces "
+                                   "(0 keeps no predecessor table)")
     check_parser.add_argument("--json", action="store_true",
                               help="print the verdict record as JSON")
     check_parser.set_defaults(handler=cmd_check)

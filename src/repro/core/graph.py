@@ -21,9 +21,10 @@ the edges changes.  This module provides:
     ``dir[u, v]`` state variables of the paper's automata.
 :class:`EdgeDirection`
     The two values ``IN`` / ``OUT`` of a ``dir`` variable.
-:func:`mask_is_acyclic`, :func:`mask_is_destination_oriented`, :func:`hop_distances`
+:func:`mask_is_acyclic`, :func:`mask_is_destination_oriented`, :func:`hop_distances`, :func:`link_splits`
     The structural searches over a reversal mask, one of each: a Kahn DAG
-    test and one breadth-first search from the destination.
+    test, one breadth-first search from the destination and one bridge
+    test of the alive links.
 
 Indexed representation
 ----------------------
@@ -608,8 +609,8 @@ def _derive_counters(
 # the instance's id tables: bit ``e`` of ``mask`` reverses edge ``e``, and
 # ``alive``, when given, keeps only the edges whose bit it sets (the links a
 # churned run has left).  :class:`Orientation`, the compiled engines'
-# final-state verdicts, churn's carry-over test and the distance-driven
-# schedulers all call these.
+# final-state verdicts, churn's carry-over and partition tests and the
+# distance-driven schedulers all call these.
 def mask_directed_edges(
     instance: LinkReversalInstance, mask: int
 ) -> Tuple[DirectedEdge, ...]:
@@ -756,6 +757,29 @@ def hop_distances(
             adjacency[j] = [k for k in adjacency[j] if k != i]
         distances = memo[key] = tuple(_distances_from_destination(instance, adjacency))
     return distances
+
+
+def link_splits(instance: LinkReversalInstance, alive: int, link: int) -> bool:
+    """Whether failing edge ``link`` separates its endpoints over the alive links.
+
+    That is, whether ``link`` is a bridge of the ``alive`` links: on
+    connected alive links, whether failing it would partition them.  The
+    link-failure churn of every engine asks this before it fails a link.
+    """
+    alive &= ~(1 << link)
+    source, target = instance._edge_node_ids[link]
+    eids, ids = instance._incident_eids, instance._incident_nbr_ids
+    seen = {source}
+    frontier = [source]
+    while frontier:
+        i = frontier.pop()
+        for e, j in zip(eids[i], ids[i]):
+            if j not in seen and (alive >> e) & 1:
+                if j == target:
+                    return False
+                seen.add(j)
+                frontier.append(j)
+    return True
 
 
 class Orientation:

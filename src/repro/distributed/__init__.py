@@ -15,14 +15,15 @@ substrate:
   discovers it is a local sink raises its height and broadcasts the new value
   to its neighbours;
 * :mod:`repro.distributed.network` — glue that wires node processes, channels
-  and the simulator together, injects link failures, and extracts the global
-  orientation for verification (acyclicity, destination orientation —
-  experiment E17);
+  and the simulator together, injects link failures (a failed link never
+  comes back), and extracts the global orientation for verification
+  (acyclicity, destination orientation — experiment E17);
 * :mod:`repro.distributed.fast_network` — the compiled twin of the network:
-  packed int heights, a flat tuple event heap with ring-buffer FIFO
-  channels, and an inlined delivery loop, differentially pinned to the
-  object network (the documented oracle) and ~10x faster on quiescence
-  workloads.  This is what campaign-scale async sweeps run on.
+  packed int heights, a flat tuple event heap (plus one delivery deque
+  under constant delays), an alive mask over the instance's links, and an
+  inlined delivery loop, differentially pinned to the object network (the
+  documented oracle) and ~10x faster on quiescence workloads.  This is
+  what campaign-scale async sweeps run on.
 
 Edge directions in the asynchronous protocol are *derived* from node heights
 (exactly as in the original Gafni–Bertsekas formulation and in TORA), so the

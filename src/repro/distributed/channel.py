@@ -6,10 +6,10 @@ from ``[min_delay, max_delay]`` and drops each message independently with
 ``loss_probability``.  Channels keep per-link statistics so the benchmarks can
 report message complexity alongside convergence time.
 
-Channels can be taken *down* (link failure) and brought back *up*; messages
-sent while a channel is down are counted as dropped, and messages already in
-flight when the channel goes down are lost as well — the usual fail-prone
-link model of the MANET literature.
+A channel can be taken *down* (link failure) for good; messages sent while
+it is down are lost to the failure, and so are the messages already in
+flight when it goes down — the usual fail-prone link model of the MANET
+literature.
 """
 
 from __future__ import annotations
@@ -130,10 +130,6 @@ class Channel:
                 event.cancel()
                 self.stats.lost_to_failure += 1
         self._in_flight.clear()
-
-    def repair(self) -> None:
-        """Bring the link back up."""
-        self.up = True
 
     def __repr__(self) -> str:  # pragma: no cover - repr convenience
         state = "up" if self.up else "down"

@@ -15,16 +15,22 @@ here:
   in a :mod:`heapq`; ties break on the globally allocated ``seq`` exactly
   like the object simulator's sequence numbers, so the two engines dispatch
   in the same order.
-* **Ring-buffer FIFO channels** — for the FIFO delay models (``zero``,
-  ``fixed``, ``fifo``) each directed link keeps its in-flight messages in a
-  ring buffer (:class:`collections.deque`) and only the head message lives
-  in the heap; a delivery pops the ring and re-arms the next head.  The heap
-  stays O(links) instead of O(messages in flight).  Non-FIFO models
-  (``uniform``) fall back to one heap entry per message.
+* **Two delivery queues** — under a constant delay (``zero``, ``fixed``)
+  delivery times grow with the send order, so every message goes to one
+  global :class:`collections.deque` and the heap holds only start and
+  beacon events.  Random delays (``uniform``, and ``fifo``, whose clamp
+  keeps each link's delivery times non-decreasing) push one heap entry per
+  message.  Both queues dispatch in ``(time, seq)`` order.
 * **Epoch-invalidated links** — a link failure bumps the link's epoch
   instead of hunting down and cancelling in-flight events; stale events are
   skipped when popped, which is both faster and immune to the unbounded
   cancelled-event growth the object simulator needed compaction for.
+* **An alive mask over the instance's edges** — links only fail, so the
+  live links are bit ``e`` of one int per instance edge ``e`` (the kernel
+  engine's :class:`~repro.experiments.churn.Links` layout), and directed
+  links ``2e`` and ``2e + 1`` are the edge's two directions.  The
+  partition test is :func:`~repro.core.graph.link_splits`, the synchronous
+  engines' search.
 * **Blake2-derived per-link seeds** — the same
   :func:`~repro.distributed.network.derive_channel_seed` scheme as the
   object network (hashed from one shared prefix state), so both engines
@@ -35,7 +41,7 @@ here:
   scheduling per-message callbacks.
 
 The object network remains the **documented oracle**: for every delay model,
-loss rate, seed and link-churn sequence, a run of this engine must produce a
+loss rate, seed and link-failure sequence, a run of this engine must produce a
 field-for-field identical :class:`~repro.distributed.network.NetworkReport`
 and the same induced global orientation
 (``tests/test_fast_network_differential.py`` pins this).
@@ -52,16 +58,21 @@ from __future__ import annotations
 import heapq
 import logging
 from collections import deque
+from functools import cached_property
 from random import Random
 from time import perf_counter
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro import telemetry as _telemetry
-from repro.core.graph import LinkReversalInstance, Orientation, reaching_destination
+from repro.core.graph import (
+    LinkReversalInstance,
+    Orientation,
+    link_splits,
+    reaching_destination,
+)
 from repro.distributed.network import (
     NetworkReport,
     channel_seed_deriver,
-    derive_link_up_seed,
     initial_height_levels,
 )
 from repro.distributed.protocol import HeightValue, ReversalMode
@@ -140,74 +151,57 @@ class FastAsyncNetwork:
         self.seed = seed
         self._full = mode is ReversalMode.FULL
         #: constant delays make delivery times globally monotone: the whole
-        #: network shares one FIFO ring buffer and the heap only ever holds
+        #: network shares one delivery deque and the heap only ever holds
         #: start/beacon events
         self._const_mode = max_delay <= min_delay
-        #: random-but-FIFO delays (the ``fifo`` clamp) keep per-link ring
-        #: buffers with one heap entry per link; random reordering delays
-        #: (``uniform``) need one heap entry per message
-        self._ring_mode = fifo and not self._const_mode
 
         nodes = instance.nodes
         n = instance.node_count
         self._nodes = nodes
-        self._node_id = dict(instance._node_id)
-        self._dest = self._node_id[instance.destination]
+        self._dest = instance._dest_id
         #: crash-stop flags: a crashed node keeps its last height and still
         #: receives messages, but never reverses and never beacons again
         self._crashed = bytearray(n)
-        self._repr_key: List[str] = [repr(u) for u in nodes]
 
         levels = initial_height_levels(instance)
-        self._height = [pack_height(0, levels[u], self._node_id[u]) for u in nodes]
-        self._nbrs: List[Set[int]] = [
-            {self._node_id[v] for v in instance.nbrs(u)} for u in nodes
-        ]
-        # broadcast order mirrors the object protocol: neighbours sorted by repr
-        self._sorted_nbrs: List[List[int]] = [
-            sorted(ids, key=self._repr_key.__getitem__) for ids in self._nbrs
-        ]
-        #: per node: outgoing link ids aligned with ``_sorted_nbrs`` (rebuilt
-        #: on link churn) so a broadcast never touches the link-index dict
-        self._bcast_links: List[List[int]] = [[] for _ in range(n)]
+        self._height = [pack_height(0, levels[u], i) for i, u in enumerate(nodes)]
+        self._nbrs: List[Set[int]] = [set(row) for row in instance._incident_nbr_ids]
         self._known: List[Dict[int, int]] = [
-            {j: self._height[j] for j in ids} for ids in self._nbrs
+            {j: self._height[j] for j in row} for row in instance._incident_nbr_ids
         ]
-        # incremental local-sink state: a node is a local sink iff it has
-        # neighbours, knows all their heights (unknown == 0) and none of the
-        # known heights is <= its own (blocking == 0).  Maintaining the two
-        # counters makes the per-message sink test O(1) instead of O(deg).
-        self._unknown: List[int] = [0] * n
+        # incremental local-sink state: a node knows every neighbour's height,
+        # so it is a local sink iff it has neighbours and none of the known
+        # heights is <= its own (blocking == 0).  Maintaining the counter
+        # makes the per-message sink test O(1) instead of O(deg).
         self._blocking: List[int] = [
             sum(1 for value in self._known[i].values() if value <= self._height[i])
             for i in range(n)
         ]
 
-        # directed links, in the object network's construction order: both
-        # directions of every undirected link, by sorted (lo, hi) id pair
-        node_id = self._node_id
-        self._links: Set[Tuple[int, int]] = set()
-        for u, v in instance.initial_edges:
-            iu, iv = node_id[u], node_id[v]
-            self._links.add((iu, iv) if iu < iv else (iv, iu))
-        undirected = sorted(self._links)
+        # directed links 2e and 2e + 1: instance edge e from its initial tail
+        # to its head and back
+        edges = instance._edge_node_ids
         self._link_from: List[int] = []
         self._link_to: List[int] = []
-        for lo, hi in undirected:
-            self._link_from += (lo, hi)
-            self._link_to += (hi, lo)
-        self._link_index: Dict[Tuple[int, int], int] = {
-            pair: lid for lid, pair in enumerate(zip(self._link_from, self._link_to))
-        }
+        for tail, head in edges:
+            self._link_from += (tail, head)
+            self._link_to += (head, tail)
+        #: bit e set: instance edge e is a live link
+        self._alive = (1 << len(edges)) - 1
+        #: per node: its outgoing link ids in broadcast order, which mirrors
+        #: the object protocol's (neighbours sorted by repr)
+        self._bcast_links: List[List[int]] = [[] for _ in range(n)]
+        repr_key = [repr(u) for u in nodes]
+        for j in sorted(range(n), key=repr_key.__getitem__):
+            for e, i in zip(instance._incident_eids[j], instance._incident_nbr_ids[j]):
+                self._bcast_links[i].append(2 * e + (edges[e][0] == j))
         count = len(self._link_from)
-        self._link_up: List[bool] = [True] * count
         self._link_epoch: List[int] = [0] * count
-        #: whether a channel ever draws a random number; constant-delay,
-        #: lossless channels never do, so they get no per-link stream at all
-        self._channel_draws = loss_probability > 0.0 or not self._const_mode
         self._rng_random: List = [None] * count
         self._rng_uniform: List = [None] * count
-        if self._channel_draws:
+        # constant-delay, lossless channels never draw a random number, so
+        # they get no per-link stream at all
+        if loss_probability > 0.0 or not self._const_mode:
             derive = channel_seed_deriver(seed)
             for lid in range(count):
                 rng = Random(derive(self._link_from[lid], self._link_to[lid]))
@@ -218,28 +212,20 @@ class FastAsyncNetwork:
         self._dropped: List[int] = [0] * count
         self._lost_failure: List[int] = [0] * count
         self._in_flight: List[int] = [0] * count
-        #: per-link in-flight rings, used (and allocated) in ring mode only
-        self._ring: List[Optional[deque]] = (
-            [deque() for _ in range(count)] if self._ring_mode else [None] * count
-        )
-        self._head_pending: List[bool] = [False] * count
         self._last_sched: List[float] = [0.0] * count
-        self._link_generation: Dict[Tuple[int, int], int] = {}
-        for i in range(n):
-            self._rebuild_bcast_links(i)
 
         # every node announces its initial height at time zero; the start
         # events take sequence numbers 0..n-1 exactly like the object network
         self._heap: List[tuple] = [(0.0, i, _START, i) for i in range(n)]
         heapq.heapify(self._heap)
-        #: the global delivery ring buffer of const-delay mode:
+        #: the delivery queue of const-delay mode:
         #: ``(time, seq, lid, height, epoch)`` entries in (time, seq) order
         self._dq: deque = deque()
         #: the next event sequence number, boxed so the compiled broadcast
         #: closure shares it
         self._seq_box = [n]
         self._now = 0.0
-        #: queued events invalidated by link failures (heap or ring buffer)
+        #: queued events invalidated by link failures (heap or deque)
         self._stale_events = 0
         self.events_dispatched = 0
         self.beacon_rounds = 0
@@ -249,85 +235,6 @@ class FastAsyncNetwork:
         self.reversal_counts: List[int] = [0] * n
         self.edge_flips = 0
         self.dummy_reversals = 0
-
-    # ------------------------------------------------------------------
-    # link plumbing
-    # ------------------------------------------------------------------
-    def _new_link(self, sender: int, receiver: int, generation: int) -> int:
-        """Register a directed link created by ``add_link`` and return its id."""
-        lid = len(self._link_from)
-        self._link_index[(sender, receiver)] = lid
-        self._link_from.append(sender)
-        self._link_to.append(receiver)
-        self._link_up.append(True)
-        self._link_epoch.append(0)
-        self._rng_random.append(None)
-        self._rng_uniform.append(None)
-        self._reseed_link(lid, generation)
-        self._sent.append(0)
-        self._delivered.append(0)
-        self._dropped.append(0)
-        self._lost_failure.append(0)
-        self._in_flight.append(0)
-        self._ring.append(deque() if self._ring_mode else None)
-        self._head_pending.append(False)
-        self._last_sched.append(0.0)
-        return lid
-
-    def _reseed_link(self, lid: int, generation: int) -> None:
-        """Give a (re-)added link its generation-stamped channel stream."""
-        if self._channel_draws:
-            rng = Random(
-                derive_link_up_seed(
-                    self.seed, self._link_from[lid], self._link_to[lid], generation
-                )
-            )
-            self._rng_random[lid] = rng.random
-            self._rng_uniform[lid] = rng.uniform
-
-    def _rebuild_bcast_links(self, i: int) -> None:
-        """Re-align node ``i``'s broadcast link ids with its sorted neighbours."""
-        index = self._link_index
-        self._bcast_links[i] = [index[(i, j)] for j in self._sorted_nbrs[i]]
-
-    def _send_height(self, i: int, j: int, height: int) -> None:
-        """Send ``i``'s height to ``j`` (single-message cold path)."""
-        lid = self._link_index.get((i, j))
-        if lid is None or not self._link_up[lid]:
-            return  # the link no longer exists (object twin: channel removed)
-        self._sent[lid] += 1
-        loss = self.loss_probability
-        if loss > 0.0 and self._rng_random[lid]() < loss:
-            self._dropped[lid] += 1
-            return
-        min_delay = self.min_delay
-        if self.max_delay > min_delay:
-            delay = self._rng_uniform[lid](min_delay, self.max_delay)
-        else:
-            delay = min_delay
-        t = self._now + delay
-        if self.fifo:
-            last = self._last_sched[lid]
-            if t < last:
-                t = last
-            self._last_sched[lid] = t
-        seq = self._seq_box[0]
-        self._seq_box[0] = seq + 1
-        self._in_flight[lid] += 1
-        if self._const_mode:
-            self._dq.append((t, seq, lid, height, self._link_epoch[lid]))
-        elif self._ring_mode:
-            ring = self._ring[lid]
-            ring.append((t, seq, height))
-            if not self._head_pending[lid]:
-                self._head_pending[lid] = True
-                heapq.heappush(
-                    self._heap, (t, seq, _DELIVER, lid, self._link_epoch[lid])
-                )
-        else:
-            heapq.heappush(
-                self._heap, (t, seq, _DELIVER, lid, self._link_epoch[lid], height)
-            )
 
     # ------------------------------------------------------------------
     # the protocol (inlined, int-only)
@@ -351,8 +258,6 @@ class FastAsyncNetwork:
         link_epoch = self._link_epoch
         rng_random = self._rng_random
         rng_uniform = self._rng_uniform
-        rings = self._ring
-        head_pending = self._head_pending
         last_sched = self._last_sched
         loss = self.loss_probability
         lossless = loss <= 0.0
@@ -361,7 +266,6 @@ class FastAsyncNetwork:
         draw_delay = max_delay > min_delay
         fifo = self.fifo
         const_mode = self._const_mode
-        ring_mode = self._ring_mode
         dq = self._dq
         dq_append = dq.append
         seq_box = self._seq_box
@@ -377,7 +281,7 @@ class FastAsyncNetwork:
             seq = seq_box[0]
             if const_mode and lossless:
                 # the tightest send path: one constant delivery time, the
-                # global ring buffer, no random draws
+                # delivery deque, no random draws
                 t = now + min_delay
                 for lid in lids:
                     sent[lid] += 1
@@ -402,12 +306,6 @@ class FastAsyncNetwork:
                 in_flight[lid] += 1
                 if const_mode:
                     dq_append((t, seq, lid, height, link_epoch[lid]))
-                elif ring_mode:
-                    ring = rings[lid]
-                    ring.append((t, seq, height))
-                    if not head_pending[lid]:
-                        head_pending[lid] = True
-                        heappush(heap, (t, seq, _DELIVER, lid, link_epoch[lid]))
                 else:
                     heappush(heap, (t, seq, _DELIVER, lid, link_epoch[lid], height))
                 seq += 1
@@ -421,7 +319,6 @@ class FastAsyncNetwork:
             i != self._dest
             and not self._crashed[i]
             and self._nbrs[i]
-            and self._unknown[i] == 0
             and self._blocking[i] == 0
         ):
             self._reverse(i)
@@ -474,27 +371,12 @@ class FastAsyncNetwork:
         self.reversal_counts[i] += 1
         self._broadcast(i)
 
-    def _on_link_down(self, i: int, j: int) -> None:
-        if j in self._nbrs[i]:
-            self._nbrs[i].discard(j)
-            self._sorted_nbrs[i].remove(j)
-            removed = self._known[i].pop(j, None)
-            if removed is None:
-                self._unknown[i] -= 1
-            elif removed <= self._height[i]:
-                self._blocking[i] -= 1
-            self._rebuild_bcast_links(i)
-        self._maybe_reverse(i)
-
-    def _on_link_up(self, i: int, j: int) -> None:
-        if j not in self._nbrs[i]:
-            self._nbrs[i].add(j)
-            self._unknown[i] += 1
-            order = self._sorted_nbrs[i]
-            order.append(j)
-            order.sort(key=self._repr_key.__getitem__)
-            self._rebuild_bcast_links(i)
-        self._send_height(i, j, self._height[i])
+    def _on_link_down(self, i: int, j: int, lid: int) -> None:
+        """Node ``i`` loses neighbour ``j``, whom it reached over link ``lid``."""
+        self._nbrs[i].discard(j)
+        self._bcast_links[i].remove(lid)
+        if self._known[i].pop(j) <= self._height[i]:
+            self._blocking[i] -= 1
         self._maybe_reverse(i)
 
     # ------------------------------------------------------------------
@@ -509,22 +391,16 @@ class FastAsyncNetwork:
         """Dispatch events in ``(time, seq)`` order; returns the dispatch count."""
         heap = self._heap
         heappop = heapq.heappop
-        heappush = heapq.heappush
         link_epoch = self._link_epoch
         delivered = self._delivered
         in_flight = self._in_flight
         link_to = self._link_to
         link_from = self._link_from
         known_by_node = self._known
-        nbrs_by_node = self._nbrs
         heights = self._height
-        unknown = self._unknown
         blocking = self._blocking
         dest = self._dest
         crashed = self._crashed
-        ring_mode = self._ring_mode
-        rings = self._ring
-        head_pending = self._head_pending
         maybe_reverse = self._maybe_reverse
         reverse = self._reverse
         broadcast = self._broadcast
@@ -540,9 +416,9 @@ class FastAsyncNetwork:
                 if max_events is not None and dispatched >= max_events:
                     budget_exhausted = True
                     break
-                # next event: min over the heap and the global delivery ring
-                # buffer (both ordered by (time, seq); the ring buffer is
-                # non-empty only in const-delay mode)
+                # next event: min over the heap and the delivery deque
+                # (both ordered by (time, seq); the deque is non-empty only
+                # in const-delay mode)
                 from_dq = False
                 if heap:
                     head = heap[0]
@@ -595,56 +471,31 @@ class FastAsyncNetwork:
                     if head[4] != link_epoch[lid]:
                         self._stale_events -= 1
                         continue  # invalidated by a link failure
-                    if ring_mode:
-                        ring = rings[lid]
-                        height = ring.popleft()[2]
-                        if ring:
-                            nxt = ring[0]
-                            heappush(
-                                heap, (nxt[0], nxt[1], _DELIVER, lid, link_epoch[lid])
-                            )
-                        else:
-                            head_pending[lid] = False
-                    else:
-                        height = head[5]
+                    height = head[5]
                 # ---- the delivery hot path ----
                 self._now = t
                 delivered[lid] += 1
                 in_flight[lid] -= 1
+                # an undelivered message of a failed link is stale, so the
+                # sender is a current neighbour whose height is known
                 receiver = link_to[lid]
                 sender = link_from[lid]
-                if sender in nbrs_by_node[receiver]:
-                    known = known_by_node[receiver]
-                    old = known.get(sender)
+                known = known_by_node[receiver]
+                old = known[sender]
+                if height > old:
+                    known[sender] = height
                     # O(1) incremental sink test: track how many known
                     # heights block the receiver instead of rescanning
-                    if old is None:
-                        known[sender] = height
-                        unknown[receiver] -= 1
-                        if height <= heights[receiver]:
-                            blocking[receiver] += 1
-                        elif (
-                            unknown[receiver] == 0
-                            and blocking[receiver] == 0
-                            and receiver != dest
-                            and not crashed[receiver]
-                        ):
-                            reverse(receiver)
-                    elif height > old:
-                        known[sender] = height
-                        own = heights[receiver]
-                        if old <= own < height:
-                            blocking[receiver] -= 1
-                        if (
-                            blocking[receiver] == 0
-                            and unknown[receiver] == 0
-                            and receiver != dest
-                            and not crashed[receiver]
-                        ):
-                            reverse(receiver)
-                    # a not-newer height changes no state, so the sink
-                    # predicate is unchanged since the last check
-                # else: stale message from a link that has since failed
+                    if old <= heights[receiver] < height:
+                        blocking[receiver] -= 1
+                    if (
+                        blocking[receiver] == 0
+                        and receiver != dest
+                        and not crashed[receiver]
+                    ):
+                        reverse(receiver)
+                # a not-newer height changes no state, so the sink predicate
+                # is unchanged since the last check
                 dispatched += 1
                 if deadline is not None:
                     deadline_countdown -= 1
@@ -675,10 +526,7 @@ class FastAsyncNetwork:
         """Record peak queue gauges (phase boundaries only, never per event)."""
         registry = _telemetry.REGISTRY
         registry.max_gauge("fast_network.heap_depth", len(self._heap))
-        occupancy = len(self._dq)
-        if self._ring_mode:
-            occupancy += sum(len(ring) for ring in self._ring)
-        registry.max_gauge("fast_network.ring_occupancy", occupancy)
+        registry.max_gauge("fast_network.deque_depth", len(self._dq))
 
     def run_to_quiescence(
         self, max_events: int = 1_000_000, deadline: Optional[float] = None
@@ -765,103 +613,65 @@ class FastAsyncNetwork:
                 raise ValueError(f"node id {i} out of range")
             self._crashed[i] = 1
 
-    def _ids_of(self, u: Node, v: Node) -> Tuple[int, int]:
-        iu = self._node_id.get(u)
-        iv = self._node_id.get(v)
-        if iu is None or iv is None:
+    def _live_edge(self, u: Node, v: Node) -> int:
+        """The instance edge id of the current link ``{u, v}``."""
+        e = self.instance._edge_id.get((u, v))
+        if e is None or not (self._alive >> e) & 1:
             raise ValueError(f"{u!r}-{v!r} is not a current link")
-        return iu, iv
+        return e
 
     def fail_link(self, u: Node, v: Node) -> None:
         """Remove the link ``{u, v}``: in-flight messages lost, endpoints notified."""
-        iu, iv = self._ids_of(u, v)
-        edge = (iu, iv) if iu < iv else (iv, iu)
-        if edge not in self._links:
-            raise ValueError(f"{u!r}-{v!r} is not a current link")
-        self._links.discard(edge)
-        for s, r in ((iu, iv), (iv, iu)):
-            lid = self._link_index[(s, r)]
-            if not self._link_up[lid]:
-                continue
-            self._link_up[lid] = False
+        e = self._live_edge(u, v)
+        self._alive &= ~(1 << e)
+        for lid in (2 * e, 2 * e + 1):
+            # one queued event per in-flight message (heap or deque)
             self._lost_failure[lid] += self._in_flight[lid]
-            if self._ring_mode:
-                # only the ring head has a heap entry
-                if self._head_pending[lid]:
-                    self._stale_events += 1
-                self._ring[lid].clear()
-                self._head_pending[lid] = False
-            else:
-                # const mode: one ring-buffer entry per message; uniform
-                # mode: one heap entry per message
-                self._stale_events += self._in_flight[lid]
+            self._stale_events += self._in_flight[lid]
             self._in_flight[lid] = 0
             self._link_epoch[lid] += 1
             if _telemetry.ENABLED:
                 _telemetry.REGISTRY.inc("fast_network.epoch_invalidations")
         logger.debug("failed link (%r, %r)", u, v)
-        self._on_link_down(iu, iv)
-        self._on_link_down(iv, iu)
+        iu, iv = self.instance._node_id[u], self.instance._node_id[v]
+        out = 2 * e if self._link_from[2 * e] == iu else 2 * e + 1
+        self._on_link_down(iu, iv, out)
+        self._on_link_down(iv, iu, out ^ 1)
 
-    def add_link(self, u: Node, v: Node) -> None:
-        """Add (or re-add) the link ``{u, v}`` with fresh channel streams."""
-        iu = self._node_id.get(u)
-        iv = self._node_id.get(v)
-        if iu is None or iv is None:
-            raise ValueError(f"cannot add a link to unknown node {u!r} or {v!r}")
-        edge = (iu, iv) if iu < iv else (iv, iu)
-        if edge in self._links:
-            return
-        self._links.add(edge)
-        generation = self._link_generation.get(edge, 0) + 1
-        self._link_generation[edge] = generation
-        for s, r in ((iu, iv), (iv, iu)):
-            lid = self._link_index.get((s, r))
-            if lid is None:
-                self._new_link(s, r, generation)
-            else:
-                self._link_up[lid] = True
-                self._reseed_link(lid, generation)
-                self._last_sched[lid] = 0.0
-        self._on_link_up(iu, iv)
-        self._on_link_up(iv, iu)
+    @cached_property
+    def _pair_order(self) -> List[Tuple[int, int, int]]:
+        """``(lo, hi, e)`` per instance edge ``e`` in ``(lo, hi)`` node-id order."""
+        return sorted(
+            (min(a, b), max(a, b), e) for e, (a, b) in enumerate(self.instance._edge_node_ids)
+        )
+
+    def _live_pairs(self) -> Iterator[Tuple[int, int]]:
+        """The current links as ``(lo, hi)`` node-id pairs, in that order."""
+        alive = self._alive
+        for lo, hi, e in self._pair_order:
+            if (alive >> e) & 1:
+                yield lo, hi
 
     def current_links(self) -> FrozenSet[FrozenSet[Node]]:
         """The current undirected link set (node objects, API parity)."""
         nodes = self._nodes
-        return frozenset(frozenset((nodes[a], nodes[b])) for a, b in self._links)
+        return frozenset(frozenset((nodes[a], nodes[b])) for a, b in self._live_pairs())
 
     def sorted_link_pairs(self) -> List[Tuple[Node, Node]]:
         """The current links as node pairs, in deterministic (id) order."""
         nodes = self._nodes
-        return [(nodes[a], nodes[b]) for a, b in sorted(self._links)]
+        return [(nodes[a], nodes[b]) for a, b in self._live_pairs()]
 
     def link_would_partition(self, u: Node, v: Node) -> bool:
-        """Whether failing ``{u, v}`` would disconnect the current link graph."""
-        iu, iv = self._ids_of(u, v)
-        dropped = (iu, iv) if iu < iv else (iv, iu)
-        n = len(self._nodes)
-        adjacency: List[List[int]] = [[] for _ in range(n)]
-        involved: Set[int] = set()
-        for a, b in self._links:
-            involved.add(a)
-            involved.add(b)
-            if (a, b) == dropped:
-                continue
-            adjacency[a].append(b)
-            adjacency[b].append(a)
-        if not involved:
-            return False
-        start = next(iter(involved))
-        reached = {start}
-        frontier = [start]
-        while frontier:
-            a = frontier.pop()
-            for b in adjacency[a]:
-                if b not in reached:
-                    reached.add(b)
-                    frontier.append(b)
-        return reached != involved
+        """Whether failing the current link ``{u, v}`` would partition the links.
+
+        The answer is :func:`~repro.core.graph.link_splits`: whether the link
+        is a bridge of the current links.  The links start as the instance's
+        and churn skips a failure that would partition them
+        (:func:`~repro.experiments.churn.fail_seeded_links`), so on a
+        connected instance they stay connected and the two questions agree.
+        """
+        return link_splits(self.instance, self._alive, self._live_edge(u, v))
 
     # ------------------------------------------------------------------
     # data-plane forwarding views
@@ -888,7 +698,7 @@ class FastAsyncNetwork:
 
     def sorted_link_id_pairs(self) -> List[Tuple[int, int]]:
         """The current links as sorted ``(lo, hi)`` node-id pairs."""
-        return sorted(self._links)
+        return list(self._live_pairs())
 
     # ------------------------------------------------------------------
     # global views (for verification)
@@ -906,7 +716,7 @@ class FastAsyncNetwork:
         heights = self._height
         nodes = self._nodes
         edges: List[Tuple[Node, Node]] = []
-        for lo, hi in sorted(self._links):
+        for lo, hi in self._live_pairs():
             if heights[lo] > heights[hi]:
                 edges.append((nodes[lo], nodes[hi]))
             else:
@@ -915,11 +725,7 @@ class FastAsyncNetwork:
 
     def global_orientation(self) -> Optional[Orientation]:
         """The global orientation, if the link set still matches the instance."""
-        initial = {
-            tuple(sorted(self._node_id[x] for x in edge))
-            for edge in self.instance.undirected_edges
-        }
-        if self._links != initial:
+        if self._alive != (1 << self.instance.edge_count) - 1:
             return None
         return Orientation.from_directed_edges(self.instance, self.global_directed_edges())
 
@@ -931,11 +737,13 @@ class FastAsyncNetwork:
         """Whether every node reaches the destination along the induced edges."""
         heights = self._height
         predecessors: List[List[int]] = [[] for _ in self._nodes]
-        for lo, hi in self._links:
-            if heights[lo] > heights[hi]:
-                predecessors[hi].append(lo)
-            else:
-                predecessors[lo].append(hi)
+        alive = self._alive
+        for e, (a, b) in enumerate(self.instance._edge_node_ids):
+            if (alive >> e) & 1:
+                if heights[a] > heights[b]:
+                    predecessors[b].append(a)
+                else:
+                    predecessors[a].append(b)
         return all(reaching_destination(self.instance, predecessors))
 
     # ------------------------------------------------------------------

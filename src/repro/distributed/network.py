@@ -8,8 +8,9 @@ pair of delay/loss channels per undirected link, wires everything to a
 operations the experiments need:
 
 * ``run_to_quiescence()`` — dispatch events until no messages are in flight;
-* ``fail_link(u, v)`` / ``add_link(u, v)`` — inject topology changes (the
-  nodes are notified immediately, as if the link layer detected the change);
+* ``fail_link(u, v)`` — inject a link failure (the endpoints are notified
+  immediately, as if the link layer detected it); links never come back,
+  so the link set only shrinks from the instance's;
 * ``global_orientation()`` — the orientation induced by the *true* heights
   (the quantity whose acyclicity and destination orientation experiment E17
   checks);
@@ -100,19 +101,6 @@ def channel_seed_deriver(seed: int) -> Callable[[int, int], int]:
     return derive
 
 
-def derive_link_up_seed(
-    seed: int, sender_rank: int, receiver_rank: int, generation: int
-) -> int:
-    """Seed of a channel created by ``add_link`` (generation-stamped).
-
-    Re-adding the same link gets a fresh stream each time, still derived from
-    the network's base seed.
-    """
-    from repro.experiments.spec import derive_seed
-
-    return derive_seed(seed, "link-up", sender_rank, receiver_rank, generation)
-
-
 @dataclass
 class NetworkReport:
     """Aggregate statistics of an asynchronous run."""
@@ -160,7 +148,6 @@ class AsyncLinkReversalNetwork:
         self._rank = {u: i for i, u in enumerate(instance.nodes)}
         self._channels: Dict[Tuple[Node, Node], Channel] = {}
         self._links: set[FrozenSet[Node]] = set(instance.undirected_edges)
-        self._link_generation: Dict[FrozenSet[Node], int] = {}
         # statistics of channels removed by fail_link, so report() stays cumulative
         self._retired_sent = 0
         self._retired_delivered = 0
@@ -296,36 +283,6 @@ class AsyncLinkReversalNetwork:
         self.processes[u].on_link_down(v)
         self.processes[v].on_link_down(u)
 
-    def add_link(self, u: Node, v: Node) -> None:
-        """Add a new link ``{u, v}`` with fresh channels; endpoints are notified.
-
-        Channel seeds are derived from the network's base seed and a
-        per-link *generation* counter, so re-adding a link after a failure
-        gets a fresh, reproducible random stream.
-        """
-        edge = frozenset((u, v))
-        if edge in self._links:
-            return
-        self._links.add(edge)
-        generation = self._link_generation.get(edge, 0) + 1
-        self._link_generation[edge] = generation
-        for sender, receiver in ((u, v), (v, u)):
-            self._channels[(sender, receiver)] = Channel(
-                simulator=self.simulator,
-                sender=sender,
-                receiver=receiver,
-                deliver=self._make_deliverer(receiver),
-                min_delay=self.min_delay,
-                max_delay=self.max_delay,
-                loss_probability=self.loss_probability,
-                seed=derive_link_up_seed(
-                    self.seed, self._rank[sender], self._rank[receiver], generation
-                ),
-                fifo=self.fifo,
-            )
-        self.processes[u].on_link_up(v)
-        self.processes[v].on_link_up(u)
-
     def current_links(self) -> FrozenSet[FrozenSet[Node]]:
         """The current undirected link set."""
         return frozenset(self._links)
@@ -352,7 +309,7 @@ class AsyncLinkReversalNetwork:
     def global_orientation(self) -> Optional[Orientation]:
         """The global orientation as an :class:`Orientation`, if the link set is unchanged.
 
-        When links have been failed or added the orientation no longer matches
+        When links have failed the orientation no longer matches
         the original instance's edge set, so ``None`` is returned and callers
         should use :meth:`global_directed_edges` / :meth:`is_destination_oriented`
         instead.

@@ -138,13 +138,6 @@ class LinkReversalNodeProcess:
         self.neighbour_heights.pop(neighbour, None)
         self.maybe_reverse()
 
-    def on_link_up(self, neighbour: Node) -> None:
-        """A link (re)appeared: add the neighbour and advertise our height to it."""
-        self.neighbours.add(neighbour)
-        self.messages_sent += 1
-        self._send(neighbour, Message(self.node, neighbour, HEIGHT_MESSAGE, self.height))
-        self.maybe_reverse()
-
     # ------------------------------------------------------------------
     # the reversal rule
     # ------------------------------------------------------------------

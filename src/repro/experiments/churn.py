@@ -38,7 +38,7 @@ import random
 from functools import partial
 from typing import Callable, Dict, Hashable, List, Optional, Tuple, Union
 
-from repro.core.graph import LinkReversalInstance, mask_is_acyclic
+from repro.core.graph import LinkReversalInstance, link_splits, mask_is_acyclic
 from repro.experiments.spec import derive_seed
 
 Node = Hashable
@@ -188,8 +188,8 @@ class LinkDraw:
     """
 
     __slots__ = (
-        "forward", "backward", "link_of", "connected", "_initial", "_full", "_whole",
-        "_eids", "_ids", "_ends",
+        "forward", "backward", "link_of", "connected", "_topology", "_initial", "_full",
+        "_whole",
     )
 
     def __init__(self, instance: LinkReversalInstance):
@@ -208,9 +208,7 @@ class LinkDraw:
         self._full = (1 << instance.edge_count) - 1
         # per link: whether failing it partitions the whole topology
         self._whole: List[Optional[bool]] = [None] * instance.edge_count
-        self._eids = instance._incident_eids
-        self._ids = instance._incident_nbr_ids
-        self._ends = instance._edge_node_ids
+        self._topology = instance
 
     def draw(self, alive: int, base: int, rng: random.Random) -> int:
         """The id of the link drawn from ``alive``, ordered by ``base``'s pairs."""
@@ -226,33 +224,17 @@ class LinkDraw:
 
     def splits(self, alive: int, link: int) -> bool:
         """Whether failing ``link`` would partition the ``alive`` links."""
-        if alive != self._full:
-            return self._splits(alive, link)
-        split = self._whole[link]
-        if split is None:
-            split = self._whole[link] = self._splits(alive, link)
-        return split
-
-    def _splits(self, alive: int, link: int) -> bool:
         # the alive links are connected iff the topology is (a failure that
         # would partition them is skipped), so the failure partitions them
         # iff the link's endpoints fall apart without it
         if not self.connected:
             return True
-        alive &= ~(1 << link)
-        source, target = self._ends[link]
-        eids, ids = self._eids, self._ids
-        seen = {source}
-        frontier = [source]
-        while frontier:
-            i = frontier.pop()
-            for e, j in zip(eids[i], ids[i]):
-                if j not in seen and (alive >> e) & 1:
-                    if j == target:
-                        return False
-                    seen.add(j)
-                    frontier.append(j)
-        return True
+        if alive != self._full:
+            return link_splits(self._topology, alive, link)
+        split = self._whole[link]
+        if split is None:
+            split = self._whole[link] = link_splits(self._topology, alive, link)
+        return split
 
 
 class Links:

@@ -179,15 +179,14 @@ class ModelChecker:
     spill_max_runs:
         Compact the spilled sorted runs into one whenever more than this
         many accumulate (``None`` disables).
-    track_traces:
-        Keep predecessor pointers so violations come back as replayable
-        counterexample traces.  Disable to halve memory on huge clean runs
-        (the reference loop keeps its paths regardless and drops them from
-        the report).
     collect_signatures:
         Attach the full visited signature set to the report (tests only).
     max_traced_failures:
-        Cap on the number of failures converted into full traces.
+        Cap on the number of failures converted into replayable
+        counterexample traces.  The compiled loop keeps predecessor
+        pointers only when it is positive, so ``0`` halves memory on huge
+        runs (the reference loop keeps its paths regardless and drops the
+        untraced ones from the report).
     """
 
     def __init__(
@@ -203,7 +202,6 @@ class ModelChecker:
         spill_threshold: Optional[int] = None,
         spill_dir: Optional[str] = None,
         spill_max_runs: Optional[int] = 8,
-        track_traces: bool = True,
         collect_signatures: bool = False,
         max_traced_failures: int = 25,
     ):
@@ -219,7 +217,6 @@ class ModelChecker:
         self.spill_threshold = spill_threshold
         self.spill_dir = spill_dir
         self.spill_max_runs = spill_max_runs
-        self.track_traces = track_traces
         self.collect_signatures = collect_signatures
         self.max_traced_failures = max_traced_failures
         self._vector = compile_vector_expander(
@@ -323,7 +320,7 @@ class ModelChecker:
         )
         visited.update_sorted(row_keys(frontier))
         report.states_explored = 1
-        predecessors = _ArrayPredecessors(initial) if self.track_traces else None
+        predecessors = _ArrayPredecessors(initial) if self.max_traced_failures > 0 else None
         raw_failures: List[Tuple[Hashable, str, str]] = []
         # the parent-based acyclicity test needs rows that differ from their
         # parents in the flipped edges only, which canonical rows need not
@@ -457,8 +454,8 @@ class ModelChecker:
         """Walk predecessor chains into traced failures.
 
         ``parent_of(sig)`` returns the stored ``(parent, actor token)``
-        entry or ``None`` (``parent_of`` itself is ``None`` when traces are
-        off); a ``None`` entry or parent ends the walk.
+        entry or ``None`` (``parent_of`` itself is ``None`` when no failure
+        is traced); a ``None`` entry or parent ends the walk.
         """
         expander = self._expander
         for index, (sig, name, detail) in enumerate(raw_failures):
@@ -529,6 +526,6 @@ class ModelChecker:
         ).explore()
         report = CheckReport(**vars(explored), predicate_names=names, signatures=signatures)
         for index, failure in enumerate(report.failures):
-            if not self.track_traces or index >= self.max_traced_failures:
+            if index >= self.max_traced_failures:
                 failure.trace = replace(failure.trace, actions=(), reconstructed=False)
         return report

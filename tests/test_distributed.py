@@ -126,14 +126,6 @@ class TestChannel:
         simulator.run_until_idle()
         assert received == []
 
-    def test_repair_restores_delivery(self):
-        simulator, channel, received = self._make_channel()
-        channel.fail()
-        channel.repair()
-        channel.send(Message("a", "b", "HEIGHT", 0))
-        simulator.run_until_idle()
-        assert len(received) == 1
-
     def test_invalid_parameters(self):
         simulator = DiscreteEventSimulator()
         with pytest.raises(ValueError):
@@ -280,16 +272,6 @@ class TestAsyncNetwork:
         report = network.run_for(duration=200.0, max_events=5000)
         assert not report.destination_oriented
         assert report.acyclic
-
-    def test_add_link_reconnects(self):
-        instance = grid_instance(3, 3, oriented_towards_destination=True)
-        network = AsyncLinkReversalNetwork(instance, seed=8)
-        network.run_to_quiescence()
-        network.fail_link(5, 8)
-        network.run_to_quiescence()
-        network.add_link(5, 8)
-        report = network.run_to_quiescence()
-        assert report.destination_oriented
 
     def test_global_orientation_available_when_links_unchanged(self):
         instance = chain_instance(6, towards_destination=False)
@@ -508,8 +490,3 @@ class TestDerivedChannelSeeds:
         from repro.experiments.spec import derive_seed
 
         assert derive_channel_seed(7, 1, 2) == derive_seed(7, "channel", 1, 2)
-
-    def test_readded_links_get_fresh_generation_seeds(self):
-        from repro.distributed.network import derive_link_up_seed
-
-        assert derive_link_up_seed(7, 1, 2, 1) != derive_link_up_seed(7, 1, 2, 2)

@@ -108,57 +108,60 @@ class TestQuiescenceParity:
             _assert_twins(obj, fast)
 
 
-class TestChurnParity:
-    def test_interleaved_failures_and_readds(self):
-        for config in ((1.0, 1.0, False, 0.0), (1.0, 2.0, False, 0.0),
-                       (1.0, 2.0, True, 0.1)):
-            for seed in (1, 5):
-                instance = build_family("grid", 16, 2)
-                obj, fast = _pair(instance, ReversalMode.PARTIAL, config, seed)
-                obj.run_for(3.0)
-                fast.run_for(3.0)
-                rng = random.Random(seed)
-                links = sorted(tuple(sorted(e, key=repr)) for e in obj.current_links())
-                u, v = links[rng.randrange(len(links))]
-                obj.fail_link(u, v)
-                fast.fail_link(u, v)
-                _assert_twins(obj, fast)
-                obj.run_for(5.0)
-                fast.run_for(5.0)
-                _assert_twins(obj, fast)
-                obj.add_link(u, v)
-                fast.add_link(u, v)
-                obj.run_to_quiescence()
-                fast.run_to_quiescence()
-                _assert_twins(obj, fast)
+#: The channel configurations churn runs under: zero, fixed, lossy fixed,
+#: uniform, fifo and lossy fifo.
+CHURN_CONFIGS = (
+    (0.0, 0.0, False, 0.0),
+    (1.0, 1.0, False, 0.0),
+    (1.0, 1.0, False, 0.2),
+    (1.0, 2.0, False, 0.0),
+    (1.0, 2.0, True, 0.0),
+    (1.0, 2.0, True, 0.1),
+)
 
-    @pytest.mark.parametrize("config", [
-        (0.0, 0.0, False, 0.0),   # "zero": no channel ever draws
-        (1.0, 1.0, False, 0.0),   # "fixed": no channel ever draws
-        (1.0, 1.0, False, 0.2),   # lossy fixed: loss coins only
-    ])
+
+def _fail_drawn_link(obj, fast, rng):
+    """Fail one link drawn from the survivors in both engines, skipping partitions."""
+    while True:
+        links = fast.sorted_link_pairs()
+        u, v = links[rng.randrange(len(links))]
+        if not fast.link_would_partition(u, v):
+            break
+    obj.fail_link(u, v)
+    fast.fail_link(u, v)
+
+
+class TestChurnParity:
+    @pytest.mark.parametrize("config", CHURN_CONFIGS)
+    def test_successive_failures(self, config):
+        for seed in (1, 5):
+            instance = build_family("grid", 16, 2)
+            obj, fast = _pair(instance, ReversalMode.PARTIAL, config, seed)
+            rng = random.Random(seed)
+            for duration in (3.0, 5.0):
+                # messages are in flight when each link fails
+                obj.run_for(duration)
+                fast.run_for(duration)
+                _fail_drawn_link(obj, fast, rng)
+                _assert_twins(obj, fast)
+            obj.run_to_quiescence()
+            fast.run_to_quiescence()
+            _assert_twins(obj, fast)
+
+    @pytest.mark.parametrize("config", CHURN_CONFIGS)
     @pytest.mark.parametrize("mode", MODES)
-    def test_constant_delay_channels_match_through_fail_and_readd(self, config, mode):
-        # constant-delay lossless channels get no random stream; re-added
-        # links (and a link the instance never had) must still match
+    def test_failures_between_quiescent_phases(self, config, mode):
         instance = grid_instance(3, 4, oriented_towards_destination=False)
         obj, fast = _pair(instance, mode, config, 11)
-        for u, v in ((0, 1), (5, 6), (0, 1)):
+        rng = random.Random(11)
+        for _ in range(3):
             obj.run_for(2.0)
             fast.run_for(2.0)
-            obj.fail_link(u, v)
-            fast.fail_link(u, v)
+            _fail_drawn_link(obj, fast, rng)
             _assert_twins(obj, fast)
-            obj.run_for(3.0)
-            fast.run_for(3.0)
-            obj.add_link(u, v)
-            fast.add_link(u, v)
+            obj.run_to_quiescence()
+            fast.run_to_quiescence()
             _assert_twins(obj, fast)
-        obj.add_link(0, 5)  # a diagonal: a brand-new link pair
-        fast.add_link(0, 5)
-        obj.run_to_quiescence()
-        fast.run_to_quiescence()
-        _assert_twins(obj, fast)
 
     def test_partition_behaviour_matches(self):
         instance = chain_instance(4, towards_destination=True)
@@ -226,14 +229,6 @@ class TestFastEngineExtras:
         with pytest.raises(DeadlineExceeded):
             fast.run_to_quiescence(deadline=0.0)
         assert fast.events_dispatched >= 1
-
-    def test_link_would_partition(self):
-        instance = chain_instance(4, towards_destination=True)
-        fast = FastAsyncNetwork(instance, seed=1)
-        assert fast.link_would_partition(0, 1)
-        grid = grid_instance(3, 3, oriented_towards_destination=True)
-        fast_grid = FastAsyncNetwork(grid, seed=1)
-        assert not fast_grid.link_would_partition(0, 1)
 
     def test_work_counters_track_reversals_and_flips(self):
         instance = chain_instance(8, towards_destination=False)

@@ -5,7 +5,9 @@ connected DAG instance on at most four nodes (646 orientations), and seeded
 orientation and alive-link masks on ``grid`` and ``geometric`` instances,
 must get networkx's DAG verdict, its destination-orientation verdict (the
 destination's ancestors are every other node), a cycle exactly when the
-orientation is cyclic, and its undirected hop distances.
+orientation is cyclic, and its undirected hop distances.  The bridge test of
+the alive links, which every engine's link-failure churn asks, must agree
+with networkx's path search on the survivors.
 """
 
 from __future__ import annotations
@@ -19,8 +21,11 @@ nx = pytest.importorskip("networkx")
 from repro.core.graph import (  # noqa: E402
     all_orientations,
     hop_distances,
+    link_splits,
     mask_final_state_checks,
 )
+from repro.distributed.fast_network import FastAsyncNetwork  # noqa: E402
+from repro.experiments.churn import LinkDraw  # noqa: E402
 from repro.exploration.enumerate_graphs import all_connected_dag_instances  # noqa: E402
 from repro.topology.generators import build_family  # noqa: E402
 
@@ -88,3 +93,65 @@ def test_seeded_alive_masks_match_networkx(family, size):
             acyclic, oriented, _, distances = _oracle(instance, mask, alive)
             assert mask_final_state_checks(instance, mask, alive) == (acyclic, oriented)
             assert hop_distances(instance, alive) == distances
+
+
+def _splits_oracle(instance, alive, link):
+    """Whether ``link``'s endpoints lose their last path, by networkx."""
+    graph = nx.Graph()
+    graph.add_nodes_from(instance.nodes)
+    graph.add_edges_from(
+        edge for e, edge in enumerate(instance.initial_edges)
+        if e != link and (alive >> e) & 1
+    )
+    return not nx.has_path(graph, *instance.initial_edges[link])
+
+
+@pytest.mark.parametrize("family,size", [("grid", 16), ("geometric", 12)])
+def test_link_splits_matches_networkx(family, size):
+    for seed in range(4):
+        instance = build_family(family, size, seed)
+        rng = random.Random(seed)
+        edges = instance.edge_count
+        for trial in range(10):
+            # every link, then random survivors (about one link in four failed)
+            alive = (1 << edges) - 1
+            if trial:
+                alive = sum(1 << e for e in range(edges) if rng.random() < 0.75)
+            for link in range(edges):
+                if (alive >> link) & 1:
+                    assert link_splits(instance, alive, link) == _splits_oracle(
+                        instance, alive, link
+                    )
+
+
+@pytest.mark.parametrize("family,size", [("grid", 16), ("geometric", 12)])
+def test_partition_tests_agree_along_a_failure_sequence(family, size):
+    for seed in range(3):
+        instance = build_family(family, size, seed)
+        network = FastAsyncNetwork(instance, seed=seed)
+        draw = LinkDraw(instance)
+        rng = random.Random(seed)
+        alive = (1 << instance.edge_count) - 1
+        while True:
+            live = [e for e in range(instance.edge_count) if (alive >> e) & 1]
+            verdicts = {}
+            for e in live:
+                u, v = instance.initial_edges[e]
+                verdicts[e] = _splits_oracle(instance, alive, e)
+                assert network.link_would_partition(u, v) == verdicts[e]
+                assert draw.splits(alive, e) == verdicts[e]
+            safe = [e for e in live if not verdicts[e]]
+            if not safe:
+                break  # a spanning tree: every link left is a bridge
+            e = rng.choice(safe)
+            network.fail_link(*instance.initial_edges[e])
+            alive &= ~(1 << e)
+        assert len(live) == instance.node_count - 1
+        # a failed link and a pair that never was one are both non-links
+        failed = next(e for e in range(instance.edge_count) if not (alive >> e) & 1)
+        dest = instance.destination
+        for pair in (instance.initial_edges[failed], (dest, dest)):
+            with pytest.raises(ValueError):
+                network.link_would_partition(*pair)
+            with pytest.raises(ValueError):
+                network.fail_link(*pair)

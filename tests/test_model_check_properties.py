@@ -234,10 +234,10 @@ class TestCheckerRobustness:
         assert not report.truncated
         assert report.states_explored == exact
 
-    def test_track_traces_off_still_reports_failures(self, bad_grid):
+    def test_no_traced_failures_still_reports_failures(self, bad_grid):
         automaton = OneStepPartialReversal(bad_grid)
         predicates = _planted_predicates(automaton)
-        report = ModelChecker(automaton, predicates, track_traces=False).run()
+        report = ModelChecker(automaton, predicates, max_traced_failures=0).run()
         assert not report.all_predicates_hold
         assert all(not f.trace.reconstructed for f in report.failures)
 
@@ -516,7 +516,7 @@ class TestGenericFallback:
         assert all(
             not f.trace.reconstructed and f.path == () for f in capped.failures[2:]
         )
-        untracked = ModelChecker(automaton, predicates, track_traces=False).run()
+        untracked = ModelChecker(automaton, predicates, max_traced_failures=0).run()
         untracked_record = check_outcome(untracked)
         assert (untracked_record["status"], untracked_record["violations"]) == (
             "violated", failing)
