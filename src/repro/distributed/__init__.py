@@ -10,6 +10,9 @@ substrate:
   (priority queue of timestamped events, seeded tie-breaking);
 * :mod:`repro.distributed.channel` — point-to-point channels with configurable
   delay and loss, plus per-link statistics;
+* :mod:`repro.distributed.streams` — the counter-based random stream of every
+  directed link (SplitMix64 keyed by seed, sender and receiver), which both
+  networks below draw their losses and delays from;
 * :mod:`repro.distributed.protocol` — the height-based asynchronous link
   reversal protocol (full or partial mode) run by every node: a node that
   discovers it is a local sink raises its height and broadcasts the new value
@@ -43,7 +46,6 @@ from repro.distributed.network import (
     DELAY_MODELS,
     AsyncLinkReversalNetwork,
     NetworkReport,
-    derive_channel_seed,
 )
 from repro.distributed.fast_network import FastAsyncNetwork, pack_height, unpack_height
 
@@ -60,7 +62,6 @@ __all__ = [
     "NetworkReport",
     "ReversalMode",
     "ScheduledEvent",
-    "derive_channel_seed",
     "pack_height",
     "unpack_height",
 ]

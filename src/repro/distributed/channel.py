@@ -14,7 +14,6 @@ literature.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, List, Optional
 
@@ -58,6 +57,12 @@ class Channel:
     message's delivery time is clamped to be no earlier than the previously
     scheduled delivery on this channel, so randomly drawn delays can no
     longer reorder messages (the classic reliable-FIFO link abstraction).
+
+    ``draw`` is the link's random stream (uniform draws on ``[0, 1)``, see
+    :meth:`~repro.distributed.streams.ChannelStreams.drawer`); a channel
+    with loss or a random delay needs one.  Per message the channel draws
+    the loss test ``u < loss_probability`` first, then the delay
+    ``min_delay + (max_delay - min_delay) * u``.
     """
 
     def __init__(
@@ -69,13 +74,15 @@ class Channel:
         min_delay: float = 1.0,
         max_delay: float = 1.0,
         loss_probability: float = 0.0,
-        seed: int = 0,
+        draw: Optional[Callable[[], float]] = None,
         fifo: bool = False,
     ):
         if min_delay < 0 or max_delay < min_delay:
             raise ValueError("delays must satisfy 0 <= min_delay <= max_delay")
         if not 0.0 <= loss_probability < 1.0:
             raise ValueError("loss_probability must be in [0, 1)")
+        if draw is None and (loss_probability > 0 or max_delay > min_delay):
+            raise ValueError("a channel with loss or a random delay needs a draw stream")
         self.simulator = simulator
         self.sender = sender
         self.receiver = receiver
@@ -85,7 +92,7 @@ class Channel:
         self.loss_probability = loss_probability
         self.fifo = fifo
         self._last_scheduled_delivery = 0.0
-        self._rng = random.Random(seed)
+        self._draw = draw
         self.up = True
         self.stats = ChannelStats()
         self._in_flight: List[ScheduledEvent] = []
@@ -97,11 +104,11 @@ class Channel:
         if not self.up:
             self.stats.lost_to_failure += 1
             return
-        if self.loss_probability > 0 and self._rng.random() < self.loss_probability:
+        if self.loss_probability > 0 and self._draw() < self.loss_probability:
             self.stats.dropped += 1
             return
         if self.max_delay > self.min_delay:
-            delay = self._rng.uniform(self.min_delay, self.max_delay)
+            delay = self.min_delay + (self.max_delay - self.min_delay) * self._draw()
         else:
             delay = self.min_delay
         delivery_time = self.simulator.now + delay

@@ -31,11 +31,11 @@ here:
   links ``2e`` and ``2e + 1`` are the edge's two directions.  The
   partition test is :func:`~repro.core.graph.link_splits`, the synchronous
   engines' search.
-* **Blake2-derived per-link seeds** — the same
-  :func:`~repro.distributed.network.derive_channel_seed` scheme as the
-  object network (hashed from one shared prefix state), so both engines
-  consume identical per-link random streams.  Channels that never draw
-  (constant delay, no loss) get no stream at all.
+* **Counter-based per-link streams** — one
+  :class:`~repro.distributed.streams.ChannelStreams` for all links, keyed
+  by (seed, sender, receiver) and built in one numpy pass, exactly the
+  streams the object network draws from.  Channels that never draw
+  (constant delay, no loss) get no streams at all.
 * **Batched inline delivery** — the run loop drains the heap with inlined
   handlers (height update, local-sink test, reversal, broadcast) instead of
   scheduling per-message callbacks.
@@ -59,7 +59,6 @@ import heapq
 import logging
 from collections import deque
 from functools import cached_property
-from random import Random
 from time import perf_counter
 from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
 
@@ -70,12 +69,9 @@ from repro.core.graph import (
     link_splits,
     reaching_destination,
 )
-from repro.distributed.network import (
-    NetworkReport,
-    channel_seed_deriver,
-    initial_height_levels,
-)
+from repro.distributed.network import NetworkReport, initial_height_levels
 from repro.distributed.protocol import HeightValue, ReversalMode
+from repro.distributed.streams import ChannelStreams
 from repro.kernels.simulator import DEADLINE_CHECK_STRIDE, DeadlineExceeded
 
 logger = logging.getLogger(__name__)
@@ -197,16 +193,11 @@ class FastAsyncNetwork:
                 self._bcast_links[i].append(2 * e + (edges[e][0] == j))
         count = len(self._link_from)
         self._link_epoch: List[int] = [0] * count
-        self._rng_random: List = [None] * count
-        self._rng_uniform: List = [None] * count
         # constant-delay, lossless channels never draw a random number, so
-        # they get no per-link stream at all
+        # they get no streams at all (node ids are the ranks)
+        self._streams: Optional[ChannelStreams] = None
         if loss_probability > 0.0 or not self._const_mode:
-            derive = channel_seed_deriver(seed)
-            for lid in range(count):
-                rng = Random(derive(self._link_from[lid], self._link_to[lid]))
-                self._rng_random[lid] = rng.random
-                self._rng_uniform[lid] = rng.uniform
+            self._streams = ChannelStreams(seed, self._link_from, self._link_to)
         self._sent: List[int] = [0] * count
         self._delivered: List[int] = [0] * count
         self._dropped: List[int] = [0] * count
@@ -221,10 +212,11 @@ class FastAsyncNetwork:
         #: the delivery queue of const-delay mode:
         #: ``(time, seq, lid, height, epoch)`` entries in (time, seq) order
         self._dq: deque = deque()
-        #: the next event sequence number, boxed so the compiled broadcast
-        #: closure shares it
+        #: the next event sequence number and the current simulated time,
+        #: boxed so the compiled broadcast closure shares them without
+        #: holding ``self`` (a finished network is freed by refcounting)
         self._seq_box = [n]
-        self._now = 0.0
+        self._now_box = [0.0]
         #: queued events invalidated by link failures (heap or deque)
         self._stale_events = 0
         self.events_dispatched = 0
@@ -256,19 +248,21 @@ class FastAsyncNetwork:
         dropped = self._dropped
         in_flight = self._in_flight
         link_epoch = self._link_epoch
-        rng_random = self._rng_random
-        rng_uniform = self._rng_uniform
+        draws = refill = None
+        if self._streams is not None:
+            draws, refill = self._streams.draws, self._streams.refill
         last_sched = self._last_sched
         loss = self.loss_probability
         lossless = loss <= 0.0
         min_delay = self.min_delay
-        max_delay = self.max_delay
-        draw_delay = max_delay > min_delay
+        span = self.max_delay - min_delay
+        draw_delay = span > 0.0
         fifo = self.fifo
         const_mode = self._const_mode
         dq = self._dq
         dq_append = dq.append
         seq_box = self._seq_box
+        now_box = self._now_box
 
         def broadcast(i: int) -> None:
             # a current neighbour always has a live link (fail_link removes
@@ -277,7 +271,7 @@ class FastAsyncNetwork:
             if not lids:
                 return
             height = heights[i]
-            now = self._now
+            now = now_box[0]
             seq = seq_box[0]
             if const_mode and lossless:
                 # the tightest send path: one constant delivery time, the
@@ -290,14 +284,25 @@ class FastAsyncNetwork:
                     seq += 1
                 seq_box[0] = seq
                 return
+            # a link's draws: the loss test, then the delay (ChannelStreams)
             for lid in lids:
                 sent[lid] += 1
-                if loss > 0.0 and rng_random[lid]() < loss:
-                    dropped[lid] += 1
-                    continue
-                t = now + (
-                    rng_uniform[lid](min_delay, max_delay) if draw_delay else min_delay
-                )
+                if not lossless:
+                    try:
+                        u = next(draws[lid])
+                    except StopIteration:
+                        u = refill(lid)
+                    if u < loss:
+                        dropped[lid] += 1
+                        continue
+                if draw_delay:
+                    try:
+                        u = next(draws[lid])
+                    except StopIteration:
+                        u = refill(lid)
+                    t = now + (min_delay + span * u)
+                else:
+                    t = now + min_delay
                 if fifo:
                     last = last_sched[lid]
                     if t < last:
@@ -407,6 +412,7 @@ class FastAsyncNetwork:
 
         dq = self._dq
         dq_popleft = dq.popleft
+        now_box = self._now_box
 
         dispatched = 0
         deadline_countdown = 0
@@ -449,12 +455,12 @@ class FastAsyncNetwork:
                     kind = head[2]
                     if kind != _DELIVER:
                         if kind == _START:
-                            self._now = t
+                            now_box[0] = t
                             node = head[3]
                             broadcast(node)
                             maybe_reverse(node)
                         else:  # _BEACON
-                            self._now = t
+                            now_box[0] = t
                             broadcast(head[3])
                         dispatched += 1
                         if deadline is not None:
@@ -473,7 +479,7 @@ class FastAsyncNetwork:
                         continue  # invalidated by a link failure
                     height = head[5]
                 # ---- the delivery hot path ----
-                self._now = t
+                now_box[0] = t
                 delivered[lid] += 1
                 in_flight[lid] -= 1
                 # an undelivered message of a failed link is stale, so the
@@ -509,14 +515,14 @@ class FastAsyncNetwork:
         finally:
             self.events_dispatched += dispatched
         # Advance the clock across the idle remainder of the window.  The
-        # loop exits with ``_now`` at the last *dispatched* event, so without
+        # loop exits with the clock at the last *dispatched* event, so without
         # this a window whose remaining events all lie beyond ``until`` would
         # leave time frozen and consecutive ``run_for`` windows would overlap
         # forever instead of sweeping forward.  Only an exhausted event
         # budget must not skip ahead: undispatched events inside the window
         # still await the next call.
-        if until is not None and self._now < until and not budget_exhausted:
-            self._now = until
+        if until is not None and now_box[0] < until and not budget_exhausted:
+            now_box[0] = until
         return dispatched
 
     # ------------------------------------------------------------------
@@ -559,12 +565,12 @@ class FastAsyncNetwork:
         network many times and never read most of the summaries.
         """
         return self._run(
-            until=self._now + duration, max_events=max_events, deadline=deadline
+            until=self._now_box[0] + duration, max_events=max_events, deadline=deadline
         )
 
     def broadcast_heights(self) -> None:
         """Schedule one anti-entropy beacon round (every live node re-announces)."""
-        now = self._now
+        now = self._now_box[0]
         seq_box = self._seq_box
         crashed = self._crashed
         for i in range(len(self._nodes)):
@@ -750,7 +756,7 @@ class FastAsyncNetwork:
     @property
     def now(self) -> float:
         """The current simulated time."""
-        return self._now
+        return self._now_box[0]
 
     def total_reversals(self) -> int:
         """Total height raises across all nodes so far."""
@@ -767,7 +773,7 @@ class FastAsyncNetwork:
     def report(self) -> NetworkReport:
         """Aggregate statistics of the run so far (object-network parity)."""
         return NetworkReport(
-            simulated_time=self._now,
+            simulated_time=self._now_box[0],
             events_dispatched=self.events_dispatched,
             messages_sent=sum(self._sent),
             messages_delivered=sum(self._delivered),

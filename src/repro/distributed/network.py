@@ -19,9 +19,8 @@ operations the experiments need:
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Hashable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Hashable, List, Optional, Tuple
 
 from repro.core.graph import LinkReversalInstance, Orientation, reaching_destination
 from repro.distributed.channel import Channel, Message
@@ -31,6 +30,7 @@ from repro.distributed.protocol import (
     LinkReversalNodeProcess,
     ReversalMode,
 )
+from repro.distributed.streams import ChannelStreams
 
 Node = Hashable
 
@@ -67,38 +67,6 @@ def initial_height_levels(instance: LinkReversalInstance) -> Dict[Node, int]:
             level[v] = max(level[v], level[u] + 1)
     max_level = max(level.values(), default=0)
     return {u: max_level - level[u] for u in instance.nodes}
-
-
-def derive_channel_seed(seed: int, sender_rank: int, receiver_rank: int) -> int:
-    """The blake2-derived RNG seed of one directed channel.
-
-    Mirrors the experiment campaigns' seed scheme
-    (:func:`repro.experiments.spec.derive_seed`): per-link streams are
-    independent of each other but fully determined by ``(seed, link)``, so an
-    async run is reproducible and two algorithms handed the same base seed see
-    *paired* channel randomness on every link.
-    """
-    from repro.experiments.spec import derive_seed
-
-    return derive_seed(seed, "channel", sender_rank, receiver_rank)
-
-
-def channel_seed_deriver(seed: int) -> Callable[[int, int], int]:
-    """:func:`derive_channel_seed` with ``seed`` bound, for every link of a network.
-
-    The derivation hashes ``"{seed}\\x1fchannel\\x1f{sender}\\x1f{receiver}"``;
-    the returned function hashes the shared prefix once and extends a copy
-    of that blake2b state per link, which yields bit-identical seeds for a
-    fraction of the per-link cost.
-    """
-    prefix = hashlib.blake2b(f"{seed}\x1fchannel\x1f".encode("utf-8"), digest_size=8)
-
-    def derive(sender_rank: int, receiver_rank: int) -> int:
-        state = prefix.copy()
-        state.update(f"{sender_rank}\x1f{receiver_rank}".encode("utf-8"))
-        return int.from_bytes(state.digest(), "big") & 0x7FFFFFFFFFFFFFFF
-
-    return derive
 
 
 @dataclass
@@ -168,25 +136,31 @@ class AsyncLinkReversalNetwork:
                 rank=self._rank[u],
             )
 
-        # per-link seeds are blake2-derived from the base seed (the campaign
-        # seed scheme), not consecutive ints: streams are independent per link
-        # and paired across algorithms handed the same base seed
+        # each directed channel draws from the counter stream keyed by
+        # (seed, sender rank, receiver rank): independent per link, paired
+        # across algorithms handed the same base seed, and the very stream
+        # the fast engine's link draws from
+        pairs = []
         for edge in sorted(self._links, key=lambda e: tuple(sorted(self._rank[x] for x in e))):
             u, v = sorted(edge, key=self._rank.__getitem__)
-            for sender, receiver in ((u, v), (v, u)):
-                self._channels[(sender, receiver)] = Channel(
-                    simulator=self.simulator,
-                    sender=sender,
-                    receiver=receiver,
-                    deliver=self._make_deliverer(receiver),
-                    min_delay=min_delay,
-                    max_delay=max_delay,
-                    loss_probability=loss_probability,
-                    seed=derive_channel_seed(
-                        seed, self._rank[sender], self._rank[receiver]
-                    ),
-                    fifo=fifo,
-                )
+            pairs += ((u, v), (v, u))
+        streams = ChannelStreams(
+            seed,
+            [self._rank[sender] for sender, _ in pairs],
+            [self._rank[receiver] for _, receiver in pairs],
+        )
+        for lid, (sender, receiver) in enumerate(pairs):
+            self._channels[(sender, receiver)] = Channel(
+                simulator=self.simulator,
+                sender=sender,
+                receiver=receiver,
+                deliver=self._make_deliverer(receiver),
+                min_delay=min_delay,
+                max_delay=max_delay,
+                loss_probability=loss_probability,
+                draw=streams.drawer(lid),
+                fifo=fifo,
+            )
 
         # every node announces its initial height at time zero
         for u in instance.nodes:

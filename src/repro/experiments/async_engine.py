@@ -22,10 +22,13 @@ Mapping onto the campaign record schema:
   orientation within its event budget (``max_steps`` bounds dispatched
   events per phase here, default one million).
 
-Seed scheme (the PR-2 pairing discipline): channel randomness derives from
-``spec.topology_seed``, so every algorithm of one replicate sees *paired*
-per-link delay/loss streams; failure injection derives from
-``spec.scheduler_seed`` exactly like the synchronous engines' churn phases.
+Seed scheme (the campaign pairing discipline): channel randomness is the
+counter stream of each directed link
+(:class:`~repro.distributed.streams.ChannelStreams`) keyed by a seed derived
+from ``spec.topology_seed`` and the link's ranks, so every algorithm of one
+replicate sees *paired* per-link delay/loss streams; failure injection
+derives from ``spec.scheduler_seed`` exactly like the synchronous engines'
+churn phases.
 """
 
 from __future__ import annotations

@@ -45,6 +45,7 @@ from repro.core.full_reversal import FullReversal
 from repro.core.new_pr import NewPartialReversal
 from repro.core.one_step_pr import OneStepPartialReversal
 from repro.core.pr import PartialReversal
+from repro.distributed.streams import STREAM_VERSION
 from repro.schedulers import SCHEDULER_FACTORIES
 from repro.topology.generators import FAMILY_NAMES
 
@@ -178,6 +179,9 @@ class ScenarioSpec:
         if self.delay_model is not None:
             identity["delay_model"] = self.delay_model
             identity["loss"] = self.loss
+            # ... with the channel-stream version: a store written under
+            # another draw scheme re-runs these specs instead of resuming
+            identity["stream_version"] = STREAM_VERSION
         # ... and the traffic axis likewise, preserving pre-dataplane run_ids
         if self.traffic is not None:
             identity["traffic"] = self.traffic

@@ -8,6 +8,7 @@ from repro.distributed.channel import Channel, Message
 from repro.distributed.events import DiscreteEventSimulator
 from repro.distributed.network import AsyncLinkReversalNetwork
 from repro.distributed.protocol import HeightValue, LinkReversalNodeProcess, ReversalMode
+from repro.distributed.streams import ChannelStreams
 from repro.topology.generators import chain_instance, grid_instance, random_dag_instance
 from repro.topology.manet import random_geometric_instance
 
@@ -104,7 +105,9 @@ class TestChannel:
         assert channel.stats.delivered == 1
 
     def test_loss_probability_drops_messages(self):
-        simulator, channel, received = self._make_channel(loss_probability=0.5, seed=1)
+        simulator, channel, received = self._make_channel(
+            loss_probability=0.5, draw=ChannelStreams(1, [0], [1]).drawer(0)
+        )
         for _ in range(50):
             channel.send(Message("a", "b", "HEIGHT", 0))
         simulator.run_until_idle()
@@ -132,6 +135,10 @@ class TestChannel:
             Channel(simulator, "a", "b", lambda m: None, min_delay=2.0, max_delay=1.0)
         with pytest.raises(ValueError):
             Channel(simulator, "a", "b", lambda m: None, loss_probability=1.0)
+        with pytest.raises(ValueError, match="draw stream"):
+            Channel(simulator, "a", "b", lambda m: None, loss_probability=0.5)
+        with pytest.raises(ValueError, match="draw stream"):
+            Channel(simulator, "a", "b", lambda m: None, min_delay=1.0, max_delay=2.0)
 
 
 class TestNodeProcess:
@@ -442,7 +449,8 @@ class TestFifoChannel:
         received = []
         channel = Channel(
             simulator, "a", "b", received.append,
-            min_delay=0.1, max_delay=10.0, seed=5, fifo=True,
+            min_delay=0.1, max_delay=10.0,
+            draw=ChannelStreams(5, [0], [1]).drawer(0), fifo=True,
         )
         for i in range(50):
             channel.send(Message("a", "b", "HEIGHT", i))
@@ -454,7 +462,8 @@ class TestFifoChannel:
         received = []
         channel = Channel(
             simulator, "a", "b", received.append,
-            min_delay=0.1, max_delay=10.0, seed=5, fifo=False,
+            min_delay=0.1, max_delay=10.0,
+            draw=ChannelStreams(5, [0], [1]).drawer(0), fifo=False,
         )
         for i in range(50):
             channel.send(Message("a", "b", "HEIGHT", i))
@@ -463,7 +472,7 @@ class TestFifoChannel:
 
 
 class TestDerivedChannelSeeds:
-    """Per-link seeds are blake2-derived from the base seed (PR-2 scheme)."""
+    """Per-link streams are keyed by the base seed and the link's ranks."""
 
     def test_runs_reproducible_for_same_seed(self):
         instance = grid_instance(4, 4, oriented_towards_destination=False)
@@ -484,9 +493,3 @@ class TestDerivedChannelSeeds:
             instance, min_delay=0.5, max_delay=2.0, loss_probability=0.2, seed=12
         ).run_to_quiescence()
         assert a != b
-
-    def test_channel_seed_matches_derivation_scheme(self):
-        from repro.distributed.network import derive_channel_seed
-        from repro.experiments.spec import derive_seed
-
-        assert derive_channel_seed(7, 1, 2) == derive_seed(7, "channel", 1, 2)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -151,3 +152,37 @@ class TestCampaignSpec:
         )
         for spec in campaign.expand():
             spec.validate()
+
+
+class TestStreamVersionInRunId:
+    """A spec whose channels draw hashes the channel-stream version."""
+
+    PARENT_SHARD = (
+        Path(__file__).resolve().parent / "data" / "parent_store" / "shards"
+        / "shard-00001.jsonl"
+    )
+
+    def test_synchronous_run_ids_are_unchanged(self):
+        lines = self.PARENT_SHARD.read_text().splitlines()
+        records = [json.loads(line.rsplit("\t", 1)[0]) for line in lines]
+        assert records and all(r["delay_model"] is None for r in records)
+        for record in records:
+            assert ScenarioSpec.from_dict(record).run_id == record["run_id"]
+
+    def test_async_and_dataplane_run_ids_change(self):
+        # the run ids these golden-campaign specs had before the stream
+        # version joined the identity
+        churn = dict(size=9, failure_model="link-failures", failure_count=2)
+        before = {
+            "23b112e0e1daab6c": _spec(
+                family="grid", topology_seed=6059224078317680019,
+                scheduler_seed=6669024442409199897, delay_model="zero", **churn,
+            ),
+            "f11e3290474ad1ee": _spec(
+                family="geometric", algorithm="fr", topology_seed=6557140556117260560,
+                scheduler_seed=8680218182203202792, max_steps=160,
+                delay_model="uniform", loss=0.1, traffic="bursty", **churn,
+            ),
+        }
+        for run_id, spec in before.items():
+            assert spec.run_id != run_id

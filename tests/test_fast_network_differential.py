@@ -12,7 +12,9 @@ accounting under seeded churn, plus the packed-height encoding itself.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -24,8 +26,6 @@ from repro.distributed.fast_network import (
 from repro.distributed.network import (
     DELAY_MODELS,
     AsyncLinkReversalNetwork,
-    channel_seed_deriver,
-    derive_channel_seed,
     initial_height_levels,
 )
 from repro.distributed.protocol import HeightValue, ReversalMode
@@ -213,6 +213,26 @@ class TestFastEngineExtras:
         fast.run_to_quiescence()
         assert fast.quiescent()
 
+    @pytest.mark.parametrize("config", (CHANNEL_CONFIGS[1], CHANNEL_CONFIGS[4]))
+    def test_finished_network_is_freed_by_reference_counting(self, config):
+        # no reference cycle through the compiled broadcast closure: with the
+        # cycle collector off, dropping the last reference frees the network
+        min_delay, max_delay, fifo, loss = config
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            fast = FastAsyncNetwork(
+                build_family("grid", 16, 1), min_delay=min_delay, max_delay=max_delay,
+                loss_probability=loss, seed=3, fifo=fifo,
+            )
+            fast.run_to_quiescence()
+            ref = weakref.ref(fast)
+            del fast
+            assert ref() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+
     def test_quiescent_sees_through_stale_events(self):
         # fail a link with messages in flight: the stale heap entries must
         # not count as pending work
@@ -260,6 +280,7 @@ class TestFifoAndLossProperties:
         # invariant directly on the oracle's channel layer
         from repro.distributed.channel import Channel, Message
         from repro.distributed.events import DiscreteEventSimulator
+        from repro.distributed.streams import ChannelStreams
 
         min_delay, max_delay, fifo = DELAY_MODELS[model]
         for seed in range(5):
@@ -267,7 +288,8 @@ class TestFifoAndLossProperties:
             received = []
             channel = Channel(
                 simulator, "a", "b", received.append,
-                min_delay=min_delay, max_delay=max_delay, seed=seed, fifo=fifo,
+                min_delay=min_delay, max_delay=max_delay,
+                draw=ChannelStreams(seed, [0], [1]).drawer(0), fifo=fifo,
             )
             for i in range(40):
                 channel.send(Message("a", "b", "HEIGHT", i))
@@ -309,18 +331,6 @@ class TestFifoAndLossProperties:
         report = fast.run_to_quiescence()
         assert report.messages_lost == 0
         assert report.messages_sent == report.messages_delivered
-
-
-class TestChannelSeeds:
-    def test_prefix_deriver_matches_derive_channel_seed(self):
-        rng = random.Random(2024)
-        seeds = [0, 1, 2**63 - 1, -5] + [rng.getrandbits(63) for _ in range(20)]
-        for seed in seeds:
-            derive = channel_seed_deriver(seed)
-            for _ in range(25):
-                s, r = rng.randrange(1 << 20), rng.randrange(1 << 20)
-                assert derive(s, r) == derive_channel_seed(seed, s, r)
-            assert derive(0, 1) != derive(1, 0)
 
 
 class TestPackedHeights:
