@@ -22,6 +22,16 @@ Phases per scenario:
    ``injected == delivered + dropped + in_flight`` is reported with the
    smallest possible in-flight remainder.
 
+One ``execute`` call takes every lane of its group (see
+:func:`~repro.experiments.runner.run_scenarios`): it builds and converges
+each lane's control plane, puts the lanes on one shared packet simulator
+(:func:`~repro.dataplane.run.share_simulator`) and drives them through one
+slot loop (:func:`~repro.dataplane.run.run_lockstep`), so one inject and
+one transmit per slot serve every lane still running.  Lanes may differ in
+every spec field; each keeps its own control plane, arrival stream,
+failure plan, beacon cadence, drain bound and counters, so its record is
+the one it gets when it runs alone.  A single run is the group of one.
+
 Records carry the ``message`` and ``packet`` field groups of
 :data:`~repro.experiments.store.RECORD_FIELDS` beside the ``result`` group,
 all flushed even on deadline timeouts.
@@ -36,10 +46,11 @@ discipline.
 from __future__ import annotations
 
 import random
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro import telemetry as _telemetry
-from repro.dataplane.run import DataPlaneRun
+from repro.dataplane.packets import PacketSimulator
+from repro.dataplane.run import DataPlaneRun, run_lockstep, share_simulator
 from repro.dataplane.traffic import TRAFFIC_MODEL_NAMES
 from repro.distributed.network import DELAY_MODELS
 from repro.experiments.async_engine import (
@@ -107,75 +118,78 @@ class DataPlaneEngine(ExecutionEngine):
         )
 
     def execute(self, lanes, deadline) -> None:
-        for spec, record in lanes:
-            self._execute_one(spec, record, deadline)
-
-    def _execute_one(self, spec, record, deadline) -> None:
-        run: Optional[DataPlaneRun] = None
+        runs: List[DataPlaneRun] = []
+        converged: List[bool] = []
+        sim: Optional[PacketSimulator] = None
         try:
-            _, instance = load_instance(spec, record)
-            delay_model = spec.delay_model or DEFAULT_DELAY_MODEL
-            run = DataPlaneRun(
-                instance,
-                mode=ASYNC_MODES[spec.algorithm],
-                traffic=spec.traffic,
-                delay_model=delay_model,
-                loss=spec.loss,
-                channel_seed=derive_seed(spec.topology_seed, "async-channels"),
-                traffic_seed=derive_seed(spec.topology_seed, "traffic"),
-            )
-            max_events = DEFAULT_MAX_EVENTS
-            # Phase 1: converge the control plane so the traffic phase
-            # measures a routed DAG disrupted by churn, not initial
-            # convergence.
-            _, converged = _quiesce(run.network, spec.loss, max_events, deadline)
-            # The patch cache only diffs inside step_slot; pick up the
-            # convergence phase's height changes before injecting.
-            run.advance_control(deadline)
-
-            slots = DEFAULT_SLOTS if spec.max_steps is None else spec.max_steps
-            failure_plan: Optional[Dict[int, int]] = None
-            fail_hook = None
-            if spec.failure_model == "link-failures" and spec.failure_count > 0:
-                # Seeded failures land at evenly spaced slots mid-injection,
-                # so reversal cascades rewrite the DAG under live packets.
-                failure_plan = {}
-                for i in range(spec.failure_count):
-                    slot = (i + 1) * slots // (spec.failure_count + 1)
-                    failure_plan[slot] = failure_plan.get(slot, 0) + 1
-                rng = random.Random(derive_seed(spec.scheduler_seed, "failures"))
-
-                def fail_hook(count: int) -> None:
-                    fail_seeded_links(run.network, rng, count, record, run.fail_link)
-
-            run.run(
-                slots,
-                drain_slots=DRAIN_SLOTS,
-                deadline=deadline,
-                failure_plan=failure_plan,
-                fail_hook=fail_hook,
-            )
-            network = run.network
-            oriented = network.is_destination_oriented()
-            record.update(
-                converged=converged and network.quiescent() and oriented,
-                destination_oriented=oriented,
-                acyclic_final=network.is_acyclic(),
-            )
+            for spec, record in lanes:
+                run = self._planned_run(spec, record)
+                runs.append(run)
+                # Phase 1: converge the control plane so the traffic phase
+                # measures a routed DAG disrupted by churn, not initial
+                # convergence.
+                _, ok = _quiesce(run.network, spec.loss, DEFAULT_MAX_EVENTS, deadline)
+                converged.append(ok)
+            sim = share_simulator(runs)
+            for run in runs:
+                # The patch cache only diffs inside the slot loop; pick up
+                # the convergence phase's height changes before injecting.
+                run.advance_control(deadline)
+            run_lockstep(runs, deadline)
+            for run, ok, (_, record) in zip(runs, converged, lanes):
+                network = run.network
+                oriented = network.is_destination_oriented()
+                record.update(
+                    converged=ok and network.quiescent() and oriented,
+                    destination_oriented=oriented,
+                    acyclic_final=network.is_acyclic(),
+                )
         finally:
             # flush whatever happened, so timeouts keep their partial work
-            if run is not None:
+            for run, (_, record) in zip(runs, lanes):
                 flush_network_counters(run.network, record)
-                record.update(run.sim.counters())
-                self._report_telemetry(run)
+                if sim is not None:
+                    record.update(sim.counters(run.lane))
+            if sim is not None:
+                self._report_telemetry(sim, runs)
+
+    @staticmethod
+    def _planned_run(spec: ScenarioSpec, record) -> DataPlaneRun:
+        """The spec's run, planned: its injection slots, drain and failures."""
+        _, instance = load_instance(spec, record)
+        run = DataPlaneRun(
+            instance,
+            mode=ASYNC_MODES[spec.algorithm],
+            traffic=spec.traffic,
+            delay_model=spec.delay_model or DEFAULT_DELAY_MODEL,
+            loss=spec.loss,
+            channel_seed=derive_seed(spec.topology_seed, "async-channels"),
+            traffic_seed=derive_seed(spec.topology_seed, "traffic"),
+        )
+        slots = DEFAULT_SLOTS if spec.max_steps is None else spec.max_steps
+        failure_plan: Optional[Dict[int, int]] = None
+        fail_hook = None
+        if spec.failure_model == "link-failures" and spec.failure_count > 0:
+            # Seeded failures land at evenly spaced slots mid-injection,
+            # so reversal cascades rewrite the DAG under live packets.
+            failure_plan = {}
+            for i in range(spec.failure_count):
+                slot = (i + 1) * slots // (spec.failure_count + 1)
+                failure_plan[slot] = failure_plan.get(slot, 0) + 1
+            rng = random.Random(derive_seed(spec.scheduler_seed, "failures"))
+
+            def fail_hook(count: int) -> None:
+                fail_seeded_links(run.network, rng, count, record, run.fail_link)
+
+        run.plan(slots, DRAIN_SLOTS, failure_plan, fail_hook)
+        return run
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _report_telemetry(run: DataPlaneRun) -> None:
+    def _report_telemetry(sim: PacketSimulator, runs: List[DataPlaneRun]) -> None:
         if not _telemetry.ENABLED:
             return
         registry = _telemetry.REGISTRY
-        sim = run.sim
         registry.inc("dataplane.packets_injected", sim.injected)
         registry.inc("dataplane.packets_delivered", sim.delivered)
         registry.inc("dataplane.packets_forwarded", sim.forwarded)
@@ -184,11 +198,13 @@ class DataPlaneEngine(ExecutionEngine):
         registry.inc("dataplane.drop_no_route", sim.drop_no_route)
         registry.inc("dataplane.drop_link_down", sim.drop_link_down)
         registry.inc("dataplane.transient_loops", sim.loop_bounces)
-        registry.inc("dataplane.repatched_nodes", run.repatched_nodes)
+        registry.inc(
+            "dataplane.repatched_nodes", sum(run.repatched_nodes for run in runs)
+        )
         registry.max_gauge("dataplane.peak_queue_depth", sim.peak_queue_depth)
         if sim.delivered:
-            # Inject the streaming latency moments as a histogram merge —
-            # same shape a pooled worker's snapshot would carry.
+            # Inject the group's streaming latency moments as a histogram
+            # merge — same shape a pooled worker's snapshot would carry.
             registry.merge(
                 {
                     "histograms": {

@@ -18,7 +18,8 @@ An :class:`ExecutionEngine` is one complete way of executing a
     (``pr`` → partial mode, ``fr`` → full mode).
 ``dataplane``
     Packet forwarding over a live async control plane, selected by giving
-    the spec a ``traffic`` model.
+    the spec a ``traffic`` model: a group of lanes stepped in lockstep on
+    one packet simulator per call.
 ``check``
     One exhaustive model check per :class:`~repro.experiments.spec.CheckSpec`.
 
@@ -35,7 +36,7 @@ record)`` pairs that share one deadline, and each flat result record is
 mutated in place; partial work tallies must be flushed even when raising
 (timeouts are recorded with the work done so far).
 :func:`repro.experiments.runner.run_scenarios` forms the groups: only the
-``kernel`` engine is ever handed more than one lane.
+``kernel`` and ``dataplane`` engines are ever handed more than one lane.
 """
 
 from __future__ import annotations

@@ -300,7 +300,8 @@ def run_campaign(
     timeout_s:
         Cooperative per-run wall-clock budget on every engine; over-budget
         runs are recorded with ``status="timeout"``.  Without one, a chunk's
-        kernel runs of one batch key execute as one lockstep group (see
+        kernel runs of one batch key execute as one lockstep group, and so
+        do all its data-plane runs (see
         :func:`repro.experiments.runner.run_scenarios`).
     progress:
         Optional ``callback(done, pending_total)`` invoked after every chunk.
@@ -325,8 +326,8 @@ def run_campaign(
         has not stamped a heartbeat for this long is presumed hung and its
         worker hard-killed, which breaks the pool.  Must exceed the worst
         single-*group* runtime: heartbeats are stamped per group of lanes
-        (one lockstep group of kernel runs, or one run on any other engine
-        or under a ``timeout_s``).
+        (one lockstep group of kernel or data-plane runs, or one run on
+        any other engine or under a ``timeout_s``).
         ``None`` (default) disables the watchdog.
     max_retries:
         Failed attempts a chunk may retry, at least 0.  A chunk fails an

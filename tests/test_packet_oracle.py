@@ -19,21 +19,25 @@ a time through the slot semantics
 * **kill** — a killed link flushes its queue as link-down drops.
 
 Every ``counters()`` field of the simulator is pinned to the oracle's after
-every slot.  ``mean_stretch`` is a float sum that the simulator adds per
-slot in numpy's order and the oracle per packet, so it alone is compared to
-a relative 1e-12 (float64 rounding over a few thousand terms).
+every slot; a simulator carrying several lanes in lockstep is pinned lane
+by lane to one oracle per lane.  ``mean_stretch`` is a float sum that the
+simulator adds per slot in numpy's order and the oracle per packet, so it
+alone is compared to a relative 1e-12 (float64 rounding over a few
+thousand terms).
 """
 
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
+from types import SimpleNamespace
 
 import pytest
 
 np = pytest.importorskip("numpy")
 
 import repro.dataplane.run as run_module
-from repro.dataplane.packets import PacketSimulator
+from repro.dataplane.packets import PacketSimulator, TrafficLane
 from repro.dataplane.run import DataPlaneRun
 from repro.distributed.protocol import ReversalMode
 from repro.topology.generators import build_family, grid_instance
@@ -385,3 +389,143 @@ def test_traffic_during_initial_convergence_matches_reference(monkeypatch):
     assert_counters_match(fast, reference)
     assert reference.tally["delivered"] > 0
     assert reference.tally["bounces"] > 0
+
+
+# ----------------------------------------------------------------------
+# lockstep lanes: one simulator, one oracle per lane
+# ----------------------------------------------------------------------
+def _chain_links(n: int):
+    """Both directions of a chain 0 - 1 - ... - n-1, each node routing to 0."""
+    link_from, link_to = [], []
+    for u in range(n - 1):
+        link_from += [u, u + 1]
+        link_to += [u + 1, u]
+    link_id = {(u, v): i for i, (u, v) in enumerate(zip(link_from, link_to))}
+    next_hop = [-1] + [link_id[(u, u - 1)] for u in range(1, n)]
+    return link_from, link_to, list(range(n)), next_hop, link_id
+
+
+def _blank_distances(dist, nodes):
+    """``dist`` with ``nodes`` unknown (0 or -1): their packets have no stretch."""
+    return [(-1 if u % 2 else 0) if u in nodes else d for u, d in enumerate(dist)]
+
+
+def test_unknown_distances_leave_stretch_like_reference():
+    link_from, link_to, dist, next_hop, _ = _grid_links(4, 4)
+    pair = _pair(
+        link_from=link_from, link_to=link_to, n_nodes=16, destination=0,
+        rates=[0.4] * 16, undirected_distance=_blank_distances(dist, {1, 5, 6}),
+        queue_capacity=16, ttl=64, seed=12,
+    )
+    for side in pair:
+        for u, lid in enumerate(next_hop):
+            side.set_next_hop_link(u, lid)
+    _drive(pair, 80)
+    assert 0 < len(pair[1].stretches) < pair[1].tally["delivered"]
+
+
+def _lockstep_lanes():
+    """Four lanes of different sizes, TTLs and traffic, with their next hops."""
+    lanes = []
+    for (links, load, ttl, seed, unknown) in (
+        (_grid_links(4, 4), "steady", 64, 31, {4, 6}),
+        (_grid_links(3, 4), "heavy", 5, 17, set()),
+        (_chain_links(5), "bursty", 12, 3, set()),
+        (_grid_links(2, 3), "heavy", 9, 8, {1}),
+    ):
+        link_from, link_to, dist, next_hop, link_id = links
+        dist = _blank_distances(dist, unknown)
+        n = len(dist)
+        rate = {"steady": 0.5, "heavy": 3.0, "bursty": 0.5}[load]
+        lane = TrafficLane(
+            link_from, link_to, n_nodes=n, destination=0, rates=[rate] * n,
+            undirected_distance=dist, ttl=ttl,
+            burst_on=0.125 if load == "bursty" else 1.0, seed=seed,
+        )
+        lanes.append((lane, next_hop, link_id))
+    return lanes
+
+
+@pytest.mark.parametrize("link_capacity", [1, 8])
+def test_lockstep_lanes_match_one_reference_each(link_capacity):
+    lanes = _lockstep_lanes()
+    sim = PacketSimulator.lockstep(
+        [lane for lane, _, _ in lanes], queue_capacity=6, link_capacity=link_capacity
+    )
+    references = [
+        ReferenceForwarder(**lane._asdict(), queue_capacity=6, link_capacity=link_capacity)
+        for lane, _, _ in lanes
+    ]
+    for index, (_, next_hop, _) in enumerate(lanes):
+        for u, lid in enumerate(next_hop):
+            sim.set_next_hop_link(sim.node_offset[index] + u, sim.link_offset[index] + lid)
+            references[index].set_next_hop_link(u, lid)
+
+    grid_ids = lanes[1][2]
+    base = sim.link_offset[1]
+
+    def kill_in_lane_1(slot):
+        # fail {1, 0} of the 3x4 grid only: node 1 keeps pointing at the
+        # dead link (link-down drops), then reroutes via 5 -> 4 -> 0, and
+        # 5 later points back at 1 (a transient loop)
+        dead = [grid_ids[(1, 0)], grid_ids[(0, 1)]]
+        sim.kill_links([base + lid for lid in dead])
+        references[1].kill_links(dead)
+
+    def reroute_lane_1(slot):
+        for u, v in ((1, 5), (5, 4)):
+            sim.set_next_hop_link(sim.node_offset[1] + u, base + grid_ids[(u, v)])
+            references[1].set_next_hop_link(u, grid_ids[(u, v)])
+
+    def loop_lane_1(slot):
+        sim.set_next_hop_link(sim.node_offset[1] + 5, base + grid_ids[(5, 1)])
+        references[1].set_next_hop_link(5, grid_ids[(5, 1)])
+
+    # lane -> slot it stops injecting at, and slot it halts at
+    stop_at = {0: 40, 1: 70, 2: 25, 3: 55}
+    halt_at = {2: 45, 3: 50}  # lane 3 halts mid-injection, packets queued
+    script = {10: kill_in_lane_1, 14: reroute_lane_1, 30: loop_lane_1}
+    frozen = {}
+    for slot in range(120):
+        if slot in script:
+            script[slot](slot)
+        for lane, at in stop_at.items():
+            if slot == at:
+                sim.stop_injecting(lane)
+        for lane, at in halt_at.items():
+            if slot == at:
+                if lane == 3:
+                    assert sim.lane_in_flight()[3] > 0
+                sim.halt(lane)
+                frozen[lane] = (sim.counters(lane), sim.q_len.copy())
+        sim.inject_slot()
+        sim.step()
+        for lane, reference in enumerate(references):
+            if lane in halt_at and slot >= halt_at[lane]:
+                continue
+            if slot < stop_at[lane]:
+                reference.inject_slot()
+            reference.step()
+        for lane, reference in enumerate(references):
+            lo, hi = sim.link_offset[lane], sim.link_offset[lane + 1]
+            assert_counters_match(
+                SimpleNamespace(counters=partial(sim.counters, lane)),
+                reference, f"slot {slot} lane {lane}",
+            )
+            assert sim.q_len[lo:hi].tolist() == [len(q) for q in reference.queues]
+        assert sim.lane_in_flight() == [ref.in_flight for ref in references]
+        assert sim.conservation_ok()
+    for lane, (counters, q_len) in frozen.items():
+        # a halted lane never moved again
+        lo, hi = sim.link_offset[lane], sim.link_offset[lane + 1]
+        assert sim.counters(lane) == counters
+        assert sim.q_len[lo:hi].tolist() == q_len[lo:hi].tolist()
+    assert frozen[3][0]["packets_in_flight"] > 0
+    tallies = [reference.tally for reference in references]
+    assert all(t["delivered"] > 0 for t in tallies)
+    assert tallies[1]["drop_link_down"] > 0 and tallies[1]["bounces"] > 0
+    assert tallies[1]["drop_ttl"] > 0 and tallies[3]["drop_tail"] > 0
+    assert tallies[0]["drop_link_down"] == tallies[2]["drop_link_down"] == 0
+    # lanes 0 and 3 deliver packets whose stretch is undefined
+    for lane in (0, 3):
+        assert 0 < len(references[lane].stretches) < tallies[lane]["delivered"]
