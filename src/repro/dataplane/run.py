@@ -40,7 +40,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.core.graph import LinkReversalInstance, hop_distances
 from repro.dataplane.packets import PacketSimulator, TrafficLane
 from repro.dataplane.traffic import TrafficModel, resolve_traffic
-from repro.distributed.fast_network import FastAsyncNetwork
+from repro.distributed.fast_network import FastAsyncNetwork, NetworkTemplate
 from repro.distributed.network import DELAY_MODELS
 from repro.distributed.protocol import ReversalMode
 from repro.kernels.simulator import DeadlineExceeded
@@ -74,6 +74,7 @@ class DataPlaneRun:
         link_capacity: int = 1,
         ttl: Optional[int] = None,
         slot_dt: float = SLOT_DT,
+        template: Optional[NetworkTemplate] = None,
     ):
         if isinstance(traffic, str):
             traffic = resolve_traffic(traffic)
@@ -87,6 +88,7 @@ class DataPlaneRun:
             loss_probability=loss,
             seed=channel_seed,
             fifo=fifo,
+            template=template,
         )
         self.instance = instance
         self.loss = loss

@@ -15,7 +15,7 @@ literature.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable, List, Optional
+from typing import Any, Callable, Dict, Hashable, Optional
 
 from repro.distributed.events import DiscreteEventSimulator, ScheduledEvent
 
@@ -95,7 +95,9 @@ class Channel:
         self._draw = draw
         self.up = True
         self.stats = ChannelStats()
-        self._in_flight: List[ScheduledEvent] = []
+        #: the delivery events in flight, by send number (in send order)
+        self._in_flight: Dict[int, ScheduledEvent] = {}
+        self._sends = 0
 
     # ------------------------------------------------------------------
     def send(self, message: Message) -> None:
@@ -115,24 +117,27 @@ class Channel:
         if self.fifo and delivery_time < self._last_scheduled_delivery:
             delivery_time = self._last_scheduled_delivery
         self._last_scheduled_delivery = delivery_time
+        # the callback names its event by number, not by reference: an
+        # event holding a callback that holds the event is a reference cycle
+        key = self._sends
+        self._sends = key + 1
 
         def deliver_event(_sim: DiscreteEventSimulator, _message=message) -> None:
             self.stats.delivered += 1
             # delivered messages are no longer in flight: without this a later
             # fail() would re-count them as lost_to_failure
-            self._in_flight.remove(event)
+            del self._in_flight[key]
             self._deliver(_message)
 
-        event = self.simulator.schedule_at(
+        self._in_flight[key] = self.simulator.schedule_at(
             delivery_time, deliver_event, label=f"deliver {message.kind}"
         )
-        self._in_flight.append(event)
 
     # ------------------------------------------------------------------
     def fail(self) -> None:
         """Take the link down, losing every in-flight message."""
         self.up = False
-        for event in self._in_flight:
+        for event in self._in_flight.values():
             if not event.cancelled:
                 event.cancel()
                 self.stats.lost_to_failure += 1

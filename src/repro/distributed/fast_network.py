@@ -39,6 +39,13 @@ here:
 * **Batched inline delivery** — the run loop drains the heap with inlined
   handlers (height update, local-sink test, reversal, broadcast) instead of
   scheduling per-message callbacks.
+* **A per-cell template** — a :class:`NetworkTemplate` holds everything a
+  network starts from that depends on the instance and the channel seed
+  alone: the packed initial heights, the known-height and blocking tables,
+  the link, broadcast and live-pair orders, and the channel-stream blocks.
+  The networks of one topology cell (every algorithm, delay model and loss
+  rate on one topology and seed) build from one template and copy only
+  their mutable state; the draws one network computes serve the next.
 
 The object network remains the **documented oracle**: for every delay model,
 loss rate, seed and link-failure sequence, a run of this engine must produce a
@@ -58,20 +65,14 @@ from __future__ import annotations
 import heapq
 import logging
 from collections import deque
-from functools import cached_property
 from time import perf_counter
-from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro import telemetry as _telemetry
-from repro.core.graph import (
-    LinkReversalInstance,
-    Orientation,
-    link_splits,
-    reaching_destination,
-)
+from repro.core.graph import LinkReversalInstance, Orientation, link_splits
 from repro.distributed.network import NetworkReport, initial_height_levels
 from repro.distributed.protocol import HeightValue, ReversalMode
-from repro.distributed.streams import ChannelStreams
+from repro.distributed.streams import ChannelStreams, StreamBlocks
 from repro.kernels.simulator import DEADLINE_CHECK_STRIDE, DeadlineExceeded
 
 logger = logging.getLogger(__name__)
@@ -109,13 +110,88 @@ def unpack_height(packed: int) -> Tuple[int, int, int]:
     )
 
 
+class NetworkTemplate:
+    """What every network on one instance with one channel seed starts from.
+
+    The networks of a topology cell differ in mode, delays, loss and churn,
+    but not in these tables, so :class:`FastAsyncNetwork` reads them from a
+    template instead of rebuilding them.  Nothing here changes after the
+    build except :meth:`stream_blocks`' draw lists, which only grow.
+    """
+
+    def __init__(self, instance: LinkReversalInstance, seed: int = 0):
+        instance.validate(require_dag=True)
+        n = instance.node_count
+        if n > _R_MASK:
+            raise ValueError(f"packed heights support at most {_R_MASK} nodes, got {n}")
+        self.instance = instance
+        self.seed = seed
+        nodes = instance.nodes
+        nbr_ids = instance._incident_nbr_ids
+
+        levels = initial_height_levels(instance)
+        heights = [pack_height(0, levels[u], i) for i, u in enumerate(nodes)]
+        self.heights: Tuple[int, ...] = tuple(heights)
+        #: per node: every neighbour's initial height, and how many of them
+        #: are not above the node's own (a local sink has none)
+        self.known: Tuple[Dict[int, int], ...] = tuple(
+            {j: heights[j] for j in row} for row in nbr_ids
+        )
+        self.blocking: Tuple[int, ...] = tuple(
+            sum(1 for j in row if heights[j] <= heights[i]) for i, row in enumerate(nbr_ids)
+        )
+
+        # directed links 2e and 2e + 1: instance edge e from its initial tail
+        # to its head and back
+        edges = instance._edge_node_ids
+        link_from: List[int] = []
+        link_to: List[int] = []
+        for tail, head in edges:
+            link_from += (tail, head)
+            link_to += (head, tail)
+        self.link_from: Tuple[int, ...] = tuple(link_from)
+        self.link_to: Tuple[int, ...] = tuple(link_to)
+        #: per node: its outgoing link ids in broadcast order, which mirrors
+        #: the object protocol's (neighbours sorted by repr)
+        bcast_links: List[List[int]] = [[] for _ in range(n)]
+        repr_key = [repr(u) for u in nodes]
+        for j in sorted(range(n), key=repr_key.__getitem__):
+            for e, i in zip(instance._incident_eids[j], nbr_ids[j]):
+                bcast_links[i].append(2 * e + (edges[e][0] == j))
+        self.bcast_links: Tuple[Tuple[int, ...], ...] = tuple(map(tuple, bcast_links))
+
+        #: the instance's edges in ``(lo, hi)`` node-id order: their edge
+        #: ids, their id pairs and their node pairs
+        order = sorted((min(a, b), max(a, b), e) for e, (a, b) in enumerate(edges))
+        self.pair_eids: Tuple[int, ...] = tuple(e for _, _, e in order)
+        self.id_pairs: Tuple[Tuple[int, int], ...] = tuple((lo, hi) for lo, hi, _ in order)
+        self.node_pairs: Tuple[Tuple[Node, Node], ...] = tuple(
+            (nodes[lo], nodes[hi]) for lo, hi, _ in order
+        )
+        #: every link alive
+        self.all_alive = (1 << len(edges)) - 1
+        # every node announces its initial height at time zero; the start
+        # events take sequence numbers 0..n-1 exactly like the object
+        # network (a sorted list is a heap)
+        self.start_events: Tuple[tuple, ...] = tuple((0.0, i, _START, i) for i in range(n))
+        self._blocks: Optional[StreamBlocks] = None
+
+    def stream_blocks(self) -> StreamBlocks:
+        """The links' channel streams (node ids are the ranks), built on first use."""
+        if self._blocks is None:
+            self._blocks = StreamBlocks(self.seed, self.link_from, self.link_to)
+        return self._blocks
+
+
 class FastAsyncNetwork:
     """A compiled asynchronous deployment of height-based link reversal.
 
     Drop-in behavioural twin of
     :class:`~repro.distributed.network.AsyncLinkReversalNetwork` (same
     constructor semantics, same reports, same induced orientations for the
-    same seeds) with an int-only hot loop.
+    same seeds) with an int-only hot loop.  ``template``, when given, must
+    be a :class:`NetworkTemplate` of ``instance`` and ``seed``; without one
+    the network builds its own.
     """
 
     def __init__(
@@ -127,17 +203,17 @@ class FastAsyncNetwork:
         loss_probability: float = 0.0,
         seed: int = 0,
         fifo: bool = False,
+        template: Optional[NetworkTemplate] = None,
     ):
         if min_delay < 0 or max_delay < min_delay:
             raise ValueError("delays must satisfy 0 <= min_delay <= max_delay")
         if not 0.0 <= loss_probability < 1.0:
             raise ValueError("loss_probability must be in [0, 1)")
-        instance.validate(require_dag=True)
-        if instance.node_count > _R_MASK:
-            raise ValueError(
-                f"packed heights support at most {_R_MASK} nodes, "
-                f"got {instance.node_count}"
-            )
+        if template is None:
+            template = NetworkTemplate(instance, seed)
+        elif template.instance is not instance or template.seed != seed:
+            raise ValueError("the template belongs to another instance or channel seed")
+        self._template = template
         self.instance = instance
         self.mode = mode
         self.min_delay = min_delay
@@ -151,53 +227,33 @@ class FastAsyncNetwork:
         #: start/beacon events
         self._const_mode = max_delay <= min_delay
 
-        nodes = instance.nodes
         n = instance.node_count
-        self._nodes = nodes
+        self._nodes = instance.nodes
         self._dest = instance._dest_id
         #: crash-stop flags: a crashed node keeps its last height and still
         #: receives messages, but never reverses and never beacons again
         self._crashed = bytearray(n)
 
-        levels = initial_height_levels(instance)
-        self._height = [pack_height(0, levels[u], i) for i, u in enumerate(nodes)]
-        self._nbrs: List[Set[int]] = [set(row) for row in instance._incident_nbr_ids]
-        self._known: List[Dict[int, int]] = [
-            {j: self._height[j] for j in row} for row in instance._incident_nbr_ids
-        ]
+        self._height = list(template.heights)
+        self._nbrs: List[Set[int]] = list(map(set, instance._incident_nbr_ids))
+        self._known: List[Dict[int, int]] = list(map(dict.copy, template.known))
         # incremental local-sink state: a node knows every neighbour's height,
         # so it is a local sink iff it has neighbours and none of the known
         # heights is <= its own (blocking == 0).  Maintaining the counter
         # makes the per-message sink test O(1) instead of O(deg).
-        self._blocking: List[int] = [
-            sum(1 for value in self._known[i].values() if value <= self._height[i])
-            for i in range(n)
-        ]
-
-        # directed links 2e and 2e + 1: instance edge e from its initial tail
-        # to its head and back
-        edges = instance._edge_node_ids
-        self._link_from: List[int] = []
-        self._link_to: List[int] = []
-        for tail, head in edges:
-            self._link_from += (tail, head)
-            self._link_to += (head, tail)
+        self._blocking: List[int] = list(template.blocking)
+        self._link_from = template.link_from
+        self._link_to = template.link_to
         #: bit e set: instance edge e is a live link
-        self._alive = (1 << len(edges)) - 1
-        #: per node: its outgoing link ids in broadcast order, which mirrors
-        #: the object protocol's (neighbours sorted by repr)
-        self._bcast_links: List[List[int]] = [[] for _ in range(n)]
-        repr_key = [repr(u) for u in nodes]
-        for j in sorted(range(n), key=repr_key.__getitem__):
-            for e, i in zip(instance._incident_eids[j], instance._incident_nbr_ids[j]):
-                self._bcast_links[i].append(2 * e + (edges[e][0] == j))
+        self._alive = template.all_alive
+        self._bcast_links: List[List[int]] = list(map(list, template.bcast_links))
         count = len(self._link_from)
         self._link_epoch: List[int] = [0] * count
         # constant-delay, lossless channels never draw a random number, so
-        # they get no streams at all (node ids are the ranks)
+        # they get no streams at all
         self._streams: Optional[ChannelStreams] = None
         if loss_probability > 0.0 or not self._const_mode:
-            self._streams = ChannelStreams(seed, self._link_from, self._link_to)
+            self._streams = ChannelStreams.reading(template.stream_blocks())
         self._sent: List[int] = [0] * count
         self._delivered: List[int] = [0] * count
         self._dropped: List[int] = [0] * count
@@ -205,10 +261,7 @@ class FastAsyncNetwork:
         self._in_flight: List[int] = [0] * count
         self._last_sched: List[float] = [0.0] * count
 
-        # every node announces its initial height at time zero; the start
-        # events take sequence numbers 0..n-1 exactly like the object network
-        self._heap: List[tuple] = [(0.0, i, _START, i) for i in range(n)]
-        heapq.heapify(self._heap)
+        self._heap: List[tuple] = list(template.start_events)
         #: the delivery queue of const-delay mode:
         #: ``(time, seq, lid, height, epoch)`` entries in (time, seq) order
         self._dq: deque = deque()
@@ -644,29 +697,20 @@ class FastAsyncNetwork:
         self._on_link_down(iu, iv, out)
         self._on_link_down(iv, iu, out ^ 1)
 
-    @cached_property
-    def _pair_order(self) -> List[Tuple[int, int, int]]:
-        """``(lo, hi, e)`` per instance edge ``e`` in ``(lo, hi)`` node-id order."""
-        return sorted(
-            (min(a, b), max(a, b), e) for e, (a, b) in enumerate(self.instance._edge_node_ids)
-        )
-
-    def _live_pairs(self) -> Iterator[Tuple[int, int]]:
-        """The current links as ``(lo, hi)`` node-id pairs, in that order."""
+    def _live(self, items: Sequence) -> list:
+        """The entries of ``items`` (one per template pair) whose link is alive."""
         alive = self._alive
-        for lo, hi, e in self._pair_order:
-            if (alive >> e) & 1:
-                yield lo, hi
+        if alive == self._template.all_alive:
+            return list(items)
+        return [item for e, item in zip(self._template.pair_eids, items) if alive >> e & 1]
 
     def current_links(self) -> FrozenSet[FrozenSet[Node]]:
         """The current undirected link set (node objects, API parity)."""
-        nodes = self._nodes
-        return frozenset(frozenset((nodes[a], nodes[b])) for a, b in self._live_pairs())
+        return frozenset(map(frozenset, self.sorted_link_pairs()))
 
     def sorted_link_pairs(self) -> List[Tuple[Node, Node]]:
         """The current links as node pairs, in deterministic (id) order."""
-        nodes = self._nodes
-        return [(nodes[a], nodes[b]) for a, b in self._live_pairs()]
+        return self._live(self._template.node_pairs)
 
     def link_would_partition(self, u: Node, v: Node) -> bool:
         """Whether failing the current link ``{u, v}`` would partition the links.
@@ -704,7 +748,7 @@ class FastAsyncNetwork:
 
     def sorted_link_id_pairs(self) -> List[Tuple[int, int]]:
         """The current links as sorted ``(lo, hi)`` node-id pairs."""
-        return list(self._live_pairs())
+        return self._live(self._template.id_pairs)
 
     # ------------------------------------------------------------------
     # global views (for verification)
@@ -722,7 +766,7 @@ class FastAsyncNetwork:
         heights = self._height
         nodes = self._nodes
         edges: List[Tuple[Node, Node]] = []
-        for lo, hi in self._live_pairs():
+        for lo, hi in self.sorted_link_id_pairs():
             if heights[lo] > heights[hi]:
                 edges.append((nodes[lo], nodes[hi]))
             else:
@@ -740,17 +784,25 @@ class FastAsyncNetwork:
         return len(set(self._height)) == len(self._height)
 
     def is_destination_oriented(self) -> bool:
-        """Whether every node reaches the destination along the induced edges."""
+        """Whether every node reaches the destination along the induced edges.
+
+        The ranks make heights unique, so the induced orientation is a DAG,
+        and following lower heights from any node ends at a node with no
+        lower neighbour.  So (as in
+        :func:`~repro.core.graph.mask_final_state_checks`) the network is
+        destination oriented iff every other node has a lower neighbour.
+        """
         heights = self._height
-        predecessors: List[List[int]] = [[] for _ in self._nodes]
-        alive = self._alive
-        for e, (a, b) in enumerate(self.instance._edge_node_ids):
-            if (alive >> e) & 1:
-                if heights[a] > heights[b]:
-                    predecessors[b].append(a)
+        dest = self._dest
+        for i, nbrs in enumerate(self._nbrs):
+            if i != dest:
+                own = heights[i]
+                for j in nbrs:
+                    if heights[j] < own:
+                        break
                 else:
-                    predecessors[a].append(b)
-        return all(reaching_destination(self.instance, predecessors))
+                    return False
+        return True
 
     # ------------------------------------------------------------------
     @property

@@ -19,6 +19,7 @@ operations the experiments need:
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Hashable, List, Optional, Tuple
 
@@ -67,6 +68,31 @@ def initial_height_levels(instance: LinkReversalInstance) -> Dict[Node, int]:
             level[v] = max(level[v], level[u] + 1)
     max_level = max(level.values(), default=0)
     return {u: max_level - level[u] for u in instance.nodes}
+
+
+def _sender(channels: Dict[Tuple[Node, Node], Channel], sender: Node):
+    """The ``send`` of node ``sender``: the channel to the receiver, if still up."""
+
+    def send(receiver: Node, message: Message) -> None:
+        channel = channels.get((sender, receiver))
+        if channel is not None:  # else the link no longer exists
+            channel.send(message)
+
+    return send
+
+
+def _deliverer(receiver: LinkReversalNodeProcess):
+    """A channel's ``deliver``: hand the message to the receiving process.
+
+    The reference is weak: the receiver's own ``send`` reaches the channel,
+    so a strong one would close a cycle.  The network holds the processes.
+    """
+    process = weakref.ref(receiver)
+
+    def deliver(message: Message) -> None:
+        process().on_message(message)
+
+    return deliver
 
 
 @dataclass
@@ -121,6 +147,10 @@ class AsyncLinkReversalNetwork:
         self._retired_delivered = 0
         self._retired_lost = 0
 
+        # Nothing the processes, channels or queued events hold refers back
+        # to the network, and channels reach their receivers through weak
+        # references, so a finished network (nothing queued) is freed by
+        # reference counting.
         initial_heights = self._initial_heights()
         self.processes: Dict[Node, LinkReversalNodeProcess] = {}
         for u in instance.nodes:
@@ -131,7 +161,7 @@ class AsyncLinkReversalNetwork:
                 initial_height=initial_heights[u],
                 neighbours=neighbours,
                 initial_neighbour_heights={v: initial_heights[v] for v in neighbours},
-                send=self._make_sender(u),
+                send=_sender(self._channels, u),
                 mode=mode,
                 rank=self._rank[u],
             )
@@ -154,7 +184,7 @@ class AsyncLinkReversalNetwork:
                 simulator=self.simulator,
                 sender=sender,
                 receiver=receiver,
-                deliver=self._make_deliverer(receiver),
+                deliver=_deliverer(self.processes[receiver]),
                 min_delay=min_delay,
                 max_delay=max_delay,
                 loss_probability=loss_probability,
@@ -177,21 +207,6 @@ class AsyncLinkReversalNetwork:
             u: HeightValue(a=0, b=levels[u], rank=self._rank[u])
             for u in self.instance.nodes
         }
-
-    def _make_sender(self, sender: Node):
-        def send(receiver: Node, message: Message) -> None:
-            channel = self._channels.get((sender, receiver))
-            if channel is None:
-                return  # link no longer exists
-            channel.send(message)
-
-        return send
-
-    def _make_deliverer(self, receiver: Node):
-        def deliver(message: Message) -> None:
-            self.processes[receiver].on_message(message)
-
-        return deliver
 
     # ------------------------------------------------------------------
     # running

@@ -29,17 +29,25 @@ from ``spec.topology_seed`` and the link's ranks, so every algorithm of one
 replicate sees *paired* per-link delay/loss streams; failure injection
 derives from ``spec.scheduler_seed`` exactly like the synchronous engines'
 churn phases.
+
+One ``execute`` call takes the lanes of one topology cell: one topology
+and channel seed, whatever the algorithm, delay model, loss and churn (see
+:func:`~repro.experiments.runner.run_scenarios`).  It builds one
+:class:`~repro.distributed.fast_network.NetworkTemplate` for the cell and
+drops it when the group ends; the lanes run one after another, each on its
+own network built from the template, so its record is the one it gets when
+it runs alone.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Hashable, Optional, Tuple
 
-from repro.distributed.fast_network import FastAsyncNetwork
+from repro.distributed.fast_network import FastAsyncNetwork, NetworkTemplate
 from repro.distributed.network import DELAY_MODELS
 from repro.distributed.protocol import ReversalMode
-from repro.experiments.batch_engine import load_instance
+from repro.experiments.batch_engine import _canonical_key, load_instance
 from repro.experiments.churn import fail_seeded_links
 from repro.experiments.engines import ExecutionEngine, register_engine
 from repro.experiments.spec import ScenarioSpec, derive_seed
@@ -62,6 +70,15 @@ DEFAULT_MAX_EVENTS = 1_000_000
 
 #: Beacon rounds tried per phase before a lossy run is declared unconverged.
 BEACON_ROUNDS = 20
+
+
+def channel_seed(spec: ScenarioSpec) -> int:
+    """The seed of the spec's channel streams.
+
+    It derives from the topology seed alone, so the streams are paired
+    across the algorithms and channel models of one replicate.
+    """
+    return derive_seed(spec.topology_seed, "async-channels")
 
 
 def _quiesce(
@@ -144,62 +161,66 @@ class AsyncEngine(ExecutionEngine):
             f"churn model; choose from {', '.join(ASYNC_FAILURE_MODELS)}"
         )
 
+    def group_key(self, spec: ScenarioSpec) -> Tuple[Hashable, ...]:
+        return (_canonical_key(spec), channel_seed(spec))
+
     def execute(self, lanes, deadline) -> None:
+        template: Optional[NetworkTemplate] = None
         for spec, record in lanes:
-            self._execute_one(spec, record, deadline)
-
-    def _execute_one(self, spec, record, deadline) -> None:
-        network: Optional[FastAsyncNetwork] = None
-        try:
-            _, instance = load_instance(spec, record)
-            min_delay, max_delay, fifo = DELAY_MODELS[spec.delay_model]
-            network = FastAsyncNetwork(
-                instance,
-                mode=ASYNC_MODES[spec.algorithm],
-                min_delay=min_delay,
-                max_delay=max_delay,
-                loss_probability=spec.loss,
-                # channel streams derive from the topology seed: paired
-                # across the algorithms/schedulers of one replicate
-                seed=derive_seed(spec.topology_seed, "async-channels"),
-                fifo=fifo,
-            )
-            max_events = (
-                DEFAULT_MAX_EVENTS if spec.max_steps is None else spec.max_steps
-            )
-
-            if spec.node_faults > 0:
-                from repro.faults.nodes import select_crashed_ids
-
-                dead_ids = select_crashed_ids(
-                    instance.node_count,
-                    network.destination_id,
-                    spec.node_faults,
-                    spec.topology_seed,
+            network: Optional[FastAsyncNetwork] = None
+            try:
+                _, instance = load_instance(spec, record)
+                seed = channel_seed(spec)
+                if template is None or template.instance is not instance or template.seed != seed:
+                    template = NetworkTemplate(instance, seed)
+                min_delay, max_delay, fifo = DELAY_MODELS[spec.delay_model]
+                network = FastAsyncNetwork(
+                    instance,
+                    mode=ASYNC_MODES[spec.algorithm],
+                    min_delay=min_delay,
+                    max_delay=max_delay,
+                    loss_probability=spec.loss,
+                    seed=seed,
+                    fifo=fifo,
+                    template=template,
                 )
-                network.crash_stop_ids(dead_ids)
-                record["crashed_nodes"] = len(dead_ids)
+                self._run(spec, record, instance, network, deadline)
+            finally:
+                if network is not None:
+                    flush_network_counters(network, record)
 
-            report, converged = _quiesce(network, spec.loss, max_events, deadline)
-            if spec.node_faults > 0:
-                # crashed nodes silently stop reversing, so destination
-                # orientation is generally unreachable; the honest success
-                # criterion is that the live network went quiescent within
-                # budget (the frozen heights still route around dead nodes)
-                converged = network.quiescent()
-            if spec.failure_model == "link-failures" and spec.failure_count > 0:
-                report, converged = self._churn(
-                    spec, network, report, converged, max_events, deadline, record
-                )
+    def _run(self, spec, record, instance, network, deadline) -> None:
+        """Run one lane's phases on its freshly built network."""
+        max_events = DEFAULT_MAX_EVENTS if spec.max_steps is None else spec.max_steps
+        if spec.node_faults > 0:
+            from repro.faults.nodes import select_crashed_ids
 
-            record.update(
-                converged=converged,
-                destination_oriented=report.destination_oriented,
-                acyclic_final=report.acyclic,
+            dead_ids = select_crashed_ids(
+                instance.node_count,
+                network.destination_id,
+                spec.node_faults,
+                spec.topology_seed,
             )
-        finally:
-            if network is not None:
-                flush_network_counters(network, record)
+            network.crash_stop_ids(dead_ids)
+            record["crashed_nodes"] = len(dead_ids)
+
+        report, converged = _quiesce(network, spec.loss, max_events, deadline)
+        if spec.node_faults > 0:
+            # crashed nodes silently stop reversing, so destination
+            # orientation is generally unreachable; the honest success
+            # criterion is that the live network went quiescent within
+            # budget (the frozen heights still route around dead nodes)
+            converged = network.quiescent()
+        if spec.failure_model == "link-failures" and spec.failure_count > 0:
+            report, converged = self._churn(
+                spec, network, report, converged, max_events, deadline, record
+            )
+
+        record.update(
+            converged=converged,
+            destination_oriented=report.destination_oriented,
+            acyclic_final=report.acyclic,
+        )
 
     def _churn(
         self, spec, network, report, converged, max_events, deadline, record

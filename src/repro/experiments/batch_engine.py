@@ -419,6 +419,9 @@ class KernelEngine(ExecutionEngine):
             and spec.scheduler in MASK_SCHEDULER_FACTORIES
         )
 
+    def group_key(self, spec: ScenarioSpec) -> Tuple[Any, ...]:
+        return batch_key(spec)
+
     def unsupported_reason(self, spec: ScenarioSpec) -> str:
         if spec.delay_model is not None:
             return (

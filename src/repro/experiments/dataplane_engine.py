@@ -24,7 +24,9 @@ Phases per scenario:
 
 One ``execute`` call takes every lane of its group (see
 :func:`~repro.experiments.runner.run_scenarios`): it builds and converges
-each lane's control plane, puts the lanes on one shared packet simulator
+each lane's control plane (the lanes of one topology and channel seed from
+one :class:`~repro.distributed.fast_network.NetworkTemplate`), puts the
+lanes on one shared packet simulator
 (:func:`~repro.dataplane.run.share_simulator`) and drives them through one
 slot loop (:func:`~repro.dataplane.run.run_lockstep`), so one inject and
 one transmit per slot serve every lane still running.  Lanes may differ in
@@ -46,18 +48,20 @@ discipline.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro import telemetry as _telemetry
 from repro.dataplane.packets import PacketSimulator
 from repro.dataplane.run import DataPlaneRun, run_lockstep, share_simulator
 from repro.dataplane.traffic import TRAFFIC_MODEL_NAMES
+from repro.distributed.fast_network import NetworkTemplate
 from repro.distributed.network import DELAY_MODELS
 from repro.experiments.async_engine import (
     ASYNC_FAILURE_MODELS,
     ASYNC_MODES,
     DEFAULT_MAX_EVENTS,
     _quiesce,
+    channel_seed,
     flush_network_counters,
 )
 from repro.experiments.batch_engine import load_instance
@@ -117,13 +121,18 @@ class DataPlaneEngine(ExecutionEngine):
             f"churn model; choose from {', '.join(ASYNC_FAILURE_MODELS)}"
         )
 
+    def group_key(self, spec: ScenarioSpec) -> Tuple[Hashable, ...]:
+        # data-plane lanes may differ in every spec field
+        return ()
+
     def execute(self, lanes, deadline) -> None:
         runs: List[DataPlaneRun] = []
         converged: List[bool] = []
         sim: Optional[PacketSimulator] = None
+        templates: Dict[Tuple[Hashable, int], NetworkTemplate] = {}
         try:
             for spec, record in lanes:
-                run = self._planned_run(spec, record)
+                run = self._planned_run(spec, record, templates)
                 runs.append(run)
                 # Phase 1: converge the control plane so the traffic phase
                 # measures a routed DAG disrupted by churn, not initial
@@ -154,17 +163,28 @@ class DataPlaneEngine(ExecutionEngine):
                 self._report_telemetry(sim, runs)
 
     @staticmethod
-    def _planned_run(spec: ScenarioSpec, record) -> DataPlaneRun:
-        """The spec's run, planned: its injection slots, drain and failures."""
-        _, instance = load_instance(spec, record)
+    def _planned_run(
+        spec: ScenarioSpec, record, templates: Dict[Tuple[Hashable, int], NetworkTemplate]
+    ) -> DataPlaneRun:
+        """The spec's run, planned: its injection slots, drain and failures.
+
+        ``templates`` holds the group's network templates by topology key
+        and channel seed; the run's control plane builds from its cell's.
+        """
+        key, instance = load_instance(spec, record)
+        seed = channel_seed(spec)
+        template = templates.get((key, seed))
+        if template is None or template.instance is not instance:
+            template = templates[(key, seed)] = NetworkTemplate(instance, seed)
         run = DataPlaneRun(
             instance,
             mode=ASYNC_MODES[spec.algorithm],
             traffic=spec.traffic,
             delay_model=spec.delay_model or DEFAULT_DELAY_MODEL,
             loss=spec.loss,
-            channel_seed=derive_seed(spec.topology_seed, "async-channels"),
+            channel_seed=seed,
             traffic_seed=derive_seed(spec.topology_seed, "traffic"),
+            template=template,
         )
         slots = DEFAULT_SLOTS if spec.max_steps is None else spec.max_steps
         failure_plan: Optional[Dict[int, int]] = None

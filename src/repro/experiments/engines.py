@@ -35,15 +35,16 @@ Engines ``execute(lanes, deadline)``: ``lanes`` is a list of ``(spec,
 record)`` pairs that share one deadline, and each flat result record is
 mutated in place; partial work tallies must be flushed even when raising
 (timeouts are recorded with the work done so far).
-:func:`repro.experiments.runner.run_scenarios` forms the groups: only the
-``kernel`` and ``dataplane`` engines are ever handed more than one lane.
+:func:`repro.experiments.runner.run_scenarios` forms the groups from each
+engine's :meth:`~ExecutionEngine.group_key`: the ``kernel``, ``async`` and
+``dataplane`` engines are handed more than one lane.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from functools import cached_property
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from repro.experiments.spec import ScenarioSpec
 from repro.experiments.store import RESULT, group_defaults
@@ -80,6 +81,13 @@ class ExecutionEngine(ABC):
     def unsupported_reason(self, spec: "ScenarioSpec") -> str:
         """Human-readable reason used when an explicit choice is rejected."""
         return f"engine {self.name!r} does not support this spec"
+
+    def group_key(self, spec: "ScenarioSpec") -> Optional[Tuple[Hashable, ...]]:
+        """The key of the lanes ``spec`` may share one ``execute`` call with.
+
+        ``None`` (the default) runs every spec alone.
+        """
+        return None
 
     @abstractmethod
     def execute(

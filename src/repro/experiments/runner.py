@@ -13,14 +13,17 @@ flat, JSON-compatible result record per spec, in input order.
 Every spec resolves to one registered engine (see
 :mod:`repro.experiments.engines`), and the chunk runs as groups of lanes,
 one ``execute`` call and one deadline per group.  Without a per-run
-timeout, the ``kernel`` lanes that share a
-:func:`~repro.experiments.batch_engine.batch_key` form one lockstep group,
-and so do all the chunk's ``dataplane`` lanes, whatever their specs (each
-keeps its own network and traffic on a shared packet simulator); every
-other lane, and every lane under a per-run ``timeout_s``, is a group of its
-own.  The executor's chunking therefore bounds a group's width: its
-default chunk at ``workers=1`` is an eighth of the campaign.  The
-synchronous engines:
+timeout, lanes of one engine that share its
+:meth:`~repro.experiments.engines.ExecutionEngine.group_key` form one
+group: the ``kernel`` lanes of one
+:func:`~repro.experiments.batch_engine.batch_key` run in lockstep, the
+``async`` lanes of one topology cell (one topology and channel seed)
+build their networks from one template, and all the chunk's
+``dataplane`` lanes, whatever their specs, share one packet simulator
+(each keeps its own network and traffic).  Every other lane, and every
+lane under a per-run ``timeout_s``, is a group of its own.  The
+executor's chunking therefore bounds a group's width: its default chunk
+at ``workers=1`` is an eighth of the campaign.  The synchronous engines:
 
 ``kernel`` (the fast path)
     The compiled synchronous engine of
@@ -86,7 +89,6 @@ from repro.experiments.batch_engine import (
     ENGINE_KERNEL,
     KernelEngine,
     Lane,
-    batch_key,
     kernel_cache_stats,
     load_instance,
 )
@@ -337,9 +339,9 @@ def run_scenarios(
             _finish([record], round(time.perf_counter() - start, 6))
             continue
         record.update(chosen.record_init, engine=chosen.name)
-        if timeout_s is None and chosen.name in (ENGINE_KERNEL, ENGINE_DATAPLANE):
-            # data-plane lanes may differ in every spec field
-            key = batch_key(spec) if chosen.name == ENGINE_KERNEL else (chosen.name,)
+        group = None if timeout_s is not None else chosen.group_key(spec)
+        if group is not None:
+            key = (chosen.name, *group)
             lanes = lockstep.get(key)
             if lanes is None:
                 lanes = lockstep[key] = []

@@ -15,7 +15,13 @@ import pytest
 from repro.distributed.fast_network import FastAsyncNetwork
 from repro.distributed.network import AsyncLinkReversalNetwork
 from repro.distributed.protocol import ReversalMode
-from repro.distributed.streams import BLOCK, ChannelStreams
+from repro.distributed.streams import (
+    BLOCK,
+    KEPT_DRAWS,
+    TABLE_DRAWS,
+    ChannelStreams,
+    StreamBlocks,
+)
 from repro.topology.generators import build_family
 
 _MASK = (1 << 64) - 1
@@ -76,6 +82,77 @@ class TestCounterFormula:
 
     def test_no_links(self):
         assert ChannelStreams(4, [], []).draws == []
+
+
+class TestSharedBlocks:
+    """Readers of one :class:`StreamBlocks`, as the networks of one cell are."""
+
+    #: past the block boundaries at BLOCK, 2·BLOCK and 4·BLOCK draws
+    COUNT = 4 * BLOCK + 5
+
+    def _read(self, streams, lid, count):
+        # the fast network's inlined read: next(draws[lid]), refill when dry
+        got = []
+        for _ in range(count):
+            try:
+                got.append(next(streams.draws[lid]))
+            except StopIteration:
+                got.append(streams.refill(lid))
+        return got
+
+    @pytest.mark.parametrize("seed", (0, 31))
+    def test_interleaved_readers_read_the_formula(self, seed):
+        blocks = StreamBlocks(seed, *zip(*LINKS))
+        first = ChannelStreams.reading(blocks)
+        second = ChannelStreams.reading(blocks)
+        for lid, (sender, receiver) in enumerate(LINKS):
+            # the first reader stops mid-block, the second reads on (past the
+            # computed draws on link 0; later links read draws grown by it),
+            # and the first reads on through the grown list
+            got_first = self._read(first, lid, 5)
+            got_second = self._read(second, lid, BLOCK + 1)
+            got_first += self._read(first, lid, 2 * BLOCK)
+            got_second += self._read(second, lid, self.COUNT - BLOCK - 1)
+            got_first += self._read(first, lid, self.COUNT - 2 * BLOCK - 5)
+            expected = _expected_draws(seed, sender, receiver, self.COUNT)
+            assert got_first == got_second == expected
+
+    def test_a_later_reader_reads_the_grown_draws_from_the_start(self):
+        blocks = StreamBlocks(7, *zip(*LINKS))
+        self._read(ChannelStreams.reading(blocks), 3, self.COUNT)
+        assert len(blocks.blocks[3]) == 8 * BLOCK  # three doublings
+        late = ChannelStreams.reading(blocks)
+        draw = late.drawer(3)
+        assert [draw() for _ in range(self.COUNT)] == _expected_draws(7, 1048575, 2, self.COUNT)
+        # every link grew with the one that ran dry, in one pass each time
+        assert {len(block) for block in blocks.blocks} == {8 * BLOCK}
+
+    def test_past_the_table_bound_a_link_grows_alone(self):
+        # all links grow together up to 4 * BLOCK draws each, then alone
+        count = TABLE_DRAWS // (4 * BLOCK)
+        links = [(lid % 64, lid // 64) for lid in range(count)]
+        blocks = StreamBlocks(3, *zip(*links))
+        streams = ChannelStreams.reading(blocks)
+        got = self._read(streams, 5, KEPT_DRAWS)
+        assert got == _expected_draws(3, *links[5], KEPT_DRAWS)
+        assert len(blocks.blocks[5]) == KEPT_DRAWS
+        assert {len(block) for lid, block in enumerate(blocks.blocks) if lid != 5} == {
+            4 * BLOCK
+        }
+        draw = streams.drawer(6)
+        assert [draw() for _ in range(6 * BLOCK)] == _expected_draws(3, *links[6], 6 * BLOCK)
+        assert len(blocks.blocks[6]) == 8 * BLOCK
+
+
+    def test_readers_past_the_kept_draws_read_their_own(self):
+        blocks = StreamBlocks(9, *zip(*LINKS))
+        count = 3 * KEPT_DRAWS + 5
+        readers = [ChannelStreams.reading(blocks) for _ in range(2)]
+        got = [self._read(readers[0], 4, KEPT_DRAWS + 3), self._read(readers[1], 4, 7)]
+        got[1] += self._read(readers[1], 4, count - 7)
+        got[0] += self._read(readers[0], 4, count - KEPT_DRAWS - 3)
+        assert got[0] == got[1] == _expected_draws(9, 5, 5, count)
+        assert len(blocks.blocks[4]) == KEPT_DRAWS
 
 
 class TestUniformity:

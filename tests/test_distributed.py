@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.distributed.channel import Channel, Message
@@ -9,7 +12,12 @@ from repro.distributed.events import DiscreteEventSimulator
 from repro.distributed.network import AsyncLinkReversalNetwork
 from repro.distributed.protocol import HeightValue, LinkReversalNodeProcess, ReversalMode
 from repro.distributed.streams import ChannelStreams
-from repro.topology.generators import chain_instance, grid_instance, random_dag_instance
+from repro.topology.generators import (
+    build_family,
+    chain_instance,
+    grid_instance,
+    random_dag_instance,
+)
 from repro.topology.manet import random_geometric_instance
 
 
@@ -314,6 +322,38 @@ class TestAsyncNetwork:
         report = network.run_to_quiescence()
         assert report.destination_oriented
         assert report.acyclic
+
+
+class TestOracleLifetime:
+    """The oracle's twin of the compiled network's reference-counting test."""
+
+    @pytest.mark.parametrize("config", ((1.0, 1.0, False, 0.0), (0.5, 3.0, False, 0.25)))
+    def test_finished_network_is_freed_by_reference_counting(self, config):
+        # no reference cycle through the senders, deliverers, scheduled
+        # callbacks or delivery events: with the cycle collector off,
+        # dropping the last reference frees the network and its parts
+        min_delay, max_delay, fifo, loss = config
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            network = AsyncLinkReversalNetwork(
+                build_family("grid", 16, 1), min_delay=min_delay, max_delay=max_delay,
+                loss_probability=loss, seed=3, fifo=fifo,
+            )
+            network.run_with_beacons(max_rounds=20)
+            network.fail_link(*sorted(network.current_links(), key=sorted)[0])
+            network.run_with_beacons(max_rounds=20)
+            refs = [
+                weakref.ref(part) for part in (
+                    network, network.simulator,
+                    *network.processes.values(), *network._channels.values(),
+                )
+            ]
+            del network
+            assert all(ref() is None for ref in refs)
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class TestBeaconing:
