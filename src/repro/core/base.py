@@ -130,9 +130,12 @@ class LinkReversalState:
 class LinkReversalAutomaton(IOAutomaton):
     """Base class for automata whose only actions are single-node ``reverse(u)``.
 
-    Subclasses implement :meth:`_reversal_targets` (which incident edges the
-    sink reverses) and :meth:`_update_bookkeeping` (the per-node extra state),
-    plus :meth:`initial_state`.
+    Subclasses implement :meth:`initial_state` and :meth:`_apply_reverse`,
+    which returns the state after the enabled sink ``node`` takes its step
+    (the edges it reverses and its per-node bookkeeping).  The state only
+    needs ``sinks()`` and ``is_sink(u)``, so the height automata of
+    :mod:`repro.core.heights`, whose states derive edges from heights, are
+    subclasses too.
     """
 
     def __init__(self, instance: LinkReversalInstance, require_dag: bool = True):

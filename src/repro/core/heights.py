@@ -1,4 +1,4 @@
-"""Gafni–Bertsekas height-based formulations of Full and Partial Reversal.
+"""The Gafni–Bertsekas height rule and the height-based FR and PR automata.
 
 The original acyclicity proof for Partial Reversal (Gafni & Bertsekas 1981,
 recalled in Section 1 of the paper) assigns each node a *height* — a pair for
@@ -8,13 +8,19 @@ a total order, the directed graph is trivially acyclic in every state; the
 work of the proof is showing the height updates reproduce the reversal
 behaviour of the list-based algorithm.
 
-This module implements both height automata:
+This module is the one home of that rule, shared by the automata below, the
+asynchronous node protocol (:mod:`repro.distributed.protocol`) and both
+asynchronous networks:
 
-* **Full Reversal heights** — node ``i`` has height ``(a_i, i)``; when ``i``
-  is a sink it sets ``a_i := 1 + max{a_j : j ∈ nbrs(i)}``, which lifts it
-  above every neighbour and thus reverses all incident edges.
-* **Partial Reversal heights** — node ``i`` has height ``(a_i, b_i, i)``; when
-  ``i`` is a sink it sets::
+* :class:`HeightValue` ``(a, b, rank)`` is the one height type.  Full
+  Reversal's pair ``(a_i, i)`` is the triple ``(a_i, 0, i)``, which orders
+  exactly like the pair.
+* :func:`initial_height_levels` is the one initial-level function: the
+  negated longest-path level of each node in the initial DAG.
+* :func:`full_reversal_height` — when ``i`` is a sink it sets
+  ``a_i := 1 + max{a_j : j ∈ nbrs(i)}``, which lifts it above every
+  neighbour and thus reverses all incident edges.
+* :func:`partial_reversal_height` — when ``i`` is a sink it sets::
 
       a_i := 1 + min{a_j : j ∈ nbrs(i)}
       b_i := (min{b_j : j ∈ nbrs(i), a_j = a_i} - 1)   if that set is non-empty,
@@ -23,40 +29,68 @@ This module implements both height automata:
   This lifts ``i`` above exactly the neighbours with the old minimum
   ``a``-value and keeps it below the rest — the "partial" reversal.
 
-Heights live in the node state; edge directions are *derived* from the height
-order, so acyclicity is structural.  The automata expose the same
-``reverse(u)`` interface as the rest of the library so they plug into the same
-schedulers, analysis and benchmarks (experiment E14 compares the height-based
-PR against the list-based PR).
+In the automata, heights live in the node state; edge directions are
+*derived* from the height order, so acyclicity is structural.  The automata
+expose the same ``reverse(u)`` interface as the rest of the library so they
+plug into the same schedulers, analysis and benchmarks (experiment E14
+compares the height-based PR against the list-based PR).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, Iterator, Mapping, Optional, Tuple
+from typing import Dict, Hashable, Iterable, Mapping, Optional, Sequence, Tuple
 
-from repro.automata.ioa import Action, IOAutomaton, TransitionError
-from repro.core.base import Reverse
+from repro.core.base import LinkReversalAutomaton
 from repro.core.graph import LinkReversalInstance, Orientation
 
 Node = Hashable
 
 
 @dataclass(frozen=True, order=True)
-class PairHeight:
-    """Full Reversal height ``(a, node_rank)``; larger height means edges point away."""
+class HeightValue:
+    """A totally ordered node height ``(a, b, rank)``.
 
-    a: int
-    rank: int
-
-
-@dataclass(frozen=True, order=True)
-class TripleHeight:
-    """Partial Reversal height ``(a, b, node_rank)``."""
+    Full Reversal keeps ``b = 0`` once a node has stepped; Partial Reversal
+    uses all three components.  The order is lexicographic, so any snapshot
+    of heights induces an acyclic orientation.
+    """
 
     a: int
     b: int
     rank: int
+
+
+def initial_height_levels(instance: LinkReversalInstance) -> Dict[Node, int]:
+    """Initial levels consistent with the instance's DAG.
+
+    Longest-path levels from the sources, negated so that every initial edge
+    points from the larger level to the smaller: the initial orientation is
+    exactly the one induced by heights ``(0, level[u], rank[u])`` (Partial
+    Reversal and the asynchronous networks) or ``(level[u], 0, rank[u])``
+    (Full Reversal).
+    """
+    from repro.core.embedding import topological_order
+
+    level: Dict[Node, int] = {u: 0 for u in instance.nodes}
+    for u in topological_order(instance):
+        for v in instance.out_nbrs(u):
+            level[v] = max(level[v], level[u] + 1)
+    max_level = max(level.values(), default=0)
+    return {u: max_level - level[u] for u in instance.nodes}
+
+
+def full_reversal_height(rank: int, neighbours: Iterable[HeightValue]) -> HeightValue:
+    """A Full Reversal sink's new height: one ``a`` above its highest neighbour."""
+    return HeightValue(max(h.a for h in neighbours) + 1, 0, rank)
+
+
+def partial_reversal_height(own: HeightValue, neighbours: Sequence[HeightValue]) -> HeightValue:
+    """A Partial Reversal sink's new height (the Gafni–Bertsekas triple update)."""
+    new_a = min(h.a for h in neighbours) + 1
+    same_level = [h.b for h in neighbours if h.a == new_a]
+    new_b = min(same_level) - 1 if same_level else own.b
+    return HeightValue(new_a, new_b, own.rank)
 
 
 class HeightState:
@@ -67,18 +101,17 @@ class HeightState:
     is acyclic by construction in every reachable state.
     """
 
-    __slots__ = ("instance", "heights", "counts", "_rank")
+    __slots__ = ("instance", "heights", "counts")
 
     def __init__(
         self,
         instance: LinkReversalInstance,
-        heights: Mapping[Node, object],
+        heights: Mapping[Node, HeightValue],
         counts: Optional[Mapping[Node, int]] = None,
     ):
         self.instance = instance
-        self.heights: Dict[Node, object] = dict(heights)
+        self.heights: Dict[Node, HeightValue] = dict(heights)
         self.counts: Dict[Node, int] = dict(counts) if counts else {u: 0 for u in instance.nodes}
-        self._rank = {u: i for i, u in enumerate(instance.nodes)}
 
     # ------------------------------------------------------------------
     # derived orientation
@@ -163,73 +196,42 @@ class HeightState:
         return hash(self.signature())
 
 
-class _HeightAutomaton(IOAutomaton):
-    """Shared plumbing for the two height-based automata."""
+class _HeightAutomaton(LinkReversalAutomaton):
+    """Shared plumbing for the two height-based automata.
 
-    def __init__(self, instance: LinkReversalInstance, require_dag: bool = True):
-        instance.validate(require_dag=require_dag)
-        self.instance = instance
-        self._rank = {u: i for i, u in enumerate(instance.nodes)}
+    A subclass gives ``_initial_height(level, rank)``, a node's initial
+    height, and ``_lift(own, neighbours)``, a sink's raised height.
+    """
 
-    def enabled_actions(self, state: HeightState) -> Iterator[Action]:
-        for u in state.sinks():
-            yield Reverse(u)
+    def initial_state(self) -> HeightState:
+        levels = initial_height_levels(self.instance)
+        return HeightState(
+            self.instance,
+            {u: self._initial_height(levels[u], rank) for rank, u in enumerate(self.instance.nodes)},
+        )
 
-    def is_enabled(self, state: HeightState, action: Action) -> bool:
-        if not isinstance(action, Reverse):
-            return False
-        if action.node == self.instance.destination:
-            return False
-        return state.is_sink(action.node)
-
-    def apply(self, state: HeightState, action: Action) -> HeightState:
-        if not self.is_enabled(state, action):
-            raise TransitionError(f"{action!r} is not enabled")
+    def _apply_reverse(self, state: HeightState, node: Node) -> HeightState:
         new_state = state.copy()
-        self._lift(new_state, action.node)
-        new_state.counts[action.node] += 1
+        heights = state.heights
+        new_state.heights[node] = self._lift(
+            heights[node], [heights[v] for v in self.instance.nbrs(node)]
+        )
+        new_state.counts[node] += 1
         return new_state
-
-    # subclasses implement the height update
-    def _lift(self, state: HeightState, u: Node) -> None:
-        raise NotImplementedError
 
 
 class GBFullReversalHeights(_HeightAutomaton):
-    """Gafni–Bertsekas Full Reversal via pair heights ``(a_i, i)``."""
+    """Gafni–Bertsekas Full Reversal via pair heights ``(a_i, 0, i)``."""
 
     name = "GB-FR-heights"
 
-    def initial_state(self) -> HeightState:
-        heights = self._initial_heights()
-        return HeightState(self.instance, heights)
+    @staticmethod
+    def _initial_height(level: int, rank: int) -> HeightValue:
+        return HeightValue(level, 0, rank)
 
-    def _initial_heights(self) -> Dict[Node, PairHeight]:
-        """Initial pair heights consistent with ``G'_init``.
-
-        We use the longest-path level of each node in the initial DAG (edges
-        point from higher to lower level after negation), which directs every
-        initial edge from the larger to the smaller height as required.
-        """
-        from repro.core.embedding import topological_order
-
-        order = topological_order(self.instance)
-        level: Dict[Node, int] = {u: 0 for u in self.instance.nodes}
-        # longest distance from any source measured along initial edges,
-        # then negated so that edge tails get *larger* heights than heads.
-        for u in order:
-            for v in self.instance.out_nbrs(u):
-                level[v] = max(level[v], level[u] + 1)
-        max_level = max(level.values(), default=0)
-        return {
-            u: PairHeight(a=max_level - level[u], rank=self._rank[u])
-            for u in self.instance.nodes
-        }
-
-    def _lift(self, state: HeightState, u: Node) -> None:
-        nbr_heights = [state.heights[v] for v in self.instance.nbrs(u)]
-        max_a = max(h.a for h in nbr_heights)
-        state.heights[u] = PairHeight(a=max_a + 1, rank=self._rank[u])
+    @staticmethod
+    def _lift(own: HeightValue, neighbours: Sequence[HeightValue]) -> HeightValue:
+        return full_reversal_height(own.rank, neighbours)
 
 
 class GBPartialReversalHeights(_HeightAutomaton):
@@ -237,38 +239,8 @@ class GBPartialReversalHeights(_HeightAutomaton):
 
     name = "GB-PR-heights"
 
-    def initial_state(self) -> HeightState:
-        return HeightState(self.instance, self._initial_heights())
+    @staticmethod
+    def _initial_height(level: int, rank: int) -> HeightValue:
+        return HeightValue(0, level, rank)
 
-    def _initial_heights(self) -> Dict[Node, TripleHeight]:
-        """Initial triple heights consistent with ``G'_init``.
-
-        All nodes start with the same ``a`` value (zero); the ``b`` component
-        carries the initial DAG structure (longest-path level, negated) so that
-        every initial edge points from the larger to the smaller height.
-        """
-        from repro.core.embedding import topological_order
-
-        order = topological_order(self.instance)
-        level: Dict[Node, int] = {u: 0 for u in self.instance.nodes}
-        for u in order:
-            for v in self.instance.out_nbrs(u):
-                level[v] = max(level[v], level[u] + 1)
-        max_level = max(level.values(), default=0)
-        return {
-            u: TripleHeight(a=0, b=max_level - level[u], rank=self._rank[u])
-            for u in self.instance.nodes
-        }
-
-    def _lift(self, state: HeightState, u: Node) -> None:
-        nbrs = self.instance.nbrs(u)
-        nbr_heights = {v: state.heights[v] for v in nbrs}
-        min_a = min(h.a for h in nbr_heights.values())
-        new_a = min_a + 1
-        same_level_bs = [h.b for h in nbr_heights.values() if h.a == new_a]
-        old = state.heights[u]
-        if same_level_bs:
-            new_b = min(same_level_bs) - 1
-        else:
-            new_b = old.b
-        state.heights[u] = TripleHeight(a=new_a, b=new_b, rank=self._rank[u])
+    _lift = staticmethod(partial_reversal_height)

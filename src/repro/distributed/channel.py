@@ -14,6 +14,7 @@ literature.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Hashable, Optional
 
@@ -117,17 +118,20 @@ class Channel:
         if self.fifo and delivery_time < self._last_scheduled_delivery:
             delivery_time = self._last_scheduled_delivery
         self._last_scheduled_delivery = delivery_time
-        # the callback names its event by number, not by reference: an
-        # event holding a callback that holds the event is a reference cycle
+        # the callback names its event by number and its channel through a
+        # weak reference: the channel's in-flight table holds the event, so
+        # a strong reference either way would close a reference cycle
         key = self._sends
         self._sends = key + 1
+        ref = weakref.ref(self)
 
         def deliver_event(_sim: DiscreteEventSimulator, _message=message) -> None:
-            self.stats.delivered += 1
+            channel = ref()
+            channel.stats.delivered += 1
             # delivered messages are no longer in flight: without this a later
             # fail() would re-count them as lost_to_failure
-            del self._in_flight[key]
-            self._deliver(_message)
+            del channel._in_flight[key]
+            channel._deliver(_message)
 
         self._in_flight[key] = self.simulator.schedule_at(
             delivery_time, deliver_event, label=f"deliver {message.kind}"

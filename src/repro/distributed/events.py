@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
@@ -27,12 +28,13 @@ class ScheduledEvent:
     callback: EventCallback = field(compare=False)
     cancelled: bool = field(default=False, compare=False)
     label: str = field(default="", compare=False)
-    #: Back-reference set by :meth:`DiscreteEventSimulator.schedule` so that a
-    #: cancellation can be accounted for (and trigger queue compaction)
-    #: without scanning the heap.  Cleared when the event leaves the queue,
-    #: so a late cancel() on an already-dispatched event is an inert flag set
+    #: Weak back-reference set by :meth:`DiscreteEventSimulator.schedule` so
+    #: that a cancellation can be accounted for (and trigger queue
+    #: compaction) without scanning the heap; weak because the simulator's
+    #: queue holds the event.  Cleared when the event leaves the queue, so a
+    #: late cancel() on an already-dispatched event is an inert flag set
     #: rather than a phantom entry in the pending-event accounting.
-    _simulator: Optional["DiscreteEventSimulator"] = field(
+    _simulator: Optional["weakref.ref[DiscreteEventSimulator]"] = field(
         default=None, compare=False, repr=False
     )
 
@@ -41,8 +43,9 @@ class ScheduledEvent:
         if self.cancelled:
             return
         self.cancelled = True
-        if self._simulator is not None:
-            self._simulator._note_cancellation()
+        simulator = self._simulator and self._simulator()
+        if simulator is not None:
+            simulator._note_cancellation()
             self._simulator = None
 
 
@@ -61,6 +64,7 @@ class DiscreteEventSimulator:
         self._now = 0.0
         self._cancelled_pending = 0
         self.events_dispatched = 0
+        self._ref = weakref.ref(self)
 
     # ------------------------------------------------------------------
     @property
@@ -100,7 +104,7 @@ class DiscreteEventSimulator:
             sequence=next(self._sequence),
             callback=callback,
             label=label,
-            _simulator=self,
+            _simulator=self._ref,
         )
         heapq.heappush(self._queue, event)
         return event

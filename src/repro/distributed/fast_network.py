@@ -3,14 +3,19 @@
 :class:`FastAsyncNetwork` is the campaign-scale twin of
 :class:`~repro.distributed.network.AsyncLinkReversalNetwork`.  The object
 network dispatches dataclass events through per-message callback closures,
-compares :class:`~repro.distributed.protocol.HeightValue` dataclasses and
+compares :class:`~repro.core.heights.HeightValue` dataclasses and
 keeps per-channel in-flight lists; none of that survives on the hot path
 here:
 
 * **Packed int heights** — a height triple ``(a, b, rank)`` is one int
   ``(a << 64) | ((b + 2^43) << 20) | rank``, so the lexicographic height
   order *is* integer ``<`` and every local-sink test is a handful of int
-  compares (full-reversal pairs are the ``b = 0`` special case).
+  compares (full-reversal pairs are the ``b = 0`` special case).  The
+  raise in ``_reverse`` is :mod:`repro.core.heights`' shared rule
+  (:func:`~repro.core.heights.full_reversal_height`,
+  :func:`~repro.core.heights.partial_reversal_height`) on packed ints, and
+  the initial heights come from its
+  :func:`~repro.core.heights.initial_height_levels`.
 * **Flat tuple heap** — events are plain ``(time, seq, kind, ...)`` tuples
   in a :mod:`heapq`; ties break on the globally allocated ``seq`` exactly
   like the object simulator's sequence numbers, so the two engines dispatch
@@ -70,8 +75,9 @@ from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence
 
 from repro import telemetry as _telemetry
 from repro.core.graph import LinkReversalInstance, Orientation, link_splits
-from repro.distributed.network import NetworkReport, initial_height_levels
-from repro.distributed.protocol import HeightValue, ReversalMode
+from repro.core.heights import HeightValue, initial_height_levels
+from repro.distributed.network import NetworkReport
+from repro.distributed.protocol import ReversalMode
 from repro.distributed.streams import ChannelStreams, StreamBlocks
 from repro.kernels.simulator import DEADLINE_CHECK_STRIDE, DeadlineExceeded
 

@@ -20,17 +20,14 @@ operations the experiments need:
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Hashable, List, Optional, Tuple
 
 from repro.core.graph import LinkReversalInstance, Orientation, reaching_destination
+from repro.core.heights import HeightValue, initial_height_levels
 from repro.distributed.channel import Channel, Message
 from repro.distributed.events import DiscreteEventSimulator
-from repro.distributed.protocol import (
-    HeightValue,
-    LinkReversalNodeProcess,
-    ReversalMode,
-)
+from repro.distributed.protocol import LinkReversalNodeProcess, ReversalMode
 from repro.distributed.streams import ChannelStreams
 
 Node = Hashable
@@ -50,26 +47,6 @@ DELAY_MODELS: Dict[str, Tuple[float, float, bool]] = {
 }
 
 
-def initial_height_levels(instance: LinkReversalInstance) -> Dict[Node, int]:
-    """Initial ``b``-levels consistent with the instance's DAG.
-
-    Longest-path levels from the sources, negated so the destination-directed
-    initial orientation is exactly the one induced by heights
-    ``(0, max_level - level[u], rank[u])``.  Shared by the object network and
-    the compiled :class:`~repro.distributed.fast_network.FastAsyncNetwork` so
-    the two engines start from identical heights.
-    """
-    from repro.core.embedding import topological_order
-
-    order = topological_order(instance)
-    level: Dict[Node, int] = {u: 0 for u in instance.nodes}
-    for u in order:
-        for v in instance.out_nbrs(u):
-            level[v] = max(level[v], level[u] + 1)
-    max_level = max(level.values(), default=0)
-    return {u: max_level - level[u] for u in instance.nodes}
-
-
 def _sender(channels: Dict[Tuple[Node, Node], Channel], sender: Node):
     """The ``send`` of node ``sender``: the channel to the receiver, if still up."""
 
@@ -81,18 +58,15 @@ def _sender(channels: Dict[Tuple[Node, Node], Channel], sender: Node):
     return send
 
 
-def _deliverer(receiver: LinkReversalNodeProcess):
-    """A channel's ``deliver``: hand the message to the receiving process.
+def _weakly(method):
+    """Call a process's bound ``method`` through a weak reference.
 
-    The reference is weak: the receiver's own ``send`` reaches the channel,
-    so a strong one would close a cycle.  The network holds the processes.
+    A process's own ``send`` reaches the channels and through them the
+    simulator, so a channel or a queued event holding the process strongly
+    would close a cycle.  The network holds the processes.
     """
-    process = weakref.ref(receiver)
-
-    def deliver(message: Message) -> None:
-        process().on_message(message)
-
-    return deliver
+    ref = weakref.WeakMethod(method)
+    return lambda *args: ref()(*args)
 
 
 @dataclass
@@ -148,10 +122,12 @@ class AsyncLinkReversalNetwork:
         self._retired_lost = 0
 
         # Nothing the processes, channels or queued events hold refers back
-        # to the network, and channels reach their receivers through weak
-        # references, so a finished network (nothing queued) is freed by
-        # reference counting.
-        initial_heights = self._initial_heights()
+        # to the network; channels and queued events reach processes,
+        # delivery events their channels and events their simulator through
+        # weak references.  So a network is freed by reference counting,
+        # even with events still queued.
+        levels = initial_height_levels(instance)
+        initial_heights = {u: HeightValue(0, levels[u], self._rank[u]) for u in instance.nodes}
         self.processes: Dict[Node, LinkReversalNodeProcess] = {}
         for u in instance.nodes:
             neighbours = instance.nbrs(u)
@@ -163,7 +139,6 @@ class AsyncLinkReversalNetwork:
                 initial_neighbour_heights={v: initial_heights[v] for v in neighbours},
                 send=_sender(self._channels, u),
                 mode=mode,
-                rank=self._rank[u],
             )
 
         # each directed channel draws from the counter stream keyed by
@@ -184,7 +159,7 @@ class AsyncLinkReversalNetwork:
                 simulator=self.simulator,
                 sender=sender,
                 receiver=receiver,
-                deliver=_deliverer(self.processes[receiver]),
+                deliver=_weakly(self.processes[receiver].on_message),
                 min_delay=min_delay,
                 max_delay=max_delay,
                 loss_probability=loss_probability,
@@ -194,19 +169,8 @@ class AsyncLinkReversalNetwork:
 
         # every node announces its initial height at time zero
         for u in instance.nodes:
-            process = self.processes[u]
-            self.simulator.schedule(0.0, lambda _sim, p=process: p.on_start(), label=f"start {u}")
-
-    # ------------------------------------------------------------------
-    # wiring helpers
-    # ------------------------------------------------------------------
-    def _initial_heights(self) -> Dict[Node, HeightValue]:
-        """Heights consistent with the initial DAG (longest-path levels, negated)."""
-        levels = initial_height_levels(self.instance)
-        return {
-            u: HeightValue(a=0, b=levels[u], rank=self._rank[u])
-            for u in self.instance.nodes
-        }
+            start = _weakly(self.processes[u].on_start)
+            self.simulator.schedule(0.0, lambda _sim, start=start: start(), label=f"start {u}")
 
     # ------------------------------------------------------------------
     # running
@@ -231,10 +195,8 @@ class AsyncLinkReversalNetwork:
         reports destination orientation.
         """
         for u in self.instance.nodes:
-            process = self.processes[u]
-            self.simulator.schedule(
-                0.0, lambda _sim, p=process: p._broadcast_height(), label=f"beacon {u}"
-            )
+            beacon = _weakly(self.processes[u]._broadcast_height)
+            self.simulator.schedule(0.0, lambda _sim, beacon=beacon: beacon(), label=f"beacon {u}")
 
     def run_with_beacons(
         self, max_rounds: int = 10, max_events_per_round: int = 100_000

@@ -18,10 +18,18 @@ Whenever a node observes that it is a *local sink* — its height is lower than
 every known neighbour height and it is not the destination — it raises its
 height according to the configured :class:`ReversalMode`:
 
-* ``FULL`` — pair heights, new ``a`` is one more than the maximum neighbour
-  ``a`` (every incident edge reverses);
-* ``PARTIAL`` — triple heights with the Gafni–Bertsekas partial-reversal
-  update (only the edges to the lowest neighbours reverse).
+* ``FULL`` — new ``a`` is one more than the maximum neighbour ``a`` (every
+  incident edge reverses);
+* ``PARTIAL`` — the Gafni–Bertsekas partial-reversal update (only the edges
+  to the lowest neighbours reverse).
+
+The height type and both raise rules are the ones of
+:mod:`repro.core.heights` (:class:`~repro.core.heights.HeightValue`,
+:func:`~repro.core.heights.full_reversal_height` and
+:func:`~repro.core.heights.partial_reversal_height`), which the height
+automata run too; the protocol adds only the message passing.  A node hears
+every neighbour's initial height at construction and links only fail, so it
+knows the height of every current neighbour at all times.
 
 The protocol is deliberately conservative about staleness: a node acts only on
 the heights it has heard, so transient disagreement is possible while messages
@@ -33,10 +41,10 @@ reversal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Hashable, Set
 
+from repro.core.heights import HeightValue, full_reversal_height, partial_reversal_height
 from repro.distributed.channel import Message
 
 Node = Hashable
@@ -47,21 +55,6 @@ class ReversalMode(Enum):
 
     FULL = "full"
     PARTIAL = "partial"
-
-
-@dataclass(frozen=True, order=True)
-class HeightValue:
-    """A totally ordered node height ``(a, b, rank)``.
-
-    For ``FULL`` mode only ``a`` and ``rank`` are meaningful (``b`` stays 0);
-    for ``PARTIAL`` mode the triple implements the Gafni–Bertsekas partial
-    reversal update.  The total order is lexicographic, so any snapshot of
-    true heights induces an acyclic orientation.
-    """
-
-    a: int
-    b: int
-    rank: int
 
 
 #: Signature of the send callback handed to a node process by the network:
@@ -84,13 +77,11 @@ class LinkReversalNodeProcess:
         initial_neighbour_heights: Dict[Node, HeightValue],
         send: SendFunction,
         mode: ReversalMode = ReversalMode.PARTIAL,
-        rank: Optional[int] = None,
     ):
         self.node = node
         self.destination = destination
         self.mode = mode
         self.height = initial_height
-        self.rank = initial_height.rank if rank is None else rank
         self.neighbours: Set[Node] = set(neighbours)
         self.neighbour_heights: Dict[Node, HeightValue] = dict(initial_neighbour_heights)
         self._send = send
@@ -104,11 +95,7 @@ class LinkReversalNodeProcess:
         """Whether, according to its local knowledge, every incident edge points at this node."""
         if self.node == self.destination or not self.neighbours:
             return False
-        return all(
-            self.neighbour_heights[v] > self.height
-            for v in self.neighbours
-            if v in self.neighbour_heights
-        ) and all(v in self.neighbour_heights for v in self.neighbours)
+        return all(self.neighbour_heights[v] > self.height for v in self.neighbours)
 
     # ------------------------------------------------------------------
     # event handlers (called by the network layer)
@@ -127,8 +114,7 @@ class LinkReversalNodeProcess:
             # stale message from a link that has since failed
             return
         height = message.payload
-        known = self.neighbour_heights.get(sender)
-        if known is None or height > known:
+        if height > self.neighbour_heights[sender]:
             self.neighbour_heights[sender] = height
         self.maybe_reverse()
 
@@ -153,18 +139,10 @@ class LinkReversalNodeProcess:
         self._broadcast_height()
 
     def _raised_height(self) -> HeightValue:
-        known = [self.neighbour_heights[v] for v in self.neighbours if v in self.neighbour_heights]
-        if not known:
-            return self.height
+        known = [self.neighbour_heights[v] for v in self.neighbours]
         if self.mode is ReversalMode.FULL:
-            max_a = max(h.a for h in known)
-            return HeightValue(a=max_a + 1, b=0, rank=self.rank)
-        # PARTIAL: Gafni–Bertsekas triple update
-        min_a = min(h.a for h in known)
-        new_a = min_a + 1
-        same_level = [h.b for h in known if h.a == new_a]
-        new_b = (min(same_level) - 1) if same_level else self.height.b
-        return HeightValue(a=new_a, b=new_b, rank=self.rank)
+            return full_reversal_height(self.height.rank, known)
+        return partial_reversal_height(self.height, known)
 
     def _broadcast_height(self) -> None:
         for v in sorted(self.neighbours, key=repr):

@@ -14,14 +14,13 @@ from typing import Hashable, Iterable, List, Optional, Sequence
 
 from repro.automata.ioa import Action, IOAutomaton
 from repro.core.base import LinkReversalAutomaton, Reverse
-from repro.core.heights import _HeightAutomaton
 from repro.core.pr import PartialReversal, ReverseSet
 
 Node = Hashable
 
 #: Automata whose enabled single-node actions are exactly the non-destination
 #: sinks of the state — the invariant the sink-set fast path relies on.
-_SINK_ENABLED_AUTOMATA = (LinkReversalAutomaton, PartialReversal, _HeightAutomaton)
+_SINK_ENABLED_AUTOMATA = (LinkReversalAutomaton, PartialReversal)
 
 
 class Scheduler(abc.ABC):

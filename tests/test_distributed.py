@@ -355,6 +355,30 @@ class TestOracleLifetime:
             if was_enabled:
                 gc.enable()
 
+    @pytest.mark.parametrize("run_for", (None, 2.0), ids=("unstarted", "mid-run"))
+    def test_network_with_queued_events_is_freed_by_reference_counting(self, run_for):
+        # start or delivery events still queued: the queue holds events and
+        # events their callbacks, so none of them may hold the simulator, a
+        # channel or a process strongly
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            network = AsyncLinkReversalNetwork(build_family("grid", 16, 1), seed=3)
+            if run_for is not None:
+                network.run_for(run_for)
+            assert network.simulator.pending_events > 0
+            refs = [
+                weakref.ref(part) for part in (
+                    network, network.simulator,
+                    *network.processes.values(), *network._channels.values(),
+                )
+            ]
+            del network
+            assert all(ref() is None for ref in refs)
+        finally:
+            if was_enabled:
+                gc.enable()
+
 
 class TestBeaconing:
     """Anti-entropy beacon rounds recover destination orientation under message loss."""

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.work import WorkObserver
 from repro.automata.executions import run
 from repro.core.base import Reverse
 from repro.core.full_reversal import FullReversal
@@ -11,10 +12,13 @@ from repro.core.heights import (
     GBFullReversalHeights,
     GBPartialReversalHeights,
     HeightState,
-    PairHeight,
-    TripleHeight,
+    HeightValue,
+    full_reversal_height,
+    partial_reversal_height,
 )
 from repro.core.one_step_pr import OneStepPartialReversal
+from repro.exploration.enumerate_graphs import all_connected_dag_instances
+from repro.schedulers import make_scheduler
 from repro.schedulers.random_scheduler import RandomScheduler
 from repro.schedulers.sequential import SequentialScheduler
 
@@ -40,18 +44,34 @@ class TestInitialHeights:
 
 class TestHeightOrder:
     def test_pair_height_ordering(self):
-        assert PairHeight(2, 0) > PairHeight(1, 5)
-        assert PairHeight(1, 2) > PairHeight(1, 1)
+        # Full Reversal's pair (a, rank) is the triple (a, 0, rank)
+        assert HeightValue(2, 0, 0) > HeightValue(1, 0, 5)
+        assert HeightValue(1, 0, 2) > HeightValue(1, 0, 1)
 
     def test_triple_height_ordering(self):
-        assert TripleHeight(1, 0, 0) > TripleHeight(0, 9, 9)
-        assert TripleHeight(0, 2, 0) > TripleHeight(0, 1, 9)
-        assert TripleHeight(0, 0, 2) > TripleHeight(0, 0, 1)
+        assert HeightValue(1, 0, 0) > HeightValue(0, 9, 9)
+        assert HeightValue(0, 2, 0) > HeightValue(0, 1, 9)
+        assert HeightValue(0, 0, 2) > HeightValue(0, 0, 1)
 
     def test_acyclicity_is_structural(self, random_dag):
         state = GBPartialReversalHeights(random_dag).initial_state()
         assert state.is_acyclic()
         assert state.to_orientation().is_acyclic()
+
+
+class TestRaiseRules:
+    def test_full_rises_one_above_highest_neighbour(self):
+        neighbours = [HeightValue(3, 0, 0), HeightValue(7, 4, 1)]
+        assert full_reversal_height(2, neighbours) == HeightValue(8, 0, 2)
+
+    def test_partial_takes_b_below_the_new_level(self):
+        # new a = 1 + min a = 1; the neighbours already at a = 1 set b
+        neighbours = [HeightValue(0, 5, 0), HeightValue(1, 3, 1), HeightValue(1, 6, 3)]
+        assert partial_reversal_height(HeightValue(0, 0, 2), neighbours) == HeightValue(1, 2, 2)
+
+    def test_partial_keeps_b_when_no_neighbour_is_at_the_new_level(self):
+        neighbours = [HeightValue(0, 5, 0), HeightValue(4, 3, 1)]
+        assert partial_reversal_height(HeightValue(0, -2, 2), neighbours) == HeightValue(1, -2, 2)
 
 
 class TestTransitions:
@@ -115,12 +135,31 @@ class TestConvergence:
         result = run(GBPartialReversalHeights(random_dag), RandomScheduler(seed=5))
         assert all(state.is_acyclic() for state in result.execution.states)
 
-    def test_pr_heights_work_close_to_list_pr(self, worst_chain):
-        """The height formulation and the list formulation do comparable work."""
-        heights_result = run(GBPartialReversalHeights(worst_chain), SequentialScheduler())
-        pr_result = run(OneStepPartialReversal(worst_chain), SequentialScheduler())
-        assert heights_result.converged and pr_result.converged
-        # both are "partial" algorithms: far less work than FR's quadratic blow-up
-        fr_result = run(FullReversal(worst_chain), SequentialScheduler())
-        assert heights_result.steps_taken <= fr_result.steps_taken
-        assert pr_result.steps_taken <= fr_result.steps_taken
+    @pytest.mark.parametrize("scheduler", ["greedy", "random"])
+    def test_heights_work_equals_lists_per_node(self, scheduler):
+        """Every node steps as often under heights as under the list algorithm.
+
+        Per-node work is schedule independent, so the height and the list
+        formulation agree node by node on every connected DAG start with
+        two to five nodes.
+        """
+        pairs = (
+            (GBPartialReversalHeights, OneStepPartialReversal),
+            (GBFullReversalHeights, FullReversal),
+        )
+        starts = 0
+        for n in range(2, 6):
+            for index, instance in enumerate(all_connected_dag_instances(n)):
+                starts += 1
+                for heights_class, list_class in pairs:
+                    work = []
+                    for automaton_class in (heights_class, list_class):
+                        observer = WorkObserver()
+                        result = run(
+                            automaton_class(instance), make_scheduler(scheduler, seed=index),
+                            observers=[observer], record_states=False,
+                        )
+                        assert result.converged
+                        work.append(observer.per_node_steps)
+                    assert work[0] == work[1], (heights_class.name, instance.initial_edges)
+        assert starts == 771
